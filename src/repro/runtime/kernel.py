@@ -55,15 +55,6 @@ MAX_TRACE = 256
 #: Seconds a move waits for active invocations of the group to drain.
 MOVE_DRAIN_TIMEOUT = 30.0
 
-#: Ceiling on waiting for any reply.  Every request is guaranteed an
-#: answer (even pickling failures reply with an error), so hitting this
-#: indicates a lost peer; better a TimeoutError than a silent hang.
-#: Derived from REPRO_PEER_TIMEOUT_S (default 30 s -> 120 s here); see
-#: repro.recovery.config.  Kept for documentation/compat; the kernel
-#: reads the knob per request so tests and chaos scenarios can tighten
-#: it at runtime.
-DEFAULT_REPLY_TIMEOUT = reply_timeout_s()
-
 #: Receive-side at-most-once window: completed requests remembered per
 #: node (their cached replies are re-sent to duplicate requests).
 DEDUP_CAPACITY = 8192
@@ -75,18 +66,24 @@ RTO_MIN_S = 0.05
 RTO_MAX_S = 2.0
 RTO_CAP_FACTOR = 4.0
 
+#: Period of worker retirement, seconds: a worker nothing needed for
+#: one whole period retires at its end (see :class:`_WorkerPool`).
+WORKER_IDLE_S = 1.0
+
 log = logging.getLogger(__name__)
-
-
-def _rto_base_s() -> float:
-    return max(RTO_MIN_S, min(RTO_MAX_S, reply_timeout_s() / 24.0))
 
 
 class _Pending:
     """One outstanding request: its reply box plus everything needed to
-    re-send it (lost-request/lost-reply recovery)."""
+    re-send it (lost-request/lost-reply recovery).
 
-    __slots__ = ("box", "message", "route", "last_target")
+    The reply ceiling is read from REPRO_PEER_TIMEOUT_S (default 30 s ->
+    120 s; see repro.recovery.config) once, here: every request is
+    guaranteed an answer, so exhausting it indicates a lost peer, and
+    tests and chaos scenarios tighten the knob between requests."""
+
+    __slots__ = ("box", "message", "route", "last_target", "reply_s",
+                 "rto_base_s")
 
     def __init__(self, message: Any,
                  route: Callable[[], int]):
@@ -94,6 +91,9 @@ class _Pending:
         self.message = message
         self.route = route
         self.last_target: Optional[int] = None
+        self.reply_s = reply_timeout_s()
+        self.rto_base_s = max(RTO_MIN_S,
+                              min(RTO_MAX_S, self.reply_s / 24.0))
 
 
 class _Dedup:
@@ -148,6 +148,79 @@ class _Dedup:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+class _WorkerPool:
+    """The kernel's elastic worker threads: handlers may block (move
+    drains, nested requests, the bounce sleep in ``_forward``, live
+    ``Lock``/``CondVar`` waits), so a message must never wait behind a
+    running one.  Invariant: :meth:`submit` hands the message to a
+    worker that is parked idle — claimed under the lock, so the queue
+    never holds more messages than there are claimed workers — and
+    otherwise starts a new thread.  The pool is therefore unbounded.
+    (Claims are not addressed: a worker that finishes while messages
+    wait takes one without sleeping, and the worker woken for it parks
+    again.)  :meth:`retire_spare`, called once per
+    :data:`WORKER_IDLE_S`, retires the workers nothing claimed since
+    the call before."""
+
+    _RETIRE = object()
+
+    def __init__(self, run: Callable[[Any], None], name: str,
+                 stats: Dict[str, int]):
+        self._run = run
+        self._name = name
+        self._stats = stats
+        self._lock = threading.Lock()
+        #: Parked workers no submit has claimed yet, and the fewest
+        #: there have been since the last retire_spare.
+        self._idle = 0
+        self._spare = 0
+        self._closed = False
+        self._handoff: "queue.SimpleQueue" = queue.SimpleQueue()
+
+    def submit(self, message: Any) -> None:
+        with self._lock:
+            reuse = self._idle > 0
+            if reuse:
+                self._idle -= 1
+                self._stats["worker_handoffs"] += 1
+            else:
+                self._stats["workers_started"] += 1
+            if self._idle < self._spare:
+                self._spare = self._idle
+        if reuse:
+            self._handoff.put(message)
+        else:
+            threading.Thread(target=self._work, args=(message,),
+                             name=self._name, daemon=True).start()
+
+    def retire_spare(self) -> None:
+        with self._lock:
+            spare = self._spare
+            self._idle -= spare
+            self._spare = self._idle
+        for _ in range(spare):
+            self._handoff.put(self._RETIRE)
+
+    def close(self) -> None:
+        """Retire every parked worker now, and the running ones as they
+        finish."""
+        with self._lock:
+            self._closed = True
+            self._spare = self._idle
+        self.retire_spare()
+
+    def _work(self, message: Any) -> None:
+        while message is not self._RETIRE:
+            self._run(message)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle += 1
+            # No timeout: with several consumers CPython's
+            # SimpleQueue.get can outstay one.
+            message = self._handoff.get()
 
 
 class ThreadHandle:
@@ -215,7 +288,12 @@ class NodeKernel:
             "dedup_replayed": 0,
             "circuit_fast_fails": 0,
             "circuit_reroutes": 0,
+            # Worker pool: threads created, messages given to a parked one.
+            "workers_started": 0,
+            "worker_handoffs": 0,
         }
+        self._workers = _WorkerPool(self._dispatch,
+                                    f"amber-worker-{node_id}", self.stats)
         set_process_kernel(self)
         threading.Thread(target=self._resend_detached_loop, daemon=True,
                          name=f"amber-resender-{node_id}").start()
@@ -268,10 +346,10 @@ class NodeKernel:
         # ladder for it, so hand it to the resender daemon: a dropped
         # fork frame must not wedge until (or unless) join is called.
         now = time.monotonic()
-        rto = _rto_base_s()
+        rto = entry.rto_base_s
         with self._detached_lock:
             self._detached[request_id] = [now + rto, rto,
-                                          now + reply_timeout_s()]
+                                          now + entry.reply_s]
         return ThreadHandle(self, request_id, f"{method}@{vaddr:#x}")
 
     def move(self, vaddr: int, dest: int) -> None:
@@ -330,15 +408,22 @@ class NodeKernel:
 
     def shutdown(self) -> None:
         self._resender_stop.set()
+        self._workers.close()
         self.mesh.close()
 
     def _resend_detached_loop(self) -> None:
         """Retransmit detached requests (started threads nobody joined
         yet) on the same backoff ladder ``_await_hardened`` uses, until
         each is answered, fails typed, or outlives the reply deadline
-        (after which a late ``wait_reply`` restarts its own ladder)."""
+        (after which a late ``wait_reply`` restarts its own ladder).
+        The node's one periodic thread, so it also ticks the worker
+        pool's retirement."""
+        retire_at = time.monotonic() + WORKER_IDLE_S
         while not self._resender_stop.wait(0.05):
             now = time.monotonic()
+            if now >= retire_at:
+                self._workers.retire_spare()
+                retire_at = now + WORKER_IDLE_S
             with self._detached_lock:
                 due = [(rid, state) for rid, state in
                        self._detached.items() if now >= state[0]]
@@ -369,7 +454,7 @@ class NodeKernel:
                 except Exception:    # pragma: no cover - defensive
                     log.debug("detached resend failed", exc_info=True)
                 state[1] = min(state[1] * 2.0,
-                               _rto_base_s() * RTO_CAP_FACTOR) \
+                               entry.rto_base_s * RTO_CAP_FACTOR) \
                     * (1.0 + 0.25 * self._rng.random())
                 state[0] = now + state[1]
 
@@ -418,9 +503,9 @@ class NodeKernel:
 
     def _await_hardened(self, entry: _Pending,
                         timeout: Optional[float] = None) -> Any:
-        deadline_s = reply_timeout_s() if timeout is None else timeout
+        deadline_s = entry.reply_s if timeout is None else timeout
         deadline = time.monotonic() + deadline_s
-        rto = _rto_base_s()
+        rto = entry.rto_base_s
         rto_cap = rto * RTO_CAP_FACTOR
         while True:
             remaining = deadline - time.monotonic()
@@ -704,10 +789,9 @@ class NodeKernel:
                 self._descriptors.update_hint(message.vaddr, message.node)
             self.stats["hints"] += 1
             return
-        # Everything else may block: run it on its own worker thread.
-        threading.Thread(target=self._dispatch, args=(message,),
-                         name=f"amber-worker-{self.node_id}",
-                         daemon=True).start()
+        # Everything else may block, and this may be a mesh reader: the
+        # pool never queues a message behind a running handler.
+        self._workers.submit(message)
 
     def _dispatch(self, message: Any) -> None:
         try:

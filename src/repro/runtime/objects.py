@@ -15,12 +15,10 @@ classes to block/wake worker threads).
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.errors import AmberError
 
-_ambient = threading.local()
 _process_kernel: Optional[object] = None
 
 

@@ -3,9 +3,14 @@
 Framing: 4-byte big-endian length, then the pickle.  Each node keeps one
 outgoing connection per peer (dialed lazily) and accepts any number of
 incoming connections, each drained by a reader thread that hands decoded
-messages to a callback.  The first frame on a dialed connection is a
+messages to a callback.  A reader fills one reusable buffer per
+connection and decodes every complete frame it holds before the next
+``recv``, so pipelined frames cost one syscall, not two each.  The first
+frame on a dialed connection is a
 :class:`~repro.runtime.messages.Hello`; a connection that opens with
-anything else is rejected and closed.
+anything else is rejected and closed, and so is one that carries a frame
+that does not decode (``bad_frames``) — the sender's resend ladder
+redials.
 
 Sends are retried: a broken connection is torn down and redialed with
 exponential backoff plus jitter, up to :data:`SEND_RETRIES` attempts, so
@@ -30,7 +35,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import RuntimeTransportError
 from repro.runtime.messages import PROTOCOL_VERSION, Hello
@@ -42,6 +47,10 @@ _LENGTH = struct.Struct(">I")
 #: Ceiling on a single frame (a moved object group); prevents a corrupt
 #: length prefix from triggering a giant allocation.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: Size of a reader's reusable receive buffer.  A frame that does not
+#: fit is read into a buffer of its own, dropped once decoded.
+READ_BUFFER_BYTES = 16 * 1024
 
 #: Attempts beyond the first for one :meth:`Mesh.send`.
 SEND_RETRIES = 5
@@ -78,6 +87,67 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def _recv_into_exact(sock: socket.socket, view: memoryview) -> None:
+    while view:
+        received = sock.recv_into(view)
+        if not received:
+            raise ConnectionError("peer closed the connection")
+        view = view[received:]
+
+
+def _decode(frame: memoryview) -> Any:
+    """Unpickle one frame body.  Bytes that do not decode can raise
+    nearly anything (``UnpicklingError``, ``AttributeError``,
+    ``ImportError``, ``IndexError``, ``EOFError``...), so all of it is
+    reported as one typed transport error."""
+    try:
+        return pickle.loads(frame)
+    except Exception as error:
+        raise RuntimeTransportError(
+            f"undecodable frame of {len(frame)} bytes: "
+            f"{type(error).__name__}: {error}") from error
+
+
+def _read_frames(conn: socket.socket) -> Iterator[Any]:
+    """Decoded frames of one inbound connection, in order, until the
+    peer closes it.  One ``recv_into`` a reusable buffer per batch:
+    every complete frame already held is yielded before the next
+    syscall."""
+    view = memoryview(bytearray(READ_BUFFER_BYTES))
+    start = end = 0            # unread bytes are view[start:end]
+    while True:
+        while end - start >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(view, start)
+            if length > MAX_FRAME_BYTES:
+                raise RuntimeTransportError(
+                    f"oversized frame: {length} bytes")
+            body = start + _LENGTH.size
+            if body + length <= end:
+                frame = view[body:body + length]
+                start = body + length
+            elif _LENGTH.size + length > len(view):
+                # Larger than the buffer: give it one of its own,
+                # read exactly to its end, and carry on in ours.
+                frame = memoryview(bytearray(length))
+                frame[:end - body] = view[body:end]
+                _recv_into_exact(conn, frame[end - body:])
+                start = end = 0
+            else:
+                break
+            yield _decode(frame)
+        if start == end:
+            start = end = 0
+        elif start:
+            # A partial frame at the tail: slide it to the front so
+            # the rest of it has room.
+            view[:end - start] = view[start:end]
+            start, end = 0, end - start
+        received = conn.recv_into(view[end:])
+        if not received:
+            return
+        end += received
 
 
 class Mesh:
@@ -117,6 +187,7 @@ class Mesh:
         self.stats: Dict[str, int] = {"sends": 0, "retries": 0,
                                       "reconnects": 0,
                                       "handshake_rejects": 0,
+                                      "bad_frames": 0,
                                       "dropped_on_close": 0}
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"mesh-accept-{node}",
@@ -281,10 +352,9 @@ class Mesh:
 
     def _reader_loop(self, conn: socket.socket) -> None:
         try:
-            try:
-                hello = recv_frame(conn)
-            except (ConnectionError, OSError, EOFError,
-                    pickle.UnpicklingError):
+            frames = _read_frames(conn)
+            hello = next(frames, None)
+            if hello is None:
                 return
             if not isinstance(hello, Hello) or \
                     hello.version != PROTOCOL_VERSION:
@@ -301,11 +371,18 @@ class Mesh:
                         f"{PROTOCOL_VERSION})"))
                 return
             peer = hello.node
-            while True:
-                message = recv_frame(conn)
+            for message in frames:
                 self._on_message(peer, message)
-        except (ConnectionError, OSError, EOFError):
-            return
+        except RuntimeTransportError as error:
+            # An oversized or undecodable frame: the stream cannot be
+            # trusted past it.  Dropping the connection turns it into
+            # loss, which the sender's resend ladder recovers from.
+            with self._lock:
+                self.stats["bad_frames"] += 1
+            logger.warning("node %d: dropping inbound connection: %s",
+                           self.node, error)
+        except OSError:
+            return      # peer reset, or the mesh is closing
         finally:
             with self._lock:
                 self._in.discard(conn)

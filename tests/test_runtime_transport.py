@@ -1,14 +1,23 @@
 """Unit tests for the live runtime's transport and message layer."""
 
+import pickle
 import queue
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.errors import RuntimeTransportError
 from repro.runtime.messages import Hello, InvokeMsg, ResultMsg
-from repro.runtime.transport import Mesh, recv_frame, send_frame
+from repro.runtime.transport import (
+    _LENGTH,
+    MAX_FRAME_BYTES,
+    READ_BUFFER_BYTES,
+    Mesh,
+    recv_frame,
+    send_frame,
+)
 
 
 def socket_pair():
@@ -209,6 +218,124 @@ class TestMeshHandshake:
             assert mesh.stats["handshake_rejects"] == 1
         finally:
             mesh.close()
+
+
+def _frame(payload) -> bytes:
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return _LENGTH.pack(len(data)) + data
+
+
+def _raw_frame(body: bytes) -> bytes:
+    return _LENGTH.pack(len(body)) + body
+
+
+def _assert_dropped(raw: socket.socket) -> None:
+    """The mesh closed its end (EOF, or RST if bytes were unread)."""
+    raw.settimeout(5)
+    try:
+        assert raw.recv(1) == b""
+    except ConnectionError:
+        pass
+
+
+class TestReaderFraming:
+    """The batched reader against a hand-driven socket: however the
+    bytes are cut up, frames come out whole and in order."""
+
+    @pytest.fixture
+    def inbound(self):
+        inbox = queue.SimpleQueue()
+        mesh = Mesh(0, lambda peer, msg: inbox.put((peer, msg)))
+        raw = socket.create_connection(mesh.address, timeout=5)
+        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            yield mesh, raw, inbox
+        finally:
+            raw.close()
+            mesh.close()
+
+    def test_frames_dribbled_one_byte_at_a_time(self, inbound):
+        _, raw, inbox = inbound
+        stream = _frame(Hello(5)) + b"".join(
+            _frame(ResultMsg(i, True, f"v{i}")) for i in range(5))
+        for index in range(len(stream)):
+            raw.sendall(stream[index:index + 1])
+        for i in range(5):
+            peer, message = inbox.get(timeout=5)
+            assert (peer, message.request_id, message.value) == \
+                (5, i, f"v{i}")
+
+    def test_many_frames_in_one_sendall(self, inbound):
+        """More than one buffer's worth, so frames straddle refills."""
+        _, raw, inbox = inbound
+        one = len(_frame(ResultMsg(0, True, "x" * 40)))
+        count = 3 * READ_BUFFER_BYTES // one
+        raw.sendall(_frame(Hello(5)) + b"".join(
+            _frame(ResultMsg(i, True, "x" * 40)) for i in range(count)))
+        got = [inbox.get(timeout=5)[1].request_id for _ in range(count)]
+        assert got == list(range(count))
+
+    def test_frame_larger_than_the_buffer(self, inbound):
+        """A 64 KiB argument between small frames, all in one write:
+        the big frame's tail must not swallow its successor."""
+        _, raw, inbox = inbound
+        blob = bytes(range(256)) * 256
+        assert len(blob) > READ_BUFFER_BYTES
+        raw.sendall(_frame(Hello(5))
+                    + _frame(ResultMsg(1, True, "before"))
+                    + _frame(InvokeMsg(2, 5, 0x1000, "put", (blob,), {}))
+                    + _frame(ResultMsg(3, True, "after")))
+        assert inbox.get(timeout=5)[1].value == "before"
+        assert inbox.get(timeout=5)[1].args == (blob,)
+        assert inbox.get(timeout=5)[1].value == "after"
+
+    def test_oversized_length_prefix_mid_stream(self, inbound):
+        mesh, raw, inbox = inbound
+        raw.sendall(_frame(Hello(5))
+                    + _frame(ResultMsg(1, True, "before"))
+                    + _LENGTH.pack(MAX_FRAME_BYTES + 1)
+                    + _frame(ResultMsg(2, True, "after")))
+        assert inbox.get(timeout=5)[1].value == "before"
+        _assert_dropped(raw)
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.2)
+        assert mesh.stats["bad_frames"] == 1
+
+    @pytest.mark.parametrize("body", [
+        b"not a pickle",                        # UnpicklingError
+        b"cos\nno_such_function\n.",            # AttributeError
+        b"cno_such_module_xyz\nthing\n.",       # ImportError
+        b"coperator\ngetitem\n(]K\x05tR.",      # IndexError
+        pickle.dumps(ResultMsg(9, True, "x"))[:-5],   # truncated
+        b"",                                    # EOFError
+    ])
+    def test_undecodable_frame_drops_the_connection(self, inbound, body):
+        """Frames before the bad one are delivered; none after it."""
+        mesh, raw, inbox = inbound
+        raw.sendall(_frame(Hello(5))
+                    + _frame(ResultMsg(1, True, "before"))
+                    + _raw_frame(body)
+                    + _frame(ResultMsg(2, True, "after")))
+        assert inbox.get(timeout=5)[1].value == "before"
+        _assert_dropped(raw)
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.2)
+        assert mesh.stats["bad_frames"] == 1
+        deadline = time.monotonic() + 5
+        while mesh._in and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not mesh._in
+
+    def test_truncated_frame_then_close_is_silent(self, inbound):
+        """What a chaos reset leaves behind: a header promising more
+        than ever arrives.  A broken connection, not a bad frame."""
+        mesh, raw, inbox = inbound
+        raw.sendall(_frame(Hello(5)) + _frame(ResultMsg(1, True, "ok"))
+                    + _LENGTH.pack(64) + b"\x00" * 7)
+        raw.shutdown(socket.SHUT_WR)
+        assert inbox.get(timeout=5)[1].value == "ok"
+        _assert_dropped(raw)
+        assert mesh.stats["bad_frames"] == 0
 
 
 class TestMeshReconnect:

@@ -1,0 +1,204 @@
+"""The live kernel's elastic worker pool: nothing queues behind a
+blocked handler, parked threads are reused, idle ones retire."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.recovery.config import PEER_TIMEOUT_ENV
+from repro.runtime import AmberObject, Cluster
+from repro.runtime import kernel as kernel_module
+from repro.runtime.kernel import _WorkerPool
+from repro.runtime.transport import _LENGTH
+
+
+class Gate(AmberObject):
+    """Created on the node it is tested on and never moved (an Event
+    does not pickle)."""
+
+    def __init__(self):
+        self._event = threading.Event()
+
+    def wait(self):
+        return self._event.wait(30)
+
+    def open(self):
+        self._event.set()
+        return True
+
+    def poke(self):
+        return "ok"
+
+    def threads(self):
+        return threading.active_count()
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    with Cluster(nodes=2) as c:
+        yield c
+
+
+def _pool_stats(cluster, node=1):
+    stats = cluster.node_stats(node)
+    return stats["workers_started"], stats["worker_handoffs"]
+
+
+class TestLivePool:
+    def test_no_head_of_line_blocking(self, cluster):
+        gate = cluster.create(Gate, node=1)
+        # Leave a few workers parked, then block more invocations than
+        # any idle count inside the method.
+        for thread in [cluster.fork(gate, "poke") for _ in range(8)]:
+            assert thread.join(timeout=15) == "ok"
+        started, _ = _pool_stats(cluster)
+        blocked = [cluster.fork(gate, "wait") for _ in range(started + 24)]
+        t0 = time.monotonic()
+        # One more on the same node must get a thread of its own.
+        assert cluster.call(gate, "open") is True
+        assert [thread.join(timeout=15) for thread in blocked] == \
+            [True] * len(blocked)
+        assert time.monotonic() - t0 < 15
+
+    def test_sequential_calls_reuse_one_worker(self, cluster):
+        gate = cluster.create(Gate, node=1)
+        assert cluster.call(gate, "poke") == "ok"
+        started, handoffs = _pool_stats(cluster)
+        for _ in range(300):
+            assert cluster.call(gate, "poke") == "ok"
+        started_after, handoffs_after = _pool_stats(cluster)
+        assert started_after - started < 10
+        assert handoffs_after - handoffs >= 290
+
+    def test_idle_workers_retire(self, cluster):
+        gate = cluster.create(Gate, node=1)
+        assert cluster.call(gate, "poke") == "ok"   # connections dialed
+        # A worker nothing used for one whole period leaves at its end:
+        # two periods of quiet empty the pool, whatever the phase.
+        quiet = 2 * kernel_module.WORKER_IDLE_S + 0.3
+        time.sleep(quiet)
+        before = cluster.call(gate, "threads")
+        burst = [cluster.fork(gate, "wait") for _ in range(20)]
+        deadline = time.monotonic() + 10
+        while cluster.call(gate, "threads") < before + 20:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        assert cluster.call(gate, "open") is True
+        assert all(thread.join(timeout=15) for thread in burst)
+        time.sleep(quiet)
+        assert cluster.call(gate, "threads") == before
+
+
+class TestBadFrameRecovery:
+    def test_resend_ladder_recovers_from_a_poisoned_connection(
+            self, monkeypatch):
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")   # RTO base 0.5 s
+        with Cluster(nodes=2) as cluster:
+            gate = cluster.create(Gate, node=1)
+            assert cluster.call(gate, "poke") == "ok"
+            garbage = b"not a pickle"
+            cluster.kernel.mesh._out[1].sendall(
+                _LENGTH.pack(len(garbage)) + garbage)
+            # Node 1 drops the connection; the frame that finds it dead
+            # is lost or fails, and the ladder redials.
+            deadline = time.monotonic() + 10
+            while cluster.node_stats(1)["transport_bad_frames"] != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            assert cluster.call(gate, "poke") == "ok"
+            assert cluster.node_stats(0)["transport_reconnects"] >= 1
+
+
+class TestPoolUnit:
+    def test_every_message_runs_once_while_workers_retire(self):
+        """Submits race with retirement: a message handed to a worker
+        must run exactly once, whoever else is being told to leave."""
+        seen = []
+        seen_lock = threading.Lock()
+
+        def run(message):
+            if message % 7 == 0:
+                time.sleep(0.003)
+            with seen_lock:
+                seen.append(message)
+
+        stats = {"workers_started": 0, "worker_handoffs": 0}
+        pool = _WorkerPool(run, "test-worker", stats)
+        per_producer, producers = 1500, 4
+        total = per_producer * producers
+        producing = threading.Event()
+        producing.set()
+
+        def produce(base):
+            for index in range(per_producer):
+                pool.submit(base + index)
+                if index % 50 == 0:
+                    time.sleep(0.004)   # let some workers go spare
+
+        def retire():
+            while producing.is_set():
+                pool.retire_spare()
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=produce,
+                                        args=(n * per_producer,))
+                       for n in range(producers)]
+            threads.append(threading.Thread(target=retire))
+            for thread in threads:
+                thread.start()
+            for thread in threads[:-1]:
+                thread.join(timeout=60)
+            producing.clear()
+            threads[-1].join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                with seen_lock:
+                    if len(seen) >= total:
+                        break
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(total))
+        assert stats["workers_started"] + stats["worker_handoffs"] == total
+        assert stats["worker_handoffs"] > 0
+        # Workers came and went, and two quiet periods retire the rest.
+        assert stats["workers_started"] > 2 * len(_pool_threads())
+        pool.retire_spare()
+        pool.retire_spare()
+        _wait_for_no_pool_threads()
+        assert pool._idle == 0 and pool._handoff.empty()
+
+    def test_close_retires_parked_and_running_workers(self):
+        release = threading.Event()
+        pool = _WorkerPool(lambda message: message.wait(10),
+                           "test-worker",
+                           {"workers_started": 0, "worker_handoffs": 0})
+        done = threading.Event()
+        done.set()
+        pool.submit(release)           # still running at close()
+        pool.submit(done)              # finishes at once and parks
+        deadline = time.monotonic() + 10
+        while pool._idle != 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(_pool_threads()) == 2
+        pool.close()
+        release.set()
+        _wait_for_no_pool_threads()
+
+
+def _pool_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name == "test-worker"]
+
+
+def _wait_for_no_pool_threads():
+    deadline = time.monotonic() + 10
+    while _pool_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _pool_threads()
