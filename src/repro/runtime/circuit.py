@@ -111,9 +111,6 @@ class PeerCircuits:
             self.stats["circuit_probes"] += 1
             return PROBE
 
-    def is_open(self, node: int, suspected: bool = False) -> bool:
-        return self.check(node, suspected) == OPEN
-
     # -- outcome feedback --------------------------------------------------
 
     def record_failure(self, node: int) -> None:

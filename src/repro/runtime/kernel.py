@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import pickle
 import queue
 import random
@@ -74,8 +75,9 @@ log = logging.getLogger(__name__)
 
 
 class _Pending:
-    """One outstanding request: its reply box plus everything needed to
-    re-send it (lost-request/lost-reply recovery).
+    """One outstanding request, joined or not: its reply box, everything
+    needed to re-send it (lost-request/lost-reply recovery), and its
+    place on the resend ladder.
 
     The reply ceiling is read from REPRO_PEER_TIMEOUT_S (default 30 s ->
     120 s; see repro.recovery.config) once, here: every request is
@@ -83,7 +85,7 @@ class _Pending:
     tests and chaos scenarios tighten the knob between requests."""
 
     __slots__ = ("box", "message", "route", "last_target", "reply_s",
-                 "rto_base_s")
+                 "rto_base_s", "rto_s", "resend_at", "give_up_at")
 
     def __init__(self, message: Any,
                  route: Callable[[], int]):
@@ -94,19 +96,26 @@ class _Pending:
         self.reply_s = reply_timeout_s()
         self.rto_base_s = max(RTO_MIN_S,
                               min(RTO_MAX_S, self.reply_s / 24.0))
+        #: The ladder: retransmit at ``resend_at`` (``rto_s`` later each
+        #: time) while unanswered, until ``give_up_at``.
+        now = time.monotonic()
+        self.rto_s = self.rto_base_s
+        self.resend_at = now + self.rto_s
+        self.give_up_at = now + self.reply_s
 
 
 class _Dedup:
     """Receive-side at-most-once table: ``(origin, request_id)`` ->
-    in-progress marker or the cached :class:`~repro.runtime.messages.
-    ResultMsg`.  Bounded FIFO — old completions are evicted first."""
-
-    _IN_PROGRESS = object()
+    executing, or the cached :class:`~repro.runtime.messages.ResultMsg`.
+    The reply cache is a bounded FIFO — old completions are evicted
+    first; a request still executing is never evicted (its re-sent twin
+    would run a second time): it leaves by completing."""
 
     def __init__(self, capacity: int = DEDUP_CAPACITY):
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict" = OrderedDict()
+        self._executing: set = set()
+        self._replies: "OrderedDict" = OrderedDict()
 
     def claim(self, key) -> Tuple[str, Any]:
         """Atomically claim ``key`` for execution.  Returns one of
@@ -115,15 +124,13 @@ class _Dedup:
         ``("replay", cached_result)`` (already executed; re-send the
         cached reply)."""
         with self._lock:
-            cached = self._entries.get(key)
-            if cached is None:
-                self._entries[key] = self._IN_PROGRESS
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                return "new", None
-            if cached is self._IN_PROGRESS:
+            cached = self._replies.get(key)
+            if cached is not None:
+                return "replay", cached
+            if key in self._executing:
                 return "in_progress", None
-            return "replay", cached
+            self._executing.add(key)
+            return "new", None
 
     def peek(self, key) -> Tuple[str, Any]:
         """Non-claiming lookup: ``("absent", None)``, ``("in_progress",
@@ -131,23 +138,23 @@ class _Dedup:
         so a duplicate of a request this node already answered is
         replayed even if the object has since moved away."""
         with self._lock:
-            cached = self._entries.get(key)
-        if cached is None:
+            cached = self._replies.get(key)
+            if cached is not None:
+                return "replay", cached
+            if key in self._executing:
+                return "in_progress", None
             return "absent", None
-        if cached is self._IN_PROGRESS:
-            return "in_progress", None
-        return "replay", cached
 
     def complete(self, key, result: Any) -> None:
         with self._lock:
-            if key not in self._entries:
-                while len(self._entries) >= self.capacity:
-                    self._entries.popitem(last=False)
-            self._entries[key] = result
+            self._executing.discard(key)
+            self._replies[key] = result
+            while len(self._replies) > self.capacity:
+                self._replies.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._executing) + len(self._replies)
 
 
 class _WorkerPool:
@@ -261,13 +268,9 @@ class NodeKernel:
         self._regions: Dict[int, Region] = {}
         self._heap = NodeHeap(node_id, coordinator_client,
                               on_grant=self._record_region)
+        #: Every outstanding request, joined or not; the resender thread
+        #: walks it (a dropped fork frame must not wait for a join).
         self._pending: Dict[int, _Pending] = {}
-        #: Detached requests (forks nobody has joined yet): request id
-        #: -> [next_resend_at, rto_s, give_up_at].  A daemon thread
-        #: retransmits these — without it a dropped fork frame is lost
-        #: until (and unless) someone calls wait_reply.
-        self._detached: Dict[int, list] = {}
-        self._detached_lock = threading.Lock()
         self._resender_stop = threading.Event()
         self._request_ids = itertools.count(node_id, 1_000_003)
         #: Jitter source for the resend ladder (seeded per node so test
@@ -295,7 +298,7 @@ class NodeKernel:
         self._workers = _WorkerPool(self._dispatch,
                                     f"amber-worker-{node_id}", self.stats)
         set_process_kernel(self)
-        threading.Thread(target=self._resend_detached_loop, daemon=True,
+        threading.Thread(target=self._resend_loop, daemon=True,
                          name=f"amber-resender-{node_id}").start()
 
     # ------------------------------------------------------------------
@@ -307,9 +310,8 @@ class NodeKernel:
         """Create an object (locally, or on ``node``)."""
         if node is None or node == self.node_id:
             return Handle(self._create_local(cls, args, kwargs))
-        return Handle(self._request(
-            lambda rid: m.CreateMsg(rid, self.node_id, cls, args, kwargs),
-            self._fixed_router(node)))
+        return Handle(self._request(self._fixed_router(node), m.CreateMsg,
+                                    cls, args, kwargs))
 
     def invoke(self, vaddr: int, method: str, args: Tuple,
                kwargs: dict) -> Any:
@@ -320,67 +322,40 @@ class NodeKernel:
             self.stats["local_invocations"] += 1
             return self._execute(obj, method, args, kwargs)
         self.stats["remote_invocations"] += 1
-        return self._request(
-            lambda rid: m.InvokeMsg(rid, self.node_id, vaddr, method,
-                                    args, kwargs, trace=(self.node_id,)),
-            self._router(vaddr))
+        return self._request(self._router(vaddr), m.InvokeMsg, vaddr,
+                             method, args, kwargs, (self.node_id,))
 
     def fork(self, vaddr: int, method: str, args: Tuple,
              kwargs: dict) -> ThreadHandle:
         """Start an Amber thread running ``method`` on the object; it
         executes at the object's node."""
-        request_id = next(self._request_ids)
-        message = m.InvokeMsg(request_id, self.node_id, vaddr, method,
-                              args, kwargs, trace=(self.node_id,))
-        route = self._router_or_here(vaddr)
-        entry = _Pending(message, route)
-        self._pending[request_id] = entry
-        try:
-            self._send_request(entry)
-        except (RuntimeTransportError, OSError):
-            pass   # transient: the resender daemon owns it
-        except BaseException:
-            self._pending.pop(request_id, None)
-            raise
-        # Until someone joins this thread no caller is pumping a resend
-        # ladder for it, so hand it to the resender daemon: a dropped
-        # fork frame must not wedge until (or unless) join is called.
-        now = time.monotonic()
-        rto = entry.rto_base_s
-        with self._detached_lock:
-            self._detached[request_id] = [now + rto, rto,
-                                          now + entry.reply_s]
+        request_id = self._start(self._router_or_here(vaddr), m.InvokeMsg,
+                                 vaddr, method, args, kwargs,
+                                 (self.node_id,))
         return ThreadHandle(self, request_id, f"{method}@{vaddr:#x}")
 
     def move(self, vaddr: int, dest: int) -> None:
         """MoveTo: relocate the object (and its attachment group)."""
-        self._request(
-            lambda rid: m.MoveMsg(rid, self.node_id, vaddr, dest),
-            self._router_or_here(vaddr))
+        self._request(self._router_or_here(vaddr), m.MoveMsg, vaddr, dest)
 
     def locate(self, vaddr: int) -> int:
         """Locate: the node where the object currently resides."""
         if self._resident_object(vaddr) is not None:
             return self.node_id
-        return self._request(
-            lambda rid: m.LocateMsg(rid, self.node_id, vaddr,
-                                    trace=(self.node_id,)),
-            self._router(vaddr))
+        return self._request(self._router(vaddr), m.LocateMsg, vaddr,
+                             (self.node_id,))
 
     def control(self, vaddr: int, op: str, extra: Any = None) -> Any:
         """Routed kernel operation on an object: ``set_immutable``,
         ``attach``, ``unattach``, ``delete``."""
-        return self._request(
-            lambda rid: m.ControlMsg(rid, self.node_id, vaddr, op, extra),
-            self._router_or_here(vaddr))
+        return self._request(self._router_or_here(vaddr), m.ControlMsg,
+                             vaddr, op, extra)
 
     def node_stats(self, node: int) -> Dict[str, int]:
         if node == self.node_id:
             return self._stats_snapshot()
-        return self._request(
-            lambda rid: m.ControlMsg(rid, self.node_id, -1, "stats",
-                                     None),
-            self._fixed_router(node))
+        return self._request(self._fixed_router(node), m.ControlMsg, -1,
+                             "stats")
 
     def _stats_snapshot(self) -> Dict[str, int]:
         """Kernel counters plus the mesh's (as ``transport_*`` keys),
@@ -395,99 +370,63 @@ class NodeKernel:
 
     def wait_reply(self, request_id: int,
                    timeout: Optional[float] = None) -> Any:
+        """Wait (once) for the reply to a started request.  The caller
+        is guaranteed a typed outcome within the deadline: the reply,
+        the remote error, :class:`NodeFailure` (peer suspected dead /
+        circuit open), or :class:`TimeoutError`."""
         entry = self._pending.get(request_id)
         if entry is None:
             raise AmberError(f"unknown request id {request_id}")
-        with self._detached_lock:
-            self._detached.pop(request_id, None)   # the waiter's ladder
-            # takes over from the resender daemon
+        deadline_s = max(0.0, entry.reply_s if timeout is None else timeout)
+        # The waiter only waits; the resender thread owns the ladder and
+        # keeps (or resumes) re-sending for as long as someone waits.
+        entry.give_up_at = max(entry.give_up_at,
+                               time.monotonic() + deadline_s)
         try:
-            return self._await_hardened(entry, timeout)
+            ok, value, error = entry.box.get(timeout=deadline_s)
+        except queue.Empty:
+            raise self._deadline_error(entry, deadline_s) from None
         finally:
             self._pending.pop(request_id, None)
+        if ok:
+            if entry.last_target not in (None, self.node_id):
+                self._circuits.record_success(entry.last_target)
+            return value
+        raise error
 
     def shutdown(self) -> None:
         self._resender_stop.set()
         self._workers.close()
         self.mesh.close()
 
-    def _resend_detached_loop(self) -> None:
-        """Retransmit detached requests (started threads nobody joined
-        yet) on the same backoff ladder ``_await_hardened`` uses, until
-        each is answered, fails typed, or outlives the reply deadline
-        (after which a late ``wait_reply`` restarts its own ladder).
-        The node's one periodic thread, so it also ticks the worker
-        pool's retirement."""
-        retire_at = time.monotonic() + WORKER_IDLE_S
-        while not self._resender_stop.wait(0.05):
-            now = time.monotonic()
-            if now >= retire_at:
-                self._workers.retire_spare()
-                retire_at = now + WORKER_IDLE_S
-            with self._detached_lock:
-                due = [(rid, state) for rid, state in
-                       self._detached.items() if now >= state[0]]
-            for request_id, state in due:
-                entry = self._pending.get(request_id)
-                if entry is None or not entry.box.empty():
-                    with self._detached_lock:
-                        self._detached.pop(request_id, None)
-                    continue
-                if now >= state[2]:
-                    # Deadline exhausted: stop retransmitting; the
-                    # verdict belongs to whoever eventually joins.
-                    with self._detached_lock:
-                        self._detached.pop(request_id, None)
-                    continue
-                self.stats["resends"] += 1
-                try:
-                    self._send_request(entry)
-                except (NodeFailure, ObjectNotFoundError) as error:
-                    # Typed and definitive: park it in the reply box for
-                    # the eventual join.
-                    entry.box.put((False, None, error))
-                    with self._detached_lock:
-                        self._detached.pop(request_id, None)
-                    continue
-                except (RuntimeTransportError, OSError):
-                    pass             # transient: keep the ladder going
-                except Exception:    # pragma: no cover - defensive
-                    log.debug("detached resend failed", exc_info=True)
-                state[1] = min(state[1] * 2.0,
-                               entry.rto_base_s * RTO_CAP_FACTOR) \
-                    * (1.0 + 0.25 * self._rng.random())
-                state[0] = now + state[1]
-
     # ------------------------------------------------------------------
-    # Request plumbing: send, re-send with backoff, bounded wait
+    # Request plumbing: start, re-send with backoff, bounded wait
     # ------------------------------------------------------------------
 
-    def _request(self, build: Callable[[int], Any],
-                 route: Callable[[], int],
-                 timeout: Optional[float] = None) -> Any:
-        """Send one request and wait for its reply, re-sending on a
-        backoff ladder until the per-request deadline.
-
-        ``build(request_id)`` constructs the message; ``route()`` names
-        the current target node and is re-evaluated on every (re)send,
-        so a re-send follows fresh location hints and circuit reroutes.
-        The caller is guaranteed a typed outcome within the deadline:
-        the reply, the remote error, :class:`NodeFailure` (peer
-        suspected dead / circuit open), or :class:`TimeoutError`."""
+    def _start(self, route: Callable[[], int], kind: type,
+               *fields: Any) -> int:
+        """Send the request ``kind(request_id, this node, *fields)`` and
+        return its id for :meth:`wait_reply`.  ``route()`` names the
+        current target node and is re-evaluated on every (re)send, so a
+        re-send follows fresh location hints and circuit reroutes."""
         request_id = next(self._request_ids)
-        entry = _Pending(build(request_id), route)
+        entry = _Pending(kind(request_id, self.node_id, *fields), route)
         self._pending[request_id] = entry
         try:
-            try:
-                self._send_request(entry)
-            except (RuntimeTransportError, OSError):
-                # Transient wire failure: the resend ladder owns it.
-                # Typed verdicts (NodeFailure from an open circuit,
-                # ObjectNotFoundError from routing) propagate above.
-                pass
-            return self._await_hardened(entry, timeout)
-        finally:
+            self._send_request(entry)
+        except (RuntimeTransportError, OSError):
+            # Transient wire failure: the resend ladder owns it.
+            pass
+        except BaseException:
+            # Typed verdicts (NodeFailure from an open circuit,
+            # ObjectNotFoundError from routing) go to the caller.
             self._pending.pop(request_id, None)
+            raise
+        return request_id
+
+    def _request(self, route: Callable[[], int], kind: type,
+                 *fields: Any) -> Any:
+        return self.wait_reply(self._start(route, kind, *fields))
 
     def _send_request(self, entry: _Pending) -> None:
         """One transmission of a pending request; routing and circuit
@@ -501,42 +440,45 @@ class NodeKernel:
                 self._circuits.record_failure(target)
             raise
 
-    def _await_hardened(self, entry: _Pending,
-                        timeout: Optional[float] = None) -> Any:
-        deadline_s = entry.reply_s if timeout is None else timeout
-        deadline = time.monotonic() + deadline_s
-        rto = entry.rto_base_s
-        rto_cap = rto * RTO_CAP_FACTOR
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise self._deadline_error(entry, deadline_s)
-            try:
-                ok, value, error = entry.box.get(
-                    timeout=min(rto, remaining))
-            except queue.Empty:
-                if deadline - time.monotonic() <= 0:
-                    raise self._deadline_error(entry,
-                                               deadline_s) from None
-                # The request or its reply may be lost: re-send.  The
-                # receive side's at-most-once dedup makes this safe —
-                # an in-flight twin is dropped, a completed one gets
-                # its cached reply replayed.
-                self.stats["resends"] += 1
-                try:
-                    self._send_request(entry)
-                except (NodeFailure, ObjectNotFoundError):
-                    raise            # typed and definitive
-                except (RuntimeTransportError, OSError):
-                    pass             # transient: keep waiting/retrying
-                rto = min(rto * 2.0, rto_cap) \
-                    * (1.0 + 0.25 * self._rng.random())
-                continue
-            if ok:
-                if entry.last_target not in (None, self.node_id):
-                    self._circuits.record_success(entry.last_target)
-                return value
-            raise error
+    def _resend_loop(self) -> None:
+        """The one resend ladder: retransmit every request that is due
+        and unanswered, joined or not, until it is answered, fails
+        typed, or passes ``give_up_at`` (a later ``wait_reply`` moves
+        that on, and the ladder resumes).  The node's one periodic
+        thread, so it also ticks the worker pool's retirement."""
+        retire_at = time.monotonic() + WORKER_IDLE_S
+        while not self._resender_stop.wait(0.05):
+            now = time.monotonic()
+            if now >= retire_at:
+                self._workers.retire_spare()
+                retire_at = now + WORKER_IDLE_S
+            for entry in list(self._pending.values()):
+                if entry.resend_at <= now < entry.give_up_at \
+                        and entry.box.empty():
+                    # Sent from a pool worker: one re-send stuck
+                    # redialling a dead peer must not delay another
+                    # request's.  Not due again until that one is done.
+                    entry.resend_at = math.inf
+                    self._workers.submit(entry)
+
+    def _resend(self, entry: _Pending) -> None:
+        """One due retransmission (the request or its reply may be
+        lost).  The receive side's at-most-once dedup makes this safe —
+        an in-flight twin is dropped, a completed one gets its cached
+        reply replayed."""
+        self.stats["resends"] += 1
+        try:
+            self._send_request(entry)
+        except (RuntimeTransportError, OSError):
+            pass             # transient: keep the ladder going
+        except Exception as error:
+            # Definitive (typed NodeFailure / ObjectNotFoundError from
+            # routing, or unexpected): the verdict of whoever joins.
+            entry.box.put((False, None, error))
+        entry.rto_s = min(entry.rto_s * 2.0,
+                          entry.rto_base_s * RTO_CAP_FACTOR) \
+            * (1.0 + 0.25 * self._rng.random())
+        entry.resend_at = time.monotonic() + entry.rto_s
 
     def _deadline_error(self, entry: _Pending,
                         deadline_s: float) -> Exception:
@@ -606,37 +548,23 @@ class NodeKernel:
 
     # -- at-most-once execution (receive side) -------------------------
 
-    def _already_handled(self, message) -> bool:
-        """Duplicate-suppression peek, before any routing: a request
-        this node already answered is replayed from the reply cache, a
-        twin of one still executing is dropped (its reply is coming).
-        Non-claiming — the atomic gate is :meth:`_begin_request` at the
-        point of execution."""
-        status, cached = self._dedup.peek(
-            (message.reply_to, message.request_id))
-        if status == "replay":
-            self.stats["dedup_replayed"] += 1
-            self._send_quiet(message.reply_to, cached)
-            return True
-        if status == "in_progress":
-            self.stats["dedup_in_flight"] += 1
-            return True
-        return False
-
-    def _begin_request(self, message) -> bool:
-        """Atomically claim one routed request for execution.  Returns
-        True when this copy should execute; False when it was a
-        duplicate (dropped, or answered from the reply cache)."""
-        status, cached = self._dedup.claim(
-            (message.reply_to, message.request_id))
-        if status == "new":
-            return True
+    def _duplicate(self, message, claim: bool) -> bool:
+        """The at-most-once gate, asked twice per request: a peek before
+        any routing (``claim=False``) and the atomic claim at the point
+        of execution.  True when this copy must not execute: it was
+        answered from the reply cache, or dropped as the twin of one
+        still executing (whose reply is coming)."""
+        key = (message.reply_to, message.request_id)
+        status, cached = (self._dedup.claim(key) if claim
+                          else self._dedup.peek(key))
+        if status in ("new", "absent"):
+            return False
         if status == "replay":
             self.stats["dedup_replayed"] += 1
             self._send_quiet(message.reply_to, cached)
         else:
             self.stats["dedup_in_flight"] += 1
-        return False
+        return True
 
     def _send_quiet(self, node: int, message: Any) -> None:
         """Best-effort send (replayed replies, location hints): losing
@@ -712,10 +640,6 @@ class NodeKernel:
                 f"{self.node_id}")
         return home
 
-    def _believed_or_here(self, vaddr: int) -> int:
-        return (self.node_id if self._resident_object(vaddr) is not None
-                else self._believed(vaddr))
-
     def _home_node(self, vaddr: int) -> int:
         for region in self._regions.values():
             if region.contains(vaddr):
@@ -770,11 +694,6 @@ class NodeKernel:
     # Message handling
     # ------------------------------------------------------------------
 
-    #: Routed requests: carry ``(reply_to, request_id)``, get a reply,
-    #: and therefore pass through the at-most-once gate.
-    _REQUESTS = (m.InvokeMsg, m.CreateMsg, m.MoveMsg, m.InstallMsg,
-                 m.LocateMsg, m.FetchReplicaMsg, m.ControlMsg)
-
     def _on_message(self, peer: int, message: Any) -> None:
         if isinstance(message, m.ResultMsg):
             entry = self._pending.get(message.request_id)
@@ -795,23 +714,9 @@ class NodeKernel:
 
     def _dispatch(self, message: Any) -> None:
         try:
-            if isinstance(message, self._REQUESTS) and \
-                    self._already_handled(message):
-                return
-            if isinstance(message, m.InvokeMsg):
-                self._handle_invoke(message)
-            elif isinstance(message, m.CreateMsg):
-                self._handle_create(message)
-            elif isinstance(message, m.MoveMsg):
-                self._handle_move(message)
-            elif isinstance(message, m.InstallMsg):
-                self._handle_install(message)
-            elif isinstance(message, m.LocateMsg):
-                self._handle_locate(message)
-            elif isinstance(message, m.FetchReplicaMsg):
-                self._handle_fetch_replica(message)
-            elif isinstance(message, m.ControlMsg):
-                self._handle_control(message)
+            handler = self._HANDLERS.get(type(message))
+            if handler is not None:
+                handler(self, message)
             # Unknown messages are dropped (forward compatibility).
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -836,21 +741,50 @@ class NodeKernel:
                 type(message).__name__, error)
             log.debug("dispatch traceback:\n%s", traceback.format_exc())
 
-    def _forward(self, message, vaddr: int) -> bool:
-        """Forward a routed message one hop along the chain.  Returns
-        False (with an error reply) when the chase is hopeless."""
-        trace = message.trace + (self.node_id,)
-        if len(trace) > MAX_TRACE:
-            self._reply_error(message.reply_to, message.request_id,
-                              ObjectNotFoundError(
-                                  f"object {vaddr:#x}: chase exceeded "
-                                  f"{MAX_TRACE} hops"))
-            return False
+    def _serve(self, message, body: Callable[[Any, Any], Any],
+               routed: bool = True, hinted: bool = False) -> Any:
+        """The one serve path of a request: replay or drop a duplicate,
+        forward it if its object is not here (``routed``), claim it,
+        refresh the chase path (``hinted``), run ``body(message, obj)``
+        and reply with its value or its exception.  Returns the object
+        served once a value has been sent."""
+        if self._duplicate(message, claim=False):
+            return None
+        obj = None
+        if routed:
+            obj = self._resident_object(message.vaddr)
+            if obj is None:
+                self._forward(message)
+                return None
+        if self._duplicate(message, claim=True):
+            return None
+        if hinted and len(message.trace) > 1:
+            # The request was forwarded at least once: refresh the stale
+            # descriptors along the chase path, including the origin's.
+            self._send_hints(message.trace, message.vaddr)
         try:
+            value = body(message, obj)
+        except BaseException as error:
+            # Even a SystemExit out of user code is the caller's answer:
+            # swallowed here it would only end this worker, silently.
+            self._reply_error(message.reply_to, message.request_id, error)
+            return None
+        self._reply(message.reply_to, message.request_id, value)
+        return obj
+
+    def _forward(self, message) -> None:
+        """Forward a routed message one hop along the chain, or reply
+        with a typed error when the chase is hopeless."""
+        vaddr = message.vaddr
+        trace = message.trace + (self.node_id,)
+        try:
+            if len(trace) > MAX_TRACE:
+                raise ObjectNotFoundError(
+                    f"object {vaddr:#x}: chase exceeded {MAX_TRACE} hops")
             target = self._believed(vaddr)
         except ObjectNotFoundError as error:
             self._reply_error(message.reply_to, message.request_id, error)
-            return False
+            return
         if message.trace and target == message.trace[-1]:
             # Immediate bounce: the object is probably mid-move; let the
             # install land before chasing again.
@@ -870,8 +804,6 @@ class NodeKernel:
                     f"node {self.node_id}: forwarding "
                     f"{type(message).__name__} for {vaddr:#x} to node "
                     f"{target} failed: {error}"))
-            return False
-        return True
 
     def _send_hints(self, trace: Tuple[int, ...], vaddr: int) -> None:
         for node in trace:
@@ -881,70 +813,41 @@ class NodeKernel:
                 self._send_quiet(node, m.LocationHint(vaddr, self.node_id))
 
     def _handle_invoke(self, message: m.InvokeMsg) -> None:
-        obj = self._resident_object(message.vaddr)
-        if obj is None:
-            self._forward(message, message.vaddr)
-            return
-        if not self._begin_request(message):
-            return
-        if len(message.trace) > 1:
-            # The request was forwarded at least once: refresh the stale
-            # descriptors along the chase path, including the origin's.
-            self._send_hints(message.trace, message.vaddr)
-        try:
-            value = self._execute(obj, message.method, message.args,
-                                  message.kwargs)
-        except BaseException as error:
-            self._reply_error(message.reply_to, message.request_id, error)
-            return
-        self._reply(message.reply_to, message.request_id, value)
-        if obj._amber_immutable and message.reply_to != self.node_id:
+        obj = self._serve(message, self._invoke, hinted=True)
+        if obj is not None and obj._amber_immutable \
+                and message.reply_to != self.node_id:
             # Read-only object invoked remotely: push a replica so the
             # caller's future reads are local (section 2.3).
             self._ship_replica(obj, message.reply_to)
 
+    def _invoke(self, message: m.InvokeMsg, obj: AmberObject) -> Any:
+        return self._execute(obj, message.method, message.args,
+                             message.kwargs)
+
     def _handle_create(self, message: m.CreateMsg) -> None:
-        if not self._begin_request(message):
-            return
-        try:
-            vaddr = self._create_local(message.cls, message.args,
-                                       message.kwargs)
-        except BaseException as error:
-            self._reply_error(message.reply_to, message.request_id, error)
-            return
-        self._reply(message.reply_to, message.request_id, vaddr)
+        self._serve(message, self._create, routed=False)
+
+    def _create(self, message: m.CreateMsg, _obj: None) -> int:
+        return self._create_local(message.cls, message.args, message.kwargs)
 
     def _handle_locate(self, message: m.LocateMsg) -> None:
-        if self._resident_object(message.vaddr) is None:
-            self._forward(message, message.vaddr)
-            return
-        if not self._begin_request(message):
-            return
-        if len(message.trace) > 1:
-            self._send_hints(message.trace, message.vaddr)
-        self._reply(message.reply_to, message.request_id, self.node_id)
+        self._serve(message, self._located, hinted=True)
+
+    def _located(self, _message: m.LocateMsg, _obj: AmberObject) -> int:
+        return self.node_id
 
     # -- moves and replication ------------------------------------------
 
     def _handle_move(self, message: m.MoveMsg) -> None:
-        obj = self._resident_object(message.vaddr)
-        if obj is None:
-            self._forward(message, message.vaddr)
-            return
-        if not self._begin_request(message):
-            return
+        self._serve(message, self._move_out)
+
+    def _move_out(self, message: m.MoveMsg, obj: AmberObject) -> None:
         if message.dest == self.node_id:
-            self._reply(message.reply_to, message.request_id, None)
             return
-        try:
-            if obj._amber_immutable:
-                self._ship_replica(obj, message.dest, wait_ack=True)
-            else:
-                self._move_group_out(message.vaddr, message.dest)
-        except BaseException as error:
-            self._reply_error(message.reply_to, message.request_id, error)
-            return
-        self._reply(message.reply_to, message.request_id, None)
+        if obj._amber_immutable:
+            self._ship_replica(obj, message.dest, wait_ack=True)
+        else:
+            self._move_group_out(message.vaddr, message.dest)
 
     def _move_group_out(self, vaddr: int, dest: int) -> None:
         deadline = time.monotonic() + MOVE_DRAIN_TIMEOUT
@@ -975,20 +878,16 @@ class NodeKernel:
         # The install is a hardened request of its own: re-sent on
         # silence (the receiver's dedup makes a duplicate install a
         # cached-reply replay), typed failure on a dead destination.
-        self._request(
-            lambda rid: m.InstallMsg(rid, self.node_id, shipment,
-                                     tuple(edges)),
-            self._fixed_router(dest))
+        self._request(self._fixed_router(dest), m.InstallMsg, shipment,
+                      tuple(edges))
         self.stats["moves_out"] += 1
 
     def _ship_replica(self, obj: AmberObject, dest: int,
                       wait_ack: bool = False) -> None:
         shipment = {obj._amber_vaddr: obj}
         if wait_ack:
-            self._request(
-                lambda rid: m.InstallMsg(rid, self.node_id, shipment,
-                                         (), replica=True),
-                self._fixed_router(dest))
+            self._request(self._fixed_router(dest), m.InstallMsg, shipment,
+                          (), True)      # no attach edges; a replica
             return
         # Replica pushes are an optimization: fire-and-forget, and a
         # loss just means the caller keeps invoking remotely.
@@ -997,67 +896,45 @@ class NodeKernel:
             replica=True))
 
     def _handle_install(self, message: m.InstallMsg) -> None:
-        if not self._begin_request(message):
-            return
-        try:
-            with self._state:
-                for vaddr, obj in message.objects.items():
-                    if message.replica and \
-                            self._descriptors.is_resident(vaddr):
-                        continue   # already have a replica
-                    self._objects[vaddr] = obj
-                    self._descriptors.set_resident(vaddr)
-                for source, target in message.attach_edges:
-                    self._attachments.attach(source, target)
-        except BaseException as error:
-            self._reply_error(message.reply_to, message.request_id, error)
-            return
+        self._serve(message, self._install, routed=False)
+
+    def _install(self, message: m.InstallMsg, _obj: None) -> None:
+        with self._state:
+            for vaddr, obj in message.objects.items():
+                if message.replica and \
+                        self._descriptors.is_resident(vaddr):
+                    continue   # already have a replica
+                self._objects[vaddr] = obj
+                self._descriptors.set_resident(vaddr)
+            for source, target in message.attach_edges:
+                self._attachments.attach(source, target)
         if message.replica:
             self.stats["replicas_installed"] += len(message.objects)
         else:
             self.stats["moves_in"] += len(message.objects)
-        self._reply(message.reply_to, message.request_id, None)
 
     def _handle_fetch_replica(self, message: m.FetchReplicaMsg) -> None:
-        obj = self._resident_object(message.vaddr)
-        if obj is None:
-            self._forward(message, message.vaddr)
-            return
-        if not self._begin_request(message):
-            return
+        self._serve(message, self._fetch_replica)
+
+    def _fetch_replica(self, message: m.FetchReplicaMsg,
+                       obj: AmberObject) -> None:
         if not obj._amber_immutable:
-            self._reply_error(message.reply_to, message.request_id,
-                              ImmutabilityError(
-                                  f"object {message.vaddr:#x} is mutable; "
-                                  "replicas are only made of immutables"))
-            return
+            raise ImmutabilityError(
+                f"object {message.vaddr:#x} is mutable; "
+                "replicas are only made of immutables")
         self._ship_replica(obj, message.reply_to)
-        self._reply(message.reply_to, message.request_id, None)
 
     # -- control operations ---------------------------------------------
 
     def _handle_control(self, message: m.ControlMsg) -> None:
-        if message.op == "stats":
-            if not self._begin_request(message):
-                return
-            self._reply(message.reply_to, message.request_id,
-                        self._stats_snapshot())
-            return
-        obj = self._resident_object(message.vaddr)
-        if obj is None:
-            self._forward(message, message.vaddr)
-            return
-        if not self._begin_request(message):
-            return
-        try:
-            value = self._control_resident(obj, message.op, message.extra)
-        except BaseException as error:
-            self._reply_error(message.reply_to, message.request_id, error)
-            return
-        self._reply(message.reply_to, message.request_id, value)
+        # "stats" addresses this node, every other op an object.
+        self._serve(message, self._control, routed=message.op != "stats")
 
-    def _control_resident(self, obj: AmberObject, op: str,
-                          extra: Any) -> Any:
+    def _control(self, message: m.ControlMsg,
+                 obj: Optional[AmberObject]) -> Any:
+        op = message.op
+        if op == "stats":
+            return self._stats_snapshot()
         vaddr = obj._amber_vaddr
         if op == "set_immutable":
             with self._state:
@@ -1067,7 +944,7 @@ class NodeKernel:
                 obj._amber_immutable = True
             return None
         if op == "attach":
-            other = extra
+            other = message.extra
             with self._state:
                 if not self._descriptors.is_resident(other):
                     raise AttachmentError(
@@ -1093,3 +970,15 @@ class NodeKernel:
                 self._attachments.drop(vaddr)
             return None
         raise AmberError(f"unknown control op {op!r}")
+
+    #: What a pool worker does with each kind of message it is handed.
+    _HANDLERS = {
+        m.InvokeMsg: _handle_invoke,
+        m.CreateMsg: _handle_create,
+        m.MoveMsg: _handle_move,
+        m.InstallMsg: _handle_install,
+        m.LocateMsg: _handle_locate,
+        m.FetchReplicaMsg: _handle_fetch_replica,
+        m.ControlMsg: _handle_control,
+        _Pending: _resend,
+    }

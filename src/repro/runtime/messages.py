@@ -102,11 +102,6 @@ class InstallMsg:
 
 
 @dataclass(frozen=True)
-class InstallAck:
-    request_id: int
-
-
-@dataclass(frozen=True)
 class LocateMsg:
     request_id: int
     reply_to: int

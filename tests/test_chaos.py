@@ -1,11 +1,12 @@
 """AmberChaos units: live fault decisions, at-most-once dedup, circuit
-breakers, the detached-request resender, and wait_reply timeout races.
+breakers, the one resend ladder, and wait_reply timeout races.
 
 The live *scenario* suite (``repro chaos``) exercises these end to end;
 here each hardening layer is pinned down in isolation so a regression
 names the broken layer, not just a wedged workload.
 """
 
+import contextlib
 import time
 
 import pytest
@@ -112,10 +113,28 @@ class TestDedup:
         dedup = _Dedup(capacity=4)
         for i in range(8):
             dedup.claim(("n", i))
+            dedup.complete(("n", i), i)
         assert len(dedup) == 4
-        # The oldest entries were evicted: a duplicate of one now
+        assert dedup.claim(("n", 7)) == ("replay", 7)
+        # The oldest completions were evicted: a duplicate of one now
         # re-executes (documented capacity/at-most-once trade-off).
         assert dedup.claim(("n", 0)) == ("new", None)
+
+    def test_in_progress_is_never_evicted(self):
+        """However many later requests are admitted and answered, the
+        re-sent twin of one still executing must not run again."""
+        dedup = _Dedup(capacity=2)
+        for key in "abc":
+            assert dedup.claim(key) == ("new", None)
+        assert dedup.claim("a") == ("in_progress", None)
+        for key in "bcdefg":
+            dedup.claim(key)
+            dedup.complete(key, key.upper())
+        assert dedup.peek("a") == ("in_progress", None)
+        assert dedup.claim("a") == ("in_progress", None)
+        dedup.complete("a", "A")
+        assert dedup.claim("a") == ("replay", "A")
+        assert len(dedup) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +182,7 @@ class TestPeerCircuits:
 
 
 # ---------------------------------------------------------------------------
-# Live kernel: wait_reply races + the detached-request resender
+# Live kernel: wait_reply races + the resend ladder
 # ---------------------------------------------------------------------------
 
 
@@ -178,6 +197,29 @@ class Napper(AmberObject):
 
     def poke(self):
         return "ok"
+
+    def count(self):
+        return self.naps
+
+
+@contextlib.contextmanager
+def _losing_frames(kernel, lost):
+    """``kernel.mesh.send`` swallows ``nap`` invocations while
+    ``lost(swallowed so far)`` says so; yields the swallowed frames."""
+    mesh_send = kernel.mesh.send
+    dropped = []
+
+    def lossy_send(node, message):
+        if getattr(message, "method", None) == "nap" and lost(dropped):
+            dropped.append(message)
+            return              # swallowed: never reaches the wire
+        return mesh_send(node, message)
+
+    kernel.mesh.send = lossy_send
+    try:
+        yield dropped
+    finally:
+        kernel.mesh.send = mesh_send
 
 
 @pytest.fixture(scope="module")
@@ -217,40 +259,66 @@ class TestWaitReplyRaces:
 class TestDetachedResender:
     def test_dropped_fork_frame_recovers_without_join(self, cluster):
         """A fork whose very first frame is lost must still execute —
-        the resender daemon retransmits it even if nobody joins."""
+        the resender retransmits it even if nobody joins."""
         handle = cluster.create(Napper, node=1)
-        before = cluster.call(handle, "poke")
-        assert before == "ok"
+        assert cluster.call(handle, "count") == 0
         kernel = cluster.kernel
-        mesh_send = kernel.mesh.send
-        dropped = []
-
-        def lossy_send(node, message, _orig=mesh_send):
-            if not dropped and type(message).__name__ == "InvokeMsg":
-                dropped.append(message)
-                return          # swallowed: never reaches the wire
-            return _orig(node, message)
-
-        kernel.mesh.send = lossy_send
-        try:
+        resends = kernel.stats["resends"]
+        with _losing_frames(kernel, lambda seen: not seen) as dropped:
             thread = cluster.fork(handle, "nap", 0.0)
-        finally:
-            kernel.mesh.send = mesh_send
         assert dropped, "the fork frame should have been dropped"
-        # No join: only the resender daemon can recover this.
+        # No join: only the resender can recover this.
         deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            if not kernel._detached:
-                break
+        while cluster.call(handle, "count") == 0:
+            assert time.monotonic() < deadline
             time.sleep(0.05)
-        assert isinstance(thread.join(timeout=10), int)
-        assert kernel.stats["resends"] >= 1
+        assert kernel.stats["resends"] >= resends + 1
+        assert thread.join(timeout=10) == 1
 
     def test_detached_entry_cleared_after_reply(self, cluster):
         handle = cluster.create(Napper, node=1)
         thread = cluster.fork(handle, "nap", 0.0)
         thread.join(timeout=10)
-        assert thread._request_id not in cluster.kernel._detached
+        assert thread._request_id not in cluster.kernel._pending
+
+
+class TestResendLadder:
+    """Joined or not, a request is re-sent by the same ladder."""
+
+    def test_synchronous_call_recovers_from_a_dropped_frame(
+            self, cluster, monkeypatch):
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")   # RTO base 0.5 s
+        handle = cluster.create(Napper, node=1)
+        kernel = cluster.kernel
+        resends = kernel.stats["resends"]
+        with _losing_frames(kernel, lambda seen: not seen) as dropped:
+            assert cluster.call(handle, "nap", 0.0) == 1
+        assert len(dropped) == 1
+        assert kernel.stats["resends"] >= resends + 1
+        assert cluster.call(handle, "count") == 1      # executed once
+
+    def test_late_join_rearms_the_ladder(self, cluster, monkeypatch):
+        """Past ``give_up_at`` nothing is re-sent; a join moves it on,
+        so the ladder resumes and the joiner gets the reply once the
+        network heals — or the typed verdict while it does not."""
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.25")  # give up after 1 s
+        handle = cluster.create(Napper, node=1)
+        kernel = cluster.kernel
+        healed = []
+        with _losing_frames(kernel, lambda seen: not healed) as dropped:
+            doomed = cluster.fork(handle, "nap", 0.0)
+            late = cluster.fork(handle, "nap", 0.0)
+            time.sleep(1.3)
+            given_up = len(dropped)
+            assert given_up > 2                  # the ladder ran ...
+            time.sleep(0.4)
+            assert len(dropped) == given_up      # ... and stopped
+            with pytest.raises((TimeoutError, NodeFailure)):
+                doomed.join(timeout=0.5)
+            assert len(dropped) > given_up       # re-armed by the join
+            healed.append(True)
+            assert late.join(timeout=10) == 1
+        assert cluster.call(handle, "count") == 1
 
 
 class TestTypedFailureFast:

@@ -111,6 +111,66 @@ class TestBadFrameRecovery:
             assert cluster.node_stats(0)["transport_reconnects"] >= 1
 
 
+class Tally(AmberObject):
+    def __init__(self):
+        self.bumps = 0
+
+    def bump(self):
+        self.bumps += 1
+        return self.bumps
+
+    def value(self):
+        return self.bumps
+
+
+class TestResendsDoNotQueue:
+    def test_stuck_resend_does_not_delay_another_requests(
+            self, monkeypatch):
+        """One request's re-sends hang the way a redial of a killed
+        peer does; a dropped request to a healthy peer must still be
+        retransmitted on its own RTO, with nobody joining either."""
+        with Cluster(nodes=3) as cluster:
+            healthy = cluster.create(Tally, node=1)
+            dead = cluster.create(Tally, node=2)
+            assert cluster.call(healthy, "value") == 0
+            assert cluster.call(dead, "value") == 0
+            monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")   # RTO base 0.5 s
+            kernel = cluster.kernel
+            mesh_send = kernel.mesh.send
+            first_frames = set()
+            stuck, release = threading.Event(), threading.Event()
+
+            def send(node, message):
+                if getattr(message, "method", None) == "bump":
+                    if node not in first_frames:
+                        first_frames.add(node)
+                        return                  # lost on the wire
+                    if node == 2:
+                        stuck.set()
+                        release.wait(30)
+                return mesh_send(node, message)
+
+            kernel.mesh.send = send
+            try:
+                doomed = cluster.fork(dead, "bump")
+                assert stuck.wait(10)
+                t0 = time.monotonic()
+                thread = cluster.fork(healthy, "bump")
+                deadline = t0 + 10
+                while cluster.call(healthy, "value") == 0:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                # Due after one RTO (0.5 s) and a resender tick.
+                assert time.monotonic() - t0 < 2.0
+                assert not release.is_set()
+            finally:
+                release.set()
+                kernel.mesh.send = mesh_send
+            assert thread.join(timeout=10) == 1
+            assert doomed.join(timeout=10) == 1
+            assert kernel.stats["resends"] >= 2
+
+
 class TestPoolUnit:
     def test_every_message_runs_once_while_workers_retire(self):
         """Submits race with retirement: a message handed to a worker
