@@ -1,0 +1,113 @@
+"""Golden identity of the simulator's per-event path.
+
+Three small fixed programs (``tests/hot_path_programs.py``) are run with
+a tracer attached and every fixed point of the run — ``(events_run,
+elapsed_us)``, ``ClusterStats``, ``NetworkStats``, ``metrics.as_dict()``,
+every thread's ``state_time_us`` and the full trace-event stream — is
+compared against ``tests/golden/hot_path_identity.json``.  The golden
+file was generated before the per-event path was optimised; a change to
+that path must leave this file untouched.  Regenerate (only for an
+intended behaviour change) with::
+
+    PYTHONPATH=src python -m tests.test_hot_path_identity
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.sim import Tracer
+from tests import hot_path_programs as programs
+
+GOLDEN = Path(__file__).parent / "golden" / "hot_path_identity.json"
+
+PROGRAMS = {
+    "sor_40x280_4Nx2P": programs.run_sor,
+    "mobility_8Nx2P": programs.run_mobility,
+    "forkjoin_lock_barrier_2Nx2P": programs.run_forkjoin,
+}
+
+
+def observe(run) -> dict:
+    """Every fixed point of one traced run, as JSON-ready data (floats
+    round-trip exactly through ``json``)."""
+    tracer = Tracer(max_events=1_000_000)
+    result = run(tracer=tracer)
+    cluster = result.cluster
+    stats = dataclasses.asdict(
+        dataclasses.replace(cluster.stats, metrics=None))
+    del stats["metrics"]
+    return {
+        "events_run": cluster.sim.events_run,
+        "elapsed_us": cluster.sim.now_us,
+        "cluster_stats": stats,
+        "network_stats": dataclasses.asdict(cluster.network.stats),
+        "metrics": cluster.metrics.as_dict(),
+        "state_time_us": {thread.name: thread.state_time_us
+                          for thread in cluster.kernel.threads},
+        "trace_dropped": tracer.dropped,
+        "trace": [[event.t_us, event.kind, event.node, event.thread,
+                   event.vaddr, event.detail, event.dur_us]
+                  for event in tracer.events],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_run_matches_golden(name, golden):
+    # Through json once, so tuples/ints compare as the file stores them.
+    observed = json.loads(json.dumps(observe(PROGRAMS[name])))
+    expected = golden[name]
+    assert sorted(observed) == sorted(expected)
+    for key in expected:
+        assert observed[key] == expected[key], f"{name}: {key} differs"
+
+
+def test_golden_runs_are_not_trivial(golden):
+    """The pinned programs really take the paths the file claims."""
+    mobility = golden["mobility_8Nx2P"]
+    assert mobility["cluster_stats"]["object_moves"] > 50
+    assert mobility["cluster_stats"]["forwarding_hops_followed"] > 50
+    assert mobility["cluster_stats"]["locates"] > 50
+    assert mobility["cluster_stats"]["replications"] > 0
+    assert mobility["trace_dropped"] == 0
+    forkjoin = golden["forkjoin_lock_barrier_2Nx2P"]
+    assert forkjoin["metrics"]["histograms"]["lock_wait_us"]["max"] > 0
+    assert forkjoin["metrics"]["histograms"]["barrier_wait_us"]["count"] \
+        == 30
+    sor = golden["sor_40x280_4Nx2P"]
+    assert sor["network_stats"]["messages"] > 0
+
+
+def _dump(golden: dict) -> str:
+    """One line per fixed point and per trace event: diffs stay local."""
+    lines = ["{"]
+    for name in sorted(golden):
+        lines.append(f"{json.dumps(name)}: {{")
+        for key in sorted(golden[name]):
+            if key == "trace":
+                continue
+            lines.append(f"{json.dumps(key)}: "
+                         f"{json.dumps(golden[name][key], sort_keys=True)},")
+        lines.append('"trace": [')
+        lines.append(",\n".join(json.dumps(event)
+                                for event in golden[name]["trace"]))
+        lines.append("]},")
+    lines[-1] = "]}"
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(_dump({name: observe(run)
+                             for name, run in PROGRAMS.items()}))
+    print(f"wrote {GOLDEN}")
