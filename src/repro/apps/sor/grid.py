@@ -19,6 +19,7 @@ the parallel implementations to the sequential one exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -83,10 +84,20 @@ def color_mask(rows: int, cols: int, color: int,
                row0: int = 0, col0: int = 0) -> np.ndarray:
     """Boolean mask of the points of ``color`` within a ``rows x cols``
     block whose top-left interior point has global coordinates
-    ``(row0, col0)``."""
-    r = np.arange(rows).reshape(-1, 1) + row0
-    c = np.arange(cols).reshape(1, -1) + col0
-    return ((r + c) % 2) == color
+    ``(row0, col0)``.  The mask depends on the origin only through the
+    parity of its corner, so it is built once per (shape, parity) and
+    shared; the array is read-only."""
+    return _parity_mask(rows, cols, (row0 + col0 + color) % 2)
+
+
+@lru_cache(maxsize=64)
+def _parity_mask(rows: int, cols: int, parity: int) -> np.ndarray:
+    """Mask of the points ``(r, c)`` with ``(r + c) % 2 == parity``."""
+    r = np.arange(rows).reshape(-1, 1)
+    c = np.arange(cols).reshape(1, -1)
+    mask = ((r + c) % 2) == parity
+    mask.setflags(write=False)
+    return mask
 
 
 def count_color_points(rows: int, cols: int, color: int,

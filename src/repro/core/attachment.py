@@ -70,6 +70,11 @@ class AttachmentGraph:
         """The objects ``obj`` is directly attached to."""
         return set(self._out.get(obj, ()))
 
+    def directly_attached(self, a: Hashable, b: Hashable) -> bool:
+        """True if an attachment edge joins ``a`` and ``b`` in either
+        direction — co-location settled without walking the group."""
+        return b in self._out.get(a, ()) or a in self._out.get(b, ())
+
     def group(self, obj: Hashable) -> List[Hashable]:
         """The co-location group of ``obj``: its weakly connected component.
 

@@ -37,7 +37,10 @@ class DescriptorState(enum.Enum):
     FORWARDED = "forwarded"
 
 
-@dataclass
+_RESIDENT = DescriptorState.RESIDENT
+
+
+@dataclass(slots=True)
 class Descriptor:
     """One node's view of one object."""
 
@@ -52,7 +55,7 @@ class Descriptor:
 
     @property
     def resident(self) -> bool:
-        return self.state is DescriptorState.RESIDENT
+        return self.state is _RESIDENT
 
 
 class DescriptorTable:
@@ -68,7 +71,7 @@ class DescriptorTable:
 
     def is_resident(self, address: int) -> bool:
         descriptor = self._table.get(address)
-        return descriptor is not None and descriptor.resident
+        return descriptor is not None and descriptor.state is _RESIDENT
 
     def set_resident(self, address: int) -> None:
         """Install or overwrite a RESIDENT descriptor (object arrived/created
@@ -91,7 +94,7 @@ class DescriptorTable:
         advisory location caches.
         """
         descriptor = self._table.get(address)
-        if descriptor is not None and descriptor.resident:
+        if descriptor is not None and descriptor.state is _RESIDENT:
             return
         if forward_to == self.node:
             return

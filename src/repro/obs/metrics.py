@@ -22,10 +22,14 @@ every simulated run.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 #: Geometric bucket growth factor: 4 buckets per decade (~12% resolution).
 _BUCKET_BASE = 10 ** 0.25
+#: ``math.log(v, _BUCKET_BASE)`` is computed as ``log(v) / log(base)``;
+#: dividing by the denominator kept here gives the bit-identical quotient
+#: without re-deriving it on every observation.
+_LOG_BASE = math.log(_BUCKET_BASE)
 
 
 class Counter:
@@ -60,10 +64,11 @@ class Gauge:
         self._sum = 0.0
 
     def set(self, value: float) -> None:
-        self.value = float(value)
-        self.max = max(self.max, self.value)
+        value = self.value = float(value)
+        if value > self.max:
+            self.max = value
         self.samples += 1
-        self._sum += self.value
+        self._sum += value
 
     @property
     def mean(self) -> float:
@@ -99,12 +104,6 @@ class LatencyHistogram:
     _ZERO_BUCKET = -(2 ** 30)
 
     @staticmethod
-    def _index(value: float) -> int:
-        if value <= 0:
-            return LatencyHistogram._ZERO_BUCKET
-        return math.ceil(math.log(value, _BUCKET_BASE))
-
-    @staticmethod
     def _upper_bound(index: int) -> float:
         if index == LatencyHistogram._ZERO_BUCKET:
             return 0.0
@@ -117,10 +116,17 @@ class LatencyHistogram:
                 f"histogram {self.name} got negative value {value}")
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        index = self._index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        index = (self._ZERO_BUCKET if value <= 0
+                 else math.ceil(math.log(value) / _LOG_BASE))
+        buckets = self.buckets
+        try:
+            buckets[index] += 1
+        except KeyError:
+            buckets[index] = 1
 
     @property
     def mean(self) -> float:
@@ -176,22 +182,25 @@ class MetricsRegistry:
     # -- instrument access (created on first use) -----------------------
 
     def counter(self, name: str) -> Counter:
-        instrument = self.counters.get(name)
-        if instrument is None:
+        try:
+            return self.counters[name]
+        except KeyError:
             instrument = self.counters[name] = Counter(name)
-        return instrument
+            return instrument
 
     def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
+        try:
+            return self.gauges[name]
+        except KeyError:
             instrument = self.gauges[name] = Gauge(name)
-        return instrument
+            return instrument
 
     def histogram(self, name: str) -> LatencyHistogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
+        try:
+            return self.histograms[name]
+        except KeyError:
             instrument = self.histograms[name] = LatencyHistogram(name)
-        return instrument
+            return instrument
 
     # -- convenience shorthands -----------------------------------------
 
@@ -251,6 +260,23 @@ class MetricsRegistry:
             lines.append(f"{name:<28} last={gauge.value:g} "
                          f"max={gauge.max:g} mean={gauge.mean:.2f}")
         return "\n".join(lines) if lines else "(no metrics)"
+
+
+class Held(dict):
+    """Instruments an emitter on a per-event path holds: ``held[name]``
+    asks the registry accessor it was built from (``registry.histogram``,
+    ``.gauge`` or ``.counter``) once, on first use, so a name that is
+    never emitted adds nothing to ``as_dict()`` and every later emission
+    is one dict subscript and the instrument's own method."""
+
+    __slots__ = ("_bind",)
+
+    def __init__(self, bind: Callable[[str], object]) -> None:
+        self._bind = bind
+
+    def __missing__(self, name: str) -> object:
+        instrument = self[name] = self._bind(name)
+        return instrument
 
 
 def merge_registries(registries: Iterable[MetricsRegistry]

@@ -7,7 +7,7 @@ becomes an event.  Events at equal timestamps fire in scheduling order
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
@@ -86,10 +86,10 @@ class Simulator:
         event = Event(time_ns, seq, fn)
         profiler = self.profiler
         if profiler is None:
-            heapq.heappush(self._queue, (time_ns, seq, event))
+            heappush(self._queue, (time_ns, seq, event))
         else:
             t0 = perf_counter()
-            heapq.heappush(self._queue, (time_ns, seq, event))
+            heappush(self._queue, (time_ns, seq, event))
             profiler.heap_push_s += perf_counter() - t0
             profiler.heap_pushes += 1
         return event
@@ -103,7 +103,7 @@ class Simulator:
         """Run the next non-cancelled event.  Returns False when the queue
         is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)[2]
+            event = heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self.now_ns = event.time_ns
@@ -129,26 +129,33 @@ class Simulator:
             self._run_profiled(until_us)
             return
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
+        max_events = self.max_events
+        events_run = self._events_run
         limit_ns = (None if until_us is None
                     else round(until_us * NS_PER_US))
-        while queue:
-            head = queue[0]
-            event = head[2]
-            if event.cancelled:
+        try:
+            while queue:
+                head = queue[0]
+                event = head[2]
+                if event.cancelled:
+                    pop(queue)
+                    continue
+                time_ns = head[0]
+                if limit_ns is not None and time_ns > limit_ns:
+                    break
                 pop(queue)
-                continue
-            time_ns = head[0]
-            if limit_ns is not None and time_ns > limit_ns:
-                break
-            pop(queue)
-            self.now_ns = time_ns
-            self._events_run += 1
-            if self._events_run > self.max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events}; "
-                    "likely a livelocked simulation")
-            event.fn()
+                self.now_ns = time_ns
+                events_run += 1
+                if events_run > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "likely a livelocked simulation")
+                event.fn()
+        finally:
+            # The counter lives in a local while the loop runs; publish
+            # it on every exit, including an event that raised.
+            self._events_run = events_run
 
     def _run_profiled(self, until_us: Optional[float] = None) -> None:
         """The :meth:`run` loop with host-time phase attribution: heap
@@ -158,35 +165,40 @@ class Simulator:
         the profiler's report."""
         profiler = self.profiler
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
+        max_events = self.max_events
+        events_run = self._events_run
         limit_ns = (None if until_us is None
                     else round(until_us * NS_PER_US))
-        while queue:
-            t0 = perf_counter()
-            head = queue[0]
-            while head[2].cancelled:
-                pop(queue)
-                if not queue:
-                    profiler.heap_pop_s += perf_counter() - t0
-                    return
+        try:
+            while queue:
+                t0 = perf_counter()
                 head = queue[0]
-            if limit_ns is not None and head[0] > limit_ns:
-                profiler.heap_pop_s += perf_counter() - t0
-                break
-            pop(queue)
-            t1 = perf_counter()
-            profiler.heap_pop_s += t1 - t0
-            self.now_ns = head[0]
-            self._events_run += 1
-            if self._events_run > self.max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events}; "
-                    "likely a livelocked simulation")
-            head[2].fn()
-            profiler.dispatch_s += perf_counter() - t1
-            profiler.events += 1
-            if profiler.events % profiler.sample_every == 0:
-                profiler.take_sample()
+                while head[2].cancelled:
+                    pop(queue)
+                    if not queue:
+                        profiler.heap_pop_s += perf_counter() - t0
+                        return
+                    head = queue[0]
+                if limit_ns is not None and head[0] > limit_ns:
+                    profiler.heap_pop_s += perf_counter() - t0
+                    break
+                pop(queue)
+                t1 = perf_counter()
+                profiler.heap_pop_s += t1 - t0
+                self.now_ns = head[0]
+                events_run += 1
+                if events_run > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "likely a livelocked simulation")
+                head[2].fn()
+                profiler.dispatch_s += perf_counter() - t1
+                profiler.events += 1
+                if profiler.events % profiler.sample_every == 0:
+                    profiler.take_sample()
+        finally:
+            self._events_run = events_run
 
     def pending(self) -> int:
         """Number of non-cancelled events still queued."""

@@ -49,6 +49,7 @@ from repro.errors import (
     NodeFailure,
     ObjectNotFoundError,
 )
+from repro.obs.metrics import Held
 from repro.recovery.checkpoint import (
     CheckpointManager,
     restore_state,
@@ -125,6 +126,9 @@ class AmberKernel:
         self.costs = cluster.costs
         self.net = cluster.network
         self.metrics = cluster.metrics
+        #: Histograms fed once per migration / invocation are held
+        #: (bound on first use); rarer emitters go through the registry.
+        self._hists = Held(cluster.metrics.histogram)
         self._next_tid = 0
         self.threads: List[SimThread] = []
         cluster.kernel = self
@@ -715,7 +719,7 @@ class AmberKernel:
         thread.location = node_id
         thread.cpu = None
         thread.surcharge_us += surcharge_us
-        node = self.cluster.node(node_id)
+        node = self.cluster.nodes[node_id]
         self._trace("ready", node_id, thread.name)
         node.scheduler.enqueue(thread)
         if self.cluster.tracer is not None:
@@ -1090,8 +1094,11 @@ class AmberKernel:
                 "FastInvoke requires an enclosing operation")
         current = thread.stack[-1].obj
         target = request.target
-        group = self.cluster.attachments.group(current.vaddr)
-        if target.vaddr != current.vaddr and target.vaddr not in group:
+        attachments = self.cluster.attachments
+        if target.vaddr != current.vaddr \
+                and not attachments.directly_attached(current.vaddr,
+                                                      target.vaddr) \
+                and target.vaddr not in attachments.group(current.vaddr):
             raise InvocationError(
                 f"FastInvoke on {target!r}: co-residency with "
                 f"{current!r} is not guaranteed (attach them first)")
@@ -1142,24 +1149,29 @@ class AmberKernel:
             thread.send_value = None
             self._advance(thread)
         else:
-            # Atomic operation: completed instantly; its return still
-            # pops the (implicit) frame and pays the return-check cost.
-            # An elided sync op deposits its nominal SYNC_OP_US in the
-            # thread's surcharge; folding it into this charge keeps
-            # simulated elapsed identical to the slow path while saving
-            # the separate Charge event.  (A RUNNING thread's surcharge
-            # is otherwise always zero — it is consumed at switch-in.)
-            surcharge = thread.surcharge_us
-            if surcharge:
-                thread.surcharge_us = 0.0
+            # Atomic operation: completed instantly.
             if self._recovering() and thread.resurrect_stack:
                 entry = thread.resurrect_stack[-1]
                 if not entry.completed and entry.request is request:
                     self._record_completion(thread, entry, result, None)
-            if not is_root:
-                thread.pending_invoke_metric = (
-                    "invoke_remote_us" if thread.invoke_remote
-                    else "invoke_local_us", thread.invoke_t0)
+            if is_root:
+                # A thread body (Fork/Start of an atomic operation):
+                # there is no caller frame to return into.
+                self._thread_exit(thread, result, None)
+                return
+            # The return still pops the (implicit) frame and pays the
+            # return-check cost.  An elided sync op deposits its nominal
+            # SYNC_OP_US in the thread's surcharge; folding it into this
+            # charge keeps simulated elapsed identical to the slow path
+            # while saving the separate Charge event.  (A RUNNING
+            # thread's surcharge is otherwise always zero — it is
+            # consumed at switch-in.)
+            surcharge = thread.surcharge_us
+            if surcharge:
+                thread.surcharge_us = 0.0
+            thread.pending_invoke_metric = (
+                "invoke_remote_us" if thread.invoke_remote
+                else "invoke_local_us", thread.invoke_t0)
             self._charge(thread, self.costs.local_return_us + surcharge,
                          lambda: self._complete_return(
                              thread, result, None,
@@ -1217,7 +1229,7 @@ class AmberKernel:
         if pending is not None:
             thread.pending_invoke_metric = None
             name, start_us = pending
-            self.metrics.observe(name, self.sim.now_us - start_us)
+            self._hists[name].observe(self.sim.now_us - start_us)
 
     def _validate_target(self, target: Any) -> None:
         if not isinstance(target, SimObject):
@@ -1949,7 +1961,8 @@ class AmberKernel:
 
     def _thread_arrival(self, thread: SimThread, node_id: int,
                         payload: int) -> None:
-        node = self.cluster.node(node_id)
+        nodes = self.cluster.nodes
+        node = nodes[node_id]
         if node.down and self._recovering():
             # Delivery raced the crash: landed on a corpse.  Bounce from
             # the last live hop as if the send had given up.
@@ -1969,8 +1982,7 @@ class AmberKernel:
         if node.descriptors.is_resident(vaddr):
             # Found it: cache the location along the path we took.
             for visited in thread.transit_path[:-1]:
-                self.cluster.node(visited).descriptors.update_hint(
-                    vaddr, node_id)
+                nodes[visited].descriptors.update_hint(vaddr, node_id)
             # The thread object itself now resides here.
             self._relocate_thread_object(thread, node_id)
             node.stats.threads_in += 1
@@ -1978,10 +1990,11 @@ class AmberKernel:
             san = _analysis.ACTIVE
             if san is not None:
                 san.on_migrate(thread, node_id, self.sim.now_us)
-            self.metrics.observe(
-                "migration_us", self.sim.now_us - thread.transit_start_us)
-            self.metrics.observe("forward_chain_hops",
-                                 max(0, len(thread.transit_path) - 2))
+            hists = self._hists
+            hists["migration_us"].observe(
+                self.sim.now_us - thread.transit_start_us)
+            hops = len(thread.transit_path) - 2
+            hists["forward_chain_hops"].observe(hops if hops > 0 else 0)
             thread.transit_target = None
             thread.transit_path = []
             self._ready(thread, node_id, self.costs.thread_recv_cpu_us())
@@ -2011,11 +2024,12 @@ class AmberKernel:
     def _relocate_thread_object(self, thread: SimThread,
                                 node_id: int) -> None:
         """Keep the thread object's descriptors consistent as it moves."""
+        nodes = self.cluster.nodes
         previous = thread._location
         if previous is not None and previous != node_id:
-            self.cluster.node(previous).descriptors.set_forwarding(
-                thread.vaddr, node_id)
-        self.cluster.node(node_id).descriptors.set_resident(thread.vaddr)
+            nodes[previous].descriptors.set_forwarding(thread.vaddr,
+                                                       node_id)
+        nodes[node_id].descriptors.set_resident(thread.vaddr)
         thread._location = node_id
 
     # ------------------------------------------------------------------
@@ -2047,14 +2061,16 @@ class AmberKernel:
     def _route_control_hop(self, origin, vaddr: int, next_node: int,
                            on_found, path: List[int], probes: int) -> None:
         def delivered() -> None:
-            node = self.cluster.node(next_node)
+            nodes = self.cluster.nodes
+            node = nodes[next_node]
             path.append(next_node)
             if node.descriptors.is_resident(vaddr):
                 for visited in path[:-1]:
-                    self.cluster.node(visited).descriptors.update_hint(
-                        vaddr, next_node)
-                self.metrics.observe("forward_chain_hops",
-                                     max(0, len(path) - 2))
+                    nodes[visited].descriptors.update_hint(vaddr,
+                                                           next_node)
+                hops = len(path) - 2
+                self._hists["forward_chain_hops"].observe(
+                    hops if hops > 0 else 0)
                 on_found(node)
                 return
             node.stats.forward_hops += 1

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from repro.analyze import runtime as _analysis
 from repro.core.costs import CostModel
 from repro.errors import SimulationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Held, MetricsRegistry
 from repro.sim.engine import Simulator
 
 
@@ -59,13 +59,17 @@ class Ethernet:
         self.contended = contended
         self._busy_until_ns = 0
         self.stats = NetworkStats()
-        self._metrics = metrics
+        #: Per-message instruments, held (see repro.obs.metrics.Held);
+        #: ``None`` without a registry.
+        self._hists = None if metrics is None else Held(metrics.histogram)
+        self._gauges = None if metrics is None else Held(metrics.gauge)
         #: Optional repro.faults.inject.FaultInjector consulted by the
         #: reliable layer, once per transmission attempt.
         self.faults = faults
         #: Messages currently queued or on the wire (event-granularity
         #: occupancy; sampled into the ``net_inflight`` gauge per send).
         self._inflight = 0
+        self._latency_ns = round(costs.net_latency_us * 1000)
         #: Optional repro.sim.trace.Tracer: the reliable layer emits a
         #: structured ``send_give_up`` event (sender, dest, message kind)
         #: whenever a sender exhausts its retries, so crash triage is
@@ -154,55 +158,51 @@ class Ethernet:
         """One wire transmission.  ``deliver=None`` models a message lost
         in flight: it occupies the medium but nothing arrives."""
         sim = self._sim
-        costs = self._costs
-        occupancy_us = nbytes * costs.per_byte_us
-        occupancy_ns = round(occupancy_us * 1000)
+        stats = self.stats
+        now_ns = sim.now_ns
+        occupancy_us = nbytes * self._costs.per_byte_us
+        queued_us = 0.0
         if self.contended:
-            start_ns = max(sim.now_ns, self._busy_until_ns)
-            self._busy_until_ns = start_ns + occupancy_ns
-            queued_us = (start_ns - sim.now_ns) / 1000
-            self.stats.queueing_us += queued_us
-            end_ns = self._busy_until_ns
+            start_ns = self._busy_until_ns
+            if start_ns > now_ns:
+                queued_us = (start_ns - now_ns) / 1000
+                stats.queueing_us += queued_us
+            else:
+                start_ns = now_ns
+            end_ns = self._busy_until_ns = \
+                start_ns + round(occupancy_us * 1000)
         else:
-            start_ns = sim.now_ns
-            queued_us = 0.0
-            end_ns = start_ns + occupancy_ns
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
-        self.stats.busy_us += occupancy_us
+            end_ns = now_ns + round(occupancy_us * 1000)
+        stats.messages += 1
+        stats.bytes += nbytes
+        stats.busy_us += occupancy_us
+        hists = self._hists
+        if hists is not None:
+            hists["net_queue_us"].observe(queued_us)
+            hists["net_msg_bytes"].observe(nbytes)
+            if deliver is not None:
+                self._inflight += 1
+                self._gauges["net_inflight"].set(self._inflight)
+                arrive = deliver
+
+                def deliver() -> None:  # what gets scheduled below
+                    self._inflight -= 1
+                    arrive()
+
         if deliver is None:
-            if self._metrics is not None:
-                self._metrics.observe("net_queue_us", queued_us)
-                self._metrics.observe("net_msg_bytes", nbytes)
             return
-        delivery_ns = (end_ns + round(costs.net_latency_us * 1000)
-                       + round(extra_delay_us * 1000))
-        if self._metrics is not None:
-            self._metrics.observe("net_queue_us", queued_us)
-            self._metrics.observe("net_msg_bytes", nbytes)
-            self._inflight += 1
-            self._metrics.sample("net_inflight", self._inflight)
-
-            def delivered() -> None:
-                self._inflight -= 1
-                deliver()
-
-            self._schedule_delivery(delivery_ns, src, dst, delivered)
-        else:
-            self._schedule_delivery(delivery_ns, src, dst, deliver)
-
-    def _schedule_delivery(self, delivery_ns: int, src: int, dst: int,
-                           deliver: Callable[[], None]) -> None:
-        """Hand the delivery to the engine — or, with an AmberCheck
-        controller installed, to its delivery-order override, which
-        turns the arrival order of same-time messages into a recorded,
-        replayable choice point."""
+        delivery_ns = end_ns + self._latency_ns
+        if extra_delay_us:
+            delivery_ns += round(extra_delay_us * 1000)
+        # With an AmberCheck controller installed, its delivery-order
+        # override turns the arrival order of same-time messages into a
+        # recorded, replayable choice point.
         controller = _analysis.CONTROLLER
         if controller is None:
-            self._sim.schedule_at_ns(delivery_ns, deliver)
+            sim.schedule_at_ns(delivery_ns, deliver)
         else:
-            controller.schedule_delivery(self._sim, delivery_ns,
-                                         src, dst, deliver)
+            controller.schedule_delivery(sim, delivery_ns, src, dst,
+                                         deliver)
 
     def uncontended_wire_us(self, nbytes: int) -> float:
         """Delivery time for one message on an idle wire (for predictions)."""

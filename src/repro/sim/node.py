@@ -56,7 +56,7 @@ class SimNode:
 
     def idle_cpu(self) -> Optional[Cpu]:
         for cpu in self.cpus:
-            if cpu.idle:
+            if cpu.thread is None:
                 return cpu
         return None
 

@@ -31,6 +31,11 @@ class ThreadState(enum.Enum):
     TRANSIT = "transit"     # migrating between nodes
     DONE = "done"           # terminated
 
+    def __init__(self, value: str) -> None:
+        #: Profile bucket of time spent in this state, classified once
+        #: (a BLOCKED thread's bucket also depends on its block reason).
+        self.bucket = bucket_for_state(value)
+
 
 @dataclass(slots=True)
 class Activation:
@@ -187,8 +192,10 @@ class SimThread(SimObject):
             now_us = clock.now_ns / NS_PER_US
             elapsed = now_us - (self._state_since_us or 0.0)
             if elapsed > 0:
-                bucket = bucket_for_state(self._state.value,
-                                          self.block_reason)
+                state = self._state
+                bucket = (bucket_for_state(state.value, self.block_reason)
+                          if state is ThreadState.BLOCKED
+                          else state.bucket)
                 self.state_time_us[bucket] = \
                     self.state_time_us.get(bucket, 0.0) + elapsed
             self._state_since_us = now_us
@@ -196,7 +203,7 @@ class SimThread(SimObject):
 
     @property
     def done(self) -> bool:
-        return self.state is ThreadState.DONE
+        return self._state is ThreadState.DONE
 
     def bound_objects(self) -> List[SimObject]:
         """Objects this thread is currently executing within (innermost

@@ -1,0 +1,54 @@
+"""Call budget of the simulator's per-event path.
+
+A perf regression test without a wall clock: ``sys.setprofile`` counts
+Python-level ``call`` events (function entries and generator resumptions;
+C builtins and interpreter-version inlining do not enter) while the fixed
+mobility program of ``tests/hot_path_programs.py`` runs untraced, and the
+count per simulated event must stay inside the budget.
+
+Measured on that program (6,442 events): **24.51** calls per event before
+the per-event path was made to look instruments, nodes and state buckets
+up once (commit ``41e77d0``), **17.58** after.  The budget is the
+post-change figure plus 10 %.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from tests import hot_path_programs as programs
+
+CALLS_PER_EVENT_BUDGET = 17.58 * 1.10
+
+
+def count_python_calls(run):
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return calls, result
+
+
+def test_mobility_calls_per_event_within_budget():
+    calls, result = count_python_calls(programs.run_mobility)
+    events = result.cluster.sim.events_run
+    assert events == 6442
+    assert calls / events <= CALLS_PER_EVENT_BUDGET, (
+        f"{calls / events:.2f} Python calls per simulated event "
+        f"(budget {CALLS_PER_EVENT_BUDGET:.2f}): something on the "
+        "per-event path went back to per-event lookups")
+
+
+def test_call_count_is_deterministic():
+    first, _ = count_python_calls(programs.run_forkjoin)
+    second, _ = count_python_calls(programs.run_forkjoin)
+    assert first == second

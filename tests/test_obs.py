@@ -5,11 +5,14 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     _BUCKET_BASE,
     Counter,
     Gauge,
+    Held,
     LatencyHistogram,
     MetricsRegistry,
     merge_registries,
@@ -128,6 +131,67 @@ class TestLatencyHistogram:
             assert key in summary
 
 
+def _reference_histogram(values):
+    """What ``observe`` must leave behind, built the way the histogram
+    was first written: ``min``/``max`` builtins and the two-argument
+    ``math.log`` per value."""
+    count, total, low, high, buckets = 0, 0.0, math.inf, 0.0, {}
+    for value in values:
+        value = float(value)
+        count += 1
+        total += value
+        low = min(low, value)
+        high = max(high, value)
+        index = (LatencyHistogram._ZERO_BUCKET if value <= 0
+                 else math.ceil(math.log(value, _BUCKET_BASE)))
+        buckets[index] = buckets.get(index, 0) + 1
+    return count, total, low, high, buckets
+
+
+_OBSERVABLE = st.one_of(
+    st.floats(min_value=0.0, max_value=1e15, allow_nan=False),
+    st.integers(min_value=0, max_value=10 ** 12),
+    st.just(0.0),
+    # Exact bucket boundaries, where a last-bit difference in the
+    # logarithm would move a value to the neighbouring bucket.
+    st.integers(min_value=-40, max_value=60).map(
+        lambda k: _BUCKET_BASE ** k),
+    st.integers(min_value=-12, max_value=15).map(lambda k: 10.0 ** k),
+)
+
+
+class TestHistogramObserveEquivalence:
+    @given(st.lists(_OBSERVABLE, max_size=60))
+    @example([_BUCKET_BASE ** k for k in range(-40, 61)])
+    @example([10.0 ** k for k in range(-12, 16)])
+    @example([0.0, 0, 1, 1.0, 5e-324, 1e15])
+    @settings(max_examples=300, deadline=None)
+    def test_observe_matches_reference(self, values):
+        histogram = LatencyHistogram("lat")
+        for value in values:
+            histogram.observe(value)
+        assert (histogram.count, histogram.sum, histogram.min,
+                histogram.max, histogram.buckets) \
+            == _reference_histogram(values)
+
+    @given(st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
+    def test_negative_values_still_raise(self, value):
+        histogram = LatencyHistogram("lat")
+        with pytest.raises(ValueError, match="negative value"):
+            histogram.observe(value)
+        assert histogram.count == 0 and not histogram.buckets
+
+    def test_gauge_set_matches_builtin_max(self):
+        gauge = Gauge("g")
+        seen = []
+        for value in (3, 1.5, 7, 7, 2):
+            gauge.set(value)
+            seen.append(float(value))
+            assert (gauge.value, gauge.max, gauge.samples, gauge.mean) \
+                == (seen[-1], max(seen), len(seen),
+                    sum(seen) / len(seen))
+
+
 class TestHistogramQuantileAccuracy:
     """p50/p90/p99 against exact quantiles of known distributions: the
     log-scale estimate must land within one bucket (a factor of
@@ -217,6 +281,39 @@ class TestMetricsRegistry:
         assert merged.counters["n"].value == 1
         # Inputs unchanged.
         assert a.histograms["lat"].count == 1
+
+    def test_held_instruments_bind_on_first_use(self):
+        registry = MetricsRegistry()
+        hists = Held(registry.histogram)
+        gauges = Held(registry.gauge)
+        empty = registry.as_dict()
+        assert empty == {"counters": {}, "gauges": {}, "histograms": {}}
+        hists["lat"].observe(4.0)
+        assert hists["lat"] is registry.histograms["lat"]
+        assert registry.as_dict()["gauges"] == {}      # never sampled
+        gauges["depth"].set(2)
+        assert registry.gauges["depth"].max == 2.0
+
+    def test_merge_of_held_registries_is_unchanged(self):
+        """An emitter that holds its instruments and one that goes
+        through the shorthands leave registries that merge alike."""
+        def fill(registry, held):
+            for value in (0.0, 3.0, 250.0):
+                if held:
+                    Held(registry.histogram)["lat"].observe(value)
+                    Held(registry.gauge)["depth"].set(value)
+                else:
+                    registry.observe("lat", value)
+                    registry.sample("depth", value)
+            return registry
+
+        held = merge_registries(
+            [fill(MetricsRegistry(), True), fill(MetricsRegistry(), True)])
+        plain = merge_registries(
+            [fill(MetricsRegistry(), False), fill(MetricsRegistry(), False)])
+        assert held.as_dict() == plain.as_dict()
+        assert held.histograms["lat"].buckets \
+            == plain.histograms["lat"].buckets
 
     def test_render_mentions_all_instruments(self):
         registry = MetricsRegistry()
@@ -490,6 +587,23 @@ class TestClusterStatsExtensions:
 
 
 class TestRunMetrics:
+    def test_run_without_messages_has_no_net_instruments(self):
+        """The network binds its instruments on first use: a run that
+        sends nothing reports nothing about the wire."""
+        def main(ctx):
+            user = yield New(_LockUser, (yield New(Lock)))
+            yield Invoke(user, "work", 10.0)
+
+        result = AmberProgram(ClusterConfig(nodes=2, cpus_per_node=2)
+                              ).run(main)
+        assert result.cluster.network.stats.messages == 0
+        snapshot = result.cluster.metrics.as_dict()
+        names = [name for group in snapshot.values() for name in group]
+        assert names and not [n for n in names if n.startswith("net_")]
+        for name in ("migration_us", "forward_chain_hops",
+                     "invoke_remote_us"):
+            assert name not in snapshot["histograms"]
+
     def test_sor_run_populates_operation_histograms(self):
         _, result = _sor_trace()
         histograms = result.cluster.metrics.histograms

@@ -166,6 +166,68 @@ class TestStartJoin:
         assert elapsed > 195_000
 
 
+class TestAtomicThreadBody:
+    """Fork/Start of an atomic (non-generator) operation: the thread body
+    has no caller frame, so its return is the thread's exit."""
+
+    def test_fork_join_atomic_local(self):
+        def main(ctx):
+            cell = yield New(Cell, 7)
+            worker = yield Fork(cell, "get_atomic")
+            return (yield Join(worker))
+
+        assert run(main).value == 7
+
+    def test_fork_join_atomic_on_remote_node(self):
+        class Where(SimObject):
+            def node(self, ctx):
+                return ctx.node
+
+        def main(ctx):
+            where = yield New(Where, on_node=1)
+            worker = yield Fork(where, "node")
+            value = yield Join(worker)
+            return value, worker.location, worker.migrations
+
+        assert run(main).value == (1, 1, 1)
+
+    def test_newthread_start_atomic(self):
+        def main(ctx):
+            cell = yield New(Cell, 3)
+            thread = yield NewThread(cell, "get_atomic")
+            yield Start(thread)
+            return (yield Join(thread))
+
+        assert run_free(main).value == 3
+
+    def test_atomic_thread_costs_the_same_as_a_generator_one(self):
+        def elapsed(method):
+            def main(ctx):
+                cell = yield New(Cell)
+                t0 = ctx.now_us
+                yield Join((yield Fork(cell, method)))
+                return ctx.now_us - t0
+
+            return run(main, cpus=4).value
+
+        assert elapsed("get_atomic") == elapsed("get")
+
+    def test_raising_atomic_body_reaches_the_joiner(self):
+        class Bomb(SimObject):
+            def boom(self, ctx):
+                raise ValueError("atomic boom")
+
+        def main(ctx):
+            bomb = yield New(Bomb, on_node=1)
+            worker = yield Fork(bomb, "boom")
+            try:
+                yield Join(worker)
+            except ValueError as error:
+                return f"caught {error}"
+
+        assert run(main).value == "caught atomic boom"
+
+
 class TestSuspendWakeup:
     def test_wakeup_before_suspend_not_lost(self):
         """The classic race: Wakeup delivered while the target is still
