@@ -25,6 +25,7 @@ simulator can depend on it without cycles.
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    Held,
     LatencyHistogram,
     MetricsRegistry,
     merge_registries,
@@ -46,6 +47,7 @@ __all__ = [
     "BUCKETS",
     "Counter",
     "Gauge",
+    "Held",
     "JsonlSink",
     "LOCK_WAIT_REASONS",
     "LatencyHistogram",
