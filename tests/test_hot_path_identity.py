@@ -1,7 +1,7 @@
 """Golden identity of the simulator's per-event path.
 
-Three small fixed programs (``tests/hot_path_programs.py``) are run with
-a tracer attached and every fixed point of the run — ``(events_run,
+Seven small fixed programs (``tests/hot_path_programs.py``: three
+fault-free, four faulted or recovering) are run with a tracer attached and every fixed point of the run — ``(events_run,
 elapsed_us)``, ``ClusterStats``, ``NetworkStats``, ``metrics.as_dict()``,
 every thread's ``state_time_us`` and the full trace-event stream — is
 compared against ``tests/golden/hot_path_identity.json``.  The golden
@@ -29,6 +29,10 @@ PROGRAMS = {
     "sor_40x280_4Nx2P": programs.run_sor,
     "mobility_8Nx2P": programs.run_mobility,
     "forkjoin_lock_barrier_2Nx2P": programs.run_forkjoin,
+    "faulted_stale_hint_3Nx2P": programs.run_stale_hint,
+    "faulted_cyclic_chain_3Nx2P": programs.run_cyclic_chain,
+    "recovering_permanent_crash_3Nx2P": programs.run_recovery,
+    "move_race_4Nx1P": programs.run_move_race,
 }
 
 
@@ -85,6 +89,40 @@ def test_golden_runs_are_not_trivial(golden):
         == 30
     sor = golden["sor_40x280_4Nx2P"]
     assert sor["network_stats"]["messages"] > 0
+
+    def counters(name):
+        return golden[name]["metrics"]["counters"]
+
+    def traced(name, kind, thread):
+        return sum(1 for event in golden[name]["trace"]
+                   if event[1] == kind and bool(event[3]) == thread)
+
+    stale = counters("faulted_stale_hint_3Nx2P")
+    assert stale["hints_repaired"] == 1 and stale["home_fallbacks"] == 1
+    assert stale["send_give_ups"] == 1
+    # Probes and broadcast repairs from a migrating thread *and* from a
+    # control message (trace events of the latter carry no thread).
+    cyclic = "faulted_cyclic_chain_3Nx2P"
+    assert traced(cyclic, "home-probe", True) == 1
+    assert traced(cyclic, "home-probe", False) == 1
+    assert counters(cyclic)["location_broadcasts"] == 2
+    assert counters(cyclic)["recoveries"] == 1
+    recovering = counters("recovering_permanent_crash_3Nx2P")
+    assert recovering["objects_recovered"] == 2
+    assert recovering["invocations_replayed"] == 2
+    assert recovering["invocations_suppressed"] == 1
+    assert recovering["threads_lost"] == 1
+    assert recovering["checkpoints_shipped"] > 20   # birth+sweep+carried
+    assert traced("recovering_permanent_crash_3Nx2P",
+                  "home-fallback", True) == 1       # live promoted copy
+    # Three remote moves ran the protocol four times: one lost the race
+    # at setup_done and was re-routed; chases of the object in flight
+    # found cycles and broadcast.
+    race = golden["move_race_4Nx1P"]
+    assert race["cluster_stats"]["object_moves"] == 3
+    assert race["metrics"]["histograms"]["forward_chain_hops"]["count"] \
+        > 3 + 4
+    assert counters("move_race_4Nx1P")["location_broadcasts"] == 4
 
 
 def _dump(golden: dict) -> str:
