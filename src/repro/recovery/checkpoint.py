@@ -39,6 +39,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Tuple
 
+from repro.sim.objects import SimObject
+from repro.sim.thread import SimThread
+
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
@@ -51,24 +54,8 @@ KERNEL_FIELDS = frozenset((
     "_replica_nodes",
 ))
 
-_SIM_TYPES = None
-
-
-def _sim_types():
-    """(SimObject, SimThread), imported on first use: ``repro.sim``
-    imports this module from its kernel, so a module-level import here
-    would make the package initialization order load-bearing."""
-    global _SIM_TYPES
-    if _SIM_TYPES is None:
-        from repro.sim.objects import SimObject
-        from repro.sim.thread import SimThread
-        _SIM_TYPES = (SimObject, SimThread)
-    return _SIM_TYPES
-
-
 def _copy(value, purge_threads: bool):
     """Structural copy of one attribute value (see module docstring)."""
-    SimObject, SimThread = _sim_types()
     if isinstance(value, SimObject):
         return value
     kind = type(value)
@@ -184,7 +171,6 @@ class CheckpointManager:
     def eligible(self, obj) -> bool:
         """Only mutable non-thread objects checkpoint: threads recover
         by resurrection, immutables by replication."""
-        SimObject, SimThread = _sim_types()
         return (isinstance(obj, SimObject)
                 and not isinstance(obj, SimThread)
                 and not obj.immutable)

@@ -3,8 +3,9 @@
 Every ``heartbeat_interval_us`` each live node multicasts a small
 heartbeat to every reachable peer.  The detector aggregates receptions:
 a node unheard-from for ``grace_us`` is *suspected*; one silent for
-``confirm_us`` is *confirmed dead*, which hands control to the kernel's
-promotion/resurrection machinery.  A heartbeat from a suspected or
+``confirm_us`` is *confirmed dead*, which hands control to the
+promotion/resurrection machinery of its
+:class:`~repro.recovery.manager.RecoveryManager`.  A heartbeat from a suspected or
 confirmed node (it restarted) rescinds the verdict as a *rejoin*.
 
 Determinism: heartbeats ride the shared wire through plain
@@ -30,13 +31,14 @@ from typing import Dict, Set
 
 
 class HeartbeatDetector:
-    """Kernel-driven heartbeat/suspicion service (one per simulation)."""
+    """Heartbeat/suspicion service (one per recovering simulation)."""
 
-    def __init__(self, kernel, config):
-        self.kernel = kernel
-        self.config = config
+    def __init__(self, manager):
+        self.manager = manager
+        self.kernel = manager.kernel
+        self.config = manager.config
         self.last_heard: Dict[int, float] = {
-            node.id: 0.0 for node in kernel.cluster.nodes}
+            node.id: 0.0 for node in self.kernel.cluster.nodes}
         self.suspected: Set[int] = set()
         self.confirmed: Set[int] = set()
 
@@ -80,8 +82,8 @@ class HeartbeatDetector:
             self.suspected.discard(node_id)
             self.confirmed.discard(node_id)
             self.kernel.metrics.inc("node_rejoined")
-            self.kernel._trace("node_rejoined", node_id,
-                               detail="heartbeat resumed")
+            self.kernel.trace("node_rejoined", node_id,
+                              detail="heartbeat resumed")
 
     def _check(self, now: float) -> None:
         kernel = self.kernel
@@ -93,19 +95,19 @@ class HeartbeatDetector:
             if silence >= self.config.confirm_us:
                 self.suspected.discard(node_id)
                 self.confirmed.add(node_id)
-                crashed_at = kernel._crash_times.get(
+                crashed_at = self.manager.crash_times.get(
                     node_id, self.last_heard[node_id])
                 latency = now - crashed_at
                 kernel.metrics.inc("node_confirmed_dead")
                 kernel.metrics.observe("detection_latency_us", latency)
-                kernel._trace(
+                kernel.trace(
                     "node_confirmed_dead", node_id,
                     detail=f"silent {silence:.0f} us; "
                            f"detection latency {latency:.0f} us")
-                kernel._on_node_confirmed_dead(node_id)
+                self.manager.node_confirmed_dead(node_id)
             elif silence >= self.config.grace_us and \
                     node_id not in self.suspected:
                 self.suspected.add(node_id)
                 kernel.metrics.inc("node_suspected")
-                kernel._trace("node_suspected", node_id,
-                              detail=f"silent {silence:.0f} us")
+                kernel.trace("node_suspected", node_id,
+                             detail=f"silent {silence:.0f} us")

@@ -97,6 +97,9 @@ class FastInvoke:
 
     __slots__ = ("target", "method", "args", "kwargs")
 
+    #: An inline call returns in place: no marshalled result, ever.
+    result_bytes = 0
+
     def __init__(self, target: _Obj, method: str, *args: Any,
                  **kwargs: Any):
         self.target = target

@@ -80,9 +80,9 @@ class SimThread(SimObject):
         "tid", "name", "priority", "_state", "location", "stack",
         "send_value", "send_exc", "surcharge_us", "pending_compute_us",
         "slice_left_us", "cpu", "run_token", "wakeup_pending",
-        "transit_target", "transit_path", "transit_hop", "on_arrival",
-        "transit_start_us", "home_probes", "invoke_t0", "invoke_remote",
-        "pending_invoke_metric", "invoke_seq", "resurrect_stack",
+        "chase", "on_arrival", "transit_start_us", "invoke_t0",
+        "invoke_remote", "pending_invoke_metric", "invoke_seq",
+        "resurrect_stack",
         "carried_checkpoints", "result", "exception", "joiners",
         "migrations", "invocations", "remote_invocations",
         "state_time_us", "block_reason", "_clock", "_state_since_us")
@@ -118,20 +118,14 @@ class SimThread(SimObject):
         self.wakeup_pending: bool = False
 
         # --- migration --------------------------------------------------
-        #: While TRANSIT: (target vaddr, visited path) for chain following.
-        self.transit_target: Optional[int] = None
-        self.transit_path: List[int] = []
-        #: Destination of the hop currently in flight (lets the crash
-        #: sweep catch threads migrating *toward* a confirmed-dead node
-        #: without waiting out the reliable layer's give-up budget).
-        self.transit_hop: Optional[int] = None
+        #: While on the wire: the :class:`repro.sim.mobility.Chase`
+        #: carrying the thread toward its target (target, visited path,
+        #: hop in flight); ``None`` once it lands.
+        self.chase: Any = None
         #: What to do on arrival; set by the kernel.
         self.on_arrival: Any = None
         #: Departure time of the in-flight migration (latency histogram).
         self.transit_start_us: float = 0.0
-        #: Consecutive probes of an unreachable node (dead-node recovery);
-        #: reset on every successful arrival.
-        self.home_probes: int = 0
 
         # --- invocation latency bookkeeping ------------------------------
         #: Kernel-entry time / residency of the invocation being set up

@@ -44,7 +44,7 @@ class TestLongChains:
     def test_chase_beyond_hop_cap_raises(self, monkeypatch):
         """A chain longer than MAX_CHASE_HOPS is a pathology, not a
         hang: the chase stops with ObjectNotFoundError."""
-        monkeypatch.setattr("repro.sim.kernel.MAX_CHASE_HOPS", 3)
+        monkeypatch.setattr("repro.sim.mobility.MAX_CHASE_HOPS", 3)
 
         def main(ctx):
             cell = yield New(Cell)
@@ -52,7 +52,22 @@ class TestLongChains:
             build_chain(ctx.cluster, cell.vaddr, [0, 1, 2, 3, 4, 5])
             yield Invoke(cell, "get")
 
-        with pytest.raises(ObjectNotFoundError, match="hops"):
+        with pytest.raises(ObjectNotFoundError, match="thread main .*hops"):
+            run(main, nodes=6, cpus=1)
+
+    def test_control_chase_beyond_hop_cap_raises(self, monkeypatch):
+        """The same cap stops a control message: Locate walks the one
+        chase a migrating thread does."""
+        monkeypatch.setattr("repro.sim.mobility.MAX_CHASE_HOPS", 3)
+
+        def main(ctx):
+            cell = yield New(Cell)
+            yield MoveTo(cell, 5)
+            build_chain(ctx.cluster, cell.vaddr, [0, 1, 2, 3, 4, 5])
+            yield Locate(cell)
+
+        with pytest.raises(ObjectNotFoundError,
+                           match="control message .*hops"):
             run(main, nodes=6, cpus=1)
 
 
@@ -155,3 +170,39 @@ class TestHomeFallback:
             return value
 
         assert run(main, nodes=3, cpus=1).value == 2
+
+
+class TestHintChangesDuringForwardingDelay:
+    """Forwarding costs ``forward_hop_us`` at the intermediate node.  A
+    migrating thread's next hop is the hint read on arrival; a control
+    message's is the hint in force once the cost has elapsed.  The one
+    chase keeps both (the mobility benchmark's counts depend on each)."""
+
+    @staticmethod
+    def _flip_hint_once_node1_forwards(cluster, vaddr):
+        node1 = cluster.node(1)
+
+        def watch():
+            if node1.stats.forward_hops:
+                node1.descriptors.update_hint(vaddr, 3)   # the holder
+            else:
+                cluster.sim.schedule_us(10.0, watch)
+
+        watch()
+
+    def _hops(self, request):
+        def main(ctx):
+            cell = yield New(Cell)
+            yield MoveTo(cell, 3)
+            build_chain(ctx.cluster, cell.vaddr, [0, 1, 2, 3])
+            self._flip_hint_once_node1_forwards(ctx.cluster, cell.vaddr)
+            yield request(cell)
+            return ctx.cluster.stats.forwarding_hops_followed
+
+        return run(main, nodes=4, cpus=1).value
+
+    def test_thread_takes_the_hop_it_read_on_arrival(self):
+        assert self._hops(lambda cell: Invoke(cell, "get")) == 2  # 1, 2
+
+    def test_control_message_takes_the_hop_in_force_after_the_cost(self):
+        assert self._hops(Locate) == 1                            # 1 only

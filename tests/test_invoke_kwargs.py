@@ -80,6 +80,30 @@ class TestInvokeKwargs:
 
         assert run_free(main).value == 5
 
+    def test_fast_invoke_reserves_no_names(self):
+        """FastInvoke has no byte parameters of its own: an operation
+        keyword that happens to be called ``arg_bytes`` or
+        ``result_bytes`` reaches the operation like any other."""
+        class Buffer(SimObject):
+            def fill(self, ctx, n, arg_bytes=0, result_bytes=0):
+                return n, arg_bytes, result_bytes
+
+        class Filler(SimObject):
+            def __init__(self, buffer):
+                self.buffer = buffer
+
+            def run(self, ctx):
+                return (yield FastInvoke(self.buffer, "fill", 1,
+                                         arg_bytes=99, result_bytes=7))
+
+        def main(ctx):
+            buffer = yield New(Buffer)
+            filler = yield New(Filler, buffer)
+            yield Attach(buffer, filler)
+            return (yield Invoke(filler, "run"))
+
+        assert run_free(main).value == (1, 99, 7)
+
 
 class TestSorTrace:
     def test_sor_migration_pattern_is_neighborly(self):

@@ -1,0 +1,123 @@
+"""Structure of the simulator kernel (DESIGN.md, "Simulator kernel
+structure"): crash recovery is attached and imported only when it is
+configured, no module or class under ``src/repro/sim`` grows back into a
+monolith, and the public import points stay where their users expect.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SIM = SRC / "repro" / "sim"
+
+MAX_MODULE_LINES = 1000
+MAX_CLASS_METHODS = 60
+
+_PROBE = """
+import json, sys
+from repro.recovery import RecoveryConfig
+from repro.sim import AmberProgram, ClusterConfig, Invoke, New, SimObject
+
+class Cell(SimObject):
+    def get(self, ctx):
+        return 7
+
+def main(ctx):
+    cell = yield New(Cell, on_node=1)
+    return (yield Invoke(cell, "get"))
+
+recovery = RecoveryConfig() if sys.argv[1] == "on" else None
+result = AmberProgram(ClusterConfig(nodes=2, cpus_per_node=1),
+                      recovery=recovery).run(main)
+assert result.value == 7
+print(json.dumps({
+    "recovery_modules": sorted(name for name in sys.modules
+                               if name.startswith("repro.recovery.")),
+    "attached": type(result.cluster.kernel.recovery).__name__,
+    "heartbeats": result.metrics.counter("heartbeats_sent").value,
+}))
+"""
+
+
+def _probe(recovery: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, recovery], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    return json.loads(done.stdout)
+
+
+def test_recovery_free_run_neither_imports_nor_attaches_recovery():
+    seen = _probe("off")
+    assert seen["recovery_modules"] == ["repro.recovery.config"]
+    assert seen["attached"] == "NoneType"
+    assert seen["heartbeats"] == 0
+
+
+def test_configured_recovery_is_attached_and_ticks():
+    seen = _probe("on")
+    assert "repro.recovery.manager" in seen["recovery_modules"]
+    assert seen["attached"] == "RecoveryManager"
+    assert seen["heartbeats"] > 0
+
+
+def test_recovery_package_import_stays_config_only():
+    """The live runtime imports ``repro.recovery.config`` for its peer
+    timeouts; importing the package must not pull in the simulator."""
+    code = ("import sys, repro.recovery; print(sorted(m for m in "
+            "sys.modules if m.startswith(('repro.recovery.', "
+            "'repro.sim'))))")
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.strip() == "['repro.recovery.config']"
+
+
+def test_no_monolith_under_sim():
+    for path in sorted(SIM.glob("*.py")):
+        source = path.read_text()
+        lines = source.count("\n")
+        assert lines <= MAX_MODULE_LINES, f"{path.name}: {lines} lines"
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                methods = sum(isinstance(item, (ast.FunctionDef,
+                                                ast.AsyncFunctionDef))
+                              for item in node.body)
+                assert methods <= MAX_CLASS_METHODS, \
+                    f"{path.name}: class {node.name} has {methods} methods"
+
+
+def test_kernel_core_does_not_import_recovery_at_module_level():
+    tree = ast.parse((SIM / "kernel.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not any(name.startswith("repro.recovery")
+                       for name in names), ast.dump(node)
+
+
+def test_detector_uses_only_the_kernels_public_interface():
+    source = (SRC / "repro" / "recovery" / "detector.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.startswith("__"):
+            owner = ast.unparse(node.value)
+            assert owner == "self", f"{owner}.{node.attr}"
+
+
+def test_public_import_points():
+    import repro.sim
+    import repro.sim.kernel
+    import repro.sim.sync  # imports InvocationContext from sim.kernel
+
+    assert repro.sim.AmberKernel is repro.sim.kernel.AmberKernel
+    assert repro.sim.InvocationContext \
+        is repro.sim.kernel.InvocationContext

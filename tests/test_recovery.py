@@ -8,7 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import NodeFailure, SimulationError
+from repro.errors import (
+    NodeFailure,
+    ObjectNotFoundError,
+    SimulationError,
+)
 from repro.faults import FaultPlan, NodeCrash
 from repro.recovery import (
     DEFAULT_PEER_TIMEOUT_S,
@@ -30,6 +34,8 @@ from repro.sim import (
     Fork,
     Invoke,
     Join,
+    Locate,
+    MoveTo,
     New,
     Sleep,
 )
@@ -530,6 +536,83 @@ class TestUnrecoverable:
         result = run_recovering(self._main,
                                 faults=permanent_crash(1, 20_000.0))
         assert result.value == 40
+
+
+# ---------------------------------------------------------------------------
+# Locate / MoveTo past a dead hop: the recovery route an Invoke takes
+# ---------------------------------------------------------------------------
+
+
+class Spawner(SimObject):
+    SIZE_BYTES = 128
+
+    def spawn(self, ctx, linger_us):
+        # Born on this node and never migrating: nothing to replay.
+        return (yield Fork(self, "linger", linger_us))
+
+    def linger(self, ctx, linger_us):
+        yield Compute(linger_us)
+
+
+class TestControlChaseUnderRecovery:
+    """A control message whose next hop is dead is rerouted, or fails
+    inside the requesting operation — it never aborts the run."""
+
+    PLAN = FaultPlan(seed=0, rto_us=1_000.0, rto_cap_us=8_000.0,
+                     max_attempts=4,
+                     crashes=(NodeCrash(node=1, at_us=20_000.0),))
+
+    def test_locate_and_moveto_reach_the_promoted_copy(self):
+        def main(ctx):
+            cell = yield New(Cell, 7, on_node=1)   # home: the dead node
+            yield Sleep(60_000.0)
+            where = yield Locate(cell)
+            dest = 2 if where == 0 else 0
+            yield MoveTo(cell, dest)
+            value = yield Invoke(cell, "get")
+            return where, dest, (yield Locate(cell)), value
+
+        result = run_recovering(main, faults=self.PLAN)
+        where, dest, after, value = result.value
+        assert where in (0, 2)      # the backup, never the corpse
+        assert after == dest and value == 7
+        assert result.metrics.counter("objects_recovered").value == 1
+
+    def test_lost_object_raises_inside_the_operation(self):
+        def main(ctx):
+            cell = yield New(Cell, 7, on_node=1)
+            yield Sleep(60_000.0)
+            caught = []
+            for request in (Locate(cell), MoveTo(cell, 0)):
+                try:
+                    yield request
+                except NodeFailure as failure:
+                    caught.append(str(failure))
+            return caught, (yield Locate(ctx.thread))
+
+        result = run_recovering(main, faults=self.PLAN,
+                                recovery=RecoveryConfig(
+                                    checkpointing=False))
+        caught, own_node = result.value
+        assert len(caught) == 2 and all("lost" in text for text in caught)
+        assert own_node == 0        # the program ran on to completion
+
+    def test_exhausted_probes_raise_inside_the_operation(self):
+        """A thread object is not checkpointed and never declared lost:
+        locating one that died with its node runs out the probe budget,
+        and that too is the operation's error, not the run's."""
+        def main(ctx):
+            spawner = yield New(Spawner, on_node=1)
+            doomed = yield Invoke(spawner, "spawn", 500_000.0)
+            yield Sleep(60_000.0)
+            try:
+                yield Locate(doomed)
+            except ObjectNotFoundError as error:
+                return str(error)
+
+        result = run_recovering(main, faults=self.PLAN)
+        assert "stayed unreachable" in result.value
+        assert result.metrics.counter("home_probes").value == 16
 
 
 # ---------------------------------------------------------------------------
