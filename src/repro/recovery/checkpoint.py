@@ -54,6 +54,7 @@ KERNEL_FIELDS = frozenset((
     "_replica_nodes",
 ))
 
+
 def _copy(value, purge_threads: bool):
     """Structural copy of one attribute value (see module docstring)."""
     if isinstance(value, SimObject):

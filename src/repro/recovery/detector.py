@@ -5,8 +5,9 @@ heartbeat to every reachable peer.  The detector aggregates receptions:
 a node unheard-from for ``grace_us`` is *suspected*; one silent for
 ``confirm_us`` is *confirmed dead*, which hands control to the
 promotion/resurrection machinery of its
-:class:`~repro.recovery.manager.RecoveryManager`.  A heartbeat from a suspected or
-confirmed node (it restarted) rescinds the verdict as a *rejoin*.
+:class:`~repro.recovery.manager.RecoveryManager`.  A heartbeat from a
+suspected or confirmed node (it restarted) rescinds the verdict as a
+*rejoin*.
 
 Determinism: heartbeats ride the shared wire through plain
 :meth:`~repro.sim.network.Ethernet.send` — they occupy the medium like
@@ -48,12 +49,8 @@ class HeartbeatDetector:
 
     # -- internals -----------------------------------------------------
 
-    def _finished(self) -> bool:
-        threads = self.kernel.threads
-        return bool(threads) and threads[0].done
-
     def _tick(self) -> None:
-        if self._finished():
+        if self.manager.program_over():
             return
         kernel = self.kernel
         cluster = kernel.cluster

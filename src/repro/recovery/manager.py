@@ -77,6 +77,12 @@ class RecoveryManager:
     def node_restarted(self, node_id: int) -> None:
         self._confirmed_dead.discard(node_id)
 
+    def program_over(self) -> bool:
+        """The main thread is done: the periodic timers (heartbeat,
+        checkpoint sweep) stop rescheduling so the event queue drains."""
+        threads = self.kernel.threads
+        return bool(threads) and threads[0].done
+
     def is_lost(self, vaddr: int) -> bool:
         return vaddr in self._lost_objects
 
@@ -116,9 +122,8 @@ class RecoveryManager:
         """Periodic epoch sweep: ship a fresh snapshot of every resident
         quiescent mutable object to its backup — bounded staleness for
         state the write-through path never touches."""
-        threads = self.kernel.threads
-        if threads and threads[0].done:
-            return  # program over: let the event queue drain
+        if self.program_over():
+            return
         for node in self.cluster.nodes:
             if not node.down:
                 for _, obj in self._checkpointable(node):

@@ -82,8 +82,8 @@ class SimThread(SimObject):
         "slice_left_us", "cpu", "run_token", "wakeup_pending",
         "chase", "on_arrival", "transit_start_us", "invoke_t0",
         "invoke_remote", "pending_invoke_metric", "invoke_seq",
-        "resurrect_stack",
-        "carried_checkpoints", "result", "exception", "joiners",
+        "resurrect_stack", "carried_checkpoints", "result", "exception",
+        "joiners",
         "migrations", "invocations", "remote_invocations",
         "state_time_us", "block_reason", "_clock", "_state_since_us")
 
