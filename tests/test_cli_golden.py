@@ -1,0 +1,403 @@
+"""Golden surface of ``python -m repro``: parser, report text, artifacts.
+
+Every deterministic subcommand is run through ``repro.cli.main`` and
+compared against ``tests/golden/cli_surface.json``:
+
+* **stdout byte for byte** and the **exit code**;
+* every JSON report **as parsed values** (key order inside an object is
+  not a fixed point; keys, values and list order are);
+* the canonical files (``--hints-out``, ``--artifact-out``,
+  ``--write-expect``, ``lint --json``) **byte for byte**;
+* the **parser surface**: for each subcommand, every argument's option
+  strings, default, choices, nargs and raw help string, read off the
+  parser object (argparse wraps formatted help differently across
+  3.10-3.12, so ``--help`` text itself is not pinned).
+
+``chaos``, ``elide --verify`` and the ``perf`` suite print wall-clock
+numbers, so their *layout* is pinned from reports built out of literal
+outcomes (``_layouts``).  That builder is the only part of this file
+that may change with the report classes; the expected text may not.
+
+The file was generated before the suites moved onto shared plumbing; a
+change to the plumbing must leave it untouched.  Regenerate (only for
+an intended behaviour change) with::
+
+    PYTHONPATH=src python -m tests.test_cli_golden
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Any, Dict, List
+
+import pytest
+
+from repro.analyze.elide import runtime as elide_runtime
+from repro.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden" / "cli_surface.json"
+
+#: A file the concurrency lint has something to say about (AMB101: the
+#: early return leaks the lock; AMB103: the thread is never joined).
+BAD_SOURCE = '''\
+def leak(self, ctx, lock, flag):
+    yield Invoke(lock, "acquire")
+    if flag:
+        return 1
+    yield Invoke(lock, "release")
+    return 0
+
+
+def orphan(self, ctx, anchor):
+    thread = yield Fork(anchor, "run")
+    return 0
+'''
+
+
+def _trace_of(observed: Dict[str, Any]) -> str:
+    """The choice trace the hidden-race exploration reported."""
+    report = observed["check-fixture-hidden-race"]["json"]["fixture.json"]
+    return ",".join(str(choice)
+                    for choice in report["findings"][0]["trace"])
+
+
+#: name -> argv.  ``{tmp}`` is the case's scratch directory (shown as
+#: ``<tmp>`` in the pinned stdout); ``{trace}`` is the trace reported by
+#: the ``check-fixture-hidden-race`` case.  Cases run from the repo root
+#: unless listed in ``IN_TMP``.
+CASES: Dict[str, List[str]] = {
+    "table1": ["table1"],
+    "figure1": ["figure1"],
+    "faults-seed0": ["faults", "--fast", "--seed", "0",
+                     "--metrics-json", "{tmp}/faults.json"],
+    "recover-seed1": ["faults", "--recover", "--fast", "--seed", "1",
+                      "--metrics-json", "{tmp}/recover.json"],
+    "analyze-seed0": ["analyze", "--fast", "--seed", "0",
+                      "--json", "{tmp}/analyze.json"],
+    "analyze-workload-queens": ["analyze", "--workload", "queens",
+                                "--fast", "--json", "{tmp}/workload.json"],
+    "check-scenarios": ["check", "--fast", "--budget", "500",
+                        "--json", "{tmp}/check.json",
+                        "--metrics-json", "{tmp}/check-metrics.json"],
+    "check-fixture-hidden-race": ["check", "--fixture", "hidden-race",
+                                  "--json", "{tmp}/fixture.json"],
+    "check-replay-reported-trace": ["check", "--fixture", "hidden-race",
+                                    "--replay", "{trace}",
+                                    "--json", "{tmp}/replay.json"],
+    "check-replay-without-fixture": ["check", "--replay", "0,0,1"],
+    "lint-bundled": ["lint", "src/repro/apps", "examples",
+                     "--json", "{tmp}/lint.json"],
+    "lint-bad-fixture": ["lint", "bad.py", "--explain",
+                         "--json", "lint.json"],
+    "flow-gated": ["flow", "--fast", "--expect",
+                   "benchmarks/baseline/FLOW_expected.json",
+                   "--hints-out", "{tmp}/hints.json",
+                   "--json", "{tmp}/flow.json"],
+    "flow-paths-write-expect": ["flow", "--paths", "src/repro/apps",
+                                "--write-expect", "{tmp}/expect.json"],
+    "elide-fast": ["elide", "--fast",
+                   "--artifact-out", "{tmp}/elide.json",
+                   "--json", "{tmp}/report.json"],
+    "profile-queens": ["profile", "queens", "--fast"],
+}
+
+#: Cases run with the scratch directory as cwd (paths in their output
+#: are then relative, so the text is stable).
+IN_TMP = {"lint-bad-fixture"}
+
+#: Output files compared byte for byte rather than as parsed JSON.
+CANONICAL = {"hints.json", "elide.json", "expect.json", "lint.json"}
+
+
+def observe_case(name: str, tmp: Path,
+                 observed: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one case; returns its exit code, stdout and output files."""
+    argv = [part.format(tmp=tmp, trace=_trace_of(observed))
+            if "{trace}" in part else part.format(tmp=tmp)
+            for part in CASES[name]]
+    (tmp / "bad.py").write_text(BAD_SOURCE)
+    before = {path.name for path in tmp.iterdir()}
+    # A process-wide count that ``repro elide`` prints; start every case
+    # where a fresh ``python -m repro`` process starts.
+    elide_runtime.STALE_DISABLES = 0
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp if name in IN_TMP else REPO)
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    case: Dict[str, Any] = {
+        "exit": code,
+        "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
+        "json": {}, "files": {},
+    }
+    for path in sorted(tmp.iterdir()):
+        if path.name in before:
+            continue
+        if path.name in CANONICAL:
+            case["files"][path.name] = path.read_text()
+        else:
+            case["json"][path.name] = json.loads(path.read_text())
+    return case
+
+
+# ---------------------------------------------------------------------------
+# Parser surface
+# ---------------------------------------------------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def parser_surface() -> Dict[str, Any]:
+    """The argparse tree ``main`` builds, as plain data."""
+    seen: List[argparse.ArgumentParser] = []
+
+    def spy(self: argparse.ArgumentParser, *args: Any,
+            **kwargs: Any) -> Any:
+        seen.append(self)
+        raise _Captured
+
+    original = argparse.ArgumentParser.parse_args
+    argparse.ArgumentParser.parse_args = spy    # type: ignore[assignment]
+    try:
+        main(["table1"])
+    except _Captured:
+        pass
+    finally:
+        argparse.ArgumentParser.parse_args = original   # type: ignore
+    parser = seen[0]
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help
+             for choice in subparsers._choices_actions}
+    commands = []
+    for name, sub in subparsers.choices.items():
+        arguments = []
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            arguments.append({
+                "dest": action.dest,
+                "strings": list(action.option_strings),
+                "action": type(action).__name__,
+                "type": getattr(action.type, "__name__", None),
+                "default": action.default,
+                "choices": (list(action.choices)
+                            if action.choices is not None else None),
+                "nargs": action.nargs,
+                "metavar": (list(action.metavar)
+                            if isinstance(action.metavar, tuple)
+                            else action.metavar),
+                "help": action.help,
+            })
+        commands.append({"name": name, "help": helps[name],
+                         "arguments": arguments})
+    return {"prog": parser.prog, "description": parser.description,
+            "commands": commands}
+
+
+# ---------------------------------------------------------------------------
+# Layouts of the wall-clock reports, from literal outcomes
+# ---------------------------------------------------------------------------
+
+
+def _layouts() -> Dict[str, Any]:
+    """Render (and dict-encode) ``chaos``, ``elide --verify`` and
+    ``perf`` suite reports built from literals.  The only part of this
+    file that follows the report classes."""
+    from repro.analyze.elide.artifact import ELIDE_SCHEMA, ElideArtifact
+    from repro.analyze.elide.scenario import ElideOutcome, ElideReport
+    from repro.analyze.lint import LintFinding
+    from repro.faults.livescenario import ChaosReport, LiveScenarioOutcome
+    from repro.perf.harness import BenchResult, SuiteResult
+
+    chaos = ChaosReport(seed=3, fast=True, scenarios=[
+        LiveScenarioOutcome(
+            name="live-sor",
+            description="live SOR 8x24, 3 iterations on 2 worker nodes "
+                        "+ 1 victim",
+            plan="seed=3 drop=2.0%", ok=True, elapsed_s=4.26,
+            fingerprint="0123456789abcdef",
+            counters={"resends": 4, "chaos_dropped": 7,
+                      "circuit_opens": 0},
+            detail="grid bit-identical to clean run; kills=1"),
+        LiveScenarioOutcome(
+            name="dedup",
+            description="byte-identical duplicate InvokeMsg pair, one "
+                        "node",
+            plan="", ok=False, elapsed_s=0.04, fingerprint="",
+            counters={"dedup_in_flight": 0}, detail=""),
+        LiveScenarioOutcome(
+            name="typed-failures",
+            description="(crashed before its verdict)",
+            plan="", ok=False, elapsed_s=1.5, fingerprint="",
+            counters={},
+            detail="crashed: ClusterError: node 2 never registered"),
+    ])
+    quiet = ChaosReport(seed=0, fast=False, scenarios=[])
+
+    artifact = ElideArtifact(
+        schema=ELIDE_SCHEMA,
+        sources={"apps/pool.py": "ab" * 32},
+        confined=["Scratch"], immutable=["Table"],
+        locks=[{"path": "apps/pool.py", "line": 12, "owner": "<main>",
+                "var": "gate", "cls": "Lock", "elidable": True,
+                "reason": "single-thread-reachable"}])
+    elide = ElideReport(
+        outcomes=[
+            ElideOutcome("deterministic-analysis", True,
+                         ["8 corpora scanned twice, byte-identical "
+                          "artifacts"]),
+            ElideOutcome("bit-identical", True,
+                         ["sor_sim: fingerprint 1f2e3d identical with "
+                          "elision active"]),
+            ElideOutcome("perf-trajectory", False,
+                         ["sor_sim: x1.02 vs baseline (noise 3.1%) — "
+                          "flat",
+                          "no macro benchmark improved beyond 1 + "
+                          "max(10%, noise)"]),
+            ElideOutcome("schedule-audit", True, []),
+        ],
+        artifact=artifact,
+        findings=[LintFinding("apps/pool.py", 12, "AMB301",
+                              "lock 'gate' is elidable")],
+        paths=["apps"], verify=True,
+        bench={"schema": "amberperf-bench/1"})
+    bare = ElideReport(outcomes=[], artifact=ElideArtifact(
+        schema=ELIDE_SCHEMA), findings=[], paths=["nowhere"],
+        verify=False)
+
+    suite = SuiteResult(fast=True, reps=3, warmup=1, results=[
+        BenchResult(name="calibration", kind="calibration", unit="ops",
+                    reps=3, warmup=1, work=200_000,
+                    fingerprint="c0ffee", deterministic=True,
+                    wall_s=[0.010, 0.012, 0.011]),
+        BenchResult(name="sor_sim", kind="macro", unit="events",
+                    reps=3, warmup=1, work=51_234, fingerprint="beef",
+                    deterministic=False, wall_s=[0.25, 0.27, 0.26]),
+        BenchResult(name="dispatch", kind="micro", unit="ops", reps=0,
+                    warmup=1, work=0, fingerprint="",
+                    deterministic=True, error="RuntimeError: boom"),
+    ])
+    return {
+        "chaos": {"text": chaos.render(), "json": chaos.as_dict(),
+                  "ok": chaos.ok},
+        "chaos-empty": {"text": quiet.render(), "json": quiet.as_dict(),
+                        "ok": quiet.ok},
+        "elide-verify": {"text": elide.render(), "json": elide.as_dict(),
+                         "ok": elide.ok},
+        "elide-empty": {"text": bare.render(), "json": bare.as_dict(),
+                        "ok": bare.ok},
+        "perf-suite": {"text": suite.render(), "json": suite.as_dict(),
+                       "ok": suite.ok},
+    }
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def golden() -> Dict[str, Any]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_every_case_is_pinned(golden):
+    assert sorted(golden["cases"]) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_case_matches_golden(name, golden, tmp_path):
+    pytest.importorskip("numpy")
+    expected = golden["cases"][name]
+    # Through json once, so tuples compare as the file stores them.
+    observed = json.loads(json.dumps(
+        observe_case(name, tmp_path, golden["cases"])))
+    assert observed["exit"] == expected["exit"]
+    assert observed["stdout"] == expected["stdout"]
+    assert sorted(observed["json"]) == sorted(expected["json"])
+    for file, document in expected["json"].items():
+        assert observed["json"][file] == document, f"{name}: {file}"
+    assert observed["files"] == expected["files"]
+
+
+def test_parser_surface_matches_golden(golden):
+    observed = json.loads(json.dumps(parser_surface()))
+    expected = golden["parser"]
+    assert observed["prog"] == expected["prog"]
+    assert observed["description"] == expected["description"]
+    assert [c["name"] for c in observed["commands"]] \
+        == [c["name"] for c in expected["commands"]]
+    for got, want in zip(observed["commands"], expected["commands"]):
+        assert got == want, got["name"]
+    assert len(expected["commands"]) == 16
+
+
+@pytest.mark.parametrize("name", ["chaos", "chaos-empty", "elide-verify",
+                                  "elide-empty", "perf-suite"])
+def test_wall_clock_report_layout_matches_golden(name, golden):
+    observed = json.loads(json.dumps(_layouts()[name]))
+    expected = golden["layouts"][name]
+    assert observed["text"] == expected["text"]
+    assert observed["json"] == expected["json"]
+    assert observed["ok"] == expected["ok"]
+
+
+def test_golden_cases_are_not_trivial(golden):
+    """The pinned runs really exercise what the file claims."""
+    cases = golden["cases"]
+    assert all(case["stdout"] for case in cases.values()
+               if case["exit"] != 2)
+    faults = cases["faults-seed0"]["json"]["faults.json"]
+    assert faults["ok"] and faults["counters"]["retries"] > 0
+    assert [s["name"] for s in faults["scenarios"]] \
+        == ["sor", "queens", "mobility"]
+    recover = cases["recover-seed1"]["json"]["recover.json"]
+    assert recover["counters"]["objects_recovered"] >= 2
+    assert cases["check-fixture-hidden-race"]["exit"] == 1
+    assert cases["check-replay-reported-trace"]["exit"] == 1
+    replay = cases["check-replay-reported-trace"]["json"]["replay.json"]
+    assert any("AMBSAN-RACE" in sig for sig in replay["signatures"])
+    assert cases["check-replay-without-fixture"]["exit"] == 2
+    assert cases["lint-bundled"]["exit"] == 0
+    bad = json.loads(cases["lint-bad-fixture"]["files"]["lint.json"])
+    assert cases["lint-bad-fixture"]["exit"] == 1
+    assert {f["rule"] for f in bad["findings"]} == {"AMB101", "AMB103"}
+    assert "PASS: 7/7 scenarios" in cases["flow-gated"]["stdout"]
+    assert json.loads(cases["flow-gated"]["files"]["hints.json"])[
+        "fingerprint"]
+    assert "overall: PASS (5/5 scenarios)" \
+        in cases["elide-fast"]["stdout"]
+    assert "[FAIL]" in golden["layouts"]["chaos"]["text"]
+    assert "overall: FAIL (3/4 scenarios)" \
+        in golden["layouts"]["elide-verify"]["text"]
+
+
+def _dump(document: Dict[str, Any]) -> str:
+    return json.dumps(document, indent=1, sort_keys=True) + "\n"
+
+
+if __name__ == "__main__":
+    cases: Dict[str, Any] = {}
+    for case_name in CASES:
+        with tempfile.TemporaryDirectory() as scratch:
+            cases[case_name] = observe_case(case_name, Path(scratch),
+                                            cases)
+        print(f"{case_name}: exit {cases[case_name]['exit']}")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(_dump({"parser": parser_surface(),
+                             "cases": cases, "layouts": _layouts()}))
+    print(f"wrote {GOLDEN}")
