@@ -16,7 +16,6 @@ verdict the fixture was built to produce:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analyze.check import (
@@ -32,7 +31,9 @@ from repro.analyze.fixtures import (
     run_racy_counter,
     run_sync_zoo,
 )
+from repro.analyze.scenario import judged_body
 from repro.obs.metrics import MetricsRegistry
+from repro.selfcheck import PASS_FAIL, Outcome, Report, Suite, judged
 
 #: Fixtures ``repro check`` can explore by name (CLI ``--fixture``).
 CHECK_FIXTURES: Dict[str, Callable[[int], Any]] = {
@@ -49,81 +50,23 @@ RARITY_SAMPLES = 300
 RARITY_SAMPLES_FAST = 80
 
 
-@dataclass
-class CheckOutcome:
-    """Verdict of one model-checking scenario."""
-
-    name: str
-    description: str
-    expected: str
-    correct: bool
-    deterministic: bool
-    schedules: int
-    #: Sorted finding signatures of the exploration (if any).
-    signatures: List[str] = field(default_factory=list)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.deterministic
+def _body(outcome: Outcome) -> List[str]:
+    lines = judged_body(outcome)
+    lines[1] += f"   schedules: {outcome.fields['schedules']}"
+    return lines
 
 
-@dataclass
-class CheckScenarioReport:
-    """All scenarios of one ``repro check`` invocation."""
-
-    seed: int
-    fast: bool
-    budget: int
-    scenarios: List[CheckOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "budget": self.budget,
-            "ok": self.ok,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "expected": s.expected,
-                "ok": s.ok,
-                "correct": s.correct,
-                "deterministic": s.deterministic,
-                "schedules": s.schedules,
-                "signatures": s.signatures,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"AmberCheck report (seed {self.seed}, budget "
-                 f"{self.budget})", "=" * 48]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            lines.append(f"  expected: {s.expected}")
-            lines.append(f"  correct: {s.correct}   "
-                         f"deterministic: {s.deterministic}   "
-                         f"schedules: {s.schedules}")
-            for signature in s.signatures:
-                lines.append(f"  finding: {signature}")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-        lines.append("")
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
+CHECK_SUITE = Suite(
+    key="scenarios",
+    fields=("name", "description", "expected", "ok", "correct",
+            "deterministic", "schedules", "signatures", "detail"),
+    line=PASS_FAIL, body=_body)
 
 
 def run_check_scenarios(seed: int = 0, fast: bool = False,
                         budget: int = DEFAULT_MAX_SCHEDULES,
                         metrics: Optional[MetricsRegistry] = None
-                        ) -> CheckScenarioReport:
+                        ) -> Report:
     """Run every scenario and collect the verdicts.
 
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`)
@@ -161,8 +104,12 @@ def run_check_scenarios(seed: int = 0, fast: bool = False,
     ]
     if not fast:
         scenarios.append(_apps_clean_sweep(budget, metrics=metrics))
-    return CheckScenarioReport(seed=seed, fast=fast, budget=budget,
-                               scenarios=scenarios)
+    return Report(
+        CHECK_SUITE,
+        title=[f"AmberCheck report (seed {seed}, budget {budget})",
+               "=" * 48],
+        params={"seed": seed, "fast": fast, "budget": budget},
+        outcomes=scenarios)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +122,7 @@ def _finds_hidden_bug(name: str, description: str,
                       rule: str, seed: int, budget: int,
                       fast: bool,
                       metrics: Optional[MetricsRegistry] = None
-                      ) -> CheckOutcome:
+                      ) -> Outcome:
     """The default schedule must be clean, exploration must surface a
     ``finding_kind`` finding whose trace replays bit-identically, a
     repeat exploration must agree, and the bug must be rare under
@@ -232,14 +179,13 @@ def _finds_hidden_bug(name: str, description: str,
         problems.append(f"bug manifests in {100 * rate:.1f}% of "
                         f"{samples} random schedules (needs < 5%)")
 
-    return CheckOutcome(
-        name=name, description=description,
+    return judged(
+        name, description,
+        not [p for p in problems
+             if "deterministic" not in p and "bit-identical" not in p],
+        deterministic,
         expected=f"{rule} within {budget} schedules, replayable, "
                  f"< 5% random manifestation",
-        correct=not [p for p in problems
-                     if "deterministic" not in p
-                     and "bit-identical" not in p],
-        deterministic=deterministic,
         schedules=report.schedules,
         signatures=report.signatures(),
         detail="; ".join(problems) + (
@@ -251,7 +197,7 @@ def _explores_clean(name: str, description: str,
                     program_fn: Callable[[], Any],
                     budget: int,
                     metrics: Optional[MetricsRegistry] = None
-                    ) -> CheckOutcome:
+                    ) -> Outcome:
     report = check_program(program_fn, name=name, budget=budget,
                            metrics=metrics)
     problems: List[str] = []
@@ -260,10 +206,9 @@ def _explores_clean(name: str, description: str,
     if not report.exhausted:
         problems.append(
             f"did not exhaust within {budget} schedules")
-    return CheckOutcome(
-        name=name, description=description,
+    return judged(
+        name, description, not problems, True,
         expected="clean, exhausted",
-        correct=not problems, deterministic=True,
         schedules=report.schedules,
         signatures=report.signatures(),
         detail="; ".join(problems))
@@ -271,7 +216,7 @@ def _explores_clean(name: str, description: str,
 
 def _dpor_not_worse(seed: int, budget: int,
                     metrics: Optional[MetricsRegistry] = None
-                    ) -> CheckOutcome:
+                    ) -> Outcome:
     """On a small instance both modes must exhaust with identical
     finding signatures, and DPOR must visit no more schedules."""
     program_fn = lambda: run_hidden_race(seed, decoys=2)  # noqa: E731
@@ -292,12 +237,11 @@ def _dpor_not_worse(seed: int, budget: int,
         problems.append(
             f"DPOR explored more schedules ({reduced.schedules}) "
             f"than exhaustive ({exhaustive.schedules})")
-    return CheckOutcome(
-        name="dpor-vs-exhaustive",
-        description="partial-order reduction preserves findings at "
-                    "lower cost",
+    return judged(
+        "dpor-vs-exhaustive",
+        "partial-order reduction preserves findings at lower cost",
+        not problems, True,
         expected="same findings, fewer or equal schedules",
-        correct=not problems, deterministic=True,
         schedules=reduced.schedules,
         signatures=reduced.signatures(),
         detail="; ".join(problems) + (
@@ -307,7 +251,7 @@ def _dpor_not_worse(seed: int, budget: int,
 
 def _apps_clean_sweep(budget: int,
                       metrics: Optional[MetricsRegistry] = None
-                      ) -> CheckOutcome:
+                      ) -> Outcome:
     """Small configurations of the bundled applications must explore
     clean to exhaustion or the sweep budget."""
     from repro.apps.matmul import run_matmul
@@ -335,12 +279,11 @@ def _apps_clean_sweep(budget: int,
         schedules += report.schedules
         if not report.ok:
             problems.append(f"{name}: {report.signatures()}")
-    return CheckOutcome(
-        name="apps-clean-sweep",
-        description="bundled sor/queens/matmul explore clean under a "
-                    "small budget",
+    return judged(
+        "apps-clean-sweep",
+        "bundled sor/queens/matmul explore clean under a small budget",
+        not problems, True,
         expected=f"clean across <= {sweep_budget} schedules each",
-        correct=not problems, deterministic=True,
         schedules=schedules,
         signatures=sorted(sig for report in reports
                           for sig in report.signatures()),

@@ -1,10 +1,11 @@
 """The deterministic ``amberelide/1`` artifact.
 
-Same schema discipline as the AmberFlow ``amberflow-hints/1`` file:
-the payload is canonical (sorted keys, sorted entries, nothing time-
-or path-order-dependent), the fingerprint is a sha256 over the
-canonical JSON encoding, and :func:`load_artifact` never raises — a
-mangled file loads with a wrong ``schema`` and fails ``valid``.
+The schema discipline is the one :class:`repro.selfcheck.Artifact`
+gives the AmberFlow ``amberflow-hints/1`` file too: the payload is
+canonical (sorted keys, sorted entries, nothing time- or
+path-order-dependent), the fingerprint is a sha256 over the canonical
+JSON encoding, and :func:`load_artifact` never raises — a mangled file
+loads with a wrong ``schema`` and fails ``valid``.
 
 Unlike the hints artifact, elision changes *runtime mechanism*, so
 staleness is checked before activation: the artifact records a sha256
@@ -17,13 +18,13 @@ elision; it never half-applies.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from repro.analyze.elide import runtime as _ert
+from repro.selfcheck import Artifact
 
 #: Schema tag checked by consumers; bump on incompatible change.
 ELIDE_SCHEMA = "amberelide/1"
@@ -37,8 +38,10 @@ def source_sha(text: str) -> str:
 
 
 @dataclass
-class ElideArtifact:
+class ElideArtifact(Artifact):
     """The elision facts derived from one analysis run."""
+
+    SCHEMA = ELIDE_SCHEMA
 
     schema: str
     #: Analyzed sources: path -> sha256 of the text that was analyzed.
@@ -118,7 +121,6 @@ class ElideArtifact:
     # -- serialization ---------------------------------------------------
 
     def payload(self) -> Dict[str, Any]:
-        """Canonical content, *excluding* the fingerprint."""
         return {
             "schema": self.schema,
             "sources": {path: self.sources[path]
@@ -134,27 +136,8 @@ class ElideArtifact:
             "lock_owners": [list(pair) for pair in self.lock_owners],
         }
 
-    @property
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def as_dict(self) -> Dict[str, Any]:
-        data = self.payload()
-        data["fingerprint"] = self.fingerprint
-        return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) \
-            + "\n"
-
-    @property
-    def valid(self) -> bool:
-        return self.schema == ELIDE_SCHEMA
-
-    @staticmethod
-    def from_dict(raw: Mapping[str, Any]) -> "ElideArtifact":
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, Any]) -> "ElideArtifact":
         sources_raw = raw.get("sources", {})
         sources = ({str(k): str(v) for k, v in sources_raw.items()}
                    if isinstance(sources_raw, Mapping) else {})
@@ -170,7 +153,7 @@ class ElideArtifact:
             return ([str(c) for c in value]
                     if isinstance(value, list) else [])
 
-        return ElideArtifact(
+        return cls(
             schema=str(raw.get("schema", "")),
             sources=sources,
             confined=str_list("confined"),
@@ -199,13 +182,7 @@ def load_artifact(source: Union[str, Path, Mapping[str, Any]]
 
     Never raises on bad content — truncated, malformed, or unknown-
     schema files load with a wrong ``schema`` and fail ``valid``,
-    which consumers treat as stale (elision silently disabled)."""
-    if isinstance(source, Mapping):
-        return ElideArtifact.from_dict(source)
-    try:
-        raw = json.loads(Path(source).read_text())
-    except (OSError, ValueError):
-        return ElideArtifact(schema="unreadable")
-    if not isinstance(raw, dict):
-        return ElideArtifact(schema="malformed")
-    return ElideArtifact.from_dict(raw)
+    which consumers treat as stale (elision silently disabled).  The
+    loader is the one :func:`repro.analyze.flow.hints.load_hints` uses
+    (:meth:`repro.selfcheck.Artifact.load`)."""
+    return ElideArtifact.load(source)

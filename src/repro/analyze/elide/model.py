@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analyze.flow.model import FlowModel, scan_sources
 
@@ -505,17 +505,3 @@ def classify(model: FlowModel,
 
 def classify_sources(sources: Sequence[Tuple[str, str]]) -> ElideModel:
     return classify(scan_sources(sources), sources)
-
-
-def classify_paths(paths: Iterable[str]) -> ElideModel:
-    from pathlib import Path
-
-    sources: List[Tuple[str, str]] = []
-    for path in paths:
-        p = Path(path)
-        if p.is_dir():
-            for child in sorted(p.rglob("*.py")):
-                sources.append((str(child), child.read_text()))
-        elif p.suffix == ".py" and p.exists():
-            sources.append((str(p), p.read_text()))
-    return classify_sources(sources)

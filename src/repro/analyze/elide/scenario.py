@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import json
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.elide import runtime as _ert
 from repro.analyze.elide.artifact import (
-    ELIDE_SCHEMA,
     ElideArtifact,
     build_artifact,
     load_artifact,
@@ -47,10 +46,12 @@ from repro.analyze.elide.artifact import (
 from repro.analyze.elide.diagnostics import diagnose
 from repro.analyze.elide.fixtures import FIXTURES, ElideFixture
 from repro.analyze.elide.model import classify_sources
-from repro.analyze.lint import LintFinding
-
-#: What ``repro elide`` analyzes when no paths are given.
-DEFAULT_PATHS = ("src/repro/apps", "examples")
+from repro.analyze.lint import (
+    DEFAULT_PATHS,
+    LintFinding,
+    collect_sources,
+)
+from repro.selfcheck import OK_MARK, Outcome, Report, Suite, detailed
 
 #: The AmberPerf macro benchmarks the perf-trajectory outcome gates on.
 MACRO_BENCHES = ("sor_sim", "queens_sim", "matmul_sim")
@@ -67,76 +68,14 @@ PERF_THRESHOLD = 0.10
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ElideOutcome:
-    """One scenario's verdict."""
-
-    name: str
-    ok: bool
-    details: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "ok": self.ok,
-                "details": list(self.details)}
-
-    def render(self) -> str:
-        mark = "ok " if self.ok else "FAIL"
-        body = "".join(f"\n      {line}" for line in self.details)
-        return f"  [{mark}] {self.name}{body}"
-
-
-@dataclass
-class ElideReport:
-    """Everything ``repro elide`` produced in one run."""
-
-    outcomes: List[ElideOutcome]
-    artifact: ElideArtifact
-    findings: List[LintFinding]
-    paths: List[str]
-    verify: bool
-    #: Bench document of the perf-trajectory run (``--verify`` only).
-    bench: Optional[Dict[str, Any]] = None
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    def findings_payload(self) -> List[Dict[str, Any]]:
-        return [{"path": f.path, "line": f.line, "rule": f.rule,
-                 "message": f.message} for f in self.findings]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": "amberelide-report/1",
-            "ok": self.ok,
-            "paths": list(self.paths),
-            "verify": self.verify,
-            "outcomes": [o.as_dict() for o in self.outcomes],
-            "artifact": self.artifact.as_dict(),
-            "findings": self.findings_payload(),
-        }
-
-    def render(self) -> str:
-        lines = [f"AmberElide over {', '.join(self.paths)}:"]
-        lines.append(f"  confined: "
-                     f"{', '.join(self.artifact.confined) or '(none)'}")
-        lines.append(f"  immutable: "
-                     f"{', '.join(self.artifact.immutable) or '(none)'}")
-        elidable = [f"{owner}/{cls}"
-                    for owner, cls in self.artifact.lock_owners]
-        lines.append(f"  elidable lock owners: "
-                     f"{', '.join(elidable) or '(none)'}")
-        for finding in self.findings:
-            lines.append(f"  {finding.path}:{finding.line} "
-                         f"{finding.rule} {finding.message}")
-        lines.append("scenarios:")
-        for outcome in self.outcomes:
-            lines.append(outcome.render())
-        passed = sum(1 for o in self.outcomes if o.ok)
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(f"overall: {verdict} "
-                     f"({passed}/{len(self.outcomes)} scenarios)")
-        return "\n".join(lines)
+ELIDE_SUITE = Suite(
+    key="outcomes", fields=("name", "ok", "details"),
+    line="  " + OK_MARK,
+    body=lambda outcome: [f"      {line}"
+                          for line in outcome.fields["details"]],
+    trailer="overall: {verdict} ({passed}/{total} scenarios)",
+    # The perf-trajectory run's bench document (``--bench-out``).
+    detached=("bench",))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +246,7 @@ def _audit_run(fx: ElideFixture) -> Tuple[_RunRecord, List[Any]]:
 
 
 def _outcome_deterministic(
-        sources: Sequence[Tuple[str, str]]) -> ElideOutcome:
+        sources: Sequence[Tuple[str, str]]) -> Outcome:
     """Scan everything twice; artifacts must be byte-identical."""
     corpora: List[Tuple[str, List[Tuple[str, str]]]] = [
         (fx.name, fx.sources()) for fx in FIXTURES.values()]
@@ -323,10 +262,10 @@ def _outcome_deterministic(
             details.append(f"{name}: rerun artifact differs")
     details.append(f"{len(corpora)} corpora scanned twice, "
                    f"byte-identical artifacts")
-    return ElideOutcome("deterministic-analysis", ok, details)
+    return detailed("deterministic-analysis", ok, details)
 
 
-def _outcome_fixture_catalog() -> ElideOutcome:
+def _outcome_fixture_catalog() -> Outcome:
     """Classification and AMB3xx findings match the catalog exactly."""
     details: List[str] = []
     ok = True
@@ -352,10 +291,10 @@ def _outcome_fixture_catalog() -> ElideOutcome:
         else:
             details.append(f"{fx.name}: {len(findings)} finding(s), "
                            f"classification as expected")
-    return ElideOutcome("fixture-catalog", ok, details)
+    return detailed("fixture-catalog", ok, details)
 
 
-def _outcome_artifact_roundtrip(artifact: ElideArtifact) -> ElideOutcome:
+def _outcome_artifact_roundtrip(artifact: ElideArtifact) -> Outcome:
     """Serialization invariants: load never raises, stale never
     activates (and is counted)."""
     details: List[str] = []
@@ -419,7 +358,7 @@ def _outcome_artifact_roundtrip(artifact: ElideArtifact) -> ElideOutcome:
         ok = False
         details.append("invalid-schema artifact activated")
         _ert.deactivate()
-    return ElideOutcome("artifact-roundtrip", ok, details)
+    return detailed("artifact-roundtrip", ok, details)
 
 
 #: Analysis-only source proving the hint promotion adds information:
@@ -446,7 +385,7 @@ def main(ctx):
 '''
 
 
-def _outcome_hint_promotion() -> ElideOutcome:
+def _outcome_hint_promotion() -> Outcome:
     """AmberElide-immutable classes become ``replicate`` hints."""
     from repro.analyze.flow.hints import derive_hints
     from repro.analyze.flow.model import scan_sources
@@ -493,7 +432,7 @@ def _outcome_hint_promotion() -> ElideOutcome:
         details.append("SumTable lost its replicate hint")
     else:
         details.append("SumTable replicated, spread TableReader not")
-    return ElideOutcome("hint-promotion", ok, details)
+    return detailed("hint-promotion", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +440,7 @@ def _outcome_hint_promotion() -> ElideOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _outcome_soundness_audit() -> ElideOutcome:
+def _outcome_soundness_audit() -> Outcome:
     """Audit-mode runs observe every access; claims must hold — and a
     deliberately unsound set must be *caught*."""
     details: List[str] = []
@@ -556,10 +495,10 @@ def _outcome_soundness_audit() -> ElideOutcome:
     else:
         details.append(f"unsound control set caught: "
                        f"{len(caught)} AMBELIDE-UNSOUND finding(s)")
-    return ElideOutcome("soundness-audit", ok, details)
+    return detailed("soundness-audit", ok, details)
 
 
-def _outcome_schedule_audit() -> ElideOutcome:
+def _outcome_schedule_audit() -> Outcome:
     """Bounded AmberCheck exploration with elision active (audit
     mode): every explored schedule must stay clean and converge."""
     from repro.analyze.check import check_program
@@ -591,10 +530,10 @@ def _outcome_schedule_audit() -> ElideOutcome:
         else:
             details.append(f"{name}: {report.schedules} schedule(s) "
                            f"explored, clean")
-    return ElideOutcome("schedule-audit", ok, details)
+    return detailed("schedule-audit", ok, details)
 
 
-def _outcome_bit_identical(fast: bool) -> ElideOutcome:
+def _outcome_bit_identical(fast: bool) -> Outcome:
     """Elision on vs. off: results and simulated elapsed bit-identical,
     runs deterministic per mode, and elision never adds events — on the
     fixtures and on the AmberPerf macro apps."""
@@ -657,18 +596,19 @@ def _outcome_bit_identical(fast: bool) -> ElideOutcome:
         else:
             details.append(f"{name}: fingerprint {on_runs[0]} "
                            f"identical with elision active")
-    return ElideOutcome("bit-identical", ok, details)
+    return detailed("bit-identical", ok, details)
 
 
 def _analyze_paths_artifact(paths: Sequence[str]) -> ElideArtifact:
-    sources = _read_sources(paths)
+    sources, _ = collect_sources(paths)
     return build_artifact(classify_sources(sources), sources)
 
 
-def _outcome_perf_trajectory(fast: bool,
-                             report: ElideReport) -> ElideOutcome:
+def _outcome_perf_trajectory(
+        fast: bool) -> Tuple[Outcome, Optional[Dict[str, Any]]]:
     """With elision active, the macro suite must beat the committed
-    baseline on at least one benchmark (and regress on none)."""
+    baseline on at least one benchmark (and regress on none).  Returns
+    the run's bench document with the outcome."""
     from repro.perf.benchfile import (bench_dict, compare_benches,
                                       load_bench)
     from repro.perf.harness import run_suite
@@ -676,20 +616,18 @@ def _outcome_perf_trajectory(fast: bool,
     details: List[str] = []
     baseline_path = Path(BASELINE_BENCH)
     if not baseline_path.exists():
-        return ElideOutcome(
-            "perf-trajectory", False,
-            [f"missing baseline {BASELINE_BENCH}"])
+        return detailed("perf-trajectory", False,
+                        [f"missing baseline {BASELINE_BENCH}"]), None
     apps_artifact = _analyze_paths_artifact(["src/repro/apps"])
     if not apps_artifact.activate():
-        return ElideOutcome("perf-trajectory", False,
-                            ["apps artifact stale on disk"])
+        return detailed("perf-trajectory", False,
+                        ["apps artifact stale on disk"]), None
     try:
         suite = run_suite(fast=fast, reps=3, warmup=1,
                           only=["calibration", *MACRO_BENCHES])
     finally:
         _ert.deactivate()
     doc = bench_dict(suite)
-    report.bench = doc
     result = compare_benches(load_bench(str(baseline_path)), doc,
                              threshold=PERF_THRESHOLD)
     macro = [d for d in result.deltas if d.name in MACRO_BENCHES]
@@ -706,7 +644,7 @@ def _outcome_perf_trajectory(fast: bool,
         details.append(
             f"no macro benchmark improved beyond "
             f"1 + max({PERF_THRESHOLD:.0%}, noise)")
-    return ElideOutcome("perf-trajectory", ok, details)
+    return detailed("perf-trajectory", ok, details), doc
 
 
 # ---------------------------------------------------------------------------
@@ -714,26 +652,14 @@ def _outcome_perf_trajectory(fast: bool,
 # ---------------------------------------------------------------------------
 
 
-def _read_sources(paths: Sequence[str]) -> List[Tuple[str, str]]:
-    sources: List[Tuple[str, str]] = []
-    for path in paths:
-        p = Path(path)
-        if p.is_dir():
-            for child in sorted(p.rglob("*.py")):
-                sources.append((str(child), child.read_text()))
-        elif p.suffix == ".py" and p.exists():
-            sources.append((str(p), p.read_text()))
-    return sources
-
-
 def run_elide_scenarios(paths: Optional[Sequence[str]] = None,
                         fast: bool = False,
-                        verify: bool = False) -> ElideReport:
+                        verify: bool = False) -> Report:
     """Run the (static, and with ``verify`` also dynamic) suite."""
     if _ert.active() is not None:   # hygiene: never run nested
         _ert.deactivate()
     used_paths = [str(p) for p in (paths or DEFAULT_PATHS)]
-    sources = _read_sources(used_paths)
+    sources, _ = collect_sources(used_paths)
     emodel = classify_sources(sources)
     artifact = build_artifact(emodel, sources)
     findings = diagnose(emodel, sources)
@@ -745,11 +671,34 @@ def run_elide_scenarios(paths: Optional[Sequence[str]] = None,
         _outcome_hint_promotion(),
         _outcome_soundness_audit(),
     ]
-    report = ElideReport(outcomes=outcomes, artifact=artifact,
-                         findings=findings, paths=used_paths,
-                         verify=verify)
+    bench = None
     if verify:
         outcomes.append(_outcome_schedule_audit())
         outcomes.append(_outcome_bit_identical(fast))
-        outcomes.append(_outcome_perf_trajectory(fast, report))
-    return report
+        trajectory, bench = _outcome_perf_trajectory(fast)
+        outcomes.append(trajectory)
+    return elide_report(outcomes, artifact, findings, used_paths,
+                        verify, bench)
+
+
+def elide_report(outcomes: List[Outcome], artifact: ElideArtifact,
+                 findings: List[LintFinding], paths: List[str],
+                 verify: bool,
+                 bench: Optional[Dict[str, Any]] = None) -> Report:
+    """The report of one ``repro elide`` invocation; ``bench`` is the
+    bench document of the perf-trajectory run (``--verify`` only)."""
+    elidable = [f"{owner}/{cls}" for owner, cls in artifact.lock_owners]
+    title = [f"AmberElide over {', '.join(paths)}:",
+             f"  confined: {', '.join(artifact.confined) or '(none)'}",
+             f"  immutable: {', '.join(artifact.immutable) or '(none)'}",
+             f"  elidable lock owners: {', '.join(elidable) or '(none)'}"]
+    title.extend(f"  {finding.path}:{finding.line} {finding.rule} "
+                 f"{finding.message}" for finding in findings)
+    title.append("scenarios:")
+    return Report(
+        ELIDE_SUITE, title=title,
+        params={"schema": "amberelide-report/1", "paths": paths,
+                "verify": verify},
+        outcomes=outcomes,
+        extras={"artifact": artifact, "findings": findings,
+                "bench": bench})

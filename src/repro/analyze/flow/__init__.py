@@ -50,12 +50,11 @@ from repro.analyze.flow.hints import (
     load_hints,
 )
 from repro.analyze.flow.model import FlowModel, scan_paths, scan_sources
-from repro.analyze.flow.scenario import FlowReport, run_flow_scenarios
+from repro.analyze.flow.scenario import run_flow_scenarios
 
 __all__ = [
     "FLOW_RULES",
     "FlowModel",
-    "FlowReport",
     "Hint",
     "PlacementHints",
     "derive_hints",

@@ -19,21 +19,20 @@ The derivation maps structural facts to placement advice:
 * **colocate** — self-affine spread classes: adjacent indices should
   land on the same node (this is what ``block`` implements).
 
-The artifact is deterministic: hints are sorted, the fingerprint is a
-sha256 over the canonical JSON encoding, and nothing time- or
-path-order-dependent enters the payload.
+The artifact is deterministic (:class:`repro.selfcheck.Artifact`):
+hints are sorted, the fingerprint is a sha256 over the canonical JSON
+encoding, and nothing time- or path-order-dependent enters the payload.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
 from repro.analyze.flow.model import FlowModel
+from repro.selfcheck import Artifact
 
 #: Schema tag checked by consumers; bump on incompatible change.
 HINTS_SCHEMA = "amberflow-hints/1"
@@ -80,8 +79,10 @@ class Hint:
 
 
 @dataclass
-class PlacementHints:
+class PlacementHints(Artifact):
     """The deterministic hint artifact consumed by placement policies."""
+
+    SCHEMA = HINTS_SCHEMA
 
     schema: str
     sources: List[str]
@@ -117,40 +118,20 @@ class PlacementHints:
     # -- serialization ---------------------------------------------------
 
     def payload(self) -> Dict[str, Any]:
-        """Canonical content, *excluding* the fingerprint."""
         return {
             "schema": self.schema,
             "sources": list(self.sources),
             "hints": [h.as_dict() for h in self.hints],
         }
 
-    @property
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def as_dict(self) -> Dict[str, Any]:
-        data = self.payload()
-        data["fingerprint"] = self.fingerprint
-        return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) \
-            + "\n"
-
-    @property
-    def valid(self) -> bool:
-        return self.schema == HINTS_SCHEMA
-
-    @staticmethod
-    def from_dict(raw: Mapping[str, Any]) -> "PlacementHints":
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, Any]) -> "PlacementHints":
         hints_raw = raw.get("hints", [])
         hints = [Hint.from_dict(h) for h in hints_raw
                  if isinstance(h, Mapping)]
         sources = [str(s) for s in raw.get("sources", [])]
-        return PlacementHints(schema=str(raw.get("schema", "")),
-                              sources=sources, hints=hints)
+        return cls(schema=str(raw.get("schema", "")),
+                   sources=sources, hints=hints)
 
 
 def load_hints(source: Union[str, Path, Mapping[str, Any]]
@@ -158,16 +139,10 @@ def load_hints(source: Union[str, Path, Mapping[str, Any]]
     """Load a hints artifact from a JSON file path or a parsed dict.
 
     Never raises on bad content — a mangled artifact loads with a wrong
-    ``schema`` and fails ``valid``, which consumers treat as stale."""
-    if isinstance(source, Mapping):
-        return PlacementHints.from_dict(source)
-    try:
-        raw = json.loads(Path(source).read_text())
-    except (OSError, ValueError):
-        return PlacementHints(schema="unreadable", sources=[], hints=[])
-    if not isinstance(raw, dict):
-        return PlacementHints(schema="malformed", sources=[], hints=[])
-    return PlacementHints.from_dict(raw)
+    ``schema`` and fails ``valid``, which consumers treat as stale
+    (the loader :class:`ElideArtifact` shares:
+    :meth:`repro.selfcheck.Artifact.load`)."""
+    return PlacementHints.load(source)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.analyze.lint import collect_sources
 
 #: Weight multiplier for loops whose trip count is not a constant.
 UNKNOWN_TRIPS = 4
@@ -274,17 +275,7 @@ def scan_sources(sources: Sequence[Tuple[str, str]]) -> FlowModel:
 def scan_paths(paths: Iterable[str]) -> FlowModel:
     """Build the model from every ``.py`` file under the given
     files/directories (sorted, so the model is deterministic)."""
-    sources: List[Tuple[str, str]] = []
-    errors: Dict[str, str] = {}
-    for entry in paths:
-        root = Path(entry)
-        files = ([root] if root.is_file()
-                 else sorted(root.rglob("*.py")))
-        for file in files:
-            try:
-                sources.append((str(file), file.read_text()))
-            except OSError as exc:
-                errors[str(file)] = f"unreadable: {exc}"
+    sources, errors = collect_sources(paths)
     model = scan_sources(sources)
     model.errors.update(errors)
     return model

@@ -27,7 +27,6 @@ ones are meaningful only for the bundled apps.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,15 +36,18 @@ from repro.analyze.flow.diagnostics import flow_diagnostics
 from repro.analyze.flow.fixtures import EXPECTED_RULES, FLOW_FIXTURES
 from repro.analyze.flow.hints import PlacementHints, derive_hints
 from repro.analyze.flow.model import FlowModel, scan_sources
-from repro.analyze.lint import LintFinding
+from repro.analyze.lint import (
+    DEFAULT_PATHS,
+    LintFinding,
+    collect_sources,
+)
 from repro.placement.policies import (
     HintedPlacement,
     PlacementPolicy,
     SpreadPlacement,
 )
-
-#: What ``repro flow`` analyzes when no paths are given.
-DEFAULT_PATHS = ("src/repro/apps", "examples")
+from repro.selfcheck import (OK_MARK, Outcome, Report, Suite,
+                             canonical_sha256, detailed)
 
 #: Schema tag of the committed findings expectation file.
 EXPECT_SCHEMA = "amberflow-findings/1"
@@ -60,115 +62,27 @@ PRECISION_FLOOR = 0.75
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FlowOutcome:
-    """One scenario's verdict."""
-
-    name: str
-    ok: bool
-    details: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "ok": self.ok,
-                "details": list(self.details)}
-
-    def render(self) -> str:
-        mark = "ok " if self.ok else "FAIL"
-        lines = [f"[{mark}] {self.name}"]
-        lines.extend(f"       {line}" for line in self.details)
-        return "\n".join(lines)
-
-
-@dataclass
-class FlowReport:
-    """Everything ``repro flow`` produced in one run."""
-
-    fast: bool
-    paths: List[str]
-    outcomes: List[FlowOutcome]
-    hints: PlacementHints
-    findings: List[LintFinding]
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    def findings_payload(self) -> Dict[str, Any]:
-        return findings_payload(self.findings)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "fast": self.fast,
-            "paths": list(self.paths),
-            "ok": self.ok,
-            "outcomes": [o.as_dict() for o in self.outcomes],
-            "hints": self.hints.as_dict(),
-            "findings": self.findings_payload(),
-            "findings_fingerprint": findings_fingerprint(self.findings),
-        }
-
-    def render(self) -> str:
-        mode = "fast" if self.fast else "full"
-        lines = [f"AmberFlow cross-validation ({mode}) over "
-                 f"{', '.join(self.paths)}",
-                 f"  hints: {len(self.hints.hints)} "
-                 f"(fingerprint {self.hints.fingerprint[:16]})",
-                 f"  findings: {len(self.findings)} "
-                 f"(fingerprint "
-                 f"{findings_fingerprint(self.findings)[:16]})",
-                 ""]
-        lines.extend(outcome.render() for outcome in self.outcomes)
-        verdict = "PASS" if self.ok else "FAIL"
-        passed = sum(1 for o in self.outcomes if o.ok)
-        lines.append("")
-        lines.append(f"{verdict}: {passed}/{len(self.outcomes)} "
-                     f"scenarios")
-        return "\n".join(lines)
+FLOW_SUITE = Suite(
+    key="outcomes", fields=("name", "ok", "details"), line=OK_MARK,
+    body=lambda outcome: [f"       {line}"
+                          for line in outcome.fields["details"]],
+    trailer="\n{verdict}: {passed}/{total} scenarios")
 
 
 def findings_payload(findings: Sequence[LintFinding]) -> Dict[str, Any]:
     """The committed-expectation-file shape of a finding set."""
-    return {
-        "schema": EXPECT_SCHEMA,
-        "findings": [
-            {"path": f.path, "line": f.line, "rule": f.rule,
-             "message": f.message}
-            for f in findings
-        ],
-    }
+    return {"schema": EXPECT_SCHEMA,
+            "findings": [f.as_dict() for f in findings]}
+
+
+def expectation_json(payload: Dict[str, Any]) -> str:
+    """The bytes of an expectation file (``--write-expect``)."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def findings_fingerprint(findings: Sequence[LintFinding]) -> str:
-    blob = json.dumps(
-        [[f.path, f.line, f.rule, f.message] for f in findings],
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Source collection
-# ---------------------------------------------------------------------------
-
-
-def _norm_path(path: Path) -> str:
-    """Repo-relative forward-slash path when possible (the expectation
-    file must not depend on where the checkout lives)."""
-    try:
-        rel = path.resolve().relative_to(Path.cwd().resolve())
-        return rel.as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
-def collect_sources(paths: Sequence[str]) -> List[Tuple[str, str]]:
-    sources: List[Tuple[str, str]] = []
-    for entry in paths:
-        root = Path(entry)
-        files = ([root] if root.is_file()
-                 else sorted(root.rglob("*.py")))
-        for file in files:
-            sources.append((_norm_path(file), file.read_text()))
-    return sources
+    return canonical_sha256(
+        [[f.path, f.line, f.rule, f.message] for f in findings])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +92,7 @@ def collect_sources(paths: Sequence[str]) -> List[Tuple[str, str]]:
 
 def _determinism(sources: List[Tuple[str, str]],
                  hints: PlacementHints,
-                 findings: List[LintFinding]) -> FlowOutcome:
+                 findings: List[LintFinding]) -> Outcome:
     """Scan everything a second time: the artifacts must be
     byte-identical."""
     model2 = scan_sources(sources)
@@ -193,11 +107,11 @@ def _determinism(sources: List[Tuple[str, str]],
         f"findings fingerprint: "
         f"{'identical' if fp1 == fp2 else 'DIFFERS'} ({fp1[:16]})",
     ]
-    return FlowOutcome("deterministic-analysis",
-                       same_hints and fp1 == fp2, details)
+    return detailed("deterministic-analysis",
+                    same_hints and fp1 == fp2, details)
 
 
-def _fixture_catalog() -> FlowOutcome:
+def _fixture_catalog() -> Outcome:
     """Every AMB2xx rule fires on its fixture, its noqa twin is
     silent, and the genuinely-fixed twin is clean."""
     details: List[str] = []
@@ -215,10 +129,10 @@ def _fixture_catalog() -> FlowOutcome:
         show_want = ",".join(sorted(want)) or "-"
         suffix = "" if good else f"  MISMATCH (want {show_want})"
         details.append(f"{name}: {show_got}{suffix}")
-    return FlowOutcome("diagnostics-catalog", ok, details)
+    return detailed("diagnostics-catalog", ok, details)
 
 
-def _hint_content(hints: PlacementHints) -> FlowOutcome:
+def _hint_content(hints: PlacementHints) -> Outcome:
     """The derived artifact must contain the hints the bundled apps
     were built to produce."""
     checks = [
@@ -234,24 +148,24 @@ def _hint_content(hints: PlacementHints) -> FlowOutcome:
     ]
     details = [f"{name}: {'yes' if good else 'MISSING'}"
                for name, good in checks]
-    return FlowOutcome("hints-content",
-                       all(good for _, good in checks), details)
+    return detailed("hints-content",
+                    all(good for _, good in checks), details)
 
 
 def _expectation(findings: List[LintFinding],
-                 expect_path: str) -> FlowOutcome:
+                 expect_path: str) -> Outcome:
     """The finding set must match the committed expectation file."""
     try:
         raw = json.loads(Path(expect_path).read_text())
     except (OSError, ValueError) as exc:
-        return FlowOutcome("expected-findings", False,
-                           [f"cannot read {expect_path}: {exc}",
-                            "regenerate with: repro flow "
-                            f"--write-expect {expect_path}"])
+        return detailed("expected-findings", False,
+                        [f"cannot read {expect_path}: {exc}",
+                         "regenerate with: repro flow "
+                         f"--write-expect {expect_path}"])
     if not isinstance(raw, dict) or raw.get("schema") != EXPECT_SCHEMA:
-        return FlowOutcome("expected-findings", False,
-                           [f"{expect_path}: wrong schema "
-                            f"(want {EXPECT_SCHEMA})"])
+        return detailed("expected-findings", False,
+                        [f"{expect_path}: wrong schema "
+                         f"(want {EXPECT_SCHEMA})"])
     want = [(str(f.get("path")), int(f.get("line", 0)),
              str(f.get("rule")), str(f.get("message")))
             for f in raw.get("findings", [])]
@@ -269,7 +183,7 @@ def _expectation(findings: List[LintFinding],
     if not ok:
         details.append(f"regenerate with: repro flow --write-expect "
                        f"{expect_path}")
-    return FlowOutcome("expected-findings", ok, details)
+    return detailed("expected-findings", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +306,7 @@ def _run_apps(hints: PlacementHints, fast: bool) -> List[_AppRun]:
 
 
 def _precision(hints: PlacementHints,
-               runs: List[_AppRun]) -> FlowOutcome:
+               runs: List[_AppRun]) -> Outcome:
     """Score every checkable hint against the dynamic record."""
     static_dyn = _merge_dynamics([_dynamics(r.static_cluster)
                                   for r in runs])
@@ -437,10 +351,10 @@ def _precision(hints: PlacementHints,
     details.append(f"precision: {confirmed}/{checked} "
                    f"= {precision:.2f} (floor {PRECISION_FLOOR})")
     ok = checked >= 4 and precision >= PRECISION_FLOOR
-    return FlowOutcome("hint-precision", ok, details)
+    return detailed("hint-precision", ok, details)
 
 
-def _ablation(run: _AppRun) -> FlowOutcome:
+def _ablation(run: _AppRun) -> Outcome:
     """Hint-driven placement must reduce the remote-invocation share
     versus the static default."""
     s_share, s_remote, s_local = _remote_share(run.static_cluster)
@@ -452,8 +366,8 @@ def _ablation(run: _AppRun) -> FlowOutcome:
         f"invocations (remote share {h_share:.3f})",
         f"reduction: {s_share - h_share:+.3f}",
     ]
-    return FlowOutcome(f"ablation-{run.name}", h_share < s_share,
-                       details)
+    return detailed(f"ablation-{run.name}", h_share < s_share,
+                    details)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +377,13 @@ def _ablation(run: _AppRun) -> FlowOutcome:
 
 def run_flow_scenarios(fast: bool = True,
                        paths: Optional[Sequence[str]] = None,
-                       expect: Optional[str] = None) -> FlowReport:
+                       expect: Optional[str] = None) -> Report:
     """Run the suite.  ``paths`` overrides what gets analyzed (which
     also skips the app-specific dynamic scenarios); ``expect`` enables
     the expectation gate against a committed findings file."""
     bundled = paths is None
-    scan = (list(paths) if paths is not None
-            else [p for p in DEFAULT_PATHS if Path(p).exists()])
-    sources = collect_sources(scan)
+    scan = list(paths if paths is not None else DEFAULT_PATHS)
+    sources, _ = collect_sources(scan)
     model: FlowModel = scan_sources(sources)
     hints = derive_hints(model)
     findings = flow_diagnostics(model, dict(sources))
@@ -489,5 +402,16 @@ def run_flow_scenarios(fast: bool = True,
             if run.name in ("sor", "matmul"):
                 outcomes.append(_ablation(run))
 
-    return FlowReport(fast=fast, paths=scan, outcomes=outcomes,
-                      hints=hints, findings=findings)
+    fingerprint = findings_fingerprint(findings)
+    return Report(
+        FLOW_SUITE,
+        title=[f"AmberFlow cross-validation ({'fast' if fast else 'full'}"
+               f") over {', '.join(scan)}",
+               f"  hints: {len(hints.hints)} "
+               f"(fingerprint {hints.fingerprint[:16]})",
+               f"  findings: {len(findings)} "
+               f"(fingerprint {fingerprint[:16]})",
+               ""],
+        params={"fast": fast, "paths": scan}, outcomes=outcomes,
+        extras={"hints": hints, "findings": findings_payload(findings),
+                "findings_fingerprint": fingerprint})

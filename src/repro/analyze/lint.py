@@ -39,7 +39,10 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
+
+from repro.errors import UsageError
 
 RULES: Dict[str, str] = {
     "AMB101": "lock acquired but not released on some path",
@@ -85,6 +88,10 @@ class LintFinding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {"path": self.path, "line": self.line, "rule": self.rule,
+                "message": self.message}
 
 
 @dataclass(frozen=True)
@@ -866,19 +873,43 @@ def lint_source(source: str, path: str = "<string>"
     return filter_noqa(findings, source)
 
 
-def lint_paths(paths: Iterable[str]) -> List[LintFinding]:
-    """Lint every ``.py`` file under the given files/directories."""
-    findings: List[LintFinding] = []
+#: What ``repro lint``, ``flow`` and ``elide`` analyze when no paths
+#: are given (relative: run them from the repository root).
+DEFAULT_PATHS = ("src/repro/apps", "examples")
+
+
+def collect_sources(paths: Iterable[str]
+                    ) -> Tuple[List[Tuple[str, str]], Dict[str, str]]:
+    """Read the sources every analysis pass works on.
+
+    A directory contributes its ``*.py`` files, sorted (so whatever is
+    derived from them is deterministic); an explicitly named file is
+    read whatever its suffix; a path that does not exist is a
+    :class:`~repro.errors.UsageError` — a typo must not read as "clean".
+    Paths are reported as given, with forward slashes.  Returns the
+    ``(path, text)`` pairs and ``{path: "unreadable: ..."}`` for the
+    files that could not be read."""
+    sources: List[Tuple[str, str]] = []
+    errors: Dict[str, str] = {}
     for entry in paths:
         root = Path(entry)
-        files = ([root] if root.is_file()
-                 else sorted(root.rglob("*.py")))
+        if not root.exists():
+            raise UsageError(f"no such file or directory: {entry}")
+        files = (sorted(root.rglob("*.py")) if root.is_dir()
+                 else [root])
         for file in files:
             try:
-                source = file.read_text()
-            except OSError as exc:
-                findings.append(LintFinding(str(file), 0, "AMB000",
-                                            f"unreadable: {exc}"))
-                continue
-            findings.extend(lint_source(source, str(file)))
+                sources.append((file.as_posix(), file.read_text()))
+            except (OSError, ValueError) as exc:
+                errors[file.as_posix()] = f"unreadable: {exc}"
+    return sources, errors
+
+
+def lint_paths(paths: Iterable[str]) -> List[LintFinding]:
+    """Lint every ``.py`` file under the given files/directories."""
+    sources, errors = collect_sources(paths)
+    findings = [LintFinding(path, 0, "AMB000", message)
+                for path, message in errors.items()]
+    for path, source in sources:
+        findings.extend(lint_source(source, path))
     return findings

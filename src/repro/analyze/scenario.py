@@ -10,8 +10,7 @@ simulated execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Set, cast
+from typing import Any, Callable, List, Set, cast
 
 from repro.analyze.fixtures import (
     run_immutable_write,
@@ -22,79 +21,33 @@ from repro.analyze.fixtures import (
 )
 from repro.analyze.runtime import sanitize_runs
 from repro.analyze.sanitizer import SanitizerReport
+from repro.selfcheck import PASS_FAIL, Outcome, Report, Suite, judged
 
 
-@dataclass
-class AnalysisOutcome:
-    """Verdict of one analysis scenario."""
-
-    name: str
-    description: str
-    #: What the sanitizer was expected to report, human-readable.
-    expected: str
-    correct: bool
-    deterministic: bool
-    elapsed_us: float
-    #: Sorted, seed/time-stable finding signatures of the first run.
-    signatures: List[str] = field(default_factory=list)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.deterministic
+def judged_body(outcome: Outcome) -> List[str]:
+    """Body of an outcome that names what it expected, how it was
+    judged, and the sorted, seed/time-stable finding signatures it saw
+    (shared with the ``repro check`` suite)."""
+    fields = outcome.fields
+    lines = [f"  expected: {fields['expected']}",
+             f"  correct: {fields['correct']}   "
+             f"deterministic: {fields['deterministic']}"]
+    lines.extend(f"  finding: {signature}"
+                 for signature in fields["signatures"])
+    if fields["detail"]:
+        lines.append(f"  {fields['detail']}")
+    return lines
 
 
-@dataclass
-class AnalysisReport:
-    """All scenarios of one ``repro analyze`` invocation."""
-
-    seed: int
-    fast: bool
-    scenarios: List[AnalysisOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "ok": self.ok,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "expected": s.expected,
-                "ok": s.ok,
-                "correct": s.correct,
-                "deterministic": s.deterministic,
-                "elapsed_us": s.elapsed_us,
-                "signatures": s.signatures,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"AmberSan analysis report (seed {self.seed})",
-                 "=" * 48]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            lines.append(f"  expected: {s.expected}")
-            lines.append(f"  correct: {s.correct}   "
-                         f"deterministic: {s.deterministic}")
-            for signature in s.signatures:
-                lines.append(f"  finding: {signature}")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-        lines.append("")
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
+ANALYZE_SUITE = Suite(
+    key="scenarios",
+    fields=("name", "description", "expected", "ok", "correct",
+            "deterministic", "elapsed_us", "signatures", "detail"),
+    line=PASS_FAIL, body=judged_body)
 
 
 def run_analysis_scenarios(seed: int = 0,
-                           fast: bool = False) -> AnalysisReport:
+                           fast: bool = False) -> Report:
     """Run every scenario under ``seed`` and collect the verdicts."""
     scenarios = [
         _expect_findings(
@@ -131,7 +84,10 @@ def run_analysis_scenarios(seed: int = 0,
     ]
     if not fast:
         scenarios.append(_apps_clean(seed))
-    return AnalysisReport(seed=seed, fast=fast, scenarios=scenarios)
+    return Report(
+        ANALYZE_SUITE,
+        title=[f"AmberSan analysis report (seed {seed})", "=" * 48],
+        params={"seed": seed, "fast": fast}, outcomes=scenarios)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +101,7 @@ def _report_of(result: Any) -> SanitizerReport:
 
 def _expect_findings(name: str, description: str,
                      fixture: Callable[[int], Any],
-                     rules: Set[str], seed: int) -> AnalysisOutcome:
+                     rules: Set[str], seed: int) -> Outcome:
     """The fixture must produce at least one finding of each expected
     rule, no findings of other rules, and identical signatures on a
     repeat run and on neighbouring seeds."""
@@ -166,28 +122,26 @@ def _expect_findings(name: str, description: str,
             detail = (detail + " " if detail else "") + (
                 f"signatures diverge at seed {other_seed}")
             break
-    return AnalysisOutcome(
-        name=name, description=description,
+    return judged(
+        name, description, correct, deterministic,
         expected=" + ".join(sorted(rules)),
-        correct=correct, deterministic=deterministic,
         elapsed_us=result.elapsed_us,
         signatures=signatures, detail=detail)
 
 
 def _expect_clean(name: str, description: str,
                   fixture: Callable[[int], Any],
-                  seed: int) -> AnalysisOutcome:
+                  seed: int) -> Outcome:
     result = fixture(seed)
     report = _report_of(result)
     detail = "" if report.ok else report.render()
-    return AnalysisOutcome(
-        name=name, description=description, expected="clean",
-        correct=report.ok, deterministic=True,
+    return judged(
+        name, description, report.ok, True, expected="clean",
         elapsed_us=result.elapsed_us,
         signatures=report.signatures(), detail=detail)
 
 
-def _timing_neutral(seed: int) -> AnalysisOutcome:
+def _timing_neutral(seed: int) -> Outcome:
     """Sanitizing must not move a single simulated timestamp or change
     the program's result."""
     plain = run_racy_counter(seed=seed, sanitize=False)
@@ -197,16 +151,15 @@ def _timing_neutral(seed: int) -> AnalysisOutcome:
     detail = "" if correct else (
         f"elapsed {plain.elapsed_us} vs {sanitized.elapsed_us}, "
         f"value {plain.value} vs {sanitized.value}")
-    return AnalysisOutcome(
-        name="timing-neutral",
-        description="identical elapsed time and result with and "
-                    "without the sanitizer",
-        expected="bit-identical run", correct=correct,
-        deterministic=True, elapsed_us=sanitized.elapsed_us,
-        detail=detail)
+    return judged(
+        "timing-neutral",
+        "identical elapsed time and result with and without the "
+        "sanitizer",
+        correct, True, expected="bit-identical run",
+        elapsed_us=sanitized.elapsed_us, signatures=[], detail=detail)
 
 
-def _apps_clean(seed: int) -> AnalysisOutcome:
+def _apps_clean(seed: int) -> Outcome:
     """Every bundled application must run sanitizer-clean."""
     from repro.apps.matmul import run_matmul
     from repro.apps.queens import run_amber_queens
@@ -232,8 +185,7 @@ def _apps_clean(seed: int) -> AnalysisOutcome:
             report = sanitizer.report()
             if not report.ok:
                 dirty.append(f"{name}: {report.render()}")
-    return AnalysisOutcome(
-        name="apps-clean",
-        description="bundled sor/queens/matmul run sanitizer-clean",
-        expected="clean", correct=not dirty, deterministic=True,
-        elapsed_us=elapsed, detail="; ".join(dirty))
+    return judged(
+        "apps-clean", "bundled sor/queens/matmul run sanitizer-clean",
+        not dirty, True, expected="clean", elapsed_us=elapsed,
+        signatures=[], detail="; ".join(dirty))

@@ -46,6 +46,12 @@
                                               # artifact
     python -m repro flow --expect PATH        # gate findings against a
                                               # committed expectation
+    python -m repro elide [--fast] [--verify] [--json PATH]
+                                              # AmberElide escape analysis
+                                              # + verified sync elision
+                                              # (docs/ANALYSIS.md)
+    python -m repro elide --artifact-out PATH # emit the amberelide/1
+                                              # artifact
     python -m repro perf [--fast] [--json PATH]
                                               # AmberPerf benchmark suite
                                               # (see docs/PERF.md)
@@ -59,16 +65,25 @@ workload under AmberSan and print its findings.
 Every artifact accepts ``--metrics-json PATH`` to dump the run's metrics
 registry (operation-latency histograms with p50/p90/p99, counters,
 gauges) as JSON.
+
+Every subcommand is one row of ``COMMANDS`` (name, help, argument
+declarations, handler); ``main`` builds the parser from the table and
+dispatches through the row's handler.  Input that cannot be acted on
+(:class:`~repro.errors.UsageError`) is one ``error:`` line on stderr
+and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.bench import ablations, figure1, figure2, figure3, table1
 from repro.bench.reporting import write_metrics_json
+from repro.errors import UsageError
 
 _ARTIFACTS = {
     "table1": lambda fast, metrics_out: table1.main(
@@ -121,11 +136,11 @@ WORKLOADS = {
 }
 
 
-def _run_workload(args, tracer):
-    """Run the selected workload, sanitized when ``--sanitize``.
+def _run_workload(args, tracer, sanitize: bool):
+    """Run the selected workload, under AmberSan when ``sanitize``.
 
     Returns ``(result, sanitizer_reports)``."""
-    if not getattr(args, "sanitize", False):
+    if not sanitize:
         return WORKLOADS[args.workload](args.fast, tracer), []
     from repro.analyze.runtime import sanitize_runs
     with sanitize_runs() as sanitizers:
@@ -139,12 +154,68 @@ def _print_sanitizer_reports(reports) -> None:
         print(report.render())
 
 
+# ---------------------------------------------------------------------------
+# Output files
+# ---------------------------------------------------------------------------
+
+
+def _write(path: Optional[str], content: Any, what: str,
+           lead: str = "\n") -> None:
+    """Write one output file, if its option was given, and say so.
+    ``content`` is the file's text, or a document to encode as JSON."""
+    if not path:
+        return
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2)
+    with open(path, "w") as handle:
+        handle.write(content)
+    print(f"{lead}{what} written to {path}")
+
+
+def _write_metrics(path: Optional[str], metrics: Dict[str, Any],
+                   what: str = "metrics", lead: str = "") -> None:
+    if path:
+        write_metrics_json(path, metrics)
+        print(f"{lead}{what} written to {path}")
+
+
+def _emit(report, json_path: Optional[str], *files) -> int:
+    """The tail every report command shares: print ``render()``, write
+    the ``(path, content, what)`` files that were asked for and the
+    JSON report after them, exit by the verdict."""
+    print(report.render())
+    for path, content, what in files:
+        _write(path, content, what)
+    _write(json_path, report.as_dict(), "report")
+    return 0 if report.ok else 1
+
+
+# ---------------------------------------------------------------------------
+# Handlers (each imports its subsystem when it runs)
+# ---------------------------------------------------------------------------
+
+
+def _cmd_artifacts(names: List[str], args) -> int:
+    metrics_out = {} if args.metrics_json else None
+    print("\n\n".join(_ARTIFACTS[name](args.fast, metrics_out)
+                      for name in names))
+    _write_metrics(args.metrics_json, metrics_out, lead="\n")
+    return 0
+
+
+def _workload_tail(args, result, san_reports) -> int:
+    _print_sanitizer_reports(san_reports)
+    _write_metrics(args.metrics_json,
+                   {args.workload: result.cluster.metrics.as_dict()})
+    return 0
+
+
 def _cmd_trace(args) -> int:
     from repro.obs.perfetto import export_chrome_trace
     from repro.sim.trace import Tracer
 
     tracer = Tracer(max_events=args.max_events)
-    result, san_reports = _run_workload(args, tracer)
+    result, san_reports = _run_workload(args, tracer, args.sanitize)
     count = export_chrome_trace(tracer.events, args.out,
                                 nodes=result.cluster.config.nodes)
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
@@ -152,15 +223,13 @@ def _cmd_trace(args) -> int:
     print(f"simulated elapsed: {result.elapsed_us:.1f} us "
           f"on {result.cluster.config.label()}")
     print("open in https://ui.perfetto.dev or chrome://tracing")
-    _print_sanitizer_reports(san_reports)
-    _maybe_write_metrics(args, result)
-    return 0
+    return _workload_tail(args, result, san_reports)
 
 
 def _cmd_profile(args) -> int:
     from repro.obs.profile import profile_result, render_profile
 
-    result, san_reports = _run_workload(args, None)
+    result, san_reports = _run_workload(args, None, args.sanitize)
     profiles = profile_result(result)
     print(render_profile(
         profiles, elapsed_us=result.elapsed_us,
@@ -168,88 +237,50 @@ def _cmd_profile(args) -> int:
                f"({result.cluster.config.label()}), microseconds")))
     print()
     print(result.cluster.metrics.render(title="Operation metrics"))
-    _print_sanitizer_reports(san_reports)
-    _maybe_write_metrics(args, result)
-    return 0
+    return _workload_tail(args, result, san_reports)
 
 
 def _cmd_faults(args) -> int:
-    import json
-
     if args.recover:
-        from repro.recovery.scenario import run_recovery_scenarios
-        report = run_recovery_scenarios(seed=args.seed, fast=args.fast)
+        from repro.recovery.scenario import run_recovery_scenarios as run
     else:
-        from repro.faults.scenario import run_fault_scenarios
-        report = run_fault_scenarios(seed=args.seed, fast=args.fast)
-    print(report.render())
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.metrics_json}")
-    return 0 if report.ok else 1
+        from repro.faults.scenario import run_fault_scenarios as run
+    return _emit(run(seed=args.seed, fast=args.fast), args.metrics_json)
 
 
 def _cmd_chaos(args) -> int:
-    import json
-
     from repro.faults.livescenario import run_chaos_scenarios
 
-    report = run_chaos_scenarios(seed=args.seed, fast=args.fast)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return _emit(run_chaos_scenarios(seed=args.seed, fast=args.fast),
+                 args.json)
 
 
 def _cmd_analyze(args) -> int:
-    import json
-
     if args.workload:
-        from repro.analyze.runtime import sanitize_runs
-        with sanitize_runs() as sanitizers:
-            result = WORKLOADS[args.workload](args.fast, None)
-        reports = [sanitizer.report() for sanitizer in sanitizers]
-        ok = all(report.ok for report in reports)
+        result, reports = _run_workload(args, None, True)
         print(f"sanitized {args.workload}: simulated "
               f"{result.elapsed_us:.1f} us on "
               f"{result.cluster.config.label()}")
-        for report in reports:
-            print()
-            print(report.render())
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump([report.as_dict() for report in reports],
-                          handle, indent=2)
-            print(f"\nreport written to {args.json}")
-        return 0 if ok else 1
+        _print_sanitizer_reports(reports)
+        _write(args.json, [report.as_dict() for report in reports],
+               "report")
+        return 0 if all(report.ok for report in reports) else 1
 
     from repro.analyze.scenario import run_analysis_scenarios
-    report = run_analysis_scenarios(seed=args.seed, fast=args.fast)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return _emit(run_analysis_scenarios(seed=args.seed, fast=args.fast),
+                 args.json)
 
 
 def _cmd_check(args) -> int:
-    import json
-
+    if args.replay is not None and not args.fixture:
+        raise UsageError("--replay requires --fixture")
     from repro.analyze.checkscenario import (
         CHECK_FIXTURES,
         run_check_scenarios,
     )
 
-    if args.replay is not None and not args.fixture:
-        print("--replay requires --fixture", file=sys.stderr)
-        return 2
-
     if args.fixture:
-        from repro.analyze.check import check_program, run_schedule
+        from repro.analyze.check import check_program
         fixture = CHECK_FIXTURES[args.fixture]
         seed = args.seed
 
@@ -257,75 +288,79 @@ def _cmd_check(args) -> int:
             return fixture(seed)
 
         if args.replay is not None:
-            choices = [int(token) for token in
-                       args.replay.replace(",", " ").split()]
-            outcome = run_schedule(program_fn, choices)
-            print(f"replayed {args.fixture} (seed {seed}) with "
-                  f"trace {choices}")
-            print(f"  status: {outcome.status}")
-            if outcome.value_repr:
-                print(f"  value: {outcome.value_repr}")
-            if outcome.diverged:
-                print("  WARNING: trace diverged from the recorded "
-                      "schedule")
-            for line in outcome.detail.splitlines():
-                print(f"  {line}")
-            for _, rendered in outcome.findings:
-                print()
-                print(rendered)
-            if args.json:
-                with open(args.json, "w") as handle:
-                    json.dump({
-                        "fixture": args.fixture, "seed": seed,
-                        "trace": choices, "status": outcome.status,
-                        "value": outcome.value_repr,
-                        "diverged": outcome.diverged,
-                        "choices": outcome.choices,
-                        "signatures": outcome.signatures(),
-                    }, handle, indent=2)
-                print(f"\nreplay written to {args.json}")
-            clean = (outcome.status == "ok" and not outcome.findings
-                     and not outcome.diverged)
-            return 0 if clean else 1
-
-        report = check_program(program_fn, name=args.fixture,
-                               budget=args.budget,
-                               dpor=not args.exhaustive,
-                               progress=print)
-        print(report.render())
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(report.as_dict(), handle, indent=2)
-            print(f"\nreport written to {args.json}")
-        return 0 if report.ok else 1
+            return _replay(args, program_fn)
+        return _emit(check_program(program_fn, name=args.fixture,
+                                   budget=args.budget,
+                                   dpor=not args.exhaustive,
+                                   progress=print), args.json)
 
     metrics = None
     if args.metrics_json:
         from repro.obs.metrics import MetricsRegistry
         metrics = MetricsRegistry()
-    report = run_check_scenarios(seed=args.seed, fast=args.fast,
-                                 budget=args.budget, metrics=metrics)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
+    code = _emit(run_check_scenarios(seed=args.seed, fast=args.fast,
+                                     budget=args.budget, metrics=metrics),
+                 args.json)
     if metrics is not None:
-        write_metrics_json(args.metrics_json,
-                           {"check": metrics.as_dict()})
-        print(f"exploration metrics written to {args.metrics_json}")
-    return 0 if report.ok else 1
+        _write_metrics(args.metrics_json, {"check": metrics.as_dict()},
+                       what="exploration metrics")
+    return code
+
+
+def _replay(args, program_fn) -> int:
+    """``check --fixture F --replay TRACE``: run one recorded schedule."""
+    from repro.analyze.check import run_schedule
+
+    try:
+        choices = [int(token) for token in
+                   args.replay.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError("--replay wants comma- or space-separated "
+                         "integers") from None
+    outcome = run_schedule(program_fn, choices)
+    print(f"replayed {args.fixture} (seed {args.seed}) with "
+          f"trace {choices}")
+    print(f"  status: {outcome.status}")
+    if outcome.value_repr:
+        print(f"  value: {outcome.value_repr}")
+    if outcome.diverged:
+        print("  WARNING: trace diverged from the recorded "
+              "schedule")
+    for line in outcome.detail.splitlines():
+        print(f"  {line}")
+    for _, rendered in outcome.findings:
+        print()
+        print(rendered)
+    _write(args.json, {
+        "fixture": args.fixture, "seed": args.seed,
+        "trace": choices, "status": outcome.status,
+        "value": outcome.value_repr,
+        "diverged": outcome.diverged,
+        "choices": outcome.choices,
+        "signatures": outcome.signatures(),
+    }, "replay")
+    clean = (outcome.status == "ok" and not outcome.findings
+             and not outcome.diverged)
+    return 0 if clean else 1
+
+
+def _load_bench(path: str) -> Dict[str, Any]:
+    """A bench file named on the command line; one that is missing,
+    unparsable or fails ``validate_bench`` is a usage error."""
+    from repro.perf import benchfile
+
+    try:
+        return benchfile.load_bench(path)
+    except (OSError, ValueError) as error:
+        raise UsageError(f"{path}: {error}") from error
 
 
 def _cmd_perf(args) -> int:
-    import json
-
     from repro.perf import benchfile, harness
 
     if args.compare:
-        old = benchfile.load_bench(args.compare[0])
-        new = benchfile.load_bench(args.compare[1])
-        result = benchfile.compare_benches(old, new,
+        result = benchfile.compare_benches(_load_bench(args.compare[0]),
+                                           _load_bench(args.compare[1]),
                                            threshold=args.threshold)
         print(benchfile.render_compare(result))
         return 0 if result.ok else 1
@@ -348,15 +383,13 @@ def _cmd_perf(args) -> int:
                 extra=profiler_track_events(profiler))
             print(f"\nwrote {count} self-profiler trace events to "
                   f"{args.trace_out}")
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(profiler.as_dict(), handle, indent=2)
-            print(f"profile written to {args.json}")
+        _write(args.json, profiler.as_dict(), "profile", lead="")
         return 0
 
-    only = args.bench or None
+    # Before the suite runs: a bad path should not cost a suite run.
+    baseline = _load_bench(args.baseline) if args.baseline else None
     suite = harness.run_suite(fast=args.fast, reps=args.reps,
-                              warmup=args.warmup, only=only,
+                              warmup=args.warmup, only=args.bench or None,
                               progress=print)
     print()
     print(suite.render())
@@ -365,23 +398,19 @@ def _cmd_perf(args) -> int:
         print(f"\nbench file written to {args.json} "
               f"(rev {doc['git_rev']}, machine "
               f"{doc['machine']['fingerprint']})")
-    if args.baseline:
-        old = benchfile.load_bench(args.baseline)
-        result = benchfile.compare_benches(
-            old, benchfile.bench_dict(suite),
-            threshold=args.threshold)
-        print()
-        print(benchfile.render_compare(result))
-        return 0 if suite.ok and result.ok else 1
-    return 0 if suite.ok else 1
+    if baseline is None:
+        return 0 if suite.ok else 1
+    result = benchfile.compare_benches(
+        baseline, benchfile.bench_dict(suite), threshold=args.threshold)
+    print()
+    print(benchfile.render_compare(result))
+    return 0 if suite.ok and result.ok else 1
 
 
 def _cmd_lint(args) -> int:
-    import json
+    from repro.analyze.lint import DEFAULT_PATHS, RULES, lint_paths
 
-    from repro.analyze.lint import RULES, lint_paths
-
-    paths = args.paths or ["src/repro/apps", "examples"]
+    paths = args.paths or list(DEFAULT_PATHS)
     findings = lint_paths(paths)
     for finding in findings:
         print(finding.render())
@@ -389,16 +418,9 @@ def _cmd_lint(args) -> int:
         print()
         for rule, text in sorted(RULES.items()):
             print(f"{rule}: {text}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump({
-                "paths": paths,
-                "findings": [
-                    {"path": f.path, "line": f.line, "rule": f.rule,
-                     "message": f.message} for f in findings
-                ],
-            }, handle, indent=2)
-        print(f"findings written to {args.json}")
+    _write(args.json, {"paths": paths,
+                       "findings": [f.as_dict() for f in findings]},
+           "findings", lead="")
     if findings:
         print(f"\n{len(findings)} finding(s)")
         return 1
@@ -407,58 +429,265 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    import json
-
-    from repro.analyze.flow import run_flow_scenarios
+    from repro.analyze.flow.scenario import (
+        expectation_json,
+        run_flow_scenarios,
+    )
 
     report = run_flow_scenarios(fast=args.fast, paths=args.paths,
                                 expect=args.expect)
-    print(report.render())
-    if args.hints_out:
-        with open(args.hints_out, "w") as handle:
-            handle.write(report.hints.to_json())
-        print(f"\nplacement hints written to {args.hints_out}")
-    if args.write_expect:
-        with open(args.write_expect, "w") as handle:
-            json.dump(report.findings_payload(), handle, indent=2)
-            handle.write("\n")
-        print(f"\nfindings expectation written to {args.write_expect}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return _emit(
+        report, args.json,
+        (args.hints_out, report.extras["hints"].to_json(),
+         "placement hints"),
+        (args.write_expect, expectation_json(report.extras["findings"]),
+         "findings expectation"))
 
 
 def _cmd_elide(args) -> int:
-    import json
-
     from repro.analyze.elide.scenario import run_elide_scenarios
 
     report = run_elide_scenarios(paths=args.paths, fast=args.fast,
                                  verify=args.verify)
-    print(report.render())
-    if args.artifact_out:
-        with open(args.artifact_out, "w") as handle:
-            handle.write(report.artifact.to_json())
-        print(f"\nelision artifact written to {args.artifact_out}")
-    if args.bench_out and report.bench is not None:
-        with open(args.bench_out, "w") as handle:
-            json.dump(report.bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nelision-active bench written to {args.bench_out}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    bench = report.extras["bench"]
+    return _emit(
+        report, args.json,
+        (args.artifact_out, report.extras["artifact"].to_json(),
+         "elision artifact"),
+        (args.bench_out if bench is not None else None,
+         json.dumps(bench, indent=2, sort_keys=True) + "\n",
+         "elision-active bench"))
 
 
-def _maybe_write_metrics(args, result) -> None:
-    if args.metrics_json:
-        write_metrics_json(args.metrics_json,
-                           {args.workload: result.cluster.metrics.as_dict()})
-        print(f"metrics written to {args.metrics_json}")
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+#: One argument declaration: ``add_argument``'s flags and options.
+Argument = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*flags: str, **options: Any) -> Argument:
+    return flags, options
+
+
+# The options most commands share, declared once; each command words
+# the help its own way.
+
+def _fast(help: str) -> Argument:
+    return _arg("--fast", action="store_true", help=help)
+
+
+def _seed(help: str) -> Argument:
+    return _arg("--seed", type=int, default=0, help=help)
+
+
+def _path(flag: str, help: str, default: Optional[str] = None
+          ) -> Argument:
+    """An output or input file option (``--json``, ``--metrics-json``,
+    ``--out``, ...)."""
+    return _arg(flag, metavar="PATH", default=default, help=help)
+
+
+#: What ``trace`` and ``profile`` both take.
+_WORKLOAD = _arg("workload", choices=sorted(WORKLOADS))
+_SMALLER = _fast("smaller problem (quick look)")
+_RUN_METRICS = _path("--metrics-json",
+                     "also dump the run's metrics registry as JSON")
+_SANITIZE = _arg("--sanitize", action="store_true",
+                 help="run under AmberSan and print its findings "
+                      "(simulated times are unchanged)")
+
+
+class Command(NamedTuple):
+    """One subcommand: a row of :data:`COMMANDS`."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: Tuple[Argument, ...]
+
+
+def _artifact_command(name: str, names: List[str]) -> Command:
+    return Command(
+        name, f"regenerate {name}", partial(_cmd_artifacts, names), (
+            _fast("fewer SOR iterations (quick look)"),
+            _path("--metrics-json",
+                  "dump the runs' metrics registries as JSON")))
+
+
+COMMANDS: Tuple[Command, ...] = (
+    *(_artifact_command(name, [name]) for name in sorted(_ARTIFACTS)),
+    _artifact_command("all", sorted(_ARTIFACTS)),
+    Command(
+        "trace", "run a workload and export a Chrome/Perfetto trace",
+        _cmd_trace, (
+            _WORKLOAD, _SMALLER,
+            _path("--out", "trace-event JSON output path (default: "
+                           "trace.json)", default="trace.json"),
+            _arg("--max-events", type=int, default=500_000,
+                 help="tracer ring capacity (default: 500000)"),
+            _RUN_METRICS, _SANITIZE)),
+    Command(
+        "faults", "run the fault-recovery scenarios and print a "
+                  "pass/fail report",
+        _cmd_faults, (
+            _fast("smaller workloads (quick look / CI smoke)"),
+            _seed("fault plan seed (default: 0)"),
+            _arg("--recover", action="store_true",
+                 help="run the crash-recovery scenarios instead: "
+                      "permanent node death survived via checkpoint "
+                      "promotion and thread resurrection (see "
+                      "docs/RECOVERY.md)"),
+            _path("--metrics-json",
+                  "dump the recovery report (verdicts + fault "
+                  "counters) as JSON"))),
+    Command(
+        "profile", "run a workload and print per-thread time "
+                   "attribution",
+        _cmd_profile, (_WORKLOAD, _SMALLER, _RUN_METRICS, _SANITIZE)),
+    Command(
+        "chaos", "AmberChaos: run the live-runtime chaos scenarios "
+                 "(seeded loss/dup/delay/resets plus mid-run process "
+                 "kills) and print a pass/fail report",
+        _cmd_chaos, (
+            _fast("smaller workloads (CI smoke)"),
+            _seed("fault plan seed (default: 0)"),
+            _path("--json", "dump the report (verdicts + "
+                            "hardening/chaos counters) as JSON"))),
+    Command(
+        "analyze", "run the AmberSan analysis scenarios "
+                   "(race/immutable/residency/lock-order) and print a "
+                   "pass/fail report",
+        _cmd_analyze, (
+            _fast("skip the bundled-apps sweep (CI smoke)"),
+            _seed("fixture jitter seed (default: 0)"),
+            _arg("--workload", choices=sorted(WORKLOADS), default=None,
+                 help="instead of the scenarios, sanitize one "
+                      "bundled workload and report its findings"),
+            _path("--json", "dump the report (verdicts + finding "
+                            "signatures) as JSON"))),
+    Command(
+        "check", "AmberCheck: explore all relevantly-distinct thread "
+                 "schedules of the bounded fixtures (DPOR model "
+                 "checking) and print a pass/fail report",
+        _cmd_check, (
+            _fast("fewer random-rarity samples, skip the "
+                  "bundled-apps sweep (CI smoke)"),
+            _seed("fixture jitter seed (default: 0)"),
+            _arg("--budget", type=int, default=2000,
+                 help="max schedules to explore (default: 2000)"),
+            # sorted(checkscenario.CHECK_FIXTURES), spelled out so that
+            # building the parser imports no subsystem
+            # (tests/test_selfcheck_layering.py compares the two).
+            _arg("--fixture", choices=["hidden-deadlock", "hidden-race",
+                                       "locked-counter", "sync-zoo"],
+                 default=None,
+                 help="instead of the scenarios, explore one "
+                      "fixture and report its findings"),
+            _arg("--exhaustive", action="store_true",
+                 help="with --fixture: full enumeration instead of "
+                      "dynamic partial-order reduction"),
+            _arg("--replay", metavar="TRACE", default=None,
+                 help="with --fixture: replay a recorded choice "
+                      "trace (comma-separated indices, e.g. "
+                      "'0,0,1') instead of exploring"),
+            _path("--json", "dump the report as JSON"),
+            _path("--metrics-json",
+                  "dump the explorer's check_* counters "
+                  "(schedules, prunes, backtracks, choice-point "
+                  "depths) as JSON; scenario mode only"))),
+    Command(
+        "perf", "AmberPerf: run the benchmark suite, self-profile the "
+                "simulator's hot loop, or compare two BENCH_*.json "
+                "files",
+        _cmd_perf, (
+            _fast("smaller problems, skip the live-socket "
+                  "benchmark (CI suite)"),
+            _arg("--reps", type=int, default=3,
+                 help="measured repetitions per benchmark "
+                      "(default: 3)"),
+            _arg("--warmup", type=int, default=1,
+                 help="unmeasured warmup runs per benchmark "
+                      "(default: 1)"),
+            _arg("--bench", action="append", metavar="NAME",
+                 help="run only the named benchmark (repeatable)"),
+            _path("--json", "write the run as a BENCH_*.json file "
+                            "(suite mode) or the profile dict "
+                            "(--profile mode)"),
+            _path("--baseline",
+                  "after the suite, compare against this bench "
+                  "file and fail on regressions"),
+            _arg("--compare", nargs=2, metavar=("OLD", "NEW"),
+                 default=None,
+                 help="compare two bench files instead of running "
+                      "(exit 1 on regressions beyond threshold)"),
+            _arg("--threshold", type=float, default=0.25,
+                 help="regression threshold as a rate fraction "
+                      "(default: 0.25)"),
+            _arg("--profile", choices=sorted(WORKLOADS),
+                 default=None, metavar="WORKLOAD",
+                 help="instead of the suite, self-profile the hot "
+                      "loop under one workload (sor/queens/matmul)"),
+            _path("--trace-out",
+                  "with --profile: also export the phase "
+                  "timeline as a Perfetto trace"))),
+    Command(
+        "lint", "static concurrency lint (AMB101-AMB109) over Amber "
+                "programs",
+        _cmd_lint, (
+            _arg("paths", nargs="*",
+                 help="files or directories (default: src/repro/apps "
+                      "and examples)"),
+            _arg("--explain", action="store_true",
+                 help="print the rule catalogue after the findings"),
+            _path("--json", "also dump the findings as "
+                            "machine-readable JSON"))),
+    Command(
+        "flow", "AmberFlow: whole-program object-flow analysis; "
+                "derives placement hints, runs AMB201-AMB205 "
+                "diagnostics, and cross-validates the hints against "
+                "simulator runs (docs/ANALYSIS.md)",
+        _cmd_flow, (
+            _fast("smaller app runs for the dynamic scenarios "
+                  "(CI smoke)"),
+            _arg("--paths", nargs="*", default=None,
+                 help="analyze these files/directories instead of "
+                      "the bundled apps+examples (static scenarios "
+                      "only)"),
+            _path("--expect",
+                  "gate the finding set against this committed "
+                  "expectation file"),
+            _path("--write-expect",
+                  "write the finding set as a new expectation "
+                  "file"),
+            _path("--hints-out",
+                  "write the PlacementHints artifact as JSON"),
+            _path("--json", "dump the full report as JSON"))),
+    Command(
+        "elide", "AmberElide: static escape/confinement analysis "
+                 "(AMB301-AMB304); proves locks elidable and "
+                 "interposition skippable, and verifies the elision "
+                 "fast paths change nothing observable "
+                 "(docs/ANALYSIS.md)",
+        _cmd_elide, (
+            _fast("smaller app runs for the dynamic scenarios "
+                  "(CI smoke)"),
+            _arg("--paths", nargs="*", default=None,
+                 help="analyze these files/directories instead of "
+                      "the bundled apps+examples"),
+            _arg("--verify", action="store_true",
+                 help="also run the dynamic soundness suite: "
+                      "AmberCheck + audit-sanitizer runs, "
+                      "elision-on vs. off bit-identity, and the "
+                      "perf trajectory"),
+            _path("--artifact-out",
+                  "write the amberelide/1 artifact as JSON"),
+            _path("--bench-out",
+                  "with --verify: write the elision-active "
+                  "bench document as JSON"),
+            _path("--json", "dump the full report as JSON"))),
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -469,251 +698,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "trace/profile a simulated workload.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-
-    for name in sorted(_ARTIFACTS) + ["all"]:
-        sp = sub.add_parser(name, help=f"regenerate {name}")
-        sp.add_argument("--fast", action="store_true",
-                        help="fewer SOR iterations (quick look)")
-        sp.add_argument("--metrics-json", metavar="PATH", default=None,
-                        help="dump the runs' metrics registries as JSON")
-
-    tp = sub.add_parser("trace",
-                        help="run a workload and export a Chrome/Perfetto "
-                             "trace")
-    tp.add_argument("workload", choices=sorted(WORKLOADS))
-    tp.add_argument("--fast", action="store_true",
-                    help="smaller problem (quick look)")
-    tp.add_argument("--out", metavar="PATH", default="trace.json",
-                    help="trace-event JSON output path (default: "
-                         "trace.json)")
-    tp.add_argument("--max-events", type=int, default=500_000,
-                    help="tracer ring capacity (default: 500000)")
-    tp.add_argument("--metrics-json", metavar="PATH", default=None,
-                    help="also dump the run's metrics registry as JSON")
-    tp.add_argument("--sanitize", action="store_true",
-                    help="run under AmberSan and print its findings "
-                         "(simulated times are unchanged)")
-
-    fp = sub.add_parser("faults",
-                        help="run the fault-recovery scenarios and print "
-                             "a pass/fail report")
-    fp.add_argument("--fast", action="store_true",
-                    help="smaller workloads (quick look / CI smoke)")
-    fp.add_argument("--seed", type=int, default=0,
-                    help="fault plan seed (default: 0)")
-    fp.add_argument("--recover", action="store_true",
-                    help="run the crash-recovery scenarios instead: "
-                         "permanent node death survived via checkpoint "
-                         "promotion and thread resurrection (see "
-                         "docs/RECOVERY.md)")
-    fp.add_argument("--metrics-json", metavar="PATH", default=None,
-                    help="dump the recovery report (verdicts + fault "
-                         "counters) as JSON")
-
-    pp = sub.add_parser("profile",
-                        help="run a workload and print per-thread time "
-                             "attribution")
-    pp.add_argument("workload", choices=sorted(WORKLOADS))
-    pp.add_argument("--fast", action="store_true",
-                    help="smaller problem (quick look)")
-    pp.add_argument("--metrics-json", metavar="PATH", default=None,
-                    help="also dump the run's metrics registry as JSON")
-    pp.add_argument("--sanitize", action="store_true",
-                    help="run under AmberSan and print its findings "
-                         "(simulated times are unchanged)")
-
-    xp = sub.add_parser("chaos",
-                        help="AmberChaos: run the live-runtime chaos "
-                             "scenarios (seeded loss/dup/delay/resets "
-                             "plus mid-run process kills) and print a "
-                             "pass/fail report")
-    xp.add_argument("--fast", action="store_true",
-                    help="smaller workloads (CI smoke)")
-    xp.add_argument("--seed", type=int, default=0,
-                    help="fault plan seed (default: 0)")
-    xp.add_argument("--json", metavar="PATH", default=None,
-                    help="dump the report (verdicts + hardening/chaos "
-                         "counters) as JSON")
-
-    ap = sub.add_parser("analyze",
-                        help="run the AmberSan analysis scenarios "
-                             "(race/immutable/residency/lock-order) and "
-                             "print a pass/fail report")
-    ap.add_argument("--fast", action="store_true",
-                    help="skip the bundled-apps sweep (CI smoke)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="fixture jitter seed (default: 0)")
-    ap.add_argument("--workload", choices=sorted(WORKLOADS), default=None,
-                    help="instead of the scenarios, sanitize one "
-                         "bundled workload and report its findings")
-    ap.add_argument("--json", metavar="PATH", default=None,
-                    help="dump the report (verdicts + finding "
-                         "signatures) as JSON")
-
-    cp = sub.add_parser("check",
-                        help="AmberCheck: explore all relevantly-"
-                             "distinct thread schedules of the bounded "
-                             "fixtures (DPOR model checking) and print "
-                             "a pass/fail report")
-    cp.add_argument("--fast", action="store_true",
-                    help="fewer random-rarity samples, skip the "
-                         "bundled-apps sweep (CI smoke)")
-    cp.add_argument("--seed", type=int, default=0,
-                    help="fixture jitter seed (default: 0)")
-    cp.add_argument("--budget", type=int, default=2000,
-                    help="max schedules to explore (default: 2000)")
-    cp.add_argument("--fixture", choices=sorted(
-                        "hidden-race hidden-deadlock locked-counter "
-                        "sync-zoo".split()), default=None,
-                    help="instead of the scenarios, explore one "
-                         "fixture and report its findings")
-    cp.add_argument("--exhaustive", action="store_true",
-                    help="with --fixture: full enumeration instead of "
-                         "dynamic partial-order reduction")
-    cp.add_argument("--replay", metavar="TRACE", default=None,
-                    help="with --fixture: replay a recorded choice "
-                         "trace (comma-separated indices, e.g. "
-                         "'0,0,1') instead of exploring")
-    cp.add_argument("--json", metavar="PATH", default=None,
-                    help="dump the report as JSON")
-    cp.add_argument("--metrics-json", metavar="PATH", default=None,
-                    help="dump the explorer's check_* counters "
-                         "(schedules, prunes, backtracks, choice-point "
-                         "depths) as JSON; scenario mode only")
-
-    qp = sub.add_parser("perf",
-                        help="AmberPerf: run the benchmark suite, "
-                             "self-profile the simulator's hot loop, or "
-                             "compare two BENCH_*.json files")
-    qp.add_argument("--fast", action="store_true",
-                    help="smaller problems, skip the live-socket "
-                         "benchmark (CI suite)")
-    qp.add_argument("--reps", type=int, default=3,
-                    help="measured repetitions per benchmark "
-                         "(default: 3)")
-    qp.add_argument("--warmup", type=int, default=1,
-                    help="unmeasured warmup runs per benchmark "
-                         "(default: 1)")
-    qp.add_argument("--bench", action="append", metavar="NAME",
-                    help="run only the named benchmark (repeatable)")
-    qp.add_argument("--json", metavar="PATH", default=None,
-                    help="write the run as a BENCH_*.json file "
-                         "(suite mode) or the profile dict "
-                         "(--profile mode)")
-    qp.add_argument("--baseline", metavar="PATH", default=None,
-                    help="after the suite, compare against this bench "
-                         "file and fail on regressions")
-    qp.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                    default=None,
-                    help="compare two bench files instead of running "
-                         "(exit 1 on regressions beyond threshold)")
-    qp.add_argument("--threshold", type=float, default=0.25,
-                    help="regression threshold as a rate fraction "
-                         "(default: 0.25)")
-    qp.add_argument("--profile", choices=sorted(WORKLOADS),
-                    default=None, metavar="WORKLOAD",
-                    help="instead of the suite, self-profile the hot "
-                         "loop under one workload (sor/queens/matmul)")
-    qp.add_argument("--trace-out", metavar="PATH", default=None,
-                    help="with --profile: also export the phase "
-                         "timeline as a Perfetto trace")
-
-    lp = sub.add_parser("lint",
-                        help="static concurrency lint (AMB101-AMB109) "
-                             "over Amber programs")
-    lp.add_argument("paths", nargs="*",
-                    help="files or directories (default: src/repro/apps "
-                         "and examples)")
-    lp.add_argument("--explain", action="store_true",
-                    help="print the rule catalogue after the findings")
-    lp.add_argument("--json", metavar="PATH", default=None,
-                    help="also dump the findings as machine-readable "
-                         "JSON")
-
-    wp = sub.add_parser("flow",
-                        help="AmberFlow: whole-program object-flow "
-                             "analysis; derives placement hints, runs "
-                             "AMB201-AMB205 diagnostics, and "
-                             "cross-validates the hints against "
-                             "simulator runs (docs/ANALYSIS.md)")
-    wp.add_argument("--fast", action="store_true",
-                    help="smaller app runs for the dynamic scenarios "
-                         "(CI smoke)")
-    wp.add_argument("--paths", nargs="*", default=None,
-                    help="analyze these files/directories instead of "
-                         "the bundled apps+examples (static scenarios "
-                         "only)")
-    wp.add_argument("--expect", metavar="PATH", default=None,
-                    help="gate the finding set against this committed "
-                         "expectation file")
-    wp.add_argument("--write-expect", metavar="PATH", default=None,
-                    help="write the finding set as a new expectation "
-                         "file")
-    wp.add_argument("--hints-out", metavar="PATH", default=None,
-                    help="write the PlacementHints artifact as JSON")
-    wp.add_argument("--json", metavar="PATH", default=None,
-                    help="dump the full report as JSON")
-
-    ep = sub.add_parser("elide",
-                        help="AmberElide: static escape/confinement "
-                             "analysis (AMB301-AMB304); proves locks "
-                             "elidable and interposition skippable, "
-                             "and verifies the elision fast paths "
-                             "change nothing observable "
-                             "(docs/ANALYSIS.md)")
-    ep.add_argument("--fast", action="store_true",
-                    help="smaller app runs for the dynamic scenarios "
-                         "(CI smoke)")
-    ep.add_argument("--paths", nargs="*", default=None,
-                    help="analyze these files/directories instead of "
-                         "the bundled apps+examples")
-    ep.add_argument("--verify", action="store_true",
-                    help="also run the dynamic soundness suite: "
-                         "AmberCheck + audit-sanitizer runs, "
-                         "elision-on vs. off bit-identity, and the "
-                         "perf trajectory")
-    ep.add_argument("--artifact-out", metavar="PATH", default=None,
-                    help="write the amberelide/1 artifact as JSON")
-    ep.add_argument("--bench-out", metavar="PATH", default=None,
-                    help="with --verify: write the elision-active "
-                         "bench document as JSON")
-    ep.add_argument("--json", metavar="PATH", default=None,
-                    help="dump the full report as JSON")
-
+    for command in COMMANDS:
+        sp = sub.add_parser(command.name, help=command.help)
+        for flags, options in command.arguments:
+            sp.add_argument(*flags, **options)
+        sp.set_defaults(handler=command.handler)
     args = parser.parse_args(argv)
-
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "flow":
-        return _cmd_flow(args)
-    if args.command == "elide":
-        return _cmd_elide(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-
-    names = sorted(_ARTIFACTS) if args.command == "all" \
-        else [args.command]
-    metrics_out = {} if args.metrics_json else None
-    outputs = []
-    for name in names:
-        outputs.append(_ARTIFACTS[name](args.fast, metrics_out))
-    print("\n\n".join(outputs))
-    if args.metrics_json:
-        write_metrics_json(args.metrics_json, metrics_out)
-        print(f"\nmetrics written to {args.metrics_json}")
-    return 0
+    try:
+        return args.handler(args)
+    except UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -74,6 +74,13 @@ class NodeFailure(AmberError):
     """
 
 
+class UsageError(AmberError):
+    """Input from the command line that cannot be acted on: a path that
+    does not exist, a choice trace that is not integers, a bench file
+    that does not load.  ``python -m repro`` prints it as one
+    ``error:`` line and exits 2."""
+
+
 class RuntimeTransportError(AmberError):
     """Failure in the live runtime's socket transport."""
 

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.faults.live import schedule_fingerprint
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime.objects import AmberObject
+from repro.selfcheck import PASS_FAIL, Outcome, Report, Suite, guarded
 
 #: Counters merged from every node's kernel snapshot into the report.
 LIVE_COUNTER_NAMES = (
@@ -68,84 +68,35 @@ LIVE_COUNTER_NAMES = (
 )
 
 
-@dataclass
-class LiveScenarioOutcome:
-    """Verdict of one live chaos scenario."""
+def _body(outcome: Outcome) -> List[str]:
+    fields = outcome.fields
+    lines = []
+    if fields["plan"]:
+        lines.append(f"  plan: {fields['plan']}")
+    if fields["fingerprint"]:
+        lines.append(f"  schedule fingerprint: {fields['fingerprint']}")
+    lines.append(f"  elapsed: {fields['elapsed_s']:.1f} s")
+    if fields["detail"]:
+        lines.append(f"  {fields['detail']}")
+    return lines
 
-    name: str
-    description: str
-    plan: str                       # FaultPlan.describe(), or ""
-    ok: bool
-    elapsed_s: float
-    fingerprint: str
-    counters: Dict[str, int]
-    detail: str = ""
+
+CHAOS_SUITE = Suite(
+    key="scenarios",
+    fields=("name", "description", "plan", "ok", "elapsed_s",
+            "fingerprint", "counters", "detail"),
+    line=PASS_FAIL, body=_body,
+    trailer="\ntotals: {totals}\noverall: {verdict}",
+    counter_names=LIVE_COUNTER_NAMES)
 
 
-@dataclass
-class ChaosReport:
-    """All scenarios of one ``repro chaos`` invocation."""
-
-    seed: int
-    fast: bool
-    scenarios: List[LiveScenarioOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    @property
-    def counters(self) -> Dict[str, int]:
-        merged = {name: 0 for name in LIVE_COUNTER_NAMES}
-        for scenario in self.scenarios:
-            for name, value in scenario.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "ok": self.ok,
-            "counters": self.counters,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "plan": s.plan,
-                "ok": s.ok,
-                "elapsed_s": s.elapsed_s,
-                "fingerprint": s.fingerprint,
-                "counters": s.counters,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"Live chaos report (seed {self.seed})",
-                 "=" * 52]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            if s.plan:
-                lines.append(f"  plan: {s.plan}")
-            if s.fingerprint:
-                lines.append(f"  schedule fingerprint: {s.fingerprint}")
-            lines.append(f"  elapsed: {s.elapsed_s:.1f} s")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-            hot = {name: value for name, value in s.counters.items()
-                   if value}
-            lines.append("  counters: " + (", ".join(
-                f"{name}={value}" for name, value in sorted(hot.items()))
-                or "(none)"))
-        lines.append("")
-        lines.append("totals: " + (", ".join(
-            f"{name}={value}"
-            for name, value in sorted(self.counters.items()) if value)
-            or "(none)"))
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
+def chaos_report(seed: int, fast: bool,
+                 outcomes: List[Outcome]) -> Report:
+    """The report of one ``repro chaos`` invocation."""
+    return Report(
+        CHAOS_SUITE,
+        title=[f"Live chaos report (seed {seed})", "=" * 52],
+        params={"seed": seed, "fast": fast}, outcomes=outcomes)
 
 
 class ChaosCounter(AmberObject):
@@ -194,30 +145,34 @@ def _gather_counters(cluster) -> Dict[str, int]:
     return merged
 
 
-def run_chaos_scenarios(seed: int = 0, fast: bool = False) -> ChaosReport:
+def run_chaos_scenarios(seed: int = 0, fast: bool = False) -> Report:
     """Run every live chaos scenario under ``seed``."""
-    scenarios = [
+    return chaos_report(seed, fast, [
         _guard("live-sor", _run_live_sor_chaos, seed, fast),
         _guard("live-queens", _run_live_queens_chaos, seed, fast),
         _guard("dedup", _run_dedup_probe, seed, fast),
         _guard("typed-failures", _run_typed_failure, seed, fast),
         _guard("coordinator-outage", _run_coordinator_outage, seed, fast),
-    ]
-    return ChaosReport(seed=seed, fast=fast, scenarios=scenarios)
+    ])
 
 
-def _guard(name: str, fn: Callable[[int, bool], LiveScenarioOutcome],
-           seed: int, fast: bool) -> LiveScenarioOutcome:
-    """A scenario that crashes is a FAIL verdict, not a dead suite."""
+def _verdict(name: str, description: str, ok: bool, t0: float,
+             counters: Dict[str, int], detail: str, plan: str = "",
+             fingerprint: str = "") -> Outcome:
+    """``plan`` is ``FaultPlan.describe()``, or "" for a scenario that
+    injects by hand."""
+    return Outcome(name=name, ok=ok, description=description, fields={
+        "plan": plan, "elapsed_s": time.monotonic() - t0,
+        "fingerprint": fingerprint, "counters": counters,
+        "detail": detail})
+
+
+def _guard(name: str, fn: Callable[[int, bool], Outcome],
+           seed: int, fast: bool) -> Outcome:
     t0 = time.monotonic()
-    try:
-        return fn(seed, fast)
-    except Exception as error:
-        return LiveScenarioOutcome(
-            name=name, description="(crashed before its verdict)",
-            plan="", ok=False, elapsed_s=time.monotonic() - t0,
-            fingerprint="", counters={},
-            detail=f"crashed: {type(error).__name__}: {error}")
+    return guarded(name, lambda: fn(seed, fast), lambda: {
+        "plan": "", "elapsed_s": time.monotonic() - t0,
+        "fingerprint": "", "counters": {}})
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +196,7 @@ def _sor_plan(seed: int) -> FaultPlan:
     )
 
 
-def _run_live_sor_chaos(seed: int, fast: bool) -> LiveScenarioOutcome:
+def _run_live_sor_chaos(seed: int, fast: bool) -> Outcome:
     import numpy as np
 
     from repro.apps.sor.grid import SorProblem
@@ -284,19 +239,16 @@ def _run_live_sor_chaos(seed: int, fast: bool) -> LiveScenarioOutcome:
     correct = bool(np.array_equal(clean, faulted))
     ok = (correct and stable and kills == 1 and restarts == 1
           and revived)
-    return LiveScenarioOutcome(
-        name="live-sor",
-        description=(f"live SOR {problem.rows}x{problem.cols}, "
-                     f"{problem.iterations} iterations on {workers} "
-                     f"worker nodes + 1 victim"),
-        plan=plan.describe(),
-        ok=ok,
-        elapsed_s=time.monotonic() - t0,
-        fingerprint=fingerprint,
-        counters=counters,
-        detail=(f"grid {'bit-identical to' if correct else 'DIVERGED from'}"
-                f" clean run; kills={kills} restarts={restarts} "
-                f"victim revived={revived} schedule stable={stable}"))
+    return _verdict(
+        "live-sor",
+        f"live SOR {problem.rows}x{problem.cols}, "
+        f"{problem.iterations} iterations on {workers} "
+        f"worker nodes + 1 victim",
+        ok, t0, counters,
+        f"grid {'bit-identical to' if correct else 'DIVERGED from'}"
+        f" clean run; kills={kills} restarts={restarts} "
+        f"victim revived={revived} schedule stable={stable}",
+        plan=plan.describe(), fingerprint=fingerprint)
 
 
 def _queens_plan(seed: int) -> FaultPlan:
@@ -311,7 +263,7 @@ def _queens_plan(seed: int) -> FaultPlan:
     )
 
 
-def _run_live_queens_chaos(seed: int, fast: bool) -> LiveScenarioOutcome:
+def _run_live_queens_chaos(seed: int, fast: bool) -> Outcome:
     from repro.apps.live_queens import run_live_queens
     from repro.apps.queens import KNOWN_SOLUTIONS
     from repro.runtime.cluster import Cluster
@@ -327,21 +279,18 @@ def _run_live_queens_chaos(seed: int, fast: bool) -> LiveScenarioOutcome:
                 n, nodes=nodes, pool_node=1, cluster=cluster)
             counters = _gather_counters(cluster)
     correct = solutions == KNOWN_SOLUTIONS[n] and units == total
-    return LiveScenarioOutcome(
-        name="live-queens",
-        description=f"live {n}-Queens work pool on {nodes} nodes",
-        plan=plan.describe(),
-        ok=correct,
-        elapsed_s=time.monotonic() - t0,
-        fingerprint=fingerprint,
-        counters=counters,
-        detail=(f"{solutions} solutions (expected {KNOWN_SOLUTIONS[n]}), "
-                f"{units}/{total} work units reported exactly once; "
-                f"{counters['chaos_duplicated']} duplicate frame(s), "
-                f"{counters['chaos_dropped']} dropped"))
+    return _verdict(
+        "live-queens",
+        f"live {n}-Queens work pool on {nodes} nodes",
+        correct, t0, counters,
+        f"{solutions} solutions (expected {KNOWN_SOLUTIONS[n]}), "
+        f"{units}/{total} work units reported exactly once; "
+        f"{counters['chaos_duplicated']} duplicate frame(s), "
+        f"{counters['chaos_dropped']} dropped",
+        plan=plan.describe(), fingerprint=fingerprint)
 
 
-def _run_dedup_probe(seed: int, fast: bool) -> LiveScenarioOutcome:
+def _run_dedup_probe(seed: int, fast: bool) -> Outcome:
     from repro.runtime import messages as m
     from repro.runtime.cluster import Cluster
 
@@ -369,19 +318,15 @@ def _run_dedup_probe(seed: int, fast: bool) -> LiveScenarioOutcome:
                       + stats.get("dedup_replayed", 0))
         counters = _gather_counters(cluster)
     ok = final == 1 and suppressed >= 1
-    return LiveScenarioOutcome(
-        name="dedup",
-        description="byte-identical duplicate InvokeMsg pair, one node",
-        plan="",
-        ok=ok,
-        elapsed_s=time.monotonic() - t0,
-        fingerprint="",
-        counters=counters,
-        detail=(f"counter={final} (want 1: at-most-once), "
-                f"suppressed twins={suppressed}"))
+    return _verdict(
+        "dedup",
+        "byte-identical duplicate InvokeMsg pair, one node",
+        ok, t0, counters,
+        f"counter={final} (want 1: at-most-once), "
+        f"suppressed twins={suppressed}")
 
 
-def _run_typed_failure(seed: int, fast: bool) -> LiveScenarioOutcome:
+def _run_typed_failure(seed: int, fast: bool) -> Outcome:
     from repro.errors import NodeFailure
     from repro.runtime.cluster import Cluster
 
@@ -407,18 +352,14 @@ def _run_typed_failure(seed: int, fast: bool) -> LiveScenarioOutcome:
     # reply deadline is 4 x REPRO_PEER_TIMEOUT_S = 8 s here.
     bounded = first_s < 9.0 and second_s < 1.0
     ok = (warm == 1 and typed and bounded and fast_fails >= 1)
-    return LiveScenarioOutcome(
-        name="typed-failures",
-        description="SIGKILL a peer, no restart: bounded typed errors",
-        plan="",
-        ok=ok,
-        elapsed_s=time.monotonic() - t0,
-        fingerprint="",
-        counters=counters,
-        detail=(f"first failure {type(first_error).__name__} in "
-                f"{first_s:.2f}s, then {type(second_error).__name__} in "
-                f"{second_s:.3f}s with breaker open "
-                f"(fast-fails={fast_fails})"))
+    return _verdict(
+        "typed-failures",
+        "SIGKILL a peer, no restart: bounded typed errors",
+        ok, t0, counters,
+        f"first failure {type(first_error).__name__} in "
+        f"{first_s:.2f}s, then {type(second_error).__name__} in "
+        f"{second_s:.3f}s with breaker open "
+        f"(fast-fails={fast_fails})")
 
 
 def _expect_failure(cluster, handle):
@@ -429,7 +370,7 @@ def _expect_failure(cluster, handle):
     return None
 
 
-def _run_coordinator_outage(seed: int, fast: bool) -> LiveScenarioOutcome:
+def _run_coordinator_outage(seed: int, fast: bool) -> Outcome:
     from repro.errors import ClusterError
     from repro.runtime.cluster import Cluster
     from repro.runtime.coordinator import Coordinator
@@ -476,18 +417,14 @@ def _run_coordinator_outage(seed: int, fast: bool) -> LiveScenarioOutcome:
         counters = _gather_counters(cluster)
     ok = (warm == 1 and typed_outage and reregistered and heartbeats
           and reconnects >= 1 and value == 2 and fresh_value == 5)
-    return LiveScenarioOutcome(
-        name="coordinator-outage",
-        description="coordinator killed and restarted on its port",
-        plan="",
-        ok=ok,
-        elapsed_s=time.monotonic() - t0,
-        fingerprint="",
-        counters=counters,
-        detail=(f"typed during outage={typed_outage}, "
-                f"re-registered={reregistered}, heartbeats "
-                f"resumed={heartbeats}, client reconnects={reconnects}, "
-                f"post-outage invokes ok={value == 2 and fresh_value == 5}"))
+    return _verdict(
+        "coordinator-outage",
+        "coordinator killed and restarted on its port",
+        ok, t0, counters,
+        f"typed during outage={typed_outage}, "
+        f"re-registered={reregistered}, heartbeats "
+        f"resumed={heartbeats}, client reconnects={reconnects}, "
+        f"post-outage invokes ok={value == 2 and fresh_value == 5}")
 
 
 def _await_condition(probe: Callable[[], bool], timeout_s: float) -> bool:

@@ -30,10 +30,10 @@ Used by ``python -m repro faults`` and the fault test-suite.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.faults.plan import FaultPlan, NodeCrash
+from repro.selfcheck import PASS_FAIL, Outcome, Report, Suite, judged
 
 #: Counters reported per scenario (all live in the run's MetricsRegistry).
 COUNTER_NAMES = (
@@ -67,104 +67,46 @@ COUNTER_NAMES = (
 )
 
 
-@dataclass
-class ScenarioOutcome:
-    """Verdict of one scenario."""
-
-    name: str
-    description: str
-    plan: FaultPlan
-    correct: bool
-    deterministic: bool
-    clean_elapsed_us: float
-    faulted_elapsed_us: float
-    fingerprint: str
-    counters: Dict[str, int]
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.deterministic
+def _body(outcome: Outcome) -> List[str]:
+    fields = outcome.fields
+    clean, faulted = fields["clean_elapsed_us"], fields["faulted_elapsed_us"]
+    lines = [f"  plan: {fields['plan']}",
+             f"  clean {clean / 1000:.1f} ms -> faulted "
+             f"{faulted / 1000:.1f} ms ({faulted / max(clean, 1e-9):.2f}x)",
+             f"  correct: {fields['correct']}   "
+             f"deterministic: {fields['deterministic']}"]
+    if fields["detail"]:
+        lines.append(f"  {fields['detail']}")
+    return lines
 
 
-@dataclass
-class FaultsReport:
-    """All scenarios of one ``repro faults`` invocation."""
-
-    seed: int
-    fast: bool
-    scenarios: List[ScenarioOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    @property
-    def counters(self) -> Dict[str, int]:
-        merged = {name: 0 for name in COUNTER_NAMES}
-        for scenario in self.scenarios:
-            for name, value in scenario.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "ok": self.ok,
-            "counters": self.counters,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "plan": s.plan.describe(),
-                "ok": s.ok,
-                "correct": s.correct,
-                "deterministic": s.deterministic,
-                "clean_elapsed_us": s.clean_elapsed_us,
-                "faulted_elapsed_us": s.faulted_elapsed_us,
-                "fingerprint": s.fingerprint,
-                "counters": s.counters,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"Fault injection & recovery report (seed {self.seed})",
-                 "=" * 52]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            lines.append(f"  plan: {s.plan.describe()}")
-            lines.append(
-                f"  clean {s.clean_elapsed_us / 1000:.1f} ms -> faulted "
-                f"{s.faulted_elapsed_us / 1000:.1f} ms "
-                f"({s.faulted_elapsed_us / max(s.clean_elapsed_us, 1e-9):.2f}x)")
-            lines.append(f"  correct: {s.correct}   "
-                         f"deterministic: {s.deterministic}")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-            hot = {name: value for name, value in s.counters.items()
-                   if value}
-            lines.append("  counters: " + (", ".join(
-                f"{name}={value}" for name, value in sorted(hot.items()))
-                or "(none)"))
-        lines.append("")
-        lines.append("totals: " + ", ".join(
-            f"{name}={value}"
-            for name, value in sorted(self.counters.items()) if value))
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
+FAULTS_SUITE = Suite(
+    key="scenarios",
+    fields=("name", "description", "plan", "ok", "correct",
+            "deterministic", "clean_elapsed_us", "faulted_elapsed_us",
+            "fingerprint", "counters", "detail"),
+    line=PASS_FAIL, body=_body,
+    trailer="\ntotals: {totals}\noverall: {verdict}",
+    counter_names=COUNTER_NAMES)
 
 
-def run_fault_scenarios(seed: int = 0, fast: bool = False) -> FaultsReport:
+def faults_report(seed: int, fast: bool,
+                  outcomes: List[Outcome]) -> Report:
+    """The report of one ``repro faults [--recover]`` invocation."""
+    return Report(
+        FAULTS_SUITE,
+        title=[f"Fault injection & recovery report (seed {seed})",
+               "=" * 52],
+        params={"seed": seed, "fast": fast}, outcomes=outcomes)
+
+
+def run_fault_scenarios(seed: int = 0, fast: bool = False) -> Report:
     """Run every scenario under ``seed`` and collect the verdicts."""
-    scenarios = [
+    return faults_report(seed, fast, [
         _run_sor(seed, fast),
         _run_queens(seed, fast),
         _run_mobility(seed),
-    ]
-    return FaultsReport(seed=seed, fast=fast, scenarios=scenarios)
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +114,8 @@ def run_fault_scenarios(seed: int = 0, fast: bool = False) -> FaultsReport:
 # ----------------------------------------------------------------------
 
 
-def _chaos_plan(seed: int, clean_elapsed_us: float,
-                crash_node: int) -> FaultPlan:
+def chaos_plan(seed: int, clean_elapsed_us: float,
+               crash_node: int) -> FaultPlan:
     """The standard fault mix scaled to a workload's clean duration:
     5% loss, light duplication/delay/reorder, and one crash at 35% of
     the run with a restart short enough for in-protocol retries to span
@@ -193,12 +135,12 @@ def _chaos_plan(seed: int, clean_elapsed_us: float,
     )
 
 
-def _counters(result) -> Dict[str, int]:
+def counters_of(result: Any) -> Dict[str, int]:
     metrics = result.stats.metrics
     return {name: metrics.counter(name).value for name in COUNTER_NAMES}
 
 
-def _fingerprint(*parts) -> str:
+def fingerprint(*parts: Any) -> str:
     digest = hashlib.sha256()
     for part in parts:
         digest.update(repr(part).encode())
@@ -206,78 +148,89 @@ def _fingerprint(*parts) -> str:
     return digest.hexdigest()[:16]
 
 
-def _run_sor(seed: int, fast: bool) -> ScenarioOutcome:
+def clean_vs_faulted(
+        name: str, description: str,
+        run: Callable[[Optional[FaultPlan]], Any],
+        plan_for: Callable[[float], FaultPlan],
+        observe: Callable[[Any, Dict[str, int]], Sequence[Any]],
+        judge: Callable[[Any, Any, Dict[str, int]], bool],
+        detail: Callable[[Any, Any, Dict[str, int]], str]) -> Outcome:
+    """The skeleton every fault and recovery scenario shares.
+
+    ``run(None)`` is the clean run; its elapsed time scales the plan
+    (``plan_for``), and the workload then runs twice under that plan.
+    *Correct* is ``judge(clean, faulted, counters)``; *deterministic*
+    means the two faulted runs fingerprint alike on
+    ``observe(result, counters)``, the observable the scenario names.
+    ``detail(clean, faulted, counters)`` words the verdict."""
+    clean = run(None)
+    plan = plan_for(clean.elapsed_us)
+    first, second = run(plan), run(plan)
+    counters = counters_of(first)
+    fp1 = fingerprint(*observe(first, counters))
+    fp2 = fingerprint(*observe(second, counters_of(second)))
+    return judged(
+        name, description, judge(clean, first, counters), fp1 == fp2,
+        plan=plan.describe(),
+        clean_elapsed_us=clean.elapsed_us,
+        faulted_elapsed_us=first.elapsed_us,
+        fingerprint=fp1, counters=counters,
+        detail=detail(clean, first, counters))
+
+
+def same_grid(clean: Any, faulted: Any) -> bool:
     import numpy as np
 
+    return bool(np.array_equal(clean.grid, faulted.grid))
+
+
+def _run_sor(seed: int, fast: bool) -> Outcome:
     from repro.apps.sor import SorProblem, run_amber_sor
 
     problem = (SorProblem(rows=10, cols=36, iterations=5) if fast
                else SorProblem(rows=16, cols=48, iterations=8))
     nodes, cpus = 2, 2
-
-    def run(faults=None):
-        return run_amber_sor(problem, nodes=nodes, cpus_per_node=cpus,
-                             collect_grid=True, faults=faults)
-
-    clean = run()
-    plan = _chaos_plan(seed, clean.elapsed_us, crash_node=1)
-    first, second = run(plan), run(plan)
-    correct = bool(np.array_equal(clean.grid, first.grid))
-    fp1 = _fingerprint(first.elapsed_us, first.grid.tobytes(),
-                       sorted(_counters(first).items()))
-    fp2 = _fingerprint(second.elapsed_us, second.grid.tobytes(),
-                       sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="sor",
-        description=(f"Red/Black SOR {problem.rows}x{problem.cols}, "
-                     f"{problem.iterations} iterations on "
-                     f"{nodes}Nx{cpus}P"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=_counters(first),
-        detail="grid bit-identical to clean run" if correct
-        else "grid DIVERGED from clean run")
+    return clean_vs_faulted(
+        "sor",
+        f"Red/Black SOR {problem.rows}x{problem.cols}, "
+        f"{problem.iterations} iterations on {nodes}Nx{cpus}P",
+        run=lambda faults: run_amber_sor(
+            problem, nodes=nodes, cpus_per_node=cpus, collect_grid=True,
+            faults=faults),
+        plan_for=lambda elapsed_us: chaos_plan(seed, elapsed_us,
+                                               crash_node=1),
+        observe=lambda r, counters: (r.elapsed_us, r.grid.tobytes(),
+                                     sorted(counters.items())),
+        judge=lambda clean, faulted, _: same_grid(clean, faulted),
+        detail=lambda clean, faulted, _: (
+            "grid bit-identical to clean run"
+            if same_grid(clean, faulted)
+            else "grid DIVERGED from clean run"))
 
 
-def _run_queens(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_queens(seed: int, fast: bool) -> Outcome:
     from repro.apps.queens import KNOWN_SOLUTIONS, run_amber_queens
 
     n = 7 if fast else 8
     nodes, cpus = 4, 2
-
-    def run(faults=None):
-        return run_amber_queens(n=n, nodes=nodes, cpus_per_node=cpus,
-                                faults=faults)
-
-    clean = run()
-    plan = _chaos_plan(seed, clean.elapsed_us, crash_node=1)
-    first, second = run(plan), run(plan)
-    correct = (first.solutions == KNOWN_SOLUTIONS[n]
-               and clean.solutions == KNOWN_SOLUTIONS[n])
-    fp1 = _fingerprint(first.elapsed_us, first.solutions,
-                       first.nodes_visited, sorted(_counters(first).items()))
-    fp2 = _fingerprint(second.elapsed_us, second.solutions,
-                       second.nodes_visited,
-                       sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="queens",
-        description=f"{n}-Queens work pool on {nodes}Nx{cpus}P",
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=_counters(first),
-        detail=f"{first.solutions} solutions "
-               f"(expected {KNOWN_SOLUTIONS[n]})")
+    return clean_vs_faulted(
+        "queens", f"{n}-Queens work pool on {nodes}Nx{cpus}P",
+        run=lambda faults: run_amber_queens(
+            n=n, nodes=nodes, cpus_per_node=cpus, faults=faults),
+        plan_for=lambda elapsed_us: chaos_plan(seed, elapsed_us,
+                                               crash_node=1),
+        observe=lambda r, counters: (r.elapsed_us, r.solutions,
+                                     r.nodes_visited,
+                                     sorted(counters.items())),
+        judge=lambda clean, faulted, _: (
+            faulted.solutions == KNOWN_SOLUTIONS[n]
+            and clean.solutions == KNOWN_SOLUTIONS[n]),
+        detail=lambda clean, faulted, _: (
+            f"{faulted.solutions} solutions "
+            f"(expected {KNOWN_SOLUTIONS[n]})"))
 
 
-def _run_mobility(seed: int) -> ScenarioOutcome:
+def _run_mobility(seed: int) -> Outcome:
     plan = FaultPlan(
         seed=seed,
         drop_rate=0.02,
@@ -290,32 +243,27 @@ def _run_mobility(seed: int) -> ScenarioOutcome:
         # stranding the stale forwarding hints that point at it.
         crashes=(NodeCrash(node=2, at_us=150_000.0, restart_us=None),),
     )
-
-    clean_value, _, clean_counters = _mobility_run(None)
-    v1, w1, c1 = _mobility_run(plan)
-    v2, w2, c2 = _mobility_run(plan)
-    correct = (v1 == clean_value and w1 == 0
-               and c1["home_fallbacks"] >= 1)
-    fp1 = _fingerprint(v1, w1, sorted(c1.items()))
-    fp2 = _fingerprint(v2, w2, sorted(c2.items()))
-    return ScenarioOutcome(
-        name="mobility",
-        description=("stale hint to a permanently dead node; client "
-                     "recovers via the home node"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean_counters["_elapsed_us"],
-        faulted_elapsed_us=c1.pop("_elapsed_us"),
-        fingerprint=fp1,
-        counters=c1,
-        detail=(f"invoke answered {v1} from node {w1} with "
-                f"{c1['home_fallbacks']} home fallback(s)"))
+    # ``value`` is (what the invoke answered, the node that answered).
+    return clean_vs_faulted(
+        "mobility",
+        "stale hint to a permanently dead node; client recovers via "
+        "the home node",
+        run=_mobility_run,
+        plan_for=lambda _: plan,
+        observe=lambda r, counters: (
+            *r.value, sorted({**counters,
+                              "_elapsed_us": r.elapsed_us}.items())),
+        judge=lambda clean, faulted, counters: (
+            faulted.value[0] == clean.value[0] and faulted.value[1] == 0
+            and counters["home_fallbacks"] >= 1),
+        detail=lambda clean, faulted, counters: (
+            f"invoke answered {faulted.value[0]} from node "
+            f"{faulted.value[1]} with {counters['home_fallbacks']} home "
+            f"fallback(s)"))
 
 
-def _mobility_run(faults) -> Tuple[int, int, Dict[str, int]]:
-    """One run of the mobility scenario; returns (invoke result, node
-    that answered, counters + ``_elapsed_us``)."""
+def _mobility_run(faults: Optional[FaultPlan]) -> Any:
+    """One run of the mobility scenario."""
     from repro.sim import (
         AmberProgram,
         ClusterConfig,
@@ -367,9 +315,4 @@ def _mobility_run(faults) -> Tuple[int, int, Dict[str, int]]:
 
     program = AmberProgram(ClusterConfig(nodes=3, cpus_per_node=2),
                            faults=faults)
-    result = program.run(main)
-    value, where = result.value
-    counters = {name: result.metrics.counter(name).value
-                for name in COUNTER_NAMES}
-    counters["_elapsed_us"] = result.elapsed_us
-    return value, where, counters
+    return program.run(main)

@@ -30,52 +30,44 @@ Used by ``python -m repro faults --recover`` and the recovery tests.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
 from repro.apps.sor.grid import SorProblem
 from repro.errors import NodeFailure
-from repro.faults.plan import FaultPlan, NodeCrash
+from repro.faults.plan import FaultPlan
 from repro.faults.scenario import (
     COUNTER_NAMES,
-    FaultsReport,
-    ScenarioOutcome,
-    _counters,
-    _fingerprint,
+    chaos_plan,
+    clean_vs_faulted,
+    faults_report,
+    fingerprint,
+    same_grid,
 )
 from repro.recovery.config import RecoveryConfig
 from repro.recovery.workloads import run_recovery_queens, run_recovery_sor
+from repro.selfcheck import Outcome, Report, judged
 
 #: The node that dies in every scenario — it hosts stripe/tally 0.
 CRASH_NODE = 1
 
 
 def run_recovery_scenarios(seed: int = 0,
-                           fast: bool = False) -> FaultsReport:
+                           fast: bool = False) -> Report:
     """Run every recovery scenario under ``seed``."""
-    scenarios = [
+    return faults_report(seed, fast, [
         _run_sor_recover(seed, fast),
         _run_queens_recover(seed, fast),
         _run_sor_unrecoverable(seed, fast),
-    ]
-    return FaultsReport(seed=seed, fast=fast, scenarios=scenarios)
+    ])
 
 
 def _recover_plan(seed: int, clean_elapsed_us: float) -> FaultPlan:
     """The chaos mix of the fault scenarios, but the crash is permanent:
     ``restart_us=None`` means retries can never span the outage — only
     promotion and resurrection can finish the run."""
-    return FaultPlan(
-        seed=seed,
-        drop_rate=0.05,
-        dup_rate=0.01,
-        delay_rate=0.02,
-        reorder_rate=0.01,
-        delay_min_us=50.0,
-        delay_max_us=2_000.0,
-        crashes=(NodeCrash(node=CRASH_NODE,
-                           at_us=0.35 * clean_elapsed_us,
-                           restart_us=None),),
-    )
+    plan = chaos_plan(seed, clean_elapsed_us, crash_node=CRASH_NODE)
+    return replace(plan, crashes=(replace(plan.crashes[0],
+                                          restart_us=None),))
 
 
 def _sor_problem(fast: bool) -> SorProblem:
@@ -91,82 +83,60 @@ def _recovered(counters) -> bool:
             and counters["objects_lost"] == 0)
 
 
-def _run_sor_recover(seed: int, fast: bool) -> ScenarioOutcome:
+def _recovering(faults):
+    """Recovery is configured for the faulted runs only."""
+    return RecoveryConfig() if faults is not None else None
+
+
+def _run_sor_recover(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
-
-    def run(faults=None, recovery=None):
-        return run_recovery_sor(problem, nodes=nodes, cpus_per_node=cpus,
-                                faults=faults, recovery=recovery)
-
-    clean = run()
-    plan = _recover_plan(seed, clean.elapsed_us)
-    recovery = RecoveryConfig()
-    first, second = run(plan, recovery), run(plan, recovery)
-    c1 = _counters(first)
-    correct = bool(np.array_equal(clean.grid, first.grid)) \
-        and _recovered(c1)
-    fp1 = _fingerprint(first.elapsed_us, first.grid.tobytes(),
-                       sorted(c1.items()))
-    fp2 = _fingerprint(second.elapsed_us, second.grid.tobytes(),
-                       sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="sor-recover",
-        description=(f"striped SOR {problem.rows}x{problem.cols}, node "
-                     f"{CRASH_NODE} dies for good holding a live stripe"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=c1,
-        detail=(f"{c1['objects_recovered']} object(s) promoted, "
-                f"{c1['invocations_replayed']} invocation(s) replayed; "
-                + ("grid bit-identical to clean run"
-                   if np.array_equal(clean.grid, first.grid)
-                   else "grid DIVERGED from clean run")))
+    return clean_vs_faulted(
+        "sor-recover",
+        f"striped SOR {problem.rows}x{problem.cols}, node "
+        f"{CRASH_NODE} dies for good holding a live stripe",
+        run=lambda faults: run_recovery_sor(
+            problem, nodes=nodes, cpus_per_node=cpus, faults=faults,
+            recovery=_recovering(faults)),
+        plan_for=lambda elapsed_us: _recover_plan(seed, elapsed_us),
+        observe=lambda r, counters: (r.elapsed_us, r.grid.tobytes(),
+                                     sorted(counters.items())),
+        judge=lambda clean, faulted, counters: (
+            same_grid(clean, faulted) and _recovered(counters)),
+        detail=lambda clean, faulted, counters: (
+            f"{counters['objects_recovered']} object(s) promoted, "
+            f"{counters['invocations_replayed']} invocation(s) replayed; "
+            + ("grid bit-identical to clean run"
+               if same_grid(clean, faulted)
+               else "grid DIVERGED from clean run")))
 
 
-def _run_queens_recover(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_queens_recover(seed: int, fast: bool) -> Outcome:
     n = 7 if fast else 8
     nodes, cpus = 3, 2
-
-    def run(faults=None, recovery=None):
-        return run_recovery_queens(n=n, nodes=nodes, cpus_per_node=cpus,
-                                   faults=faults, recovery=recovery)
-
-    clean = run()
-    plan = _recover_plan(seed, clean.elapsed_us)
-    recovery = RecoveryConfig()
-    first, second = run(plan, recovery), run(plan, recovery)
-    c1 = _counters(first)
-    correct = (first.correct
-               and first.tally_totals == clean.tally_totals
-               and _recovered(c1))
-    fp1 = _fingerprint(first.elapsed_us, first.solutions, first.visited,
-                       first.tally_totals, sorted(c1.items()))
-    fp2 = _fingerprint(second.elapsed_us, second.solutions,
-                       second.visited, second.tally_totals,
-                       sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="queens-recover",
-        description=(f"{n}-Queens tallies, node {CRASH_NODE} dies for "
-                     f"good holding live counters (at-most-once check)"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=c1,
-        detail=(f"{first.solutions} solutions, "
-                f"{sum(t[2] for t in first.tally_totals)} tally calls "
-                f"for {first.work_units} work units, "
-                f"{c1['invocations_replayed']} replayed"))
+    return clean_vs_faulted(
+        "queens-recover",
+        f"{n}-Queens tallies, node {CRASH_NODE} dies for good holding "
+        f"live counters (at-most-once check)",
+        run=lambda faults: run_recovery_queens(
+            n=n, nodes=nodes, cpus_per_node=cpus, faults=faults,
+            recovery=_recovering(faults)),
+        plan_for=lambda elapsed_us: _recover_plan(seed, elapsed_us),
+        observe=lambda r, counters: (r.elapsed_us, r.solutions,
+                                     r.visited, r.tally_totals,
+                                     sorted(counters.items())),
+        judge=lambda clean, faulted, counters: (
+            faulted.correct
+            and faulted.tally_totals == clean.tally_totals
+            and _recovered(counters)),
+        detail=lambda clean, faulted, counters: (
+            f"{faulted.solutions} solutions, "
+            f"{sum(t[2] for t in faulted.tally_totals)} tally calls "
+            f"for {faulted.work_units} work units, "
+            f"{counters['invocations_replayed']} replayed"))
 
 
-def _run_sor_unrecoverable(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_sor_unrecoverable(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
 
@@ -186,19 +156,16 @@ def _run_sor_unrecoverable(seed: int, fast: bool) -> ScenarioOutcome:
 
     kind1, message1 = attempt()
     kind2, message2 = attempt()
-    correct = kind1 == "NodeFailure"
-    fp1 = _fingerprint(kind1, message1)
-    fp2 = _fingerprint(kind2, message2)
-    zeros = {name: 0 for name in COUNTER_NAMES}
-    return ScenarioOutcome(
-        name="sor-unrecoverable",
-        description=("the same crash with checkpointing disabled: the "
-                     "run must fail fast with a typed NodeFailure"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
+    fp1 = fingerprint(kind1, message1)
+    fp2 = fingerprint(kind2, message2)
+    return judged(
+        "sor-unrecoverable",
+        "the same crash with checkpointing disabled: the run must fail "
+        "fast with a typed NodeFailure",
+        kind1 == "NodeFailure", fp1 == fp2,
+        plan=plan.describe(),
         clean_elapsed_us=clean.elapsed_us,
         faulted_elapsed_us=0.0,
         fingerprint=fp1,
-        counters=zeros,
+        counters={name: 0 for name in COUNTER_NAMES},
         detail=f"{kind1}: {message1}" if kind1 else message1)

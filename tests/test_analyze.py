@@ -196,7 +196,7 @@ class TestScenarios:
     def test_all_scenarios_pass(self):
         report = run_analysis_scenarios(seed=0, fast=True)
         assert report.ok, report.render()
-        names = [s.name for s in report.scenarios]
+        names = [s.name for s in report.outcomes]
         assert "racy-counter" in names
         assert "timing-neutral" in names
 

@@ -218,35 +218,33 @@ def _layouts() -> Dict[str, Any]:
     ``perf`` suite reports built from literals.  The only part of this
     file that follows the report classes."""
     from repro.analyze.elide.artifact import ELIDE_SCHEMA, ElideArtifact
-    from repro.analyze.elide.scenario import ElideOutcome, ElideReport
+    from repro.analyze.elide.scenario import elide_report
     from repro.analyze.lint import LintFinding
-    from repro.faults.livescenario import ChaosReport, LiveScenarioOutcome
+    from repro.faults.livescenario import chaos_report
     from repro.perf.harness import BenchResult, SuiteResult
+    from repro.selfcheck import Outcome, detailed
 
-    chaos = ChaosReport(seed=3, fast=True, scenarios=[
-        LiveScenarioOutcome(
-            name="live-sor",
-            description="live SOR 8x24, 3 iterations on 2 worker nodes "
-                        "+ 1 victim",
-            plan="seed=3 drop=2.0%", ok=True, elapsed_s=4.26,
-            fingerprint="0123456789abcdef",
-            counters={"resends": 4, "chaos_dropped": 7,
-                      "circuit_opens": 0},
-            detail="grid bit-identical to clean run; kills=1"),
-        LiveScenarioOutcome(
-            name="dedup",
-            description="byte-identical duplicate InvokeMsg pair, one "
-                        "node",
-            plan="", ok=False, elapsed_s=0.04, fingerprint="",
-            counters={"dedup_in_flight": 0}, detail=""),
-        LiveScenarioOutcome(
-            name="typed-failures",
-            description="(crashed before its verdict)",
-            plan="", ok=False, elapsed_s=1.5, fingerprint="",
-            counters={},
-            detail="crashed: ClusterError: node 2 never registered"),
+    def live(name: str, description: str, ok: bool,
+             **fields: Any) -> Outcome:
+        return Outcome(name, ok, description, fields)
+
+    chaos = chaos_report(3, True, [
+        live("live-sor",
+             "live SOR 8x24, 3 iterations on 2 worker nodes + 1 victim",
+             True, plan="seed=3 drop=2.0%", elapsed_s=4.26,
+             fingerprint="0123456789abcdef",
+             counters={"resends": 4, "chaos_dropped": 7,
+                       "circuit_opens": 0},
+             detail="grid bit-identical to clean run; kills=1"),
+        live("dedup",
+             "byte-identical duplicate InvokeMsg pair, one node",
+             False, plan="", elapsed_s=0.04, fingerprint="",
+             counters={"dedup_in_flight": 0}, detail=""),
+        live("typed-failures", "(crashed before its verdict)",
+             False, plan="", elapsed_s=1.5, fingerprint="", counters={},
+             detail="crashed: ClusterError: node 2 never registered"),
     ])
-    quiet = ChaosReport(seed=0, fast=False, scenarios=[])
+    quiet = chaos_report(0, False, [])
 
     artifact = ElideArtifact(
         schema=ELIDE_SCHEMA,
@@ -255,29 +253,26 @@ def _layouts() -> Dict[str, Any]:
         locks=[{"path": "apps/pool.py", "line": 12, "owner": "<main>",
                 "var": "gate", "cls": "Lock", "elidable": True,
                 "reason": "single-thread-reachable"}])
-    elide = ElideReport(
-        outcomes=[
-            ElideOutcome("deterministic-analysis", True,
-                         ["8 corpora scanned twice, byte-identical "
-                          "artifacts"]),
-            ElideOutcome("bit-identical", True,
-                         ["sor_sim: fingerprint 1f2e3d identical with "
-                          "elision active"]),
-            ElideOutcome("perf-trajectory", False,
-                         ["sor_sim: x1.02 vs baseline (noise 3.1%) — "
-                          "flat",
-                          "no macro benchmark improved beyond 1 + "
-                          "max(10%, noise)"]),
-            ElideOutcome("schedule-audit", True, []),
+    elide = elide_report(
+        [
+            detailed("deterministic-analysis", True,
+                     ["8 corpora scanned twice, byte-identical "
+                      "artifacts"]),
+            detailed("bit-identical", True,
+                     ["sor_sim: fingerprint 1f2e3d identical with "
+                      "elision active"]),
+            detailed("perf-trajectory", False,
+                     ["sor_sim: x1.02 vs baseline (noise 3.1%) — flat",
+                      "no macro benchmark improved beyond 1 + "
+                      "max(10%, noise)"]),
+            detailed("schedule-audit", True, []),
         ],
-        artifact=artifact,
-        findings=[LintFinding("apps/pool.py", 12, "AMB301",
-                              "lock 'gate' is elidable")],
-        paths=["apps"], verify=True,
-        bench={"schema": "amberperf-bench/1"})
-    bare = ElideReport(outcomes=[], artifact=ElideArtifact(
-        schema=ELIDE_SCHEMA), findings=[], paths=["nowhere"],
-        verify=False)
+        artifact,
+        [LintFinding("apps/pool.py", 12, "AMB301",
+                     "lock 'gate' is elidable")],
+        ["apps"], True, {"schema": "amberperf-bench/1"})
+    bare = elide_report([], ElideArtifact(schema=ELIDE_SCHEMA), [],
+                        ["nowhere"], False)
 
     suite = SuiteResult(fast=True, reps=3, warmup=1, results=[
         BenchResult(name="calibration", kind="calibration", unit="ops",

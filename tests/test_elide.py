@@ -299,7 +299,7 @@ class TestScenarioSuite:
         assert {o.name for o in report.outcomes} == {
             "deterministic-analysis", "fixture-catalog",
             "artifact-roundtrip", "hint-promotion", "soundness-audit"}
-        assert report.artifact.schema == ELIDE_SCHEMA
+        assert report.extras["artifact"].schema == ELIDE_SCHEMA
 
     def test_report_json_shape(self):
         report = run_elide_scenarios(paths=["src/repro/apps"])

@@ -310,7 +310,7 @@ class TestScenarios:
 
         report = run_fault_scenarios(seed=5, fast=True)
         assert report.ok
-        names = [s.name for s in report.scenarios]
+        names = [s.name for s in report.outcomes]
         assert names == ["sor", "queens", "mobility"]
         totals = report.counters
         assert totals["faults_injected"] > 0
