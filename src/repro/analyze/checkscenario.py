@@ -31,7 +31,7 @@ from repro.analyze.fixtures import (
     run_racy_counter,
     run_sync_zoo,
 )
-from repro.analyze.scenario import judged_body
+from repro.analyze.scenario import judged_body, small_app_jobs
 from repro.obs.metrics import MetricsRegistry
 from repro.selfcheck import PASS_FAIL, Outcome, Report, Suite, judged
 
@@ -254,25 +254,11 @@ def _apps_clean_sweep(budget: int,
                       ) -> Outcome:
     """Small configurations of the bundled applications must explore
     clean to exhaustion or the sweep budget."""
-    from repro.apps.matmul import run_matmul
-    from repro.apps.queens import run_amber_queens
-    from repro.apps.sor.amber_sor import run_amber_sor
-    from repro.apps.sor.grid import SorProblem
-
     sweep_budget = min(budget, 12)
-    jobs: List[Any] = [
-        ("sor", lambda: run_amber_sor(
-            SorProblem(rows=12, cols=8, iterations=2),
-            nodes=2, cpus_per_node=2)),
-        ("queens", lambda: run_amber_queens(
-            n=5, nodes=2, cpus_per_node=2)),
-        ("matmul", lambda: run_matmul(
-            m=12, k=12, n=12, nodes=2, cpus_per_node=2)),
-    ]
     problems: List[str] = []
     schedules = 0
     reports: List[CheckReport] = []
-    for name, job in jobs:
+    for name, job in small_app_jobs(12, 8, 2, queens_n=5, matmul_n=12):
         report = check_program(job, name=name, budget=sweep_budget,
                                metrics=metrics)
         reports.append(report)

@@ -170,9 +170,7 @@ def build_artifact(emodel: Any,
         sources={path: source_sha(text) for path, text in sources},
         confined=sorted(emodel.confined),
         immutable=sorted(emodel.immutable),
-        locks=[{"path": site.path, "line": site.line,
-                "owner": site.owner, "var": site.var, "cls": site.cls,
-                "elidable": site.elidable, "reason": site.reason}
+        locks=[{key: getattr(site, key) for key in _LOCK_KEYS}
                for site in emodel.lock_sites])
 
 
@@ -182,7 +180,6 @@ def load_artifact(source: Union[str, Path, Mapping[str, Any]]
 
     Never raises on bad content — truncated, malformed, or unknown-
     schema files load with a wrong ``schema`` and fail ``valid``,
-    which consumers treat as stale (elision silently disabled).  The
-    loader is the one :func:`repro.analyze.flow.hints.load_hints` uses
-    (:meth:`repro.selfcheck.Artifact.load`)."""
+    which consumers treat as stale (elision silently disabled); the
+    loader is :meth:`repro.selfcheck.Artifact.load`, as for the hints."""
     return ElideArtifact.load(source)

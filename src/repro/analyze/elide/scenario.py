@@ -97,23 +97,31 @@ class _RunRecord:
         """The bits elision must never change."""
         return (self.value, self.elapsed_us)
 
+    @staticmethod
+    def of(result: Any) -> "_RunRecord":
+        counters = result.cluster.metrics.counters
+        elided = counters.get("lock_elided_total")
+        bailed = counters.get("lock_elide_bailout_total")
+        return _RunRecord(
+            value=repr(result.value),
+            elapsed_us=result.elapsed_us,
+            events=result.cluster.sim.events_run,
+            elided=elided.value if elided else 0,
+            bailouts=bailed.value if bailed else 0)
 
-def _plain_run(fx: ElideFixture) -> _RunRecord:
+
+def _program(fx: ElideFixture, sanitize: bool = False) -> Any:
+    """An ``AmberProgram`` on the cluster ``fx`` was written for."""
     from repro.sim.cluster import ClusterConfig
     from repro.sim.program import AmberProgram
 
     config = ClusterConfig(nodes=fx.nodes,
                            cpus_per_node=fx.cpus_per_node)
-    result = AmberProgram(config).run(fx.load_main())
-    counters = result.cluster.metrics.counters
-    elided = counters.get("lock_elided_total")
-    bailed = counters.get("lock_elide_bailout_total")
-    return _RunRecord(
-        value=repr(result.value),
-        elapsed_us=result.elapsed_us,
-        events=result.cluster.sim.events_run,
-        elided=elided.value if elided else 0,
-        bailouts=bailed.value if bailed else 0)
+    return AmberProgram(config, sanitize=sanitize)
+
+
+def _plain_run(fx: ElideFixture) -> _RunRecord:
+    return _RunRecord.of(_program(fx).run(fx.load_main()))
 
 
 def _activated(fx: ElideFixture, audit: bool = False) -> ElideArtifact:
@@ -215,29 +223,15 @@ def _audit_run(fx: ElideFixture) -> Tuple[_RunRecord, List[Any]]:
     """Run ``fx`` sanitized under the auditing sanitizer; the caller
     has already activated an elision set (audit mode)."""
     from repro.analyze import runtime as _rt
-    from repro.sim.cluster import ClusterConfig
-    from repro.sim.program import AmberProgram
 
-    config = ClusterConfig(nodes=fx.nodes,
-                           cpus_per_node=fx.cpus_per_node)
     _rt.set_sanitizer_factory(_make_audit_sanitizer)
     try:
         with _rt.sanitize_runs() as sanitizers:
-            result = AmberProgram(config, sanitize=True).run(
-                fx.load_main())
+            result = _program(fx, sanitize=True).run(fx.load_main())
     finally:
         _rt.set_sanitizer_factory(None)
     findings = [f for s in sanitizers for f in s.report().findings]
-    counters = result.cluster.metrics.counters
-    elided = counters.get("lock_elided_total")
-    bailed = counters.get("lock_elide_bailout_total")
-    record = _RunRecord(
-        value=repr(result.value),
-        elapsed_us=result.elapsed_us,
-        events=result.cluster.sim.events_run,
-        elided=elided.value if elided else 0,
-        bailouts=bailed.value if bailed else 0)
-    return record, findings
+    return _RunRecord.of(result), findings
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +496,15 @@ def _outcome_schedule_audit() -> Outcome:
     """Bounded AmberCheck exploration with elision active (audit
     mode): every explored schedule must stay clean and converge."""
     from repro.analyze.check import check_program
-    from repro.sim.cluster import ClusterConfig
-    from repro.sim.program import AmberProgram
 
     details: List[str] = []
     ok = True
     for name in ("confined-counter", "scratch-workers"):
         fx = FIXTURES[name]
-        config = ClusterConfig(nodes=fx.nodes,
-                               cpus_per_node=fx.cpus_per_node)
         main = fx.load_main()
 
         def program() -> Any:
-            return AmberProgram(config, sanitize=True).run(main)
+            return _program(fx, sanitize=True).run(main)
 
         _activated(fx, audit=True)
         try:
@@ -700,5 +690,6 @@ def elide_report(outcomes: List[Outcome], artifact: ElideArtifact,
         params={"schema": "amberelide-report/1", "paths": paths,
                 "verify": verify},
         outcomes=outcomes,
-        extras={"artifact": artifact, "findings": findings,
+        extras={"artifact": artifact,
+                "findings": [finding.as_dict() for finding in findings],
                 "bench": bench})

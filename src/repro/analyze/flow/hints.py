@@ -140,8 +140,7 @@ def load_hints(source: Union[str, Path, Mapping[str, Any]]
 
     Never raises on bad content — a mangled artifact loads with a wrong
     ``schema`` and fails ``valid``, which consumers treat as stale
-    (the loader :class:`ElideArtifact` shares:
-    :meth:`repro.selfcheck.Artifact.load`)."""
+    (:meth:`repro.selfcheck.Artifact.load`, shared with AmberElide)."""
     return PlacementHints.load(source)
 
 

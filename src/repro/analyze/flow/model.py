@@ -25,7 +25,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analyze.lint import collect_sources
+from repro.analyze.lint import collect_sources, range_len
 
 #: Weight multiplier for loops whose trip count is not a constant.
 UNKNOWN_TRIPS = 4
@@ -875,24 +875,4 @@ def _range_len(node: ast.expr) -> Optional[int]:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
             and node.func.id == "enumerate" and node.args:
         return _range_len(node.args[0])
-    if not (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "range"):
-        return None
-    bounds: List[int] = []
-    for arg in node.args:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, int) \
-                and not isinstance(arg.value, bool):
-            bounds.append(arg.value)
-        else:
-            return None
-    if len(bounds) == 1:
-        return max(0, bounds[0])
-    if len(bounds) == 2:
-        return max(0, bounds[1] - bounds[0])
-    if len(bounds) == 3 and bounds[2] != 0:
-        step = bounds[2]
-        span = (bounds[1] - bounds[0]) if step > 0 \
-            else (bounds[0] - bounds[1])
-        return max(0, -(-span // abs(step)))
-    return None
+    return range_len(node)

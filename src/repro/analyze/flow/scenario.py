@@ -30,7 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.analyze.flow.diagnostics import flow_diagnostics
 from repro.analyze.flow.fixtures import EXPECTED_RULES, FLOW_FIXTURES
@@ -266,42 +267,22 @@ def _run_apps(hints: PlacementHints, fast: bool) -> List[_AppRun]:
         problem = SorProblem(rows=48, cols=96, iterations=4)
         mm_size, queens_n = 48, 8
 
-    def policies(nodes: int) -> Tuple[PlacementPolicy,
-                                      PlacementPolicy]:
+    jobs: List[Tuple[str, int, Callable[[PlacementPolicy], Any]]] = [
+        ("sor", 2, lambda placement: run_amber_sor(
+            problem, nodes=2, cpus_per_node=2, placement=placement)),
+        ("matmul", 4, lambda placement: run_matmul(
+            m=mm_size, k=mm_size, n=mm_size, nodes=4, cpus_per_node=2,
+            placement=placement)),
+        ("queens", 2, lambda placement: run_amber_queens(
+            n=queens_n, nodes=2, cpus_per_node=2, placement=placement)),
+    ]
+    runs: List[_AppRun] = []
+    for name, nodes, run in jobs:
         static = SpreadPlacement(nodes)
         hinted = HintedPlacement(hints, nodes,
                                  fallback=SpreadPlacement(nodes))
-        return static, hinted
-
-    runs: List[_AppRun] = []
-
-    nodes = 2
-    static, hinted = policies(nodes)
-    runs.append(_AppRun(
-        "sor", nodes,
-        run_amber_sor(problem, nodes=nodes, cpus_per_node=2,
-                      placement=static).cluster,
-        run_amber_sor(problem, nodes=nodes, cpus_per_node=2,
-                      placement=hinted).cluster))
-
-    nodes = 4
-    static, hinted = policies(nodes)
-    runs.append(_AppRun(
-        "matmul", nodes,
-        run_matmul(m=mm_size, k=mm_size, n=mm_size, nodes=nodes,
-                   cpus_per_node=2, placement=static).cluster,
-        run_matmul(m=mm_size, k=mm_size, n=mm_size, nodes=nodes,
-                   cpus_per_node=2, placement=hinted).cluster))
-
-    nodes = 2
-    static, hinted = policies(nodes)
-    runs.append(_AppRun(
-        "queens", nodes,
-        run_amber_queens(n=queens_n, nodes=nodes, cpus_per_node=2,
-                         placement=static).cluster,
-        run_amber_queens(n=queens_n, nodes=nodes, cpus_per_node=2,
-                         placement=hinted).cluster))
-
+        runs.append(_AppRun(name, nodes, run(static).cluster,
+                            run(hinted).cluster))
     return runs
 
 

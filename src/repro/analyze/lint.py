@@ -671,8 +671,9 @@ def _barrier_parties(call: ast.Call) -> Optional[int]:
     return None
 
 
-def _range_len(node: ast.AST) -> Optional[int]:
-    """Trip count of a ``range(...)`` call with constant bounds."""
+def range_len(node: ast.AST) -> Optional[int]:
+    """Trip count of a ``range(...)`` call with constant bounds (the
+    flow model's loop weights use it too)."""
     if not (isinstance(node, ast.Call) and _call_name(node) == "range"):
         return None
     bounds: List[int] = []
@@ -715,7 +716,7 @@ def _count_forks(stmts: List[ast.stmt]) -> Optional[int]:
             if inner is None or tail is None:
                 return None
             if inner:
-                mult = _range_len(stmt.iter)
+                mult = range_len(stmt.iter)
                 if mult is None:
                     return None
                 inner *= mult
@@ -895,8 +896,7 @@ def collect_sources(paths: Iterable[str]
         root = Path(entry)
         if not root.exists():
             raise UsageError(f"no such file or directory: {entry}")
-        files = (sorted(root.rglob("*.py")) if root.is_dir()
-                 else [root])
+        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for file in files:
             try:
                 sources.append((file.as_posix(), file.read_text()))

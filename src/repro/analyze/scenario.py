@@ -10,7 +10,7 @@ simulated execution.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Set, cast
+from typing import Any, Callable, List, Set, Tuple, cast
 
 from repro.analyze.fixtures import (
     run_immutable_write,
@@ -159,25 +159,32 @@ def _timing_neutral(seed: int) -> Outcome:
         elapsed_us=sanitized.elapsed_us, signatures=[], detail=detail)
 
 
-def _apps_clean(seed: int) -> Outcome:
-    """Every bundled application must run sanitizer-clean."""
+def small_app_jobs(rows: int, cols: int, iterations: int, queens_n: int,
+                   matmul_n: int) -> List[Tuple[str, Callable[[], Any]]]:
+    """The bundled applications on 2Nx2P at a size a sweep can afford
+    (shared with the ``repro check`` suite)."""
     from repro.apps.matmul import run_matmul
     from repro.apps.queens import run_amber_queens
     from repro.apps.sor.amber_sor import run_amber_sor
     from repro.apps.sor.grid import SorProblem
 
-    dirty: List[str] = []
-    elapsed = 0.0
-    jobs = [
+    return [
         ("sor", lambda: run_amber_sor(
-            SorProblem(rows=24, cols=16, iterations=4),
+            SorProblem(rows=rows, cols=cols, iterations=iterations),
             nodes=2, cpus_per_node=2)),
         ("queens", lambda: run_amber_queens(
-            n=6, nodes=2, cpus_per_node=2)),
+            n=queens_n, nodes=2, cpus_per_node=2)),
         ("matmul", lambda: run_matmul(
-            m=24, k=24, n=24, nodes=2, cpus_per_node=2)),
+            m=matmul_n, k=matmul_n, n=matmul_n, nodes=2,
+            cpus_per_node=2)),
     ]
-    for name, job in jobs:
+
+
+def _apps_clean(seed: int) -> Outcome:
+    """Every bundled application must run sanitizer-clean."""
+    dirty: List[str] = []
+    elapsed = 0.0
+    for name, job in small_app_jobs(24, 16, 4, queens_n=6, matmul_n=24):
         with sanitize_runs() as sanitizers:
             outcome = job()
         elapsed += getattr(outcome, "elapsed_us", 0.0)

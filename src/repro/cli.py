@@ -66,11 +66,9 @@ Every artifact accepts ``--metrics-json PATH`` to dump the run's metrics
 registry (operation-latency histograms with p50/p90/p99, counters,
 gauges) as JSON.
 
-Every subcommand is one row of ``COMMANDS`` (name, help, argument
-declarations, handler); ``main`` builds the parser from the table and
-dispatches through the row's handler.  Input that cannot be acted on
-(:class:`~repro.errors.UsageError`) is one ``error:`` line on stderr
-and exit code 2.
+Every subcommand is one row of ``COMMANDS``.  Input that cannot be
+acted on (:class:`~repro.errors.UsageError`) is one ``error:`` line on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -281,12 +279,7 @@ def _cmd_check(args) -> int:
 
     if args.fixture:
         from repro.analyze.check import check_program
-        fixture = CHECK_FIXTURES[args.fixture]
-        seed = args.seed
-
-        def program_fn():
-            return fixture(seed)
-
+        program_fn = partial(CHECK_FIXTURES[args.fixture], args.seed)
         if args.replay is not None:
             return _replay(args, program_fn)
         return _emit(check_program(program_fn, name=args.fixture,

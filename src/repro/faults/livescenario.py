@@ -156,23 +156,25 @@ def run_chaos_scenarios(seed: int = 0, fast: bool = False) -> Report:
     ])
 
 
-def _verdict(name: str, description: str, ok: bool, t0: float,
+def _verdict(name: str, description: str, ok: bool,
              counters: Dict[str, int], detail: str, plan: str = "",
              fingerprint: str = "") -> Outcome:
     """``plan`` is ``FaultPlan.describe()``, or "" for a scenario that
     injects by hand."""
     return Outcome(name=name, ok=ok, description=description, fields={
-        "plan": plan, "elapsed_s": time.monotonic() - t0,
-        "fingerprint": fingerprint, "counters": counters,
+        "plan": plan, "fingerprint": fingerprint, "counters": counters,
         "detail": detail})
 
 
 def _guard(name: str, fn: Callable[[int, bool], Outcome],
            seed: int, fast: bool) -> Outcome:
+    """Runs one scenario: a crash is a verdict, and the clock is here
+    (``elapsed_s`` covers the scenario however it ended)."""
     t0 = time.monotonic()
-    return guarded(name, lambda: fn(seed, fast), lambda: {
-        "plan": "", "elapsed_s": time.monotonic() - t0,
-        "fingerprint": "", "counters": {}})
+    outcome = guarded(name, lambda: fn(seed, fast),
+                      plan="", fingerprint="", counters={})
+    outcome.fields["elapsed_s"] = time.monotonic() - t0
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +215,6 @@ def _run_live_sor_chaos(seed: int, fast: bool) -> Outcome:
     stable = fingerprint == schedule_fingerprint(_sor_plan(seed),
                                                  total_nodes)
 
-    t0 = time.monotonic()
     with _peer_timeout(6.0):
         clean = run_live_sor(problem, nodes=workers)
         with Cluster(nodes=total_nodes, chaos=plan) as cluster:
@@ -244,7 +245,7 @@ def _run_live_sor_chaos(seed: int, fast: bool) -> Outcome:
         f"live SOR {problem.rows}x{problem.cols}, "
         f"{problem.iterations} iterations on {workers} "
         f"worker nodes + 1 victim",
-        ok, t0, counters,
+        ok, counters,
         f"grid {'bit-identical to' if correct else 'DIVERGED from'}"
         f" clean run; kills={kills} restarts={restarts} "
         f"victim revived={revived} schedule stable={stable}",
@@ -272,7 +273,6 @@ def _run_live_queens_chaos(seed: int, fast: bool) -> Outcome:
     nodes = 3
     plan = _queens_plan(seed)
     fingerprint = schedule_fingerprint(plan, nodes)
-    t0 = time.monotonic()
     with _peer_timeout(6.0):
         with Cluster(nodes=nodes, chaos=plan) as cluster:
             solutions, units, total = run_live_queens(
@@ -282,7 +282,7 @@ def _run_live_queens_chaos(seed: int, fast: bool) -> Outcome:
     return _verdict(
         "live-queens",
         f"live {n}-Queens work pool on {nodes} nodes",
-        correct, t0, counters,
+        correct, counters,
         f"{solutions} solutions (expected {KNOWN_SOLUTIONS[n]}), "
         f"{units}/{total} work units reported exactly once; "
         f"{counters['chaos_duplicated']} duplicate frame(s), "
@@ -294,7 +294,6 @@ def _run_dedup_probe(seed: int, fast: bool) -> Outcome:
     from repro.runtime import messages as m
     from repro.runtime.cluster import Cluster
 
-    t0 = time.monotonic()
     with _peer_timeout(6.0), Cluster(nodes=2) as cluster:
         handle = cluster.create(ChaosCounter, node=1)
         kernel = cluster.kernel
@@ -321,7 +320,7 @@ def _run_dedup_probe(seed: int, fast: bool) -> Outcome:
     return _verdict(
         "dedup",
         "byte-identical duplicate InvokeMsg pair, one node",
-        ok, t0, counters,
+        ok, counters,
         f"counter={final} (want 1: at-most-once), "
         f"suppressed twins={suppressed}")
 
@@ -330,7 +329,6 @@ def _run_typed_failure(seed: int, fast: bool) -> Outcome:
     from repro.errors import NodeFailure
     from repro.runtime.cluster import Cluster
 
-    t0 = time.monotonic()
     with _peer_timeout(2.0), Cluster(nodes=3) as cluster:
         handle = cluster.create(ChaosCounter, node=2)
         warm = cluster.call(handle, "add", 1)
@@ -355,7 +353,7 @@ def _run_typed_failure(seed: int, fast: bool) -> Outcome:
     return _verdict(
         "typed-failures",
         "SIGKILL a peer, no restart: bounded typed errors",
-        ok, t0, counters,
+        ok, counters,
         f"first failure {type(first_error).__name__} in "
         f"{first_s:.2f}s, then {type(second_error).__name__} in "
         f"{second_s:.3f}s with breaker open "
@@ -375,7 +373,6 @@ def _run_coordinator_outage(seed: int, fast: bool) -> Outcome:
     from repro.runtime.cluster import Cluster
     from repro.runtime.coordinator import Coordinator
 
-    t0 = time.monotonic()
     with _peer_timeout(8.0), Cluster(nodes=2) as cluster:
         handle = cluster.create(ChaosCounter, node=1)
         warm = cluster.call(handle, "add", 1)
@@ -420,7 +417,7 @@ def _run_coordinator_outage(seed: int, fast: bool) -> Outcome:
     return _verdict(
         "coordinator-outage",
         "coordinator killed and restarted on its port",
-        ok, t0, counters,
+        ok, counters,
         f"typed during outage={typed_outage}, "
         f"re-registered={reregistered}, heartbeats "
         f"resumed={heartbeats}, client reconnects={reconnects}, "

@@ -184,6 +184,11 @@ def same_grid(clean: Any, faulted: Any) -> bool:
     return bool(np.array_equal(clean.grid, faulted.grid))
 
 
+def grid_detail(clean: Any, faulted: Any) -> str:
+    return ("grid bit-identical to clean run" if same_grid(clean, faulted)
+            else "grid DIVERGED from clean run")
+
+
 def _run_sor(seed: int, fast: bool) -> Outcome:
     from repro.apps.sor import SorProblem, run_amber_sor
 
@@ -202,10 +207,7 @@ def _run_sor(seed: int, fast: bool) -> Outcome:
         observe=lambda r, counters: (r.elapsed_us, r.grid.tobytes(),
                                      sorted(counters.items())),
         judge=lambda clean, faulted, _: same_grid(clean, faulted),
-        detail=lambda clean, faulted, _: (
-            "grid bit-identical to clean run"
-            if same_grid(clean, faulted)
-            else "grid DIVERGED from clean run"))
+        detail=lambda clean, faulted, _: grid_detail(clean, faulted))
 
 
 def _run_queens(seed: int, fast: bool) -> Outcome:
@@ -244,6 +246,9 @@ def _run_mobility(seed: int) -> Outcome:
         crashes=(NodeCrash(node=2, at_us=150_000.0, restart_us=None),),
     )
     # ``value`` is (what the invoke answered, the node that answered).
+    # The elapsed time is fingerprinted as one more counter, first in
+    # sorted order: the fingerprints of earlier releases were taken
+    # that way and must not move.
     return clean_vs_faulted(
         "mobility",
         "stale hint to a permanently dead node; client recovers via "

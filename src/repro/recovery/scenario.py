@@ -41,6 +41,7 @@ from repro.faults.scenario import (
     clean_vs_faulted,
     faults_report,
     fingerprint,
+    grid_detail,
     same_grid,
 )
 from repro.recovery.config import RecoveryConfig
@@ -106,9 +107,7 @@ def _run_sor_recover(seed: int, fast: bool) -> Outcome:
         detail=lambda clean, faulted, counters: (
             f"{counters['objects_recovered']} object(s) promoted, "
             f"{counters['invocations_replayed']} invocation(s) replayed; "
-            + ("grid bit-identical to clean run"
-               if same_grid(clean, faulted)
-               else "grid DIVERGED from clean run")))
+            + grid_detail(clean, faulted)))
 
 
 def _run_queens_recover(seed: int, fast: bool) -> Outcome:

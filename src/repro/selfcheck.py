@@ -87,14 +87,6 @@ def _nonzero(counters: Mapping[str, int]) -> str:
                      in sorted(counters.items()) if value) or "(none)"
 
 
-def _encoded(extra: Any) -> Any:
-    if hasattr(extra, "as_dict"):
-        return extra.as_dict()
-    if isinstance(extra, list):
-        return [_encoded(item) for item in extra]
-    return extra
-
-
 @dataclass
 class Report:
     """All outcomes of one suite invocation."""
@@ -106,8 +98,7 @@ class Report:
     params: Dict[str, Any]
     outcomes: List[Outcome]
     #: What the run produced besides verdicts (hints, artifact,
-    #: findings, bench); JSON-encoded through ``as_dict()`` where the
-    #: value has one.
+    #: findings, bench): JSON-ready values, or objects with ``as_dict``.
     extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -118,8 +109,7 @@ class Report:
     def counters(self) -> Dict[str, int]:
         merged = {name: 0 for name in self.suite.counter_names}
         for outcome in self.outcomes:
-            for name, value in outcome.fields.get("counters",
-                                                  {}).items():
+            for name, value in outcome.fields.get("counters", {}).items():
                 merged[name] = merged.get(name, 0) + value
         return merged
 
@@ -134,7 +124,8 @@ class Report:
                            for outcome in self.outcomes]
         for name, extra in self.extras.items():
             if name not in suite.detached:
-                data[name] = _encoded(extra)
+                data[name] = (extra.as_dict() if hasattr(extra, "as_dict")
+                              else extra)
         return data
 
     def render(self) -> str:
@@ -158,18 +149,16 @@ class Report:
 
 
 def guarded(name: str, run: Callable[[], Outcome],
-            crashed: Callable[[], Dict[str, Any]] = dict) -> Outcome:
+            **fields: Any) -> Outcome:
     """A scenario that crashes is a FAIL verdict, not a dead suite.
-
-    ``crashed`` supplies the suite-specific fields of that verdict
-    (evaluated after the crash, so it can report the time spent)."""
+    ``fields`` are the suite-specific fields of that verdict."""
     try:
         return run()
     except Exception as error:
         detail = f"crashed: {type(error).__name__}: {error}"
         return Outcome(name=name, ok=False,
                        description="(crashed before its verdict)",
-                       fields={**crashed(), "detail": detail})
+                       fields={**fields, "detail": detail})
 
 
 def judged(name: str, description: str, correct: bool,
@@ -238,8 +227,7 @@ class Artifact:
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) \
-            + "\n"
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     @property
     def valid(self) -> bool:
@@ -249,12 +237,15 @@ class Artifact:
     def load(cls: Type[A],
              source: Union[str, Path, Mapping[str, Any]]) -> A:
         """Load from a JSON file path or a parsed dict; never raises."""
-        if isinstance(source, Mapping):
-            return cls.from_dict(source)
-        try:
-            raw = json.loads(Path(source).read_text())
-        except (OSError, ValueError):
-            return cls.from_dict({"schema": "unreadable"})
-        if not isinstance(raw, dict):
-            return cls.from_dict({"schema": "malformed"})
-        return cls.from_dict(raw)
+        raw: Any = source
+        if not isinstance(source, Mapping):
+            try:
+                raw = json.loads(Path(source).read_text())
+            except (OSError, ValueError):
+                raw = {"schema": "unreadable"}
+        if isinstance(raw, Mapping):
+            try:
+                return cls.from_dict(raw)
+            except (TypeError, ValueError):
+                pass        # right keys, hostile types
+        return cls.from_dict({"schema": "malformed"})

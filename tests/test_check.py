@@ -164,6 +164,14 @@ class TestCheckCli:
     def test_replay_requires_fixture(self, capsys):
         assert main(["check", "--replay", "0,0,1"]) == 2
 
+    def test_replay_wants_integers(self, capsys):
+        assert main(["check", "--fixture", "hidden-race",
+                     "--replay", "a,b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--replay wants comma- or space-separated integers" \
+            in captured.err
+
     def test_replay_roundtrip(self, capsys):
         assert main(["check", "--fixture", "hidden-race",
                      "--budget", "50"]) == 1

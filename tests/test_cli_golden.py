@@ -106,11 +106,38 @@ CASES: Dict[str, List[str]] = {
                    "--artifact-out", "{tmp}/elide.json",
                    "--json", "{tmp}/report.json"],
     "profile-queens": ["profile", "queens", "--fast"],
+    # Input that cannot be acted on: one ``error:`` line, exit 2.
+    "lint-missing-path": ["lint", "no/such/path"],
+    "flow-missing-path": ["flow", "--paths", "no_such_dir"],
+    "elide-missing-path": ["elide", "--paths", "src/repro/apps",
+                           "no_such_dir"],
+    "check-replay-not-integers": ["check", "--fixture", "hidden-race",
+                                  "--replay", "a,b"],
+    "perf-compare-missing-file": ["perf", "--compare", "missing.json",
+                                  "also-missing.json"],
+    "perf-baseline-wrong-schema": ["perf", "--fast", "--bench",
+                                   "calibration", "--baseline",
+                                   "wrong-schema.json"],
+    # One path policy: the defaults resolve from the repo root, and a
+    # file named explicitly is read whatever its suffix.
+    "lint-default-paths": ["lint"],
+    "lint-named-non-py": ["lint", "prog.txt"],
+    "flow-named-non-py": ["flow", "--paths", "prog.txt",
+                          "--json", "flow.json"],
+    "elide-named-non-py": ["elide", "--paths", "prog.txt",
+                           "--artifact-out", "elide.json"],
 }
 
 #: Cases run with the scratch directory as cwd (paths in their output
 #: are then relative, so the text is stable).
-IN_TMP = {"lint-bad-fixture"}
+IN_TMP = {"lint-bad-fixture", "perf-compare-missing-file",
+          "perf-baseline-wrong-schema", "lint-named-non-py",
+          "flow-named-non-py", "elide-named-non-py"}
+
+#: Cases whose stderr is pinned too.
+PINS_STDERR = {"lint-missing-path", "flow-missing-path",
+               "elide-missing-path", "check-replay-not-integers",
+               "perf-compare-missing-file", "perf-baseline-wrong-schema"}
 
 #: Output files compared byte for byte rather than as parsed JSON.
 CANONICAL = {"hints.json", "elide.json", "expect.json", "lint.json"}
@@ -123,16 +150,18 @@ def observe_case(name: str, tmp: Path,
             if "{trace}" in part else part.format(tmp=tmp)
             for part in CASES[name]]
     (tmp / "bad.py").write_text(BAD_SOURCE)
+    (tmp / "prog.txt").write_text(BAD_SOURCE)
+    (tmp / "wrong-schema.json").write_text('{"schema": "nope"}')
     before = {path.name for path in tmp.iterdir()}
     # A process-wide count that ``repro elide`` prints; start every case
     # where a fresh ``python -m repro`` process starts.
     elide_runtime.STALE_DISABLES = 0
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(tmp if name in IN_TMP else REPO)
     try:
         with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(stderr):
             code = main(argv)
     finally:
         os.chdir(cwd)
@@ -141,6 +170,8 @@ def observe_case(name: str, tmp: Path,
         "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
         "json": {}, "files": {},
     }
+    if name in PINS_STDERR:
+        case["stderr"] = stderr.getvalue()
     for path in sorted(tmp.iterdir()):
         if path.name in before:
             continue
@@ -323,6 +354,7 @@ def test_case_matches_golden(name, golden, tmp_path):
         observe_case(name, tmp_path, golden["cases"])))
     assert observed["exit"] == expected["exit"]
     assert observed["stdout"] == expected["stdout"]
+    assert observed.get("stderr") == expected.get("stderr")
     assert sorted(observed["json"]) == sorted(expected["json"])
     for file, document in expected["json"].items():
         assert observed["json"][file] == document, f"{name}: {file}"
@@ -376,6 +408,17 @@ def test_golden_cases_are_not_trivial(golden):
         "fingerprint"]
     assert "overall: PASS (5/5 scenarios)" \
         in cases["elide-fast"]["stdout"]
+    for name in PINS_STDERR:
+        assert cases[name]["exit"] == 2 and not cases[name]["stdout"]
+        assert cases[name]["stderr"].startswith("error: ")
+        assert cases[name]["stderr"].count("\n") == 1
+    assert cases["lint-default-paths"]["stdout"] \
+        == "clean: src/repro/apps, examples\n"
+    assert "prog.txt:10: AMB103" in cases["lint-named-non-py"]["stdout"]
+    assert cases["flow-named-non-py"]["json"]["flow.json"]["hints"][
+        "sources"] == ["prog.txt"]
+    assert list(json.loads(cases["elide-named-non-py"]["files"][
+        "elide.json"])["sources"]) == ["prog.txt"]
     assert "[FAIL]" in golden["layouts"]["chaos"]["text"]
     assert "overall: FAIL (3/4 scenarios)" \
         in golden["layouts"]["elide-verify"]["text"]

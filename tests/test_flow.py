@@ -104,6 +104,20 @@ class Section:
         model = scan_sources([("broken.py", "def oops(:\n")])
         assert "broken.py" in model.errors
 
+    def test_scan_paths_goes_through_the_one_collector(self, tmp_path):
+        """Same policy as lint: an unreadable file is a ``model.errors``
+        entry, a path that does not exist is a usage error."""
+        from repro.errors import UsageError
+
+        (tmp_path / "ok.py").write_text("class Pool:\n    pass\n")
+        (tmp_path / "blob.py").write_bytes(b"\xff\xfe\x00")
+        model = scan_paths([str(tmp_path)])
+        assert "Pool" in model.classes
+        blob = (tmp_path / "blob.py").as_posix()
+        assert model.errors[blob].startswith("unreadable: ")
+        with pytest.raises(UsageError):
+            scan_paths([str(tmp_path / "nowhere")])
+
 
 class TestHints:
     def test_bundled_apps_derivation(self):

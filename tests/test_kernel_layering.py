@@ -43,12 +43,19 @@ print(json.dumps({
 """
 
 
-def _probe(recovery: str) -> dict:
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that sees only ``src/``;
+    returns its stdout (``sys.modules`` there is not polluted by what
+    the test session imported)."""
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, recovery], check=True,
+        [sys.executable, "-c", code, *args], check=True,
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)})
-    return json.loads(done.stdout)
+    return done.stdout
+
+
+def _probe(recovery: str) -> dict:
+    return json.loads(run_python(_PROBE, recovery))
 
 
 def test_recovery_free_run_neither_imports_nor_attaches_recovery():
@@ -71,10 +78,7 @@ def test_recovery_package_import_stays_config_only():
     code = ("import sys, repro.recovery; print(sorted(m for m in "
             "sys.modules if m.startswith(('repro.recovery.', "
             "'repro.sim'))))")
-    done = subprocess.run([sys.executable, "-c", code], check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert done.stdout.strip() == "['repro.recovery.config']"
+    assert run_python(code).strip() == "['repro.recovery.config']"
 
 
 def test_no_monolith_under_sim():

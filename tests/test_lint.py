@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze.lint import RULES, LintFinding, lint_paths, lint_source
+from repro.analyze.lint import (
+    RULES,
+    LintFinding,
+    collect_sources,
+    lint_paths,
+    lint_source,
+)
+from repro.errors import UsageError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -450,6 +457,52 @@ class TestHarness:
             "    t = yield Fork(anchor, 'run')\n")
         findings = lint_paths([str(tmp_path)])
         assert [(f.rule, f.line) for f in findings] == [("AMB103", 2)]
+
+
+class TestCollectSources:
+    """The one path policy behind lint, flow and elide."""
+
+    def test_directory_gives_its_sorted_py_files(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        for name in ("b.py", "pkg/a.py", "a.py", "notes.txt"):
+            (tmp_path / name).write_text(f"# {name}\n")
+        sources, errors = collect_sources([str(tmp_path)])
+        assert [Path(path).relative_to(tmp_path).as_posix()
+                for path, _ in sources] == ["a.py", "b.py", "pkg/a.py"]
+        assert sources[0][1] == "# a.py\n"
+        assert errors == {}
+
+    def test_named_file_is_read_whatever_its_suffix(self, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("x = 1\n")
+        assert collect_sources([str(notes)]) \
+            == ([(notes.as_posix(), "x = 1\n")], {})
+
+    def test_missing_path_is_a_usage_error(self, tmp_path):
+        (tmp_path / "real.py").write_text("x = 1\n")
+        missing = str(tmp_path / "reel.py")
+        with pytest.raises(UsageError, match="no such file or directory"):
+            collect_sources([str(tmp_path / "real.py"), missing])
+        with pytest.raises(UsageError):
+            lint_paths([missing])
+
+    def test_unreadable_file_is_reported_not_raised(self, tmp_path):
+        binary = tmp_path / "blob.py"
+        binary.write_bytes(b"\xff\xfe\x00")
+        sources, errors = collect_sources([str(tmp_path)])
+        assert sources == []
+        assert list(errors) == [binary.as_posix()]
+        assert errors[binary.as_posix()].startswith("unreadable: ")
+        assert [(f.path, f.rule) for f in lint_paths([str(binary)])] \
+            == [(binary.as_posix(), "AMB000")]
+
+    def test_finding_encodes_itself(self):
+        finding = LintFinding("apps/x.py", 12, "AMB101", "leaked")
+        assert finding.as_dict() == {"path": "apps/x.py", "line": 12,
+                                     "rule": "AMB101",
+                                     "message": "leaked"}
+        assert list(finding.as_dict()) \
+            == ["path", "line", "rule", "message"]
 
 
 class TestRealCode:

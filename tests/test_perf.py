@@ -384,6 +384,34 @@ class TestPerfCli:
         assert main(["perf", "--compare", old_path, slow_path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "bench document must be a JSON object"),
+        ('{"schema": "amberperf-bench/0"}', "unsupported bench schema"),
+    ])
+    def test_unloadable_bench_file_is_a_usage_error(
+            self, content, message, tmp_path, capsys):
+        from repro.cli import main
+
+        good = str(tmp_path / "good.json")
+        json.dump(_synthetic_doc({"calibration": 1e6}), open(good, "w"))
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        for argv in (["perf", "--compare", str(bad), good],
+                     ["perf", "--compare", good, str(bad)],
+                     ["perf", "--fast", "--bench", "calibration",
+                      "--baseline", str(bad)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""   # --baseline: before the suite
+            assert captured.err.startswith(f"error: {bad}: ")
+            assert message in captured.err
+        # validate_bench itself still raises; only the CLI catches.
+        with pytest.raises((OSError, ValueError)):
+            benchfile.load_bench(str(bad))
+
     def test_profile_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
