@@ -149,8 +149,8 @@ def _hint_content(hints: PlacementHints) -> Outcome:
     ]
     details = [f"{name}: {'yes' if good else 'MISSING'}"
                for name, good in checks]
-    return detailed("hints-content",
-                    all(good for _, good in checks), details)
+    return detailed("hints-content", all(good for _, good in checks),
+                    details)
 
 
 def _expectation(findings: List[LintFinding],
@@ -347,8 +347,7 @@ def _ablation(run: _AppRun) -> Outcome:
         f"invocations (remote share {h_share:.3f})",
         f"reduction: {s_share - h_share:+.3f}",
     ]
-    return detailed(f"ablation-{run.name}", h_share < s_share,
-                    details)
+    return detailed(f"ablation-{run.name}", h_share < s_share, details)
 
 
 # ---------------------------------------------------------------------------
