@@ -26,8 +26,7 @@ import random
 import threading
 import time
 import traceback
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.address_space import NodeHeap, Region
 from repro.core.attachment import AttachmentGraph
@@ -56,9 +55,17 @@ MAX_TRACE = 256
 #: Seconds a move waits for active invocations of the group to drain.
 MOVE_DRAIN_TIMEOUT = 30.0
 
-#: Receive-side at-most-once window: completed requests remembered per
-#: node (their cached replies are re-sent to duplicate requests).
+#: Receive-side at-most-once window: how many of an origin's most recent
+#: requests have their reply remembered (and re-sent to a duplicate).
 DEDUP_CAPACITY = 8192
+
+#: A kernel numbers its requests ``base, base + 1, base + 2, ...`` from a
+#: base of this many random bits, drawn when it starts.  Consecutive ids
+#: are what lets :class:`_Dedup` keep an origin's replies in a ring
+#: (slot = id mod capacity); the random base is what keeps a restarted
+#: node's ids clear of its predecessor's, whose replies the survivors
+#: still cache.  62 bits: ids stay machine integers in a pickle.
+REQUEST_ID_BASE_BITS = 62
 
 #: Retransmission-timeout bounds for one hardened request, seconds.
 #: The base scales with the reply deadline so a tightened
@@ -104,18 +111,37 @@ class _Pending:
         self.give_up_at = now + self.reply_s
 
 
+class _Flush(tuple):
+    """The peers whose outboxes a pool worker is asked to write."""
+
+
 class _Dedup:
     """Receive-side at-most-once table: ``(origin, request_id)`` ->
     executing, or the cached :class:`~repro.runtime.messages.ResultMsg`.
-    The reply cache is a bounded FIFO — old completions are evicted
-    first; a request still executing is never evicted (its re-sent twin
-    would run a second time): it leaves by completing."""
+    The reply cache is one fixed ring per origin, indexed by request id
+    (an origin's ids are consecutive, see :data:`REQUEST_ID_BASE_BITS`):
+    it remembers the replies to that origin's last ``capacity``
+    requests, a newer one overwriting the one ``capacity`` before it,
+    and allocates nothing once a ring exists.  A request still
+    executing is never evicted (its re-sent twin would run a second
+    time): it leaves by completing."""
 
     def __init__(self, capacity: int = DEDUP_CAPACITY):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._executing: set = set()
-        self._replies: "OrderedDict" = OrderedDict()
+        #: origin -> ring of ``(request_id, cached reply)`` or None.
+        self._rings: Dict[Any, List[Optional[Tuple[int, Any]]]] = {}
+        self._cached = 0
+
+    def _replay(self, key) -> Any:
+        origin, request_id = key
+        ring = self._rings.get(origin)
+        if ring is not None:
+            entry = ring[request_id % self.capacity]
+            if entry is not None and entry[0] == request_id:
+                return entry[1]
+        return None
 
     def claim(self, key) -> Tuple[str, Any]:
         """Atomically claim ``key`` for execution.  Returns one of
@@ -124,7 +150,7 @@ class _Dedup:
         ``("replay", cached_result)`` (already executed; re-send the
         cached reply)."""
         with self._lock:
-            cached = self._replies.get(key)
+            cached = self._replay(key)
             if cached is not None:
                 return "replay", cached
             if key in self._executing:
@@ -138,7 +164,7 @@ class _Dedup:
         so a duplicate of a request this node already answered is
         replayed even if the object has since moved away."""
         with self._lock:
-            cached = self._replies.get(key)
+            cached = self._replay(key)
             if cached is not None:
                 return "replay", cached
             if key in self._executing:
@@ -146,15 +172,20 @@ class _Dedup:
             return "absent", None
 
     def complete(self, key, result: Any) -> None:
+        origin, request_id = key
         with self._lock:
             self._executing.discard(key)
-            self._replies[key] = result
-            while len(self._replies) > self.capacity:
-                self._replies.popitem(last=False)
+            ring = self._rings.get(origin)
+            if ring is None:
+                ring = self._rings[origin] = [None] * self.capacity
+            slot = request_id % self.capacity
+            if ring[slot] is None:
+                self._cached += 1
+            ring[slot] = (request_id, result)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._executing) + len(self._replies)
+            return len(self._executing) + self._cached
 
 
 class _WorkerPool:
@@ -271,8 +302,12 @@ class NodeKernel:
         #: Every outstanding request, joined or not; the resender thread
         #: walks it (a dropped fork frame must not wait for a join).
         self._pending: Dict[int, _Pending] = {}
+        #: Per peer, the requests sent there and not answered yet: a
+        #: peer with none is idle as far as this node knows.
+        self._unanswered: Dict[int, Set[int]] = {}
         self._resender_stop = threading.Event()
-        self._request_ids = itertools.count(node_id, 1_000_003)
+        self._request_ids = itertools.count(
+            random.SystemRandom().getrandbits(REQUEST_ID_BASE_BITS))
         #: Jitter source for the resend ladder (seeded per node so test
         #: runs are reproducible).
         self._rng = random.Random(node_id ^ 0x5EED)
@@ -331,7 +366,7 @@ class NodeKernel:
         executes at the object's node."""
         request_id = self._start(self._router_or_here(vaddr), m.InvokeMsg,
                                  vaddr, method, args, kwargs,
-                                 (self.node_id,))
+                                 (self.node_id,), post=True)
         return ThreadHandle(self, request_id, f"{method}@{vaddr:#x}")
 
     def move(self, vaddr: int, dest: int) -> None:
@@ -382,12 +417,17 @@ class NodeKernel:
         # keeps (or resumes) re-sending for as long as someone waits.
         entry.give_up_at = max(entry.give_up_at,
                                time.monotonic() + deadline_s)
+        if self.mesh.posted:
+            # What this thread is about to wait for may still sit in an
+            # outbox (its own fork, or the one the target waits on).
+            self._flush(list(self.mesh.posted))
         try:
             ok, value, error = entry.box.get(timeout=deadline_s)
         except queue.Empty:
             raise self._deadline_error(entry, deadline_s) from None
         finally:
             self._pending.pop(request_id, None)
+            self._settle(entry)
         if ok:
             if entry.last_target not in (None, self.node_id):
                 self._circuits.record_success(entry.last_target)
@@ -404,16 +444,18 @@ class NodeKernel:
     # ------------------------------------------------------------------
 
     def _start(self, route: Callable[[], int], kind: type,
-               *fields: Any) -> int:
+               *fields: Any, post: bool = False) -> int:
         """Send the request ``kind(request_id, this node, *fields)`` and
         return its id for :meth:`wait_reply`.  ``route()`` names the
         current target node and is re-evaluated on every (re)send, so a
-        re-send follows fresh location hints and circuit reroutes."""
+        re-send follows fresh location hints and circuit reroutes.
+        ``post``: nobody waits on this request yet (a ``fork``), so its
+        frame need not be written by the time this returns."""
         request_id = next(self._request_ids)
         entry = _Pending(kind(request_id, self.node_id, *fields), route)
         self._pending[request_id] = entry
         try:
-            self._send_request(entry)
+            self._send_request(entry, post)
         except (RuntimeTransportError, OSError):
             # Transient wire failure: the resend ladder owns it.
             pass
@@ -421,6 +463,7 @@ class NodeKernel:
             # Typed verdicts (NodeFailure from an open circuit,
             # ObjectNotFoundError from routing) go to the caller.
             self._pending.pop(request_id, None)
+            self._settle(entry)
             raise
         return request_id
 
@@ -428,17 +471,52 @@ class NodeKernel:
                  *fields: Any) -> Any:
         return self.wait_reply(self._start(route, kind, *fields))
 
-    def _send_request(self, entry: _Pending) -> None:
+    def _send_request(self, entry: _Pending, post: bool = False) -> None:
         """One transmission of a pending request; routing and circuit
-        decisions happen here, transport failures feed the breaker."""
+        decisions happen here, transport failures feed the breaker.
+        A frame that may be posted is written now when its target is
+        idle as far as this node knows — it holds no unanswered request
+        of ours, so nothing else would carry the frame there — and only
+        joins the target's outbox when it is not: the frame then leaves
+        with the next write to that peer (any send; a ``wait_reply``;
+        the outbox reaching its byte bound) or, should none come first,
+        by the pool worker woken for the first frame into an empty
+        outbox."""
         target = entry.route()
-        entry.last_target = target
+        unanswered = self._unanswered.get(target)
+        if unanswered is None:
+            unanswered = self._unanswered.setdefault(target, set())
+        busy = bool(unanswered)
+        if entry.last_target != target:
+            # The first transmission, or a re-send that is re-routed.
+            self._settle(entry)
+            entry.last_target = target
+            unanswered.add(entry.message.request_id)
         try:
-            self.mesh.send(target, entry.message)
+            if not (post and busy):
+                self.mesh.send(target, entry.message)
+            elif self.mesh.post(target, entry.message):
+                self._workers.submit(_Flush((target,)))
         except (RuntimeTransportError, OSError):
             if target != self.node_id:
                 self._circuits.record_failure(target)
             raise
+
+    def _settle(self, entry: _Pending) -> None:
+        """``entry`` no longer counts as unanswered at its target."""
+        if entry.last_target is not None:
+            self._unanswered[entry.last_target].discard(
+                entry.message.request_id)
+
+    def _flush(self, nodes) -> None:
+        """Write what is posted for ``nodes``.  The frames are requests
+        on the resend ladder already, so a batch that cannot be
+        delivered is only the breaker's business."""
+        for node in nodes:
+            try:
+                self.mesh.flush(node)
+            except (RuntimeTransportError, OSError):
+                self._circuits.record_failure(node)
 
     def _resend_loop(self) -> None:
         """The one resend ladder: retransmit every request that is due
@@ -700,7 +778,8 @@ class NodeKernel:
             if entry is not None:
                 # A duplicate/replayed reply just parks a second item in
                 # a box nobody reads again; request ids are never reused
-                # (a strided counter), so mis-delivery cannot happen.
+                # (a counter), so mis-delivery cannot happen.
+                self._settle(entry)
                 entry.box.put((message.ok, message.value, message.error))
             return
         if isinstance(message, m.LocationHint):
@@ -981,4 +1060,5 @@ class NodeKernel:
         m.FetchReplicaMsg: _handle_fetch_replica,
         m.ControlMsg: _handle_control,
         _Pending: _resend,
+        _Flush: _flush,
     }

@@ -12,18 +12,33 @@ anything else is rejected and closed, and so is one that carries a frame
 that does not decode (``bad_frames``) — the sender's resend ladder
 redials.
 
-Sends are retried: a broken connection is torn down and redialed with
+The write side batches the same way.  Every outbound frame is encoded by
+the thread that sends it and appended to its peer's *outbox*; whichever
+thread holds that peer's write lock takes everything queued and writes
+it with one ``sendall``.  :meth:`Mesh.send` queues and then writes;
+:meth:`Mesh.post` only queues, and the frame leaves with the next write
+to that peer (any ``send``, or :meth:`Mesh.flush`).  A sender that finds
+the write lock held leaves its frame to the holder, which looks at the
+outbox again after releasing the lock, so no frame is stranded.
+
+Writes are retried: a broken connection is torn down and redialed with
 exponential backoff plus jitter, up to :data:`SEND_RETRIES` attempts, so
-a peer that restarts (same address) is transparently reconnected to.
-Errors retrying cannot fix — an unknown peer, an oversized or
-unpicklable frame — propagate immediately.  A mesh that is closing
-raises :class:`~repro.errors.RuntimeTransportError` instead of
-pretending the send was delivered (``dropped_on_close`` counts them).
+a peer that restarts (same address) is transparently reconnected to.  A
+batch that still fails is dropped and counted (``dropped_frames``), with
+whatever was queued behind it, and the thread that was writing it raises
+:class:`~repro.errors.RuntimeTransportError`; the threads whose frames
+it carried are not told — loss is owned by the request layer's resend
+ladder and reply cache.  Errors retrying cannot fix — an unknown peer,
+an oversized or unpicklable frame — are raised where the frame was
+handed in.  A mesh that is closing raises
+:class:`~repro.errors.RuntimeTransportError` instead of pretending the
+send was delivered (``dropped_on_close`` counts the frames).
 
 A mesh may carry a chaos layer
 (:class:`~repro.faults.live.LiveFaultInjector`): every outbound frame is
 then subject to seeded drop / duplicate / delay / connection-reset
-decisions *before* it reaches the wire — see ``docs/CHAOS.md``.
+decisions, drawn where the frame is handed in, *before* it reaches the
+outbox — see ``docs/CHAOS.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +50,16 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import RuntimeTransportError
 from repro.runtime.messages import PROTOCOL_VERSION, Hello
@@ -52,7 +76,12 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 #: fit is read into a buffer of its own, dropped once decoded.
 READ_BUFFER_BYTES = 16 * 1024
 
-#: Attempts beyond the first for one :meth:`Mesh.send`.
+#: Queued bytes at which an outbox stops growing: a sender that finds
+#: this much waiting writes it (waiting its turn for the write lock if
+#: it must) instead of leaving its frame for a later write.
+OUTBOX_MAX_BYTES = 64 * 1024
+
+#: Attempts beyond the first to write one batch.
 SEND_RETRIES = 5
 #: First retry backoff; doubles per attempt, capped, plus up to 25% jitter.
 BACKOFF_BASE_S = 0.05
@@ -61,12 +90,17 @@ BACKOFF_CAP_S = 2.0
 DIAL_TIMEOUT_S = 10.0
 
 
-def send_frame(sock: socket.socket, payload: Any) -> None:
+def _encode(payload: Any) -> bytes:
+    """One frame: length prefix and pickle."""
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     if len(data) > MAX_FRAME_BYTES:
         raise RuntimeTransportError(
             f"frame of {len(data)} bytes exceeds limit")
-    sock.sendall(_LENGTH.pack(len(data)) + data)
+    return _LENGTH.pack(len(data)) + data
+
+
+def send_frame(sock: socket.socket, payload: Any) -> None:
+    sock.sendall(_encode(payload))
 
 
 def recv_frame(sock: socket.socket) -> Any:
@@ -150,9 +184,26 @@ def _read_frames(conn: socket.socket) -> Iterator[Any]:
         end += received
 
 
+class _Outbox:
+    """Frames encoded and waiting to be written to one peer, and the
+    lock that serializes dial + handshake + writes to it (so no data
+    frame can beat the Hello onto a fresh connection).  ``frames``,
+    ``nbytes`` and ``reset`` change under the mesh lock only."""
+
+    __slots__ = ("lock", "frames", "nbytes", "reset")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.frames: List[bytes] = []
+        self.nbytes = 0
+        #: A chaos reset is owed: the next write first poisons the
+        #: current connection and redials.
+        self.reset = False
+
+
 class Mesh:
-    """One node's connections: a listener for inbound traffic and a lazy
-    dial-out table for outbound sends."""
+    """One node's connections: a listener for inbound traffic and, per
+    peer, an outbox in front of a lazily dialed outbound connection."""
 
     def __init__(self, node: int,
                  on_message: Callable[[int, Any], None],
@@ -170,24 +221,31 @@ class Mesh:
         self.address: Tuple[str, int] = self._listener.getsockname()
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._out: Dict[int, socket.socket] = {}
+        #: One outbox per peer in the directory.
+        self._outboxes: Dict[int, _Outbox] = {}
+        #: Peers whose outbox holds frames: what there is to
+        #: :meth:`flush`, and empty when nothing is posted.  Changed
+        #: under the mesh lock; read without it.
+        self.posted: Set[int] = set()
         #: Accepted inbound connections and their reader threads,
         #: closed/joined with the mesh so the listening port is
         #: actually released.
         self._in: set = set()
         self._readers: list = []
-        #: Per-peer lock serializing dial + handshake + frame writes, so
-        #: no data frame can beat the Hello onto a fresh connection.
-        self._peer_locks: Dict[int, threading.Lock] = {}
         #: Peers we connected to at least once: a later dial is a reconnect.
         self._connected_once: set = set()
         self._lock = threading.Lock()
         self._closing = threading.Event()
         #: Jitter source; seeded per node so test runs are reproducible.
         self._rng = random.Random(node)
-        self.stats: Dict[str, int] = {"sends": 0, "retries": 0,
-                                      "reconnects": 0,
+        #: ``sends``: frames accepted for a peer, one per message.
+        #: ``writes``: batches taken off an outbox and written, one
+        #: ``sendall`` each (a retried batch adds to ``retries`` only).
+        self.stats: Dict[str, int] = {"sends": 0, "writes": 0,
+                                      "retries": 0, "reconnects": 0,
                                       "handshake_rejects": 0,
                                       "bad_frames": 0,
+                                      "dropped_frames": 0,
                                       "dropped_on_close": 0}
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"mesh-accept-{node}",
@@ -199,79 +257,161 @@ class Mesh:
     def set_directory(self, addresses: Dict[int, Tuple[str, int]]) -> None:
         """Install (or refresh) peer addresses.  A peer whose address
         changed — it died and a replacement re-registered elsewhere —
-        has its cached connection torn down so the next send redials."""
+        has its cached connection torn down so the next write redials."""
         with self._lock:
             changed = [node for node, address in addresses.items()
                        if self._peers.get(node) not in (None, address)]
             self._peers.update(addresses)
+            for node in addresses:
+                if node not in self._outboxes:
+                    self._outboxes[node] = _Outbox()
         for node in changed:
             self._invalidate(node)
 
     def send(self, node: int, message: Any) -> None:
-        """Send one message to ``node``, dialing on first use and
-        redialing (with backoff) when the connection has broken."""
+        """Send one message to ``node``: queue it, then write what is
+        queued — dialing on first use and redialing (with backoff) when
+        the connection has broken — unless another thread is already
+        writing to ``node`` and will take this frame with it."""
+        self.post(node, message)
+        if node != self.node:
+            self.flush(node)
+
+    def post(self, node: int, message: Any) -> bool:
+        """Encode ``message`` and queue it for ``node`` without writing:
+        it leaves, in order, with the next write to that peer.  True
+        when the outbox was empty, so nothing else is yet bound to
+        write it and the caller owes a :meth:`flush`.  Every outbound
+        frame passes through here, on the thread that sends it."""
         if node == self.node:
             # Local delivery without touching the network.
             self._on_message(self.node, message)
-            return
-        copies = 1
+            return False
+        outbox = self._outboxes.get(node)
+        if outbox is None:
+            raise RuntimeTransportError(
+                f"node {self.node}: no address for node {node}")
+        duplicate = reset = False
         if self._chaos is not None:
             decision = self._chaos.on_send(node, message)
             if decision.drop:
                 # Consumed by the chaos layer: to the caller this looks
                 # exactly like loss on the wire.
-                return
+                return False
             if decision.delay_s:
                 time.sleep(decision.delay_s)
-            if decision.reset:
-                self._chaos_reset(node)
-            if decision.duplicate:
-                copies = 2
-        lock = self._peer_lock(node)
+            duplicate, reset = decision.duplicate, decision.reset
+        data = _encode(message)
+        with self._lock:
+            if self._closing.is_set():
+                # Pretending this was delivered would let a caller
+                # mistake a swallowed send for success; fail typed.
+                self.stats["dropped_on_close"] += 1
+                raise RuntimeTransportError(
+                    f"node {self.node}: send to node {node} aborted: "
+                    f"mesh is closing")
+            was_empty = not outbox.frames
+            outbox.frames.append(data)
+            outbox.nbytes += len(data)
+            if duplicate:
+                outbox.frames.append(data)
+                outbox.nbytes += len(data)
+            if reset:
+                outbox.reset = True
+            self.posted.add(node)
+            self.stats["sends"] += 1
+        if outbox.nbytes >= OUTBOX_MAX_BYTES:
+            self.flush(node)
+        return was_empty
+
+    def flush(self, node: int) -> None:
+        """Write everything queued for ``node``, unless another thread
+        holds its write lock: that thread re-checks the outbox after
+        releasing, as this one does, so a frame queued at any moment is
+        taken by one of them.  Raises when a batch this thread was
+        writing could not be delivered."""
+        outbox = self._outboxes[node]
+        failure = None
+        # Past the byte bound a sender waits for its turn to write (the
+        # back-pressure every send used to get from the peer lock).
+        while outbox.frames and outbox.lock.acquire(
+                blocking=outbox.nbytes >= OUTBOX_MAX_BYTES):
+            try:
+                if failure is None:
+                    self._write(node, outbox)
+                else:
+                    # Queued behind a batch that just failed its whole
+                    # ladder: lost with it, not retried on this thread.
+                    with self._lock:
+                        self._discard_locked(node, outbox, "dropped_frames")
+            except RuntimeTransportError as error:
+                failure = error
+            finally:
+                outbox.lock.release()
+        if failure is not None:
+            raise failure
+
+    def _write(self, node: int, outbox: _Outbox) -> None:
+        """Take what ``outbox`` holds and write it as one batch, under
+        the dial → Hello → retry/backoff ladder.  Caller holds the
+        outbox's write lock."""
+        with self._lock:
+            batch, outbox.frames = outbox.frames, []
+            outbox.nbytes = 0
+            reset, outbox.reset = outbox.reset, False
+            self.posted.discard(node)
+            sock = self._out.get(node)
+            if batch:
+                self.stats["writes"] += 1
+        if not batch:
+            return          # another writer took it first
+        if reset and sock is not None:
+            self._poison(node, sock)
+            sock = None
+        data = b"".join(batch)
         attempt = 0
         while True:
             try:
-                with lock:
-                    sock = self._connection_locked(node)
-                    for _ in range(copies):
-                        send_frame(sock, message)
-                with self._lock:
-                    self.stats["sends"] += 1
+                if sock is None:
+                    sock = self._dial(node)
+                sock.sendall(data)
                 return
-            except (RuntimeTransportError, pickle.PicklingError,
-                    TypeError, AttributeError):
-                # Unknown peer, oversized or unpicklable frame: a retry
-                # cannot change the outcome.
-                raise
             except OSError as error:
                 self._invalidate(node)
-                if self._closing.is_set():
-                    # Pretending this was delivered would let a caller
-                    # mistake a swallowed send for success; fail typed.
-                    with self._lock:
-                        self.stats["dropped_on_close"] += 1
-                    raise RuntimeTransportError(
-                        f"node {self.node}: send to node {node} aborted: "
-                        f"mesh is closing") from error
+                sock = None
                 attempt += 1
-                if attempt > SEND_RETRIES:
+                closing = self._closing.is_set()
+                if closing or attempt > SEND_RETRIES:
+                    # Lost here, recovered (or not) by whoever owns the
+                    # frames' loss; this thread says so, typed.
+                    with self._lock:
+                        self.stats["dropped_on_close" if closing
+                                   else "dropped_frames"] += len(batch)
                     raise RuntimeTransportError(
-                        f"node {self.node}: send to node {node} failed "
-                        f"after {attempt} attempts: {error}") from error
+                        f"node {self.node}: {len(batch)} frame(s) to node "
+                        f"{node} dropped: " + (
+                            "mesh is closing" if closing else
+                            f"{attempt} attempts failed: {error}")
+                    ) from error
                 with self._lock:
                     self.stats["retries"] += 1
                 backoff = min(BACKOFF_BASE_S * 2 ** (attempt - 1),
                               BACKOFF_CAP_S)
                 time.sleep(backoff * (1.0 + 0.25 * self._rng.random()))
 
-    def _chaos_reset(self, node: int) -> None:
-        """Poison the current connection to ``node`` with a truncated
-        frame, then tear it down: the receiver sees a broken frame and
-        drops the connection, the next send here redials."""
-        with self._lock:
-            sock = self._out.get(node)
-        if sock is None:
-            return
+    def _discard_locked(self, node: int, outbox: _Outbox,
+                        counter: str) -> None:
+        """Drop what ``outbox`` holds, counted.  Caller holds the mesh
+        lock."""
+        self.stats[counter] += len(outbox.frames)
+        outbox.frames = []
+        outbox.nbytes = 0
+        self.posted.discard(node)
+
+    def _poison(self, node: int, sock: socket.socket) -> None:
+        """A chaos reset: poison the connection to ``node`` with a
+        truncated frame, then tear it down — the receiver sees a broken
+        frame and drops the connection, the write in hand redials."""
         try:
             # Header promising 64 bytes, followed by silence.
             sock.sendall(_LENGTH.pack(64) + b"\x00" * 7)
@@ -279,26 +419,12 @@ class Mesh:
             pass
         self._invalidate(node)
 
-    def _peer_lock(self, node: int) -> threading.Lock:
+    def _dial(self, node: int) -> socket.socket:
+        """A fresh connection to ``node``.  Caller holds the outbox's
+        write lock; the Hello handshake completes *before* the socket
+        is published, so no data frame can be on the wire first."""
         with self._lock:
-            lock = self._peer_locks.get(node)
-            if lock is None:
-                lock = self._peer_locks[node] = threading.Lock()
-            return lock
-
-    def _connection_locked(self, node: int) -> socket.socket:
-        """The live connection to ``node``, dialing if needed.  Caller
-        holds the peer lock; the Hello handshake completes *before* the
-        socket is published, so no concurrent send can put a data frame
-        on the wire first."""
-        with self._lock:
-            sock = self._out.get(node)
-            address = self._peers.get(node)
-        if sock is not None:
-            return sock
-        if address is None:
-            raise RuntimeTransportError(
-                f"node {self.node}: no address for node {node}")
+            address = self._peers[node]
         sock = socket.create_connection(address, timeout=DIAL_TIMEOUT_S)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
@@ -316,7 +442,7 @@ class Mesh:
         return sock
 
     def _invalidate(self, node: int) -> None:
-        """Tear down a broken outgoing connection so the next send
+        """Tear down a broken outgoing connection so the next write
         redials."""
         with self._lock:
             sock = self._out.pop(node, None)
@@ -417,6 +543,8 @@ class Mesh:
                     pass
             self._out.clear()
             self._in.clear()
+            for node, outbox in self._outboxes.items():
+                self._discard_locked(node, outbox, "dropped_on_close")
             readers = list(self._readers)
             self._readers.clear()
         # A blocked recv holds the kernel socket until the thread

@@ -7,6 +7,9 @@ names the broken layer, not just a wedged workload.
 """
 
 import contextlib
+import itertools
+import socket
+import sys
 import time
 
 import pytest
@@ -20,12 +23,13 @@ from repro.faults.live import (
 from repro.faults.plan import FaultPlan, Partition
 from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
+from repro.runtime import objects as runtime_objects
 from repro.runtime.circuit import (
     COOLDOWN_S,
     FAILURE_THRESHOLD,
     PeerCircuits,
 )
-from repro.runtime.kernel import _Dedup
+from repro.runtime.kernel import NodeKernel, _Dedup
 
 
 # ---------------------------------------------------------------------------
@@ -89,52 +93,100 @@ class TestDecideFrame:
 
 
 class TestDedup:
+    """Keys are ``(origin node, request id)``, as the kernel's are; one
+    origin's ids are consecutive from wherever its kernel started."""
+
     def test_claim_then_replay(self):
         dedup = _Dedup()
-        assert dedup.claim(("a", 1)) == ("new", None)
-        assert dedup.claim(("a", 1)) == ("in_progress", None)
-        dedup.complete(("a", 1), "cached-reply")
-        assert dedup.claim(("a", 1)) == ("replay", "cached-reply")
+        assert dedup.claim((3, 1)) == ("new", None)
+        assert dedup.claim((3, 1)) == ("in_progress", None)
+        dedup.complete((3, 1), "cached-reply")
+        assert dedup.claim((3, 1)) == ("replay", "cached-reply")
 
     def test_peek_does_not_claim(self):
         dedup = _Dedup()
-        assert dedup.peek(("a", 1)) == ("absent", None)
-        assert dedup.claim(("a", 1)) == ("new", None)
-        assert dedup.peek(("a", 1)) == ("in_progress", None)
-        dedup.complete(("a", 1), 42)
-        assert dedup.peek(("a", 1)) == ("replay", 42)
+        assert dedup.peek((3, 1)) == ("absent", None)
+        assert dedup.claim((3, 1)) == ("new", None)
+        assert dedup.peek((3, 1)) == ("in_progress", None)
+        dedup.complete((3, 1), 42)
+        assert dedup.peek((3, 1)) == ("replay", 42)
 
     def test_distinct_origins_do_not_collide(self):
         dedup = _Dedup()
         assert dedup.claim((1, 99)) == ("new", None)
         assert dedup.claim((2, 99)) == ("new", None)
+        dedup.complete((1, 99), "one")
+        assert dedup.peek((2, 99)) == ("in_progress", None)
+        dedup.complete((2, 99), "two")
+        assert dedup.claim((1, 99)) == ("replay", "one")
+        assert dedup.claim((2, 99)) == ("replay", "two")
 
     def test_bounded_fifo_eviction(self):
         dedup = _Dedup(capacity=4)
+        base = 1 << 61          # any base: the ring indexes by sequence
         for i in range(8):
-            dedup.claim(("n", i))
-            dedup.complete(("n", i), i)
+            dedup.claim((5, base + i))
+            dedup.complete((5, base + i), i)
         assert len(dedup) == 4
-        assert dedup.claim(("n", 7)) == ("replay", 7)
+        assert dedup.claim((5, base + 7)) == ("replay", 7)
         # The oldest completions were evicted: a duplicate of one now
         # re-executes (documented capacity/at-most-once trade-off).
-        assert dedup.claim(("n", 0)) == ("new", None)
+        assert dedup.claim((5, base + 0)) == ("new", None)
+
+    def test_capacity_is_per_origin(self):
+        dedup = _Dedup(capacity=4)
+        for origin in (1, 2):
+            for i in range(4):
+                dedup.claim((origin, i))
+                dedup.complete((origin, i), (origin, i))
+        assert len(dedup) == 8
+        for origin in (1, 2):
+            assert dedup.claim((origin, 0)) == ("replay", (origin, 0))
 
     def test_in_progress_is_never_evicted(self):
         """However many later requests are admitted and answered, the
         re-sent twin of one still executing must not run again."""
         dedup = _Dedup(capacity=2)
-        for key in "abc":
+        a, b, c, d, e, f, g = ((0, 40 + i) for i in range(7))
+        for key in (a, b, c):
             assert dedup.claim(key) == ("new", None)
-        assert dedup.claim("a") == ("in_progress", None)
-        for key in "bcdefg":
+        assert dedup.claim(a) == ("in_progress", None)
+        for key in (b, c, d, e, f, g):
             dedup.claim(key)
-            dedup.complete(key, key.upper())
-        assert dedup.peek("a") == ("in_progress", None)
-        assert dedup.claim("a") == ("in_progress", None)
-        dedup.complete("a", "A")
-        assert dedup.claim("a") == ("replay", "A")
+            dedup.complete(key, ("reply", key))
+        assert dedup.peek(a) == ("in_progress", None)
+        assert dedup.claim(a) == ("in_progress", None)
+        dedup.complete(a, "A")
+        assert dedup.claim(a) == ("replay", "A")
         assert len(dedup) == 2
+
+    def test_a_full_ring_does_not_grow(self):
+        """Bounded state: once an origin's ring exists, ten times its
+        capacity in further completions allocate nothing that stays."""
+        capacity = 64
+        dedup = _Dedup(capacity=capacity)
+
+        def footprint():
+            return (sys.getsizeof(dedup._rings)
+                    + sum(sys.getsizeof(ring)
+                          for ring in dedup._rings.values())
+                    + sys.getsizeof(dedup._executing))
+
+        def run(start, count):
+            for request_id in range(start, start + count):
+                for origin in (1, 2):
+                    assert dedup.claim((origin, request_id)) == \
+                        ("new", None)
+                    dedup.complete((origin, request_id), "reply")
+
+        run(0, capacity)
+        full = footprint()
+        assert len(dedup) == 2 * capacity
+        run(capacity, 10 * capacity)
+        assert footprint() == full
+        assert len(dedup) == 2 * capacity
+        assert all(len(ring) == capacity
+                   for ring in dedup._rings.values())
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +256,23 @@ class Napper(AmberObject):
 
 @contextlib.contextmanager
 def _losing_frames(kernel, lost):
-    """``kernel.mesh.send`` swallows ``nap`` invocations while
+    """``kernel.mesh.post`` — the one seam every outbound frame passes,
+    written at once or not — swallows ``nap`` invocations while
     ``lost(swallowed so far)`` says so; yields the swallowed frames."""
-    mesh_send = kernel.mesh.send
+    mesh_post = kernel.mesh.post
     dropped = []
 
-    def lossy_send(node, message):
+    def lossy_post(node, message):
         if getattr(message, "method", None) == "nap" and lost(dropped):
             dropped.append(message)
-            return              # swallowed: never reaches the wire
-        return mesh_send(node, message)
+            return False        # swallowed: never reaches the outbox
+        return mesh_post(node, message)
 
-    kernel.mesh.send = lossy_send
+    kernel.mesh.post = lossy_post
     try:
         yield dropped
     finally:
-        kernel.mesh.send = mesh_send
+        kernel.mesh.post = mesh_post
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +390,101 @@ class TestTypedFailureFast:
             with pytest.raises((NodeFailure, TimeoutError)):
                 cluster.call(handle, "poke")
             assert time.monotonic() - t1 < 1.0
+
+
+class TestPostedFrameToADeadPeer:
+    def test_failed_batch_feeds_the_breaker_once_and_join_ends_typed(
+            self, monkeypatch):
+        """A fork posted for a peer that is down: the worker that
+        flushes it fails its whole ladder, which is one breaker failure
+        for the batch, and the request still ends in a typed verdict."""
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")   # RTO base 0.5 s
+        monkeypatch.setattr("repro.runtime.transport.SEND_RETRIES", 1)
+        monkeypatch.setattr("repro.runtime.transport.BACKOFF_BASE_S", 0.01)
+        with Cluster(nodes=2) as cluster:
+            handle = cluster.create(Napper, node=1)
+            assert cluster.call(handle, "poke") == "ok"
+            kernel = cluster.kernel
+            # Node 1 is unreachable from here on: nothing listens at
+            # the address the directory now gives for it.
+            with socket.socket() as unused:
+                unused.bind(("127.0.0.1", 0))
+                dead_address = unused.getsockname()
+            kernel.mesh.set_directory({1: dead_address})
+            t0 = time.monotonic()
+            written = cluster.fork(handle, "nap", 0.0)  # idle: inline
+            assert kernel.mesh.stats["dropped_frames"] == 1
+            posted = cluster.fork(handle, "nap", 0.0)   # busy: posted
+            while kernel.mesh.stats["dropped_frames"] < 2:
+                assert time.monotonic() - t0 < 0.4      # before any RTO
+                time.sleep(0.002)
+            # Two failed batches, two failures: one each.
+            assert kernel._circuits._peers[1].failures == 2
+            assert kernel.stats["resends"] == 0
+            assert kernel.mesh.stats["writes"] >= 2
+            for thread in (posted, written):
+                t1 = time.monotonic()
+                with pytest.raises((NodeFailure, TimeoutError)):
+                    thread.join(timeout=2)
+                assert time.monotonic() - t1 < 4.0
+
+
+class Adder(AmberObject):
+    def __init__(self):
+        self.total = 0
+
+    def add(self, n):
+        self.total += n
+        return self.total
+
+    def get(self):
+        return self.total
+
+
+class Poker(AmberObject):
+    def poke(self, adder, n):
+        return adder.add(n)         # a request issued by this node
+
+
+class TestRequestIdsAcrossIncarnations:
+    def test_two_kernels_of_one_node_draw_disjoint_ids(self, monkeypatch):
+        # NodeKernel installs itself as the process kernel: put back
+        # whatever was there (the module's cluster) afterwards.
+        monkeypatch.setattr(runtime_objects, "_process_kernel",
+                            runtime_objects._process_kernel)
+        draws = []
+        for _ in range(2):
+            kernel = NodeKernel(1, None)
+            try:
+                draws.append(list(itertools.islice(kernel._request_ids,
+                                                   100_000)))
+            finally:
+                kernel.shutdown()
+        for ids in draws:
+            assert ids == list(range(ids[0], ids[0] + len(ids)))
+            assert 0 <= ids[0] and ids[-1] < 2 ** 63
+        assert set(draws[0]).isdisjoint(draws[1])
+
+    def test_restarted_node_is_not_answered_from_its_predecessors_cache(
+            self, monkeypatch):
+        """Regression: ids restarted at the node id in a replacement
+        process, so its first request matched the ``(origin, id)`` a
+        survivor still cached a reply for — ``poke(+10)`` returned the
+        old 1 and the add never ran."""
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")   # RTO base 0.5 s
+        with Cluster(nodes=3) as cluster:
+            adder = cluster.create(Adder, node=2)
+            poker = cluster.create(Poker, node=1)
+            assert cluster.call(poker, "poke", adder, 1) == 1
+            cluster.kill_node(1)
+            cluster.restart_node(1)
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    poker = cluster.create(Poker, node=1)
+                    break
+                except (NodeFailure, TimeoutError):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.1)
+            assert cluster.call(poker, "poke", adder, 10) == 11
+            assert cluster.call(adder, "get") == 11

@@ -18,6 +18,7 @@ crept onto the per-event path.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from tests import hot_path_programs as programs
@@ -33,12 +34,19 @@ def count_python_calls(run):
         if event == "call":
             calls += 1
 
+    # A collection that lands inside the run calls every Python-level
+    # ``gc.callbacks`` entry (hypothesis registers one): calls that are
+    # not the program's, at moments that depend on what ran before.
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(on_event)
     try:
         result = run()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls, result
 
 

@@ -3,12 +3,15 @@
 import pickle
 import queue
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.errors import RuntimeTransportError
+from repro.faults.live import LiveDecision, LiveFaultInjector, decide_frame
+from repro.faults.plan import FaultPlan
 from repro.runtime.messages import Hello, InvokeMsg, ResultMsg
 from repro.runtime.transport import (
     _LENGTH,
@@ -386,3 +389,265 @@ class TestMeshReconnect:
             assert mesh_a.stats["retries"] == 2
         finally:
             mesh_a.close()
+
+
+class _Scripted:
+    """A chaos layer whose fates are given, one per outbound frame."""
+
+    def __init__(self, *decisions):
+        self._decisions = list(decisions)
+
+    def on_send(self, dst, message):
+        return self._decisions.pop(0) if self._decisions else LiveDecision()
+
+
+@pytest.fixture
+def pair():
+    """Mesh 0 with mesh 1 in its directory; what mesh 1 receives."""
+    made = []
+
+    def make(chaos=None):
+        inbox = queue.SimpleQueue()
+        mesh_a = Mesh(0, lambda peer, msg: None, chaos=chaos)
+        mesh_b = Mesh(1, lambda peer, msg: inbox.put(msg))
+        made.extend((mesh_a, mesh_b))
+        mesh_a.set_directory({0: mesh_a.address, 1: mesh_b.address})
+        return mesh_a, mesh_b, inbox
+
+    try:
+        yield make
+    finally:
+        for mesh in made:
+            mesh.close()
+
+
+def _received(inbox, count):
+    return [inbox.get(timeout=5) for _ in range(count)]
+
+
+def _nothing_queued(mesh, node=1):
+    outbox = mesh._outboxes[node]
+    return not outbox.frames and outbox.nbytes == 0 and not mesh.posted
+
+
+class TestOutbox:
+    """The write side: frames queue per peer and whoever holds the
+    peer's write lock writes everything queued with one ``sendall``."""
+
+    def test_posts_then_one_flush_is_one_write_in_order(self, pair):
+        mesh, _, inbox = pair()
+        assert mesh.post(1, 0) is True          # empty -> non-empty
+        for i in range(1, 64):
+            assert mesh.post(1, i) is False
+        assert mesh.posted == {1}
+        assert mesh.stats["sends"] == 64 and mesh.stats["writes"] == 0
+        mesh.flush(1)
+        assert _received(inbox, 64) == list(range(64))
+        assert mesh.stats["sends"] == 64 and mesh.stats["writes"] == 1
+        assert _nothing_queued(mesh)
+
+    def test_posted_frame_leaves_first_with_the_next_send(self, pair):
+        mesh, _, inbox = pair()
+        mesh.send(1, "dial")
+        mesh.post(1, "posted")
+        mesh.send(1, "sent")
+        assert _received(inbox, 3) == ["dial", "posted", "sent"]
+        assert mesh.stats["writes"] == 2
+        assert _nothing_queued(mesh)
+
+    def test_post_to_self_is_delivered_inline(self):
+        inbox = queue.SimpleQueue()
+        mesh = Mesh(0, lambda peer, msg: inbox.put((peer, msg)))
+        try:
+            assert mesh.post(0, "loopback") is False
+            assert inbox.get(timeout=1) == (0, "loopback")
+            assert not mesh.posted
+        finally:
+            mesh.close()
+
+    def test_encode_errors_raise_where_the_frame_is_handed_in(
+            self, pair, monkeypatch):
+        mesh, _, inbox = pair()
+        mesh.post(1, "good")
+        outbox = mesh._outboxes[1]
+        before = (list(outbox.frames), outbox.nbytes, dict(mesh.stats))
+        for call in (mesh.post, mesh.send):
+            with pytest.raises((pickle.PicklingError, TypeError,
+                                AttributeError)):
+                call(1, lambda: None)           # unpicklable
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.runtime.transport.MAX_FRAME_BYTES", 64)
+            with pytest.raises(RuntimeTransportError):
+                mesh.post(1, b"x" * 65)         # oversized
+        with pytest.raises(RuntimeTransportError):
+            mesh.post(7, "no such peer")
+        assert (outbox.frames, outbox.nbytes, mesh.stats) == before
+        mesh.flush(1)
+        assert _received(inbox, 1) == ["good"]
+
+    def test_outbox_past_its_byte_bound_is_written_inline(
+            self, pair, monkeypatch):
+        monkeypatch.setattr("repro.runtime.transport.OUTBOX_MAX_BYTES", 512)
+        mesh, _, inbox = pair()
+        posted = 0
+        while mesh.stats["writes"] == 0:
+            mesh.post(1, posted)
+            posted += 1
+            assert mesh._outboxes[1].nbytes < 512
+        assert 1 < posted < 512
+        assert _received(inbox, posted) == list(range(posted))
+        assert _nothing_queued(mesh)
+
+    def test_held_write_lock_takes_the_frame_not_the_sender(self, pair):
+        """A sender that finds the peer's write lock held leaves its
+        frame queued and returns; the next writer carries it."""
+        mesh, _, inbox = pair()
+        mesh.send(1, "dial")
+        lock = mesh._outboxes[1].lock
+        assert lock.acquire(timeout=5)
+        try:
+            mesh.send(1, "left behind")         # must not block
+            assert mesh.stats["writes"] == 1 and mesh.posted == {1}
+        finally:
+            lock.release()
+        mesh.send(1, "carrier")
+        assert _received(inbox, 3) == ["dial", "left behind", "carrier"]
+        assert mesh.stats["writes"] == 2
+
+    def test_chaos_fates_are_the_per_frame_decisions_in_send_order(
+            self, pair):
+        """Same seed, same send sequence -> the fates ``decide_frame``
+        gives the link's frame ordinals, as when every frame was its
+        own write: a drop never reaches the outbox, a duplicate is two
+        copies in it."""
+        plan = FaultPlan(seed=11, drop_rate=0.25, dup_rate=0.25)
+        mesh, _, inbox = pair(chaos=LiveFaultInjector(plan, node=0))
+        expected = []
+        for seq in range(64):
+            fate = decide_frame(plan, 0, 1, seq)
+            expected += [seq] * (0 if fate.drop else
+                                 2 if fate.duplicate else 1)
+            # Half written at once, half posted: the fate is drawn
+            # where the frame is handed in, either way.
+            (mesh.send if seq % 2 else mesh.post)(1, seq)
+        assert len(set(expected)) < 64 < len(expected) + 20   # both fates
+        mesh.flush(1)
+        assert _received(inbox, len(expected)) == expected
+        assert mesh.stats["sends"] == len(set(expected))
+        assert mesh._chaos.stats["chaos_frames"] == 64
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.1)
+
+    def test_chaos_reset_poisons_then_redials_with_the_queue_intact(
+            self, pair):
+        mesh, mesh_b, inbox = pair(chaos=_Scripted(
+            LiveDecision(), LiveDecision(), LiveDecision(reset=True)))
+        mesh.send(1, "on the first connection")
+        assert _received(inbox, 1) == ["on the first connection"]
+        mesh.post(1, "queued before the reset")
+        mesh.post(1, "drew the reset")
+        mesh.post(1, "queued after it")
+        assert mesh.stats["reconnects"] == 0
+        mesh.flush(1)
+        # One batch, whole and in order, on a fresh connection; the old
+        # one ended in a truncated frame, which is not a bad frame.
+        assert _received(inbox, 3) == ["queued before the reset",
+                                       "drew the reset", "queued after it"]
+        assert mesh.stats["reconnects"] == 1
+        assert mesh.stats["writes"] == 2 and mesh.stats["retries"] == 0
+        assert mesh_b.stats["bad_frames"] == 0
+
+    def test_failed_write_is_redialled_and_the_batch_resent_whole(
+            self, pair, monkeypatch):
+        monkeypatch.setattr("repro.runtime.transport.BACKOFF_BASE_S", 0.001)
+        mesh, _, inbox = pair()
+        mesh.send(1, "dial")
+        assert _received(inbox, 1) == ["dial"]
+        mesh._out[1].close()                    # sendall -> OSError
+        for i in range(3):
+            mesh.post(1, i)
+        mesh.flush(1)
+        assert _received(inbox, 3) == [0, 1, 2]
+        assert mesh.stats["retries"] == 1 and mesh.stats["reconnects"] == 1
+        assert mesh.stats["writes"] == 2 and mesh.stats["sends"] == 4
+        assert mesh.stats["dropped_frames"] == 0
+
+    def test_exhausted_retries_drop_the_batch_counted_and_raise(
+            self, pair, monkeypatch):
+        monkeypatch.setattr("repro.runtime.transport.SEND_RETRIES", 2)
+        monkeypatch.setattr("repro.runtime.transport.BACKOFF_BASE_S", 0.001)
+        mesh, mesh_b, _ = pair()
+        mesh_b.close()
+        for i in range(3):
+            mesh.post(1, i)
+        with pytest.raises(RuntimeTransportError):
+            mesh.flush(1)
+        assert mesh.stats["retries"] == 2
+        assert mesh.stats["dropped_frames"] == 3
+        assert mesh.stats["dropped_on_close"] == 0
+        assert _nothing_queued(mesh)
+        with pytest.raises(RuntimeTransportError):
+            mesh.send(1, "still dead")          # a ladder of its own
+        assert mesh.stats["retries"] == 4
+        assert mesh.stats["dropped_frames"] == 4
+
+    def test_close_counts_queued_frames_and_later_sends_raise(self, pair):
+        mesh, _, inbox = pair()
+        for i in range(3):
+            mesh.post(1, i)
+        mesh.close()
+        assert mesh.stats["dropped_on_close"] == 3
+        assert _nothing_queued(mesh)
+        for call in (mesh.post, mesh.send):
+            with pytest.raises(RuntimeTransportError):
+                call(1, "too late")
+        assert mesh.stats["dropped_on_close"] == 5
+        assert mesh.stats["writes"] == 0
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.1)
+
+    def test_handoff_stress_every_frame_exactly_once(self, pair):
+        """The stranded-frame race: a frame queued just as the lock
+        holder finishes must be written by one of the two.  8 threads
+        send at the same instant, 500 times over; whenever all of them
+        have returned nothing may be left queued, because no later
+        write is coming to carry a straggler.  A stranded frame also
+        shows as a hang, hence the timeout on every wait."""
+        threads, each = 8, 500
+        mesh, _, inbox = pair()
+        stranded = []
+
+        def all_returned():
+            if not _nothing_queued(mesh) or mesh._outboxes[1].lock.locked():
+                stranded.append(mesh.stats["sends"])
+
+        barrier = threading.Barrier(threads, action=all_returned)
+
+        def blast(tag):
+            for j in range(each):
+                barrier.wait(timeout=30)
+                mesh.send(1, (tag, j))
+            barrier.wait(timeout=30)
+
+        senders = [threading.Thread(target=blast, args=(tag,), daemon=True)
+                   for tag in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(timeout=120)
+            assert not any(sender.is_alive() for sender in senders)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not stranded
+        got = _received(inbox, threads * each)
+        assert sorted(got) == [(tag, j) for tag in range(threads)
+                               for j in range(each)]
+        for tag in range(threads):              # FIFO per sender
+            assert [j for t, j in got if t == tag] == list(range(each))
+        assert mesh.stats["sends"] == threads * each
+        assert each <= mesh.stats["writes"] <= mesh.stats["sends"]
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.1)

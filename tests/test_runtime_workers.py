@@ -136,21 +136,22 @@ class TestResendsDoNotQueue:
             assert cluster.call(dead, "value") == 0
             monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")   # RTO base 0.5 s
             kernel = cluster.kernel
-            mesh_send = kernel.mesh.send
+            # The one seam every outbound frame passes.
+            mesh_post = kernel.mesh.post
             first_frames = set()
             stuck, release = threading.Event(), threading.Event()
 
-            def send(node, message):
+            def post(node, message):
                 if getattr(message, "method", None) == "bump":
                     if node not in first_frames:
                         first_frames.add(node)
-                        return                  # lost on the wire
+                        return False            # lost on the wire
                     if node == 2:
                         stuck.set()
                         release.wait(30)
-                return mesh_send(node, message)
+                return mesh_post(node, message)
 
-            kernel.mesh.send = send
+            kernel.mesh.post = post
             try:
                 doomed = cluster.fork(dead, "bump")
                 assert stuck.wait(10)
@@ -165,10 +166,105 @@ class TestResendsDoNotQueue:
                 assert not release.is_set()
             finally:
                 release.set()
-                kernel.mesh.send = mesh_send
+                kernel.mesh.post = mesh_post
             assert thread.join(timeout=10) == 1
             assert doomed.join(timeout=10) == 1
             assert kernel.stats["resends"] >= 2
+
+
+class TestPostedForks:
+    """``fork`` writes at once to a peer that is idle as far as this
+    node knows and only posts to one that already holds its work; what
+    is posted leaves with the next write to that peer, a joiner's
+    flush, or the pool worker woken for the first frame into an empty
+    outbox."""
+
+    def test_lone_fork_to_an_idle_peer_is_written_when_fork_returns(
+            self, cluster):
+        gate = cluster.create(Gate, node=1)
+        assert cluster.call(gate, "poke") == "ok"
+        kernel = cluster.kernel
+        assert not kernel._unanswered[1]        # nothing outstanding
+        before = cluster.node_stats(0)
+        thread = cluster.fork(gate, "poke")
+        after = cluster.node_stats(0)           # local: sends nothing
+        assert after["transport_writes"] == before["transport_writes"] + 1
+        assert after["transport_sends"] == before["transport_sends"] + 1
+        assert not kernel.mesh.posted
+        assert thread.join(timeout=15) == "ok"
+
+    def test_fork_to_a_busy_peer_is_posted_and_a_join_flushes_it(
+            self, cluster, monkeypatch):
+        gate = cluster.create(Gate, node=1)
+        assert cluster.call(gate, "poke") == "ok"
+        kernel = cluster.kernel
+        # No flush worker: the joiner has to do it.
+        monkeypatch.setattr(kernel._workers, "submit", lambda token: None)
+        blocked = cluster.fork(gate, "wait")    # idle peer: written
+        before = cluster.node_stats(0)
+        posted = [cluster.fork(gate, "poke") for _ in range(5)]
+        after = cluster.node_stats(0)
+        assert after["transport_writes"] == before["transport_writes"]
+        assert after["transport_sends"] == before["transport_sends"] + 5
+        assert kernel.mesh.posted == {1}
+        assert posted[-1].join(timeout=15) == "ok"
+        assert cluster.node_stats(0)["transport_writes"] == \
+            before["transport_writes"] + 1
+        assert [thread.join(timeout=15) for thread in posted[:-1]] == \
+            ["ok"] * 4
+        monkeypatch.undo()
+        assert cluster.call(gate, "open") is True
+        assert blocked.join(timeout=15) is True
+
+    def test_unjoined_burst_is_sent_by_the_flush_worker(
+            self, cluster, monkeypatch):
+        """Nobody joins, nothing else is sent, the issuing thread goes
+        to sleep: the pool worker woken for the first posted frame
+        writes the burst — long before the resend ladder (RTO 0.5 s
+        here) would have."""
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")
+        tally = cluster.create(Tally, node=1)
+        assert cluster.call(tally, "value") == 0
+        kernel = cluster.kernel
+        resends = kernel.stats["resends"]
+        t0 = time.monotonic()
+        threads = [cluster.fork(tally, "bump") for _ in range(32)]
+        while kernel.mesh.posted:
+            assert time.monotonic() - t0 < 1.0
+            time.sleep(0.002)
+        while cluster.call(tally, "value") < 32:
+            assert time.monotonic() - t0 < 1.0
+            time.sleep(0.002)
+        assert kernel.stats["resends"] == resends
+        assert sorted(thread.join(timeout=15) for thread in threads) == \
+            list(range(1, 33))
+
+    def test_a_window_of_forks_costs_the_driver_few_writes(self):
+        with Cluster(nodes=3) as cluster:
+            tallies = [cluster.create(Tally, node=1 + index % 2)
+                       for index in range(8)]
+
+            def window():
+                threads = [cluster.fork(tallies[index % 8], "bump")
+                           for index in range(64)]
+                for thread in threads:
+                    assert thread.join(timeout=15) > 0
+
+            window()                            # dial, warm the pools
+            costs = []
+            for _ in range(5):
+                before = cluster.node_stats(0)
+                window()
+                after = cluster.node_stats(0)
+                assert after["transport_sends"] \
+                    - before["transport_sends"] == 64
+                costs.append(after["transport_writes"]
+                             - before["transport_writes"])
+            # 64 at one write a frame; 2 if every fork found its peer
+            # busy.  Replies that overtake the issuing thread make a
+            # peer idle again, so the count moves with the scheduler.
+            assert sorted(costs)[len(costs) // 2] <= 16, costs
+            assert cluster.node_stats(0)["resends"] == 0
 
 
 class TestPoolUnit:
