@@ -120,27 +120,30 @@ class _Dedup:
     executing, or the cached :class:`~repro.runtime.messages.ResultMsg`.
     The reply cache is one fixed ring per origin, indexed by request id
     (an origin's ids are consecutive, see :data:`REQUEST_ID_BASE_BITS`):
-    it remembers the replies to that origin's last ``capacity``
-    requests, a newer one overwriting the one ``capacity`` before it,
-    and allocates nothing once a ring exists.  A request still
-    executing is never evicted (its re-sent twin would run a second
-    time): it leaves by completing."""
+    slot ``id mod capacity`` holds the id it was last filled for and
+    that request's reply, a hit only when the id matches.  A ring so
+    remembers the replies to its origin's last ``capacity`` requests, a
+    newer one overwriting the one ``capacity`` before it, and allocates
+    nothing once it exists.  A request still executing is never evicted
+    (its re-sent twin would run a second time): it leaves by
+    completing."""
 
     def __init__(self, capacity: int = DEDUP_CAPACITY):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._executing: set = set()
-        #: origin -> ring of ``(request_id, cached reply)`` or None.
-        self._rings: Dict[Any, List[Optional[Tuple[int, Any]]]] = {}
+        #: origin -> (request id per slot, cached reply per slot).
+        self._rings: Dict[Any, Tuple[List[Optional[int]], List[Any]]] = {}
         self._cached = 0
 
     def _replay(self, key) -> Any:
         origin, request_id = key
         ring = self._rings.get(origin)
         if ring is not None:
-            entry = ring[request_id % self.capacity]
-            if entry is not None and entry[0] == request_id:
-                return entry[1]
+            ids, replies = ring
+            slot = request_id % self.capacity
+            if ids[slot] == request_id:
+                return replies[slot]
         return None
 
     def claim(self, key) -> Tuple[str, Any]:
@@ -177,11 +180,14 @@ class _Dedup:
             self._executing.discard(key)
             ring = self._rings.get(origin)
             if ring is None:
-                ring = self._rings[origin] = [None] * self.capacity
+                ring = self._rings[origin] = ([None] * self.capacity,
+                                              [None] * self.capacity)
+            ids, replies = ring
             slot = request_id % self.capacity
-            if ring[slot] is None:
+            if ids[slot] is None:
                 self._cached += 1
-            ring[slot] = (request_id, result)
+            ids[slot] = request_id
+            replies[slot] = result
 
     def __len__(self) -> int:
         with self._lock:
@@ -426,6 +432,8 @@ class NodeKernel:
         except queue.Empty:
             raise self._deadline_error(entry, deadline_s) from None
         finally:
+            # However it ended (reply, typed verdict, deadline), it is
+            # no longer work its target holds for us.
             self._pending.pop(request_id, None)
             self._settle(entry)
         if ok:

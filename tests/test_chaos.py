@@ -168,8 +168,9 @@ class TestDedup:
 
         def footprint():
             return (sys.getsizeof(dedup._rings)
-                    + sum(sys.getsizeof(ring)
-                          for ring in dedup._rings.values())
+                    + sum(sys.getsizeof(part)
+                          for ring in dedup._rings.values()
+                          for part in (ring, *ring))
                     + sys.getsizeof(dedup._executing))
 
         def run(start, count):
@@ -185,8 +186,8 @@ class TestDedup:
         run(capacity, 10 * capacity)
         assert footprint() == full
         assert len(dedup) == 2 * capacity
-        assert all(len(ring) == capacity
-                   for ring in dedup._rings.values())
+        assert all(len(part) == capacity
+                   for ring in dedup._rings.values() for part in ring)
 
 
 # ---------------------------------------------------------------------------
