@@ -81,6 +81,10 @@ WORKER_IDLE_S = 1.0
 log = logging.getLogger(__name__)
 
 
+#: What a request is held by before its first transmission.
+_NOWHERE: Set[int] = set()
+
+
 class _Pending:
     """One outstanding request, joined or not: its reply box, everything
     needed to re-send it (lost-request/lost-reply recovery), and its
@@ -91,8 +95,9 @@ class _Pending:
     guaranteed an answer, so exhausting it indicates a lost peer, and
     tests and chaos scenarios tighten the knob between requests."""
 
-    __slots__ = ("box", "message", "route", "last_target", "reply_s",
-                 "rto_base_s", "rto_s", "resend_at", "give_up_at")
+    __slots__ = ("box", "message", "route", "last_target", "held",
+                 "reply_s", "rto_base_s", "rto_s", "resend_at",
+                 "give_up_at")
 
     def __init__(self, message: Any,
                  route: Callable[[], int]):
@@ -100,6 +105,9 @@ class _Pending:
         self.message = message
         self.route = route
         self.last_target: Optional[int] = None
+        #: The ``_unanswered`` set of the peer this request was last
+        #: sent to, while it counts as unanswered there.
+        self.held: Set[int] = _NOWHERE
         self.reply_s = reply_timeout_s()
         self.rto_base_s = max(RTO_MIN_S,
                               min(RTO_MAX_S, self.reply_s / 24.0))
@@ -311,6 +319,10 @@ class NodeKernel:
         #: Per peer, the requests sent there and not answered yet: a
         #: peer with none is idle as far as this node knows.
         self._unanswered: Dict[int, Set[int]] = {}
+        #: Peers a frame was posted for and no flush has been started
+        #: since (:meth:`_flush` takes a peer out before it writes, so
+        #: a mark set after a post is never lost).
+        self._posted: Set[int] = set()
         self._resender_stop = threading.Event()
         self._request_ids = itertools.count(
             random.SystemRandom().getrandbits(REQUEST_ID_BASE_BITS))
@@ -423,10 +435,10 @@ class NodeKernel:
         # keeps (or resumes) re-sending for as long as someone waits.
         entry.give_up_at = max(entry.give_up_at,
                                time.monotonic() + deadline_s)
-        if self.mesh.posted:
+        if self._posted:
             # What this thread is about to wait for may still sit in an
             # outbox (its own fork, or the one the target waits on).
-            self._flush(list(self.mesh.posted))
+            self._flush(list(self._posted))
         try:
             ok, value, error = entry.box.get(timeout=deadline_s)
         except queue.Empty:
@@ -435,7 +447,7 @@ class NodeKernel:
             # However it ended (reply, typed verdict, deadline), it is
             # no longer work its target holds for us.
             self._pending.pop(request_id, None)
-            self._settle(entry)
+            entry.held.discard(request_id)
         if ok:
             if entry.last_target not in (None, self.node_id):
                 self._circuits.record_success(entry.last_target)
@@ -471,7 +483,7 @@ class NodeKernel:
             # Typed verdicts (NodeFailure from an open circuit,
             # ObjectNotFoundError from routing) go to the caller.
             self._pending.pop(request_id, None)
-            self._settle(entry)
+            entry.held.discard(request_id)
             raise
         return request_id
 
@@ -495,32 +507,32 @@ class NodeKernel:
         if unanswered is None:
             unanswered = self._unanswered.setdefault(target, set())
         busy = bool(unanswered)
-        if entry.last_target != target:
+        if entry.held is not unanswered:
             # The first transmission, or a re-send that is re-routed.
-            self._settle(entry)
-            entry.last_target = target
-            unanswered.add(entry.message.request_id)
+            request_id = entry.message.request_id
+            entry.held.discard(request_id)
+            entry.held = unanswered
+            unanswered.add(request_id)
+        entry.last_target = target
         try:
             if not (post and busy):
                 self.mesh.send(target, entry.message)
-            elif self.mesh.post(target, entry.message):
-                self._workers.submit(_Flush((target,)))
+            else:
+                first = self.mesh.post(target, entry.message)
+                self._posted.add(target)
+                if first:
+                    self._workers.submit(_Flush((target,)))
         except (RuntimeTransportError, OSError):
             if target != self.node_id:
                 self._circuits.record_failure(target)
             raise
-
-    def _settle(self, entry: _Pending) -> None:
-        """``entry`` no longer counts as unanswered at its target."""
-        if entry.last_target is not None:
-            self._unanswered[entry.last_target].discard(
-                entry.message.request_id)
 
     def _flush(self, nodes) -> None:
         """Write what is posted for ``nodes``.  The frames are requests
         on the resend ladder already, so a batch that cannot be
         delivered is only the breaker's business."""
         for node in nodes:
+            self._posted.discard(node)
             try:
                 self.mesh.flush(node)
             except (RuntimeTransportError, OSError):
@@ -787,7 +799,7 @@ class NodeKernel:
                 # A duplicate/replayed reply just parks a second item in
                 # a box nobody reads again; request ids are never reused
                 # (a counter), so mis-delivery cannot happen.
-                self._settle(entry)
+                entry.held.discard(message.request_id)
                 entry.box.put((message.ok, message.value, message.error))
             return
         if isinstance(message, m.LocationHint):

@@ -57,7 +57,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -223,10 +222,6 @@ class Mesh:
         self._out: Dict[int, socket.socket] = {}
         #: One outbox per peer in the directory.
         self._outboxes: Dict[int, _Outbox] = {}
-        #: Peers whose outbox holds frames: what there is to
-        #: :meth:`flush`, and empty when nothing is posted.  Changed
-        #: under the mesh lock; read without it.
-        self.posted: Set[int] = set()
         #: Accepted inbound connections and their reader threads,
         #: closed/joined with the mesh so the listening port is
         #: actually released.
@@ -235,7 +230,7 @@ class Mesh:
         #: Peers we connected to at least once: a later dial is a reconnect.
         self._connected_once: set = set()
         self._lock = threading.Lock()
-        self._closing = threading.Event()
+        self._closing = False
         #: Jitter source; seeded per node so test runs are reproducible.
         self._rng = random.Random(node)
         #: ``sends``: frames accepted for a peer, one per message.
@@ -303,7 +298,7 @@ class Mesh:
             duplicate, reset = decision.duplicate, decision.reset
         data = _encode(message)
         with self._lock:
-            if self._closing.is_set():
+            if self._closing:
                 # Pretending this was delivered would let a caller
                 # mistake a swallowed send for success; fail typed.
                 self.stats["dropped_on_close"] += 1
@@ -318,7 +313,6 @@ class Mesh:
                 outbox.nbytes += len(data)
             if reset:
                 outbox.reset = True
-            self.posted.add(node)
             self.stats["sends"] += 1
         if outbox.nbytes >= OUTBOX_MAX_BYTES:
             self.flush(node)
@@ -343,7 +337,7 @@ class Mesh:
                     # Queued behind a batch that just failed its whole
                     # ladder: lost with it, not retried on this thread.
                     with self._lock:
-                        self._discard_locked(node, outbox, "dropped_frames")
+                        self._discard_locked(outbox, "dropped_frames")
             except RuntimeTransportError as error:
                 failure = error
             finally:
@@ -359,7 +353,6 @@ class Mesh:
             batch, outbox.frames = outbox.frames, []
             outbox.nbytes = 0
             reset, outbox.reset = outbox.reset, False
-            self.posted.discard(node)
             sock = self._out.get(node)
             if batch:
                 self.stats["writes"] += 1
@@ -380,7 +373,7 @@ class Mesh:
                 self._invalidate(node)
                 sock = None
                 attempt += 1
-                closing = self._closing.is_set()
+                closing = self._closing
                 if closing or attempt > SEND_RETRIES:
                     # Lost here, recovered (or not) by whoever owns the
                     # frames' loss; this thread says so, typed.
@@ -399,14 +392,12 @@ class Mesh:
                               BACKOFF_CAP_S)
                 time.sleep(backoff * (1.0 + 0.25 * self._rng.random()))
 
-    def _discard_locked(self, node: int, outbox: _Outbox,
-                        counter: str) -> None:
+    def _discard_locked(self, outbox: _Outbox, counter: str) -> None:
         """Drop what ``outbox`` holds, counted.  Caller holds the mesh
         lock."""
         self.stats[counter] += len(outbox.frames)
         outbox.frames = []
         outbox.nbytes = 0
-        self.posted.discard(node)
 
     def _poison(self, node: int, sock: socket.socket) -> None:
         """A chaos reset: poison the connection to ``node`` with a
@@ -455,7 +446,7 @@ class Mesh:
     # -- inbound ---------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._closing.is_set():
+        while not self._closing:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
@@ -517,7 +508,7 @@ class Mesh:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        self._closing.set()
+        self._closing = True
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -543,8 +534,8 @@ class Mesh:
                     pass
             self._out.clear()
             self._in.clear()
-            for node, outbox in self._outboxes.items():
-                self._discard_locked(node, outbox, "dropped_on_close")
+            for outbox in self._outboxes.values():
+                self._discard_locked(outbox, "dropped_on_close")
             readers = list(self._readers)
             self._readers.clear()
         # A blocked recv holds the kernel socket until the thread

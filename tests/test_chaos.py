@@ -93,23 +93,23 @@ class TestDecideFrame:
 
 
 class TestDedup:
-    """Keys are ``(origin node, request id)``, as the kernel's are; one
+    """Keys are ``(origin, request id)``, as the kernel's are; one
     origin's ids are consecutive from wherever its kernel started."""
 
     def test_claim_then_replay(self):
         dedup = _Dedup()
-        assert dedup.claim((3, 1)) == ("new", None)
-        assert dedup.claim((3, 1)) == ("in_progress", None)
-        dedup.complete((3, 1), "cached-reply")
-        assert dedup.claim((3, 1)) == ("replay", "cached-reply")
+        assert dedup.claim(("a", 1)) == ("new", None)
+        assert dedup.claim(("a", 1)) == ("in_progress", None)
+        dedup.complete(("a", 1), "cached-reply")
+        assert dedup.claim(("a", 1)) == ("replay", "cached-reply")
 
     def test_peek_does_not_claim(self):
         dedup = _Dedup()
-        assert dedup.peek((3, 1)) == ("absent", None)
-        assert dedup.claim((3, 1)) == ("new", None)
-        assert dedup.peek((3, 1)) == ("in_progress", None)
-        dedup.complete((3, 1), 42)
-        assert dedup.peek((3, 1)) == ("replay", 42)
+        assert dedup.peek(("a", 1)) == ("absent", None)
+        assert dedup.claim(("a", 1)) == ("new", None)
+        assert dedup.peek(("a", 1)) == ("in_progress", None)
+        dedup.complete(("a", 1), 42)
+        assert dedup.peek(("a", 1)) == ("replay", 42)
 
     def test_distinct_origins_do_not_collide(self):
         dedup = _Dedup()
@@ -123,25 +123,29 @@ class TestDedup:
 
     def test_bounded_fifo_eviction(self):
         dedup = _Dedup(capacity=4)
-        base = 1 << 61          # any base: the ring indexes by sequence
         for i in range(8):
-            dedup.claim((5, base + i))
-            dedup.complete((5, base + i), i)
+            dedup.claim(("n", i))
+            dedup.complete(("n", i), i)
         assert len(dedup) == 4
-        assert dedup.claim((5, base + 7)) == ("replay", 7)
+        assert dedup.claim(("n", 7)) == ("replay", 7)
         # The oldest completions were evicted: a duplicate of one now
         # re-executes (documented capacity/at-most-once trade-off).
-        assert dedup.claim((5, base + 0)) == ("new", None)
+        assert dedup.claim(("n", 0)) == ("new", None)
 
-    def test_capacity_is_per_origin(self):
+    def test_capacity_is_per_origin_whatever_its_base(self):
         dedup = _Dedup(capacity=4)
-        for origin in (1, 2):
-            for i in range(4):
-                dedup.claim((origin, i))
-                dedup.complete((origin, i), (origin, i))
+        bases = {1: 0, 2: (1 << 61) + 3}    # the ring indexes by sequence
+        for origin, base in bases.items():
+            for i in range(6):
+                dedup.claim((origin, base + i))
+                dedup.complete((origin, base + i), (origin, i))
         assert len(dedup) == 8
-        for origin in (1, 2):
-            assert dedup.claim((origin, 0)) == ("replay", (origin, 0))
+        for origin, base in bases.items():
+            assert dedup.claim((origin, base + 5)) == \
+                ("replay", (origin, 5))
+            assert dedup.claim((origin, base + 2)) == \
+                ("replay", (origin, 2))
+            assert dedup.claim((origin, base + 1)) == ("new", None)
 
     def test_in_progress_is_never_evicted(self):
         """However many later requests are admitted and answered, the

@@ -190,7 +190,7 @@ class TestPostedForks:
         after = cluster.node_stats(0)           # local: sends nothing
         assert after["transport_writes"] == before["transport_writes"] + 1
         assert after["transport_sends"] == before["transport_sends"] + 1
-        assert not kernel.mesh.posted
+        assert not kernel._posted
         assert thread.join(timeout=15) == "ok"
 
     def test_fork_to_a_busy_peer_is_posted_and_a_join_flushes_it(
@@ -206,8 +206,10 @@ class TestPostedForks:
         after = cluster.node_stats(0)
         assert after["transport_writes"] == before["transport_writes"]
         assert after["transport_sends"] == before["transport_sends"] + 5
-        assert kernel.mesh.posted == {1}
+        assert kernel._posted == {1}
+        assert len(kernel.mesh._outboxes[1].frames) == 5
         assert posted[-1].join(timeout=15) == "ok"
+        assert not kernel._posted
         assert cluster.node_stats(0)["transport_writes"] == \
             before["transport_writes"] + 1
         assert [thread.join(timeout=15) for thread in posted[:-1]] == \
@@ -229,7 +231,7 @@ class TestPostedForks:
         resends = kernel.stats["resends"]
         t0 = time.monotonic()
         threads = [cluster.fork(tally, "bump") for _ in range(32)]
-        while kernel.mesh.posted:
+        while kernel.mesh._outboxes[1].frames:
             assert time.monotonic() - t0 < 1.0
             time.sleep(0.002)
         while cluster.call(tally, "value") < 32:
