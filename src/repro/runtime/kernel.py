@@ -515,13 +515,13 @@ class NodeKernel:
             unanswered.add(request_id)
         entry.last_target = target
         try:
-            if not (post and busy):
-                self.mesh.send(target, entry.message)
-            else:
+            if post and busy:
                 first = self.mesh.post(target, entry.message)
                 self._posted.add(target)
                 if first:
                     self._workers.submit(_Flush((target,)))
+            else:
+                self.mesh.send(target, entry.message)
         except (RuntimeTransportError, OSError):
             if target != self.node_id:
                 self._circuits.record_failure(target)
