@@ -890,9 +890,7 @@ class NodeKernel:
             time.sleep(0.005)
         self.stats["forwards"] += 1
         try:
-            self.mesh.send(target,
-                           type(message)(**{**message.__dict__,
-                                            "trace": trace}))
+            self.mesh.send(target, message._replace(trace=trace))
         except (RuntimeTransportError, OSError) as error:
             # The next hop is unreachable: tell the breaker and give the
             # origin a typed verdict instead of letting it time out.

@@ -1,20 +1,23 @@
 """Wire messages for the live runtime.
 
-Every message is a small dataclass, pickled and length-framed by
-:mod:`repro.runtime.transport`.  ``reply_to`` is always a node id; replies
-are matched by ``request_id`` (unique per sending node).
+Every message is a small named tuple.  On the wire it is the pair
+``(code, fields)`` — ``code`` the class's index in :data:`KINDS`,
+``fields`` a plain tuple — pickled and length-framed by
+:mod:`repro.runtime.transport`, which rebuilds it with
+``KINDS[code]._make(fields)``; no class travels by name.  ``reply_to``
+is always a node id; replies are matched by ``request_id`` (unique per
+sending node).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-PROTOCOL_VERSION = 1
+#: 2: frames are ``(code, fields)``; 1 pickled the message instance.
+PROTOCOL_VERSION = 2
 
 
-@dataclass(frozen=True)
-class Hello:
+class Hello(NamedTuple):
     """First message on every dialed connection: who is calling."""
 
     node: int
@@ -24,8 +27,7 @@ class Hello:
 # --- invocation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvokeMsg:
+class InvokeMsg(NamedTuple):
     """Ship an activation to (we believe) the object's node.
 
     ``trace`` accumulates the nodes that forwarded this request along a
@@ -41,8 +43,7 @@ class InvokeMsg:
     trace: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ResultMsg:
+class ResultMsg(NamedTuple):
     request_id: int
     ok: bool
     value: Any = None
@@ -50,8 +51,7 @@ class ResultMsg:
     error: Optional[BaseException] = None
 
 
-@dataclass(frozen=True)
-class LocationHint:
+class LocationHint(NamedTuple):
     """Advisory: ``vaddr`` was last seen resident on ``node``."""
 
     vaddr: int
@@ -61,8 +61,7 @@ class LocationHint:
 # --- object management --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CreateMsg:
+class CreateMsg(NamedTuple):
     """Create an instance of ``cls`` on the receiving node."""
 
     request_id: int
@@ -72,8 +71,7 @@ class CreateMsg:
     kwargs: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class MoveMsg:
+class MoveMsg(NamedTuple):
     """Request that ``vaddr`` (and its attachment group) move to
     ``dest``.  Routed along the forwarding chain like an invocation."""
 
@@ -84,8 +82,7 @@ class MoveMsg:
     trace: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class InstallMsg:
+class InstallMsg(NamedTuple):
     """Carry a moved (or replicated) group's state to its new node.
 
     ``objects`` maps vaddr -> the object itself (pickled by the framing
@@ -101,16 +98,14 @@ class InstallMsg:
     replica: bool = False
 
 
-@dataclass(frozen=True)
-class LocateMsg:
+class LocateMsg(NamedTuple):
     request_id: int
     reply_to: int
     vaddr: int
     trace: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class FetchReplicaMsg:
+class FetchReplicaMsg(NamedTuple):
     """Ask a (believed) holder of an immutable object for a copy."""
 
     request_id: int
@@ -119,8 +114,7 @@ class FetchReplicaMsg:
     trace: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ControlMsg:
+class ControlMsg(NamedTuple):
     """Routed kernel-to-kernel request on an object: set-immutable,
     attach, unattach, delete.  ``op`` selects the action."""
 
@@ -135,21 +129,18 @@ class ControlMsg:
 # --- coordinator traffic -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegisterNode:
+class RegisterNode(NamedTuple):
     node: int
     address: Tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
     """Node -> coordinator: still alive (sent every grace/3 seconds)."""
 
     node: int
 
 
-@dataclass(frozen=True)
-class PeerStatus:
+class PeerStatus(NamedTuple):
     """Coordinator -> everyone: a failure-detector verdict.
 
     ``alive=False`` means the node has been silent past the grace
@@ -165,29 +156,25 @@ class PeerStatus:
     silence_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class NodeDirectory:
+class NodeDirectory(NamedTuple):
     """Coordinator -> everyone: the full node address map."""
 
     addresses: Dict[int, Tuple[str, int]]
 
 
-@dataclass(frozen=True)
-class RegionRequest:
+class RegionRequest(NamedTuple):
     request_id: int
     node: int
 
 
-@dataclass(frozen=True)
-class RegionGrant:
+class RegionGrant(NamedTuple):
     request_id: int
     base: int
     size: int
     owner: int
 
 
-@dataclass(frozen=True)
-class RegionQuery:
+class RegionQuery(NamedTuple):
     """Who owns the region containing this address?"""
 
     request_id: int
@@ -195,14 +182,23 @@ class RegionQuery:
     address: int
 
 
-@dataclass(frozen=True)
-class RegionAnswer:
+class RegionAnswer(NamedTuple):
     request_id: int
     base: int
     size: int
     owner: int
 
 
-@dataclass(frozen=True)
-class Shutdown:
+class Shutdown(NamedTuple):
     reason: str = "normal shutdown"
+
+
+#: Every message class; a class's index here is its code on the wire,
+#: so entries are only ever appended (with a new PROTOCOL_VERSION when
+#: one changes shape).
+KINDS: Tuple[type, ...] = (
+    Hello, InvokeMsg, ResultMsg, LocationHint, CreateMsg, MoveMsg,
+    InstallMsg, LocateMsg, FetchReplicaMsg, ControlMsg, RegisterNode,
+    Heartbeat, PeerStatus, NodeDirectory, RegionRequest, RegionGrant,
+    RegionQuery, RegionAnswer, Shutdown,
+)

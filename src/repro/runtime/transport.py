@@ -1,6 +1,10 @@
 """Length-framed pickle over TCP, plus the per-node connection mesh.
 
-Framing: 4-byte big-endian length, then the pickle.  Each node keeps one
+Framing: 4-byte big-endian length, then the pickle of a pair — ``(code,
+fields)`` for a message (its class's index in
+:data:`~repro.runtime.messages.KINDS` and its fields as a plain tuple),
+``(-1, payload)`` for anything else.  The receiver checks that shape
+before it rebuilds the message.  Each node keeps one
 outgoing connection per peer (dialed lazily) and accepts any number of
 incoming connections, each drained by a reader thread that hands decoded
 messages to a callback.  A reader fills one reusable buffer per
@@ -61,7 +65,7 @@ from typing import (
 )
 
 from repro.errors import RuntimeTransportError
-from repro.runtime.messages import PROTOCOL_VERSION, Hello
+from repro.runtime.messages import KINDS, PROTOCOL_VERSION, Hello
 
 logger = logging.getLogger(__name__)
 
@@ -89,9 +93,19 @@ BACKOFF_CAP_S = 2.0
 DIAL_TIMEOUT_S = 10.0
 
 
+#: Wire code of each message class; a payload of any other type
+#: travels whole under :data:`_RAW`.
+_CODES: Dict[type, int] = {kind: code for code, kind in enumerate(KINDS)}
+_ARITIES: Tuple[int, ...] = tuple(len(kind._fields) for kind in KINDS)
+_RAW = -1
+
+
 def _encode(payload: Any) -> bytes:
     """One frame: length prefix and pickle."""
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    code = _CODES.get(type(payload), _RAW)
+    data = pickle.dumps(
+        (code, payload if code == _RAW else tuple(payload)),
+        protocol=pickle.HIGHEST_PROTOCOL)
     if len(data) > MAX_FRAME_BYTES:
         raise RuntimeTransportError(
             f"frame of {len(data)} bytes exceeds limit")
@@ -107,7 +121,7 @@ def recv_frame(sock: socket.socket) -> Any:
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise RuntimeTransportError(f"oversized frame: {length} bytes")
-    return pickle.loads(_recv_exact(sock, length))
+    return _decode(_recv_exact(sock, length))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -130,17 +144,29 @@ def _recv_into_exact(sock: socket.socket, view: memoryview) -> None:
         view = view[received:]
 
 
-def _decode(frame: memoryview) -> Any:
-    """Unpickle one frame body.  Bytes that do not decode can raise
-    nearly anything (``UnpicklingError``, ``AttributeError``,
-    ``ImportError``, ``IndexError``, ``EOFError``...), so all of it is
-    reported as one typed transport error."""
+def _decode(frame) -> Any:
+    """Unpickle one frame body and rebuild what it carries.  Bytes that
+    do not decode can raise nearly anything (``UnpicklingError``,
+    ``AttributeError``, ``ImportError``, ``IndexError``,
+    ``EOFError``...), and a body that decodes need not be a frame of
+    this protocol (a version 1 peer pickled the message itself), so all
+    of it is reported as one typed transport error."""
     try:
-        return pickle.loads(frame)
+        body = pickle.loads(frame)
     except Exception as error:
         raise RuntimeTransportError(
             f"undecodable frame of {len(frame)} bytes: "
             f"{type(error).__name__}: {error}") from error
+    if type(body) is tuple and len(body) == 2 and type(body[0]) is int:
+        code, fields = body
+        if code == _RAW:
+            return fields
+        if 0 <= code < len(KINDS) and type(fields) is tuple \
+                and len(fields) == _ARITIES[code]:
+            return KINDS[code]._make(fields)
+    raise RuntimeTransportError(
+        f"malformed frame of {len(frame)} bytes: not (code, fields) of a "
+        f"known message, got {type(body).__name__}")
 
 
 def _read_frames(conn: socket.socket) -> Iterator[Any]:

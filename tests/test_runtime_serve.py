@@ -1,7 +1,6 @@
 """The live kernel's one serve path: table dispatch, then duplicate
 peek -> resident-or-forward -> claim -> hints -> body -> reply."""
 
-import dataclasses
 import logging
 import time
 
@@ -58,11 +57,8 @@ def _wait_for(condition, timeout=5.0):
 
 class TestDispatchTable:
     def test_every_request_message_has_a_handler(self):
-        requests = [
-            cls for cls in vars(m).values()
-            if dataclasses.is_dataclass(cls)
-            and {"request_id", "reply_to"} <=
-            {field.name for field in dataclasses.fields(cls)}]
+        requests = [cls for cls in m.KINDS
+                    if {"request_id", "reply_to"} <= set(cls._fields)]
         assert len(requests) >= 7
         assert [cls for cls in requests
                 if cls not in NodeKernel._HANDLERS] == []

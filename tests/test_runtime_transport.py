@@ -1,5 +1,6 @@
 """Unit tests for the live runtime's transport and message layer."""
 
+import dataclasses
 import pickle
 import queue
 import socket
@@ -12,12 +13,16 @@ import pytest
 from repro.errors import RuntimeTransportError
 from repro.faults.live import LiveDecision, LiveFaultInjector, decide_frame
 from repro.faults.plan import FaultPlan
+from repro.runtime import messages as m
 from repro.runtime.messages import Hello, InvokeMsg, ResultMsg
 from repro.runtime.transport import (
     _LENGTH,
     MAX_FRAME_BYTES,
     READ_BUFFER_BYTES,
     Mesh,
+    _decode,
+    _encode as _frame,
+    _read_frames,
     recv_frame,
     send_frame,
 )
@@ -84,6 +89,152 @@ class TestFraming:
             b.close()
 
 
+#: One instance of every message class, defaults left to default.
+SAMPLES = [
+    m.Hello(3),
+    m.InvokeMsg(7, 0, 0x1100000, "add", (1, "two"), {"k": [3]}, trace=(0, 2)),
+    m.ResultMsg(7, True, {"value": 1}),
+    m.ResultMsg(8, False, None, KeyError("gone")),
+    m.LocationHint(0x1100000, 2),
+    m.CreateMsg(9, 0, dict, ((("a", 1),),), {}),
+    m.MoveMsg(10, 0, 0x1100000, 2),
+    m.InstallMsg(11, 1, {0x1100000: [1, 2, 3]}, ((0x1100000, 0x1100040),),
+                 replica=True),
+    m.LocateMsg(12, 0, 0x1100000, trace=(0,)),
+    m.FetchReplicaMsg(13, 0, 0x1100000),
+    m.ControlMsg(14, 0, 0x1100000, "attach", 0x1100040),
+    m.RegisterNode(1, ("127.0.0.1", 4000)),
+    m.Heartbeat(1),
+    m.PeerStatus(2, alive=False, silence_s=1.5),
+    m.NodeDirectory({0: ("127.0.0.1", 4000), 1: ("127.0.0.1", 4001)}),
+    m.RegionRequest(1, 2),
+    m.RegionGrant(1, 0x1000000, 0x100000, 2),
+    m.RegionQuery(2, -1, 0x1100000),
+    m.RegionAnswer(2, 0x1000000, 0x100000, 2),
+    m.Shutdown(),
+]
+
+
+def _same(got, sent) -> bool:
+    """Equal and of the same type (a named tuple equals any tuple with
+    its fields; exceptions compare by identity)."""
+    if isinstance(sent, m.ResultMsg) and sent.error is not None:
+        return type(got) is type(sent) and got[:3] == sent[:3] \
+            and repr(got.error) == repr(sent.error)
+    return type(got) is type(sent) and got == sent
+
+
+@dataclasses.dataclass(frozen=True)
+class ResultMsgV1:
+    """What protocol version 1 put on the wire: the pickled instance of
+    a dataclass."""
+
+    request_id: int
+    ok: bool
+    value: object = None
+    error: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class HelloV1:
+    node: int
+    version: int = 1
+
+
+#: Frame bodies that unpickle but are not frames of this protocol.
+MALFORMED = {
+    "bare object": pickle.dumps({"any": "object"}),
+    "bare message": pickle.dumps(ResultMsg(9, True, "x")),
+    "v1 dataclass": pickle.dumps(ResultMsgV1(9, True, "x")),
+    "not a tuple": pickle.dumps([2, (9, True, "x", None)]),
+    "three items": pickle.dumps((2, (9, True, "x", None), 0)),
+    "code past the end": pickle.dumps((len(m.KINDS), ())),
+    "code below raw": pickle.dumps((-2, ())),
+    "code not an int": pickle.dumps(("2", (9, True, "x", None))),
+    "code a bool": pickle.dumps((True, (9, True, "x", None))),
+    "too few fields": pickle.dumps((2, (9, True, "x"))),
+    "too many fields": pickle.dumps((2, (9, True, "x", None, 0))),
+    "fields a list": pickle.dumps((2, [9, True, "x", None])),
+    "fields a message": pickle.dumps((2, ResultMsg(9, True, "x"))),
+}
+
+
+class TestWireForm:
+    def test_samples_cover_every_kind(self):
+        assert {type(sample) for sample in SAMPLES} == set(m.KINDS)
+        assert len(set(m.KINDS)) == len(m.KINDS)
+
+    def test_every_kind_roundtrips_over_a_socketpair(self):
+        a, b = socket.socketpair()
+        try:
+            for sample in SAMPLES:
+                send_frame(a, sample)
+                assert _same(recv_frame(b), sample)
+        finally:
+            a.close()
+            b.close()
+
+    def test_every_kind_roundtrips_dribbled_through_the_reader(self):
+        a, b = socket.socketpair()
+        stream = b"".join(_frame(sample) for sample in SAMPLES)
+
+        def dribble():
+            for index in range(len(stream)):
+                a.sendall(stream[index:index + 1])
+            a.close()
+
+        writer = threading.Thread(target=dribble, daemon=True)
+        writer.start()
+        try:
+            b.settimeout(10)
+            got = list(_read_frames(b))
+        finally:
+            writer.join(timeout=10)
+            b.close()
+        assert len(got) == len(SAMPLES)
+        assert all(_same(*pair) for pair in zip(got, SAMPLES))
+
+    def test_a_message_travels_as_its_code_and_plain_fields(self):
+        """No class goes by name: the body is ``(code, fields)``."""
+        for sample in SAMPLES:
+            body = pickle.loads(_frame(sample)[_LENGTH.size:])
+            assert type(body) is tuple and type(body[1]) is tuple
+            assert m.KINDS[body[0]] is type(sample)
+            assert b"repro" not in _frame(sample)
+        reply = _frame(ResultMsg(7, True, 1))
+        assert len(reply) < 4 + len(pickle.dumps(ResultMsg(7, True, 1)))
+
+    @pytest.mark.parametrize("payload", [
+        "ping", {"any": "object"}, bytes(64 * 1024), 7, None, (1, 2),
+        (0, (5, 2)), [ResultMsg(1, True)]],
+        ids=lambda payload: type(payload).__name__)
+    def test_a_payload_that_is_no_message_still_travels(self, payload):
+        a, b = socket.socketpair()
+        try:
+            writer = threading.Thread(target=send_frame, args=(a, payload))
+            writer.start()
+            got = recv_frame(b)
+            writer.join(timeout=10)
+            assert type(got) is type(payload) and got == payload
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_decode_rejects_what_is_not_a_frame_of_this_protocol(
+            self, name):
+        with pytest.raises(RuntimeTransportError):
+            _decode(MALFORMED[name])
+        a, b = socket.socketpair()
+        try:
+            a.sendall(_raw_frame(MALFORMED[name]))
+            with pytest.raises(RuntimeTransportError):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+
 class TestMesh:
     def test_two_meshes_exchange_messages(self):
         inbox_a, inbox_b = queue.SimpleQueue(), queue.SimpleQueue()
@@ -101,6 +252,20 @@ class TestMesh:
             peer, message = inbox_a.get(timeout=5)
             assert peer == 1
             assert message.value == "pong"
+        finally:
+            mesh_a.close()
+            mesh_b.close()
+
+    def test_bare_payloads_cross_a_mesh(self):
+        """What AmberBench's transport stage sends: not a message."""
+        inbox = queue.SimpleQueue()
+        mesh_a = Mesh(0, lambda peer, msg: None)
+        mesh_b = Mesh(1, lambda peer, msg: inbox.put((peer, msg)))
+        try:
+            mesh_a.set_directory({0: mesh_a.address, 1: mesh_b.address})
+            for payload in ("ping", {"any": "object"}, bytes(64 * 1024)):
+                mesh_a.send(1, payload)
+                assert inbox.get(timeout=5) == (0, payload)
         finally:
             mesh_a.close()
             mesh_b.close()
@@ -206,6 +371,30 @@ class TestMeshHandshake:
         finally:
             mesh.close()
 
+    def test_v1_hello_rejected(self):
+        """A version 1 peer opens with the pickled instance of a Hello
+        dataclass: not a frame of this protocol, so the connection ends
+        before anything is attributed to it."""
+        inbox = queue.SimpleQueue()
+        mesh = Mesh(0, lambda peer, msg: inbox.put((peer, msg)))
+        try:
+            raw = socket.create_connection(mesh.address, timeout=5)
+            raw.sendall(_raw_frame(pickle.dumps(HelloV1(9)))
+                        + _frame(ResultMsg(1, True, "sneaky")))
+            _assert_dropped(raw)
+            raw.close()
+            with pytest.raises(queue.Empty):
+                inbox.get(timeout=0.2)
+            assert mesh.stats["bad_frames"] == 1
+            # The same fields in a current frame: a version mismatch.
+            raw = socket.create_connection(mesh.address, timeout=5)
+            raw.sendall(_frame(Hello(9, version=1)))
+            _assert_dropped(raw)
+            raw.close()
+            assert mesh.stats["handshake_rejects"] == 1
+        finally:
+            mesh.close()
+
     def test_version_mismatch_rejected(self):
         inbox = queue.SimpleQueue()
         mesh = Mesh(0, lambda peer, msg: inbox.put((peer, msg)))
@@ -223,11 +412,6 @@ class TestMeshHandshake:
             mesh.close()
 
 
-def _frame(payload) -> bytes:
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return _LENGTH.pack(len(data)) + data
-
-
 def _raw_frame(body: bytes) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
@@ -243,7 +427,8 @@ def _assert_dropped(raw: socket.socket) -> None:
 
 class TestReaderFraming:
     """The batched reader against a hand-driven socket: however the
-    bytes are cut up, frames come out whole and in order."""
+    bytes are cut up, frames come out whole and in order.  Frames are
+    built by the transport's own ``_encode``."""
 
     @pytest.fixture
     def inbound(self):
@@ -314,6 +499,15 @@ class TestReaderFraming:
     ])
     def test_undecodable_frame_drops_the_connection(self, inbound, body):
         """Frames before the bad one are delivered; none after it."""
+        self._bad_frame_drops_the_connection(inbound, body)
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_frame_drops_the_connection(self, inbound, name):
+        """It unpickles, but it is not ``(code, fields)`` of a known
+        message: same verdict as bytes that do not."""
+        self._bad_frame_drops_the_connection(inbound, MALFORMED[name])
+
+    def _bad_frame_drops_the_connection(self, inbound, body):
         mesh, raw, inbox = inbound
         raw.sendall(_frame(Hello(5))
                     + _frame(ResultMsg(1, True, "before"))
