@@ -17,8 +17,8 @@ from repro.errors import ClusterError
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.config import peer_timeout_s
 from repro.runtime.coordinator import Coordinator, CoordinatorClient
-from repro.runtime.handles import Handle
-from repro.runtime.kernel import NodeKernel, ThreadHandle
+from repro.runtime.handles import Handle, ThreadHandle
+from repro.runtime.kernel import NodeKernel
 from repro.runtime.node import node_main
 
 

@@ -11,7 +11,7 @@ semantics (section 3.1).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.runtime import objects as _objects
 
@@ -55,3 +55,22 @@ class _RemoteMethod:
 
     def __repr__(self) -> str:
         return f"<remote {self._name} of {self._handle!r}>"
+
+
+class ThreadHandle:
+    """A started Amber thread: an outstanding shipped activation."""
+
+    def __init__(self, kernel: Any, entry: Any, description: str):
+        self._kernel = kernel
+        #: The kernel's entry for the request: the reply waits in it, so
+        #: an answered thread lives as long as its handle.
+        self._entry = entry
+        self.description = description
+
+    def join(self, timeout: Optional[float] = None):
+        """Wait for the thread to finish; returns its result or re-raises
+        its exception (like the Join primitive)."""
+        return self._kernel.wait_reply(self._entry, timeout)
+
+    def __repr__(self) -> str:
+        return f"<ThreadHandle {self.description}>"

@@ -9,7 +9,9 @@ from the coordinator (the address-space server of section 3.1).
 Invocation is function shipping: a non-resident target sends the
 activation to the believed holder, chasing forwarding chains hop by hop
 with home-node fallback; the node that finally executes sends
-:class:`LocationHint` messages back along the chase path (path caching).
+:class:`LocationHint` messages back along the chase path (path caching)
+— but for the last forwarder, which sent the request straight there, and
+the origin, which reads the location off the reply's sender.
 Every executing invocation holds a *bind count* on its object; ``move``
 drains the group's bind counts before shipping state (see the package
 docstring for why this stands in for §3.5's bound-thread migration).
@@ -44,7 +46,7 @@ from repro.errors import (
 from repro.recovery.config import reply_timeout_s
 from repro.runtime import messages as m
 from repro.runtime.circuit import OPEN, PeerCircuits
-from repro.runtime.handles import Handle
+from repro.runtime.handles import Handle, ThreadHandle
 from repro.runtime.objects import AmberObject, set_process_kernel
 from repro.runtime.transport import Mesh
 
@@ -86,22 +88,27 @@ _NOWHERE: Set[int] = set()
 
 
 class _Pending:
-    """One outstanding request, joined or not: its reply box, everything
-    needed to re-send it (lost-request/lost-reply recovery), and its
-    place on the resend ladder.
+    """One outstanding request, joined or not: where its outcome ``(ok,
+    value, error)`` goes (``deliver``: into the reply box a joiner
+    reads, or to the continuation ``on_reply``, run by the thread that
+    learns the outcome), everything needed to re-send it
+    (lost-request/lost-reply recovery), and its place on the ladder.
 
     The reply ceiling is read from REPRO_PEER_TIMEOUT_S (default 30 s ->
     120 s; see repro.recovery.config) once, here: every request is
     guaranteed an answer, so exhausting it indicates a lost peer, and
     tests and chaos scenarios tighten the knob between requests."""
 
-    __slots__ = ("box", "message", "route", "last_target", "held",
-                 "reply_s", "rto_base_s", "rto_s", "resend_at",
-                 "give_up_at")
+    __slots__ = ("box", "deliver", "joined", "message", "route",
+                 "last_target", "held", "reply_s", "rto_base_s", "rto_s",
+                 "resend_at", "give_up_at")
 
-    def __init__(self, message: Any,
-                 route: Callable[[], int]):
-        self.box: "queue.SimpleQueue" = queue.SimpleQueue()
+    def __init__(self, message: Any, route: Callable[[], int],
+                 on_reply: Optional[Callable[[Tuple], None]] = None):
+        #: None: nobody joins this request, it has a continuation.
+        self.box = None if on_reply else queue.SimpleQueue()
+        self.deliver = on_reply or self.box.put
+        self.joined = False
         self.message = message
         self.route = route
         self.last_target: Optional[int] = None
@@ -121,6 +128,20 @@ class _Pending:
 
 class _Flush(tuple):
     """The peers whose outboxes a pool worker is asked to write."""
+
+
+class _Claimed(tuple):
+    """``(message, body, obj)``: a request a mesh reader claimed and then
+    found it must wait for (a move that has to drain); a pool worker
+    takes it from there."""
+
+
+class _MustWait(Exception):
+    """Going on would mean waiting, which a mesh reader never does."""
+
+
+#: What a body returns when a continuation will send the reply.
+_LATER = object()
 
 
 class _Dedup:
@@ -154,7 +175,7 @@ class _Dedup:
                 return replies[slot]
         return None
 
-    def claim(self, key) -> Tuple[str, Any]:
+    def claim(self, key, take: bool = True) -> Tuple[str, Any]:
         """Atomically claim ``key`` for execution.  Returns one of
         ``("new", None)`` (execute it), ``("in_progress", None)`` (a
         twin is executing; drop this copy — its reply is coming), or
@@ -166,21 +187,17 @@ class _Dedup:
                 return "replay", cached
             if key in self._executing:
                 return "in_progress", None
+            if not take:
+                return "absent", None
             self._executing.add(key)
             return "new", None
 
     def peek(self, key) -> Tuple[str, Any]:
-        """Non-claiming lookup: ``("absent", None)``, ``("in_progress",
-        None)``, or ``("replay", cached_result)``.  Used before routing
-        so a duplicate of a request this node already answered is
-        replayed even if the object has since moved away."""
-        with self._lock:
-            cached = self._replay(key)
-            if cached is not None:
-                return "replay", cached
-            if key in self._executing:
-                return "in_progress", None
-            return "absent", None
+        """Non-claiming lookup: ``("absent", None)`` in place of
+        ``("new", None)``.  Used before routing so a duplicate of a
+        request this node already answered is replayed even if the
+        object has since moved away."""
+        return self.claim(key, take=False)
 
     def complete(self, key, result: Any) -> None:
         origin, request_id = key
@@ -275,24 +292,6 @@ class _WorkerPool:
             message = self._handoff.get()
 
 
-class ThreadHandle:
-    """A started Amber thread: an outstanding shipped activation."""
-
-    def __init__(self, kernel: "NodeKernel", request_id: int,
-                 description: str):
-        self._kernel = kernel
-        self._request_id = request_id
-        self.description = description
-
-    def join(self, timeout: Optional[float] = None):
-        """Wait for the thread to finish; returns its result or re-raises
-        its exception (like the Join primitive)."""
-        return self._kernel.wait_reply(self._request_id, timeout)
-
-    def __repr__(self) -> str:
-        return f"<ThreadHandle {self.description}>"
-
-
 class NodeKernel:
     def __init__(self, node_id: int, coordinator_client, chaos=None):
         self.node_id = node_id
@@ -302,6 +301,12 @@ class NodeKernel:
             from repro.faults.live import LiveFaultInjector
             self.chaos = LiveFaultInjector(chaos, node_id)
         self.mesh = Mesh(node_id, self._on_message, chaos=self.chaos)
+        # What a mesh reader could not write without waiting.
+        self.mesh.on_unwritten = \
+            lambda node: self._workers.submit(_Flush((node,)))
+        #: Idents of the mesh's reader threads: what would make one wait
+        #: looks its own up here first.
+        self._readers = self.mesh.reader_ids
         self._circuits = PeerCircuits()
         self._dedup = _Dedup()
         self._state = threading.RLock()
@@ -313,8 +318,9 @@ class NodeKernel:
         self._regions: Dict[int, Region] = {}
         self._heap = NodeHeap(node_id, coordinator_client,
                               on_grant=self._record_region)
-        #: Every outstanding request, joined or not; the resender thread
-        #: walks it (a dropped fork frame must not wait for a join).
+        #: Every request without an outcome yet, joined or not; the
+        #: resender thread walks it (a dropped fork frame must not wait
+        #: for a join).
         self._pending: Dict[int, _Pending] = {}
         #: Per peer, the requests sent there and not answered yet: a
         #: peer with none is idle as far as this node knows.
@@ -329,34 +335,22 @@ class NodeKernel:
         #: Jitter source for the resend ladder (seeded per node so test
         #: runs are reproducible).
         self._rng = random.Random(node_id ^ 0x5EED)
-        self.stats: Dict[str, int] = {
-            "local_invocations": 0,
-            "remote_invocations": 0,
-            "invocations_executed": 0,
-            "forwards": 0,
-            "moves_in": 0,
-            "moves_out": 0,
-            "replicas_installed": 0,
-            "hints": 0,
+        self.stats: Dict[str, int] = dict.fromkeys((
+            "local_invocations", "remote_invocations",
+            "invocations_executed", "forwards", "moves_in", "moves_out",
+            "replicas_installed", "hints",
             # Request-lifecycle hardening (docs/CHAOS.md).
-            "resends": 0,
-            "dedup_in_flight": 0,
-            "dedup_replayed": 0,
-            "circuit_fast_fails": 0,
-            "circuit_reroutes": 0,
+            "resends", "dedup_in_flight", "dedup_replayed",
+            "circuit_fast_fails", "circuit_reroutes",
             # Worker pool: threads created, messages given to a parked one.
-            "workers_started": 0,
-            "worker_handoffs": 0,
-        }
+            "workers_started", "worker_handoffs"), 0)
         self._workers = _WorkerPool(self._dispatch,
                                     f"amber-worker-{node_id}", self.stats)
         set_process_kernel(self)
         threading.Thread(target=self._resend_loop, daemon=True,
                          name=f"amber-resender-{node_id}").start()
 
-    # ------------------------------------------------------------------
-    # Public API (used by Cluster and by code inside operations)
-    # ------------------------------------------------------------------
+    # -- Public API (used by Cluster and by code inside operations) ----
 
     def create(self, cls: type, args: Tuple, kwargs: dict,
                node: Optional[int] = None) -> Handle:
@@ -382,14 +376,14 @@ class NodeKernel:
              kwargs: dict) -> ThreadHandle:
         """Start an Amber thread running ``method`` on the object; it
         executes at the object's node."""
-        request_id = self._start(self._router_or_here(vaddr), m.InvokeMsg,
-                                 vaddr, method, args, kwargs,
-                                 (self.node_id,), post=True)
-        return ThreadHandle(self, request_id, f"{method}@{vaddr:#x}")
+        entry = self._start(self._router(vaddr, here=True), m.InvokeMsg,
+                            vaddr, method, args, kwargs,
+                            (self.node_id,), post=True)
+        return ThreadHandle(self, entry, f"{method}@{vaddr:#x}")
 
     def move(self, vaddr: int, dest: int) -> None:
         """MoveTo: relocate the object (and its attachment group)."""
-        self._request(self._router_or_here(vaddr), m.MoveMsg, vaddr, dest)
+        self._request(self._router(vaddr, here=True), m.MoveMsg, vaddr, dest)
 
     def locate(self, vaddr: int) -> int:
         """Locate: the node where the object currently resides."""
@@ -401,7 +395,7 @@ class NodeKernel:
     def control(self, vaddr: int, op: str, extra: Any = None) -> Any:
         """Routed kernel operation on an object: ``set_immutable``,
         ``attach``, ``unattach``, ``delete``."""
-        return self._request(self._router_or_here(vaddr), m.ControlMsg,
+        return self._request(self._router(vaddr, here=True), m.ControlMsg,
                              vaddr, op, extra)
 
     def node_stats(self, node: int) -> Dict[str, int]:
@@ -421,15 +415,16 @@ class NodeKernel:
             snapshot.update(self.chaos.stats)
         return snapshot
 
-    def wait_reply(self, request_id: int,
+    def wait_reply(self, entry: _Pending,
                    timeout: Optional[float] = None) -> Any:
         """Wait (once) for the reply to a started request.  The caller
         is guaranteed a typed outcome within the deadline: the reply,
         the remote error, :class:`NodeFailure` (peer suspected dead /
         circuit open), or :class:`TimeoutError`."""
-        entry = self._pending.get(request_id)
-        if entry is None:
-            raise AmberError(f"unknown request id {request_id}")
+        if entry.joined:
+            raise AmberError(
+                f"request {entry.message.request_id} was already joined")
+        entry.joined = True
         deadline_s = max(0.0, entry.reply_s if timeout is None else timeout)
         # The waiter only waits; the resender thread owns the ladder and
         # keeps (or resumes) re-sending for as long as someone waits.
@@ -442,15 +437,10 @@ class NodeKernel:
         try:
             ok, value, error = entry.box.get(timeout=deadline_s)
         except queue.Empty:
+            self._forget(entry)     # a late reply finds no entry
             raise self._deadline_error(entry, deadline_s) from None
-        finally:
-            # However it ended (reply, typed verdict, deadline), it is
-            # no longer work its target holds for us.
-            self._pending.pop(request_id, None)
-            entry.held.discard(request_id)
         if ok:
-            if entry.last_target not in (None, self.node_id):
-                self._circuits.record_success(entry.last_target)
+            self._circuits.record_success(entry.last_target)
             return value
         raise error
 
@@ -459,33 +449,33 @@ class NodeKernel:
         self._workers.close()
         self.mesh.close()
 
-    # ------------------------------------------------------------------
-    # Request plumbing: start, re-send with backoff, bounded wait
-    # ------------------------------------------------------------------
+    # -- Request plumbing: start, re-send with backoff, bounded wait ---
 
-    def _start(self, route: Callable[[], int], kind: type,
-               *fields: Any, post: bool = False) -> int:
+    def _start(self, route: Callable[[], int], kind: type, *fields: Any,
+               post: bool = False,
+               on_reply: Optional[Callable[[Tuple], None]] = None
+               ) -> _Pending:
         """Send the request ``kind(request_id, this node, *fields)`` and
-        return its id for :meth:`wait_reply`.  ``route()`` names the
+        return its entry for :meth:`wait_reply`.  ``route()`` names the
         current target node and is re-evaluated on every (re)send, so a
         re-send follows fresh location hints and circuit reroutes.
         ``post``: nobody waits on this request yet (a ``fork``), so its
-        frame need not be written by the time this returns."""
+        frame need not be written by the time this returns.
+        ``on_reply``: nobody joins it; reply, verdict or deadline goes
+        to this continuation.  Raises, leaving nothing behind, when the
+        request was never accepted for transmission: a typed routing
+        verdict (``NodeFailure`` from an open circuit,
+        ``ObjectNotFoundError``), an encode error, an unknown peer."""
         request_id = next(self._request_ids)
-        entry = _Pending(kind(request_id, self.node_id, *fields), route)
+        entry = _Pending(kind(request_id, self.node_id, *fields), route,
+                         on_reply)
         self._pending[request_id] = entry
         try:
             self._send_request(entry, post)
-        except (RuntimeTransportError, OSError):
-            # Transient wire failure: the resend ladder owns it.
-            pass
         except BaseException:
-            # Typed verdicts (NodeFailure from an open circuit,
-            # ObjectNotFoundError from routing) go to the caller.
-            self._pending.pop(request_id, None)
-            entry.held.discard(request_id)
+            self._forget(entry)
             raise
-        return request_id
+        return entry
 
     def _request(self, route: Callable[[], int], kind: type,
                  *fields: Any) -> Any:
@@ -493,7 +483,9 @@ class NodeKernel:
 
     def _send_request(self, entry: _Pending, post: bool = False) -> None:
         """One transmission of a pending request; routing and circuit
-        decisions happen here, transport failures feed the breaker.
+        decisions happen here.  What raises is definitive: the frame
+        was not accepted.  A write that fails afterwards is the
+        breaker's and the resend ladder's business (:meth:`_flush`).
         A frame that may be posted is written now when its target is
         idle as far as this node knows — it holds no unanswered request
         of ours, so nothing else would carry the frame there — and only
@@ -513,24 +505,28 @@ class NodeKernel:
             entry.held.discard(request_id)
             entry.held = unanswered
             unanswered.add(request_id)
+            if request_id not in self._pending:
+                # Answered while it was being re-routed: the reply
+                # cleared the set it was held in then, not this one.
+                unanswered.discard(request_id)
+                return
         entry.last_target = target
-        try:
-            if post and busy:
-                first = self.mesh.post(target, entry.message)
-                self._posted.add(target)
-                if first:
-                    self._workers.submit(_Flush((target,)))
-            else:
-                self.mesh.send(target, entry.message)
-        except (RuntimeTransportError, OSError):
-            if target != self.node_id:
+        first = self.mesh.post(target, entry.message)
+        if post and busy:
+            self._posted.add(target)
+            if first:
+                self._workers.submit(_Flush((target,)))
+        elif target != self.node_id:
+            try:
+                self.mesh.flush(target)
+            except (RuntimeTransportError, OSError):
                 self._circuits.record_failure(target)
-            raise
 
     def _flush(self, nodes) -> None:
-        """Write what is posted for ``nodes``.  The frames are requests
-        on the resend ladder already, so a batch that cannot be
-        delivered is only the breaker's business."""
+        """Write what is queued for ``nodes``.  The frames are on their
+        senders' resend ladders (or are replies, replayed on demand), so
+        a batch that cannot be delivered is only the breaker's
+        business."""
         for node in nodes:
             self._posted.discard(node)
             try:
@@ -551,8 +547,10 @@ class NodeKernel:
                 self._workers.retire_spare()
                 retire_at = now + WORKER_IDLE_S
             for entry in list(self._pending.values()):
-                if entry.resend_at <= now < entry.give_up_at \
-                        and entry.box.empty():
+                # Past ``give_up_at`` a continuation is due its verdict;
+                # a box waits for a join to move the deadline on.
+                if entry.resend_at <= now and (
+                        now < entry.give_up_at or entry.box is None):
                     # Sent from a pool worker: one re-send stuck
                     # redialling a dead peer must not delay another
                     # request's.  Not due again until that one is done.
@@ -561,22 +559,38 @@ class NodeKernel:
 
     def _resend(self, entry: _Pending) -> None:
         """One due retransmission (the request or its reply may be
-        lost).  The receive side's at-most-once dedup makes this safe —
-        an in-flight twin is dropped, a completed one gets its cached
-        reply replayed."""
+        lost), or the deadline verdict of a request nobody joins.  The
+        receive side's at-most-once dedup makes a re-send safe — an
+        in-flight twin is dropped, a completed one gets its cached reply
+        replayed."""
+        if entry.box is None and time.monotonic() >= entry.give_up_at:
+            return self._complete(entry, (
+                False, None, self._deadline_error(entry, entry.reply_s)))
         self.stats["resends"] += 1
         try:
             self._send_request(entry)
-        except (RuntimeTransportError, OSError):
-            pass             # transient: keep the ladder going
         except Exception as error:
             # Definitive (typed NodeFailure / ObjectNotFoundError from
-            # routing, or unexpected): the verdict of whoever joins.
-            entry.box.put((False, None, error))
+            # routing, a closing mesh, or unexpected): its verdict.
+            self._complete(entry, (False, None, error))
         entry.rto_s = min(entry.rto_s * 2.0,
                           entry.rto_base_s * RTO_CAP_FACTOR) \
             * (1.0 + 0.25 * self._rng.random())
         entry.resend_at = time.monotonic() + entry.rto_s
+
+    def _forget(self, entry: _Pending) -> bool:
+        """Out of ``_pending`` (false: another thread took it), and no
+        longer work its target holds for us."""
+        request_id = entry.message.request_id
+        entry.held.discard(request_id)
+        return self._pending.pop(request_id, None) is not None
+
+    def _complete(self, entry: _Pending, outcome: Tuple) -> None:
+        """The one way a request gets its outcome ``(ok, value, error)``:
+        of a reply, a verdict and a deadline that race, the one that
+        takes the entry delivers."""
+        if self._forget(entry):
+            entry.deliver(outcome)
 
     def _deadline_error(self, entry: _Pending,
                         deadline_s: float) -> Exception:
@@ -606,14 +620,11 @@ class NodeKernel:
         except Exception:      # pragma: no cover - defensive
             return set()
 
-    def _router(self, vaddr: int) -> Callable[[], int]:
+    def _router(self, vaddr: int, here: bool = False) -> Callable[[], int]:
+        """Routes to the believed holder of ``vaddr`` — or, with
+        ``here``, to this node while the object is resident."""
         def route() -> int:
-            return self._check_circuit(self._believed(vaddr), vaddr)
-        return route
-
-    def _router_or_here(self, vaddr: int) -> Callable[[], int]:
-        def route() -> int:
-            if self._resident_object(vaddr) is not None:
+            if here and self._resident_object(vaddr) is not None:
                 return self.node_id
             return self._check_circuit(self._believed(vaddr), vaddr)
         return route
@@ -652,9 +663,8 @@ class NodeKernel:
         of execution.  True when this copy must not execute: it was
         answered from the reply cache, or dropped as the twin of one
         still executing (whose reply is coming)."""
-        key = (message.reply_to, message.request_id)
-        status, cached = (self._dedup.claim(key) if claim
-                          else self._dedup.peek(key))
+        status, cached = self._dedup.claim(
+            (message.reply_to, message.request_id), claim)
         if status in ("new", "absent"):
             return False
         if status == "replay":
@@ -669,8 +679,6 @@ class NodeKernel:
         one is recovered by the sender's own resend ladder."""
         try:
             self.mesh.send(node, message)
-        except (KeyboardInterrupt, SystemExit):
-            raise
         except Exception:
             pass
 
@@ -694,8 +702,6 @@ class NodeKernel:
                      error: BaseException) -> None:
         try:
             pickle.dumps(error)
-        except (KeyboardInterrupt, SystemExit):
-            raise
         except (pickle.PicklingError, TypeError, AttributeError,
                 RecursionError) as pickling_error:
             # The error itself cannot cross the wire (unpicklable
@@ -715,9 +721,7 @@ class NodeKernel:
         self._dedup.complete((to_node, request_id), result)
         self.mesh.send(to_node, result)
 
-    # ------------------------------------------------------------------
-    # Routing helpers
-    # ------------------------------------------------------------------
+    # -- Routing helpers -----------------------------------------------
 
     def _resident_object(self, vaddr: int) -> Optional[AmberObject]:
         with self._state:
@@ -742,6 +746,8 @@ class NodeKernel:
         for region in self._regions.values():
             if region.contains(vaddr):
                 return region.owner_node
+        if threading.get_ident() in self._readers:
+            raise _MustWait()       # for the coordinator's answer
         region = self._coord.query_region(vaddr)
         if region is None:
             raise ObjectNotFoundError(
@@ -752,9 +758,7 @@ class NodeKernel:
     def _record_region(self, region: Region) -> None:
         self._regions[region.base] = region
 
-    # ------------------------------------------------------------------
-    # Object management
-    # ------------------------------------------------------------------
+    # -- Object management ---------------------------------------------
 
     def _create_local(self, cls: type, args: Tuple, kwargs: dict) -> int:
         obj = cls(*args, **kwargs)
@@ -788,28 +792,40 @@ class NodeKernel:
                     del self._bind[vaddr]
                     self._drained.notify_all()
 
-    # ------------------------------------------------------------------
-    # Message handling
-    # ------------------------------------------------------------------
+    # -- Message handling ----------------------------------------------
 
     def _on_message(self, peer: int, message: Any) -> None:
-        if isinstance(message, m.ResultMsg):
-            entry = self._pending.get(message.request_id)
+        """A mesh reader calls this and must get back to its socket: on
+        it nothing runs user code, sleeps, waits on a condition or for
+        a reply, or waits in a write (what would, looks in
+        ``_readers``) — that goes to the pool, which never queues a
+        message behind a running handler."""
+        kind = type(message)
+        if kind is m.ResultMsg:
+            # _complete, in line.  A duplicate/replayed reply finds no
+            # entry; request ids are never reused (a counter), so
+            # mis-delivery cannot happen.
+            entry = self._pending.pop(message.request_id, None)
             if entry is not None:
-                # A duplicate/replayed reply just parks a second item in
-                # a box nobody reads again; request ids are never reused
-                # (a counter), so mis-delivery cannot happen.
                 entry.held.discard(message.request_id)
-                entry.box.put((message.ok, message.value, message.error))
-            return
-        if isinstance(message, m.LocationHint):
-            with self._state:
-                self._descriptors.update_hint(message.vaddr, message.node)
-            self.stats["hints"] += 1
-            return
-        # Everything else may block, and this may be a mesh reader: the
-        # pool never queues a message behind a running handler.
-        self._workers.submit(message)
+                if peer != entry.last_target \
+                        and type(entry.message) in _LOCATING:
+                    # Served by a node we did not send it to: there the
+                    # object is (the origin's location hint).
+                    self._hinted(entry.message.vaddr, peer)
+                entry.deliver(message[1:])
+        elif kind is m.LocationHint:
+            self._hinted(*message)
+        elif peer != self.node_id and not (
+                kind is m.InvokeMsg and message.vaddr in self._objects):
+            self._dispatch(message)  # the probe is advisory: _serve decides
+        else:
+            self._workers.submit(message)
+
+    def _hinted(self, vaddr: int, node: int) -> None:
+        with self._state:
+            self._descriptors.update_hint(vaddr, node)
+        self.stats["hints"] += 1
 
     def _dispatch(self, message: Any) -> None:
         try:
@@ -817,16 +833,13 @@ class NodeKernel:
             if handler is not None:
                 handler(self, message)
             # Unknown messages are dropped (forward compatibility).
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except NodeFailure:
-            # A dead peer mid-handling is an expected outcome under
-            # fault injection; the requester's reply timeout (or the
-            # failure detector) owns the recovery story.
-            raise
-        except (RuntimeTransportError, OSError) as error:
+        except _MustWait:
+            # A reader's, not claimed yet: a worker starts it over.
+            self._workers.submit(message)
+        except (NodeFailure, RuntimeTransportError, OSError) as error:
             # Expected under chaos (peer gone mid-reply, mesh closing):
-            # the requester's resend ladder / deadline owns recovery.
+            # the requester's resend ladder / deadline (or the failure
+            # detector) owns recovery.
             log.debug(
                 "node %d: transport error dispatching %s: %s",
                 self.node_id, type(message).__name__, error)
@@ -841,32 +854,48 @@ class NodeKernel:
             log.debug("dispatch traceback:\n%s", traceback.format_exc())
 
     def _serve(self, message, body: Callable[[Any, Any], Any],
-               routed: bool = True, hinted: bool = False) -> Any:
+               routed: bool = True, on_reader: bool = True,
+               claimed: bool = False, obj: Any = None) -> Any:
         """The one serve path of a request: replay or drop a duplicate,
         forward it if its object is not here (``routed``), claim it,
-        refresh the chase path (``hinted``), run ``body(message, obj)``
+        refresh the chase path, run ``body(message, obj)``
         and reply with its value or its exception.  Returns the object
-        served once a value has been sent."""
-        if self._duplicate(message, claim=False):
-            return None
-        obj = None
-        if routed:
-            obj = self._resident_object(message.vaddr)
-            if obj is None:
-                self._forward(message)
+        served once a value has been sent.  A mesh reader routes any
+        request but runs a body only if it may (``on_reader``);
+        :class:`_MustWait` leaves here only while nothing is claimed.
+        ``claimed``: a reader has done all that but the body, for ``obj``."""
+        if not claimed:
+            if self._duplicate(message, claim=False):
                 return None
-        if self._duplicate(message, claim=True):
-            return None
-        if hinted and len(message.trace) > 1:
-            # The request was forwarded at least once: refresh the stale
-            # descriptors along the chase path, including the origin's.
-            self._send_hints(message.trace, message.vaddr)
+            if routed:
+                obj = self._resident_object(message.vaddr)
+                if obj is None:
+                    self._forward(message)
+                    return None
+            if not on_reader and threading.get_ident() in self._readers:
+                raise _MustWait()
+            if self._duplicate(message, claim=True):
+                return None
+            if type(message) in _LOCATING and len(message.trace) > 2:
+                # Forwarded more than once: refresh the descriptors
+                # between the origin and the last forwarder (an
+                # unreachable node must not abort the request served).
+                for node in message.trace[1:-1]:
+                    if node != self.node_id:
+                        self._send_quiet(node, m.LocationHint(
+                            message.vaddr, self.node_id))
         try:
             value = body(message, obj)
+        except _MustWait:
+            # A reader's move: claimed, so it goes to the pool as that.
+            self._workers.submit(_Claimed((message, body, obj)))
+            return None
         except BaseException as error:
             # Even a SystemExit out of user code is the caller's answer:
             # swallowed here it would only end this worker, silently.
             self._reply_error(message.reply_to, message.request_id, error)
+            return None
+        if value is _LATER:
             return None
         self._reply(message.reply_to, message.request_id, value)
         return obj
@@ -884,7 +913,13 @@ class NodeKernel:
         except ObjectNotFoundError as error:
             self._reply_error(message.reply_to, message.request_id, error)
             return
-        if message.trace and target == message.trace[-1]:
+        bounce = bool(message.trace) and target == message.trace[-1]
+        if (bounce or not self.mesh.connected(target)) \
+                and threading.get_ident() in self._readers:
+            # A reader neither sleeps nor dials, and a forward that
+            # fails must fail on a thread that can tell the origin.
+            raise _MustWait()
+        if bounce:
             # Immediate bounce: the object is probably mid-move; let the
             # install land before chasing again.
             time.sleep(0.005)
@@ -902,15 +937,8 @@ class NodeKernel:
                     f"{type(message).__name__} for {vaddr:#x} to node "
                     f"{target} failed: {error}"))
 
-    def _send_hints(self, trace: Tuple[int, ...], vaddr: int) -> None:
-        for node in trace:
-            if node != self.node_id:
-                # Hints are an optimization; an unreachable chase-path
-                # node must not abort the invocation being answered.
-                self._send_quiet(node, m.LocationHint(vaddr, self.node_id))
-
     def _handle_invoke(self, message: m.InvokeMsg) -> None:
-        obj = self._serve(message, self._invoke, hinted=True)
+        obj = self._serve(message, self._invoke, on_reader=False)
         if obj is not None and obj._amber_immutable \
                 and message.reply_to != self.node_id:
             # Read-only object invoked remotely: push a replica so the
@@ -922,13 +950,13 @@ class NodeKernel:
                              message.kwargs)
 
     def _handle_create(self, message: m.CreateMsg) -> None:
-        self._serve(message, self._create, routed=False)
+        self._serve(message, self._create, routed=False, on_reader=False)
 
     def _create(self, message: m.CreateMsg, _obj: None) -> int:
         return self._create_local(message.cls, message.args, message.kwargs)
 
     def _handle_locate(self, message: m.LocateMsg) -> None:
-        self._serve(message, self._located, hinted=True)
+        self._serve(message, self._located)
 
     def _located(self, _message: m.LocateMsg, _obj: AmberObject) -> int:
         return self.node_id
@@ -938,80 +966,109 @@ class NodeKernel:
     def _handle_move(self, message: m.MoveMsg) -> None:
         self._serve(message, self._move_out)
 
-    def _move_out(self, message: m.MoveMsg, obj: AmberObject) -> None:
-        if message.dest == self.node_id:
-            return
-        if obj._amber_immutable:
-            self._ship_replica(obj, message.dest, wait_ack=True)
+    def _move_out(self, message: m.MoveMsg, obj: AmberObject) -> Any:
+        """Ship the group (of an immutable, a replica) and return: the
+        move's second half — counting it, answering the mover — is the
+        continuation of the install, a hardened request of its own:
+        re-sent on silence (the receiver's dedup makes a duplicate a
+        cached-reply replay), typed failure on a dead destination."""
+        dest = message.dest
+        if dest == self.node_id:
+            return None
+        replica = obj._amber_immutable
+        if replica:
+            shipment, edges = {message.vaddr: obj}, ()
         else:
-            self._move_group_out(message.vaddr, message.dest)
+            shipment, edges = self._take_group(message.vaddr, dest)
 
-    def _move_group_out(self, vaddr: int, dest: int) -> None:
+        def installed(outcome: Tuple) -> None:
+            ok, _, error = outcome
+            try:
+                if not ok:
+                    # Transmitted, then failed or timed out: the group
+                    # stays forwarded, the destination may hold it.
+                    return self._reply_error(message.reply_to,
+                                             message.request_id, error)
+                self._circuits.record_success(dest)
+                if not replica:
+                    self.stats["moves_out"] += 1
+                self._reply(message.reply_to, message.request_id, None)
+            except (RuntimeTransportError, OSError) as failure:
+                # On a reader, perhaps.  The reply is cached: replayed.
+                log.debug("node %d: reply to the mover: %s", self.node_id,
+                          failure)
+
+        try:
+            self._start(self._fixed_router(dest), m.InstallMsg, shipment,
+                        edges, replica, on_reply=installed)
+        except BaseException:
+            # Never transmitted, so the destination cannot hold it: a
+            # refused move leaves the group where it was.
+            self._adopt(shipment, edges, replica)
+            raise
+        return _LATER
+
+    def _take_group(self, vaddr: int, dest: int) -> Tuple[dict, tuple]:
+        """Drain the attachment group of ``vaddr``, take it out of this
+        node and leave forwarding addresses to ``dest``."""
         deadline = time.monotonic() + MOVE_DRAIN_TIMEOUT
         with self._state:
             group = self._attachments.group(vaddr)
             # Wait for active invocations of every member to drain.
             while any(self._bind.get(member, 0) for member in group):
+                if threading.get_ident() in self._readers:
+                    raise _MustWait()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise MobilityError(
                         f"move of {vaddr:#x}: active invocations did not "
                         f"drain within {MOVE_DRAIN_TIMEOUT}s")
                 self._drained.wait(remaining)
-            shipment: Dict[int, AmberObject] = {}
-            edges = []
-            for member in group:
-                member_obj = self._objects.pop(member, None)
-                if member_obj is None:
-                    raise MobilityError(
-                        f"attachment group of {vaddr:#x} is not fully "
-                        f"resident here")
-                shipment[member] = member_obj
-                for target in self._attachments.attachments_of(member):
-                    edges.append((member, target))
+            if any(member not in self._objects for member in group):
+                raise MobilityError(
+                    f"attachment group of {vaddr:#x} is not fully "
+                    f"resident here")
+            shipment = {member: self._objects.pop(member)
+                        for member in group}
+            edges = tuple((member, target) for member in group
+                          for target in
+                          self._attachments.attachments_of(member))
             for member in group:
                 self._attachments.drop(member)
                 self._descriptors.set_forwarding(member, dest)
-        # The install is a hardened request of its own: re-sent on
-        # silence (the receiver's dedup makes a duplicate install a
-        # cached-reply replay), typed failure on a dead destination.
-        self._request(self._fixed_router(dest), m.InstallMsg, shipment,
-                      tuple(edges))
-        self.stats["moves_out"] += 1
+        return shipment, edges
 
-    def _ship_replica(self, obj: AmberObject, dest: int,
-                      wait_ack: bool = False) -> None:
-        shipment = {obj._amber_vaddr: obj}
-        if wait_ack:
-            self._request(self._fixed_router(dest), m.InstallMsg, shipment,
-                          (), True)      # no attach edges; a replica
-            return
-        # Replica pushes are an optimization: fire-and-forget, and a
-        # loss just means the caller keeps invoking remotely.
+    def _adopt(self, objects: Dict[int, AmberObject], edges,
+               replica: bool = False) -> None:
+        """Make ``objects`` resident here, attached by ``edges``."""
+        with self._state:
+            for vaddr, obj in objects.items():
+                if replica and self._descriptors.is_resident(vaddr):
+                    continue   # already have a replica
+                self._objects[vaddr] = obj
+                self._descriptors.set_resident(vaddr)
+            for source, target in edges:
+                self._attachments.attach(source, target)
+
+    def _ship_replica(self, obj: AmberObject, dest: int) -> None:
+        """Push a replica: an optimization, fire-and-forget — a loss
+        just means the caller keeps invoking remotely."""
         self._send_quiet(dest, m.InstallMsg(
-            next(self._request_ids), self.node_id, shipment, (),
-            replica=True))
+            next(self._request_ids), self.node_id,
+            {obj._amber_vaddr: obj}, (), replica=True))
 
     def _handle_install(self, message: m.InstallMsg) -> None:
         self._serve(message, self._install, routed=False)
 
     def _install(self, message: m.InstallMsg, _obj: None) -> None:
-        with self._state:
-            for vaddr, obj in message.objects.items():
-                if message.replica and \
-                        self._descriptors.is_resident(vaddr):
-                    continue   # already have a replica
-                self._objects[vaddr] = obj
-                self._descriptors.set_resident(vaddr)
-            for source, target in message.attach_edges:
-                self._attachments.attach(source, target)
+        self._adopt(message.objects, message.attach_edges, message.replica)
         if message.replica:
             self.stats["replicas_installed"] += len(message.objects)
         else:
             self.stats["moves_in"] += len(message.objects)
 
     def _handle_fetch_replica(self, message: m.FetchReplicaMsg) -> None:
-        self._serve(message, self._fetch_replica)
+        self._serve(message, self._fetch_replica, on_reader=False)
 
     def _fetch_replica(self, message: m.FetchReplicaMsg,
                        obj: AmberObject) -> None:
@@ -1079,4 +1136,11 @@ class NodeKernel:
         m.ControlMsg: _handle_control,
         _Pending: _resend,
         _Flush: _flush,
+        _Claimed: lambda self, claimed: self._serve(
+            claimed[0], claimed[1], claimed=True, obj=claimed[2]),
     }
+
+
+#: The requests that leave location hints: their reply tells the origin
+#: where the object is, their chase path is told by ``LocationHint``.
+_LOCATING = frozenset((m.InvokeMsg, m.LocateMsg))

@@ -19,11 +19,22 @@ redials.
 The write side batches the same way.  Every outbound frame is encoded by
 the thread that sends it and appended to its peer's *outbox*; whichever
 thread holds that peer's write lock takes everything queued and writes
-it with one ``sendall``.  :meth:`Mesh.send` queues and then writes;
+it as one batch.  :meth:`Mesh.send` queues and then writes;
 :meth:`Mesh.post` only queues, and the frame leaves with the next write
 to that peer (any ``send``, or :meth:`Mesh.flush`).  A sender that finds
 the write lock held leaves its frame to the holder, which looks at the
 outbox again after releasing the lock, so no frame is stranded.
+
+A write begins with one ``send`` that does not wait, and for a thread
+that may wait goes on from there (below).  A *reader* thread — the
+receiver's callback may send — never waits in a write: once
+:attr:`Mesh.on_unwritten` is set, whatever such a thread could not write
+at once (no connection yet, the socket full, a batch past the byte
+bound, something owed to the chaos layer) stays at the head of the
+outbox, in order, and ``on_unwritten(node)`` is called — after the
+write lock is released — for some other thread to :meth:`Mesh.flush`.
+A frame cut short is never continued: its connection ends with it and
+the frame is written again, whole, on the next.
 
 Writes are retried: a broken connection is torn down and redialed with
 exponential backoff plus jitter, up to :data:`SEND_RETRIES` attempts, so
@@ -42,7 +53,8 @@ A mesh may carry a chaos layer
 (:class:`~repro.faults.live.LiveFaultInjector`): every outbound frame is
 then subject to seeded drop / duplicate / delay / connection-reset
 decisions, drawn where the frame is handed in, *before* it reaches the
-outbox — see ``docs/CHAOS.md``.
+outbox (a reset or a delay is then owed by the outbox and served by the
+thread that next writes it) — see ``docs/CHAOS.md``.
 """
 
 from __future__ import annotations
@@ -212,10 +224,10 @@ def _read_frames(conn: socket.socket) -> Iterator[Any]:
 class _Outbox:
     """Frames encoded and waiting to be written to one peer, and the
     lock that serializes dial + handshake + writes to it (so no data
-    frame can beat the Hello onto a fresh connection).  ``frames``,
-    ``nbytes`` and ``reset`` change under the mesh lock only."""
+    frame can beat the Hello onto a fresh connection).  Everything but
+    the lock changes under the mesh lock only."""
 
-    __slots__ = ("lock", "frames", "nbytes", "reset")
+    __slots__ = ("lock", "frames", "nbytes", "reset", "delay_s")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -224,6 +236,8 @@ class _Outbox:
         #: A chaos reset is owed: the next write first poisons the
         #: current connection and redials.
         self.reset = False
+        #: Chaos delay owed: the next write first sleeps this long.
+        self.delay_s = 0.0
 
 
 class Mesh:
@@ -257,6 +271,11 @@ class Mesh:
         self._connected_once: set = set()
         self._lock = threading.Lock()
         self._closing = False
+        #: Idents of the reader threads, and what a reader calls with a
+        #: peer whose outbox it had to leave for another thread to
+        #: write.  While unset, a reader writes like any other thread.
+        self.reader_ids: set = set()
+        self.on_unwritten: Optional[Callable[[int], None]] = None
         #: Jitter source; seeded per node so test runs are reproducible.
         self._rng = random.Random(node)
         #: ``sends``: frames accepted for a peer, one per message.
@@ -313,15 +332,15 @@ class Mesh:
             raise RuntimeTransportError(
                 f"node {self.node}: no address for node {node}")
         duplicate = reset = False
+        delay_s = 0.0
         if self._chaos is not None:
             decision = self._chaos.on_send(node, message)
             if decision.drop:
                 # Consumed by the chaos layer: to the caller this looks
                 # exactly like loss on the wire.
                 return False
-            if decision.delay_s:
-                time.sleep(decision.delay_s)
             duplicate, reset = decision.duplicate, decision.reset
+            delay_s = decision.delay_s
         data = _encode(message)
         with self._lock:
             if self._closing:
@@ -339,6 +358,8 @@ class Mesh:
                 outbox.nbytes += len(data)
             if reset:
                 outbox.reset = True
+            if delay_s:
+                outbox.delay_s += delay_s
             self.stats["sends"] += 1
         if outbox.nbytes >= OUTBOX_MAX_BYTES:
             self.flush(node)
@@ -349,16 +370,22 @@ class Mesh:
         holds its write lock: that thread re-checks the outbox after
         releasing, as this one does, so a frame queued at any moment is
         taken by one of them.  Raises when a batch this thread was
-        writing could not be delivered."""
+        writing could not be delivered.  A reader thread never waits
+        here: what it cannot write at once it leaves queued, and says so
+        through ``on_unwritten`` — after it has let go of the write
+        lock, or the thread that call wakes could find the lock held and
+        leave the frames to this one."""
         outbox = self._outboxes[node]
         failure = None
+        written = True
         # Past the byte bound a sender waits for its turn to write (the
         # back-pressure every send used to get from the peer lock).
-        while outbox.frames and outbox.lock.acquire(
-                blocking=outbox.nbytes >= OUTBOX_MAX_BYTES):
+        while written and outbox.frames and outbox.lock.acquire(
+                blocking=outbox.nbytes >= OUTBOX_MAX_BYTES
+                and not self._reading()):
             try:
                 if failure is None:
-                    self._write(node, outbox)
+                    written = self._write(node, outbox)
                 else:
                     # Queued behind a batch that just failed its whole
                     # ladder: lost with it, not retried on this thread.
@@ -368,35 +395,68 @@ class Mesh:
                 failure = error
             finally:
                 outbox.lock.release()
+        if not written:
+            self.on_unwritten(node)
         if failure is not None:
             raise failure
 
-    def _write(self, node: int, outbox: _Outbox) -> None:
-        """Take what ``outbox`` holds and write it as one batch, under
-        the dial → Hello → retry/backoff ladder.  Caller holds the
-        outbox's write lock."""
+    def connected(self, node: int) -> bool:
+        """Whether a connection to ``node`` stands (advisory)."""
+        return node in self._out
+
+    def _reading(self) -> bool:
+        """Whether the calling thread is a reader that must not wait:
+        asked only at the points where a write would."""
+        return self.on_unwritten is not None \
+            and threading.get_ident() in self.reader_ids
+
+    def _write(self, node: int, outbox: _Outbox) -> bool:
+        """Take what ``outbox`` holds and write it as one batch.  Caller
+        holds the outbox's write lock.  The first ``send`` takes what
+        the socket accepts at once; whatever has to be waited for — the
+        rest of it, a dial, a retry's backoff, what is owed to the chaos
+        layer, a batch past the byte bound — a thread that may wait
+        goes through, under the dial → Hello → retry/backoff ladder,
+        and a reader leaves queued (False)."""
         with self._lock:
+            sock = self._out.get(node)
+            if (sock is None or outbox.reset or outbox.delay_s
+                    or outbox.nbytes >= OUTBOX_MAX_BYTES) \
+                    and self._reading():
+                return False
             batch, outbox.frames = outbox.frames, []
             outbox.nbytes = 0
             reset, outbox.reset = outbox.reset, False
-            sock = self._out.get(node)
+            delay_s, outbox.delay_s = outbox.delay_s, 0.0
             if batch:
                 self.stats["writes"] += 1
         if not batch:
-            return          # another writer took it first
+            return True     # another writer took it first
+        if delay_s:
+            time.sleep(delay_s)
         if reset and sock is not None:
             self._poison(node, sock)
             sock = None
         data = b"".join(batch)
         attempt = 0
         while True:
+            sent = 0
             try:
                 if sock is None:
                     sock = self._dial(node)
-                sock.sendall(data)
-                return
+                try:
+                    sent = sock.send(data, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    pass
+                if sent < len(data):
+                    if self._reading():
+                        return self._put_back(node, outbox, batch, sent)
+                    sock.sendall(memoryview(data)[sent:])
+                return True
             except OSError as error:
                 self._invalidate(node)
+                if self._reading():
+                    return self._put_back(node, outbox, batch, 0)
                 sock = None
                 attempt += 1
                 closing = self._closing
@@ -417,6 +477,23 @@ class Mesh:
                 backoff = min(BACKOFF_BASE_S * 2 ** (attempt - 1),
                               BACKOFF_CAP_S)
                 time.sleep(backoff * (1.0 + 0.25 * self._rng.random()))
+
+    def _put_back(self, node: int, outbox: _Outbox, batch: List[bytes],
+                  sent: int) -> bool:
+        """A reader's unfinished write: back to the head of the queue,
+        in order, goes every frame that is not out whole.  One cut short
+        is never continued, here or on another connection: this one ends
+        with it, and the frame is written again whole.  Caller holds the
+        outbox's write lock."""
+        whole = 0
+        while whole + len(batch[0]) <= sent:
+            whole += len(batch.pop(0))
+        if sent > whole:
+            self._invalidate(node)
+        with self._lock:
+            outbox.frames[:0] = batch
+            outbox.nbytes += sum(map(len, batch))
+        return False
 
     def _discard_locked(self, outbox: _Outbox, counter: str) -> None:
         """Drop what ``outbox`` holds, counted.  Caller holds the mesh
@@ -494,6 +571,7 @@ class Mesh:
             reader.start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
+        self.reader_ids.add(threading.get_ident())
         try:
             frames = _read_frames(conn)
             hello = next(frames, None)
@@ -527,6 +605,7 @@ class Mesh:
         except OSError:
             return      # peer reset, or the mesh is closing
         finally:
+            self.reader_ids.discard(threading.get_ident())
             with self._lock:
                 self._in.discard(conn)
             conn.close()

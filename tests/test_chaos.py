@@ -23,6 +23,7 @@ from repro.faults.live import (
 from repro.faults.plan import FaultPlan, Partition
 from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
+from repro.runtime import messages as m
 from repro.runtime import objects as runtime_objects
 from repro.runtime.circuit import (
     COOLDOWN_S,
@@ -292,7 +293,7 @@ class TestWaitReplyRaces:
         thread = cluster.fork(handle, "nap", 1.0)
         with pytest.raises(TimeoutError):
             thread.join(timeout=0.05)
-        assert thread._request_id not in cluster.kernel._pending
+        assert thread._entry.message.request_id not in cluster.kernel._pending
         # The late ResultMsg lands on an unknown request id and is
         # dropped; the kernel stays healthy for new traffic.
         assert cluster.call(handle, "poke") == "ok"
@@ -337,7 +338,7 @@ class TestDetachedResender:
         handle = cluster.create(Napper, node=1)
         thread = cluster.fork(handle, "nap", 0.0)
         thread.join(timeout=10)
-        assert thread._request_id not in cluster.kernel._pending
+        assert thread._entry.message.request_id not in cluster.kernel._pending
 
 
 class TestResendLadder:
@@ -377,6 +378,75 @@ class TestResendLadder:
             healed.append(True)
             assert late.join(timeout=10) == 1
         assert cluster.call(handle, "count") == 1
+
+
+class TestPendingLifetime:
+    """``_pending`` holds the requests without an outcome, nothing
+    else: a reply takes its entry out, joined or not."""
+
+    def test_answered_unjoined_forks_leave_nothing_pending(self, cluster):
+        handle = cluster.create(Adder, node=1)
+        kernel = cluster.kernel
+        threads = [cluster.fork(handle, "add", 1) for _ in range(2000)]
+        deadline = time.monotonic() + 60
+        while kernel._pending:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert len(kernel._pending) == 0
+        assert not kernel._unanswered[1]
+        # Each reply waits in its handle for the one join it allows.
+        assert sorted(thread.join(timeout=15) for thread in threads) == \
+            list(range(1, 2001))
+        with pytest.raises(AmberError):
+            threads[0].join(timeout=1)
+
+    def test_rerouted_resend_racing_its_reply_leaves_no_peer_busy(
+            self, monkeypatch):
+        """Driven by hand: the reply lands after the re-send has been
+        routed to a new peer and before it is recorded there.  The id
+        must not stay in that peer's unanswered set — nothing would ever
+        take it out, and every fork to the peer would be posted, never
+        written inline."""
+        monkeypatch.setattr(runtime_objects, "_process_kernel",
+                            runtime_objects._process_kernel)
+        kernel = NodeKernel(1, None)
+        sent = []
+
+        class StubMesh:
+            def post(self, node, message):
+                sent.append((node, message))
+                return True
+
+            def flush(self, node):
+                pass
+
+        kernel.mesh.close()
+        kernel.mesh = StubMesh()
+        try:
+            targets = iter((2, 3))
+
+            def route():
+                target = next(targets)
+                if target == 3:
+                    kernel._on_message(
+                        2, m.ResultMsg(entry.message.request_id, True, 7))
+                return target
+
+            entry = kernel._start(route, m.InvokeMsg, 0x1100000, "poke",
+                                  (), {}, (1,))
+            request_id = entry.message.request_id
+            assert kernel._unanswered[2] == {request_id}
+            assert request_id in kernel._pending
+            kernel._resend(entry)
+            assert request_id not in kernel._pending
+            assert not kernel._unanswered[2]
+            assert not kernel._unanswered[3]
+            # Answered: nothing more was transmitted.
+            assert sent == [(2, entry.message)]
+            assert kernel.wait_reply(entry, timeout=1) == 7
+        finally:
+            kernel._resender_stop.set()
+            kernel._workers.close()
 
 
 class TestTypedFailureFast:

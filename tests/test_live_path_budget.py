@@ -1,0 +1,104 @@
+"""Call budget of the live message path.
+
+The live twin of ``test_hot_path_budget.py``: a perf regression test
+without a wall clock.  A profile function that counts ``call`` and
+``c_call`` events — Python function entries and C function calls — is
+installed with ``sys.setprofile`` and ``threading.setprofile`` *before*
+the cluster starts: the node processes are forked, so they carry it, and
+every thread any of the three processes starts installs it on itself.  A
+probe object on each node reads its own process's count; the driver's is
+read in place.
+
+The work counted is AmberBench's ``live_mobility`` pair: ``move`` the
+object to the other worker node, then ``call`` it through the one
+forwarding hop that leaves behind.  Measured over 600 pairs, Python + C
+calls per pair summed over the three processes, two runs each: **591.2**
+and **591.2** at the parent of the live-message-path change (pickled
+dataclass frames, every request served by a pool worker, a worker parked
+per move); **666.2** and **666.1** with the wire form alone — a named
+tuple is taken apart and rebuilt through more, cheaper, calls than
+pickle spends on a dataclass inside one ``dumps`` (the count is of
+calls, not of time: that commit is the faster one); **558.6** and
+**558.5** with mesh readers serving what cannot block and the move's
+second half a continuation (two frames and three hand-offs fewer a
+pair).  The budget is the current figure plus 10 %: an increase means a
+frame, a hand-off or a wrapper crept back onto the path.
+"""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import sys
+import threading
+
+from repro.runtime import AmberObject, Cluster
+
+CALLS_PER_PAIR_BUDGET = 558.6 * 1.10
+PAIRS = 600
+
+#: This process's count: ``next`` on it is one atomic step, whichever
+#: thread takes it.
+_calls = itertools.count()
+
+
+def _on_event(frame, event, arg, _take=_calls.__next__):
+    if event == "call" or event == "c_call":
+        _take()
+
+
+class Probe(AmberObject):
+    def __init__(self):
+        self.bumps = 0
+
+    def bump(self):
+        self.bumps += 1
+        return self.bumps
+
+    def calls(self):
+        """Calls counted in this process so far; gc off from here on."""
+        gc.disable()
+        return next(_calls)
+
+
+def test_move_and_call_pair_within_budget():
+    collecting = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    threading.setprofile(_on_event)
+    sys.setprofile(_on_event)
+    try:
+        with Cluster(nodes=3) as cluster:
+            probes = [cluster.create(Probe, node=node) for node in (1, 2)]
+            tally = cluster.create(Probe, node=1)
+            dest = 1
+
+            def pairs(count):
+                nonlocal dest
+                for _ in range(count):
+                    dest = 3 - dest
+                    cluster.move(tally, dest)
+                    assert cluster.call(tally, "bump") > 0
+
+            def counted():
+                return next(_calls) + sum(
+                    cluster.call(probe, "calls") for probe in probes)
+
+            pairs(20)           # connections dialled, pools warm
+            first = counted()
+            base = counted()
+            pairs(PAIRS)
+            after = counted()
+    finally:
+        sys.setprofile(previous)
+        threading.setprofile(None)
+        if collecting:
+            gc.enable()
+    # Two reads back to back price a read, which is then taken out.
+    per_pair = (after - base - (base - first)) / PAIRS
+    assert per_pair <= CALLS_PER_PAIR_BUDGET, (
+        f"{per_pair:.1f} Python+C calls per move+call pair over the "
+        f"three processes (budget {CALLS_PER_PAIR_BUDGET:.1f}): "
+        "something crept back onto the live message path")
+    # Far below means the counter did not reach the node processes.
+    assert per_pair > CALLS_PER_PAIR_BUDGET / 3

@@ -2,14 +2,24 @@
 peek -> resident-or-forward -> claim -> hints -> body -> reply."""
 
 import logging
+import sys
+import threading
 import time
+import traceback
 
 import pytest
 
-from repro.errors import AmberError, AttachmentError
+from repro.errors import (
+    AmberError,
+    AttachmentError,
+    NodeFailure,
+    RuntimeTransportError,
+)
+from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
 from repro.runtime import messages as m
 from repro.runtime.kernel import NodeKernel
+from repro.runtime.objects import process_kernel
 
 
 class Tally(AmberObject):
@@ -27,6 +37,22 @@ class Tally(AmberObject):
 
     def fail(self):
         raise KeyError("no such thing")
+
+    def nap(self, seconds):
+        time.sleep(seconds)
+        return self.bump()
+
+    def suspects(self):
+        """The peers this node's failure detector suspects."""
+        return sorted(process_kernel()._suspected_peers())
+
+
+class Latch(Tally):
+    """Cannot leave the node it was created on: a lock does not pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +106,14 @@ class TestForwardedRequests:
             tally = _moved_behind_the_drivers_back(cluster)
             before = _counters(cluster)
             assert request(tally) in (1, 2)    # bumps == 1 / at node 2
-            # One hint for each node of the chase path, origin included.
-            _wait_for(lambda: _counters(cluster) == {
-                "hints": [n + 1 for n in before["hints"]],
-                "forwards": before["forwards"] + 1})
+            # The origin has read its hint off the reply, which came
+            # from node 2, by the time the request returns; node 1, the
+            # last forwarder, sent the request there and is told nothing.
+            assert _counters(cluster) == {
+                "hints": [before["hints"][0] + 1, before["hints"][1]],
+                "forwards": before["forwards"] + 1}
+            time.sleep(0.2)
+            assert _counters(cluster)["hints"][1] == before["hints"][1]
             # Hinted: the next request goes straight to node 2.
             assert cluster.locate(tally) == 2
             assert _counters(cluster)["forwards"] == \
@@ -135,3 +165,232 @@ class TestPeekBeforeRoute:
         after = cluster.node_stats(1)
         assert after["forwards"] == before["forwards"]
         assert cluster.call(tally, "value") == 1
+
+
+def _totals(cluster):
+    """``node_stats`` summed over every node."""
+    total = {}
+    for node in range(cluster.num_nodes):
+        for key, value in cluster.node_stats(node).items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+def _pool_submits(cluster, node):
+    stats = cluster.node_stats(node)
+    return stats["workers_started"] + stats["worker_handoffs"]
+
+
+class TestLivePathCounts:
+    """What one move+call pair costs, counted by the nodes themselves:
+    no clock.  The call goes to the object's previous node and chases
+    one forwarding hop, as in AmberBench's ``live_mobility``."""
+
+    PAIRS = 200
+
+    def test_a_move_and_call_pair_costs_exactly(self):
+        with Cluster(nodes=3) as cluster:
+            tally = cluster.create(Tally, node=1)
+            dest = 1
+
+            def pairs(count):
+                nonlocal dest
+                for _ in range(count):
+                    dest = 3 - dest
+                    cluster.move(tally, dest)
+                    assert cluster.call(tally, "bump") > 0
+
+            pairs(4)        # every connection dialled, both ways round
+            # Reading the stats sends frames of its own: two reads back
+            # to back price one, so it can be taken out again.
+            first = _totals(cluster)
+            base = _totals(cluster)
+            pairs(self.PAIRS)
+            after = _totals(cluster)
+            per_pair = {
+                key: (after[key] - base[key] - (base[key] - first[key]))
+                / self.PAIRS for key in after}
+            assert per_pair["transport_sends"] == 7
+            assert per_pair["hints"] == 1
+            assert per_pair["forwards"] == 1
+            assert per_pair["moves_out"] == 1 and per_pair["moves_in"] == 1
+            # One hand-off to a pool worker: the invocation itself.
+            assert per_pair["workers_started"] \
+                + per_pair["worker_handoffs"] == 1
+            assert per_pair["invocations_executed"] == 1
+            for quiet in ("resends", "dedup_replayed", "dedup_in_flight",
+                          "transport_retries", "transport_reconnects",
+                          "transport_dropped_frames", "circuit_opens"):
+                assert after[quiet] == 0, quiet
+            assert cluster.call(tally, "value") == 4 + self.PAIRS
+            assert cluster.locate(tally) == dest
+
+    def test_a_chain_hints_the_middle_by_frame_and_the_origin_by_reply(
+            self):
+        """Moved twice behind the caller: 0 -> 1 -> 2 -> 3.  Node 1 gets
+        a LocationHint, the origin reads the reply's sender, node 2 —
+        the last forwarder — already points at node 3."""
+        with Cluster(nodes=4) as cluster:
+            for request in (lambda t: cluster.call(t, "bump"),
+                            lambda t: cluster.locate(t)):
+                tally = cluster.create(Tally, node=1)
+                cluster.move(tally, 2)
+                cluster.move(tally, 3)      # itself forwarded by node 1
+                before = [cluster.node_stats(n) for n in range(4)]
+                assert request(tally) in (1, 3)
+                assert cluster.node_stats(0)["hints"] == \
+                    before[0]["hints"] + 1
+                _wait_for(lambda: cluster.node_stats(1)["hints"]
+                          == before[1]["hints"] + 1)
+                time.sleep(0.2)
+                after = [cluster.node_stats(n) for n in range(4)]
+                assert [a["hints"] - b["hints"]
+                        for a, b in zip(after, before)] == [1, 1, 0, 0]
+                assert [a["forwards"] - b["forwards"]
+                        for a, b in zip(after, before)] == [0, 1, 1, 0]
+                # Both hinted nodes now send straight to node 3.
+                assert cluster.locate(tally) == 3
+                cluster.move(tally, 1)      # driver -> 3, no forward
+                assert [cluster.node_stats(n)["forwards"]
+                        for n in range(4)] == \
+                    [a["forwards"] for a in after]
+
+
+class TestReaderServes:
+    def test_a_slow_request_cannot_stall_the_frames_behind_it(
+            self, cluster):
+        """One connection, driver to node 1: an operation sleeping 1 s,
+        then a locate, a move and a forwarded call behind it."""
+        napper = cluster.create(Tally, node=1)
+        located = cluster.create(Tally, node=1)
+        moved = cluster.create(Tally, node=1)
+        chased = _moved_behind_the_drivers_back(cluster)
+        assert cluster.call(napper, "value") == 0
+        slow = cluster.fork(napper, "nap", 1.0)
+        t0 = time.monotonic()
+        assert cluster.locate(located) == 1
+        cluster.move(moved, 2)
+        assert cluster.call(chased, "bump") == 1
+        assert time.monotonic() - t0 < 0.5
+        assert slow.join(timeout=15) == 1
+        assert time.monotonic() - t0 >= 0.9
+
+    def test_reader_served_requests_cost_no_pool_worker(self, cluster):
+        tally = cluster.create(Tally, node=1)
+        other = cluster.create(Tally, node=1)
+        assert cluster.call(tally, "bump") == 1
+        cluster.move(other, 2)              # 1 -> 2 dialled
+        cluster.move(other, 1)
+        before = [_pool_submits(cluster, node) for node in (1, 2)]
+        assert cluster.locate(tally) == 1
+        cluster.attach(tally, other)
+        cluster.unattach(tally)
+        cluster.move(tally, 2)
+        cluster.node_stats(1)
+        assert [_pool_submits(cluster, node) for node in (1, 2)] == before
+        assert cluster.call(tally, "bump") == 2     # forwarded by node 1
+        assert [_pool_submits(cluster, node) for node in (1, 2)] == \
+            [before[0], before[1] + 1]
+
+    def test_a_move_that_must_drain_is_served_by_a_worker(self, cluster):
+        tally = cluster.create(Tally, node=1)
+        assert cluster.call(tally, "value") == 0
+        before = _pool_submits(cluster, 1)
+        slow = cluster.fork(tally, "nap", 0.6)
+        _wait_for(lambda: cluster.node_stats(1)["invocations_executed"]
+                  and _pool_submits(cluster, 1) == before + 1)
+        t0 = time.monotonic()
+        cluster.move(tally, 2)      # waits out the nap, on a worker
+        assert time.monotonic() - t0 > 0.2
+        assert slow.join(timeout=15) == 1
+        # The nap and the drain: the reader claimed the move, found the
+        # bind count held and handed it on — claimed once.
+        assert _pool_submits(cluster, 1) == before + 2
+        assert cluster.node_stats(1)["dedup_in_flight"] == 0
+        assert cluster.locate(tally) == 2
+        assert cluster.call(tally, "bump") == 2
+
+    def test_an_install_never_acked_ends_the_move_in_the_deadline_verdict(
+            self, cluster, monkeypatch):
+        """The mover's answer is the continuation's: nobody waits in a
+        request for the install, the resender fires its deadline."""
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.25")    # reply in 1 s
+        kernel = cluster.kernel
+        tally = cluster.create(Tally, node=0)
+        mesh_post = kernel.mesh.post
+
+        def post(node, message):
+            if isinstance(message, m.InstallMsg):
+                return False            # lost on the wire, every time
+            return mesh_post(node, message)
+
+        monkeypatch.setattr(kernel.mesh, "post", post)
+        t0 = time.monotonic()
+        entry = kernel._start(kernel._router(tally.vaddr, here=True),
+                              m.MoveMsg, tally.vaddr, 1)
+        time.sleep(0.3)
+        # The install is out and unanswered, and no thread is parked
+        # waiting for its reply.
+        assert [type(pending.message) for pending
+                in kernel._pending.values()] == [m.MoveMsg, m.InstallMsg]
+        assert not any(
+            "wait_reply" in (caller.f_code.co_name
+                             for caller, _ in traceback.walk_stack(frame))
+            for frame in sys._current_frames().values())
+        with pytest.raises((TimeoutError, NodeFailure)) as caught:
+            kernel.wait_reply(entry, timeout=10)
+        assert "InstallMsg" in str(caught.value)
+        assert 0.9 < time.monotonic() - t0 < 3.0
+        assert kernel.stats["resends"] >= 2     # its ladder ran
+        assert not kernel._pending
+
+
+class TestRefusedMove:
+    """An install that was never accepted for transmission leaves the
+    group where it was: objects, descriptors, attachment edges."""
+
+    def test_open_circuit_to_the_destination(self, monkeypatch):
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")
+        with Cluster(nodes=3) as cluster:
+            tally = cluster.create(Tally, node=1)
+            rider = cluster.create(Tally, node=1)
+            cluster.attach(rider, tally)
+            assert cluster.call(tally, "bump") == 1
+            cluster.kill_node(2)
+            _wait_for(lambda: 2 in cluster.call(tally, "suspects"), 15)
+            for _ in range(2):
+                with pytest.raises(NodeFailure):
+                    cluster.move(tally, 2)
+            assert cluster.call(tally, "bump") == 2
+            assert cluster.call(rider, "bump") == 1
+            assert cluster.locate(tally) == 1 == cluster.locate(rider)
+            assert cluster.node_stats(1)["moves_out"] == 0
+            cluster.move(rider, 0)          # still one group
+            assert cluster.locate(tally) == 0 == cluster.locate(rider)
+            assert cluster.call(tally, "bump") == 3
+
+    def test_a_group_that_does_not_pickle(self, cluster):
+        latch = cluster.create(Latch, node=1)
+        assert cluster.call(latch, "bump") == 1
+        with pytest.raises(TypeError, match="pickle"):
+            cluster.move(latch, 2)
+        assert cluster.call(latch, "bump") == 2
+        assert cluster.locate(latch) == 1
+        tally = cluster.create(Tally, node=1)
+        cluster.attach(tally, latch)
+        with pytest.raises(TypeError, match="pickle"):
+            cluster.move(tally, 2)
+        assert cluster.call(tally, "bump") == 1
+        assert cluster.locate(tally) == 1 == cluster.locate(latch)
+        with pytest.raises(TypeError, match="pickle"):
+            cluster.move(latch, 0)          # drags the tally along
+        cluster.unattach(tally)
+        cluster.move(tally, 2)
+        assert cluster.locate(tally) == 2 and cluster.locate(latch) == 1
+
+    def test_unknown_destination(self, cluster):
+        tally = cluster.create(Tally, node=1)
+        with pytest.raises(RuntimeTransportError, match="no address"):
+            cluster.kernel.move(tally.vaddr, 7)  # past Cluster's check
+        assert cluster.call(tally, "bump") == 1
+        assert cluster.locate(tally) == 1

@@ -15,6 +15,7 @@ from repro.faults.live import LiveDecision, LiveFaultInjector, decide_frame
 from repro.faults.plan import FaultPlan
 from repro.runtime import messages as m
 from repro.runtime.messages import Hello, InvokeMsg, ResultMsg
+from repro.runtime.kernel import _WorkerPool
 from repro.runtime.transport import (
     _LENGTH,
     MAX_FRAME_BYTES,
@@ -842,5 +843,236 @@ class TestOutbox:
             assert [j for t, j in got if t == tag] == list(range(each))
         assert mesh.stats["sends"] == threads * each
         assert each <= mesh.stats["writes"] <= mesh.stats["sends"]
+        with pytest.raises(queue.Empty):
+            inbox.get(timeout=0.1)
+
+
+class _FakePeer:
+    """Stands in for node 1: accepts the mesh's connection and reads
+    nothing until asked, through a receive buffer of 4 KiB."""
+
+    def __init__(self):
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(4)
+        self.address = self.listener.getsockname()
+        self.conns = []
+
+    def accept(self, timeout=5):
+        self.listener.settimeout(timeout)
+        conn, _ = self.listener.accept()
+        self.conns.append(conn)
+        return conn
+
+    def read_until_idle(self, conn, idle=1.0):
+        """Every frame ``conn`` yields until it closes or goes quiet."""
+        got = []
+        conn.settimeout(idle)
+        try:
+            for frame in _read_frames(conn):
+                got.append(frame)
+        except OSError:
+            pass
+        return got
+
+    def close(self):
+        for sock in self.conns + [self.listener]:
+            sock.close()
+
+
+class TestReaderWrites:
+    """A reader's write never waits: it takes the outbox only when that
+    costs no waiting, and what it cannot write at once stays queued, in
+    order, for the thread ``on_unwritten`` asks for."""
+
+    @pytest.fixture
+    def stalled(self):
+        """A mesh whose reader answers every ``"request"`` with a frame
+        to node 1 — a peer that is connected and does not read."""
+        deferred, delivered = queue.SimpleQueue(), queue.SimpleQueue()
+        replies = []
+
+        def on_message(peer, message):
+            if message == "request":
+                replies.append(("reply", len(replies), bytes(3000)))
+                mesh.send(1, replies[-1])       # on the reader thread
+            delivered.put(message)              # ... which came back
+
+        mesh = Mesh(0, on_message)
+        mesh.on_unwritten = deferred.put
+        peer = _FakePeer()
+        raw = None
+        try:
+            mesh.set_directory({0: mesh.address, 1: peer.address})
+            mesh.send(1, "dial")
+            conn = peer.accept()
+            mesh._out[1].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                    4096)
+            raw = socket.create_connection(mesh.address, timeout=5)
+            raw.sendall(_frame(Hello(1)))
+            yield mesh, peer, conn, raw, deferred, delivered, replies
+        finally:
+            if raw is not None:
+                raw.close()
+            mesh.close()
+            peer.close()
+
+    def _request(self, raw, delivered):
+        raw.sendall(_frame("request"))
+        assert delivered.get(timeout=5) == "request"    # did not block
+
+    def test_reply_to_a_peer_that_does_not_read_stays_queued(
+            self, stalled):
+        mesh, peer, conn, raw, deferred, delivered, replies = stalled
+        while deferred.empty():
+            self._request(raw, delivered)
+            assert len(replies) < 5000
+        assert deferred.get(timeout=1) == 1
+        outbox = mesh._outboxes[1]
+        assert outbox.frames and not outbox.lock.locked()
+        assert outbox.nbytes == sum(len(frame) for frame in outbox.frames)
+        # The same reader goes on delivering, and queueing.
+        raw.sendall(_frame(ResultMsg(1, True, "next")))
+        assert delivered.get(timeout=5) == ResultMsg(1, True, "next")
+        for _ in range(3):
+            self._request(raw, delivered)
+        queued = len(outbox.frames)
+        assert queued >= 4
+        # A frame cut short ends its connection: it is never continued,
+        # and comes again, whole, on a new one.
+        cut = not mesh.connected(1)
+        # The thread that was asked for writes them, waiting as it must.
+        writer = threading.Thread(target=mesh.flush, args=(1,), daemon=True)
+        writer.start()
+        got = peer.read_until_idle(conn)
+        if cut:
+            got += peer.read_until_idle(peer.accept())
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got[0] == Hello(0) and got.count(Hello(0)) == 1 + cut
+        assert [frame for frame in got if frame != Hello(0)] == \
+            ["dial"] + replies
+        assert _nothing_queued(mesh)
+        assert mesh.stats["reconnects"] == cut
+        assert mesh.stats["dropped_frames"] == 0
+
+    def test_full_socket_leaves_the_connection_and_the_queue_intact(
+            self, stalled):
+        """The buffer is full to the last byte (the test parks a 4 MiB
+        frame in it, mid-way): a reader's send takes nothing, so nothing
+        is cut and the connection stays."""
+        mesh, peer, conn, raw, deferred, delivered, replies = stalled
+        sock, outbox = mesh._out[1], mesh._outboxes[1]
+        filler = _frame(bytes(4 << 20))
+        out = 0
+        with pytest.raises(BlockingIOError):
+            while True:
+                out += sock.send(filler[out:out + 65536],
+                                 socket.MSG_DONTWAIT)
+        assert 0 < out < len(filler)
+        for _ in range(3):
+            self._request(raw, delivered)
+        assert [deferred.get(timeout=1) for _ in range(3)] == [1, 1, 1]
+        assert len(outbox.frames) == 3 and mesh.connected(1)
+        assert mesh.stats["reconnects"] == 0
+
+        def finish_then_flush():
+            with outbox.lock:               # the filler's tail goes first
+                sock.sendall(filler[out:])
+            mesh.flush(1)
+
+        writer = threading.Thread(target=finish_then_flush, daemon=True)
+        writer.start()
+        got = peer.read_until_idle(conn)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == [Hello(0), "dial", bytes(4 << 20)] + replies
+        assert mesh.stats["reconnects"] == 0 and _nothing_queued(mesh)
+
+    def test_reader_leaves_an_undialled_peer_to_the_thread_it_asks_for(
+            self, pair):
+        """No connection yet, or a chaos reset or delay owed: not a
+        reader's write."""
+        inbox_a = queue.SimpleQueue()
+        mesh_b = Mesh(1, lambda peer, msg: inbox_a.put(msg))
+        deferred = queue.SimpleQueue()
+
+        def relay(peer, message):
+            mesh_a.send(1, message)
+            deferred.put("returned")
+
+        mesh_a = Mesh(0, relay, chaos=_Scripted(
+            LiveDecision(), LiveDecision(), LiveDecision(reset=True),
+            LiveDecision(delay_s=0.05)))
+        mesh_a.on_unwritten = deferred.put
+        raw = socket.create_connection(mesh_a.address, timeout=5)
+        try:
+            mesh_a.set_directory({0: mesh_a.address, 1: mesh_b.address})
+            raw.sendall(_frame(Hello(1)))
+            for step, message in enumerate(
+                    ("undialled", "connected", "reset owed", "delay owed")):
+                raw.sendall(_frame(message))
+                if step == 1:
+                    # The one a reader may write itself.
+                    assert deferred.get(timeout=5) == "returned"
+                    assert inbox_a.get(timeout=5) == message
+                    continue
+                assert deferred.get(timeout=5) == 1
+                assert deferred.get(timeout=5) == "returned"
+                assert len(mesh_a._outboxes[1].frames) == 1
+                with pytest.raises(queue.Empty):
+                    inbox_a.get(timeout=0.1)
+                mesh_a.flush(1)             # the thread asked for
+                assert inbox_a.get(timeout=5) == message
+            assert mesh_a.stats["reconnects"] == 1      # the reset
+            assert mesh_a._chaos._decisions == []
+        finally:
+            raw.close()
+            mesh_a.close()
+            mesh_b.close()
+
+    def test_deferred_flush_stress_every_frame_exactly_once(self):
+        """Eight readers answer to one peer whose connection is gone at
+        the start of every round, so each must leave its frame queued
+        and ask for a writer — which may find the write lock still held
+        by the reader that asked.  Nothing more is sent until the round
+        is complete, so a frame stranded in the outbox shows as a
+        timeout.  (Asking while holding the lock strands one within a
+        few rounds.)"""
+        readers, rounds = 8, 300
+        inbox = queue.SimpleQueue()
+        mesh_b = Mesh(1, lambda peer, msg: inbox.put(msg))
+        mesh_a = Mesh(0, lambda peer, msg: mesh_a.send(1, msg))
+        # The kernel's own pool: a submit that finds no idle worker
+        # starts a thread, which runs before ``start()`` returns.
+        pool = _WorkerPool(mesh_a.flush, "test-flusher",
+                           {"workers_started": 0, "worker_handoffs": 0})
+        mesh_a.on_unwritten = pool.submit
+        raws = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            mesh_a.set_directory({0: mesh_a.address, 1: mesh_b.address})
+            for tag in range(readers):
+                raw = socket.create_connection(mesh_a.address, timeout=5)
+                raw.sendall(_frame(Hello(2 + tag)))
+                raws.append(raw)
+            for index in range(rounds):
+                mesh_a._invalidate(1)
+                for tag, raw in enumerate(raws):
+                    raw.sendall(_frame((tag, index)))
+                got = sorted(inbox.get(timeout=10) for _ in raws)
+                assert got == [(tag, index) for tag in range(readers)]
+                assert _nothing_queued(mesh_a)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+            for raw in raws:
+                raw.close()
+            mesh_a.close()
+            mesh_b.close()
+        assert mesh_a.stats["sends"] == readers * rounds
+        assert mesh_a.stats["dropped_frames"] == 0
         with pytest.raises(queue.Empty):
             inbox.get(timeout=0.1)
