@@ -96,8 +96,10 @@ class Coordinator:
         #: Every accepted connection, registered or not — close() must
         #: sever them all so no serve thread outlives the incarnation.
         self._serve_conns: set = set()
-        #: node -> wall clock of its last heartbeat; only nodes that
-        #: have heartbeated at least once are monitored.
+        #: node -> monotonic clock of its registration or last
+        #: heartbeat, whichever is later: a node is monitored from the
+        #: moment it registers, so one that dies before its first beat
+        #: is still suspected.
         self._last_heard: Dict[int, float] = {}
         self._suspected: set = set()
         #: Serializes all outbound frames: replies come from per-node
@@ -148,6 +150,7 @@ class Coordinator:
                                 pass
                         self._registered[node] = message.address
                         self._connections[node] = conn
+                        self._last_heard[node] = time.monotonic()
                         complete = (len(self._registered)
                                     == self.expected_nodes)
                         directory = dict(self._registered)
@@ -202,7 +205,7 @@ class Coordinator:
             self._broadcast(m.PeerStatus(node, alive=True))
 
     def _monitor_loop(self) -> None:
-        """Declare suspect any heartbeating node silent past the grace
+        """Declare suspect any registered node silent past the grace
         window; retraction happens in :meth:`_heard`."""
         interval = max(self.grace_s / 4.0, 0.01)
         while not self._closing.wait(interval):

@@ -676,3 +676,33 @@ class TestLiveDetection:
             assert 1 in cluster.failed_peers()
             assert 1 in cluster._coordinator.suspected_nodes()
             assert 2 not in cluster.failed_peers()
+
+    def test_a_registrant_that_never_beats_is_suspected(self):
+        """Monitoring starts at registration, not at the first
+        heartbeat: a node that dies in between is still reported, once,
+        after the grace window."""
+        import socket
+
+        from repro.runtime import messages as m
+        from repro.runtime.coordinator import Coordinator
+        from repro.runtime.transport import recv_frame, send_frame
+
+        grace_s = 0.3
+        coordinator = Coordinator(expected_nodes=1, grace_s=grace_s)
+        silent = socket.create_connection(coordinator.address, timeout=5.0)
+        try:
+            send_frame(silent, m.RegisterNode(0, ("127.0.0.1", 1)))
+            assert isinstance(recv_frame(silent), m.NodeDirectory)
+            assert coordinator.suspected_nodes() == set()
+            verdict = recv_frame(silent)    # within the 5 s timeout
+            assert isinstance(verdict, m.PeerStatus)
+            assert (verdict.node, verdict.alive) == (0, False)
+            assert verdict.silence_s > grace_s
+            assert coordinator.suspected_nodes() == {0}
+            # Broadcast once: no second verdict while it stays silent.
+            silent.settimeout(3 * grace_s)
+            with pytest.raises(socket.timeout):
+                recv_frame(silent)
+        finally:
+            silent.close()
+            coordinator.close()
