@@ -39,8 +39,8 @@ machinery, as the paper intends.
 from __future__ import annotations
 
 from collections import deque
-from typing import (TYPE_CHECKING, Any, Deque, Generator, List,
-                    Optional, Union)
+from typing import (TYPE_CHECKING, Any, ClassVar, Deque, Generator,
+                    List, Optional, Union)
 
 from repro.analyze import runtime as _analysis
 from repro.errors import SynchronizationError
@@ -80,33 +80,61 @@ def _pick_waiter(waiters: "Deque[SimThread]", kind: str,
     return chosen
 
 
-class Lock(SimObject):
-    """A relinquishing (blocking) mutual-exclusion lock."""
+class _Mutex(SimObject):
+    """What :class:`Lock`, :class:`SpinLock` and :class:`Monitor` share:
+    the held/owner state and the four bodies of taking and dropping it,
+    elided (atomic) and slow (a generator the kernel advances).
+
+    A subclass keeps what is its own: its ``__slots__`` and counters,
+    its public operation names (bound to :meth:`_take` and
+    :meth:`_drop`, so an operation costs no call more than its body),
+    the wording of its errors (``_NOUN``, ``_DROP``), the counter a take
+    bumps (``_COUNTER``), how a thread waits for a held lock
+    (:meth:`_wait`) and whom a drop hands it to (``_waiters``; ``None``
+    is nobody).
+    """
 
     SIZE_BYTES = 64
     SANITIZE_FIELDS = False     # lock state IS the synchronization
 
-    __slots__ = ("_held", "_owner", "_waiters", "acquisitions",
-                 "contended_acquisitions", "_acquired_us", "_elide_ok")
+    __slots__ = ()
+
+    _NOUN: ClassVar[str]
+    _DROP: ClassVar[str]
+    _COUNTER: ClassVar[str]
+
+    _held: bool
+    _owner: Optional[SimThread]
+    _waiters: Optional[Deque[SimThread]]
+    _acquired_us: float
+    #: Set by the kernel at creation when the active AmberElide
+    #: artifact proves this lock single-thread-reachable.
+    _elide_ok: bool
 
     def __init__(self) -> None:
         self._held = False
-        self._owner: Optional[SimThread] = None
-        self._waiters: Deque[SimThread] = deque()
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
+        self._owner = None
         self._acquired_us = 0.0
-        #: Set by the kernel at creation when the active AmberElide
-        #: artifact proves this lock single-thread-reachable.
         self._elide_ok = False
 
-    def acquire(self, ctx: "InvocationContext") -> _MaybeOp:
+    def _wait(self, thread: SimThread) -> _Op:
+        """Yield until the lock is seen free; the caller takes it in
+        the same atomic step."""
+        raise NotImplementedError
+
+    def _non_owner(self, thread: SimThread) -> SynchronizationError:
+        return SynchronizationError(
+            f"{self._DROP} of {self._NOUN} {self.vaddr:#x} by non-owner "
+            f"{thread.name}")
+
+    def _take(self, ctx: "InvocationContext") -> _MaybeOp:
         if self._elide_ok:
             if not self._held:
                 self._held = True
                 self._owner = ctx.thread
                 self._acquired_us = ctx.now_us
-                self.acquisitions += 1
+                setattr(self, self._COUNTER,
+                        getattr(self, self._COUNTER) + 1)
                 san = _analysis.ACTIVE
                 if san is not None:
                     san.on_acquire(self, ctx.thread)
@@ -115,53 +143,44 @@ class Lock(SimObject):
                 ctx.metrics.observe("lock_wait_us", 0.0)
                 return None
             ctx.metrics.inc("lock_elide_bailout_total")
-        return self._acquire_slow(ctx)
+        return self._take_slow(ctx)
 
-    def _acquire_slow(self, ctx: "InvocationContext") -> _Op:
+    def _take_slow(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         t0 = ctx.now_us
-        contended = False
-        while self._held:
-            contended = True
-            self._waiters.append(ctx.thread)
-            yield Suspend("lock")
+        if self._held:
+            yield from self._wait(ctx.thread)
         self._held = True
         self._owner = ctx.thread
         self._acquired_us = ctx.now_us
-        self.acquisitions += 1
-        if contended:
-            self.contended_acquisitions += 1
+        setattr(self, self._COUNTER, getattr(self, self._COUNTER) + 1)
         san = _analysis.ACTIVE
         if san is not None:
             san.on_acquire(self, ctx.thread)
         ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
 
-    def release(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok and not self._waiters:
-            if not self._held or self._owner is not ctx.thread:
-                raise SynchronizationError(
-                    f"release of lock {self.vaddr:#x} by non-owner "
-                    f"{ctx.thread.name}")
-            ctx.metrics.observe("lock_hold_us",
-                                ctx.now_us - self._acquired_us)
-            san = _analysis.ACTIVE
-            if san is not None:
-                san.on_release(self, ctx.thread)
-            self._held = False
-            self._owner = None
-            ctx.thread.surcharge_us += SYNC_OP_US
-            ctx.metrics.inc("lock_elided_total")
-            return None
+    def _drop(self, ctx: "InvocationContext") -> _MaybeOp:
         if self._elide_ok:
+            if not self._waiters:
+                if not self._held or self._owner is not ctx.thread:
+                    raise self._non_owner(ctx.thread)
+                ctx.metrics.observe("lock_hold_us",
+                                    ctx.now_us - self._acquired_us)
+                san = _analysis.ACTIVE
+                if san is not None:
+                    san.on_release(self, ctx.thread)
+                self._held = False
+                self._owner = None
+                ctx.thread.surcharge_us += SYNC_OP_US
+                ctx.metrics.inc("lock_elided_total")
+                return None
             ctx.metrics.inc("lock_elide_bailout_total")
-        return self._release_slow(ctx)
+        return self._drop_slow(ctx)
 
-    def _release_slow(self, ctx: "InvocationContext") -> _Op:
+    def _drop_slow(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         if not self._held or self._owner is not ctx.thread:
-            raise SynchronizationError(
-                f"release of lock {self.vaddr:#x} by non-owner "
-                f"{ctx.thread.name}")
+            raise self._non_owner(ctx.thread)
         ctx.metrics.observe("lock_hold_us",
                             ctx.now_us - self._acquired_us)
         san = _analysis.ACTIVE
@@ -170,7 +189,33 @@ class Lock(SimObject):
         self._held = False
         self._owner = None
         if self._waiters:
-            yield Wakeup(_pick_waiter(self._waiters, "lock", self.vaddr))
+            yield Wakeup(_pick_waiter(self._waiters, self._NOUN,
+                                      self.vaddr))
+
+
+class Lock(_Mutex):
+    """A relinquishing (blocking) mutual-exclusion lock."""
+
+    __slots__ = ("_held", "_owner", "_waiters", "acquisitions",
+                 "contended_acquisitions", "_acquired_us", "_elide_ok")
+
+    _NOUN, _DROP, _COUNTER = "lock", "release", "acquisitions"
+    _waiters: Deque[SimThread]
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._waiters = deque()
+        self.acquisitions = 0
+        self.contended_acquisitions = 0
+
+    acquire = _Mutex._take
+    release = _Mutex._drop
+
+    def _wait(self, thread: SimThread) -> _Op:
+        while self._held:
+            self._waiters.append(thread)
+            yield Suspend("lock")
+        self.contended_acquisitions += 1
 
     def try_acquire(self, ctx: "InvocationContext") -> bool:
         """Non-blocking attempt; returns True on success.  Atomic."""
@@ -190,7 +235,7 @@ class Lock(SimObject):
         return self._held
 
 
-class SpinLock(SimObject):
+class SpinLock(_Mutex):
     """A non-relinquishing lock: waiters burn CPU instead of blocking.
 
     The paper argues these are worthwhile *within* a multiprocessor node,
@@ -200,83 +245,24 @@ class SpinLock(SimObject):
     timeslice eventually lets the holder run.
     """
 
-    SIZE_BYTES = 64
-    SANITIZE_FIELDS = False
-
     __slots__ = ("_held", "_owner", "acquisitions", "spin_us",
                  "_acquired_us", "_elide_ok")
 
+    _NOUN, _DROP, _COUNTER = "spinlock", "release", "acquisitions"
+    _waiters = None     # a spinner finds the lock free by itself
+
     def __init__(self) -> None:
-        self._held = False
-        self._owner: Optional[SimThread] = None
+        super().__init__()
         self.acquisitions = 0
         self.spin_us = 0.0
-        self._acquired_us = 0.0
-        self._elide_ok = False
 
-    def acquire(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held:
-                self._held = True
-                self._owner = ctx.thread
-                self._acquired_us = ctx.now_us
-                self.acquisitions += 1
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_acquire(self, ctx.thread)
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                ctx.metrics.observe("lock_wait_us", 0.0)
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._acquire_slow(ctx)
+    acquire = _Mutex._take
+    release = _Mutex._drop
 
-    def _acquire_slow(self, ctx: "InvocationContext") -> _Op:
-        yield Charge(SYNC_OP_US)
-        t0 = ctx.now_us
+    def _wait(self, thread: SimThread) -> _Op:
         while self._held:
             self.spin_us += SPIN_STEP_US
             yield Compute(SPIN_STEP_US)
-        self._held = True
-        self._owner = ctx.thread
-        self._acquired_us = ctx.now_us
-        self.acquisitions += 1
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_acquire(self, ctx.thread)
-        ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
-
-    def release(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held or self._owner is not ctx.thread:
-                raise SynchronizationError(
-                    f"release of spinlock {self.vaddr:#x} by non-owner "
-                    f"{ctx.thread.name}")
-            ctx.metrics.observe("lock_hold_us",
-                                ctx.now_us - self._acquired_us)
-            san = _analysis.ACTIVE
-            if san is not None:
-                san.on_release(self, ctx.thread)
-            self._held = False
-            self._owner = None
-            ctx.thread.surcharge_us += SYNC_OP_US
-            ctx.metrics.inc("lock_elided_total")
-            return None
-        return self._release_slow(ctx)
-
-    def _release_slow(self, ctx: "InvocationContext") -> _Op:
-        yield Charge(SYNC_OP_US)
-        if not self._held or self._owner is not ctx.thread:
-            raise SynchronizationError(
-                f"release of spinlock {self.vaddr:#x} by non-owner "
-                f"{ctx.thread.name}")
-        ctx.metrics.observe("lock_hold_us",
-                            ctx.now_us - self._acquired_us)
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_release(self, ctx.thread)
-        self._held = False
-        self._owner = None
 
     @property
     def held(self) -> bool:
@@ -329,7 +315,7 @@ class Barrier(SimObject):
         return False
 
 
-class Monitor(SimObject):
+class Monitor(_Mutex):
     """A monitor lock with Mesa semantics, paired with :class:`CondVar`.
 
     Protect an object's state by making a Monitor (or Lock) a *member* of
@@ -337,88 +323,24 @@ class Monitor(SimObject):
     co-residency.
     """
 
-    SIZE_BYTES = 64
-    SANITIZE_FIELDS = False
-
     __slots__ = ("_held", "_owner", "_waiters", "entries",
                  "_acquired_us", "_elide_ok")
 
+    _NOUN, _DROP, _COUNTER = "monitor", "exit", "entries"
+    _waiters: Deque[SimThread]
+
     def __init__(self) -> None:
-        self._held = False
-        self._owner: Optional[SimThread] = None
-        self._waiters: Deque[SimThread] = deque()
+        super().__init__()
+        self._waiters = deque()
         self.entries = 0
-        self._acquired_us = 0.0
-        self._elide_ok = False
 
-    def enter(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held:
-                self._held = True
-                self._owner = ctx.thread
-                self._acquired_us = ctx.now_us
-                self.entries += 1
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_acquire(self, ctx.thread)
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                ctx.metrics.observe("lock_wait_us", 0.0)
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._enter_slow(ctx)
+    enter = _Mutex._take
+    exit = _Mutex._drop
 
-    def _enter_slow(self, ctx: "InvocationContext") -> _Op:
-        yield Charge(SYNC_OP_US)
-        t0 = ctx.now_us
+    def _wait(self, thread: SimThread) -> _Op:
         while self._held:
-            self._waiters.append(ctx.thread)
+            self._waiters.append(thread)
             yield Suspend("monitor")
-        self._held = True
-        self._owner = ctx.thread
-        self._acquired_us = ctx.now_us
-        self.entries += 1
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_acquire(self, ctx.thread)
-        ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
-
-    def exit(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok and not self._waiters:
-            if not self._held or self._owner is not ctx.thread:
-                raise SynchronizationError(
-                    f"exit of monitor {self.vaddr:#x} by non-owner "
-                    f"{ctx.thread.name}")
-            ctx.metrics.observe("lock_hold_us",
-                                ctx.now_us - self._acquired_us)
-            san = _analysis.ACTIVE
-            if san is not None:
-                san.on_release(self, ctx.thread)
-            self._held = False
-            self._owner = None
-            ctx.thread.surcharge_us += SYNC_OP_US
-            ctx.metrics.inc("lock_elided_total")
-            return None
-        if self._elide_ok:
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._exit_slow(ctx)
-
-    def _exit_slow(self, ctx: "InvocationContext") -> _Op:
-        yield Charge(SYNC_OP_US)
-        if not self._held or self._owner is not ctx.thread:
-            raise SynchronizationError(
-                f"exit of monitor {self.vaddr:#x} by non-owner "
-                f"{ctx.thread.name}")
-        ctx.metrics.observe("lock_hold_us",
-                            ctx.now_us - self._acquired_us)
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_release(self, ctx.thread)
-        self._held = False
-        self._owner = None
-        if self._waiters:
-            yield Wakeup(_pick_waiter(self._waiters, "monitor",
-                                      self.vaddr))
 
     def holds(self, thread: SimThread) -> bool:
         return self._held and self._owner is thread
