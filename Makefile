@@ -32,7 +32,7 @@ chaos:
 
 # AmberElide: escape/confinement analysis + verified sync-elision
 # fast paths (docs/ANALYSIS.md).  Add --verify for the full dynamic
-# soundness suite (AmberCheck, bit-identity, perf trajectory).
+# soundness suite (AmberCheck, bit-identity); no clock in either.
 elide:
 	PYTHONPATH=src python -m repro elide --fast
 
@@ -44,12 +44,10 @@ check: lint flow elide analyze amber-check
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ -q
 
-# AmberPerf: wall-clock benchmark suite + hot-loop self-profile
-# (see docs/PERF.md).  Compare against the committed baseline with
-#   PYTHONPATH=src python -m repro perf --fast \
-#     --baseline benchmarks/baseline/BENCH_baseline.json
+# Where a simulated run's host time goes (docs/PERF.md).  Whether a
+# change is faster is AmberBench's question:
+#   PYTHONPATH=src python -m benchmarks.amberbench repeat --help
 perf:
-	PYTHONPATH=src python -m repro perf --fast
 	PYTHONPATH=src python -m repro perf --profile sor --fast
 
 artifacts:

@@ -23,10 +23,16 @@ unobservable** except in host cost and event count.
   ``AMBELIDE-UNSOUND`` finding.  A deliberately unsound elision set is
   also run to prove the auditor has teeth;
 * **``--verify``** adds: bounded AmberCheck exploration with elision
-  active, bit-identical results/elapsed (fixtures and the AmberPerf
-  macro apps) between elision on and off, elision-effectiveness
-  counters (``lock_elided_total`` > 0, ``lock_elide_bailout_total``
-  == 0), and the perf trajectory against the committed bench baseline.
+  active, bit-identical results/elapsed (fixtures and the bundled
+  apps of ``repro.apps.WORKLOADS``) between elision on and off, and
+  elision-effectiveness counters (``lock_elided_total`` > 0,
+  ``lock_elide_bailout_total`` == 0).
+
+Every verdict is a comparison of simulated observables: nothing here
+reads a clock, so a run's report is the same on any host.  Whether
+elision makes a run *faster* is AmberBench's question
+(``sim.sync.lock_elided_total`` and the end-to-end metrics of
+``python -m benchmarks.amberbench``), not this suite's.
 """
 
 from __future__ import annotations
@@ -53,15 +59,6 @@ from repro.analyze.lint import (
 )
 from repro.selfcheck import OK_MARK, Outcome, Report, Suite, detailed
 
-#: The AmberPerf macro benchmarks the perf-trajectory outcome gates on.
-MACRO_BENCHES = ("sor_sim", "queens_sim", "matmul_sim")
-
-#: Committed bench baseline the elision-active suite is compared to.
-BASELINE_BENCH = "benchmarks/baseline/BENCH_baseline.json"
-
-#: Improvement/regression bar for the perf trajectory (fractional).
-PERF_THRESHOLD = 0.10
-
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -73,9 +70,7 @@ ELIDE_SUITE = Suite(
     line="  " + OK_MARK,
     body=lambda outcome: [f"      {line}"
                           for line in outcome.fields["details"]],
-    trailer="overall: {verdict} ({passed}/{total} scenarios)",
-    # The perf-trajectory run's bench document (``--bench-out``).
-    detached=("bench",))
+    trailer="overall: {verdict} ({passed}/{total} scenarios)")
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +521,8 @@ def _outcome_schedule_audit() -> Outcome:
 def _outcome_bit_identical(fast: bool) -> Outcome:
     """Elision on vs. off: results and simulated elapsed bit-identical,
     runs deterministic per mode, and elision never adds events — on the
-    fixtures and on the AmberPerf macro apps."""
-    from repro.perf import harness as _harness
+    fixtures and on the bundled apps."""
+    from repro.apps import WORKLOADS, fingerprint
 
     details: List[str] = []
     ok = True
@@ -560,20 +555,16 @@ def _outcome_bit_identical(fast: bool) -> Outcome:
                 f"{off[0].events} -> {on[0].events}, "
                 f"{on[0].elided} op(s) elided")
 
-    apps_artifact = _analyze_paths_artifact(["src/repro/apps"])
-    benches = {
-        "sor_sim": _harness._bench_sor_sim,
-        "queens_sim": _harness._bench_queens_sim,
-        "matmul_sim": _harness._bench_matmul_sim,
-    }
-    for name, bench in benches.items():
-        off_runs = [bench(fast).fingerprint for _ in range(2)]
+    sources, _ = collect_sources(["src/repro/apps"])
+    apps_artifact = build_artifact(classify_sources(sources), sources)
+    for name, run in WORKLOADS.items():
+        off_runs = [fingerprint(run(fast)) for _ in range(2)]
         if not apps_artifact.activate():
             ok = False
             details.append(f"{name}: apps artifact stale on disk")
             continue
         try:
-            on_runs = [bench(fast).fingerprint for _ in range(2)]
+            on_runs = [fingerprint(run(fast)) for _ in range(2)]
         finally:
             _ert.deactivate()
         if len(set(off_runs)) != 1 or len(set(on_runs)) != 1:
@@ -587,54 +578,6 @@ def _outcome_bit_identical(fast: bool) -> Outcome:
             details.append(f"{name}: fingerprint {on_runs[0]} "
                            f"identical with elision active")
     return detailed("bit-identical", ok, details)
-
-
-def _analyze_paths_artifact(paths: Sequence[str]) -> ElideArtifact:
-    sources, _ = collect_sources(paths)
-    return build_artifact(classify_sources(sources), sources)
-
-
-def _outcome_perf_trajectory(
-        fast: bool) -> Tuple[Outcome, Optional[Dict[str, Any]]]:
-    """With elision active, the macro suite must beat the committed
-    baseline on at least one benchmark (and regress on none).  Returns
-    the run's bench document with the outcome."""
-    from repro.perf.benchfile import (bench_dict, compare_benches,
-                                      load_bench)
-    from repro.perf.harness import run_suite
-
-    details: List[str] = []
-    baseline_path = Path(BASELINE_BENCH)
-    if not baseline_path.exists():
-        return detailed("perf-trajectory", False,
-                        [f"missing baseline {BASELINE_BENCH}"]), None
-    apps_artifact = _analyze_paths_artifact(["src/repro/apps"])
-    if not apps_artifact.activate():
-        return detailed("perf-trajectory", False,
-                        ["apps artifact stale on disk"]), None
-    try:
-        suite = run_suite(fast=fast, reps=3, warmup=1,
-                          only=["calibration", *MACRO_BENCHES])
-    finally:
-        _ert.deactivate()
-    doc = bench_dict(suite)
-    result = compare_benches(load_bench(str(baseline_path)), doc,
-                             threshold=PERF_THRESHOLD)
-    macro = [d for d in result.deltas if d.name in MACRO_BENCHES]
-    improved = [d for d in macro if d.improvement]
-    regressed = [d for d in macro if d.regression]
-    for delta in macro:
-        verdict = ("improved" if delta.improvement else
-                   "regressed" if delta.regression else "flat")
-        details.append(
-            f"{delta.name}: x{delta.ratio:.2f} vs baseline "
-            f"(noise {delta.noise:.1%}) — {verdict}")
-    ok = bool(improved) and not regressed
-    if not improved:
-        details.append(
-            f"no macro benchmark improved beyond "
-            f"1 + max({PERF_THRESHOLD:.0%}, noise)")
-    return detailed("perf-trajectory", ok, details), doc
 
 
 # ---------------------------------------------------------------------------
@@ -661,22 +604,16 @@ def run_elide_scenarios(paths: Optional[Sequence[str]] = None,
         _outcome_hint_promotion(),
         _outcome_soundness_audit(),
     ]
-    bench = None
     if verify:
         outcomes.append(_outcome_schedule_audit())
         outcomes.append(_outcome_bit_identical(fast))
-        trajectory, bench = _outcome_perf_trajectory(fast)
-        outcomes.append(trajectory)
-    return elide_report(outcomes, artifact, findings, used_paths,
-                        verify, bench)
+    return elide_report(outcomes, artifact, findings, used_paths, verify)
 
 
 def elide_report(outcomes: List[Outcome], artifact: ElideArtifact,
                  findings: List[LintFinding], paths: List[str],
-                 verify: bool,
-                 bench: Optional[Dict[str, Any]] = None) -> Report:
-    """The report of one ``repro elide`` invocation; ``bench`` is the
-    bench document of the perf-trajectory run (``--verify`` only)."""
+                 verify: bool) -> Report:
+    """The report of one ``repro elide`` invocation."""
     elidable = [f"{owner}/{cls}" for owner, cls in artifact.lock_owners]
     title = [f"AmberElide over {', '.join(paths)}:",
              f"  confined: {', '.join(artifact.confined) or '(none)'}",
@@ -691,5 +628,4 @@ def elide_report(outcomes: List[Outcome], artifact: ElideArtifact,
                 "verify": verify},
         outcomes=outcomes,
         extras={"artifact": artifact,
-                "findings": [finding.as_dict() for finding in findings],
-                "bench": bench})
+                "findings": [finding.as_dict() for finding in findings]})

@@ -52,12 +52,10 @@
                                               # (docs/ANALYSIS.md)
     python -m repro elide --artifact-out PATH # emit the amberelide/1
                                               # artifact
-    python -m repro perf [--fast] [--json PATH]
-                                              # AmberPerf benchmark suite
-                                              # (see docs/PERF.md)
     python -m repro perf --profile sor --fast # hot-loop self-profile
-    python -m repro perf --compare OLD NEW    # flag regressions between
-                                              # two BENCH_*.json files
+                                              # (see docs/PERF.md; speed
+                                              # is measured by python -m
+                                              # benchmarks.amberbench)
 
 ``trace`` and ``profile`` also accept ``--sanitize`` to run the
 workload under AmberSan and print its findings.
@@ -79,6 +77,7 @@ import sys
 from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.apps import WORKLOADS
 from repro.bench import ablations, figure1, figure2, figure3, table1
 from repro.bench.reporting import write_metrics_json
 from repro.errors import UsageError
@@ -100,38 +99,8 @@ _ARTIFACTS = {
 
 
 # ---------------------------------------------------------------------------
-# Workloads available to ``trace`` and ``profile``
+# Running a row of ``repro.apps.WORKLOADS``
 # ---------------------------------------------------------------------------
-
-
-def _run_sor(fast: bool, tracer):
-    from repro.apps.sor import SorProblem, run_amber_sor
-    if fast:
-        problem = SorProblem(rows=40, cols=280, iterations=3)
-        return run_amber_sor(problem, nodes=2, cpus_per_node=2,
-                             tracer=tracer)
-    problem = SorProblem(iterations=20)
-    return run_amber_sor(problem, nodes=4, cpus_per_node=4, tracer=tracer)
-
-
-def _run_queens(fast: bool, tracer):
-    from repro.apps.queens import run_amber_queens
-    return run_amber_queens(n=8 if fast else 10, nodes=2,
-                            cpus_per_node=2 if fast else 4, tracer=tracer)
-
-
-def _run_matmul(fast: bool, tracer):
-    from repro.apps.matmul import run_matmul
-    size = 48 if fast else 96
-    return run_matmul(m=size, k=size, n=size, nodes=4, cpus_per_node=2,
-                      tracer=tracer)
-
-
-WORKLOADS = {
-    "sor": _run_sor,
-    "queens": _run_queens,
-    "matmul": _run_matmul,
-}
 
 
 def _run_workload(args, tracer, sanitize: bool):
@@ -337,67 +306,31 @@ def _replay(args, program_fn) -> int:
     return 0 if clean else 1
 
 
-def _load_bench(path: str) -> Dict[str, Any]:
-    """A bench file named on the command line; one that is missing,
-    unparsable or fails ``validate_bench`` is a usage error."""
-    from repro.perf import benchfile
-
-    try:
-        return benchfile.load_bench(path)
-    except (OSError, ValueError) as error:
-        raise UsageError(f"{path}: {error}") from error
-
-
 def _cmd_perf(args) -> int:
-    from repro.perf import benchfile, harness
+    if not args.profile:
+        raise UsageError(
+            "perf wants --profile WORKLOAD (the hot-loop self-profiler); "
+            "to measure speed, run python -m benchmarks.amberbench")
+    from repro.perf.hotprof import profile_runs, render_hotloop
 
-    if args.compare:
-        result = benchfile.compare_benches(_load_bench(args.compare[0]),
-                                           _load_bench(args.compare[1]),
-                                           threshold=args.threshold)
-        print(benchfile.render_compare(result))
-        return 0 if result.ok else 1
-
-    if args.profile:
-        from repro.perf.hotprof import profile_runs, render_hotloop
-        with profile_runs() as profiler:
-            result = WORKLOADS[args.profile](args.fast, None)
-        print(render_hotloop(
-            profiler,
-            title=(f"Hot-loop self-profile: {args.profile} "
-                   f"({result.cluster.config.label()}), host time")))
-        if args.trace_out:
-            from repro.obs.perfetto import (
-                export_chrome_trace,
-                profiler_track_events,
-            )
-            count = export_chrome_trace(
-                [], args.trace_out,
-                extra=profiler_track_events(profiler))
-            print(f"\nwrote {count} self-profiler trace events to "
-                  f"{args.trace_out}")
-        _write(args.json, profiler.as_dict(), "profile", lead="")
-        return 0
-
-    # Before the suite runs: a bad path should not cost a suite run.
-    baseline = _load_bench(args.baseline) if args.baseline else None
-    suite = harness.run_suite(fast=args.fast, reps=args.reps,
-                              warmup=args.warmup, only=args.bench or None,
-                              progress=print)
-    print()
-    print(suite.render())
-    if args.json:
-        doc = benchfile.write_bench_json(suite, args.json)
-        print(f"\nbench file written to {args.json} "
-              f"(rev {doc['git_rev']}, machine "
-              f"{doc['machine']['fingerprint']})")
-    if baseline is None:
-        return 0 if suite.ok else 1
-    result = benchfile.compare_benches(
-        baseline, benchfile.bench_dict(suite), threshold=args.threshold)
-    print()
-    print(benchfile.render_compare(result))
-    return 0 if suite.ok and result.ok else 1
+    with profile_runs() as profiler:
+        result = WORKLOADS[args.profile](args.fast)
+    print(render_hotloop(
+        profiler,
+        title=(f"Hot-loop self-profile: {args.profile} "
+               f"({result.cluster.config.label()}), host time")))
+    if args.trace_out:
+        from repro.obs.perfetto import (
+            export_chrome_trace,
+            profiler_track_events,
+        )
+        count = export_chrome_trace(
+            [], args.trace_out,
+            extra=profiler_track_events(profiler))
+        print(f"\nwrote {count} self-profiler trace events to "
+              f"{args.trace_out}")
+    _write(args.json, profiler.as_dict(), "profile", lead="")
+    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -442,14 +375,10 @@ def _cmd_elide(args) -> int:
 
     report = run_elide_scenarios(paths=args.paths, fast=args.fast,
                                  verify=args.verify)
-    bench = report.extras["bench"]
     return _emit(
         report, args.json,
         (args.artifact_out, report.extras["artifact"].to_json(),
-         "elision artifact"),
-        (args.bench_out if bench is not None else None,
-         json.dumps(bench, indent=2, sort_keys=True) + "\n",
-         "elision-active bench"))
+         "elision artifact"))
 
 
 # ---------------------------------------------------------------------------
@@ -591,40 +520,19 @@ COMMANDS: Tuple[Command, ...] = (
                   "(schedules, prunes, backtracks, choice-point "
                   "depths) as JSON; scenario mode only"))),
     Command(
-        "perf", "AmberPerf: run the benchmark suite, self-profile the "
-                "simulator's hot loop, or compare two BENCH_*.json "
-                "files",
+        "perf", "self-profile the simulator's hot loop under one "
+                "workload (speed is measured by python -m "
+                "benchmarks.amberbench)",
         _cmd_perf, (
-            _fast("smaller problems, skip the live-socket "
-                  "benchmark (CI suite)"),
-            _arg("--reps", type=int, default=3,
-                 help="measured repetitions per benchmark "
-                      "(default: 3)"),
-            _arg("--warmup", type=int, default=1,
-                 help="unmeasured warmup runs per benchmark "
-                      "(default: 1)"),
-            _arg("--bench", action="append", metavar="NAME",
-                 help="run only the named benchmark (repeatable)"),
-            _path("--json", "write the run as a BENCH_*.json file "
-                            "(suite mode) or the profile dict "
-                            "(--profile mode)"),
-            _path("--baseline",
-                  "after the suite, compare against this bench "
-                  "file and fail on regressions"),
-            _arg("--compare", nargs=2, metavar=("OLD", "NEW"),
-                 default=None,
-                 help="compare two bench files instead of running "
-                      "(exit 1 on regressions beyond threshold)"),
-            _arg("--threshold", type=float, default=0.25,
-                 help="regression threshold as a rate fraction "
-                      "(default: 0.25)"),
+            _SMALLER,
+            _path("--json", "write the profile dict as JSON"),
             _arg("--profile", choices=sorted(WORKLOADS),
                  default=None, metavar="WORKLOAD",
-                 help="instead of the suite, self-profile the hot "
-                      "loop under one workload (sor/queens/matmul)"),
+                 help="the workload to run under the profiler "
+                      "(sor/queens/matmul)"),
             _path("--trace-out",
-                  "with --profile: also export the phase "
-                  "timeline as a Perfetto trace"))),
+                  "also export the phase timeline as a Perfetto "
+                  "trace"))),
     Command(
         "lint", "static concurrency lint (AMB101-AMB109) over Amber "
                 "programs",
@@ -671,14 +579,10 @@ COMMANDS: Tuple[Command, ...] = (
                       "the bundled apps+examples"),
             _arg("--verify", action="store_true",
                  help="also run the dynamic soundness suite: "
-                      "AmberCheck + audit-sanitizer runs, "
-                      "elision-on vs. off bit-identity, and the "
-                      "perf trajectory"),
+                      "AmberCheck + audit-sanitizer runs and "
+                      "elision-on vs. off bit-identity"),
             _path("--artifact-out",
                   "write the amberelide/1 artifact as JSON"),
-            _path("--bench-out",
-                  "with --verify: write the elision-active "
-                  "bench document as JSON"),
             _path("--json", "dump the full report as JSON"))),
 )
 

@@ -10,8 +10,10 @@ differ where TCP makes them differ:
   recovers by re-sending, see ``docs/CHAOS.md``).
 * **duplicate** — the frame is written twice; the receiving kernel's
   at-most-once dedup suppresses the second execution.
-* **delay** — the sending thread sleeps ``[delay_min_us, delay_max_us]``
-  before the write.
+* **delay** — the frame is queued with ``[delay_min_us, delay_max_us]``
+  owed by its peer's outbox; the thread that next writes that outbox
+  sleeps it out before the write (never a mesh reader, which leaves an
+  outbox with anything owed to a pool worker).
 * **reorder → reset** — TCP cannot reorder within a connection, so the
   reorder budget is spent on the live network's own failure mode: the
   current connection is poisoned with a *truncated frame* and torn down,

@@ -1,47 +1,15 @@
-"""AmberPerf: benchmark harness, hot-loop self-profiler, perf trajectory.
+"""The simulator's in-process profiler (see ``docs/PERF.md``).
 
-Three pieces (see ``docs/PERF.md``):
+:mod:`repro.perf.hotprof` attributes the host time of the simulator's
+hot loop to phases, per-subsystem hook overhead included; ``repro perf
+--profile`` prints it and AmberBench's traced pass reads it.  Whether a
+change is *faster* is measured in one place, ``python -m
+benchmarks.amberbench``.
 
-* :mod:`repro.perf.harness` — deterministic micro- and macro-benchmarks
-  with warmup, repetition, and median/IQR wall-time statistics.
-* :mod:`repro.perf.hotprof` — host-time phase attribution for the
-  simulator's hot loop, including per-subsystem hook overhead.
-* :mod:`repro.perf.benchfile` — the versioned ``BENCH_<rev>.json``
-  format, machine fingerprinting, and the regression-flagging compare.
-
-This ``__init__`` stays lazy (PEP 562): :mod:`repro.sim.program` imports
-``repro.perf.hotprof`` on the simulator's import path, and pulling the
-harness (and through it the bundled apps) into that path would be a
-startup-cost regression of exactly the kind this package exists to
-catch.
+:mod:`repro.sim.program` imports ``hotprof`` on the simulator's import
+path, so this package imports nothing else.
 """
 
-from __future__ import annotations
+from repro.perf.hotprof import HotLoopProfiler, profile_runs, render_hotloop
 
-_LAZY = {
-    "HotLoopProfiler": "repro.perf.hotprof",
-    "profile_runs": "repro.perf.hotprof",
-    "render_hotloop": "repro.perf.hotprof",
-    "run_suite": "repro.perf.harness",
-    "SUITE": "repro.perf.harness",
-    "SuiteResult": "repro.perf.harness",
-    "write_bench_json": "repro.perf.benchfile",
-    "load_bench": "repro.perf.benchfile",
-    "validate_bench": "repro.perf.benchfile",
-    "compare_benches": "repro.perf.benchfile",
-    "render_compare": "repro.perf.benchfile",
-    "machine_info": "repro.perf.benchfile",
-    "git_rev": "repro.perf.benchfile",
-}
-
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module 'repro.perf' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__ = ["HotLoopProfiler", "profile_runs", "render_hotloop"]

@@ -78,8 +78,6 @@ class Suite:
     #: JSON's ``counters`` (every name, zero or not) and the ``totals:``
     #: line; each outcome gets a ``counters:`` line.
     counter_names: Tuple[str, ...] = ()
-    #: Extras written to their own file, never inlined in the JSON.
-    detached: Tuple[str, ...] = ()
 
 
 def _nonzero(counters: Mapping[str, int]) -> str:
@@ -98,7 +96,7 @@ class Report:
     params: Dict[str, Any]
     outcomes: List[Outcome]
     #: What the run produced besides verdicts (hints, artifact,
-    #: findings, bench): JSON-ready values, or objects with ``as_dict``.
+    #: findings): JSON-ready values, or objects with ``as_dict``.
     extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -123,9 +121,8 @@ class Report:
                             for name in suite.fields}
                            for outcome in self.outcomes]
         for name, extra in self.extras.items():
-            if name not in suite.detached:
-                data[name] = (extra.as_dict() if hasattr(extra, "as_dict")
-                              else extra)
+            data[name] = (extra.as_dict() if hasattr(extra, "as_dict")
+                          else extra)
         return data
 
     def render(self) -> str:

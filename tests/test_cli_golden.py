@@ -13,10 +13,12 @@ compared against ``tests/golden/cli_surface.json``:
   parser object (argparse wraps formatted help differently across
   3.10-3.12, so ``--help`` text itself is not pinned).
 
-``chaos``, ``elide --verify`` and the ``perf`` suite print wall-clock
-numbers, so their *layout* is pinned from reports built out of literal
-outcomes (``_layouts``).  That builder is the only part of this file
-that may change with the report classes; the expected text may not.
+``chaos`` prints wall-clock numbers, so its *layout* is pinned from
+reports built out of literal outcomes (``_layouts``), as are the
+failing and the empty ``elide`` report, which no run of a healthy tree
+prints.  That builder is the only part of this file that may change
+with the report classes; the expected text may not.  ``elide --verify``
+reads no clock, so it is pinned by value like the rest.
 
 The file was generated before the suites moved onto shared plumbing; a
 change to the plumbing must leave it untouched.  Regenerate (only for
@@ -105,6 +107,8 @@ CASES: Dict[str, List[str]] = {
     "elide-fast": ["elide", "--fast",
                    "--artifact-out", "{tmp}/elide.json",
                    "--json", "{tmp}/report.json"],
+    "elide-verify-fast": ["elide", "--verify", "--fast",
+                          "--json", "{tmp}/verify.json"],
     "profile-queens": ["profile", "queens", "--fast"],
     # Input that cannot be acted on: one ``error:`` line, exit 2.
     "lint-missing-path": ["lint", "no/such/path"],
@@ -113,11 +117,7 @@ CASES: Dict[str, List[str]] = {
                            "no_such_dir"],
     "check-replay-not-integers": ["check", "--fixture", "hidden-race",
                                   "--replay", "a,b"],
-    "perf-compare-missing-file": ["perf", "--compare", "missing.json",
-                                  "also-missing.json"],
-    "perf-baseline-wrong-schema": ["perf", "--fast", "--bench",
-                                   "calibration", "--baseline",
-                                   "wrong-schema.json"],
+    "perf-without-workload": ["perf", "--fast"],
     # One path policy: the defaults resolve from the repo root, and a
     # file named explicitly is read whatever its suffix.
     "lint-default-paths": ["lint"],
@@ -130,14 +130,13 @@ CASES: Dict[str, List[str]] = {
 
 #: Cases run with the scratch directory as cwd (paths in their output
 #: are then relative, so the text is stable).
-IN_TMP = {"lint-bad-fixture", "perf-compare-missing-file",
-          "perf-baseline-wrong-schema", "lint-named-non-py",
+IN_TMP = {"lint-bad-fixture", "lint-named-non-py",
           "flow-named-non-py", "elide-named-non-py"}
 
 #: Cases whose stderr is pinned too.
 PINS_STDERR = {"lint-missing-path", "flow-missing-path",
                "elide-missing-path", "check-replay-not-integers",
-               "perf-compare-missing-file", "perf-baseline-wrong-schema"}
+               "perf-without-workload"}
 
 #: Output files compared byte for byte rather than as parsed JSON.
 CANONICAL = {"hints.json", "elide.json", "expect.json", "lint.json"}
@@ -151,7 +150,6 @@ def observe_case(name: str, tmp: Path,
             for part in CASES[name]]
     (tmp / "bad.py").write_text(BAD_SOURCE)
     (tmp / "prog.txt").write_text(BAD_SOURCE)
-    (tmp / "wrong-schema.json").write_text('{"schema": "nope"}')
     before = {path.name for path in tmp.iterdir()}
     # A process-wide count that ``repro elide`` prints; start every case
     # where a fresh ``python -m repro`` process starts.
@@ -245,14 +243,13 @@ def parser_surface() -> Dict[str, Any]:
 
 
 def _layouts() -> Dict[str, Any]:
-    """Render (and dict-encode) ``chaos``, ``elide --verify`` and
-    ``perf`` suite reports built from literals.  The only part of this
-    file that follows the report classes."""
+    """Render (and dict-encode) ``chaos`` and ``elide --verify``
+    reports built from literals.  The only part of this file that
+    follows the report classes."""
     from repro.analyze.elide.artifact import ELIDE_SCHEMA, ElideArtifact
     from repro.analyze.elide.scenario import elide_report
     from repro.analyze.lint import LintFinding
     from repro.faults.livescenario import chaos_report
-    from repro.perf.harness import BenchResult, SuiteResult
     from repro.selfcheck import Outcome, detailed
 
     def live(name: str, description: str, ok: bool,
@@ -290,33 +287,20 @@ def _layouts() -> Dict[str, Any]:
                      ["8 corpora scanned twice, byte-identical "
                       "artifacts"]),
             detailed("bit-identical", True,
-                     ["sor_sim: fingerprint 1f2e3d identical with "
+                     ["sor: fingerprint 1f2e3d identical with "
                       "elision active"]),
-            detailed("perf-trajectory", False,
-                     ["sor_sim: x1.02 vs baseline (noise 3.1%) — flat",
-                      "no macro benchmark improved beyond 1 + "
-                      "max(10%, noise)"]),
+            detailed("soundness-audit", False,
+                     ["shared-pool: 2 sanitizer finding(s), 1 unsound",
+                      "unsound control set produced no "
+                      "AMBELIDE-UNSOUND finding"]),
             detailed("schedule-audit", True, []),
         ],
         artifact,
         [LintFinding("apps/pool.py", 12, "AMB301",
                      "lock 'gate' is elidable")],
-        ["apps"], True, {"schema": "amberperf-bench/1"})
+        ["apps"], True)
     bare = elide_report([], ElideArtifact(schema=ELIDE_SCHEMA), [],
                         ["nowhere"], False)
-
-    suite = SuiteResult(fast=True, reps=3, warmup=1, results=[
-        BenchResult(name="calibration", kind="calibration", unit="ops",
-                    reps=3, warmup=1, work=200_000,
-                    fingerprint="c0ffee", deterministic=True,
-                    wall_s=[0.010, 0.012, 0.011]),
-        BenchResult(name="sor_sim", kind="macro", unit="events",
-                    reps=3, warmup=1, work=51_234, fingerprint="beef",
-                    deterministic=False, wall_s=[0.25, 0.27, 0.26]),
-        BenchResult(name="dispatch", kind="micro", unit="ops", reps=0,
-                    warmup=1, work=0, fingerprint="",
-                    deterministic=True, error="RuntimeError: boom"),
-    ])
     return {
         "chaos": {"text": chaos.render(), "json": chaos.as_dict(),
                   "ok": chaos.ok},
@@ -326,8 +310,6 @@ def _layouts() -> Dict[str, Any]:
                          "ok": elide.ok},
         "elide-empty": {"text": bare.render(), "json": bare.as_dict(),
                         "ok": bare.ok},
-        "perf-suite": {"text": suite.render(), "json": suite.as_dict(),
-                       "ok": suite.ok},
     }
 
 
@@ -361,6 +343,19 @@ def test_case_matches_golden(name, golden, tmp_path):
     assert observed["files"] == expected["files"]
 
 
+def test_elide_verify_reads_no_clock(tmp_path):
+    """Two consecutive runs in one process: same stdout, exit code and
+    JSON, on any host."""
+    pytest.importorskip("numpy")
+    runs = []
+    for scratch in ("first", "second"):
+        (tmp_path / scratch).mkdir()
+        runs.append(observe_case("elide-verify-fast", tmp_path / scratch,
+                                 {}))
+    assert runs[0] == runs[1]
+    assert runs[0]["exit"] == 0
+
+
 def test_parser_surface_matches_golden(golden):
     observed = json.loads(json.dumps(parser_surface()))
     expected = golden["parser"]
@@ -374,7 +369,7 @@ def test_parser_surface_matches_golden(golden):
 
 
 @pytest.mark.parametrize("name", ["chaos", "chaos-empty", "elide-verify",
-                                  "elide-empty", "perf-suite"])
+                                  "elide-empty"])
 def test_wall_clock_report_layout_matches_golden(name, golden):
     observed = json.loads(json.dumps(_layouts()[name]))
     expected = golden["layouts"][name]
@@ -408,6 +403,9 @@ def test_golden_cases_are_not_trivial(golden):
         "fingerprint"]
     assert "overall: PASS (5/5 scenarios)" \
         in cases["elide-fast"]["stdout"]
+    verify = cases["elide-verify-fast"]
+    assert verify["exit"] == 0 and verify["json"]["verify.json"]["ok"]
+    assert "overall: PASS (7/7 scenarios)" in verify["stdout"]
     for name in PINS_STDERR:
         assert cases[name]["exit"] == 2 and not cases[name]["stdout"]
         assert cases[name]["stderr"].startswith("error: ")

@@ -1,19 +1,10 @@
-"""AmberPerf: harness determinism, BENCH files, compare, self-profiler."""
+"""The hot-loop self-profiler, its CLI, and the bundled-app run table."""
 
-import copy
 import json
 
 import pytest
 
-from repro.perf import benchfile
-from repro.perf.harness import (
-    SUITE,
-    BenchResult,
-    SuiteResult,
-    bench_names,
-    run_benchmark,
-    run_suite,
-)
+from repro.apps import WORKLOADS, fingerprint
 from repro.perf.hotprof import (
     HOOK_NAMES,
     HotLoopProfiler,
@@ -21,213 +12,20 @@ from repro.perf.hotprof import (
     render_hotloop,
 )
 
-_BY_NAME = {spec.name: spec for spec in SUITE}
-
-
-def _mini_suite(reps=2):
-    """A cheap but representative slice: calibration + one simulated
-    benchmark (the compare tests need the calibration row)."""
-    return run_suite(fast=True, reps=reps, warmup=0,
-                     only=["calibration", "dispatch"])
-
-
 # ---------------------------------------------------------------------------
-# Harness
+# The bundled-app run table
 # ---------------------------------------------------------------------------
 
 
-class TestHarness:
-    def test_suite_roster_meets_coverage_floor(self):
-        fast = [_BY_NAME[name] for name in bench_names(fast=True)]
-        assert sum(1 for s in fast if s.kind == "micro") >= 4
-        assert sum(1 for s in fast if s.kind == "macro") >= 3
-        assert any(s.kind == "calibration" for s in fast)
-        # The live-socket benchmark stays out of the fast/CI suite.
-        assert "mesh_roundtrip" not in bench_names(fast=True)
-        assert "mesh_roundtrip" in bench_names(fast=False)
-
-    def test_sim_benchmark_is_deterministic_across_reps(self):
-        """Identical event counts and fingerprints on every repetition
-        of a seeded sim benchmark; only wall-clock may vary."""
-        result = run_benchmark(_BY_NAME["dispatch"], fast=True,
-                               reps=3, warmup=0)
-        assert result.error == ""
-        assert result.deterministic
-        assert result.work > 0
-        assert len(result.wall_s) == 3
-
-    def test_fingerprints_stable_across_separate_invocations(self):
-        first = run_benchmark(_BY_NAME["sor_sim"], fast=True,
-                              reps=1, warmup=0)
-        second = run_benchmark(_BY_NAME["sor_sim"], fast=True,
-                               reps=1, warmup=0)
-        assert first.fingerprint == second.fingerprint
-        assert first.work == second.work
-
-    def test_rate_is_work_over_median(self):
-        result = BenchResult(
-            name="x", kind="micro", unit="events", reps=3, warmup=0,
-            work=1000, fingerprint="f", deterministic=True,
-            wall_s=[0.2, 0.1, 0.4])
-        assert result.median_s == pytest.approx(0.2)
-        assert result.rate == pytest.approx(5000.0)
-
-    def test_benchmark_error_is_recorded_not_raised(self):
-        from repro.perf.harness import BenchSpec
-
-        def boom(fast):
-            raise RuntimeError("kaput")
-
-        result = run_benchmark(
-            BenchSpec("boom", "micro", "ops", boom), fast=True,
-            reps=2, warmup=0)
-        assert "kaput" in result.error
-        assert not result.deterministic
-
-    def test_unknown_benchmark_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown benchmark"):
-            run_suite(only=["no-such-bench"])
-
-    def test_render_lists_every_benchmark(self):
-        suite = _mini_suite()
-        text = suite.render()
-        assert "calibration" in text and "dispatch" in text
-
-
-# ---------------------------------------------------------------------------
-# BENCH files
-# ---------------------------------------------------------------------------
-
-
-class TestBenchFile:
-    def test_write_load_roundtrip(self, tmp_path):
-        suite = _mini_suite()
-        path = str(tmp_path / "BENCH_test.json")
-        written = benchfile.write_bench_json(suite, path, rev="abc123")
-        loaded = benchfile.load_bench(path)
-        assert loaded == written
-        assert loaded["schema"] == benchfile.SCHEMA
-        assert loaded["git_rev"] == "abc123"
-        assert "fingerprint" in loaded["machine"]
-        bench = loaded["benchmarks"]["dispatch"]
-        for key in ("kind", "unit", "rate", "work", "wall_s",
-                    "fingerprint", "deterministic"):
-            assert key in bench
-        assert bench["wall_s"]["median"] > 0
-
-    def test_validate_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            benchfile.validate_bench({"schema": "amberperf-bench/999"})
-
-    def test_validate_rejects_missing_keys(self):
-        doc = benchfile.bench_dict(_mini_suite())
-        del doc["machine"]
-        with pytest.raises(ValueError, match="missing"):
-            benchfile.validate_bench(doc)
-
-    def test_validate_rejects_nondeterministic_benchmark(self):
-        doc = benchfile.bench_dict(_mini_suite())
-        doc["benchmarks"]["dispatch"]["deterministic"] = False
-        with pytest.raises(ValueError, match="non-deterministic"):
-            benchfile.validate_bench(doc)
-
-    def test_git_rev_in_this_checkout(self):
-        rev = benchfile.git_rev()
-        assert rev == "unknown" or (rev and "\n" not in rev)
-
-
-# ---------------------------------------------------------------------------
-# Compare
-# ---------------------------------------------------------------------------
-
-
-def _synthetic_doc(rates, machine="m1", iqr_frac=0.01):
-    """A schema-valid bench document with controlled rates and noise."""
-    benchmarks = {}
-    for name, rate in rates.items():
-        kind = "calibration" if name == "calibration" else "micro"
-        median = 1000.0 / rate
-        benchmarks[name] = {
-            "kind": kind, "unit": "ops", "reps": 3, "warmup": 1,
-            "work": 1000, "rate": rate, "fingerprint": "f",
-            "deterministic": True, "error": "",
-            "wall_s": {"median": median, "iqr": median * iqr_frac,
-                       "min": median, "max": median, "samples": []},
-        }
-    return {
-        "schema": benchfile.SCHEMA,
-        "machine": {"fingerprint": machine, "platform": "test",
-                    "python": "3", "cpu_count": 1},
-        "git_rev": "test", "fast": True, "reps": 3, "warmup": 1,
-        "benchmarks": benchmarks,
-    }
-
-
-class TestCompare:
-    def test_identical_rerun_passes(self):
-        doc = _synthetic_doc({"calibration": 1e6, "dispatch": 1e5})
-        result = benchfile.compare_benches(doc, copy.deepcopy(doc))
-        assert result.ok
-        assert not result.normalized
-        assert all(d.ratio == pytest.approx(1.0) for d in result.deltas)
-
-    def test_flags_synthetic_2x_slowdown(self):
-        old = _synthetic_doc({"calibration": 1e6, "dispatch": 1e5,
-                              "event_heap": 2e5})
-        new = _synthetic_doc({"calibration": 1e6, "dispatch": 5e4,
-                              "event_heap": 2e5})
-        result = benchfile.compare_benches(old, new, threshold=0.25)
-        assert not result.ok
-        flagged = [d.name for d in result.regressions]
-        assert flagged == ["dispatch"]
-        assert "REGRESSION" in benchfile.render_compare(result)
-
-    def test_calibration_is_never_gated(self):
-        old = _synthetic_doc({"calibration": 1e6, "dispatch": 1e5})
-        new = _synthetic_doc({"calibration": 1e5, "dispatch": 1e5})
-        # Calibration dropped 10x (slower host) — reported, not flagged.
-        result = benchfile.compare_benches(old, new)
-        assert result.ok
-
-    def test_cross_machine_normalizes_by_calibration(self):
-        old = _synthetic_doc({"calibration": 1e6, "dispatch": 1e5},
-                             machine="m1")
-        # Half-speed host: calibration and dispatch both halve, so the
-        # normalized ratio is 1.0 — no regression.
-        new = _synthetic_doc({"calibration": 5e5, "dispatch": 5e4},
-                             machine="m2")
-        result = benchfile.compare_benches(old, new)
-        assert result.normalized
-        assert result.ok
-        dispatch = next(d for d in result.deltas
-                        if d.name == "dispatch")
-        assert dispatch.ratio == pytest.approx(1.0)
-
-    def test_cross_machine_still_flags_true_regression(self):
-        old = _synthetic_doc({"calibration": 1e6, "dispatch": 1e5},
-                             machine="m1")
-        # Same host speed, but dispatch alone halved.
-        new = _synthetic_doc({"calibration": 1e6, "dispatch": 5e4},
-                             machine="m2")
-        result = benchfile.compare_benches(old, new)
-        assert result.normalized
-        assert [d.name for d in result.regressions] == ["dispatch"]
-
-    def test_noisy_benchmark_needs_larger_drop(self):
-        old = _synthetic_doc({"calibration": 1e6, "jittery": 1e5},
-                             iqr_frac=0.30)
-        new = _synthetic_doc({"calibration": 1e6, "jittery": 6.5e4},
-                             iqr_frac=0.30)
-        # 35% drop < combined 60% noise floor: not flagged.
-        assert benchfile.compare_benches(old, new,
-                                         threshold=0.25).ok
-
-    def test_disjoint_benchmarks_reported(self):
-        old = _synthetic_doc({"calibration": 1e6, "gone": 1e5})
-        new = _synthetic_doc({"calibration": 1e6, "fresh": 1e5})
-        result = benchfile.compare_benches(old, new)
-        assert result.only_old == ["gone"]
-        assert result.only_new == ["fresh"]
+class TestAppRuns:
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_two_runs_give_one_fingerprint(self, name):
+        """Event count and simulated elapsed time are the same on every
+        run of a bundled app; only wall-clock may vary."""
+        first = WORKLOADS[name](True)
+        second = WORKLOADS[name](True)
+        assert first.cluster.sim.events_run > 0
+        assert fingerprint(first) == fingerprint(second)
 
 
 # ---------------------------------------------------------------------------
@@ -359,59 +157,6 @@ class TestProfilerPerfettoTrack:
 
 
 class TestPerfCli:
-    def test_suite_writes_valid_bench_json(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "BENCH_cli.json")
-        code = main(["perf", "--fast", "--reps", "1", "--warmup", "0",
-                     "--bench", "calibration", "--bench", "dispatch",
-                     "--json", path])
-        assert code == 0
-        doc = benchfile.load_bench(path)
-        assert set(doc["benchmarks"]) == {"calibration", "dispatch"}
-        assert "bench file written" in capsys.readouterr().out
-
-    def test_compare_exit_codes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        old = _synthetic_doc({"calibration": 1e6, "dispatch": 1e5})
-        slow = _synthetic_doc({"calibration": 1e6, "dispatch": 4e4})
-        old_path = str(tmp_path / "old.json")
-        slow_path = str(tmp_path / "slow.json")
-        json.dump(old, open(old_path, "w"))
-        json.dump(slow, open(slow_path, "w"))
-        assert main(["perf", "--compare", old_path, old_path]) == 0
-        assert main(["perf", "--compare", old_path, slow_path]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("content, message", [
-        (None, "No such file or directory"),
-        ("{not json", "Expecting property name"),
-        ("[1, 2]", "bench document must be a JSON object"),
-        ('{"schema": "amberperf-bench/0"}', "unsupported bench schema"),
-    ])
-    def test_unloadable_bench_file_is_a_usage_error(
-            self, content, message, tmp_path, capsys):
-        from repro.cli import main
-
-        good = str(tmp_path / "good.json")
-        json.dump(_synthetic_doc({"calibration": 1e6}), open(good, "w"))
-        bad = tmp_path / "bad.json"
-        if content is not None:
-            bad.write_text(content)
-        for argv in (["perf", "--compare", str(bad), good],
-                     ["perf", "--compare", good, str(bad)],
-                     ["perf", "--fast", "--bench", "calibration",
-                      "--baseline", str(bad)]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""   # --baseline: before the suite
-            assert captured.err.startswith(f"error: {bad}: ")
-            assert message in captured.err
-        # validate_bench itself still raises; only the CLI catches.
-        with pytest.raises((OSError, ValueError)):
-            benchfile.load_bench(str(bad))
-
     def test_profile_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -422,12 +167,34 @@ class TestPerfCli:
         assert code == 0
         prof = json.load(open(out))
         assert prof["attributed_fraction"] >= 0.9
+        assert sorted(prof) == [
+            "attached", "attributed_fraction", "events", "heap_pushes",
+            "phases_s", "runs", "total_s"]
         assert json.load(open(trace))["traceEvents"]
         assert "Hot-loop self-profile" in capsys.readouterr().out
 
-    def test_committed_baseline_is_schema_valid(self):
-        doc = benchfile.load_bench(
-            "benchmarks/baseline/BENCH_baseline.json")
-        kinds = [b["kind"] for b in doc["benchmarks"].values()]
-        assert kinds.count("micro") >= 4
-        assert kinds.count("macro") >= 3
+    def test_without_a_workload_is_a_usage_error(self, capsys):
+        """``repro perf`` measures nothing by itself any more: one
+        ``error:`` line that names the benchmark, exit 2."""
+        from repro.cli import main
+
+        assert main(["perf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: perf wants --profile")
+        assert "python -m benchmarks.amberbench" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("retired", [
+        ["--compare", "a.json", "b.json"], ["--baseline", "a.json"],
+        ["--reps", "3"], ["--warmup", "0"], ["--bench", "dispatch"],
+        ["--threshold", "0.1"]])
+    def test_retired_suite_options_are_not_accepted(self, retired,
+                                                    capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf", *retired])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {retired[0]}" \
+            in capsys.readouterr().err.splitlines()[-1]

@@ -48,7 +48,7 @@ DETAILED = Suite(
     line="  " + OK_MARK,
     body=lambda outcome: [f"      {line}"
                           for line in outcome.fields["details"]],
-    trailer="{verdict}: {passed}/{total}", detached=("scratch",))
+    trailer="{verdict}: {passed}/{total}")
 
 
 def report(suite, outcomes, **extras):
@@ -95,13 +95,11 @@ class TestReport:
         with pytest.raises(AttributeError):
             report(JUDGED, [Outcome("a", True)]).as_dict()
 
-    def test_extras_encode_through_as_dict_unless_detached(self):
+    def test_extras_encode_through_as_dict(self):
         hints = PlacementHints(HINTS_SCHEMA, ["a.py"], [])
-        data = report(DETAILED, [], hints=hints, notes=["n"],
-                      scratch={"big": 1}).as_dict()
+        data = report(DETAILED, [], hints=hints, notes=["n"]).as_dict()
         assert data["hints"] == hints.as_dict()
         assert data["notes"] == ["n"]    # JSON-ready: as it is
-        assert "scratch" not in data
 
     def test_counter_totals_sum_and_omit_zeros(self):
         counted = report(COUNTED, [

@@ -111,6 +111,43 @@ def test_recovery_scenarios_import_public_names_only():
     assert not [name for name in imported if name.startswith("_")]
 
 
+def test_no_verdict_is_reached_by_a_clock_or_through_repro_perf():
+    """A self-check verdict is a comparison of simulated observables:
+    the same on every host.  Speed is AmberBench's question.  The live
+    chaos pair runs real sockets, and its clocks are deadlines."""
+    live = {PACKAGE / "faults" / "live.py",
+            PACKAGE / "faults" / "livescenario.py"}
+    judging = [PACKAGE / "analyze", PACKAGE / "faults",
+               PACKAGE / "recovery"]
+    hits = []
+    for path, tree in _trees():
+        if path != PACKAGE / "selfcheck.py" \
+                and not any(root in path.parents for root in judging):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module or ""} | {
+                    f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            if any(name == "repro.perf" or name.startswith("repro.perf.")
+                   for name in names):
+                hits.append((path, "repro.perf"))
+            if path not in live \
+                    and names & {"perf_counter", "monotonic",
+                                 "time.perf_counter", "time.monotonic"}:
+                hits.append((path, sorted(names)))
+    assert not hits, hits
+    # The exception is real, not stale.
+    assert all("monotonic" in path.read_text() for path in live)
+
+
 def test_cli_dispatches_through_its_table():
     source = (PACKAGE / "cli.py").read_text()
     tree = ast.parse(source)
