@@ -14,12 +14,21 @@ the edge-exchange payload sizes used by the simulated runs.
 Because same-color points never read each other, a color sweep gives
 bitwise-identical results no matter how it is partitioned — the tests pin
 the parallel implementations to the sequential one exactly.
+
+A sweep touches only its color.  Within a window the color is two
+sub-lattices, one per row parity: rows ``r, r+2, ..`` from column ``c``
+and rows ``r+1, r+3, ..`` from column ``c`` shifted by one, each a
+stride-2 view of the grid (as are its four neighbors), so no mask and no
+full-window temporary is built.  The arithmetic per point is fixed —
+``((up + down) + left) + right``, ``* 0.25``, ``- old``, ``* omega``,
+``old +`` — because float32 addition does not associate: any other
+order moves last bits, and every SOR in the tree (and the goldens under
+``tests/golden/``) is compared to this kernel byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -80,39 +89,13 @@ def make_grid(problem: SorProblem) -> np.ndarray:
     return grid
 
 
-def color_mask(rows: int, cols: int, color: int,
-               row0: int = 0, col0: int = 0) -> np.ndarray:
-    """Boolean mask of the points of ``color`` within a ``rows x cols``
-    block whose top-left interior point has global coordinates
-    ``(row0, col0)``.  The mask depends on the origin only through the
-    parity of its corner, so it is built once per (shape, parity) and
-    shared; the array is read-only."""
-    return _parity_mask(rows, cols, (row0 + col0 + color) % 2)
-
-
-@lru_cache(maxsize=64)
-def _parity_mask(rows: int, cols: int, parity: int) -> np.ndarray:
-    """Mask of the points ``(r, c)`` with ``(r + c) % 2 == parity``."""
-    r = np.arange(rows).reshape(-1, 1)
-    c = np.arange(cols).reshape(1, -1)
-    mask = ((r + c) % 2) == parity
-    mask.setflags(write=False)
-    return mask
-
-
 def count_color_points(rows: int, cols: int, color: int,
                        row0: int = 0, col0: int = 0) -> int:
-    """Number of points of ``color`` in the block — the per-phase compute
-    cost driver, computed without materializing a mask."""
-    total = rows * cols
-    # Points where (r + c) % 2 == 0 in the block.
-    evens = 0
-    for r in range(2):
-        rows_r = (rows - r + 1) // 2          # rows with parity r (local)
-        parity = (row0 + r + col0) % 2        # parity of first col there
-        cols_even = (cols + 1) // 2 if parity == 0 else cols // 2
-        evens += rows_r * cols_even
-    return evens if color == BLACK else total - evens
+    """Number of points of ``color`` in a ``rows x cols`` block whose
+    top-left interior point has global coordinates ``(row0, col0)`` — the
+    per-phase compute cost driver.  The colors split the block evenly;
+    the odd point of an odd block has the corner's color."""
+    return (rows * cols + 1 - (row0 + col0 + color) % 2) // 2
 
 
 def sweep_color(grid: np.ndarray, omega: float, color: int,
@@ -130,21 +113,31 @@ def sweep_color(grid: np.ndarray, omega: float, color: int,
         row1 = grid.shape[0] - 1
     if col1 is None:
         col1 = grid.shape[1] - 1
-    if row1 <= row0 or col1 <= col0:
-        return 0.0
-    block = grid[row0:row1, col0:col1]
-    mask = color_mask(row1 - row0, col1 - col0, color,
-                      global_row0 + row0 - 1, global_col0 + col0 - 1)
-    neighbors = (grid[row0 - 1:row1 - 1, col0:col1]
-                 + grid[row0 + 1:row1 + 1, col0:col1]
-                 + grid[row0:row1, col0 - 1:col1 - 1]
-                 + grid[row0:row1, col0 + 1:col1 + 1])
-    updated = block + np.float32(omega) * (
-        np.float32(0.25) * neighbors - block)
-    delta = np.abs(updated - block, dtype=np.float32)
-    block[mask] = updated[mask]
-    masked = delta[mask]
-    return float(masked.max()) if masked.size else 0.0
+    omega = np.float32(omega)
+    quarter = np.float32(0.25)
+    # Column offset of the color's first point in the window's first row.
+    shift = (global_row0 + row0 + global_col0 + col0 + color) % 2
+    delta = 0.0
+    for r, c in ((row0, col0 + shift), (row0 + 1, col0 + 1 - shift)):
+        if r >= row1 or c >= col1:
+            continue
+        block = grid[r:row1:2, c:col1:2]
+        old = block.copy()          # read the strided points once
+        updated = (grid[r - 1:row1 - 1:2, c:col1:2]
+                   + grid[r + 1:row1 + 1:2, c:col1:2])
+        updated += grid[r:row1:2, c - 1:col1 - 1:2]
+        updated += grid[r:row1:2, c + 1:col1 + 1:2]
+        np.multiply(quarter, updated, out=updated)
+        updated -= old
+        np.multiply(omega, updated, out=updated)
+        np.add(old, updated, out=updated)
+        block[...] = updated
+        updated -= old
+        np.abs(updated, out=updated)
+        change = float(updated.max())
+        if change > delta or change != change:    # a NaN is returned
+            delta = change
+    return delta
 
 
 def sor_iterate(grid: np.ndarray, omega: float) -> float:

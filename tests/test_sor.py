@@ -21,7 +21,6 @@ from repro.apps.sor.amber_sor import default_sections
 from repro.apps.sor.grid import (
     BLACK,
     RED,
-    color_mask,
     count_color_points,
     residual,
     sor_iterate,
@@ -29,6 +28,14 @@ from repro.apps.sor.grid import (
 from repro.apps.sor.sequential import sequential_time_us
 
 SMALL = SorProblem(rows=10, cols=36, iterations=6)
+
+
+def color_mask(rows, cols, color, row0=0, col0=0):
+    """Points of ``color`` in a block whose corner is global
+    ``(row0, col0)`` (the kernel itself builds no mask)."""
+    r = np.arange(rows).reshape(-1, 1)
+    c = np.arange(cols).reshape(1, -1)
+    return ((r + c) % 2) == (row0 + col0 + color) % 2
 
 
 class TestGridKernels:
