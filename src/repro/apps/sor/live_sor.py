@@ -18,6 +18,7 @@ simulator.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.apps.sor.grid import (
     make_grid,
     sweep_color,
 )
+from repro.recovery.config import peer_timeout_s, reply_timeout_s
 from repro.runtime.cluster import Cluster
 from repro.runtime.objects import AmberObject
 from repro.runtime.sync import Barrier
@@ -64,11 +66,11 @@ class LiveSorSection(AmberObject):
 
         The per-iteration barrier guarantees arrival ordering across
         iterations; within an iteration we spin briefly (values are sent
-        before the barrier, so this is one reschedule at most).
+        before the barrier, so this is one reschedule at most).  A
+        neighbor silent for a peer timeout is treated as lost.
         """
-        import time
         rows = self.problem.rows
-        deadline = time.monotonic() + 30
+        deadline = time.monotonic() + peer_timeout_s()
         for side, ghost_col, neighbor in (("left", 0, self.left),
                                           ("right", self.ncols + 1,
                                            self.right)):
@@ -107,7 +109,9 @@ class LiveSorSection(AmberObject):
                         self.cells[1:rows + 1, self.ncols].copy())
                 # The next phase reads this color's ghosts.
                 self._await_edges(iteration, color)
-            self.barrier.wait(timeout=60)
+            # Half the lost-peer ceiling, so a stuck barrier surfaces
+            # here before the caller's join gives up on this thread.
+            self.barrier.wait(timeout=reply_timeout_s() / 2)
         return problem.iterations, float(delta)
 
     def snapshot(self):
