@@ -24,8 +24,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analyze.elide.model import ElideModel, LOCK_CLASSES
-from repro.analyze.lint import LintFinding, filter_noqa
+from repro.analyze.elide.model import ElideModel
+from repro.analyze.program import (
+    LOCK_CLASSES,
+    SYNC_METHODS,
+    LintFinding,
+    report,
+)
 
 ELIDE_RULES: Dict[str, str] = {
     "AMB301": "lock only reachable from one thread (elidable)",
@@ -33,11 +38,6 @@ ELIDE_RULES: Dict[str, str] = {
     "AMB303": "lock-guarded invoke of confined/immutable receiver",
     "AMB304": "lock escapes its creating thread (kept un-elided)",
 }
-
-_SYNC_METHODS = {"acquire", "release", "enter", "exit", "wait",
-                 "signal", "broadcast", "try_acquire",
-                 "acquire_read", "release_read",
-                 "acquire_write", "release_write"}
 
 
 def diagnose(model: ElideModel,
@@ -81,7 +81,7 @@ def diagnose(model: ElideModel,
         if not inv.held or inv.receiver_class not in quiet:
             continue
         if inv.receiver_class in LOCK_CLASSES or \
-                inv.method in _SYNC_METHODS:
+                inv.method in SYNC_METHODS:
             continue
         findings.append(LintFinding(
             inv.path, inv.line, "AMB303",
@@ -91,11 +91,4 @@ def diagnose(model: ElideModel,
             + ("thread-confined" if inv.receiver_class
                in model.confined else "effectively immutable")))
 
-    by_path = dict(sources)
-    kept: List[LintFinding] = []
-    for path in sorted({f.path for f in findings}):
-        source = by_path.get(path, "")
-        per_path = [f for f in findings if f.path == path]
-        kept.extend(filter_noqa(per_path, source))
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
+    return report(findings, dict(sources))

@@ -4,8 +4,10 @@ Built on the AmberFlow :class:`~repro.analyze.flow.model.FlowModel`,
 which records classes, field types, and every ``New``/``Invoke``/
 ``Fork``/``Attach`` site.  AmberElide adds the one thing flow does not
 track — *which references carry instances across a thread boundary* —
-with a dedicated transfer pass over the same ASTs, then computes a
-three-point confinement lattice per class:
+with a transfer pass over the same parse (the model's
+:class:`~repro.analyze.program.Program`: its scopes, whose owner is
+the lock owner the simulator will compute, its vocabulary and its
+resolver), then computes a three-point confinement lattice per class:
 
 ``confined``
     Every instance is only reachable from the thread that created it.
@@ -43,14 +45,24 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analyze.elide.runtime import MAIN_OWNER
 from repro.analyze.flow.model import FlowModel, scan_sources
+from repro.analyze.program import (
+    LOCK_CLASSES,
+    SYNC_CLASSES,
+    Op,
+    Resolver,
+    Scope,
+    amber_call,
+    constructed,
+    is_self_field,
+    key,
+    own_nodes,
+    unwrapped,
+)
 
-#: The sim sync classes whose sites the lock analysis classifies.
-LOCK_CLASSES = ("Lock", "Monitor", "SpinLock")
-
-#: Syscall call heads the transfer pass understands.
-_NEW, _INVOKE, _FAST, _FORK, _ATTACH = (
-    "New", "Invoke", "FastInvoke", "Fork", "Attach")
+__all__ = ["LOCK_CLASSES", "ElideModel", "LockSite", "classify",
+           "classify_sources"]
 
 
 @dataclass(frozen=True)
@@ -110,17 +122,25 @@ class _Transfer:
             self.edges.setdefault(container, set()).add(contained)
 
 
-class _FnScan:
-    """Flow-insensitive scan of one function body."""
+def _lock_created(node: ast.AST) -> Optional[str]:
+    """The lock class a call creates (``New(Lock)`` / ``Lock()``)."""
+    name = constructed(node)
+    return name if name in LOCK_CLASSES else None
 
-    def __init__(self, transfer: _Transfer, model: FlowModel,
-                 path: str, cls: str) -> None:
+
+class _FnScan:
+    """Flow-insensitive scan of one function's own nodes."""
+
+    def __init__(self, transfer: _Transfer, resolver: Resolver,
+                 scope: Scope) -> None:
         self.t = transfer
-        self.model = model
-        self.path = path
-        self.cls = cls                  # "" for module-level functions
-        self.owner = cls or "<main>"
-        self.env: Dict[str, str] = {}   # local var -> class name
+        self.resolver = resolver
+        self.path = scope.path
+        self.cls = scope.owner          # "" for module-level functions
+        self.owner = scope.owner or MAIN_OWNER
+        #: Everything the scope binds, over its enclosing functions'.
+        self.env = resolver.scope_env(scope)
+        self.nodes = list(own_nodes(*scope.fn.body))
         #: lock key ("lock", "self.mutex") -> index into transfer.locks
         self.lock_of: Dict[str, int] = {}
         #: id() of lock-creating Call nodes bound to a tracked name —
@@ -128,135 +148,64 @@ class _FnScan:
         #: as an unsafe site (the all-sites pair rule depends on it).
         self.bound_lock_calls: Set[int] = set()
 
-    # -- expression classification --------------------------------------
-
     def _cls_of(self, node: Optional[ast.expr]) -> Optional[str]:
-        if node is None:
-            return None
-        if isinstance(node, ast.Name):
-            if node.id == "self":
-                return self.cls or None
-            return self.env.get(node.id)
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and \
-                node.value.id == "self" and self.cls:
-            cm = self.model.classes.get(self.cls)
-            if cm is not None:
-                return cm.field_classes.get(node.attr) \
-                    or cm.field_elems.get(node.attr)
-            return None
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Name) and \
-                node.func.id in self.model.classes:
-            return node.func.id
-        return None
+        """The class of the instance — or of the instances in the
+        container — that ``node`` carries."""
+        got = self.resolver.resolve(node, self.env)
+        return got[0] if got is not None else None
 
-    @staticmethod
-    def _key(node: ast.expr) -> Optional[str]:
-        """Source key for lock tracking: plain name or self attribute."""
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and \
-                node.value.id == "self":
-            return f"self.{node.attr}"
-        return None
-
-    @staticmethod
-    def _syscall(node: ast.expr) -> Optional[ast.Call]:
-        """Unwrap ``yield Call(...)`` / plain ``Call(...)``."""
-        if isinstance(node, (ast.Yield, ast.Await)) and \
-                node.value is not None:
-            node = node.value
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Name):
-            return node
-        return None
-
-    @staticmethod
-    def _head(call: ast.Call) -> str:
-        assert isinstance(call.func, ast.Name)
-        return call.func.id
+    def _lock(self, node: ast.expr) -> Optional[str]:
+        """The key of the tracked lock ``node`` names, if it is one."""
+        name = key(node)
+        return name if name in self.lock_of else None
 
     # -- passes ---------------------------------------------------------
 
-    def run(self, fn: ast.AST) -> None:
-        body = list(ast.iter_child_nodes(fn))
-        nodes = [n for stmt in body for n in ast.walk(stmt)
-                 if not isinstance(stmt, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef,
-                                          ast.ClassDef))]
-        self._bind(nodes)
-        self._collect(nodes)
+    def run(self) -> None:
+        self._bind()
+        self._collect()
 
-    def _bind(self, nodes: Sequence[ast.AST]) -> None:
-        """Pass 1: variable -> class bindings and lock creations."""
-        for node in nodes:
+    def _bind(self) -> None:
+        """Pass 1: lock creations bound to a name or a ``self`` field."""
+        for node in self.nodes:
             if not isinstance(node, ast.Assign) or \
                     len(node.targets) != 1:
                 continue
             target = node.targets[0]
-            key = self._key(target)
-            call = self._syscall(node.value)
-            cls: Optional[str] = None
-            if call is not None and self._head(call) == _NEW and \
-                    call.args and isinstance(call.args[0], ast.Name):
-                cls = call.args[0].id
-            elif isinstance(node.value, ast.Call) and \
-                    isinstance(node.value.func, ast.Name):
-                name = node.value.func.id
-                if name in self.model.classes or name in LOCK_CLASSES:
-                    cls = name
-            if cls is None:
+            created = unwrapped(node.value)
+            cls = _lock_created(created)
+            if cls is None or not (isinstance(target, ast.Name)
+                                   or is_self_field(target)):
                 continue
-            if key is None:
-                continue
-            if cls in LOCK_CLASSES:
-                lock_call = call if call is not None else (
-                    node.value if isinstance(node.value, ast.Call)
-                    else None)
-                if lock_call is not None:
-                    self.bound_lock_calls.add(id(lock_call))
-                flows: Set[str] = set()
-                unsafe: Optional[str] = None
-                if key.startswith("self."):
-                    # A lock stored in a field is reachable through
-                    # every path that reaches the enclosing class.
-                    flows.add(self.cls)
-                self.lock_of[key] = len(self.t.locks)
-                self.t.locks.append(
-                    (self.path, node.lineno, self.owner, key, cls,
-                     flows, unsafe))
-            elif isinstance(target, ast.Name):
-                self.env[key] = cls
+            self.bound_lock_calls.add(id(created))
+            flows: Set[str] = set()
+            if is_self_field(target):
+                # A lock stored in a field is reachable through
+                # every path that reaches the enclosing class.
+                flows.add(self.cls)
+            self.lock_of[key(target)] = len(self.t.locks)
+            self.t.locks.append(
+                (self.path, node.lineno, self.owner, key(target), cls,
+                 flows, None))
 
-    def _lock_flow(self, key: str, dest: Optional[str],
+    def _lock_flow(self, lock: str, dest: Optional[str],
                    what: str) -> None:
-        entry = self.t.locks[self.lock_of[key]]
+        entry = self.t.locks[self.lock_of[lock]]
         if dest is None:
-            self.t.locks[self.lock_of[key]] = entry[:6] + (what,)
+            self.t.locks[self.lock_of[lock]] = entry[:6] + (what,)
         else:
             entry[5].add(dest)
-
-    def _args_of(self, call: ast.Call, skip: int) -> List[ast.expr]:
-        return list(call.args[skip:]) + \
-            [kw.value for kw in call.keywords if kw.value is not None]
 
     #: Container mutators: ``xs.append(obj)`` stores ``obj`` somewhere
     #: the per-variable tracking cannot follow, so it leaks.
     _CONTAINER_STORES = frozenset(
         {"append", "add", "extend", "insert", "appendleft", "put"})
 
-    def _collect(self, nodes: Sequence[ast.AST]) -> None:
+    def _collect(self) -> None:
         """Pass 2: carrying edges, leaks, lock flows."""
-        for node in nodes:
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Name):
+        for node in self.nodes:
+            if isinstance(node, ast.Call):
                 self._call(node)
-            elif isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in self._CONTAINER_STORES:
-                self._container_store(node)
             elif isinstance(node, ast.Return) and \
                     node.value is not None:
                 self._return(node.value)
@@ -264,94 +213,81 @@ class _FnScan:
                     len(node.targets) == 1:
                 self._store(node.targets[0], node.value)
 
-    def _container_store(self, call: ast.Call) -> None:
-        for arg in self._args_of(call, 0):
-            key = self._key(arg)
-            if key is not None and key in self.lock_of:
-                self._lock_flow(key, None, "stored into a container")
+    def _leak(self, args: Sequence[ast.expr], what: str,
+              line: int) -> None:
+        """``args`` go where the analysis cannot follow: a lock among
+        them loses its proof, a class its confinement."""
+        for arg in args:
+            lock = self._lock(arg)
+            if lock is not None:
+                self._lock_flow(lock, None, what)
                 continue
             cls = self._cls_of(arg)
             if cls is not None:
                 self.t.leaked.setdefault(
-                    cls, f"stored into a container at "
-                         f"{self.path}:{call.lineno}")
+                    cls, f"{what} at {self.path}:{line}")
 
-    def _unbound_lock(self, call: ast.Call, cls: str) -> None:
-        if id(call) not in self.bound_lock_calls:
+    def _call(self, node: ast.Call) -> None:
+        created = _lock_created(node)
+        if created is not None and \
+                id(node) not in self.bound_lock_calls:
             self.t.locks.append(
-                (self.path, call.lineno, self.owner, "<unbound>", cls,
-                 set(), "creation not bound to a trackable name"))
-
-    def _call(self, call: ast.Call) -> None:
-        head = self._head(call)
-        if head in LOCK_CLASSES:
-            self._unbound_lock(call, head)
-            return
-        if head == _NEW:
-            if not call.args or not isinstance(call.args[0], ast.Name):
+                (self.path, node.lineno, self.owner, "<unbound>",
+                 created, set(), "creation not bound to a trackable name"))
+        call = amber_call(node)
+        if call is not None and call.op is Op.NEW:
+            dest: Optional[str] = call.name or None
+            if dest is None:
                 return
-            dest: Optional[str] = call.args[0].id
-            if dest in LOCK_CLASSES:
-                self._unbound_lock(call, dest)
-            args = self._args_of(call, 1)
-        elif head in (_INVOKE, _FAST):
-            if not call.args:
-                return
-            dest = self._cls_of(call.args[0])
-            args = self._args_of(call, 2)
-        elif head == _FORK:
-            if not call.args:
-                return
-            dest = self._cls_of(call.args[0])
-            args = self._args_of(call, 2)
-        elif head == _ATTACH:
-            if len(call.args) >= 2:
-                a = self._cls_of(call.args[0])
-                b = self._cls_of(call.args[1])
-                if a and b:
-                    self.t.edge(a, b)
-                    self.t.edge(b, a)
+        elif call is not None and call.syscall and (
+                call.invoked or call.op is Op.FORK):
+            dest = self._cls_of(call.target)
+        elif call is not None and call.op is Op.ATTACH:
+            a = self._cls_of(call.target)
+            b = self._cls_of(call.args[0])
+            if a and b:
+                self.t.edge(a, b)
+                self.t.edge(b, a)
             return
         else:
-            # Unknown helper: anything object-valued passed to it is
-            # beyond the analysis — leak it, and kill lock proofs.
-            for arg in call.args:
-                key = self._key(arg)
-                if key is not None and key in self.lock_of:
-                    self._lock_flow(key, None,
-                                    f"passed to helper {head}()")
-                    continue
-                cls = self._cls_of(arg)
-                if cls is not None:
-                    self.t.leaked.setdefault(
-                        cls, f"passed to helper {head}() at "
-                             f"{self.path}:{call.lineno}")
+            func = node.func
+            if isinstance(func, ast.Attribute) and \
+                    func.attr in self._CONTAINER_STORES:
+                self._leak(list(node.args) + [kw.value for kw in
+                                              node.keywords],
+                           "stored into a container", node.lineno)
+            elif isinstance(func, ast.Name) and created is None:
+                # Unknown helper: anything object-valued passed to it
+                # is beyond the analysis — leak it, kill lock proofs.
+                self._leak(node.args, f"passed to helper {func.id}()",
+                           node.lineno)
             return
-        for arg in args:
-            key = self._key(arg)
-            if key is not None and key in self.lock_of:
-                if head == _FORK:
-                    self._lock_flow(key, None, "crosses a Fork")
+        assert call is not None
+        for arg in call.args:
+            lock = self._lock(arg)
+            if lock is not None:
+                if call.op is Op.FORK:
+                    self._lock_flow(lock, None, "crosses a Fork")
                 elif dest is None:
-                    self._lock_flow(key, None,
+                    self._lock_flow(lock, None,
                                     "flows to unresolved receiver")
                 else:
-                    self._lock_flow(key, dest, "")
+                    self._lock_flow(lock, dest, "")
                 continue
             cls = self._cls_of(arg)
             if cls is None:
                 continue
             if dest is None:
                 self.t.leaked.setdefault(
-                    cls, f"argument to unresolved {head} at "
-                         f"{self.path}:{call.lineno}")
+                    cls, f"argument to unresolved {call.name} at "
+                         f"{self.path}:{node.lineno}")
             else:
                 self.t.edge(dest, cls)
 
     def _return(self, value: ast.expr) -> None:
-        key = self._key(value)
-        if key is not None and key in self.lock_of:
-            self._lock_flow(key, None, "returned from its creator")
+        lock = self._lock(value)
+        if lock is not None:
+            self._lock_flow(lock, None, "returned from its creator")
             return
         cls = self._cls_of(value)
         if cls is not None:
@@ -360,22 +296,23 @@ class _FnScan:
             # Module-level returns stay with the calling thread.
 
     def _store(self, target: ast.expr, value: ast.expr) -> None:
-        vkey = self._key(value)
+        if id(unwrapped(value)) in self.bound_lock_calls:
+            return      # a lock site (pass 1), not a carried instance
+        vkey = self._lock(value)
         vcls = self._cls_of(value)
         if isinstance(target, ast.Attribute):
-            base = target.value
-            if isinstance(base, ast.Name) and base.id == "self":
+            if is_self_field(target):
                 if self.cls and vcls is not None:
                     self.t.edge(self.cls, vcls)
-                if vkey is not None and vkey in self.lock_of:
+                if vkey is not None:
                     self._lock_flow(vkey, self.cls or None,
                                     "stored outside a class" if
                                     not self.cls else "")
                 return
-            owner = self._cls_of(base)
+            owner = self._cls_of(target.value)
             if owner is not None and owner != self.cls:
                 self.t.foreign_written.add(owner)
-            if vkey is not None and vkey in self.lock_of:
+            if vkey is not None:
                 self._lock_flow(vkey, owner, "stored into foreign "
                                 "object" if owner is None else "")
             elif vcls is not None:
@@ -385,35 +322,20 @@ class _FnScan:
                     self.t.leaked.setdefault(
                         vcls, "stored through unresolved attribute")
         elif isinstance(target, ast.Subscript):
-            if vkey is not None and vkey in self.lock_of:
+            if vkey is not None:
                 self._lock_flow(vkey, None, "stored into a container")
             elif vcls is not None:
                 self.t.leaked.setdefault(
                     vcls, "stored into a container")
 
 
-def _scan_transfer(model: FlowModel,
-                   sources: Sequence[Tuple[str, str]]) -> _Transfer:
+def _scan_transfer(model: FlowModel) -> _Transfer:
+    program = model.program
+    resolver = Resolver(program, {*program.classes, *SYNC_CLASSES})
     transfer = _Transfer()
-    for path, text in sources:
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                cls = _enclosing_class(tree, node)
-                _FnScan(transfer, model, path, cls).run(node)
+    for scope in program.scopes:
+        _FnScan(transfer, resolver, scope).run()
     return transfer
-
-
-def _enclosing_class(tree: ast.Module, fn: ast.AST) -> str:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            if any(child is fn for child in node.body):
-                return node.name
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +345,10 @@ def _enclosing_class(tree: ast.Module, fn: ast.AST) -> str:
 
 def classify(model: FlowModel,
              sources: Sequence[Tuple[str, str]]) -> ElideModel:
-    """Run the confinement/immutability/lock classification."""
-    transfer = _scan_transfer(model, sources)
+    """Run the confinement/immutability/lock classification over the
+    program ``model`` was scanned from (``sources``: its one parse is
+    the model's, and is not repeated)."""
+    transfer = _scan_transfer(model)
 
     # Carrying edges from the flow model itself.
     edges: Dict[str, Set[str]] = {

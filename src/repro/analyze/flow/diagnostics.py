@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.analyze.flow.model import FlowModel, InvokeSite
-from repro.analyze.lint import LintFinding, filter_noqa
+from repro.analyze.program import LintFinding, report
 
 FLOW_RULES: Dict[str, str] = {
     "AMB201": "cross-boundary Invoke inside a loop",
@@ -164,16 +164,4 @@ def flow_diagnostics(model: FlowModel,
                 continue
             seen.add(key)
             raw.append(finding)
-    if not sources:
-        return sorted(raw, key=lambda f: (f.path, f.line, f.rule))
-    by_path: Dict[str, List[LintFinding]] = {}
-    for finding in raw:
-        by_path.setdefault(finding.path, []).append(finding)
-    kept: List[LintFinding] = []
-    for path, findings in by_path.items():
-        text = sources.get(path)
-        if text is None:
-            kept.extend(findings)
-        else:
-            kept.extend(filter_noqa(findings, text))
-    return sorted(kept, key=lambda f: (f.path, f.line, f.rule))
+    return report(raw, sources or {})

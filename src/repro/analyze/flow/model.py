@@ -1,17 +1,16 @@
 """The object-flow model: AST -> classes, fields, call graph, escapes.
 
-The model is deliberately *lightweight*: it resolves receivers through
-four alias sources that cover the Amber idioms —
-
-* parameter annotations (``def run(self, ctx, pool: WorkPool)``),
-* constructor results (``x = yield New(Cls, ...)``, ``x = Cls(...)``),
-* ``self`` fields, typed by ``__init__`` annotations
-  (``self.master: Optional[SorMaster] = None``), by assignment from an
-  annotated parameter (``self.pool = pool``), or by container literals
-  of known classes (``self.neighbors = [left, right]``),
-* local containers grown by ``append`` of known-class expressions
-  (``sections.append((yield New(SorSection, ...)))``) and consumed by
-  ``for``-loops (plain or ``enumerate``).
+The model is deliberately *lightweight*.  It is written against the
+shared front end (:mod:`repro.analyze.program`): the sources are
+parsed there, once; the functions it walks and the class each belongs
+to are that module's scopes; the calls it records are what
+``amber_call`` recognises; and receivers resolve through its
+:class:`~repro.analyze.program.Resolver`, asked for the program's own
+classes only (a ``CondVar`` receiver stays unknown here).  What this
+module adds is the walk in statement order — names are bound and
+retired as the body runs, a nested function closes over what is bound
+where it is defined — the site records, the loop weights and the
+escape tracking.
 
 Unresolvable receivers stay unknown and are skipped by every consumer —
 the analysis is conservative by construction.  Loop weights multiply
@@ -26,6 +25,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analyze.lint import collect_sources, range_len
+from repro.analyze.program import (
+    AmberCall,
+    Env,
+    Op,
+    Program,
+    Resolver,
+    Scope,
+    amber_call,
+    called_name,
+    is_self_field,
+    key,
+    own_exprs,
+)
 
 #: Weight multiplier for loops whose trip count is not a constant.
 UNKNOWN_TRIPS = 4
@@ -38,15 +50,6 @@ _MUTATORS = {
     "remove", "clear", "add", "discard", "update", "setdefault",
     "sort", "reverse", "push",
 }
-
-#: Acquire-like call -> release-like partner (lock-held tracking).
-_ACQUIRES = {
-    "acquire": "release",
-    "enter": "exit",
-    "acquire_read": "release_read",
-    "acquire_write": "release_write",
-}
-_RELEASES = {v: k for k, v in _ACQUIRES.items()}
 
 #: Mutable plain-Python constructors (AMB205 escape sources).
 _MUTABLE_CTORS = {"list", "dict", "set", "deque", "defaultdict",
@@ -193,6 +196,10 @@ class FlowModel:
     attach_pairs: Set[Tuple[str, str]] = field(default_factory=set)
     #: Files that failed to parse: path -> message.
     errors: Dict[str, str] = field(default_factory=dict)
+    #: The parsed sources the model was built from: the one parse that
+    #: AmberElide goes on reading.
+    program: Program = field(default_factory=lambda: Program(()),
+                             repr=False, compare=False)
 
     # -- derived views ---------------------------------------------------
 
@@ -250,25 +257,25 @@ class FlowModel:
 def scan_sources(sources: Sequence[Tuple[str, str]]) -> FlowModel:
     """Build the model from ``(path, source)`` pairs.
 
-    Two passes: the first collects class names (so annotations resolve
-    only to classes defined in the scanned program), the second builds
-    fields, sites, and escapes."""
-    model = FlowModel(paths=[path for path, _ in sources])
-    trees: List[Tuple[str, ast.Module]] = []
-    for path, text in sources:
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            model.errors[path] = f"syntax error: {exc.msg}"
-            continue
-        trees.append((path, tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                model.classes[node.name] = ClassModel(
-                    name=node.name, path=path, line=node.lineno,
-                    bases=tuple(_base_name(b) for b in node.bases))
-    for path, tree in trees:
-        _scan_module(model, path, tree)
+    The class table comes first (so annotations resolve only to classes
+    defined in the scanned program) and types the ``self`` fields; the
+    walk of every outermost function — a nested one is walked where it
+    is defined — then builds sites and escapes."""
+    program = Program(sources)
+    model = FlowModel(paths=[path for path, _ in sources],
+                      program=program)
+    model.errors.update((path, message) for path, (_line, message)
+                        in program.errors.items())
+    resolver = Resolver(program, program.classes)
+    for path, node in program.class_nodes:
+        fields = resolver.fields[node.name]
+        model.classes[node.name] = ClassModel(
+            name=node.name, path=path, line=node.lineno,
+            bases=tuple(_base_name(b) for b in node.bases),
+            field_classes=fields.names, field_elems=fields.elems)
+    for scope in program.scopes:
+        if scope.parent is None:
+            _Walker(model, resolver, scope, None).run()
     return model
 
 
@@ -289,189 +296,6 @@ def _base_name(node: ast.expr) -> str:
     return ast.dump(node)[:32]
 
 
-def _scan_module(model: FlowModel, path: str, tree: ast.Module) -> None:
-    # Class field typing first, so method walks can resolve self.field.
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name in model.classes:
-            _scan_class_fields(model, model.classes[node.name], node)
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            cls = model.classes.get(stmt.name)
-            for sub in stmt.body:
-                if isinstance(sub, (ast.FunctionDef,
-                                    ast.AsyncFunctionDef)):
-                    _Walker(model, path, cls, sub,
-                            env=_param_env(model, sub)).run()
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _Walker(model, path, None, stmt,
-                    env=_param_env(model, stmt)).run()
-
-
-def _param_env(model: FlowModel, fn: ast.AST) -> Dict[str, str]:
-    """name -> class for annotated parameters naming known classes."""
-    env: Dict[str, str] = {}
-    args = getattr(fn, "args", None)
-    if args is None:
-        return env
-    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-        cls = _ann_class(model, arg.annotation)
-        if cls is not None:
-            env[arg.arg] = cls[0]
-    return env
-
-
-def _ann_class(model: FlowModel, ann: Optional[ast.AST]
-               ) -> Optional[Tuple[str, bool]]:
-    """Resolve an annotation to ``(class, is_container)`` when it names
-    a known class — through ``Optional[...]``, string forward
-    references, and one level of ``List``/``Sequence``/``Tuple``."""
-    if ann is None:
-        return None
-    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-        try:
-            ann = ast.parse(ann.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(ann, ast.Name):
-        return (ann.id, False) if ann.id in model.classes else None
-    if isinstance(ann, ast.Subscript):
-        head = ann.value
-        name = head.id if isinstance(head, ast.Name) else (
-            head.attr if isinstance(head, ast.Attribute) else "")
-        inner = ann.slice
-        if name == "Optional":
-            return _ann_class(model, inner)
-        if name == "Union":
-            if isinstance(inner, ast.Tuple):
-                for elt in inner.elts:
-                    got = _ann_class(model, elt)
-                    if got is not None:
-                        return got
-            return None
-        if name in ("List", "list", "Sequence", "Tuple", "tuple",
-                    "Deque", "deque"):
-            elems = (inner.elts if isinstance(inner, ast.Tuple)
-                     else [inner])
-            for elt in elems:
-                got = _ann_class(model, elt)
-                if got is not None:
-                    return (got[0], True)
-            return None
-    return None
-
-
-def _scan_class_fields(model: FlowModel, cls: ClassModel,
-                       node: ast.ClassDef) -> None:
-    """Type ``self.field`` from ``__init__``-and-friends bodies."""
-    for fn in node.body:
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        params = _param_env(model, fn)
-        for sub in ast.walk(fn):
-            target: Optional[ast.expr] = None
-            value: Optional[ast.expr] = None
-            ann: Optional[ast.expr] = None
-            if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                target, value = sub.targets[0], sub.value
-            elif isinstance(sub, ast.AnnAssign):
-                target, value, ann = sub.target, sub.value, sub.annotation
-            if not _is_self_field(target):
-                continue
-            assert isinstance(target, ast.Attribute)
-            name = target.attr
-            resolved = _ann_class(model, ann)
-            if resolved is not None:
-                _record_field(cls, name, resolved)
-                continue
-            if value is None:
-                continue
-            got = _class_of_value(model, value, params, {}, cls.name)
-            if got is not None:
-                _record_field(cls, name, got)
-
-
-def _record_field(cls: ClassModel, name: str,
-                  resolved: Tuple[str, bool]) -> None:
-    ref, container = resolved
-    if container:
-        cls.field_elems.setdefault(name, ref)
-    else:
-        cls.field_classes.setdefault(name, ref)
-
-
-def _is_self_field(node: Optional[ast.expr]) -> bool:
-    return (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self")
-
-
-def _class_of_value(model: FlowModel, value: ast.expr,
-                    env: Dict[str, str], elems: Dict[str, str],
-                    own_class: str) -> Optional[Tuple[str, bool]]:
-    """Resolve the class an expression evaluates to, if known."""
-    if isinstance(value, ast.Await):
-        return _class_of_value(model, value.value, env, elems, own_class)
-    if isinstance(value, ast.Yield) and value.value is not None:
-        return _class_of_value(model, value.value, env, elems, own_class)
-    if isinstance(value, ast.Name):
-        if value.id == "self" and own_class:
-            return (own_class, False)
-        got = env.get(value.id)
-        if got is not None:
-            return (got, False)
-        elem = elems.get(value.id)
-        if elem is not None:
-            return (elem, True)
-        return None
-    if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
-        classes = set()
-        for elt in value.elts:
-            if isinstance(elt, ast.Constant) and elt.value is None:
-                continue
-            got = _class_of_value(model, elt, env, elems, own_class)
-            if got is None or got[1]:
-                return None
-            classes.add(got[0])
-        if len(classes) == 1:
-            return (classes.pop(), True)
-        return None
-    if isinstance(value, ast.Call):
-        fn = value.func
-        if isinstance(fn, ast.Name):
-            if fn.id in model.classes:
-                return (fn.id, False)
-            if fn.id == "New" and value.args:
-                first = value.args[0]
-                if isinstance(first, ast.Name) and \
-                        first.id in model.classes:
-                    return (first.id, False)
-        return None
-    if isinstance(value, ast.Subscript):
-        base = value.value
-        if isinstance(base, ast.Name):
-            elem = elems.get(base.id)
-            if elem is not None:
-                return (elem, False)
-        if _is_self_field(base) and own_class:
-            cm = model.classes.get(own_class)
-            if cm is not None:
-                assert isinstance(base, ast.Attribute)
-                felem = cm.field_elems.get(base.attr)
-                if felem is not None:
-                    return (felem, False)
-        return None
-    if isinstance(value, ast.Attribute) and _is_self_field(value):
-        if own_class:
-            cm = model.classes.get(own_class)
-            if cm is not None:
-                assert isinstance(value, ast.Attribute)
-                ref = cm.field_classes.get(value.attr)
-                if ref is not None:
-                    return (ref, False)
-        return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # The per-function walker
 # ---------------------------------------------------------------------------
@@ -480,38 +304,36 @@ def _class_of_value(model: FlowModel, value: ast.expr,
 class _Walker:
     """Statement-order walk of one function body collecting sites."""
 
-    def __init__(self, model: FlowModel, path: str,
-                 cls: Optional[ClassModel],
-                 fn: ast.AST, env: Dict[str, str],
-                 qualprefix: str = "") -> None:
+    def __init__(self, model: FlowModel, resolver: Resolver,
+                 scope: Scope, closure: Optional[Env]) -> None:
         self.model = model
-        self.path = path
-        self.cls = cls
-        self.fn = fn
-        self.env = dict(env)
-        #: local container name -> element class.
-        self.elems: Dict[str, str] = {}
+        self.resolver = resolver
+        self.scope = scope
+        self.path = scope.path
+        self.cls = model.classes.get(scope.owner)
+        #: What is bound here and now: a copy of what was bound where
+        #: the function is defined, then its annotated parameters.
+        self.env = resolver.enter(scope.fn, scope.owner, closure)
         #: mutable plain-Python locals: name -> definition line.
         self.mutables: Dict[str, int] = {}
         #: mutable name -> first Fork line it escaped into.
         self.escaped: Dict[str, int] = {}
         #: held lock receivers (source text), statement order.
         self.held: List[str] = []
-        fn_name = getattr(fn, "name", "<fn>")
-        base = cls.name if cls is not None else qualprefix
-        self.qual = f"{base}.{fn_name}" if base else fn_name
+        self.qual = scope.qual
         self.loop_depth = 0
         self.weight = 1
         self.method: Optional[MethodModel] = None
-        if cls is not None:
-            self.method = MethodModel(cls=cls.name, name=fn_name,
-                                      path=path, line=fn.lineno)
-            cls.methods[fn_name] = self.method
+        if self.cls is not None:
+            self.method = MethodModel(
+                cls=self.cls.name, name=scope.fn.name, path=self.path,
+                line=scope.fn.lineno)
+            self.cls.methods[scope.fn.name] = self.method
 
     # -- entry -----------------------------------------------------------
 
     def run(self) -> None:
-        self._block(list(getattr(self.fn, "body", [])))
+        self._block(self.scope.fn.body)
 
     def _block(self, stmts: List[ast.stmt]) -> None:
         for stmt in stmts:
@@ -521,45 +343,36 @@ class _Walker:
 
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested function (the run_x/main idiom): walk it with a
-            # copy of the current environment as its closure.
-            _Walker(self.model, self.path, self.cls, stmt,
-                    env={**self.env, **_param_env(self.model, stmt)},
-                    qualprefix=self.qual).run()
+            # Nested function (the run_x/main idiom): walk it with the
+            # current environment as its closure.
+            _Walker(self.model, self.resolver,
+                    self.model.program.scope(stmt), self.env).run()
             return
-        if isinstance(stmt, ast.ClassDef):
-            return
+        self._exprs(own_exprs(stmt))
         if isinstance(stmt, ast.For):
-            self._exprs([stmt.iter])
-            self._bind_for_target(stmt)
-            mult = _range_len(stmt.iter)
-            self._looped(stmt.body, mult)
+            bound = self.resolver.loop_binding(self.env, stmt)
+            if bound is not None:
+                self._retire(bound[0])
+                if bound[1] is not None:
+                    self.env.names[bound[0]] = bound[1]
+            self._looped(stmt.body, _range_len(stmt.iter))
             self._block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.While):
-            self._exprs([stmt.test])
+        elif isinstance(stmt, ast.While):
             self._looped(stmt.body, None)
             self._block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.If):
-            self._exprs([stmt.test])
+        elif isinstance(stmt, ast.If):
             self._block(stmt.body)
             self._block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.Try):
+        elif isinstance(stmt, ast.Try):
             self._block(stmt.body)
             for handler in stmt.handlers:
                 self._block(handler.body)
             self._block(stmt.orelse)
             self._block(stmt.finalbody)
-            return
-        if isinstance(stmt, ast.With):
-            self._exprs([item.context_expr for item in stmt.items])
+        elif isinstance(stmt, ast.With):
             self._block(stmt.body)
-            return
-        # Simple statement: classify its calls, then apply bindings.
-        self._exprs(_stmt_exprs(stmt))
-        self._bindings(stmt)
+        else:
+            self._bindings(stmt)
 
     def _looped(self, body: List[ast.stmt], trips: Optional[int]) -> None:
         mult = trips if trips is not None and trips > 0 else UNKNOWN_TRIPS
@@ -570,84 +383,44 @@ class _Walker:
         self.weight = prev
         self.loop_depth -= 1
 
-    def _bind_for_target(self, stmt: ast.For) -> None:
-        """``for x in xs`` / ``for i, x in enumerate(xs)`` binding."""
-        elem: Optional[str] = None
-        it = stmt.iter
-        if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) \
-                and it.func.id == "enumerate" and it.args:
-            inner = it.args[0]
-            if isinstance(inner, ast.Name):
-                elem = self.elems.get(inner.id)
-            if isinstance(stmt.target, ast.Tuple) and \
-                    len(stmt.target.elts) == 2 and \
-                    isinstance(stmt.target.elts[1], ast.Name):
-                name = stmt.target.elts[1].id
-                self._retire(name)
-                if elem is not None:
-                    self.env[name] = elem
-            return
-        if isinstance(it, ast.Name):
-            elem = self.elems.get(it.id)
-        elif isinstance(it, ast.Attribute) and _is_self_field(it) and \
-                self.cls is not None:
-            elem = self.cls.field_elems.get(it.attr)
-        if isinstance(stmt.target, ast.Name):
-            self._retire(stmt.target.id)
-            if elem is not None:
-                self.env[stmt.target.id] = elem
-
     def _retire(self, name: str) -> None:
-        self.env.pop(name, None)
-        self.elems.pop(name, None)
+        self.env.retire(name)
         self.mutables.pop(name, None)
         self.escaped.pop(name, None)
 
     # -- bindings --------------------------------------------------------
 
     def _bindings(self, stmt: ast.stmt) -> None:
-        pairs: List[Tuple[ast.expr, Optional[ast.expr]]] = []
+        """What a simple statement binds and writes."""
+        annotation: Optional[ast.expr] = None
+        targets: List[ast.expr] = []
         if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                pairs.append((target, stmt.value))
+            targets = stmt.targets
         elif isinstance(stmt, ast.AnnAssign):
-            pairs.append((stmt.target, stmt.value))
+            targets, annotation = [stmt.target], stmt.annotation
         elif isinstance(stmt, ast.AugAssign):
             self._note_write(stmt.target, stmt.lineno)
-            return
-        for target, value in pairs:
+        for target in targets:
+            assert isinstance(stmt, (ast.Assign, ast.AnnAssign))
             if isinstance(target, ast.Name):
-                self._bind_name(target.id, value, stmt)
-            elif _is_self_field(target):
+                self._retire(target.id)
+                if not self.resolver.bind(self.env, target.id, stmt.value,
+                                          annotation) \
+                        and _is_mutable_value(stmt.value):
+                    self.mutables[target.id] = stmt.lineno
+            elif is_self_field(target):
                 self._note_write(target, stmt.lineno)
             elif isinstance(target, ast.Subscript):
                 self._note_write(target.value, stmt.lineno)
                 if isinstance(target.value, ast.Name):
                     self._note_mutation(target.value.id, stmt.lineno)
 
-    def _bind_name(self, name: str, value: Optional[ast.expr],
-                   stmt: ast.stmt) -> None:
-        self._retire(name)
-        if value is None:
-            return
-        got = _class_of_value(self.model, value, self.env, self.elems,
-                              self.cls.name if self.cls else "")
-        if got is not None:
-            cls, container = got
-            if container:
-                self.elems[name] = cls
-            else:
-                self.env[name] = cls
-            return
-        if _is_mutable_value(value):
-            self.mutables[name] = stmt.lineno
-
     def _note_write(self, target: ast.expr, line: int) -> None:
         """Record a self-field write (stores, augments, item stores)."""
         node = target
         while isinstance(node, ast.Subscript):
             node = node.value
-        if _is_self_field(node) and self.method is not None:
+        if is_self_field(node) and self.method is not None:
             assert isinstance(node, ast.Attribute)
             self.method.writes.setdefault(node.attr, line)
 
@@ -662,129 +435,104 @@ class _Walker:
 
     # -- expressions -----------------------------------------------------
 
-    def _exprs(self, exprs: Sequence[Optional[ast.expr]]) -> None:
+    def _exprs(self, exprs: Sequence[ast.expr]) -> None:
         for expr in exprs:
-            if expr is None:
-                continue
             for node in ast.walk(expr):
                 if isinstance(node, ast.Call):
                     self._call(node)
-                elif isinstance(node, ast.Attribute) and \
-                        _is_self_field(node) and \
+                elif is_self_field(node) and \
                         isinstance(node.ctx, ast.Load) and \
                         self.method is not None:
                     self.method.reads.add(node.attr)
 
-    def _call(self, call: ast.Call) -> None:
-        name = call.func.id if isinstance(call.func, ast.Name) else None
-        if name in ("Invoke", "FastInvoke") and len(call.args) >= 2:
-            self._invoke(call, fast=(name == "FastInvoke"))
-            return
-        if name in ("Fork", "NewThread") and len(call.args) >= 2:
-            self._fork(call)
-            return
-        if name == "New" and call.args:
+    def _call(self, node: ast.Call) -> None:
+        call = amber_call(node)
+        if call is None:
+            self._mutator(node)
+        elif call.op in (Op.ACQUIRE, Op.RELEASE):
+            # Lock-held tracking, both spellings: not a data invocation.
+            lock = key(call.target)
+            if call.op is Op.ACQUIRE and lock not in self.held:
+                self.held.append(lock)
+            elif call.op is Op.RELEASE and lock in self.held:
+                self.held.remove(lock)
+        elif not call.syscall:
+            pass        # the live runtime's spellings leave no site
+        elif call.invoked:
+            if call.method is not None:
+                self._invoke(call)
+        elif call.op is Op.FORK:
+            if call.method is not None:
+                self._fork(call)
+        elif call.op is Op.NEW:
             self._new(call)
-            return
-        if name == "MoveTo" and call.args:
+        elif call.op is Op.MOVE:
             self.model.moves.append(MoveSite(
-                path=self.path, line=call.lineno, caller=self.qual,
-                target=_src(call.args[0]),
-                target_class=self._receiver_class(call.args[0])))
-            return
-        if name == "Attach" and len(call.args) >= 2:
-            a = self._receiver_class(call.args[0])
-            b = self._receiver_class(call.args[1])
+                path=self.path, line=call.line, caller=self.qual,
+                target=key(call.target),
+                target_class=self._class(call.target)))
+        elif call.op is Op.ATTACH:
+            a = self._class(call.target)
+            b = self._class(call.args[0])
             if a is not None and b is not None:
                 self.model.attach_pairs.add((a, b))
-            return
-        if name == "SetImmutable" and call.args:
-            cls = self._receiver_class(call.args[0])
+        elif call.op is Op.SEAL:
+            cls = self._class(call.target)
             if cls is not None:
                 self.model.immutable_classes.add(cls)
-            return
-        if isinstance(call.func, ast.Attribute):
-            self._attr_call(call, call.func)
 
-    def _attr_call(self, call: ast.Call, func: ast.Attribute) -> None:
-        method = func.attr
-        recv = func.value
-        # Lock-held tracking (live idiom and helper objects).
-        if method in _ACQUIRES:
-            key = _src(recv)
-            if key not in self.held:
-                self.held.append(key)
-            return
-        if method in _RELEASES:
-            key = _src(recv)
-            if key in self.held:
-                self.held.remove(key)
-            return
-        if method in _MUTATORS:
-            if _is_self_field(recv) and self.method is not None:
-                assert isinstance(recv, ast.Attribute)
-                self.method.writes.setdefault(recv.attr, call.lineno)
-            elif isinstance(recv, ast.Name):
-                self._note_mutation(recv.id, call.lineno)
-                if method in ("append", "appendleft", "add") \
-                        and call.args:
-                    got = _class_of_value(
-                        self.model, call.args[0], self.env, self.elems,
-                        self.cls.name if self.cls else "")
-                    if got is not None and not got[1]:
-                        self.elems.setdefault(recv.id, got[0])
+    def _class(self, node: Optional[ast.expr]) -> Optional[str]:
+        return self.resolver.instance(node, self.env)
 
-    def _invoke(self, call: ast.Call, fast: bool) -> None:
-        method = _const_str(call.args[1])
-        if method is None:
+    def _mutator(self, call: ast.Call) -> None:
+        """``xs.append(v)`` and friends: a write of ``self.xs``, or a
+        mutation (and, for an object, the element class) of local
+        ``xs``."""
+        func = call.func
+        if not (isinstance(func, ast.Attribute)
+                and func.attr in _MUTATORS):
             return
-        recv = call.args[0]
-        key = _src(recv)
-        # Sim sync idiom: Invoke(lock, "acquire") tracks held state and
-        # is not a boundary-crossing data invocation.
-        if method in _ACQUIRES:
-            if key not in self.held:
-                self.held.append(key)
-            return
-        if method in _RELEASES:
-            if key in self.held:
-                self.held.remove(key)
-            return
-        held = tuple(h for h in self.held if h != key)
+        if is_self_field(func.value) and self.method is not None:
+            assert isinstance(func.value, ast.Attribute)
+            self.method.writes.setdefault(func.value.attr, call.lineno)
+        elif isinstance(func.value, ast.Name):
+            self._note_mutation(func.value.id, call.lineno)
+            self.resolver.note_append(self.env, call)
+
+    def _invoke(self, call: AmberCall) -> None:
+        assert call.method is not None
+        receiver = key(call.target)
         self.model.invokes.append(InvokeSite(
-            path=self.path, line=call.lineno, caller=self.qual,
-            caller_class=self.cls.name if self.cls else "",
-            receiver=key, receiver_class=self._receiver_class(recv),
-            method=method, loop_depth=self.loop_depth,
-            weight=self.weight, fast=fast, held=held))
+            path=self.path, line=call.line, caller=self.qual,
+            caller_class=self.scope.owner,
+            receiver=receiver, receiver_class=self._class(call.target),
+            method=call.method, loop_depth=self.loop_depth,
+            weight=self.weight, fast=call.fast,
+            held=tuple(h for h in self.held if h != receiver)))
 
-    def _fork(self, call: ast.Call) -> None:
-        method = _const_str(call.args[1])
-        if method is None:
-            return
-        recv = call.args[0]
+    def _fork(self, call: AmberCall) -> None:
+        assert call.method is not None
         mutable: List[str] = []
-        for arg in call.args[2:]:
+        for arg in call.node.args[2:]:
             if isinstance(arg, ast.Name) and arg.id in self.mutables:
                 mutable.append(arg.id)
                 first = self.escaped.get(arg.id)
                 if first is not None:
                     self.model.escapes.append(EscapeSite(
-                        path=self.path, line=call.lineno,
+                        path=self.path, line=call.line,
                         caller=self.qual, name=arg.id, kind="refork",
                         first_line=first))
                 else:
-                    self.escaped[arg.id] = call.lineno
+                    self.escaped[arg.id] = call.line
         self.model.forks.append(ForkSite(
-            path=self.path, line=call.lineno, caller=self.qual,
-            target=_src(recv), target_class=self._receiver_class(recv),
-            method=method, loop_depth=self.loop_depth,
+            path=self.path, line=call.line, caller=self.qual,
+            target=key(call.target),
+            target_class=self._class(call.target),
+            method=call.method, loop_depth=self.loop_depth,
             weight=self.weight, mutable_args=tuple(mutable)))
 
-    def _new(self, call: ast.Call) -> None:
-        first = call.args[0]
-        if not (isinstance(first, ast.Name)
-                and first.id in self.model.classes):
+    def _new(self, call: AmberCall) -> None:
+        if call.name not in self.model.classes:
             return
         trips: Optional[int] = 1
         if self.loop_depth:
@@ -792,31 +540,10 @@ class _Walker:
                      if self.weight < MAX_WEIGHT and
                      self.weight % UNKNOWN_TRIPS != 0 else None)
         self.model.news.append(NewSite(
-            path=self.path, line=call.lineno, caller=self.qual,
-            cls=first.id, loop_depth=self.loop_depth,
-            trips=trips if self.loop_depth else 1,
-            placed=any(kw.arg == "on_node" for kw in call.keywords)))
-
-    # -- receiver resolution ---------------------------------------------
-
-    def _receiver_class(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Yield) and node.value is not None:
-            node = node.value
-        if isinstance(node, ast.Name):
-            if node.id == "self" and self.cls is not None:
-                return self.cls.name
-            return self.env.get(node.id)
-        if isinstance(node, ast.Attribute) and _is_self_field(node) \
-                and self.cls is not None:
-            return self.cls.field_classes.get(node.attr)
-        if isinstance(node, ast.Subscript):
-            base = node.value
-            if _is_self_field(base) and self.cls is not None:
-                assert isinstance(base, ast.Attribute)
-                return self.cls.field_elems.get(base.attr)
-            if isinstance(base, ast.Name):
-                return self.elems.get(base.id)
-        return None
+            path=self.path, line=call.line, caller=self.qual,
+            cls=call.name, loop_depth=self.loop_depth, trips=trips,
+            placed=any(kw.arg == "on_node"
+                       for kw in call.node.keywords)))
 
 
 # ---------------------------------------------------------------------------
@@ -824,41 +551,7 @@ class _Walker:
 # ---------------------------------------------------------------------------
 
 
-def _stmt_exprs(stmt: ast.stmt) -> List[Optional[ast.expr]]:
-    if isinstance(stmt, ast.Assign):
-        return [stmt.value]
-    if isinstance(stmt, ast.AnnAssign):
-        return [stmt.value]
-    if isinstance(stmt, ast.AugAssign):
-        return [stmt.value]
-    if isinstance(stmt, ast.Expr):
-        return [stmt.value]
-    if isinstance(stmt, ast.Return):
-        return [stmt.value]
-    if isinstance(stmt, (ast.Raise, ast.Assert, ast.Delete,
-                         ast.Import, ast.ImportFrom, ast.Global,
-                         ast.Nonlocal, ast.Pass, ast.Break,
-                         ast.Continue)):
-        return []
-    return []
-
-
-def _const_str(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _src(node: ast.expr) -> str:
-    if isinstance(node, ast.Yield) and node.value is not None:
-        node = node.value
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on exprs
-        return "<expr>"
-
-
-def _is_mutable_value(value: ast.expr) -> bool:
+def _is_mutable_value(value: Optional[ast.expr]) -> bool:
     if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                           ast.DictComp, ast.SetComp)):
         return True
@@ -872,7 +565,8 @@ def _is_mutable_value(value: ast.expr) -> bool:
 
 def _range_len(node: ast.expr) -> Optional[int]:
     """Trip count of a constant-bound ``range``/``enumerate(range)``."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id == "enumerate" and node.args:
-        return _range_len(node.args[0])
+    if called_name(node) == "enumerate":
+        assert isinstance(node, ast.Call)
+        if node.args:
+            return _range_len(node.args[0])
     return range_len(node)

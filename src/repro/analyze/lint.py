@@ -36,13 +36,30 @@ release`` stays quiet), and loop bodies are explored zero-or-once.
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.analyze.program import (
+    SYNC_CLASSES,
+    AmberCall,
+    LintFinding,
+    Op,
+    Program,
+    Resolver,
+    Scope,
+    amber_call,
+    amber_calls,
+    called_name,
+    filter_noqa,
+    key,
+    own_exprs,
+    own_nodes,
+    report,
+)
 from repro.errors import UsageError
+
+__all__ = ["DEFAULT_PATHS", "RULES", "LintFinding", "collect_sources",
+           "filter_noqa", "lint_paths", "lint_source", "range_len"]
 
 RULES: Dict[str, str] = {
     "AMB101": "lock acquired but not released on some path",
@@ -56,208 +73,26 @@ RULES: Dict[str, str] = {
     "AMB109": "field written after SetImmutable sealed the object",
 }
 
-#: acquire-like method -> its release-like partner.
-_PAIRS: Dict[str, str] = {
-    "acquire": "release",
-    "enter": "exit",
-    "acquire_read": "release_read",
-    "acquire_write": "release_write",
-}
-_RELEASES: Dict[str, str] = {v: k for k, v in _PAIRS.items()}
-
-#: Call names that create a thread (sim syscall or live runtime).
-_FORK_NAMES = {"Fork", "Start", "NewThread"}
-_FORK_METHODS = {"fork", "start_thread"}
-#: Call names that block the calling thread.
-_BLOCK_NAMES = {"Join", "Suspend", "Sleep"}
-
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9,\s]+)\])?")
-
 #: Cap on tracked path states per program point (beyond it, states are
 #: merged pairwise — analysis stays sound for must-held checks).
 _MAX_STATES = 32
 
 
-@dataclass(frozen=True)
-class LintFinding:
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.rule} {self.message}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"path": self.path, "line": self.line, "rule": self.rule,
-                "message": self.message}
-
-
-@dataclass(frozen=True)
-class _SyncCall:
-    """One recognized synchronization-ish call inside a statement."""
-
-    key: str            # normalized receiver expression
-    method: str
-    line: int
-    blocking: bool
-    #: True for a generic ``Invoke``/``FastInvoke`` (a potentially
-    #: remote data invocation, not a recognized sync operation).
-    remote: bool = False
-
-
-_CTX_RE = re.compile(r",?\s*ctx=(Load|Store|Del)\(\)")
-
-
-def _expr_key(node: ast.AST) -> str:
-    """Stable identity for a receiver expression (``lock``,
-    ``self.lock``, ``locks[0]`` ...), load/store agnostic."""
-    return _CTX_RE.sub("", ast.dump(node))
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
-
-
-def _call_method(call: ast.Call) -> Optional[Tuple[ast.AST, str]]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.value, call.func.attr
-    return None
-
-
-def _const_str(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-class _Types:
-    """Best-effort local type inference: which expressions name a
-    CondVar or a SpinLock?  Sources: ``x = CondVar(...)``,
-    ``x = yield New(CondVar, ...)``, and ``x: CondVar`` annotations
-    (parameters included)."""
-
-    def __init__(self) -> None:
-        self.by_key: Dict[str, str] = {}
-
-    def learn_function(self, fn: ast.AST) -> None:
-        args = getattr(fn, "args", None)
-        if args is not None:
-            for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-                name = self._annotation_name(arg.annotation)
-                if name:
-                    self.by_key[_expr_key(
-                        ast.Name(id=arg.arg, ctx=ast.Load()))] = name
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                cls = self._constructed_class(node.value)
-                if cls:
-                    self.by_key[_expr_key(node.targets[0])] = cls
-            elif isinstance(node, ast.AnnAssign):
-                name = self._annotation_name(node.annotation)
-                if name:
-                    self.by_key[_expr_key(node.target)] = name
-
-    @staticmethod
-    def _annotation_name(annotation: Optional[ast.AST]) -> Optional[str]:
-        if isinstance(annotation, ast.Name) and annotation.id in (
-                "CondVar", "SpinLock"):
-            return annotation.id
-        return None
-
-    @staticmethod
-    def _constructed_class(value: ast.AST) -> Optional[str]:
-        # x = CondVar(...)
-        if isinstance(value, ast.Call):
-            name = _call_name(value)
-            if name in ("CondVar", "SpinLock"):
-                return name
-            # x = yield New(CondVar, ...) arrives as Yield below.
-        if isinstance(value, ast.Yield) and isinstance(
-                value.value, ast.Call):
-            call = value.value
-            if _call_name(call) == "New" and call.args:
-                first = call.args[0]
-                if isinstance(first, ast.Name) and first.id in (
-                        "CondVar", "SpinLock"):
-                    return first.id
-        return None
-
-    def of(self, key: str) -> Optional[str]:
-        return self.by_key.get(key)
-
-
-def _sync_calls(stmt: ast.stmt, types: _Types) -> List[_SyncCall]:
-    """All recognized sync/blocking calls in a statement, in source
-    order (compound statements contribute only their own headers)."""
-    calls: List[_SyncCall] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                _classify(child)
-            visit(child)
-
-    def _classify(call: ast.Call) -> None:
-        name = _call_name(call)
-        if name in ("Invoke", "FastInvoke") and len(call.args) >= 2:
-            method = _const_str(call.args[1])
-            if method is None:
-                return
-            if method in _PAIRS or method in _RELEASES or method in (
-                    "wait", "join"):
-                _add(call.args[0], method, call.lineno)
-            else:
-                calls.append(_SyncCall(_expr_key(call.args[0]), method,
-                                       call.lineno, False, remote=True))
-            return
-        if name in _BLOCK_NAMES:
-            calls.append(_SyncCall("", name, call.lineno, True))
-            return
-        attr = _call_method(call)
-        if attr is not None:
-            target, method = attr
-            _add(target, method, call.lineno)
-
-    def _add(target: ast.AST, method: str, line: int) -> None:
-        if method in _PAIRS or method in _RELEASES or method in (
-                "wait", "join"):
-            blocking = method in _PAIRS or method in ("wait", "join")
-            calls.append(_SyncCall(_expr_key(target), method, line,
-                                   blocking))
-
-    # Only look at the statement's own expressions, not nested blocks.
-    if isinstance(stmt, (ast.If, ast.While)):
-        visit(stmt.test)
-    elif isinstance(stmt, ast.For):
-        visit(stmt.iter)
-    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.ClassDef)):
-        pass
-    elif isinstance(stmt, ast.With):
-        for item in stmt.items:
-            visit(item.context_expr)
-    elif isinstance(stmt, ast.Try):
-        pass
-    else:
-        visit(stmt)
-    return calls
-
-
 class _FunctionLinter:
-    """Path-sensitive held-set walk over one function body."""
+    """Path-sensitive held-set walk over one function body; every rule
+    reads the function's *own* nodes (a nested function is linted as
+    the scope it is)."""
 
-    def __init__(self, fn: ast.AST, path: str, types: _Types) -> None:
-        self.fn = fn
-        self.path = path
-        self.types = types
+    def __init__(self, scope: Scope, resolver: Resolver) -> None:
+        self.scope = scope
+        self.resolver = resolver
+        self.env = resolver.scope_env(scope)
         self.findings: List[LintFinding] = []
         self._seen: Set[Tuple[str, int]] = set()
-        #: held key -> (line, pretty receiver) of its first acquisition.
-        self.acquire_sites: Dict[str, Tuple[int, str]] = {}
+        #: held receiver -> line of its first acquisition.
+        self.acquire_sites: Dict[str, int] = {}
+        #: held receivers known to be SpinLocks.
+        self.spins: Set[str] = set()
 
     # -- reporting ------------------------------------------------------
 
@@ -265,21 +100,25 @@ class _FunctionLinter:
         if (rule, line) in self._seen:
             return
         self._seen.add((rule, line))
-        self.findings.append(LintFinding(self.path, line, rule, message))
+        self.findings.append(
+            LintFinding(self.scope.path, line, rule, message))
 
     # -- the walk -------------------------------------------------------
 
     def run(self) -> List[LintFinding]:
-        body = list(getattr(self.fn, "body", []))
+        body = list(self.scope.fn.body)
         final_states = self._walk(body, {frozenset()})
         self._check_exit(final_states,
-                         getattr(self.fn, "end_lineno", 0) or 0,
+                         self.scope.fn.end_lineno or 0,
                          "at function exit")
-        self._scan_forks(body)
-        self._scan_moves(body)
-        self._scan_barriers(body)
-        self._scan_joins(body)
-        self._scan_immutables(body)
+        own = list(own_nodes(*body))
+        calls = [call for call in map(amber_call, own)
+                 if call is not None]
+        self._scan_forks(calls)
+        self._scan_moves(calls)
+        self._scan_barriers(own, body)
+        self._join_walk(body, {}, {})
+        self._scan_immutables(calls, own)
         return self.findings
 
     def _walk(self, stmts: List[ast.stmt],
@@ -324,9 +163,6 @@ class _FunctionLinter:
         if isinstance(stmt, ast.With):
             state = self._apply_calls(stmt, state, siblings)
             return self._walk(stmt.body, {state})
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return {state}
         if isinstance(stmt, ast.Return):
             state = self._apply_calls(stmt, state, siblings)
             self._check_exit({state}, stmt.lineno,
@@ -341,23 +177,31 @@ class _FunctionLinter:
 
     def _apply_calls(self, stmt: ast.stmt, state: FrozenSet[str],
                      siblings: Set[FrozenSet[str]]) -> FrozenSet[str]:
+        """The statement's own sync and blocking calls, in source
+        order (a compound statement contributes only its header, a
+        nested function or class nothing: it is a scope of its own)."""
         held = set(state)
-        for call in _sync_calls(stmt, self.types):
-            if call.method in _PAIRS and call.key:
-                self._check_spin_block(call, held)
-                held.add(call.key)
-                self.acquire_sites.setdefault(
-                    call.key, (call.line, _pretty_key(call.key)))
-            elif call.method in _RELEASES and call.key:
-                held.discard(call.key)
-            elif call.method == "wait":
-                self._check_wait(call, held, siblings)
-                self._check_spin_block(call, held)
-            elif call.remote:
-                self._check_spin_invoke(call, held)
-            elif call.blocking:
-                self._check_spin_block(call, held)
+        for call in amber_calls(*own_exprs(stmt)):
+            receiver = key(call.target)
+            if call.op is Op.ACQUIRE:
+                self._check_spin_block(call, receiver, held)
+                held.add(receiver)
+                self.acquire_sites.setdefault(receiver, call.line)
+                if self._class(call.target) == "SpinLock":
+                    self.spins.add(receiver)
+            elif call.op is Op.RELEASE:
+                held.discard(receiver)
+            elif call.op is Op.WAIT:
+                self._check_wait(call, receiver, held, siblings)
+                self._check_spin_block(call, receiver, held)
+            elif call.op is Op.INVOKE and call.method:
+                self._check_spin_invoke(call, receiver, held)
+            elif call.op in (Op.JOIN, Op.BLOCK):
+                self._check_spin_block(call, receiver, held)
         return frozenset(held)
+
+    def _class(self, node: Optional[ast.expr]) -> Optional[str]:
+        return self.resolver.instance(node, self.env)
 
     # -- rule bodies ----------------------------------------------------
 
@@ -379,16 +223,15 @@ class _FunctionLinter:
         if siblings:
             for state in siblings:
                 must &= state
-        for key in sorted(must or ()):
-            site_line, pretty = self.acquire_sites.get(key, (line, key))
-            self.report("AMB101", site_line,
-                        f"'{pretty}' acquired here is still held "
+        for receiver in sorted(must or ()):
+            self.report("AMB101", self.acquire_sites.get(receiver, line),
+                        f"'{receiver}' acquired here is still held "
                         f"{where}")
 
-    def _check_wait(self, call: _SyncCall, held: Set[str],
+    def _check_wait(self, call: AmberCall, receiver: str, held: Set[str],
                     siblings: Set[FrozenSet[str]]) -> None:
         """AMB102: waiting on a CondVar without any lock/monitor held."""
-        if self.types.of(call.key) != "CondVar":
+        if self._class(call.target) != "CondVar":
             return
         if held:
             return
@@ -397,85 +240,65 @@ class _FunctionLinter:
             # path holds anything.
             return
         self.report("AMB102", call.line,
-                    f"CondVar.wait on '{_pretty_key(call.key)}' "
+                    f"CondVar.wait on '{receiver}' "
                     f"without holding its monitor")
 
-    def _check_spin_block(self, call: _SyncCall, held: Set[str]) -> None:
+    def _held_spin(self, receiver: str, held: Set[str]) -> Optional[str]:
+        """A SpinLock held now, other than the call's own receiver."""
+        spins = sorted(held & self.spins - {receiver})
+        return spins[0] if spins else None
+
+    def _check_spin_block(self, call: AmberCall, receiver: str,
+                          held: Set[str]) -> None:
         """AMB105: blocking while a SpinLock is held burns a CPU for
         the whole wait."""
-        if not call.blocking:
-            return
-        spins = [key for key in held
-                 if self.types.of(key) == "SpinLock" and
-                 key != call.key]
-        if not spins:
-            return
-        self.report("AMB105", call.line,
-                    f"blocking call '{call.method}' while holding "
-                    f"SpinLock '{_pretty_key(sorted(spins)[0])}'")
+        spin = self._held_spin(receiver, held)
+        if spin is not None:
+            self.report("AMB105", call.line,
+                        f"blocking call '{call.name}' while holding "
+                        f"SpinLock '{spin}'")
 
-    def _check_spin_invoke(self, call: _SyncCall,
+    def _check_spin_invoke(self, call: AmberCall, receiver: str,
                            held: Set[str]) -> None:
         """AMB108: a data invocation while a SpinLock is held.  The
         invocation may ship the thread across the network; every other
         CPU contending for the lock spins for the whole round-trip."""
-        spins = [key for key in held
-                 if self.types.of(key) == "SpinLock" and
-                 key != call.key]
-        if not spins:
-            return
-        self.report("AMB108", call.line,
-                    f"Invoke('{call.method}') while holding SpinLock "
-                    f"'{_pretty_key(sorted(spins)[0])}'; contenders "
-                    f"spin for the whole remote round-trip")
+        spin = self._held_spin(receiver, held)
+        if spin is not None:
+            self.report("AMB108", call.line,
+                        f"Invoke('{call.name}') while holding SpinLock "
+                        f"'{spin}'; contenders "
+                        f"spin for the whole remote round-trip")
 
-    def _scan_forks(self, body: List[ast.stmt]) -> None:
+    def _scan_forks(self, calls: List[AmberCall]) -> None:
         """AMB103: forked threads with no join anywhere in the
         function."""
-        fork_line: Optional[int] = None
-        fork_what = ""
-        joined = False
-        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            attr = _call_method(node)
-            if name in _FORK_NAMES or (
-                    attr is not None and attr[1] in _FORK_METHODS):
-                if fork_line is None:
-                    fork_line = node.lineno
-                    fork_what = name or attr[1]
-            if name == "Join" or (attr is not None and
-                                  attr[1] == "join"):
-                joined = True
-            if name in ("Invoke", "FastInvoke") and len(node.args) >= 2:
-                if _const_str(node.args[1]) == "join":
-                    joined = True
-        if fork_line is not None and not joined:
-            self.report("AMB103", fork_line,
-                        f"thread created by '{fork_what}' is never "
+        fork = next((c for c in calls if c.op is Op.FORK), None)
+        if fork is not None and not any(c.op is Op.JOIN for c in calls):
+            self.report("AMB103", fork.line,
+                        f"thread created by '{fork.name}' is never "
                         f"joined in this function")
 
-    def _scan_moves(self, body: List[ast.stmt]) -> None:
+    def _scan_moves(self, calls: List[AmberCall]) -> None:
         """AMB104: moving an attached member breaks co-residency (the
         attachment silently drags it back, or worse, was the point)."""
         attached: Dict[str, int] = {}
-        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-            if not isinstance(node, ast.Call):
+        for call in calls:
+            if call.target is None:
                 continue
-            name = _call_name(node)
-            if name == "Attach" and len(node.args) >= 2:
-                attached.setdefault(_expr_key(node.args[0]), node.lineno)
-            elif name == "MoveTo" and node.args:
-                key = _expr_key(node.args[0])
-                if key in attached and node.lineno > attached[key]:
-                    self.report(
-                        "AMB104", node.lineno,
-                        f"MoveTo of '{_pretty_key(key)}', which was "
-                        f"Attach-ed at line {attached[key]}; move the "
-                        f"attachment owner instead")
+            receiver = key(call.target)
+            if call.op is Op.ATTACH:
+                attached.setdefault(receiver, call.line)
+            elif call.op is Op.MOVE and call.line > attached.get(
+                    receiver, call.line):
+                self.report(
+                    "AMB104", call.line,
+                    f"MoveTo of '{receiver}', which was "
+                    f"Attach-ed at line {attached[receiver]}; move the "
+                    f"attachment owner instead")
 
-    def _scan_barriers(self, body: List[ast.stmt]) -> None:
+    def _scan_barriers(self, own: List[ast.AST],
+                       body: List[ast.stmt]) -> None:
         """AMB106: a Barrier built with a constant party count that can
         never be satisfied by the threads forked in this function.
 
@@ -485,7 +308,7 @@ class _FunctionLinter:
         forked threads alone or forked threads plus the forking thread
         itself (the common SOR master-participates idiom)."""
         barriers: List[Tuple[int, int]] = []
-        for node in _walk_own(body):
+        for node in own:
             if isinstance(node, ast.Call):
                 parties = _barrier_parties(node)
                 if parties is not None:
@@ -504,7 +327,8 @@ class _FunctionLinter:
                     f"(expected {forks}, or {forks + 1} when the "
                     f"forking thread participates)")
 
-    def _scan_immutables(self, body: List[ast.stmt]) -> None:
+    def _scan_immutables(self, calls: List[AmberCall],
+                         own: List[ast.AST]) -> None:
         """AMB109: a field written after the object was sealed with
         ``SetImmutable`` on a statically-reachable path — the write
         traps at run time if the object is resident, or silently
@@ -515,19 +339,10 @@ class _FunctionLinter:
         within the function (both the sim syscall ``SetImmutable(x)``
         and the live-runtime ``cluster.set_immutable(x)`` seal)."""
         sealed: Dict[str, int] = {}
-        writes: List[Tuple[str, int, str]] = []
-        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                attr = _call_method(node)
-                if name == "SetImmutable" and node.args:
-                    sealed.setdefault(_expr_key(node.args[0]),
-                                      node.lineno)
-                elif (attr is not None and attr[1] == "set_immutable"
-                        and node.args):
-                    sealed.setdefault(_expr_key(node.args[0]),
-                                      node.lineno)
-                continue
+        for call in calls:
+            if call.op is Op.SEAL and call.target is not None:
+                sealed.setdefault(key(call.target), call.line)
+        for node in own if sealed else ():
             if isinstance(node, ast.Assign):
                 targets = node.targets
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -538,66 +353,63 @@ class _FunctionLinter:
                 elts = (target.elts if isinstance(
                     target, (ast.Tuple, ast.List)) else [target])
                 for elt in elts:
-                    if isinstance(elt, ast.Attribute):
-                        writes.append((_expr_key(elt.value),
-                                       node.lineno, elt.attr))
-        for key, line, field_name in writes:
-            if key in sealed and line > sealed[key]:
-                self.report(
-                    "AMB109", line,
-                    f"write to '{_pretty_key(key)}.{field_name}' "
-                    f"after SetImmutable at line {sealed[key]} "
-                    f"sealed the object")
-
-    def _scan_joins(self, body: List[ast.stmt]) -> None:
-        """AMB107: a thread handle joined twice — the second join hangs
-        forever in the live runtime (the thread is already gone)."""
-        self._join_walk(body, {}, {})
+                    if not isinstance(elt, ast.Attribute):
+                        continue
+                    receiver = key(elt.value)
+                    if node.lineno > sealed.get(receiver, node.lineno):
+                        self.report(
+                            "AMB109", node.lineno,
+                            f"write to '{receiver}.{elt.attr}' "
+                            f"after SetImmutable at line "
+                            f"{sealed[receiver]} sealed the object")
 
     def _join_walk(self, stmts: List[ast.stmt],
                    handles: Dict[str, int],
                    joined: Dict[str, int]) -> Dict[str, int]:
-        """Statement-order walk tracking fork-produced handles and the
+        """AMB107: a thread handle joined twice — the second join hangs
+        forever in the live runtime (the thread is already gone).
+
+        Statement-order walk tracking fork-produced handles and the
         line of each handle's first join; returns the definitely-joined
         map at the end of the block.  Branch joins merge by
         intersection (a join on only one path is not a sure first
         join); loop bodies run twice so a join inside a loop over an
         outer handle sees its own first pass."""
         for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            for key, line in _join_targets(stmt):
-                if key not in handles:
+            for call in amber_calls(*own_exprs(stmt)):
+                if call.op is not Op.JOIN or call.target is None:
                     continue
-                if key in joined:
+                handle = key(call.target)
+                if handle not in handles:
+                    continue
+                if handle in joined:
                     self.report(
-                        "AMB107", line,
-                        f"thread handle '{_pretty_key(key)}' joined "
-                        f"again (first joined at line {joined[key]}); "
+                        "AMB107", call.line,
+                        f"thread handle '{handle}' joined "
+                        f"again (first joined at line {joined[handle]}); "
                         f"the second join waits forever")
                 else:
-                    joined[key] = line
-            for key, fork_line in _handle_assignments(stmt):
+                    joined[handle] = call.line
+            for handle, fork_line in _handle_assignments(stmt):
                 if fork_line:
-                    handles[key] = fork_line
+                    handles[handle] = fork_line
                 else:
-                    handles.pop(key, None)
-                joined.pop(key, None)
+                    handles.pop(handle, None)
+                joined.pop(handle, None)
             if isinstance(stmt, ast.If):
                 branch_a = self._join_walk(stmt.body, handles,
                                            dict(joined))
                 branch_b = self._join_walk(stmt.orelse, handles,
                                            dict(joined))
-                joined = {key: line
-                          for key, line in branch_a.items()
-                          if key in branch_b}
+                joined = {handle: line
+                          for handle, line in branch_a.items()
+                          if handle in branch_b}
             elif isinstance(stmt, (ast.For, ast.While)):
                 if isinstance(stmt, ast.For):
                     for target in ast.walk(stmt.target):
                         if isinstance(target, (ast.Name, ast.Attribute)):
-                            handles.pop(_expr_key(target), None)
-                            joined.pop(_expr_key(target), None)
+                            handles.pop(key(target), None)
+                            joined.pop(key(target), None)
                 once = self._join_walk(stmt.body, handles, dict(joined))
                 self._join_walk(stmt.body, handles, dict(once))
                 self._join_walk(stmt.orelse, handles, dict(joined))
@@ -614,51 +426,14 @@ class _FunctionLinter:
         return joined
 
 
-def _own_exprs(stmt: ast.stmt) -> List[ast.AST]:
-    """The statement's own expressions: everything for a simple
-    statement, only the header for a compound one."""
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, ast.For):
-        return [stmt.iter]
-    if isinstance(stmt, ast.With):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef, ast.Try)):
-        return []
-    return [stmt]
-
-
-def _walk_own(body: List[ast.stmt]) -> Iterable[ast.AST]:
-    """Walk every node in ``body`` except nested function/class
-    bodies (they are linted as their own scopes)."""
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_fork_call(call: ast.Call) -> bool:
-    if _call_name(call) in _FORK_NAMES:
-        return True
-    attr = _call_method(call)
-    return attr is not None and attr[1] in _FORK_METHODS
-
-
 def _barrier_parties(call: ast.Call) -> Optional[int]:
     """Constant party count of a ``Barrier(N)`` / ``New(Barrier, N)``
     construction, or None when not a barrier or not constant."""
-    name = _call_name(call)
-    if name == "Barrier":
-        args = list(call.args)
-    elif (name == "New" and call.args
-          and isinstance(call.args[0], ast.Name)
-          and call.args[0].id == "Barrier"):
+    made = amber_call(call)
+    if made is not None and made.op is Op.NEW and made.name == "Barrier":
         args = list(call.args[1:])
+    elif called_name(call) == "Barrier":
+        args = list(call.args)
     else:
         return None
     candidates = args[:1] + [kw.value for kw in call.keywords
@@ -674,8 +449,9 @@ def _barrier_parties(call: ast.Call) -> Optional[int]:
 def range_len(node: ast.AST) -> Optional[int]:
     """Trip count of a ``range(...)`` call with constant bounds (the
     flow model's loop weights use it too)."""
-    if not (isinstance(node, ast.Call) and _call_name(node) == "range"):
+    if called_name(node) != "range":
         return None
+    assert isinstance(node, ast.Call)
     bounds: List[int] = []
     for arg in node.args:
         if (isinstance(arg, ast.Constant)
@@ -702,14 +478,8 @@ def _count_forks(stmts: List[ast.stmt]) -> Optional[int]:
     a conditional or exception handler, unequal branches)."""
     total = 0
     for stmt in stmts:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        own = 0
-        for expr in _own_exprs(stmt):
-            for node in ast.walk(expr):
-                if isinstance(node, ast.Call) and _is_fork_call(node):
-                    own += 1
+        own = sum(call.op is Op.FORK
+                  for call in amber_calls(*own_exprs(stmt)))
         if isinstance(stmt, ast.For):
             inner = _count_forks(stmt.body)
             tail = _count_forks(stmt.orelse)
@@ -753,31 +523,6 @@ def _count_forks(stmts: List[ast.stmt]) -> Optional[int]:
     return total
 
 
-def _join_targets(stmt: ast.stmt) -> List[Tuple[str, int]]:
-    """Receiver keys of every join in the statement's own expressions,
-    in source order: ``Join(t)``, ``Invoke(t, "join")``, ``t.join()``."""
-    out: List[Tuple[str, int]] = []
-
-    def classify(call: ast.Call) -> None:
-        name = _call_name(call)
-        if name == "Join" and call.args:
-            out.append((_expr_key(call.args[0]), call.lineno))
-            return
-        if name in ("Invoke", "FastInvoke") and len(call.args) >= 2 \
-                and _const_str(call.args[1]) == "join":
-            out.append((_expr_key(call.args[0]), call.lineno))
-            return
-        attr = _call_method(call)
-        if attr is not None and attr[1] == "join":
-            out.append((_expr_key(attr[0]), call.lineno))
-
-    for expr in _own_exprs(stmt):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                classify(node)
-    return out
-
-
 def _handle_assignments(stmt: ast.stmt) -> List[Tuple[str, int]]:
     """Assignment targets of this statement: ``(key, fork line)`` when
     the assigned value forks a thread, ``(key, 0)`` for any other
@@ -792,86 +537,38 @@ def _handle_assignments(stmt: ast.stmt) -> List[Tuple[str, int]]:
         pairs.append((stmt.target, stmt.value))
     out: List[Tuple[str, int]] = []
     for target, value in pairs:
-        fork_line = 0
-        for node in ast.walk(value):
-            if isinstance(node, ast.Call) and _is_fork_call(node):
-                fork_line = node.lineno
-                break
+        fork = next((call for call in amber_calls(value)
+                     if call.op is Op.FORK), None)
+        fork_line = fork.line if fork is not None else 0
         targets: List[ast.expr] = [target]
         if isinstance(target, (ast.Tuple, ast.List)):
             targets = list(target.elts)
             fork_line = 0   # cannot tell which element got the handle
         for tgt in targets:
             if isinstance(tgt, (ast.Name, ast.Attribute)):
-                out.append((_expr_key(tgt), fork_line))
+                out.append((key(tgt), fork_line))
     return out
 
 
-_NAME_RE = re.compile(r"Name\(id='([^']+)'")
-_ATTR_RE = re.compile(r"Attribute\(value=Name\(id='([^']+)'.*?"
-                      r"attr='([^']+)'")
-
-
-def _pretty_key(key: str) -> str:
-    match = _ATTR_RE.match(key)
-    if match:
-        return f"{match.group(1)}.{match.group(2)}"
-    match = _NAME_RE.match(key)
-    if match:
-        return match.group(1)
-    return "<expr>"
-
-
-def _noqa_lines(source: str) -> Dict[int, Optional[Set[str]]]:
-    """line -> None (suppress all) or the set of suppressed rules."""
-    out: Dict[int, Optional[Set[str]]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _NOQA_RE.search(text)
-        if not match:
-            continue
-        rules = match.group("rules")
-        if rules is None:
-            out[lineno] = None
-        else:
-            out[lineno] = {r.strip() for r in rules.split(",")
-                           if r.strip()}
-    return out
-
-
-def filter_noqa(findings: Iterable[LintFinding],
-                source: str) -> List[LintFinding]:
-    """Drop findings suppressed by ``# repro: noqa`` comments in the
-    source they were reported against, sorted by position.  Shared by
-    the lint pass and the AmberFlow diagnostics."""
-    noqa = _noqa_lines(source)
-    kept = []
-    for finding in findings:
-        suppressed = noqa.get(finding.line, ...)
-        if suppressed is None:
-            continue
-        if isinstance(suppressed, set) and finding.rule in suppressed:
-            continue
-        kept.append(finding)
-    return sorted(kept, key=lambda f: (f.path, f.line, f.rule))
+def _lint(program: Program) -> List[LintFinding]:
+    """Every rule over every function of ``program``, file by file in
+    the order given; a file that does not parse is one AMB000."""
+    resolver = Resolver(program, {*program.classes, *SYNC_CLASSES})
+    found: Dict[str, List[LintFinding]] = {
+        path: [] for path in program.texts}
+    for path, (line, message) in program.errors.items():
+        found[path].append(LintFinding(path, line, "AMB000", message))
+    for scope in program.scopes:
+        found[scope.path].extend(_FunctionLinter(scope, resolver).run())
+    return [finding for findings in found.values()
+            for finding in report(findings, program.texts)]
 
 
 def lint_source(source: str, path: str = "<string>"
                 ) -> List[LintFinding]:
     """Lint one module's source text; returns findings sorted by
     position."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [LintFinding(path, exc.lineno or 0, "AMB000",
-                            f"syntax error: {exc.msg}")]
-    findings: List[LintFinding] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        types = _Types()
-        types.learn_function(node)
-        findings.extend(_FunctionLinter(node, path, types).run())
-    return filter_noqa(findings, source)
+    return _lint(Program([(path, source)]))
 
 
 #: What ``repro lint``, ``flow`` and ``elide`` analyze when no paths
@@ -906,10 +603,9 @@ def collect_sources(paths: Iterable[str]
 
 
 def lint_paths(paths: Iterable[str]) -> List[LintFinding]:
-    """Lint every ``.py`` file under the given files/directories."""
+    """Lint every ``.py`` file under the given files/directories, as
+    one program (a field typed in one file is known in the others)."""
     sources, errors = collect_sources(paths)
     findings = [LintFinding(path, 0, "AMB000", message)
                 for path, message in errors.items()]
-    for path, source in sources:
-        findings.extend(lint_source(source, path))
-    return findings
+    return findings + _lint(Program(sources))

@@ -436,6 +436,134 @@ def op(self, ctx, anchor):
 """) == [("AMB103", 3)]
 
 
+class TestOwnNodes:
+    """Every rule reads a function's own nodes: a nested function is a
+    scope of its own, linted once, and hides nothing of its parent."""
+
+    def test_nested_main_reports_each_defect_once(self):
+        source = """
+def run_x():
+    def main(ctx, obj, a, b, cfg):
+        t = yield Fork(obj, "run")
+        yield Attach(a, b)
+        yield MoveTo(a, 1)
+        yield SetImmutable(cfg)
+        cfg.x = 1
+    return main
+"""
+        assert rules_of(source) == [("AMB103", 4), ("AMB104", 6),
+                                    ("AMB109", 8)]
+
+    def test_join_in_a_nested_helper_does_not_mask_the_fork(self):
+        assert rules_of("""
+def op(ctx, obj):
+    t = yield Fork(obj, "run")
+
+    def later(ctx):
+        yield Join(t)
+    return later
+""") == [("AMB103", 3)]
+
+    def test_seal_in_the_parent_does_not_convict_a_nested_write(self):
+        assert rules_of("""
+def op(ctx, cfg):
+    yield SetImmutable(cfg)
+
+    def other(cfg):
+        cfg.x = 1
+    return other
+""") == []
+
+
+class TestReceivers:
+    """A message names its receiver by its source text, and a sync
+    object is known by more than a local assignment."""
+
+    def test_messages_print_the_receiver_as_written(self):
+        messages = [f.message for f in lint_source("""
+class Pooled:
+    def leak(self, ctx, locks):
+        yield Invoke(locks[0], "acquire")
+        yield Invoke(self.pool.lock, "acquire")
+
+    def move(self, ctx, cfgs, peer):
+        yield Attach(cfgs[0], peer)
+        yield MoveTo(cfgs[0], 1)
+        yield SetImmutable(self.cfg.inner)
+        self.cfg.inner.x = 1
+""", "case.py")]
+        assert not [m for m in messages if "<expr>" in m]
+        assert [m.split("'")[1] for m in messages] == [
+            "locks[0]", "self.pool.lock", "cfgs[0]", "self.cfg.inner.x"]
+
+    def test_spinlock_held_in_a_field_assigned_in_another_method(self):
+        findings = lint_source("""
+class Spinner:
+    def __init__(self):
+        self.s = SpinLock()
+
+    def blocks(self, ctx, t):
+        yield Invoke(self.s, "acquire")
+        yield Join(t)
+        yield Invoke(self.s, "release")
+
+    def invokes(self, ctx, far):
+        yield Invoke(self.s, "acquire")
+        yield Invoke(far, "poke")
+        yield Invoke(self.s, "release")
+""", "case.py")
+        assert [(f.rule, f.line) for f in findings] \
+            == [("AMB105", 8), ("AMB108", 13)]
+        assert "SpinLock 'self.s'" in findings[0].message
+
+    def test_condvar_held_in_a_field(self):
+        assert rules_of("""
+class Holder:
+    def __init__(self):
+        self.cv = CondVar()
+
+    def wait(self, ctx):
+        yield Invoke(self.cv, "wait")
+""") == [("AMB102", 7)]
+
+    def test_string_and_optional_annotations(self):
+        assert rules_of("""
+def op(ctx, s: "SpinLock", o: Optional[SpinLock], cv: "CondVar", t):
+    yield Invoke(s, "acquire")
+    yield Join(t)
+    yield Invoke(s, "release")
+    yield Invoke(o, "acquire")
+    yield Invoke(t, "poke")
+    yield Invoke(o, "release")
+    yield Invoke(cv, "wait")
+""") == [("AMB105", 4), ("AMB108", 7), ("AMB102", 9)]
+
+    def test_a_closure_sees_the_enclosing_annotation(self):
+        assert rules_of("""
+def run_x(s: SpinLock):
+    def main(ctx):
+        yield Invoke(s, "acquire")
+        yield Sleep(5.0)
+        yield Invoke(s, "release")
+    return main
+""") == [("AMB105", 5)]
+
+    def test_field_typed_in_one_file_is_known_in_another(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            "class Spinner:\n"
+            "    def __init__(self):\n"
+            "        self.s = SpinLock()\n")
+        (tmp_path / "b.py").write_text(
+            "class Spinner(Base):\n"
+            "    def blocks(self, ctx, t):\n"
+            "        yield Invoke(self.s, 'acquire')\n"
+            "        yield Join(t)\n"
+            "        yield Invoke(self.s, 'release')\n")
+        assert [(Path(f.path).name, f.rule, f.line)
+                for f in lint_paths([str(tmp_path)])] \
+            == [("b.py", "AMB105", 4)]
+
+
 class TestHarness:
     def test_rule_catalogue_is_complete(self):
         assert set(RULES) == {"AMB101", "AMB102", "AMB103",
@@ -507,7 +635,9 @@ class TestCollectSources:
 
 class TestRealCode:
     @pytest.mark.parametrize("tree", ["src/repro/apps", "examples",
-                                      "src/repro/analyze/fixtures.py"])
+                                      "src/repro/analyze/fixtures.py",
+                                      "src/repro/bench",
+                                      "src/repro/recovery/workloads.py"])
     def test_bundled_code_is_lint_clean(self, tree):
         findings = lint_paths([str(REPO / tree)])
         assert findings == [], "\n".join(f.render() for f in findings)
