@@ -65,13 +65,23 @@ class ElideArtifact(Artifact):
     def lock_owners(self) -> List[Tuple[str, str]]:
         """``(owner, lock_cls)`` pairs where *every* lock site of that
         owner and class is elidable — the all-sites rule keeps the
-        runtime's per-creation marking sound at pair granularity."""
+        runtime's per-creation marking sound at pair granularity.
+
+        A site owned by ``<main>`` is in a module-level function, which
+        any activation may delegate to with ``yield from`` — the lock
+        is then created under *that* activation's class.  So one
+        un-elidable ``<main>`` site vetoes its lock class for every
+        owner."""
         verdict: Dict[Tuple[str, str], bool] = {}
+        vetoed = set()
         for lock in self.locks:
             key = (str(lock.get("owner", "")), str(lock.get("cls", "")))
             verdict[key] = verdict.get(key, True) \
                 and bool(lock.get("elidable"))
-        return sorted(key for key, ok in verdict.items() if ok)
+            if key[0] == _ert.MAIN_OWNER and not lock.get("elidable"):
+                vetoed.add(key[1])
+        return sorted(key for key, ok in verdict.items()
+                      if ok and key[1] not in vetoed)
 
     def to_elide_set(self) -> _ert.ElideSet:
         return _ert.ElideSet(

@@ -208,6 +208,58 @@ def main(ctx):
     return grand
 """
 
+#: The static lock owner must be the runtime's.  ``fan_out`` is nested
+#: in ``Worker.run`` and runs, through ``yield from``, inside that
+#: activation: the shared lock it creates is created by a ``Worker``,
+#: like the private one beside it.  One un-elidable site among the
+#: ``(Worker, Lock)`` sites, so nothing of that pair may be elided.
+_NESTED_HELPER_LOCK = _PRELUDE + """\
+
+ROUNDS = 3
+
+
+class Sink(SimObject):
+    def __init__(self) -> None:
+        self.uses = 0
+
+    def use(self, ctx, gate, rounds):
+        for _ in range(rounds):
+            yield Invoke(gate, "acquire")
+            self.uses += 1
+            yield Charge(1.0)
+            yield Invoke(gate, "release")
+
+    def count(self, ctx):
+        return self.uses
+
+
+class Worker(SimObject):
+    def __init__(self, sink: "Sink") -> None:
+        self.sink = sink
+
+    def run(self, ctx):
+        def fan_out(sink):
+            shared = yield New(Lock)
+            first = yield Fork(sink, "use", shared, ROUNDS)
+            second = yield Fork(sink, "use", shared, ROUNDS)
+            yield Join(first)
+            yield Join(second)
+
+        private = yield New(Lock)
+        yield Invoke(private, "acquire")
+        yield from fan_out(self.sink)
+        yield Invoke(private, "release")
+        total = yield Invoke(self.sink, "count")
+        return total
+
+
+def main(ctx):
+    sink = yield New(Sink)
+    worker = yield New(Worker, sink)
+    result = yield Invoke(worker, "run")
+    return result
+"""
+
 
 @dataclass(frozen=True)
 class ElideFixture:
@@ -313,5 +365,15 @@ FIXTURES: Dict[str, ElideFixture] = {
             runnable=True,
             expect_result=2 * sum(range(6)),
             expect_elided=True),
+        ElideFixture(
+            name="nested-helper-lock",
+            source=_NESTED_HELPER_LOCK,
+            expected_rules=("AMB301", "AMB304"),
+            confined=("Worker",),
+            immutable=("Worker",),
+            elidable_owners=(),
+            runnable=True,
+            expect_result=2 * 3,
+            expect_elided=False),
     )
 }

@@ -20,8 +20,11 @@ unobservable** except in host cost and event count.
   fully installed): any cross-thread touch of a claimed-confined
   object, any post-construction write to a claimed-immutable class,
   and any cross-thread acquire of an elision-marked lock is a hard
-  ``AMBELIDE-UNSOUND`` finding.  A deliberately unsound elision set is
-  also run to prove the auditor has teeth;
+  ``AMBELIDE-UNSOUND`` finding; and no lock may be marked whose own
+  creation site the analysis judged un-elidable (the static lock owner
+  must be the one the kernel computes).  The bundled apps run under
+  the same audit.  A deliberately unsound elision set is also run to
+  prove the auditor has teeth;
 * **``--verify``** adds: bounded AmberCheck exploration with elision
   active, bit-identical results/elapsed (fixtures and the bundled
   apps of ``repro.apps.WORKLOADS``) between elision on and off, and
@@ -38,10 +41,11 @@ elision makes a run *faster* is AmberBench's question
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.elide import runtime as _ert
 from repro.analyze.elide.artifact import (
@@ -159,6 +163,31 @@ def _make_audit_sanitizer() -> Any:
             self._au_first: Dict[int, int] = {}
             #: lock id() -> tid of the first acquirer (lock claim).
             self._au_lock_first: Dict[int, int] = {}
+            #: Objects created since the last step began.
+            self._au_fresh: List[Any] = []
+            #: ``(class, file, line)`` of every elision-marked lock, at
+            #: the ``yield New`` that created it.
+            self.marked: List[Tuple[str, str, int]] = []
+
+        def on_create(self, obj: Any) -> None:
+            self._au_fresh.append(obj)
+            super().on_create(obj)
+
+        def step_begin(self, thread: Any, obj: Any, method: str) -> None:
+            # ``New`` resumes its creator in the kernel step that made
+            # the object: the thread whose step begins next is the
+            # creator, still suspended at its ``yield New`` line.
+            for made in self._au_fresh:
+                if getattr(made, "_elide_ok", False):
+                    gen = thread.stack[-1].gen
+                    while getattr(gen, "gi_yieldfrom", None) is not None \
+                            and hasattr(gen.gi_yieldfrom, "gi_frame"):
+                        gen = gen.gi_yieldfrom
+                    self.marked.append((type(made).__name__,
+                                        gen.gi_frame.f_code.co_filename,
+                                        gen.gi_frame.f_lineno))
+            self._au_fresh.clear()
+            super().step_begin(thread, obj, method)
 
         def _unsound(self, obj: Any, vaddr: int, name: str,
                      message: str, frame: Any = None) -> None:
@@ -214,19 +243,50 @@ def _make_audit_sanitizer() -> Any:
     return _AuditSanitizer()
 
 
-def _audit_run(fx: ElideFixture) -> Tuple[_RunRecord, List[Any]]:
-    """Run ``fx`` sanitized under the auditing sanitizer; the caller
-    has already activated an elision set (audit mode)."""
+def _audit_run(run: Callable[[], Any]
+               ) -> Tuple[Any, List[Any], List[Tuple[str, str, int]]]:
+    """Run a program sanitized under the auditing sanitizer (the
+    caller has activated an elision set in audit mode); returns its
+    result, the findings, and where each marked lock was created."""
     from repro.analyze import runtime as _rt
 
     _rt.set_sanitizer_factory(_make_audit_sanitizer)
     try:
         with _rt.sanitize_runs() as sanitizers:
-            result = _program(fx, sanitize=True).run(fx.load_main())
+            result = run()
     finally:
         _rt.set_sanitizer_factory(None)
     findings = [f for s in sanitizers for f in s.report().findings]
-    return _RunRecord.of(result), findings
+    marked = [site for s in sanitizers
+              for site in getattr(s, "marked", ())]
+    return result, findings, marked
+
+
+def _audit_fixture(fx: ElideFixture
+                   ) -> Tuple[Any, List[Any], List[Tuple[str, str, int]]]:
+    main = fx.load_main()
+    return _audit_run(lambda: _program(fx, sanitize=True).run(main))
+
+
+def _mismarked(artifact: ElideArtifact,
+               marked: List[Tuple[str, str, int]]) -> List[str]:
+    """The marked locks created at a site the analysis itself judged
+    un-elidable: the runtime's ``(owner, class)`` pair then differs
+    from the static one, and the all-sites rule protects nothing."""
+    refused = {(str(lock["path"]), lock["line"])
+               for lock in artifact.locks if not lock["elidable"]}
+    return [f"{cls} created at {file}:{line} is marked, but its site "
+            f"is un-elidable"
+            for cls, file, line in marked if (file, line) in refused]
+
+
+def _apps_artifact() -> ElideArtifact:
+    """The artifact of the bundled apps, wherever the package is (the
+    paths are the ones their code objects carry)."""
+    import repro.apps
+
+    sources, _ = collect_sources([os.path.dirname(repro.apps.__file__)])
+    return build_artifact(classify_sources(sources), sources)
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +492,21 @@ def _outcome_hint_promotion() -> Outcome:
 def _outcome_soundness_audit() -> Outcome:
     """Audit-mode runs observe every access; claims must hold — and a
     deliberately unsound set must be *caught*."""
+    from repro.apps import WORKLOADS
+
     details: List[str] = []
     ok = True
     runnable = [fx for fx in FIXTURES.values() if fx.runnable]
     for fx in runnable:
-        _activated(fx, audit=True)
+        artifact = _activated(fx, audit=True)
         try:
-            record, findings = _audit_run(fx)
+            result, findings, marked = _audit_fixture(fx)
         finally:
             _ert.deactivate()
+        record = _RunRecord.of(result)
         unsound = [f for f in findings
                    if f.rule == "AMBELIDE-UNSOUND"]
-        problems: List[str] = []
+        problems = _mismarked(artifact, marked)
         if findings:
             problems.append(
                 f"{len(findings)} sanitizer finding(s), "
@@ -463,6 +526,26 @@ def _outcome_soundness_audit() -> Outcome:
             details.append(f"{fx.name}: clean audit, "
                            f"{record.elided} op(s) elided")
 
+    apps_artifact = _apps_artifact()
+    for name, run in WORKLOADS.items():
+        if not apps_artifact.activate(audit=True):
+            ok = False
+            details.append(f"{name}: apps artifact stale on disk")
+            continue
+        try:
+            # The fast sizes: what gets marked does not depend on it.
+            _, findings, marked = _audit_run(lambda: run(True))
+        finally:
+            _ert.deactivate()
+        problems = _mismarked(apps_artifact, marked) + [
+            f.message for f in findings if f.rule == "AMBELIDE-UNSOUND"]
+        if problems:
+            ok = False
+            details.append(f"{name}: " + "; ".join(problems))
+        else:
+            details.append(f"{name}: clean audit, "
+                           f"{len(marked)} lock(s) marked")
+
     # Teeth check: claim the shared pool confined and its gate
     # elidable; the audit must produce AMBELIDE-UNSOUND findings.
     fx = FIXTURES["shared-pool"]
@@ -473,7 +556,7 @@ def _outcome_soundness_audit() -> Outcome:
         immutable=frozenset(),
         fingerprint="deliberately-unsound"), audit=True)
     try:
-        record, findings = _audit_run(fx)
+        _, findings, _ = _audit_fixture(fx)
     finally:
         _ert.deactivate()
     caught = [f for f in findings if f.rule == "AMBELIDE-UNSOUND"]
@@ -555,8 +638,7 @@ def _outcome_bit_identical(fast: bool) -> Outcome:
                 f"{off[0].events} -> {on[0].events}, "
                 f"{on[0].elided} op(s) elided")
 
-    sources, _ = collect_sources(["src/repro/apps"])
-    apps_artifact = build_artifact(classify_sources(sources), sources)
+    apps_artifact = _apps_artifact()
     for name, run in WORKLOADS.items():
         off_runs = [fingerprint(run(fast)) for _ in range(2)]
         if not apps_artifact.activate():

@@ -7,6 +7,7 @@ raise, stale artifacts that disable silently, and the on/off
 equivalence of the elision fast paths.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analyze.elide import runtime as ert
+from repro.analyze.elide import scenario
 from repro.analyze.elide.artifact import (
     ELIDE_SCHEMA,
     ElideArtifact,
@@ -108,6 +110,121 @@ class TestClassification:
             "    yield Invoke(gate, 'release')\n"))]
         artifact = build_artifact(classify_sources(sources), sources)
         assert artifact.lock_owners == []
+
+
+#: The module-level twin of the ``nested-helper-lock`` fixture: the
+#: helper that creates the shared lock is a module-level generator
+#: (static owner ``<main>``) that ``Worker.run`` delegates to — so the
+#: lock is created, at run time, by a ``Worker`` activation.
+_MODULE_HELPER_LOCK = FIXTURES["nested-helper-lock"].source.replace(
+    """\
+        def fan_out(sink):
+            shared = yield New(Lock)
+            first = yield Fork(sink, "use", shared, ROUNDS)
+            second = yield Fork(sink, "use", shared, ROUNDS)
+            yield Join(first)
+            yield Join(second)
+
+""", "").replace("""\
+class Worker(SimObject):
+""", """\
+def fan_out(sink):
+    shared = yield New(Lock)
+    first = yield Fork(sink, "use", shared, ROUNDS)
+    second = yield Fork(sink, "use", shared, ROUNDS)
+    yield Join(first)
+    yield Join(second)
+
+
+class Worker(SimObject):
+""")
+
+
+class TestLockOwner:
+    """The static owner of a lock site is the class of the activation
+    that creates the lock at run time (``sim/kernel.py``: the object on
+    top of the creating thread's stack)."""
+
+    def _fixtures(self):
+        nested = FIXTURES["nested-helper-lock"]
+        return [nested, dataclasses.replace(
+            nested, name="module-helper-lock", source=_MODULE_HELPER_LOCK)]
+
+    def test_the_twin_really_moved_the_helper(self):
+        nested, twin = self._fixtures()
+        assert "\ndef fan_out(sink):" in twin.source
+        assert "        def fan_out(sink):" not in twin.source
+        assert twin.source.count("New(Lock)") \
+            == nested.source.count("New(Lock)") == 2
+
+    def test_nested_helper_site_is_owned_by_the_methods_class(self):
+        nested, twin = self._fixtures()
+        sites = {site.var: site for site in
+                 classify_sources(nested.sources()).lock_sites}
+        assert (sites["shared"].owner, sites["shared"].elidable) \
+            == ("Worker", False)
+        assert (sites["private"].owner, sites["private"].elidable) \
+            == ("Worker", True)
+        sites = {site.var: site for site in
+                 classify_sources(twin.sources()).lock_sites}
+        assert (sites["shared"].owner, sites["shared"].elidable) \
+            == (ert.MAIN_OWNER, False)
+
+    def test_no_pair_is_elidable_and_no_lock_is_marked(self):
+        for fx in self._fixtures():
+            artifact = scenario._activated(fx, audit=True)
+            try:
+                result, findings, marked = scenario._audit_fixture(fx)
+            finally:
+                ert.deactivate()
+            assert artifact.lock_owners == [], fx.name
+            assert marked == [] and findings == [], fx.name
+            assert scenario._mismarked(artifact, marked) == []
+            assert result.value == fx.expect_result
+            counters = result.cluster.metrics.counters
+            assert "lock_elided_total" not in counters \
+                or counters["lock_elided_total"].value == 0
+
+    def test_unelidable_main_site_vetoes_its_class_for_every_owner(self):
+        locks = [
+            {"path": "p", "line": 1, "owner": "<main>", "var": "a",
+             "cls": "Lock", "elidable": False, "reason": ""},
+            {"path": "p", "line": 2, "owner": "Worker", "var": "b",
+             "cls": "Lock", "elidable": True, "reason": ""},
+            {"path": "p", "line": 3, "owner": "Worker", "var": "c",
+             "cls": "SpinLock", "elidable": True, "reason": ""},
+            {"path": "p", "line": 4, "owner": "<main>", "var": "d",
+             "cls": "Monitor", "elidable": True, "reason": ""},
+        ]
+        artifact = ElideArtifact(schema=ELIDE_SCHEMA, locks=locks)
+        assert artifact.lock_owners == [("<main>", "Monitor"),
+                                        ("Worker", "SpinLock")]
+
+    def test_the_audit_catches_a_marked_lock_with_an_unelidable_site(self):
+        """What the parent commit did: the pair of the private lock
+        marks the shared one created under the same activation."""
+        fx = FIXTURES["nested-helper-lock"]
+        artifact = _fixture_artifact(fx.name)
+        ert.activate(ert.ElideSet(
+            lock_owners=frozenset({("Worker", "Lock")})), audit=True)
+        try:
+            _, findings, marked = scenario._audit_fixture(fx)
+        finally:
+            ert.deactivate()
+        assert len(marked) == 2
+        problems = scenario._mismarked(artifact, marked)
+        assert len(problems) == 1 and ":29 is marked" in problems[0]
+        assert [f.rule for f in findings] \
+            and {f.rule for f in findings} == {"AMBELIDE-UNSOUND"}
+
+
+    def test_apps_are_audited_under_the_paths_their_code_carries(self):
+        """A marked lock is matched to its site by ``co_filename``."""
+        from repro.apps.queens import run_amber_queens
+
+        artifact = scenario._apps_artifact()
+        assert run_amber_queens.__code__.co_filename in artifact.sources
+        assert artifact.stale_sources() == []
 
 
 class TestArtifact:
