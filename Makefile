@@ -9,8 +9,11 @@ install:
 test:
 	python -m pytest tests/ -q
 
+# Every Amber program shipped in the tree: the bundled apps and
+# examples, the paper-figure drivers, the recovery workloads.
 lint:
-	PYTHONPATH=src python -m repro lint src/repro/apps examples
+	PYTHONPATH=src python -m repro lint src/repro/apps examples \
+		src/repro/bench src/repro/recovery/workloads.py
 
 analyze:
 	PYTHONPATH=src python -m repro analyze --fast
