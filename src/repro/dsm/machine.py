@@ -5,22 +5,34 @@ pinned to their nodes (data ships to computation, never the reverse), so
 there is no migration machinery — the entire inter-node traffic is page
 transfers, invalidations, and the optional RPC lock/barrier services.
 
-Three of Li & Hudak's ownership-management algorithms are implemented
-(``manager_mode``): a single *centralized* manager, the default *fixed*
-distributed managers (pages striped across nodes), and the *dynamic*
-distributed manager, where requests chase per-node probOwner hints to the
-owner itself — structurally the same locating algorithm as Amber's
-forwarding addresses, path compression included.
+Protocol (write-invalidate), the same in every ``manager_mode``.  Each
+page has one :class:`OwnershipRecord` — owner, copyset, queue of waiting
+faults — and ``at`` below is the node that holds it:
 
-Protocol (write-invalidate; shown for a separate manager):
+* A fault traps, blocks its process and travels to ``at``, which
+  serializes transactions per page: concurrent faults queue on the record.
+* read fault: ``at`` -> owner; the owner downgrades to READ, then packs
+  and ships the page; the requester installs it and confirms to ``at``,
+  its node now in the copyset.
+* write fault: ``at`` invalidates every copy except the requester's (in
+  parallel, each acknowledged to ``at``), has the owner ship the page
+  unless the requester already holds a copy, and once all of that is in
+  grants WRITE and makes the requester the owner.
 
-* read fault: requester -> manager -> owner; the owner downgrades to READ
-  and ships the page; the requester confirms to the manager, which adds it
-  to the copyset.
-* write fault: requester -> manager; the manager invalidates every copy
-  except the requester's, has the owner ship the page (skipped if the
-  requester already holds a READ copy), and transfers ownership.
-* The manager serializes transactions per page; concurrent faults queue.
+Li & Hudak's three ownership-management algorithms differ in three
+decisions and in nothing else:
+
+1. *How a fault reaches* ``at``.  "centralized" and "fixed": ``at`` is
+   the page's manager (node 0, or striped by page number), one
+   :meth:`IvyCluster._forward` away.  "dynamic": ``at`` is the owner
+   itself, found by chasing per-node probOwner hints
+   (:meth:`IvyCluster._chase_owner`) — structurally the locating
+   algorithm of Amber's forwarding addresses, path compression included.
+2. *How* ``at`` *reaches the owner*: another ``_forward`` from a manager;
+   in "dynamic" mode it is already there.
+3. *Whether the record moves with ownership*: it stays with its manager;
+   in "dynamic" mode it moves, queue and all, to the new owner — exactly
+   as Li forwards pending requests.
 
 All delays come from the shared :class:`~repro.core.costs.CostModel` and
 the same contended Ethernet the Amber backend uses, so head-to-head
@@ -90,6 +102,9 @@ class IvyProcess:
         self.cpu: Optional[int] = None
         self.send_value: Any = None
         self.send_exc: Optional[BaseException] = None
+        #: Set while blocked in a fault: what to run, instead of the
+        #: generator, once the process has a CPU again.
+        self.continuation: Optional[Callable[[], None]] = None
         self.result: Any = None
         self.exception: Optional[BaseException] = None
 
@@ -105,7 +120,8 @@ class _IvyNode:
         self.run_queue: Deque[IvyProcess] = deque()
         self.pages = PageTable(node_id)
         self.manager = ManagerTable(node_id)
-        #: Dynamic-manager state: believed owner per page (probOwner).
+        #: Believed owner per page (probOwner).  Kept up to date in every
+        #: mode; only the dynamic chase reads it.
         self.prob_owner: Dict[int, int] = {}
         #: Dynamic-manager state: records for the pages this node OWNS.
         self.owned: Dict[int, OwnershipRecord] = {}
@@ -143,7 +159,7 @@ class IvyCluster:
         self.stats = IvyStats()
         self.processes: List[IvyProcess] = []
         self._locks: Dict[int, Dict[str, Any]] = {}
-        self._barriers: Dict[int, Dict[str, Any]] = {}
+        self._barriers: Dict[int, List[IvyProcess]] = {}
         self._next_pid = 0
 
     # -- topology helpers ------------------------------------------------
@@ -198,25 +214,19 @@ class IvyCluster:
         self._try_dispatch(node)
 
     def _try_dispatch(self, node: _IvyNode) -> None:
-        """Hand idle CPUs to queued processes.  The queue holds both fresh
-        generator resumptions and mid-fault continuations."""
+        """Hand idle CPUs to queued processes: each resumes into its
+        mid-fault continuation if it has one, else into its generator."""
         while node.run_queue:
             try:
                 cpu = node.cpu_busy.index(None)
             except ValueError:
                 return
-            entry = node.run_queue.popleft()
-            if isinstance(entry, _Continuation):
-                proc = entry.proc
-                proc.state = "running"
-                proc.cpu = cpu
-                node.cpu_busy[cpu] = proc
-                self.sim.call_now(entry.fn)
-            else:
-                entry.state = "running"
-                entry.cpu = cpu
-                node.cpu_busy[cpu] = entry
-                self.sim.call_now(lambda p=entry: self._advance(p))
+            proc = node.run_queue.popleft()
+            proc.state = "running"
+            proc.cpu = cpu
+            node.cpu_busy[cpu] = proc
+            resume, proc.continuation = proc.continuation, None
+            self.sim.call_now(resume or (lambda p=proc: self._advance(p)))
 
     def _release_cpu(self, proc: IvyProcess) -> None:
         node = self.nodes[proc.node]
@@ -344,32 +354,47 @@ class IvyCluster:
 
     def _fault(self, proc: IvyProcess, page: int, want: PageAccess,
                resume_step) -> None:
-        """Handle one page fault: trap, talk to the manager, block until
-        the page (and for writes, ownership) arrives."""
-        costs = self.costs
+        """Handle one page fault: trap, send the request to wherever the
+        page's record is, block until the page (and for writes,
+        ownership) arrives."""
         if want is PageAccess.WRITE:
             self.stats.write_faults += 1
         else:
             self.stats.read_faults += 1
 
+        def resume() -> None:
+            # Re-runs the _ensure step on the faulting process's node;
+            # the process regains a CPU first.
+            proc.continuation = resume_step
+            self._resume(proc)
+
+        request = (proc, want, resume)
+
         def trapped() -> None:
             self._block(proc)
             if self.manager_mode == "dynamic":
-                self._chase_owner(proc.node, page,
-                                  (proc, want, resume_again), trace=())
-            else:
-                self._to_manager(page, (proc, want, resume_again))
+                self._chase_owner(proc.node, page, request, trace=())
+                return
+            at = self.manager_of(page)
+            self._forward(proc.node, at, lambda: self._serialize(
+                at, page, self.nodes[at].manager.record(page), request))
 
-        def resume_again() -> None:
-            # Re-runs the _ensure step on the faulting process's node;
-            # the process regains a CPU first.
-            proc.send_value = None
-            proc.state = "ready"
-            node = self.nodes[proc.node]
-            node.run_queue.append(_Continuation(proc, resume_step))
-            self._try_dispatch(node)
+        self._charge(proc, self.costs.page_fault_us, trapped)
 
-        self._charge(proc, costs.page_fault_us, trapped)
+    def _forward(self, src: int, dst: int, then) -> None:
+        """A control message, or a table lookup when the destination is
+        here."""
+        if src == dst:
+            self.sim.schedule_us(self.costs.manager_us, then)
+        else:
+            self.network.send(src, dst, self.costs.control_bytes, then)
+
+    def _hop(self, src: int, dst: int, then) -> None:
+        """A control message, or nothing between a node and itself."""
+        if src == dst:
+            then()
+        else:
+            self.network.send(src, dst, self.costs.control_bytes, then)
 
     # -- dynamic distributed manager (Li & Hudak's probOwner scheme) ----
 
@@ -389,415 +414,232 @@ class IvyCluster:
             return record
         return None
 
-    def _prob_owner(self, node_id: int, page: int) -> int:
-        return self.nodes[node_id].prob_owner.get(page, 0)
-
-    def _chase_owner(self, at_node: int, page: int, request,
+    def _chase_owner(self, at: int, page: int, request,
                      trace: Tuple[int, ...]) -> None:
         """Deliver a fault request to the page's owner by following
         probOwner hints — the DSM twin of Amber's forwarding-address
         chase (section 3.3)."""
         if len(trace) > self.MAX_CHASE:
-            proc, _, _ = request
+            proc = request[0]
             proc.send_exc = SimulationError(
                 f"page {page}: probOwner chase exceeded {self.MAX_CHASE}")
             self._ready(proc)
             return
-        record = self._owner_record(at_node, page)
+        record = self._owner_record(at, page)
         if record is not None:
-            # Found the owner: serialize, then run the transaction here.
-            self._send_prob_hints(trace, page, at_node)
-            if record.busy:
-                record.queue.append(request)
-                return
-            record.busy = True
-            self._owner_transaction(at_node, page, record, request)
+            # Found the owner.  Point every node along the path at it
+            # (path compression; advisory, so no acknowledgements).
+            for visited in trace:
+                if visited != at:
+                    self.nodes[visited].prob_owner[page] = at
+            self._serialize(at, page, record, request)
             return
-        target = self._prob_owner(at_node, page)
-        if target == at_node:
+        target = self.nodes[at].prob_owner.get(page, 0)
+        if target == at:
             # Stale self-hint: fall back to the initial owner.
             target = 0
         self.stats.owner_forwards += 1
-
-        def delivered() -> None:
-            self.sim.schedule_us(
+        self.network.send(
+            at, target, self.costs.control_bytes,
+            lambda: self.sim.schedule_us(
                 self.costs.manager_us,
                 lambda: self._chase_owner(target, page, request,
-                                          trace + (at_node,)))
+                                          trace + (at,))))
 
-        self.network.send(at_node, target, self.costs.control_bytes,
-                          delivered)
+    # -- the transaction, at the node that holds the page's record --------
 
-    def _send_prob_hints(self, trace: Tuple[int, ...], page: int,
-                         owner: int) -> None:
-        """Point every node along the chase path at the owner (path
-        compression; advisory, so no acknowledgements)."""
-        for visited in trace:
-            if visited != owner:
-                self.nodes[visited].prob_owner[page] = owner
+    def _record_home(self, page: int, record: OwnershipRecord) -> int:
+        """Where the page's record lives: with its manager, or in
+        "dynamic" mode with its owner."""
+        if self.manager_mode == "dynamic":
+            return record.owner
+        return self.manager_of(page)
 
-    def _owner_transaction(self, owner: int, page: int,
-                           record: OwnershipRecord, request) -> None:
-        """The owner services the fault itself (no separate manager)."""
-        proc, want, resume = request
-        costs = self.costs
-        requester = proc.node
-
-        def finish() -> None:
-            record.busy = False
-            resume()
-            self._drain_record(record, page)
-
-        if want is PageAccess.READ:
-            if requester == owner:
-                self.nodes[owner].pages.set_access(page, PageAccess.READ)
-                record.copyset.add(owner)
-                self.sim.schedule_us(costs.manager_us, finish)
-                return
-
-            def ship() -> None:
-                self.nodes[owner].pages.set_access(page, PageAccess.READ)
-                self._count_transfer(page)
-                self.network.send(owner, requester, costs.page_bytes,
-                                  install)
-
-            def install() -> None:
-                def installed() -> None:
-                    self.nodes[requester].pages.set_access(
-                        page, PageAccess.READ)
-                    record.copyset.add(requester)
-                    self.nodes[requester].prob_owner[page] = owner
-                    # Confirm to the owner (it is the manager here).
-                    self.network.send(requester, owner,
-                                      costs.control_bytes, finish)
-                self.sim.schedule_us(costs.page_install_us, installed)
-
-            self.sim.schedule_us(costs.page_pack_us, ship)
-            return
-
-        # Write fault: invalidate every copy, ship the page if needed,
-        # and hand the record itself to the requester.
-        has_copy = (self.nodes[requester].pages.access(page)
-                    is not PageAccess.NONE) or requester == owner
-        to_invalidate = {n for n in record.copyset | {owner}
-                         if n != requester}
-        pending = {"acks": len(to_invalidate), "page": not has_copy}
-
-        def maybe_done() -> None:
-            if pending["acks"] == 0 and not pending["page"]:
-                self.nodes[requester].pages.set_access(page,
-                                                       PageAccess.WRITE)
-                # Ownership (and the record) moves to the requester.
-                del self.nodes[owner].owned[page]
-                record.owner = requester
-                record.copyset = {requester}
-                self.nodes[requester].owned[page] = record
-                self.nodes[owner].prob_owner[page] = requester
-                finish()
-
-        for target in sorted(to_invalidate):
-            def invalidate(t=target) -> None:
-                def zap() -> None:
-                    self.nodes[t].pages.set_access(page, PageAccess.NONE)
-                    self.stats.invalidations += 1
-                    self.nodes[t].prob_owner[page] = requester
-
-                    def acked() -> None:
-                        pending["acks"] -= 1
-                        maybe_done()
-                    if t == owner:
-                        acked()
-                    else:
-                        self.network.send(t, owner, costs.control_bytes,
-                                          acked)
-                self.sim.schedule_us(costs.invalidate_us, zap)
-
-            if target == owner:
-                invalidate()
-            else:
-                self.network.send(owner, target, costs.control_bytes,
-                                  lambda t=target: invalidate(t))
-
-        if pending["page"]:
-            def ship() -> None:
-                self._count_transfer(page)
-                self.network.send(owner, requester, costs.page_bytes,
-                                  install)
-
-            def install() -> None:
-                def installed() -> None:
-                    pending["page"] = False
-                    maybe_done()
-                self.sim.schedule_us(costs.page_install_us, installed)
-
-            self.sim.schedule_us(costs.page_pack_us, ship)
+    def _to_owner(self, at: int, owner: int, then) -> None:
+        """From the record's holder to the page's owner — which in
+        "dynamic" mode is where the record already is."""
+        if self.manager_mode == "dynamic":
+            then()
         else:
-            maybe_done()
+            self._forward(at, owner, then)
 
-    def _drain_record(self, record: OwnershipRecord, page: int) -> None:
-        """After a transaction, run the next queued request *wherever the
-        record now lives* — a write fault moves the record (queue and
-        all) to the new owner, exactly as Li forwards pending requests."""
-        if record.queue and not record.busy:
-            request = record.queue.popleft()
-            record.busy = True
-            self._owner_transaction(record.owner, page, record, request)
-
-    def _to_manager(self, page: int, request) -> None:
-        manager_node = self.manager_of(page)
-        requester = request[0].node
-
-        def arrived() -> None:
-            self._manager_enqueue(page, request)
-
-        if manager_node == requester:
-            self.sim.schedule_us(self.costs.manager_us, arrived)
-        else:
-            self.network.send(requester, manager_node,
-                              self.costs.control_bytes, arrived)
-
-    def _manager_enqueue(self, page: int, request) -> None:
-        record = self.nodes[self.manager_of(page)].manager.record(page)
+    def _serialize(self, at: int, page: int, record: OwnershipRecord,
+                   request) -> None:
+        """One transaction per page at a time; later faults queue."""
         if record.busy:
             record.queue.append(request)
             return
         record.busy = True
-        self._transaction(page, record, request)
+        self._transaction(at, page, record, request)
 
-    def _transaction(self, page: int, record: OwnershipRecord,
+    def _transaction(self, at: int, page: int, record: OwnershipRecord,
                      request) -> None:
         proc, want, resume = request
-        costs = self.costs
-        manager_node = self.manager_of(page)
-        requester = proc.node
+        costs, nodes = self.costs, self.nodes
+        requester, owner = proc.node, record.owner
 
         def finish() -> None:
             record.busy = False
             resume()
             if record.queue:
-                next_request = record.queue.popleft()
-                record.busy = True
-                self._transaction(page, record, next_request)
+                # A write fault may have moved the record: the next
+                # transaction runs wherever it lives now.
+                self._serialize(self._record_home(page, record), page,
+                                record, record.queue.popleft())
 
         if want is PageAccess.READ:
-            owner = record.owner
-            if owner == requester:
-                # First touch of a page we nominally own (zero-filled):
-                # grant read access without any transfer.
-                self.nodes[requester].pages.set_access(page,
-                                                       PageAccess.READ)
+            def readable() -> None:
+                nodes[requester].pages.set_access(page, PageAccess.READ)
                 record.copyset.add(requester)
+
+            def at_owner() -> None:
+                def downgrade() -> None:
+                    nodes[owner].pages.set_access(page, PageAccess.READ)
+
+                if self.manager_mode == "dynamic":
+                    self._ship(page, owner, requester, installed,
+                               packed=downgrade)
+                else:
+                    downgrade()
+                    self._ship(page, owner, requester, installed)
+
+            def installed() -> None:
+                readable()
+                nodes[requester].prob_owner[page] = owner
+                self._hop(requester, at, finish)   # the confirmation
+
+            if owner == requester:
+                # First touch of a page the requester nominally owns
+                # (zero-filled): read access without any transfer.
+                readable()
                 self.sim.schedule_us(costs.manager_us, finish)
-                return
-
-            def at_owner() -> None:
-                self.nodes[owner].pages.set_access(page, PageAccess.READ)
-                self.sim.schedule_us(costs.page_pack_us, ship)
-
-            def ship() -> None:
-                self._count_transfer(page)
-                self.network.send(owner, requester, costs.page_bytes,
-                                  install)
-
-            def install() -> None:
-                def installed() -> None:
-                    self.nodes[requester].pages.set_access(
-                        page, PageAccess.READ)
-                    record.copyset.add(requester)
-                    # Confirmation back to the manager.
-                    if requester == manager_node:
-                        finish()
-                    else:
-                        self.network.send(requester, manager_node,
-                                          costs.control_bytes, finish)
-                self.sim.schedule_us(costs.page_install_us, installed)
-
-            self._forward(manager_node, owner, at_owner)
-        else:
-            self._write_transaction(page, record, proc, finish)
-
-    def _write_transaction(self, page: int, record: OwnershipRecord,
-                           proc: IvyProcess, finish) -> None:
-        costs = self.costs
-        manager_node = self.manager_of(page)
-        requester = proc.node
-        owner = record.owner
-        has_copy = (self.nodes[requester].pages.access(page)
-                    is not PageAccess.NONE) or owner == requester
-        to_invalidate = {n for n in record.copyset | {owner}
-                         if n != requester}
-        pending = {"acks": len(to_invalidate), "page": not has_copy}
-
-        def maybe_done() -> None:
-            if pending["acks"] == 0 and not pending["page"]:
-                self.nodes[requester].pages.set_access(
-                    page, PageAccess.WRITE)
-                record.owner = requester
-                record.copyset = {requester}
-                finish()
-
-        # Invalidations fan out in parallel.
-        for target in sorted(to_invalidate):
-            def invalidate(t=target) -> None:
-                def zap() -> None:
-                    self.nodes[t].pages.set_access(page, PageAccess.NONE)
-                    self.stats.invalidations += 1
-
-                    def acked() -> None:
-                        pending["acks"] -= 1
-                        maybe_done()
-                    if t == manager_node:
-                        acked()
-                    else:
-                        self.network.send(t, manager_node,
-                                          costs.control_bytes, acked)
-                self.sim.schedule_us(costs.invalidate_us, zap)
-
-            if target == manager_node:
-                invalidate()
             else:
-                self.network.send(manager_node, target,
-                                  costs.control_bytes,
-                                  lambda t=target: invalidate(t))
+                self._to_owner(at, owner, at_owner)
+            return
 
-        # Page transfer from the old owner, if the requester lacks a copy.
-        if pending["page"]:
-            def at_owner() -> None:
-                self.sim.schedule_us(costs.page_pack_us, ship)
+        # Write fault.  Outstanding: one acknowledgement per copy to
+        # invalidate, plus the page itself if the requester has none.
+        has_copy = (owner == requester
+                    or nodes[requester].pages.access(page)
+                    is not PageAccess.NONE)
+        to_invalidate = sorted((record.copyset | {owner}) - {requester})
+        outstanding = len(to_invalidate) + (not has_copy)
 
-            def ship() -> None:
-                self._count_transfer(page)
-                self.network.send(owner, requester, costs.page_bytes,
-                                  install)
+        def one_in() -> None:
+            nonlocal outstanding
+            outstanding -= 1
+            if not outstanding:
+                writable()
 
-            def install() -> None:
-                def installed() -> None:
-                    pending["page"] = False
-                    maybe_done()
-                self.sim.schedule_us(costs.page_install_us, installed)
+        def writable() -> None:
+            nodes[requester].pages.set_access(page, PageAccess.WRITE)
+            nodes[owner].prob_owner[page] = requester
+            record.owner = requester
+            record.copyset = {requester}
+            home = self._record_home(page, record)
+            if home != at:
+                nodes[home].owned[page] = nodes[at].owned.pop(page)
+            finish()
 
-            self._forward(manager_node, owner, at_owner)
-        else:
-            maybe_done()
+        for target in to_invalidate:   # fan out in parallel
+            def zap(t=target) -> None:
+                nodes[t].pages.set_access(page, PageAccess.NONE)
+                nodes[t].prob_owner[page] = requester
+                self.stats.invalidations += 1
+                self._hop(t, at, one_in)   # the acknowledgement
 
-    def _forward(self, src: int, dst: int, then) -> None:
-        if src == dst:
-            self.sim.schedule_us(self.costs.manager_us, then)
-        else:
-            self.network.send(src, dst, self.costs.control_bytes, then)
+            self._hop(at, target, lambda z=zap: self.sim.schedule_us(
+                costs.invalidate_us, z))
+        if not has_copy:
+            self._to_owner(at, owner, lambda: self._ship(
+                page, owner, requester, one_in))
+        elif not outstanding:
+            writable()
 
-    def _count_transfer(self, page: int) -> None:
-        self.stats.page_transfers += 1
-        self.stats.transfers_by_page[page] = \
-            self.stats.transfers_by_page.get(page, 0) + 1
+    def _ship(self, page: int, owner: int, requester: int, installed,
+              packed=None) -> None:
+        """Pack the page at the owner, send it, install it at the
+        requester."""
+        costs = self.costs
+
+        def send() -> None:
+            if packed is not None:
+                packed()
+            self.stats.page_transfers += 1
+            by_page = self.stats.transfers_by_page
+            by_page[page] = by_page.get(page, 0) + 1
+            self.network.send(
+                owner, requester, costs.page_bytes,
+                lambda: self.sim.schedule_us(costs.page_install_us,
+                                             installed))
+
+        self.sim.schedule_us(costs.page_pack_us, send)
 
     # -- RPC lock / barrier services ----------------------------------------
 
+    def _rpc_request(self, proc: IvyProcess, server: int, at_server,
+                     awaits_reply: bool = True) -> None:
+        """The request leg of every service: the caller blocks, a control
+        message reaches the server, the server takes ``manager_us``."""
+        def arrived() -> None:
+            self.sim.schedule_us(self.costs.manager_us, at_server)
+            if not awaits_reply:
+                self._resume(proc)
+
+        self._block(proc)
+        self._hop(proc.node, server, arrived)
+
+    def _rpc_wake(self, server: int, waiter: IvyProcess) -> None:
+        """The wake-up leg: the server's reply unblocks ``waiter``."""
+        self._hop(server, waiter.node, lambda: self._resume(waiter))
+
+    def _lock_rpc(self, lock_id: int) -> Dict[str, Any]:
+        """Count one lock RPC; the lock's server-side state."""
+        self.stats.lock_rpcs += 1
+        return self._locks.setdefault(
+            lock_id, {"held": False, "queue": deque()})
+
     def _rpc_lock_acquire(self, proc: IvyProcess,
                           request: ops.RpcLockAcquire) -> None:
-        costs = self.costs
-        lock = self._locks.setdefault(
-            request.lock_id, {"held": False, "queue": deque()})
-        self.stats.lock_rpcs += 1
+        lock = self._lock_rpc(request.lock_id)
 
         def at_server() -> None:
             if lock["held"]:
                 lock["queue"].append(proc)
             else:
                 lock["held"] = True
-                grant()
+                self._rpc_wake(request.server, proc)
 
-        def grant() -> None:
-            if request.server == proc.node:
-                self._resume(proc)
-            else:
-                self.network.send(request.server, proc.node,
-                                  costs.control_bytes,
-                                  lambda: self._resume(proc))
-
-        def request_sent() -> None:
-            self.sim.schedule_us(costs.manager_us, at_server)
-
-        self._block(proc)
-        if request.server == proc.node:
-            request_sent()
-        else:
-            self.network.send(proc.node, request.server,
-                              costs.control_bytes, request_sent)
+        self._rpc_request(proc, request.server, at_server)
 
     def _rpc_lock_release(self, proc: IvyProcess,
                           request: ops.RpcLockRelease) -> None:
-        costs = self.costs
-        lock = self._locks.setdefault(
-            request.lock_id, {"held": False, "queue": deque()})
-        self.stats.lock_rpcs += 1
+        lock = self._lock_rpc(request.lock_id)
 
         def at_server() -> None:
             if lock["queue"]:
-                waiter = lock["queue"].popleft()
-                if request.server == waiter.node:
-                    self._resume(waiter)
-                else:
-                    self.network.send(request.server, waiter.node,
-                                      costs.control_bytes,
-                                      lambda w=waiter: self._resume(w))
+                self._rpc_wake(request.server, lock["queue"].popleft())
             else:
                 lock["held"] = False
 
-        def sent() -> None:
-            self.sim.schedule_us(costs.manager_us, at_server)
-            # The releaser does not wait for an acknowledgement.
-            self._resume(proc)
-
-        self._block(proc)
-        if request.server == proc.node:
-            sent()
-        else:
-            self.network.send(proc.node, request.server,
-                              costs.control_bytes, sent)
+        # The releaser does not wait for an acknowledgement.
+        self._rpc_request(proc, request.server, at_server,
+                          awaits_reply=False)
 
     def _rpc_barrier(self, proc: IvyProcess,
                      request: ops.RpcBarrier) -> None:
-        costs = self.costs
-        barrier = self._barriers.setdefault(
-            request.barrier_id, {"count": 0, "waiting": []})
+        barrier = self._barriers.setdefault(request.barrier_id, [])
 
         def at_server() -> None:
-            barrier["count"] += 1
-            barrier["waiting"].append(proc)
-            if barrier["count"] == request.parties:
+            barrier.append(proc)
+            if len(barrier) == request.parties:
                 self.stats.barrier_rounds += 1
-                waiting = barrier["waiting"]
-                barrier["count"] = 0
-                barrier["waiting"] = []
+                waiting = barrier[:]
+                barrier.clear()
                 for waiter in waiting:
-                    if waiter.node == request.server:
-                        self._resume(waiter)
-                    else:
-                        self.network.send(
-                            request.server, waiter.node,
-                            costs.control_bytes,
-                            lambda w=waiter: self._resume(w))
+                    self._rpc_wake(request.server, waiter)
 
-        self._block(proc)
-        if proc.node == request.server:
-            self.sim.schedule_us(costs.manager_us, at_server)
-        else:
-            self.network.send(proc.node, request.server,
-                              costs.control_bytes,
-                              lambda: self.sim.schedule_us(
-                                  costs.manager_us, at_server))
-
-
-class _Continuation:
-    """A blocked process resuming mid-_ensure: queued like a process but
-    resumes into a stored continuation instead of the generator."""
-
-    __slots__ = ("proc", "fn")
-
-    def __init__(self, proc: IvyProcess, fn):
-        self.proc = proc
-        self.fn = fn
+        self._rpc_request(proc, request.server, at_server)
 
 
 def run_ivy(workload: Callable[[IvyCluster], List[IvyProcess]],
