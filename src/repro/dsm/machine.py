@@ -493,15 +493,10 @@ class IvyCluster:
                 record.copyset.add(requester)
 
             def at_owner() -> None:
-                def downgrade() -> None:
-                    nodes[owner].pages.set_access(page, PageAccess.READ)
-
-                if self.manager_mode == "dynamic":
-                    self._ship(page, owner, requester, installed,
-                               packed=downgrade)
-                else:
-                    downgrade()
-                    self._ship(page, owner, requester, installed)
+                # Downgrade first: no process here may write the page
+                # while its copy is being packed.
+                nodes[owner].pages.set_access(page, PageAccess.READ)
+                self._ship(page, owner, requester, installed)
 
             def installed() -> None:
                 readable()
@@ -556,15 +551,13 @@ class IvyCluster:
         elif not outstanding:
             writable()
 
-    def _ship(self, page: int, owner: int, requester: int, installed,
-              packed=None) -> None:
+    def _ship(self, page: int, owner: int, requester: int,
+              installed) -> None:
         """Pack the page at the owner, send it, install it at the
         requester."""
         costs = self.costs
 
         def send() -> None:
-            if packed is not None:
-                packed()
             self.stats.page_transfers += 1
             by_page = self.stats.transfers_by_page
             by_page[page] = by_page.get(page, 0) + 1

@@ -54,6 +54,43 @@ class TestManagerModes:
             if node.pages.access(2) is PageAccess.WRITE)
         assert writers == 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_owner_cannot_write_a_page_while_it_is_packed(self, mode):
+        """A read fault downgrades the owner on arrival, then packs: a
+        writer on the owner's node faults instead of changing a page
+        whose copy is already being made."""
+        def writer(cluster):
+            written_at = []
+            for _ in range(200):
+                yield Write(0, 8)
+                written_at.append(cluster.elapsed_us)
+                yield Compute(10.0)
+            return written_at
+
+        def reader(cluster):
+            yield Compute(500.0)
+            yield Read(0, 8)
+
+        cluster = IvyCluster(2, 2, manager_mode=mode)
+        shipped_at = []
+        send = cluster.network.send
+
+        def spy(src, dst, nbytes, deliver):
+            if nbytes == cluster.costs.page_bytes:
+                shipped_at.append(cluster.elapsed_us)
+            send(src, dst, nbytes, deliver)
+
+        cluster.network.send = spy
+        owner_side = cluster.spawn(0, writer)
+        cluster.spawn(1, reader)
+        cluster.run()
+        (shipped,) = shipped_at
+        # A write checked just before the downgrade completes 1 us on.
+        packing_from = shipped - cluster.costs.page_pack_us + 2.0
+        assert [t for t in owner_side.result
+                if packing_from < t <= shipped] == []
+        assert cluster.stats.write_faults == 2
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(SimulationError):
             IvyCluster(2, 1, manager_mode="quantum")
