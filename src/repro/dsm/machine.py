@@ -171,15 +171,16 @@ class IvyCluster:
             return 0
         return page % len(self.nodes)
 
-    def node(self, node_id: int) -> _IvyNode:
-        return self.nodes[node_id]
-
     # -- process management ------------------------------------------------
 
     def spawn(self, node: int, fn: Callable, *args, name: str = ""
               ) -> IvyProcess:
         """Create a process on ``node`` running ``fn(cluster, *args)``
         (a generator function yielding :mod:`repro.dsm.ops` requests)."""
+        if not 0 <= node < len(self.nodes):
+            raise SimulationError(
+                f"spawn on node {node}: the cluster has nodes "
+                f"0..{len(self.nodes) - 1}")
         proc = IvyProcess(self._next_pid, node, name)
         self._next_pid += 1
         proc.gen = fn(self, *args)
@@ -325,9 +326,13 @@ class IvyCluster:
         elif isinstance(request, ops.RpcBarrier):
             self._rpc_barrier(proc, request)
         else:
-            proc.send_exc = InvocationError(
-                f"process yielded a non-request value: {request!r}")
-            self.sim.call_now(lambda: self._advance(proc))
+            self._refuse(proc, InvocationError(
+                f"process yielded a non-request value: {request!r}"))
+
+    def _refuse(self, proc: IvyProcess, error: Exception) -> None:
+        """Deliver ``error`` into the process at its bad request."""
+        proc.send_exc = error
+        self.sim.call_now(lambda: self._advance(proc))
 
     # -- page access / fault protocol -------------------------------------
 
@@ -474,6 +479,9 @@ class IvyCluster:
 
     def _transaction(self, at: int, page: int, record: OwnershipRecord,
                      request) -> None:
+        """Run one fault to completion at ``at``, then the next queued
+        one.  The single place a page's access rights, copyset and owner
+        change."""
         proc, want, resume = request
         costs, nodes = self.costs, self.nodes
         requester, owner = proc.node, record.owner
@@ -574,6 +582,12 @@ class IvyCluster:
                      awaits_reply: bool = True) -> None:
         """The request leg of every service: the caller blocks, a control
         message reaches the server, the server takes ``manager_us``."""
+        if not 0 <= server < len(self.nodes):
+            self._refuse(proc, SimulationError(
+                f"RPC to server node {server}: the cluster has nodes "
+                f"0..{len(self.nodes) - 1}"))
+            return
+
         def arrived() -> None:
             self.sim.schedule_us(self.costs.manager_us, at_server)
             if not awaits_reply:
@@ -587,16 +601,15 @@ class IvyCluster:
         self._hop(server, waiter.node, lambda: self._resume(waiter))
 
     def _lock_rpc(self, lock_id: int) -> Dict[str, Any]:
-        """Count one lock RPC; the lock's server-side state."""
+        """Count one lock RPC served; the lock's server-side state."""
         self.stats.lock_rpcs += 1
         return self._locks.setdefault(
             lock_id, {"held": False, "queue": deque()})
 
     def _rpc_lock_acquire(self, proc: IvyProcess,
                           request: ops.RpcLockAcquire) -> None:
-        lock = self._lock_rpc(request.lock_id)
-
         def at_server() -> None:
+            lock = self._lock_rpc(request.lock_id)
             if lock["held"]:
                 lock["queue"].append(proc)
             else:
@@ -607,9 +620,8 @@ class IvyCluster:
 
     def _rpc_lock_release(self, proc: IvyProcess,
                           request: ops.RpcLockRelease) -> None:
-        lock = self._lock_rpc(request.lock_id)
-
         def at_server() -> None:
+            lock = self._lock_rpc(request.lock_id)
             if lock["queue"]:
                 self._rpc_wake(request.server, lock["queue"].popleft())
             else:
@@ -621,14 +633,12 @@ class IvyCluster:
 
     def _rpc_barrier(self, proc: IvyProcess,
                      request: ops.RpcBarrier) -> None:
-        barrier = self._barriers.setdefault(request.barrier_id, [])
-
         def at_server() -> None:
-            barrier.append(proc)
-            if len(barrier) == request.parties:
+            waiting = self._barriers.setdefault(request.barrier_id, [])
+            waiting.append(proc)
+            if len(waiting) == request.parties:
                 self.stats.barrier_rounds += 1
-                waiting = barrier[:]
-                barrier.clear()
+                del self._barriers[request.barrier_id]
                 for waiter in waiting:
                     self._rpc_wake(request.server, waiter)
 

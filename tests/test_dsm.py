@@ -28,7 +28,7 @@ from repro.dsm.pages import (
     PageTable,
     pages_of_range,
 )
-from repro.errors import DeadlockError, InvocationError
+from repro.errors import DeadlockError, InvocationError, SimulationError
 
 
 class TestPageMath:
@@ -289,6 +289,33 @@ class TestMachine:
         cluster.spawn(0, bad)
         with pytest.raises(InvocationError):
             cluster.run()
+
+    @pytest.mark.parametrize("node", [-1, 2, 5])
+    def test_spawn_on_a_node_that_does_not_exist_rejected(self, node):
+        """A negative id must not index the node list from its end: the
+        process would run on the last node's CPUs under an id that
+        equals no owner or manager."""
+        cluster = IvyCluster(2, 1)
+        with pytest.raises(SimulationError, match="nodes 0..1"):
+            cluster.spawn(node, counter_process, 0, 1)
+        assert cluster.processes == []
+
+    @pytest.mark.parametrize("request_", [
+        RpcLockAcquire(0, server=9), RpcLockRelease(0, server=-1),
+        RpcBarrier(0, 1, server=2)])
+    def test_rpc_to_a_server_that_does_not_exist_rejected(self, request_):
+        def caller(cluster):
+            try:
+                yield request_
+            except SimulationError as error:
+                return str(error)
+
+        cluster = IvyCluster(2, 1)
+        proc = cluster.spawn(0, caller)
+        cluster.run()
+        assert "nodes 0..1" in proc.result
+        assert cluster.network.stats.messages == 0
+        assert cluster.stats.lock_rpcs == 0
 
     def test_more_processes_than_cpus(self):
         cluster = IvyCluster(1, 2)
