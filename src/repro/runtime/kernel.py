@@ -1067,17 +1067,6 @@ class NodeKernel:
         else:
             self.stats["moves_in"] += len(message.objects)
 
-    def _handle_fetch_replica(self, message: m.FetchReplicaMsg) -> None:
-        self._serve(message, self._fetch_replica, on_reader=False)
-
-    def _fetch_replica(self, message: m.FetchReplicaMsg,
-                       obj: AmberObject) -> None:
-        if not obj._amber_immutable:
-            raise ImmutabilityError(
-                f"object {message.vaddr:#x} is mutable; "
-                "replicas are only made of immutables")
-        self._ship_replica(obj, message.reply_to)
-
     # -- control operations ---------------------------------------------
 
     def _handle_control(self, message: m.ControlMsg) -> None:
@@ -1132,7 +1121,6 @@ class NodeKernel:
         m.MoveMsg: _handle_move,
         m.InstallMsg: _handle_install,
         m.LocateMsg: _handle_locate,
-        m.FetchReplicaMsg: _handle_fetch_replica,
         m.ControlMsg: _handle_control,
         _Pending: _resend,
         _Flush: _flush,

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-#: 2: frames are ``(code, fields)``; 1 pickled the message instance.
-PROTOCOL_VERSION = 2
+#: 3: ``FetchReplicaMsg`` (never sent) is gone and the codes after it
+#: moved down; 2: frames are ``(code, fields)``; 1 pickled the message
+#: instance.
+PROTOCOL_VERSION = 3
 
 
 class Hello(NamedTuple):
@@ -105,15 +107,6 @@ class LocateMsg(NamedTuple):
     trace: Tuple[int, ...] = ()
 
 
-class FetchReplicaMsg(NamedTuple):
-    """Ask a (believed) holder of an immutable object for a copy."""
-
-    request_id: int
-    reply_to: int
-    vaddr: int
-    trace: Tuple[int, ...] = ()
-
-
 class ControlMsg(NamedTuple):
     """Routed kernel-to-kernel request on an object: set-immutable,
     attach, unattach, delete.  ``op`` selects the action."""
@@ -194,11 +187,11 @@ class Shutdown(NamedTuple):
 
 
 #: Every message class; a class's index here is its code on the wire,
-#: so entries are only ever appended (with a new PROTOCOL_VERSION when
-#: one changes shape).
+#: so an entry is appended, never inserted — and a removal, like a
+#: change of shape, takes a new PROTOCOL_VERSION.
 KINDS: Tuple[type, ...] = (
     Hello, InvokeMsg, ResultMsg, LocationHint, CreateMsg, MoveMsg,
-    InstallMsg, LocateMsg, FetchReplicaMsg, ControlMsg, RegisterNode,
-    Heartbeat, PeerStatus, NodeDirectory, RegionRequest, RegionGrant,
-    RegionQuery, RegionAnswer, Shutdown,
+    InstallMsg, LocateMsg, ControlMsg, RegisterNode, Heartbeat,
+    PeerStatus, NodeDirectory, RegionRequest, RegionGrant, RegionQuery,
+    RegionAnswer, Shutdown,
 )

@@ -99,31 +99,13 @@ class Simulator:
         at this timestamp)."""
         return self.schedule_at_ns(self.now_ns, fn)
 
-    def step(self) -> bool:
-        """Run the next non-cancelled event.  Returns False when the queue
-        is empty."""
-        while self._queue:
-            event = heappop(self._queue)[2]
-            if event.cancelled:
-                continue
-            self.now_ns = event.time_ns
-            self._events_run += 1
-            if self._events_run > self.max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events}; "
-                    "likely a livelocked simulation")
-            event.fn()
-            return True
-        return False
-
     def run(self, until_us: Optional[float] = None) -> None:
         """Drain the event queue, optionally stopping once the clock would
         pass ``until_us``.
 
-        The draining loop is inlined rather than delegating to
-        :meth:`step` — on event-dense simulations the per-event method
-        call and re-entry cost is measurable (see ``repro perf``), and
-        this loop is the hot loop of everything built on the simulator.
+        This is the hot loop of everything built on the simulator: the
+        queue, ``heappop`` and the event counter are held in locals for
+        its duration.
         """
         if self.profiler is not None:
             self._run_profiled(until_us)

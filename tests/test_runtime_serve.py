@@ -85,7 +85,7 @@ class TestDispatchTable:
     def test_every_request_message_has_a_handler(self):
         requests = [cls for cls in m.KINDS
                     if {"request_id", "reply_to"} <= set(cls._fields)]
-        assert len(requests) >= 7
+        assert len(requests) >= 6
         assert [cls for cls in requests
                 if cls not in NodeKernel._HANDLERS] == []
 

@@ -102,7 +102,6 @@ SAMPLES = [
     m.InstallMsg(11, 1, {0x1100000: [1, 2, 3]}, ((0x1100000, 0x1100040),),
                  replica=True),
     m.LocateMsg(12, 0, 0x1100000, trace=(0,)),
-    m.FetchReplicaMsg(13, 0, 0x1100000),
     m.ControlMsg(14, 0, 0x1100000, "attach", 0x1100040),
     m.RegisterNode(1, ("127.0.0.1", 4000)),
     m.Heartbeat(1),
