@@ -647,11 +647,10 @@ class IvyCluster:
 
 def run_ivy(workload: Callable[[IvyCluster], List[IvyProcess]],
             nodes: int, cpus_per_node: int,
-            costs: Optional[CostModel] = None,
-            contended_network: bool = True) -> IvyCluster:
+            costs: Optional[CostModel] = None) -> IvyCluster:
     """Build a cluster, let ``workload`` spawn its processes, run to
     completion, and return the cluster (time + stats inside)."""
-    cluster = IvyCluster(nodes, cpus_per_node, costs, contended_network)
+    cluster = IvyCluster(nodes, cpus_per_node, costs)
     workload(cluster)
     cluster.run()
     return cluster

@@ -88,11 +88,9 @@ class RecoveryConfig:
         :class:`~repro.errors.NodeFailure` instead of hanging.
     ``checkpoint_interval_us``
         Period of the epoch checkpoint sweep (0 disables the sweep,
-        leaving only write-through checkpoints).
-    ``checkpoint_on_remote_invoke``
-        Ship a fresh snapshot whenever a remote invocation completes on
-        a mutable object — the write-through that makes every effect a
-        survivor has observed durable.
+        leaving only the write-through checkpoint shipped whenever a
+        remote invocation completes on a mutable object — what makes
+        every effect a survivor has observed durable).
     ``backup_placement``
         ``"home"``: back up on the object's home node (falling back to
         the ring when the object is resident *at* home); ``"ring"``:
@@ -104,10 +102,7 @@ class RecoveryConfig:
     confirm_us: float = 0.0           # 0 -> 2 * grace_us
     checkpointing: bool = True
     checkpoint_interval_us: float = 25_000.0
-    checkpoint_on_remote_invoke: bool = True
     backup_placement: str = "home"
-    #: Nominal wire size of one heartbeat, bytes.
-    heartbeat_bytes: int = 32
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_us <= 0:

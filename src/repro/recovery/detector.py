@@ -30,6 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
+#: Nominal wire size of one heartbeat, bytes.
+HEARTBEAT_BYTES = 32
+
 
 class HeartbeatDetector:
     """Heartbeat/suspicion service (one per recovering simulation)."""
@@ -66,8 +69,7 @@ class HeartbeatDetector:
                 if plan is not None and plan.partitioned(src.id, dst.id,
                                                          now):
                     continue
-                kernel.net.send(src.id, dst.id,
-                                self.config.heartbeat_bytes,
+                kernel.net.send(src.id, dst.id, HEARTBEAT_BYTES,
                                 lambda s=src.id: self._heard(s))
         self._check(now)
         kernel.sim.schedule_us(self.config.heartbeat_interval_us,

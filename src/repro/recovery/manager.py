@@ -249,7 +249,6 @@ class RecoveryManager:
         while len(log) > COMPLETION_LOG_LIMIT:
             log.pop(next(iter(log)))
         if self.config.checkpointing \
-                and self.config.checkpoint_on_remote_invoke \
                 and self.checkpoints.eligible(obj) \
                 and thread.location is not None:
             self._ship_checkpoint(obj, thread.location, carrier=thread)

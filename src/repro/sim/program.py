@@ -150,11 +150,9 @@ class AmberProgram:
 
 def run_program(main_fn, *args, nodes: int = 1, cpus_per_node: int = 4,
                 costs: Optional[CostModel] = None,
-                contended_network: bool = True,
                 faults=None, recovery=None) -> ProgramResult:
     """One-call convenience wrapper around :class:`AmberProgram`."""
-    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node,
-                           contended_network=contended_network)
+    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
     return AmberProgram(config, costs, faults,
                         recovery=recovery).run(main_fn, *args)
 
