@@ -42,8 +42,8 @@ elide:
 # The full static + dynamic + model-checking gauntlet.
 check: lint flow elide analyze amber-check
 
-# The paper-figure benchmark suite (simulated results asserted against
-# the paper's shape; pytest-benchmark records regeneration cost).
+# The paper-shape suite (simulated results asserted against the paper's
+# shape; nothing here is timed) plus AmberBench's smoke test.
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ -q
 

@@ -10,7 +10,6 @@ manager, because each step removes manager hops or manager hotspots.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.apps.sor import SorProblem
 from repro.apps.sor.ivy_sor import run_ivy_sor
 
@@ -25,31 +24,28 @@ def results():
             for mode in MODES}
 
 
-def test_regenerates(benchmark, results):
-    got = once(benchmark, lambda: results)
-    assert set(got) == set(MODES)
+def test_regenerates(results):
+    assert set(results) == set(MODES)
 
 
-def test_all_modes_complete_the_same_computation(benchmark, results):
-    got = once(benchmark, lambda: results)
-    iterations = {mode: r.iterations_run for mode, r in got.items()}
+def test_all_modes_complete_the_same_computation(results):
+    iterations = {mode: r.iterations_run for mode, r in results.items()}
     assert set(iterations.values()) == {PROBLEM.iterations}
 
 
-def test_dynamic_beats_fixed_beats_centralized(benchmark, results):
-    got = once(benchmark, lambda: results)
-    assert got["dynamic"].elapsed_us <= got["fixed"].elapsed_us
-    assert got["fixed"].elapsed_us <= got["centralized"].elapsed_us * 1.05
+def test_dynamic_beats_fixed_beats_centralized(results):
+    assert results["dynamic"].elapsed_us <= results["fixed"].elapsed_us
+    assert results["fixed"].elapsed_us \
+        <= results["centralized"].elapsed_us * 1.05
 
 
-def test_dynamic_sends_fewest_messages(benchmark, results):
-    got = once(benchmark, lambda: results)
-    assert got["dynamic"].network_messages < got["fixed"].network_messages
+def test_dynamic_sends_fewest_messages(results):
+    assert results["dynamic"].network_messages \
+        < results["fixed"].network_messages
 
 
-def test_prob_owner_chases_are_bounded(benchmark, results):
+def test_prob_owner_chases_are_bounded(results):
     """Path compression keeps chases short: forwards stay well below one
     per fault even in steady state."""
-    got = once(benchmark, lambda: results)
-    dynamic = got["dynamic"]
+    dynamic = results["dynamic"]
     assert dynamic.stats.owner_forwards < dynamic.stats.total_faults

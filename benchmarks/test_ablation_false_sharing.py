@@ -9,7 +9,6 @@ coherence unit is the problem-defined object.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.bench.ablations import false_sharing
 
 NODES = 4
@@ -25,12 +24,12 @@ def by_layout(rows):
     return {row.layout: row for row in rows}
 
 
-def test_regenerates(benchmark, rows):
-    assert len(once(benchmark, lambda: rows)) == 3
+def test_regenerates(rows):
+    assert len(rows) == 3
 
 
-def test_packed_counters_ping_pong(benchmark, rows):
-    table = by_layout(once(benchmark, lambda: rows))
+def test_packed_counters_ping_pong(rows):
+    table = by_layout(rows)
     packed = table["DSM: counters packed in one page"]
     aligned = table["DSM: counters page-aligned"]
     # Packing unrelated counters into one page amplifies traffic by well
@@ -39,24 +38,24 @@ def test_packed_counters_ping_pong(benchmark, rows):
     assert packed.page_transfers > 10 * max(1, aligned.page_transfers)
 
 
-def test_aligned_counters_quiet_after_first_touch(benchmark, rows):
-    table = by_layout(once(benchmark, lambda: rows))
+def test_aligned_counters_quiet_after_first_touch(rows):
+    table = by_layout(rows)
     aligned = table["DSM: counters page-aligned"]
     # First-touch faults only: bounded by one transaction per node.
     assert aligned.page_transfers <= NODES
 
 
-def test_amber_objects_never_communicate(benchmark, rows):
+def test_amber_objects_never_communicate(rows):
     """Per-node objects updated by local threads generate no steady-state
     traffic at all (the few messages are thread-startup migrations)."""
-    table = by_layout(once(benchmark, lambda: rows))
+    table = by_layout(rows)
     amber = table["Amber: one object per node"]
     assert amber.page_transfers == 0
     assert amber.messages_per_update < 0.1
 
 
-def test_object_coherence_beats_page_coherence_here(benchmark, rows):
-    table = by_layout(once(benchmark, lambda: rows))
+def test_object_coherence_beats_page_coherence_here(rows):
+    table = by_layout(rows)
     packed = table["DSM: counters packed in one page"]
     amber = table["Amber: one object per node"]
     assert packed.messages_per_update > 20 * amber.messages_per_update

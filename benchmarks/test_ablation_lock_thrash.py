@@ -15,7 +15,6 @@ and still doesn't beat the Amber object.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.bench.ablations import lock_thrash
 
 ROUNDS = 25
@@ -31,13 +30,12 @@ def by_system(rows):
     return {row.system: row for row in rows}
 
 
-def test_regenerates(benchmark, rows):
-    got = once(benchmark, lambda: rows)
-    assert len(got) == 3
+def test_regenerates(rows):
+    assert len(rows) == 3
 
 
-def test_tas_page_thrashes(benchmark, rows):
-    table = by_system(once(benchmark, lambda: rows))
+def test_tas_page_thrashes(rows):
+    table = by_system(rows)
     tas = table["DSM test-and-set page"]
     total_sections = NODES * ROUNDS
     # The lock page shuttles at least once per critical section on
@@ -49,15 +47,15 @@ def test_tas_page_thrashes(benchmark, rows):
     assert amber.hottest_page_transfers == 0
 
 
-def test_tas_floods_network_relative_to_amber(benchmark, rows):
-    table = by_system(once(benchmark, lambda: rows))
+def test_tas_floods_network_relative_to_amber(rows):
+    table = by_system(rows)
     tas = table["DSM test-and-set page"]
     amber = table["Amber lock object"]
     assert tas.network_messages > 2 * amber.network_messages
 
 
-def test_rpc_escape_hatch_cures_thrash(benchmark, rows):
-    table = by_system(once(benchmark, lambda: rows))
+def test_rpc_escape_hatch_cures_thrash(rows):
+    table = by_system(rows)
     rpc = table["DSM lock via RPC (recent Ivy)"]
     tas = table["DSM test-and-set page"]
     # RPC mode stops the lock page from shuttling...
@@ -66,10 +64,10 @@ def test_rpc_escape_hatch_cures_thrash(benchmark, rows):
     assert rpc.cpu_busy_us < tas.cpu_busy_us
 
 
-def test_amber_lock_is_predictable_round_trips(benchmark, rows):
+def test_amber_lock_is_predictable_round_trips(rows):
     """Amber's per-critical-section cost is a fixed number of thread
     round trips — close to the Table 1 remote invoke/return pair."""
-    table = by_system(once(benchmark, lambda: rows))
+    table = by_system(rows)
     amber = table["Amber lock object"]
     # acquire + release ~= 2 remote invocations ~= 16.6 ms worst case;
     # contention parks waiters at the lock, so the average is below that.

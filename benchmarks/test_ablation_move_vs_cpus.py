@@ -7,7 +7,6 @@ node."  The increase is linear in the CPU count with slope preempt_us.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.bench.ablations import move_cost_vs_cpus
 from repro.core.costs import CostModel
 
@@ -17,27 +16,24 @@ def rows():
     return move_cost_vs_cpus(cpu_counts=(1, 2, 4, 8, 16))
 
 
-def test_regenerates(benchmark, rows):
-    assert len(once(benchmark, lambda: rows)) == 5
+def test_regenerates(rows):
+    assert len(rows) == 5
 
 
-def test_move_cost_increases_with_cpus(benchmark, rows):
-    got = once(benchmark, lambda: rows)
-    costs = [row.move_us for row in got]
+def test_move_cost_increases_with_cpus(rows):
+    costs = [row.move_us for row in rows]
     assert costs == sorted(costs)
     assert costs[-1] > costs[0]
 
 
-def test_increase_is_linear_in_preempt_cost(benchmark, rows):
-    got = once(benchmark, lambda: rows)
+def test_increase_is_linear_in_preempt_cost(rows):
     preempt = CostModel.firefly().preempt_us
-    for a, b in zip(got, got[1:]):
+    for a, b in zip(rows, rows[1:]):
         added_cpus = b.cpus_per_node - a.cpus_per_node
         assert b.move_us - a.move_us == pytest.approx(
             added_cpus * preempt, rel=0.01)
 
 
-def test_four_cpu_point_is_table1(benchmark, rows):
-    got = once(benchmark, lambda: rows)
-    four = {row.cpus_per_node: row.move_us for row in got}[4]
+def test_four_cpu_point_is_table1(rows):
+    four = {row.cpus_per_node: row.move_us for row in rows}[4]
     assert four == pytest.approx(12_430, rel=0.01)

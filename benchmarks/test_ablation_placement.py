@@ -12,7 +12,6 @@ placement.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.placement import AffinityRebalancer
 from repro.sim.objects import SimObject
 from repro.sim.program import run_program
@@ -98,22 +97,18 @@ def results():
     return out
 
 
-def test_regenerates(benchmark, results):
-    got = once(benchmark, lambda: results)
-    assert set(got) == {"static", "advised", "oracle"}
+def test_regenerates(results):
+    assert set(results) == {"static", "advised", "oracle"}
 
 
-def test_advice_beats_static_placement(benchmark, results):
-    got = once(benchmark, lambda: results)
-    assert got["advised"] < got["static"] / 3
+def test_advice_beats_static_placement(results):
+    assert results["advised"] < results["static"] / 3
 
 
-def test_advice_recovers_most_of_oracle(benchmark, results):
+def test_advice_recovers_most_of_oracle(results):
     """The advisor should land within 25% of hand placement."""
-    got = once(benchmark, lambda: results)
-    assert got["advised"] <= got["oracle"] * 1.25
+    assert results["advised"] <= results["oracle"] * 1.25
 
 
-def test_oracle_is_the_floor(benchmark, results):
-    got = once(benchmark, lambda: results)
-    assert got["oracle"] <= got["advised"] * 1.01
+def test_oracle_is_the_floor(results):
+    assert results["oracle"] <= results["advised"] * 1.01

@@ -7,12 +7,11 @@ threads plus edge threads toward each neighbor plus one convergence
 thread per section.
 """
 
-from benchmarks.conftest import once
 from repro.bench.figure1 import run_figure1
 
 
-def test_figure1_topology(benchmark):
-    structure = once(benchmark, run_figure1)
+def test_figure1_topology():
+    structure = run_figure1()
     print()
     print(structure.describe())
 

@@ -7,7 +7,6 @@ value for 4Nx4P.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.bench.figure3 import main as figure3_main
 from repro.bench.figure3 import run_figure3
 
@@ -19,41 +18,36 @@ def figure3_points():
     return run_figure3(iterations=ITERATIONS)
 
 
-def test_figure3_regenerates(benchmark):
-    points = once(benchmark, lambda: run_figure3(iterations=ITERATIONS))
+def test_figure3_regenerates():
+    points = run_figure3(iterations=ITERATIONS)
     assert len(points) == 6
     print()
     print(figure3_main(iterations=ITERATIONS))
 
 
-def test_speedup_monotone_in_problem_size(figure3_points, benchmark):
-    points = once(benchmark, lambda: figure3_points)
-    speedups = [p.speedup for p in points]
+def test_speedup_monotone_in_problem_size(figure3_points):
+    speedups = [p.speedup for p in figure3_points]
     assert speedups == sorted(speedups)
 
 
-def test_small_grids_communication_bound(figure3_points, benchmark):
+def test_small_grids_communication_bound(figure3_points):
     """"for sufficiently small grids [communication] will dominate
     computation and limit speedup"."""
-    points = once(benchmark, lambda: figure3_points)
-    assert points[0].speedup < 0.6 * 16
+    assert figure3_points[0].speedup < 0.6 * 16
 
 
-def test_large_grids_approach_ideal(figure3_points, benchmark):
-    points = once(benchmark, lambda: figure3_points)
-    assert points[-1].speedup > 0.85 * 16
+def test_large_grids_approach_ideal(figure3_points):
+    assert figure3_points[-1].speedup > 0.85 * 16
 
 
-def test_curve_flattens(figure3_points, benchmark):
+def test_curve_flattens(figure3_points):
     """The marginal gain from quadrupling the problem shrinks."""
-    points = once(benchmark, lambda: figure3_points)
-    first_jump = points[1].speedup - points[0].speedup
-    last_jump = points[-1].speedup - points[-2].speedup
+    first_jump = figure3_points[1].speedup - figure3_points[0].speedup
+    last_jump = figure3_points[-1].speedup - figure3_points[-2].speedup
     assert last_jump < first_jump
 
 
-def test_paper_grid_is_marked(figure3_points, benchmark):
-    points = once(benchmark, lambda: figure3_points)
-    marked = [p for p in points if p.is_paper_grid]
+def test_paper_grid_is_marked(figure3_points):
+    marked = [p for p in figure3_points if p.is_paper_grid]
     assert len(marked) == 1
     assert marked[0].points == 122 * 842

@@ -15,7 +15,6 @@ Two sweeps verify both statements on the simulator:
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.core.costs import CostModel
 from repro.sim.cluster import ClusterConfig
 from repro.sim.objects import SimObject
@@ -85,30 +84,27 @@ def load_results():
             "heavy": remote_invoke_under_load(True)}
 
 
-def test_light_load_matches_table1(benchmark, load_results):
-    got = once(benchmark, lambda: load_results)
-    assert got["light"] == pytest.approx(8_320, rel=0.01)
+def test_light_load_matches_table1(load_results):
+    assert load_results["light"] == pytest.approx(8_320, rel=0.01)
 
 
-def test_heavy_load_is_more_expensive(benchmark, load_results):
+def test_heavy_load_is_more_expensive(load_results):
     """The paper's caveat, verified: under CPU and network load the same
     remote invocation costs measurably more (queueing for CPUs at both
     ends and for the shared wire)."""
-    got = once(benchmark, lambda: load_results)
-    assert got["heavy"] > 1.2 * got["light"]
+    assert load_results["heavy"] > 1.2 * load_results["light"]
 
 
-def test_move_cost_linear_in_object_size(benchmark):
+def test_move_cost_linear_in_object_size():
     sizes = [1_000, 10_000, 100_000, 1_000_000]
-    latencies = once(benchmark, lambda: [move_latency_for_size(size)
-                                         for size in sizes])
+    latencies = [move_latency_for_size(size) for size in sizes]
     per_byte = CostModel.firefly().per_byte_us
     for size, latency in zip(sizes, latencies):
         predicted = 12_430 + (size - 1_000) * per_byte
         assert latency == pytest.approx(predicted, rel=0.01)
 
 
-def test_packet_sized_moves_are_the_cheap_case(benchmark):
-    small, big = once(benchmark, lambda: (move_latency_for_size(1_000),
-                                          move_latency_for_size(64_000)))
+def test_packet_sized_moves_are_the_cheap_case():
+    small = move_latency_for_size(1_000)
+    big = move_latency_for_size(64_000)
     assert big > 4 * small

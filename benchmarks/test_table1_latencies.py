@@ -7,7 +7,6 @@ experiment builds on.
 
 import pytest
 
-from benchmarks.conftest import once
 from repro.bench.paper_data import PAPER_TABLE1_MS
 from repro.bench.table1 import main as table1_main
 from repro.bench.table1 import run_table1
@@ -16,8 +15,8 @@ from repro.bench.table1 import run_table1
 RTOL = 0.01
 
 
-def test_table1_matches_paper(benchmark):
-    rows = once(benchmark, run_table1)
+def test_table1_matches_paper():
+    rows = run_table1()
     assert len(rows) == len(PAPER_TABLE1_MS)
     for row in rows:
         assert row.measured_ms == pytest.approx(row.paper_ms, rel=RTOL), (
@@ -27,10 +26,10 @@ def test_table1_matches_paper(benchmark):
     print(table1_main())
 
 
-def test_remote_to_local_ratio(benchmark):
+def test_remote_to_local_ratio():
     """Section 1.1: remote references are 3-4 orders of magnitude more
     expensive than local ones."""
-    rows = once(benchmark, run_table1)
+    rows = run_table1()
     by_name = {row.operation: row.measured_ms for row in rows}
     ratio = by_name["remote invoke/return"] / by_name["local invoke/return"]
     assert 100 <= ratio <= 10_000
