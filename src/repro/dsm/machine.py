@@ -287,16 +287,12 @@ class IvyCluster:
         if isinstance(request, ops.Compute):
             self._charge(proc, max(0.0, request.us),
                          lambda: self._continue(proc))
-        elif isinstance(request, ops.Read):
+        elif isinstance(request, (ops.Read, ops.Write)):
             pages = list(pages_of_range(request.addr, request.nbytes,
                                         self.costs.page_bytes))
-            self._ensure(proc, pages, PageAccess.READ,
-                         lambda: self._continue(proc))
-        elif isinstance(request, ops.Write):
-            pages = list(pages_of_range(request.addr, request.nbytes,
-                                        self.costs.page_bytes))
-            self._ensure(proc, pages, PageAccess.WRITE,
-                         lambda: self._continue(proc))
+            want = (PageAccess.READ if isinstance(request, ops.Read)
+                    else PageAccess.WRITE)
+            self._ensure(proc, pages, want, lambda: self._continue(proc))
         elif isinstance(request, ops.Load):
             pages = [request.addr // self.costs.page_bytes]
             self._ensure(proc, pages, PageAccess.READ,
