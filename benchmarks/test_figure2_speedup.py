@@ -28,9 +28,8 @@ def figure2_rows():
     return run_figure2(iterations=ITERATIONS)
 
 
-def test_figure2_regenerates():
-    rows = run_figure2(iterations=ITERATIONS)
-    assert len(rows) == 12
+def test_figure2_regenerates(figure2_rows):
+    assert len(figure2_rows) == 12
     print()
     print(figure2_main(iterations=ITERATIONS))
 

@@ -18,9 +18,8 @@ def figure3_points():
     return run_figure3(iterations=ITERATIONS)
 
 
-def test_figure3_regenerates():
-    points = run_figure3(iterations=ITERATIONS)
-    assert len(points) == 6
+def test_figure3_regenerates(figure3_points):
+    assert len(figure3_points) == 6
     print()
     print(figure3_main(iterations=ITERATIONS))
 
