@@ -508,13 +508,15 @@ class AmberKernel:
                 if san is not None:
                     san.step_end(thread, activation.obj)
         except StopIteration as stop:
-            self._handle_return(thread, stop.value, None)
-        except AmberError as error:
-            self._handle_return(thread, None, error)
+            value, exc = stop.value, None
         except Exception as error:  # user code bug: propagate to caller
-            self._handle_return(thread, None, error)
+            value, exc = None, error
         else:
             self._handle_request(thread, request)
+            return
+        frame = thread.stack.pop()
+        self._handle_return(thread, value, exc, frame.start_us,
+                            frame.remote, frame.root, frame.result_bytes)
 
     def _handle_request(self, thread: SimThread, request: Any) -> None:
         try:
@@ -676,7 +678,6 @@ class AmberKernel:
         request's own ``args`` / ``kwargs`` (an :class:`~sc.Invoke` or a
         :class:`~sc.FastInvoke`: every keyword reaches the operation)."""
         target = request.target
-        result_bytes = request.result_bytes
         context = InvocationContext(self, thread)
         san = _analysis.ACTIVE
         try:
@@ -691,65 +692,52 @@ class AmberKernel:
                 if san is not None:
                     san.step_end(thread, target)
         except Exception as error:
-            self._handle_return(thread, None, error, pop=False)
-            return
-        if hasattr(result, "send") and hasattr(result, "throw"):
-            activation = Activation(target, request.method, result)
-            activation.result_bytes = result_bytes
-            activation.start_us = thread.invoke_t0
-            activation.remote = thread.invoke_remote
-            activation.root = is_root
-            thread.stack.append(activation)
-            thread.send_value = None
-            self.advance(thread)
+            result, exc = None, error
         else:
-            # Atomic operation: completed instantly.
-            rec = self.recovery
-            if rec is not None:
-                rec.invocation_returned(thread, result, None)
-            if is_root:
-                # A thread body (Fork/Start of an atomic operation):
-                # there is no caller frame to return into.
-                self.thread_exit(thread, result, None)
+            if hasattr(result, "send") and hasattr(result, "throw"):
+                activation = Activation(target, request.method, result)
+                activation.result_bytes = request.result_bytes
+                activation.start_us = thread.invoke_t0
+                activation.remote = thread.invoke_remote
+                activation.root = is_root
+                thread.stack.append(activation)
+                thread.send_value = None
+                self.advance(thread)
                 return
-            # The return still pops the (implicit) frame and pays the
-            # return-check cost.  An elided sync op deposits its nominal
-            # SYNC_OP_US in the thread's surcharge; folding it into this
-            # charge keeps simulated elapsed identical to the slow path
-            # while saving the separate Charge event.  (A RUNNING
-            # thread's surcharge is otherwise always zero — it is
-            # consumed at switch-in.)
-            surcharge = thread.surcharge_us
-            if surcharge:
-                thread.surcharge_us = 0.0
-            thread.pending_invoke_metric = (
-                "invoke_remote_us" if thread.invoke_remote
-                else "invoke_local_us", thread.invoke_t0)
-            self.charge(thread, self.costs.local_return_us + surcharge,
-                        lambda: self.complete_return(
-                            thread, result, None, result_bytes))
+            exc = None      # an atomic operation: completed instantly
+        self._handle_return(thread, result, exc, thread.invoke_t0,
+                            thread.invoke_remote, is_root,
+                            request.result_bytes)
 
     def _handle_return(self, thread: SimThread, value: Any,
-                       exc: Optional[BaseException],
-                       pop: bool = True) -> None:
-        """The top operation finished (normally or exceptionally)."""
-        result_bytes = 0
-        if pop and thread.stack:
-            frame = thread.stack.pop()
-            result_bytes = frame.result_bytes
-            if not frame.root:
-                # Observed once the value is delivered to the caller, so
-                # remote latencies include the migration back.
-                thread.pending_invoke_metric = (
-                    "invoke_remote_us" if frame.remote
-                    else "invoke_local_us", frame.start_us)
-            rec = self.recovery
-            if rec is not None:
-                rec.invocation_returned(thread, value, exc)
-        if not thread.stack:
+                       exc: Optional[BaseException], start_us: float,
+                       remote: bool, root: bool, result_bytes: int) -> None:
+        """An operation finished, normally or exceptionally, and its
+        frame (if it had one) is off the stack: the one way back to the
+        caller, for generator and atomic operations alike."""
+        if not root:
+            # Observed once the value is delivered to the caller, so
+            # remote latencies include the migration back.
+            thread.pending_invoke_metric = (
+                "invoke_remote_us" if remote else "invoke_local_us",
+                start_us)
+        rec = self.recovery
+        if rec is not None:
+            rec.invocation_returned(thread, value, exc)
+        if root:
+            # A thread body: there is no caller frame to return into.
             self.thread_exit(thread, value, exc)
             return
-        self.charge(thread, self.costs.local_return_us,
+        # The return pays the return-check cost.  An elided sync op
+        # deposits its nominal SYNC_OP_US in the thread's surcharge;
+        # folding it into this charge keeps simulated elapsed identical
+        # to the slow path while saving the separate Charge event.  (A
+        # RUNNING thread's surcharge is otherwise always zero — it is
+        # consumed at switch-in.)
+        surcharge = thread.surcharge_us
+        if surcharge:
+            thread.surcharge_us = 0.0
+        self.charge(thread, self.costs.local_return_us + surcharge,
                     lambda: self.complete_return(thread, value, exc,
                                                  result_bytes))
 

@@ -514,6 +514,62 @@ class TestAtMostOnce:
         assert metrics.counter("invocations_suppressed").value >= 1
 
 
+class Boom(SimObject):
+    SIZE_BYTES = 128
+
+    def boom(self, ctx):
+        raise ValueError("no")
+
+    def boom_in_steps(self, ctx):
+        yield Compute(10.0)
+        raise ValueError("no")
+
+
+class Catcher(SimObject):
+    SIZE_BYTES = 128
+
+    def __init__(self, boom, method):
+        self.boom = boom
+        self.method = method
+        self.entries_left = None
+
+    def go(self, ctx):
+        try:
+            yield Invoke(self.boom, self.method)
+        except ValueError:
+            self.entries_left = len(ctx.thread.resurrect_stack)
+            return 42
+
+
+class TestRaisingRemoteOperation:
+    """A remote operation that raises returns one way, atomic or not:
+    its own outcome is logged under its own id, its replay entry is
+    retired once the caller has caught the error, and its latency is
+    observed."""
+
+    @pytest.fixture(params=["boom", "boom_in_steps"])
+    def run(self, request):
+        def main(ctx):
+            boom = yield New(Boom, on_node=1)
+            catcher = yield New(Catcher, boom, request.param)
+            return (yield Invoke(catcher, "go")), boom, catcher
+
+        return run_recovering(main, nodes=2, cpus=1)
+
+    def test_the_error_is_logged_under_the_operations_own_id(self, run):
+        value, boom, _ = run.value
+        assert value == 42
+        assert [(value, type(exc)) for value, exc
+                in boom._amber_completed.values()] == [(None, ValueError)]
+
+    def test_no_replay_entry_outlives_the_catch(self, run):
+        _, _, catcher = run.value
+        assert catcher.entries_left == 0
+
+    def test_the_remote_latency_is_observed(self, run):
+        assert run.metrics.histogram("invoke_remote_us").count == 1
+
+
 # ---------------------------------------------------------------------------
 # Unrecoverable loss is a typed error, never a hang
 # ---------------------------------------------------------------------------
