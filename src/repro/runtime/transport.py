@@ -76,7 +76,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import RuntimeTransportError
+from repro.errors import FrameSizeError, RuntimeTransportError
 from repro.runtime.messages import KINDS, PROTOCOL_VERSION, Hello
 
 logger = logging.getLogger(__name__)
@@ -119,8 +119,7 @@ def _encode(payload: Any) -> bytes:
         (code, payload if code == _RAW else tuple(payload)),
         protocol=pickle.HIGHEST_PROTOCOL)
     if len(data) > MAX_FRAME_BYTES:
-        raise RuntimeTransportError(
-            f"frame of {len(data)} bytes exceeds limit")
+        raise FrameSizeError(f"frame of {len(data)} bytes exceeds limit")
     return _LENGTH.pack(len(data)) + data
 
 
