@@ -21,8 +21,12 @@ pickle spends on a dataclass inside one ``dumps`` (the count is of
 calls, not of time: that commit is the faster one); **558.6** and
 **558.5** with mesh readers serving what cannot block and the move's
 second half a continuation (two frames and three hand-offs fewer a
-pair).  The budget is the current figure plus 10 %: an increase means a
-frame, a hand-off or a wrapper crept back onto the path.
+pair); **555.4** and **555.6** once a served request is answered by one
+routine that posts and writes its reply (no ``send`` between them), and
+**554.3** to **554.8** over five runs once the request rows go straight
+to the serve path (no per-kind wrapper).  The budget is the current
+figure plus 10 %: an increase means a frame, a hand-off or a wrapper
+crept back onto the path.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import threading
 
 from repro.runtime import AmberObject, Cluster
 
-CALLS_PER_PAIR_BUDGET = 558.6 * 1.10
+CALLS_PER_PAIR_BUDGET = 554.8 * 1.10
 PAIRS = 600
 
 #: This process's count: ``next`` on it is one atomic step, whichever

@@ -259,19 +259,17 @@ class TestImmutables:
         assert table.get() == 42
 
     def test_remote_read_installs_replica(self, cluster):
+        """The replica is pushed ahead of the reply, on the same
+        connection: the caller holds it by the time the call returns."""
         table = cluster.create(Counter, 7, node=1)
         cluster.set_immutable(table)
-        before = cluster.node_stats(0)["local_invocations"]
+        before = cluster.node_stats(0)
         assert table.get() == 7            # remote: triggers replication
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            if cluster.node_stats(0)["replicas_installed"] >= 1:
-                break
-            time.sleep(0.02)
-        assert cluster.node_stats(0)["replicas_installed"] >= 1
+        assert cluster.node_stats(0)["replicas_installed"] == \
+            before["replicas_installed"] + 1
         assert table.get() == 7            # now a local read
-        after = cluster.node_stats(0)["local_invocations"]
-        assert after > before
+        assert cluster.node_stats(0)["local_invocations"] == \
+            before["local_invocations"] + 1
 
     def test_attach_of_immutable_rejected(self, cluster):
         a = cluster.create(Counter)
