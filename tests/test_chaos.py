@@ -106,18 +106,18 @@ class TestDedup:
 
     def test_peek_does_not_claim(self):
         dedup = _Dedup()
-        assert dedup.peek(("a", 1)) == ("absent", None)
+        assert dedup.claim(("a", 1), take=False) == ("absent", None)
         assert dedup.claim(("a", 1)) == ("new", None)
-        assert dedup.peek(("a", 1)) == ("in_progress", None)
+        assert dedup.claim(("a", 1), take=False) == ("in_progress", None)
         dedup.complete(("a", 1), 42)
-        assert dedup.peek(("a", 1)) == ("replay", 42)
+        assert dedup.claim(("a", 1), take=False) == ("replay", 42)
 
     def test_distinct_origins_do_not_collide(self):
         dedup = _Dedup()
         assert dedup.claim((1, 99)) == ("new", None)
         assert dedup.claim((2, 99)) == ("new", None)
         dedup.complete((1, 99), "one")
-        assert dedup.peek((2, 99)) == ("in_progress", None)
+        assert dedup.claim((2, 99), take=False) == ("in_progress", None)
         dedup.complete((2, 99), "two")
         assert dedup.claim((1, 99)) == ("replay", "one")
         assert dedup.claim((2, 99)) == ("replay", "two")
@@ -159,7 +159,7 @@ class TestDedup:
         for key in (b, c, d, e, f, g):
             dedup.claim(key)
             dedup.complete(key, ("reply", key))
-        assert dedup.peek(a) == ("in_progress", None)
+        assert dedup.claim(a, take=False) == ("in_progress", None)
         assert dedup.claim(a) == ("in_progress", None)
         dedup.complete(a, "A")
         assert dedup.claim(a) == ("replay", "A")
