@@ -90,18 +90,21 @@ def decide_frame(plan: FaultPlan, src: int, dst: int, seq: int,
     return _CLEAN
 
 
-def schedule_fingerprint(plan: FaultPlan, nodes: int,
-                         frames: int = 256) -> str:
-    """Digest of the first ``frames`` per-link decisions for every
-    directed link of an ``nodes``-node cluster.  Pure function of the
-    plan — two runs with the same seed share it by construction."""
+#: Per-link decisions a schedule fingerprint digests.
+FINGERPRINT_FRAMES = 256
+
+
+def schedule_fingerprint(plan: FaultPlan, nodes: int) -> str:
+    """Digest of the first :data:`FINGERPRINT_FRAMES` per-link decisions
+    for every directed link of an ``nodes``-node cluster.  Pure function
+    of the plan — two runs with the same seed share it by construction."""
     digest = sha256()
     digest.update(plan.describe().encode())
     for src in range(nodes):
         for dst in range(nodes):
             if src == dst:
                 continue
-            for seq in range(frames):
+            for seq in range(FINGERPRINT_FRAMES):
                 decision = decide_frame(plan, src, dst, seq)
                 digest.update(bytes((
                     decision.drop, decision.duplicate, decision.reset)))

@@ -5,12 +5,12 @@ ladder against a peer that is known to be down.  State machine, per
 peer:
 
 ``closed``
-    Normal operation.  ``consecutive send failures >= failure_threshold``
+    Normal operation.  ``consecutive send failures >= FAILURE_THRESHOLD``
     (or a failure-detector verdict) opens the breaker.
 ``open``
     Every send attempt fails fast with a typed
     :class:`~repro.errors.NodeFailure` (or is rerouted via the object's
-    home node by the kernel) until ``cooldown_s`` has elapsed.
+    home node by the kernel) until ``COOLDOWN_S`` has elapsed.
 ``half-open``
     After the cooldown one *probe* send is let through; its outcome
     decides: success closes the breaker, failure re-opens it (and
@@ -58,10 +58,7 @@ class _Peer:
 class PeerCircuits:
     """Breaker state for every peer of one node."""
 
-    def __init__(self, failure_threshold: int = FAILURE_THRESHOLD,
-                 cooldown_s: float = COOLDOWN_S):
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
+    def __init__(self) -> None:
         self._peers: Dict[int, _Peer] = {}
         self._lock = threading.Lock()
         self.stats: Dict[str, int] = {
@@ -97,15 +94,15 @@ class PeerCircuits:
             # considered served during the suspicion window).
             if suspected:
                 peer.probe_at = 0.0
-                peer.opened_at = min(peer.opened_at, now - self.cooldown_s)
+                peer.opened_at = min(peer.opened_at, now - COOLDOWN_S)
                 return OPEN
             if peer.probing:
                 # One probe is in flight; if its outcome was never
                 # reported (the prober died), release the slot after a
                 # generous multiple of the cooldown.
-                if now - peer.probe_at < 3.0 * self.cooldown_s:
+                if now - peer.probe_at < 3.0 * COOLDOWN_S:
                     return OPEN
-            elif now - peer.opened_at < self.cooldown_s:
+            elif now - peer.opened_at < COOLDOWN_S:
                 return OPEN
             peer.probe_at = now
             self.stats["circuit_probes"] += 1
@@ -123,7 +120,7 @@ class PeerCircuits:
                 # A failed probe re-opens and restarts the cooldown.
                 peer.opened_at = now
                 peer.probe_at = 0.0
-            elif peer.failures >= self.failure_threshold:
+            elif peer.failures >= FAILURE_THRESHOLD:
                 peer.opened_at = now
                 peer.probe_at = 0.0
                 self.stats["circuit_opens"] += 1

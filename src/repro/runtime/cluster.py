@@ -34,14 +34,9 @@ class Cluster:
 
     def __init__(self, nodes: int = 2,
                  region_bytes: int = DEFAULT_REGION_BYTES,
-                 start_timeout: Optional[float] = None,
                  chaos=None):
         if nodes < 1:
             raise ClusterError("a cluster needs at least one node")
-        if start_timeout is None:
-            # REPRO_PEER_TIMEOUT_S scales every peer-wait in the live
-            # runtime (see repro.recovery.config).
-            start_timeout = peer_timeout_s()
         self.num_nodes = nodes
         self._region_bytes = region_bytes
         #: Optional frozen FaultPlan: every node's mesh (driver
@@ -60,7 +55,9 @@ class Cluster:
         self._client.on_directory = self.kernel.mesh.set_directory
         self._client.register(0, self.kernel.mesh.address)
         self._client.start_heartbeats(0)
-        directory = self._client.wait_directory(timeout=start_timeout)
+        # REPRO_PEER_TIMEOUT_S scales every peer-wait in the live
+        # runtime (see repro.recovery.config).
+        directory = self._client.wait_directory(timeout=peer_timeout_s())
         self.kernel.mesh.set_directory(directory)
         self._alive = True
         #: Wall-clock latency histograms for driver-side operations

@@ -433,13 +433,11 @@ class CoordinatorClient:
 
     # -- failure detection ------------------------------------------------
 
-    def start_heartbeats(self, node: int,
-                         interval_s: Optional[float] = None) -> None:
+    def start_heartbeats(self, node: int) -> None:
         """Send :class:`~repro.runtime.messages.Heartbeat` for ``node``
-        every ``interval_s`` (default: a third of the grace window, so a
-        single dropped beat never triggers suspicion)."""
-        if interval_s is None:
-            interval_s = heartbeat_grace_s() / 3.0
+        every third of the grace window, so a single dropped beat never
+        triggers suspicion."""
+        interval_s = heartbeat_grace_s() / 3.0
         self._beat(node)
 
         def loop() -> None:

@@ -86,7 +86,6 @@ class Ethernet:
     def send_reliable(self, src: int, dst: int, nbytes: int,
                       deliver: Callable[[], None],
                       on_give_up: Optional[Callable[[], None]] = None,
-                      max_attempts: Optional[int] = None,
                       kind: str = "message") -> None:
         """Deliver exactly once despite injected faults.
 
@@ -94,9 +93,9 @@ class Ethernet:
         events, no behavioral change).  With one, each attempt may be
         dropped, duplicated, or delayed; undelivered attempts are
         retransmitted after an exponentially backed-off timeout.  After
-        ``max_attempts`` transmissions the sender gives up: it calls
-        ``on_give_up`` (the kernel's dead-node recovery hook) or, with
-        none installed, raises :class:`SimulationError` out of the
+        the plan's ``max_attempts`` transmissions the sender gives up: it
+        calls ``on_give_up`` (the kernel's dead-node recovery hook) or,
+        with none installed, raises :class:`SimulationError` out of the
         simulation — an unreachable destination with no recovery path is
         a scenario bug, not a hang.
         """
@@ -104,8 +103,7 @@ class Ethernet:
         if faults is None:
             self._transmit(src, dst, nbytes, deliver, 0.0)
             return
-        attempts = max_attempts if max_attempts is not None \
-            else faults.max_attempts
+        attempts = faults.max_attempts
         done = [False]
 
         def delivered() -> None:
@@ -203,7 +201,3 @@ class Ethernet:
         else:
             controller.schedule_delivery(sim, delivery_ns, src, dst,
                                          deliver)
-
-    def uncontended_wire_us(self, nbytes: int) -> float:
-        """Delivery time for one message on an idle wire (for predictions)."""
-        return self._costs.wire_us(nbytes)
