@@ -72,11 +72,3 @@ class VectorClock:
         inner = ", ".join(f"t{tid}:{clock}" for tid, clock
                           in sorted(self._clock.items()))
         return f"<VC {inner}>"
-
-
-def join_all(clocks: Iterable[VectorClock]) -> VectorClock:
-    """The least upper bound of ``clocks`` (a fresh clock)."""
-    out = VectorClock()
-    for clock in clocks:
-        out.join(clock)
-    return out

@@ -117,9 +117,6 @@ class LockOrderGraph:
                 out.append(cycle)
         return out
 
-    def render_cycles(self) -> List[str]:
-        return [cycle.render() for cycle in self.cycles()]
-
     # ------------------------------------------------------------------
 
     def _nodes(self) -> List[int]:

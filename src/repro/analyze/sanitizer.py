@@ -458,9 +458,6 @@ class Sanitizer:
             cell.read_epochs[tid] = vc.get(tid)
             cell.read_sites[tid] = site
 
-    def in_step(self) -> bool:
-        return bool(self._current)
-
     def _check_opaque(self, cls: type, vaddr: int) -> None:
         """Flag public members the field interposition cannot track
         (see ``AMBSAN-OPAQUE`` in the module docstring) instead of

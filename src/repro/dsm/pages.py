@@ -69,10 +69,6 @@ class ManagerTable:
         return self._records[page]
 
 
-def page_of(addr: int, page_bytes: int) -> int:
-    return addr // page_bytes
-
-
 def pages_of_range(addr: int, nbytes: int, page_bytes: int) -> range:
     if nbytes <= 0:
         nbytes = 1

@@ -129,11 +129,6 @@ class FaultPlan:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def has_faults(self) -> bool:
-        return bool(self.drop_rate or self.dup_rate or self.delay_rate
-                    or self.reorder_rate or self.crashes or self.partitions)
-
     def is_down(self, node: int, now_us: float) -> bool:
         return any(crash.node == node and crash.down_at(now_us)
                    for crash in self.crashes)

@@ -60,9 +60,6 @@ class SimNode:
                 return cpu
         return None
 
-    def busy_cpus(self) -> List[Cpu]:
-        return [cpu for cpu in self.cpus if not cpu.idle]
-
     def set_scheduler(self, scheduler: Scheduler) -> None:
         """Install a new scheduler object, carrying queued threads over."""
         for thread in self.scheduler.drain():

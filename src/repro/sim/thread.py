@@ -199,11 +199,6 @@ class SimThread(SimObject):
     def done(self) -> bool:
         return self._state is ThreadState.DONE
 
-    def bound_objects(self) -> List[SimObject]:
-        """Objects this thread is currently executing within (innermost
-        last) — the bound set of section 3.5."""
-        return [activation.obj for activation in self.stack]
-
     def is_bound_to(self, vaddrs: set) -> bool:
         """True if any activation on the stack targets one of ``vaddrs``."""
         return any(activation.obj.vaddr in vaddrs
