@@ -3,7 +3,9 @@ breakers, the one resend ladder, and wait_reply timeout races.
 
 The live *scenario* suite (``repro chaos``) exercises these end to end;
 here each hardening layer is pinned down in isolation so a regression
-names the broken layer, not just a wedged workload.
+names the broken layer, not just a wedged workload.  The request
+lifecycle (dedup, ladder, breakers) reads no clock: its units pass
+``now`` in.
 """
 
 import contextlib
@@ -25,12 +27,15 @@ from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
 from repro.runtime import messages as m
 from repro.runtime import objects as runtime_objects
-from repro.runtime.circuit import (
+from repro.runtime.kernel import NodeKernel
+from repro.runtime.lifecycle import (
     COOLDOWN_S,
     FAILURE_THRESHOLD,
+    RTO_CAP_FACTOR,
+    Dedup,
+    Pending,
     PeerCircuits,
 )
-from repro.runtime.kernel import NodeKernel, _Dedup
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +103,14 @@ class TestDedup:
     origin's ids are consecutive from wherever its kernel started."""
 
     def test_claim_then_replay(self):
-        dedup = _Dedup()
+        dedup = Dedup()
         assert dedup.claim(("a", 1)) == ("new", None)
         assert dedup.claim(("a", 1)) == ("in_progress", None)
         dedup.complete(("a", 1), "cached-reply")
         assert dedup.claim(("a", 1)) == ("replay", "cached-reply")
 
     def test_peek_does_not_claim(self):
-        dedup = _Dedup()
+        dedup = Dedup()
         assert dedup.claim(("a", 1), take=False) == ("absent", None)
         assert dedup.claim(("a", 1)) == ("new", None)
         assert dedup.claim(("a", 1), take=False) == ("in_progress", None)
@@ -113,7 +118,7 @@ class TestDedup:
         assert dedup.claim(("a", 1), take=False) == ("replay", 42)
 
     def test_distinct_origins_do_not_collide(self):
-        dedup = _Dedup()
+        dedup = Dedup()
         assert dedup.claim((1, 99)) == ("new", None)
         assert dedup.claim((2, 99)) == ("new", None)
         dedup.complete((1, 99), "one")
@@ -123,7 +128,7 @@ class TestDedup:
         assert dedup.claim((2, 99)) == ("replay", "two")
 
     def test_bounded_fifo_eviction(self):
-        dedup = _Dedup(capacity=4)
+        dedup = Dedup(capacity=4)
         for i in range(8):
             dedup.claim(("n", i))
             dedup.complete(("n", i), i)
@@ -134,7 +139,7 @@ class TestDedup:
         assert dedup.claim(("n", 0)) == ("new", None)
 
     def test_capacity_is_per_origin_whatever_its_base(self):
-        dedup = _Dedup(capacity=4)
+        dedup = Dedup(capacity=4)
         bases = {1: 0, 2: (1 << 61) + 3}    # the ring indexes by sequence
         for origin, base in bases.items():
             for i in range(6):
@@ -151,7 +156,7 @@ class TestDedup:
     def test_in_progress_is_never_evicted(self):
         """However many later requests are admitted and answered, the
         re-sent twin of one still executing must not run again."""
-        dedup = _Dedup(capacity=2)
+        dedup = Dedup(capacity=2)
         a, b, c, d, e, f, g = ((0, 40 + i) for i in range(7))
         for key in (a, b, c):
             assert dedup.claim(key) == ("new", None)
@@ -169,7 +174,7 @@ class TestDedup:
         """Bounded state: once an origin's ring exists, ten times its
         capacity in further completions allocate nothing that stays."""
         capacity = 64
-        dedup = _Dedup(capacity=capacity)
+        dedup = Dedup(capacity=capacity)
 
         def footprint():
             return (sys.getsizeof(dedup._rings)
@@ -201,42 +206,203 @@ class TestDedup:
 
 
 class TestPeerCircuits:
+    """The breaker state machine, at an explicit ``now``."""
+
+    def _opened(self, node, now=10.0):
+        circuits = PeerCircuits(0)
+        for _ in range(FAILURE_THRESHOLD):
+            circuits.record_failure(node, now)
+        return circuits
+
     def test_opens_after_threshold(self):
-        circuits = PeerCircuits()
+        circuits = PeerCircuits(0)
         for _ in range(FAILURE_THRESHOLD - 1):
-            circuits.record_failure(1)
-        assert circuits.check(1) == "closed"
-        circuits.record_failure(1)
-        assert circuits.check(1) == "open"
-        assert circuits.open_peers() == {1}
+            circuits.record_failure(1, 10.0)
+        assert circuits.check(1, False, 10.0) == "closed"
+        circuits.record_failure(1, 10.0)
+        assert circuits.check(1, False, 10.0) == "open"
+        assert circuits.stats["circuit_opens"] == 1
 
     def test_success_closes(self):
-        circuits = PeerCircuits()
-        for _ in range(FAILURE_THRESHOLD):
-            circuits.record_failure(2)
-        assert circuits.check(2) == "open"
+        circuits = self._opened(2)
+        assert circuits.check(2, False, 10.0) == "open"
         circuits.record_success(2)
-        assert circuits.check(2) == "closed"
+        assert circuits.check(2, False, 10.0) == "closed"
+        assert circuits.stats["circuit_closes"] == 1
+
+    def test_failures_must_be_consecutive(self):
+        circuits = PeerCircuits(0)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            circuits.record_failure(1, 10.0)
+        circuits.record_success(1)
+        circuits.record_failure(1, 10.0)
+        assert circuits.check(1, False, 10.0) == "closed"
 
     def test_suspicion_forces_open_and_retraction_probes(self):
-        circuits = PeerCircuits()
-        assert circuits.check(3, suspected=True) == "open"
+        circuits = PeerCircuits(0)
+        assert circuits.check(3, True, 5.0) == "open"
+        assert circuits.check(3, True, 50.0) == "open"
         # Retraction (peer no longer suspected): an immediate probe is
         # allowed rather than waiting out the cooldown.
-        verdict = circuits.check(3, suspected=False)
-        assert verdict == "probe"
+        assert circuits.check(3, False, 50.0) == "probe"
 
     def test_probe_after_cooldown(self):
-        circuits = PeerCircuits()
-        for _ in range(FAILURE_THRESHOLD):
-            circuits.record_failure(4)
-        assert circuits.check(4) == "open"
-        circuits._peers[4].opened_at -= COOLDOWN_S + 0.01
-        assert circuits.check(4) == "probe"
+        circuits = self._opened(4)
+        assert circuits.check(4, False, 10.0 + 0.9 * COOLDOWN_S) == "open"
+        assert circuits.check(4, False, 10.0 + COOLDOWN_S) == "probe"
         # While one probe is in flight others still fail fast.
-        assert circuits.check(4) == "open"
+        assert circuits.check(4, False, 10.0 + 2 * COOLDOWN_S) == "open"
         circuits.record_success(4)
-        assert circuits.check(4) == "closed"
+        assert circuits.check(4, False, 10.0 + 2 * COOLDOWN_S) == "closed"
+        assert circuits.stats["circuit_probes"] == 1
+
+    def test_a_failed_probe_restarts_the_cooldown(self):
+        circuits = self._opened(4)
+        probe_at = 10.0 + COOLDOWN_S
+        assert circuits.check(4, False, probe_at) == "probe"
+        circuits.record_failure(4, probe_at + 0.5)
+        assert circuits.check(4, False, probe_at + 0.5 + 0.9 * COOLDOWN_S) \
+            == "open"
+        assert circuits.check(4, False, probe_at + 0.5 + COOLDOWN_S) == \
+            "probe"
+        assert circuits.stats["circuit_opens"] == 1
+
+    def test_a_probe_never_answered_frees_its_slot(self):
+        circuits = self._opened(4)
+        probe_at = 10.0 + COOLDOWN_S
+        assert circuits.check(4, False, probe_at) == "probe"
+        assert circuits.check(4, False, probe_at + 2.9 * COOLDOWN_S) == "open"
+        assert circuits.check(4, False, probe_at + 3 * COOLDOWN_S) == "probe"
+
+    def test_route_goes_home_around_an_open_breaker_or_fails_fast(self):
+        circuits = self._opened(4)
+        assert circuits.route(5, set(), 10.0) == 5
+        assert circuits.route(4, set(), 10.0, lambda: 2) == 2
+        with pytest.raises(NodeFailure, match="node 4 is unavailable"):
+            circuits.route(4, set(), 10.0)          # a fixed target
+        with pytest.raises(NodeFailure):
+            circuits.route(4, set(), 10.0, lambda: 0)   # home is here
+        with pytest.raises(NodeFailure, match="suspected dead"):
+            circuits.route(4, {4, 2}, 10.0, lambda: 2)
+        assert circuits.stats["circuit_reroutes"] == 1
+        assert circuits.stats["circuit_fast_fails"] == 3
+
+    def test_deadline_verdict(self):
+        circuits = PeerCircuits(0)
+        entry = _pending(0.0)
+        assert isinstance(circuits.deadline_verdict(entry, 1.0, {4}, 1.0),
+                          TimeoutError)        # never sent
+        entry.last_target = 4
+        verdicts = [circuits.deadline_verdict(entry, 1.0, suspected, 1.0)
+                    for suspected in (set(), set(), {4})]
+        assert [type(verdict) for verdict in verdicts] == \
+            [TimeoutError, TimeoutError, NodeFailure]
+        assert "within 1.0s" in str(verdicts[0])
+        # Each verdict was a breaker failure.
+        assert circuits.check(4, False, 1.0) == "open"
+
+
+def _pending(now, joinable=True):
+    """A request on object 0x10 made at ``now``, with a box to join it
+    by or (``joinable`` false) a continuation."""
+    return Pending(m.InvokeMsg(1, 0, 0x10, "poke", (), {}, (0,)), None,
+                   0x10, object() if joinable else None,
+                   lambda outcome: None, now)
+
+
+class TestLadder:
+    """The resend ladder, at an explicit ``now``: 3 s peer timeout, so
+    a 12 s reply ceiling and a 0.5 s base timeout."""
+
+    @pytest.fixture(autouse=True)
+    def _timeout(self, monkeypatch):
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "3")
+
+    def test_doubling_with_cap_and_jitter_bounds(self):
+        for jitter in (0.0, 0.5, 0.999):
+            entry = _pending(100.0)
+            assert (entry.reply_s, entry.rto_s, entry.resend_at,
+                    entry.give_up_at) == (12.0, 0.5, 100.5, 112.0)
+            cap = entry.rto_base_s * RTO_CAP_FACTOR
+            now = 100.0
+            for _ in range(6):
+                doubled = min(2 * entry.rto_s, cap)
+                entry.backoff(now, jitter)
+                assert doubled <= entry.rto_s < 1.25 * doubled
+                assert entry.rto_s == doubled * (1 + 0.25 * jitter)
+                assert entry.resend_at == now + entry.rto_s
+                now = entry.resend_at
+            assert cap <= entry.rto_s < 1.25 * cap
+
+    def test_a_due_request_is_taken_once(self):
+        entry = _pending(0.0)
+        assert not entry.take_due(0.4)
+        assert entry.take_due(0.5)
+        assert not entry.take_due(5.0)      # off the ladder ...
+        entry.backoff(5.0, 0.0)
+        assert entry.take_due(6.0)          # ... until it is back on
+
+    def test_no_resend_past_give_up_at(self):
+        entry = _pending(0.0)
+        entry.resend_at = 11.0
+        assert not entry.take_due(12.0)
+        assert not entry.expired(12.0)      # a box waits for a join
+
+    def test_a_join_rearms_the_ladder(self):
+        entry = _pending(0.0)
+        entry.resend_at = 11.0
+        assert not entry.take_due(20.0)
+        assert entry.join(20.0, timeout=0.5) == 0.5
+        assert entry.give_up_at == 20.5
+        assert entry.take_due(20.0)
+        with pytest.raises(AmberError, match="already joined"):
+            entry.join(20.0)
+
+    def test_a_join_never_shortens_the_deadline(self):
+        entry = _pending(0.0)
+        assert entry.join(1.0, timeout=-3) == 0.0
+        assert entry.give_up_at == 12.0
+
+    def test_a_continuation_never_joined_gets_its_verdict(self):
+        entry = _pending(0.0, joinable=False)
+        assert not entry.expired(11.9)
+        entry.resend_at = 11.0
+        assert entry.take_due(12.0)         # due its verdict ...
+        assert entry.expired(12.0)          # ... not a re-send
+
+
+# ---------------------------------------------------------------------------
+# A reply from a peer closes its breaker
+# ---------------------------------------------------------------------------
+
+
+class TestAnyReplyClosesTheBreaker:
+    """Regression: only an ``ok`` reply that a joiner read closed a
+    breaker, so a half-open probe answered with an error, or sent as a
+    fork nobody joins, left it open: calls failed fast for up to three
+    cooldowns."""
+
+    def _open_with_cooldown_served(self, kernel):
+        for _ in range(FAILURE_THRESHOLD):
+            kernel._circuits.record_failure(1, time.monotonic() - COOLDOWN_S)
+
+    def test_a_probe_answered_with_an_error(self, cluster):
+        handle = cluster.create(Napper, node=1)
+        self._open_with_cooldown_served(cluster.kernel)
+        with pytest.raises(ValueError):
+            cluster.call(handle, "sulk")
+        assert cluster.call(handle, "poke") == "ok"
+
+    def test_a_probe_sent_as_a_fork_nobody_joins(self, cluster):
+        handle = cluster.create(Napper, node=1)
+        kernel = cluster.kernel
+        self._open_with_cooldown_served(kernel)
+        probe = cluster.fork(handle, "poke")
+        deadline = time.monotonic() + 10
+        while probe._entry.message.request_id in kernel._pending:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert cluster.call(handle, "poke") == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +421,9 @@ class Napper(AmberObject):
 
     def poke(self):
         return "ok"
+
+    def sulk(self):
+        raise ValueError("sulking")
 
     def count(self):
         return self.naps
@@ -290,14 +459,14 @@ def cluster():
 class TestWaitReplyRaces:
     def test_timeout_leaves_no_pending_leak(self, cluster):
         handle = cluster.create(Napper, node=1)
-        thread = cluster.fork(handle, "nap", 1.0)
+        thread = cluster.fork(handle, "nap", 0.3)
         with pytest.raises(TimeoutError):
             thread.join(timeout=0.05)
         assert thread._entry.message.request_id not in cluster.kernel._pending
         # The late ResultMsg lands on an unknown request id and is
         # dropped; the kernel stays healthy for new traffic.
         assert cluster.call(handle, "poke") == "ok"
-        time.sleep(1.2)
+        time.sleep(0.4)
         assert cluster.call(handle, "poke") == "ok"
 
     def test_second_join_is_a_typed_error(self, cluster):
@@ -356,29 +525,6 @@ class TestResendLadder:
         assert kernel.stats["resends"] >= resends + 1
         assert cluster.call(handle, "count") == 1      # executed once
 
-    def test_late_join_rearms_the_ladder(self, cluster, monkeypatch):
-        """Past ``give_up_at`` nothing is re-sent; a join moves it on,
-        so the ladder resumes and the joiner gets the reply once the
-        network heals — or the typed verdict while it does not."""
-        monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.25")  # give up after 1 s
-        handle = cluster.create(Napper, node=1)
-        kernel = cluster.kernel
-        healed = []
-        with _losing_frames(kernel, lambda seen: not healed) as dropped:
-            doomed = cluster.fork(handle, "nap", 0.0)
-            late = cluster.fork(handle, "nap", 0.0)
-            time.sleep(1.3)
-            given_up = len(dropped)
-            assert given_up > 2                  # the ladder ran ...
-            time.sleep(0.4)
-            assert len(dropped) == given_up      # ... and stopped
-            with pytest.raises((TimeoutError, NodeFailure)):
-                doomed.join(timeout=0.5)
-            assert len(dropped) > given_up       # re-armed by the join
-            healed.append(True)
-            assert late.join(timeout=10) == 1
-        assert cluster.call(handle, "count") == 1
-
 
 class TestPendingLifetime:
     """``_pending`` holds the requests without an outcome, nothing
@@ -425,15 +571,16 @@ class TestPendingLifetime:
         try:
             targets = iter((2, 3))
 
-            def route():
+            def route(_entry):
                 target = next(targets)
                 if target == 3:
                     kernel._on_message(
                         2, m.ResultMsg(entry.message.request_id, True, 7))
                 return target
 
-            entry = kernel._start(route, m.InvokeMsg, 0x1100000, "poke",
-                                  (), {}, (1,))
+            kernel._route = route
+            entry = kernel._start(None, 0x1100000, m.InvokeMsg, 0x1100000,
+                                  "poke", (), {}, (1,))
             request_id = entry.message.request_id
             assert kernel._unanswered[2] == {request_id}
             assert request_id in kernel._pending

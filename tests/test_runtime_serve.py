@@ -331,8 +331,8 @@ class TestReaderServes:
 
         monkeypatch.setattr(kernel.mesh, "post", post)
         t0 = time.monotonic()
-        entry = kernel._start(kernel._router(tally.vaddr, here=True),
-                              m.MoveMsg, tally.vaddr, 1)
+        entry = kernel._start(kernel.node_id, tally.vaddr, m.MoveMsg,
+                              tally.vaddr, 1)
         time.sleep(0.3)
         # The install is out and unanswered, and no thread is parked
         # waiting for its reply.
@@ -413,7 +413,7 @@ def lone_kernel(monkeypatch):
     kernel.mesh.close()
     kernel.mesh = _Wire()
     try:
-        yield kernel, kernel._create_local(Ledger, (), {})
+        yield kernel, kernel._table.create(Ledger, (), {})
     finally:
         kernel._resender_stop.set()
         kernel._workers.close()
@@ -463,11 +463,12 @@ class TestRegionCache:
         """A second, different grant of a region base the node knows
         is a typed error, not a silent change of the home node."""
         kernel, vaddr = lone_kernel
-        granted = kernel._heap._regions[-1]
-        assert kernel._home_node(vaddr) == 1
+        table = kernel._table
+        granted = table._heap._regions[-1]
+        assert table.home_node(vaddr) == 1
         with pytest.raises(AddressSpaceError, match="conflicting"):
-            kernel._heap._on_grant(Region(granted.base, granted.size, 2))
-        assert kernel._home_node(vaddr) == 1
+            table._heap._on_grant(Region(granted.base, granted.size, 2))
+        assert table.home_node(vaddr) == 1
 
 
 class TestRefusedMove:
