@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import DescriptorError
+from repro.errors import DescriptorError, ObjectNotFoundError
 
 
 class DescriptorState(enum.Enum):
@@ -72,6 +72,24 @@ class DescriptorTable:
     def is_resident(self, address: int) -> bool:
         descriptor = self._table.get(address)
         return descriptor is not None and descriptor.state is _RESIDENT
+
+    def next_hop(self, address: int, home_of: Callable[[int], int]) -> int:
+        """Where a request for ``address`` goes from this node (section
+        3.3): here if it is resident, its forwarding hint if it moved
+        away, else its home node ``home_of(address)`` — which has a
+        descriptor for every object it created, or there is none."""
+        descriptor = self._table.get(address)
+        if descriptor is not None:
+            if descriptor.state is _RESIDENT:
+                return self.node
+            forward_to = descriptor.forward_to
+            assert forward_to is not None   # set with every FORWARDED
+            return forward_to
+        home = home_of(address)
+        if home == self.node:
+            raise ObjectNotFoundError(
+                f"object {address:#x} unknown at its home node {self.node}")
+        return home
 
     def set_resident(self, address: int) -> None:
         """Install or overwrite a RESIDENT descriptor (object arrived/created

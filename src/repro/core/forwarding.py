@@ -8,9 +8,11 @@ by construction has a descriptor for every object created there.
 
 Following a chain is expensive but self-limiting: every node along the path
 caches the object's final location, so subsequent requests take one hop
-(Fowler's path compression).  :func:`resolve` implements the pure routing
-logic; the execution backends replay the returned path with real (or
-simulated) messages and charge per-hop costs.
+(Fowler's path compression).  Each hop is one
+:meth:`~repro.core.descriptor.DescriptorTable.next_hop`, the rule both
+kernels route by, one message at a time.  :func:`resolve` walks the whole
+chain at once: it is the reference oracle that
+``tests/test_kernel_properties.py`` holds the simulator's routing to.
 """
 
 from __future__ import annotations
@@ -60,33 +62,20 @@ def resolve(address: int, start_node: int,
     node = start_node
     for _ in range(max_hops):
         table = tables[node]
-        descriptor = table.lookup(address)
-        if descriptor is not None and descriptor.resident:
+        next_node = table.next_hop(address, home_node)
+        if next_node == node:
             return Route(path, via_home)
-        if descriptor is None:
-            # Uninitialized: zero-filled page => ask the home node.
-            home = home_node(address)
-            if home == node:
-                # We *are* the home node and have no descriptor: the object
-                # was never created (or has been destroyed).
-                raise ObjectNotFoundError(
-                    f"object {address:#x} unknown at its home node {node}")
-            via_home = True
-            node = home
-        else:
-            next_node = descriptor.forward_to
-            if next_node is None:
-                raise ObjectNotFoundError(
-                    f"forwarding descriptor for {address:#x} at node "
-                    f"{node} has no destination")
-            if next_node in path and next_node != path[-1]:
-                # A cycle can only arise from descriptor corruption; the
-                # protocols in both backends update source and destination
-                # descriptors atomically with respect to the move.
-                raise ObjectNotFoundError(
-                    f"forwarding cycle for object {address:#x}: "
-                    f"{path + [next_node]}")
-            node = next_node
+        if next_node in path:
+            # Every hop is a function of one node's table, so a node met
+            # twice is a loop.  It can only arise from descriptor
+            # corruption; the protocols in both backends update source and
+            # destination descriptors atomically with respect to the move.
+            raise ObjectNotFoundError(
+                f"forwarding cycle for object {address:#x}: "
+                f"{path + [next_node]}")
+        # Uninitialized (a zero-filled page): the hop went to the home.
+        via_home = via_home or address not in table
+        node = next_node
         path.append(node)
     raise ObjectNotFoundError(
         f"forwarding chain for {address:#x} exceeded {max_hops} hops")

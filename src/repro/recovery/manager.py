@@ -298,7 +298,7 @@ class RecoveryManager:
         kernel.trace("invoke-suppressed", thread.location, thread.name,
                      vaddr, f"replay of {entry_id} already applied{where}")
         if is_root:
-            kernel.thread_exit(thread, value, exc)
+            kernel.thread_manager.thread_exit(thread, value, exc)
         else:
             kernel.charge(
                 thread, self.costs.local_return_us,
@@ -460,15 +460,15 @@ class RecoveryManager:
         self.kernel.trace("invocation-replay", entry.origin, thread.name,
                           entry.target,
                           f"replaying {entry.id} after node {dead_id} died")
-        mobility = self.kernel.mobility
         origin = self.cluster.node(entry.origin)
         try:
-            believed = mobility.believed_location(origin, entry.target)
+            next_node = origin.descriptors.next_hop(entry.target,
+                                                    self.cluster.home_node)
         except ObjectNotFoundError:
             self.fail_thread(thread, dead_id)
             return
-        mobility.send_thread(thread, entry.origin, believed, entry.target,
-                             entry.payload)
+        self.kernel.mobility.send_thread(thread, entry.origin, next_node,
+                                         entry.target, entry.payload)
 
     def fail_thread(self, thread: SimThread, dead_id: int) -> None:
         """No recoverable invocation: terminate the thread with a typed
@@ -490,10 +490,4 @@ class RecoveryManager:
         self.kernel.trace(
             "thread-failed", dead_id, thread.name,
             detail="unrecoverable: NodeFailure raised to joiners")
-        joiners, thread.joiners = thread.joiners, []
-        for joiner in joiners:
-            if joiner.done:
-                continue
-            joiner.send_value = None
-            joiner.send_exc = failure
-            self.kernel.ready(joiner, joiner.location, self.costs.join_us)
+        self.kernel.thread_manager.release_joiners(thread)

@@ -207,14 +207,13 @@ class NodeKernel:
              kwargs: dict) -> ThreadHandle:
         """Start an Amber thread running ``method`` on the object; it
         executes at the object's node."""
-        entry = self._start(self.node_id, vaddr, m.InvokeMsg, vaddr,
-                            method, args, kwargs, (self.node_id,),
-                            post=True)
+        entry = self._start(None, vaddr, m.InvokeMsg, vaddr, method, args,
+                            kwargs, (self.node_id,), post=True)
         return ThreadHandle(self, entry, f"{method}@{vaddr:#x}")
 
     def move(self, vaddr: int, dest: int) -> None:
         """MoveTo: relocate the object (and its attachment group)."""
-        self._request(self.node_id, vaddr, m.MoveMsg, vaddr, dest)
+        self._request(None, vaddr, m.MoveMsg, vaddr, dest)
 
     def locate(self, vaddr: int) -> int:
         """Locate: the node where the object currently resides."""
@@ -226,8 +225,7 @@ class NodeKernel:
     def control(self, vaddr: int, op: str, extra: Any = None) -> Any:
         """Routed kernel operation on an object: ``set_immutable``,
         ``attach``, ``unattach``, ``delete``."""
-        return self._request(self.node_id, vaddr, m.ControlMsg, vaddr, op,
-                             extra)
+        return self._request(None, vaddr, m.ControlMsg, vaddr, op, extra)
 
     def node_stats(self, node: int) -> Dict[str, int]:
         if node == self.node_id:
@@ -303,9 +301,9 @@ class NodeKernel:
         or a peer the breakers let through (:meth:`PeerCircuits.route`;
         its fast ``NodeFailure`` leaves here)."""
         target, vaddr = entry.node, entry.vaddr
-        if vaddr is not None and (target is None
-                                  or self._table.resident(vaddr) is None):
-            target = self._table.believed(vaddr)
+        if vaddr is not None:
+            target = self._table.descriptors.next_hop(
+                vaddr, self._table.home_node)
         if target == self.node_id:
             return target
         return self._circuits.route(
@@ -489,11 +487,11 @@ class NodeKernel:
             entry = self._pending.pop(message.request_id, None)
             if entry is not None:
                 entry.held.discard(message.request_id)
-                if peer != entry.last_target \
-                        and type(entry.message) in _LOCATING:
-                    # Served by a node we did not send it to: there the
-                    # object is (the origin's location hint).
-                    self._table.hint(entry.message.vaddr, peer)
+                if peer != entry.last_target:
+                    # Relayed there: the relay is up; the object is at peer.
+                    self._circuits.record_success(entry.last_target)
+                    if type(entry.message) in _LOCATING:
+                        self._table.hint(entry.message.vaddr, peer)
                 entry.deliver(message[1:])
         elif kind is m.LocationHint:
             self._table.hint(*message)
@@ -590,7 +588,8 @@ class NodeKernel:
             if len(trace) > MAX_TRACE:
                 raise ObjectNotFoundError(
                     f"object {vaddr:#x}: chase exceeded {MAX_TRACE} hops")
-            target = self._table.believed(vaddr, may_wait)
+            target = self._table.descriptors.next_hop(
+                vaddr, lambda _: self._table.home_node(vaddr, may_wait))
         except ObjectNotFoundError as error:
             self._answer(message, (False, None, error))
             return

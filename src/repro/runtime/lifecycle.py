@@ -112,8 +112,8 @@ class Pending:
     """One outstanding request, joined or not: where its outcome ``(ok,
     value, error)`` goes (``deliver``: into the ``box`` a joiner reads,
     or with no box to a continuation), where it is sent — ``node``, or
-    with a ``vaddr`` the object's believed holder (``node`` while the
-    object is resident there, if both are set) — and its place on the
+    with a ``vaddr`` the next hop toward the object (this node while it
+    is resident here) — and its place on the
     resend ladder: re-sent at ``resend_at``, ``rto_s`` later each time,
     until ``give_up_at``.  The reply ceiling comes from
     REPRO_PEER_TIMEOUT_S (repro.recovery.config), read per request."""

@@ -34,10 +34,6 @@ class AmberObject:
     _amber_home: int = -1
     _amber_immutable: bool = False
 
-    @property
-    def amber_vaddr(self) -> int:
-        return self._amber_vaddr
-
 
 def set_process_kernel(kernel) -> None:
     """Install the (single) kernel of this OS process; Handles bind to it

@@ -43,7 +43,10 @@ class ObjectTable:
         self._drained = threading.Condition(self._state)
         #: vaddr -> the object, for every object resident here.
         self.objects: Dict[int, AmberObject] = {}
-        self._descriptors = DescriptorTable(node_id)
+        #: Written under ``_state``.  The kernel asks it for a next hop
+        #: without the lock (one dict read), so that the home node's
+        #: region query, which may wait on the coordinator, holds none.
+        self.descriptors = DescriptorTable(node_id)
         self._attachments = AttachmentGraph()
         self._bind: Dict[int, int] = {}
         self._regions = RegionMap()
@@ -60,7 +63,7 @@ class ObjectTable:
             obj._amber_vaddr = vaddr
             obj._amber_home = self.node_id
             self.objects[vaddr] = obj
-            self._descriptors.set_resident(vaddr)
+            self.descriptors.set_resident(vaddr)
         return vaddr
 
     def execute(self, obj: AmberObject, method: str, args: Tuple,
@@ -84,22 +87,9 @@ class ObjectTable:
 
     def resident(self, vaddr: int) -> Optional[AmberObject]:
         with self._state:
-            if self._descriptors.is_resident(vaddr):
+            if self.descriptors.is_resident(vaddr):
                 return self.objects.get(vaddr)
         return None
-
-    def believed(self, vaddr: int, may_wait: bool = True) -> int:
-        """Where to send a request for a non-resident object."""
-        with self._state:
-            descriptor = self._descriptors.lookup(vaddr)
-        if descriptor is not None and not descriptor.resident:
-            return descriptor.forward_to
-        home = self.home_node(vaddr, may_wait)
-        if home == self.node_id:
-            raise ObjectNotFoundError(
-                f"object {vaddr:#x} unknown at its home node "
-                f"{self.node_id}")
-        return home
 
     def home_node(self, vaddr: int, may_wait: bool = True) -> int:
         region = self._regions.lookup(vaddr)
@@ -115,7 +105,7 @@ class ObjectTable:
 
     def hint(self, vaddr: int, node: int) -> None:
         with self._state:
-            self._descriptors.update_hint(vaddr, node)
+            self.descriptors.update_hint(vaddr, node)
         self._stats["hints"] += 1
 
     def take_group(self, vaddr: int, dest: int,
@@ -146,7 +136,7 @@ class ObjectTable:
                           self._attachments.attachments_of(member))
             for member in group:
                 self._attachments.drop(member)
-                self._descriptors.set_forwarding(member, dest)
+                self.descriptors.set_forwarding(member, dest)
         return shipment, edges
 
     def adopt(self, objects: Dict[int, AmberObject], edges,
@@ -154,10 +144,10 @@ class ObjectTable:
         """Make ``objects`` resident here, attached by ``edges``."""
         with self._state:
             for vaddr, obj in objects.items():
-                if replica and self._descriptors.is_resident(vaddr):
+                if replica and self.descriptors.is_resident(vaddr):
                     continue   # already have a replica
                 self.objects[vaddr] = obj
-                self._descriptors.set_resident(vaddr)
+                self.descriptors.set_resident(vaddr)
             for source, target in edges:
                 self._attachments.attach(source, target)
 
@@ -172,7 +162,7 @@ class ObjectTable:
                         "detach objects before marking them immutable")
                 obj._amber_immutable = True
             elif op == "attach":
-                if not self._descriptors.is_resident(extra):
+                if not self.descriptors.is_resident(extra):
                     raise AttachmentError(
                         "Attach requires co-located objects; "
                         f"{extra:#x} is not resident here")
@@ -188,7 +178,7 @@ class ObjectTable:
                     raise MobilityError(
                         f"cannot delete {vaddr:#x} during an invocation")
                 self.objects.pop(vaddr, None)
-                self._descriptors.clear(vaddr)
+                self.descriptors.clear(vaddr)
                 self._attachments.drop(vaddr)
             else:
                 raise AmberError(f"unknown control op {op!r}")

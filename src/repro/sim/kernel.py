@@ -1,8 +1,11 @@
-"""The simulated Amber kernel core: threads, CPUs, invocation.
+"""The simulated Amber kernel core: CPUs, the trampoline, invocation.
 
 This module implements the paper's runtime semantics on the discrete-event
-substrate; location and mobility live in :mod:`repro.sim.mobility`, crash
-recovery in :mod:`repro.recovery.manager` (attached only when configured):
+substrate.  Each other mechanism has an owner whose request rows sit in the
+kernel's one handler table: threads in :mod:`repro.sim.thread`, objects in
+:mod:`repro.sim.objects`, location and mobility in :mod:`repro.sim.mobility`;
+crash recovery lives in :mod:`repro.recovery.manager` (attached only when
+configured).
 
 * **Invocation path** (sections 3.2, 3.4): every invocation charges the
   entry cost (frame push + residency check).  A resident target runs
@@ -10,30 +13,24 @@ recovery in :mod:`repro.recovery.manager` (attached only when configured):
   object — marshal on the source CPU, wire time on the shared Ethernet,
   unmarshal + dispatch on the destination CPU.  Returns mirror this with a
   return-time check against the caller's object.
-* **Threads and CPUs**: creation, start, join, suspend/wakeup, timeslicing,
-  the preemption the move protocol and node crashes rely on, and the
-  context-switch-time residency check of section 3.5.
+* **CPUs**: dispatch, timeslicing, the preemption the move protocol and
+  node crashes rely on, and the context-switch-time residency check of
+  section 3.5.
 
 Timing discipline: a request's simulated cost elapses *before* its state
 effects, so cross-CPU interleavings (e.g. two threads racing on a lock) are
 resolved in simulated-time order deterministically.  Every step is charged
 in one place, :meth:`AmberKernel.charge`; the public methods are the whole
-interface the other two modules use (DESIGN.md, "Simulator kernel
+interface the other modules use (DESIGN.md, "Simulator kernel
 structure").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.analyze import runtime as _analysis
-from repro.errors import (
-    AmberError,
-    AttachmentError,
-    InvocationError,
-    MobilityError,
-    ObjectNotFoundError,
-)
+from repro.errors import AmberError, InvocationError, ObjectNotFoundError
 from repro.obs.metrics import Held
 from repro.sim import syscalls as sc
 from repro.analyze.elide import runtime as _ert
@@ -41,8 +38,8 @@ from repro.sim.cluster import SimCluster
 from repro.sim.engine import NS_PER_US
 from repro.sim.mobility import Mobility
 from repro.sim.node import Cpu, SimNode
-from repro.sim.objects import SimObject, operation_of
-from repro.sim.thread import Activation, SimThread, ThreadState
+from repro.sim.objects import ObjectManager, SimObject, operation_of
+from repro.sim.thread import Activation, SimThread, ThreadManager, ThreadState
 
 
 class InvocationContext:
@@ -92,17 +89,21 @@ class AmberKernel:
         #: Histograms fed once per invocation are held (bound on first
         #: use); rarer emitters go through the registry.
         self._hists = Held(cluster.metrics.histogram)
-        self._next_tid = 0
+        #: Every thread ever created, in creation (tid) order.
         self.threads: List[SimThread] = []
         cluster.kernel = self
+        #: Thread creation to exit: NewThread, Start, Fork, Join, ...
+        self.thread_manager = ThreadManager(self)
+        #: New, Delete, Attach, Unattach, SetImmutable.
+        self.object_manager = ObjectManager(self)
         #: Locating, thread migration and the move protocol.
         self.mobility = Mobility(self)
-        #: Request type -> bound handler: the core's rows and mobility's.
+        #: Request type -> bound handler, from each owner's rows.
         self._handlers = {
             kind: handler.__get__(owner)
-            for owner, rows in ((self, self._HANDLERS),
-                                (self.mobility, Mobility.HANDLERS))
-            for kind, handler in rows.items()}
+            for owner in (self, self.thread_manager, self.object_manager,
+                          self.mobility)
+            for kind, handler in owner.HANDLERS.items()}
         #: Crash recovery (repro.recovery.manager), constructed — and
         #: imported — only when the cluster carries a RecoveryConfig;
         #: ``None`` otherwise, which every seam tests inline.
@@ -112,64 +113,6 @@ class AmberKernel:
             self.recovery = RecoveryManager(self, cluster.recovery)
         if cluster.faults is not None:
             self._schedule_fault_events(cluster.faults)
-
-    # ------------------------------------------------------------------
-    # Object management
-    # ------------------------------------------------------------------
-
-    def create_object(self, cls: type, args: Tuple, kwargs: dict,
-                      node_id: int, size_bytes: Optional[int]) -> SimObject:
-        """Allocate, construct, and register an object on ``node_id``."""
-        node = self.cluster.node(node_id)
-        obj = cls(*args, **kwargs)
-        if not isinstance(obj, SimObject):
-            raise InvocationError(
-                f"{cls.__name__} does not derive from SimObject")
-        self._install_new(obj, node, size_bytes if size_bytes is not None
-                          else type(obj).SIZE_BYTES)
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_create(obj)
-        rec = self.recovery
-        if rec is not None:
-            rec.object_created(obj, node_id)
-        return obj
-
-    def _install_new(self, obj: SimObject, node: SimNode,
-                     size: int) -> None:
-        """Give a new object (or thread) its address and residency."""
-        vaddr = node.heap.allocate(size)
-        obj._amber_init(vaddr, node.id, size)
-        self.cluster.objects[vaddr] = obj
-        node.descriptors.set_resident(vaddr)
-        node.stats.objects_created += 1
-
-    def delete_object(self, obj: SimObject, node_id: int) -> None:
-        vaddr = obj.vaddr
-        node = self.cluster.node(node_id)
-        if not node.descriptors.is_resident(vaddr):
-            raise MobilityError(
-                f"cannot delete {obj!r}: not resident on node {node_id}")
-        for other in self.cluster.nodes:
-            other.descriptors.clear(vaddr)
-        self.cluster.node(obj.home_node).heap.free(vaddr)
-        self.cluster.attachments.drop(vaddr)
-        self.cluster.objects.pop(vaddr, None)
-        obj._location = None
-
-    def new_thread(self, node_id: int, name: str, priority: int,
-                   body: sc.Invoke) -> SimThread:
-        """Create (but do not start) a thread on ``node_id`` whose root
-        invocation is ``body``."""
-        thread = SimThread(self._next_tid, name, priority)
-        self._next_tid += 1
-        self._install_new(thread, self.cluster.node(node_id),
-                          SimThread.SIZE_BYTES)
-        thread.location = node_id
-        thread.attach_clock(self.sim)
-        thread.on_arrival = ("invoke", body, True)
-        self.threads.append(thread)
-        return thread
 
     def trace(self, kind: str, node: int, thread: str = "",
               vaddr=None, detail: str = "",
@@ -236,19 +179,11 @@ class AmberKernel:
         if stale:
             self.metrics.inc("hints_repaired", len(stale))
         self.trace("restart", node_id, detail=f"{len(stale)} hints shed")
-        self._try_dispatch(node)
+        self.try_dispatch(node)
 
     # ------------------------------------------------------------------
-    # Thread lifecycle
+    # CPUs: ready queues, dispatch, switch-in
     # ------------------------------------------------------------------
-
-    def start_main(self, obj: SimObject, method: str, args: Tuple,
-                   node_id: int) -> SimThread:
-        """Bootstrap: create and start the program's main thread."""
-        thread = self.new_thread(node_id, "main", 0,
-                                 sc.Invoke(obj, method, *args))
-        self.ready(thread, node_id, self.costs.dispatch_us)
-        return thread
 
     def ready(self, thread: SimThread, node_id: int,
               surcharge_us: float) -> None:
@@ -263,9 +198,10 @@ class AmberKernel:
         if self.cluster.tracer is not None:
             self.metrics.sample(f"ready_queue_n{node_id}",
                                 len(node.scheduler))
-        self._try_dispatch(node)
+        self.try_dispatch(node)
 
-    def _try_dispatch(self, node: SimNode) -> None:
+    def try_dispatch(self, node: SimNode) -> None:
+        """Give each idle CPU of ``node`` the next ready thread."""
         if node.down:
             return
         while True:
@@ -297,7 +233,7 @@ class AmberKernel:
         cpu.thread = None
         cpu.run_event = None
         thread.cpu = None
-        self._try_dispatch(node)
+        self.try_dispatch(node)
 
     def _after_switch_in(self, thread: SimThread) -> None:
         """Runs whenever a thread (re)gains a CPU: consume any arrival
@@ -334,32 +270,6 @@ class AmberKernel:
             self._run_pending_compute(thread)
         else:
             self.advance(thread)
-
-    def thread_exit(self, thread: SimThread, value: Any,
-                    exc: Optional[BaseException]) -> None:
-        def finish() -> None:
-            self.trace("exit", thread.location, thread.name)
-            rec = self.recovery
-            if rec is not None:
-                rec.settle(thread)
-            thread.state = ThreadState.DONE
-            thread.result = value
-            thread.exception = exc
-            self.release_cpu(thread)
-            joiners, thread.joiners = thread.joiners, []
-            for joiner in joiners:
-                self._join_finished(joiner, thread)
-                self.ready(joiner, joiner.location, self.costs.join_us)
-
-        self.charge(thread, self.costs.thread_exit_us, finish)
-
-    def _join_finished(self, joiner: SimThread, target: SimThread) -> None:
-        """``target`` is done: hand its outcome to ``joiner``'s Join."""
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_join(joiner, target)
-        joiner.send_value = target.result
-        joiner.send_exc = target.exception
 
     # ------------------------------------------------------------------
     # CPU charging
@@ -531,21 +441,7 @@ class AmberKernel:
             thread.send_exc = error
             self.sim.call_now(lambda: self.advance(thread))
 
-    def _kernel_op(self, thread: SimThread, us: float,
-                   operation: Callable[[], Any]) -> None:
-        """Charge ``us``, run one table operation, and resume the thread
-        with its value — or with the :class:`AmberError` it raised,
-        delivered into the generator so the program can catch it."""
-        def then() -> None:
-            try:
-                thread.send_value = operation()
-            except AmberError as error:
-                thread.send_exc = error
-            self.advance(thread)
-
-        self.charge(thread, us, then)
-
-    # --- Compute / Charge / Yield --------------------------------------
+    # --- Compute / Charge / Yield / GetStats ------------------------------
 
     def _handle_compute(self, thread: SimThread, request: sc.Compute) -> None:
         if request.us < 0:
@@ -559,33 +455,6 @@ class AmberKernel:
         self.charge(thread, float(request.us),
                     lambda: self.advance(thread))
 
-    def _handle_sleep(self, thread: SimThread, request: sc.Sleep) -> None:
-        if request.us < 0:
-            raise InvocationError(f"negative sleep time: {request.us}")
-
-        def block() -> None:
-            token = self._block(thread, "sleep")
-            self.sim.schedule_us(request.us, lambda: wake(token))
-
-        def wake(token: int) -> None:
-            # A stale token: a crash took the thread while it slept.
-            if thread.run_token == token and \
-                    thread.state is ThreadState.BLOCKED:
-                self.ready(thread, thread.location,
-                           self.costs.dispatch_us)
-
-        self.charge(thread, self.costs.block_us, block)
-
-    def _block(self, thread: SimThread, reason: str) -> int:
-        """Suspend ``thread`` off its CPU; returns the run token a later
-        wake-up must still match."""
-        thread.block_reason = reason
-        self.trace("block", thread.location, thread.name, detail=reason)
-        thread.state = ThreadState.BLOCKED
-        thread.run_token += 1
-        self.release_cpu(thread)
-        return thread.run_token
-
     def _handle_yield(self, thread: SimThread, request: sc.Yield) -> None:
         node = self.cluster.nodes[thread.location]
 
@@ -597,6 +466,11 @@ class AmberKernel:
                 self._preempt_for_quantum(thread, 0.0)
 
         self.charge(thread, self.costs.context_switch_us, then)
+
+    def _handle_get_stats(self, thread: SimThread,
+                          request: sc.GetStats) -> None:
+        thread.send_value = self.cluster.stats
+        self.sim.call_now(lambda: self.advance(thread))
 
     # --- Invocation ------------------------------------------------------
 
@@ -726,7 +600,7 @@ class AmberKernel:
             rec.invocation_returned(thread, value, exc)
         if root:
             # A thread body: there is no caller frame to return into.
-            self.thread_exit(thread, value, exc)
+            self.thread_manager.thread_exit(thread, value, exc)
             return
         # The return pays the return-check cost.  An elided sync op
         # deposits its nominal SYNC_OP_US in the thread's surcharge;
@@ -780,208 +654,12 @@ class AmberKernel:
                 target.vaddr not in self.cluster.objects:
             raise ObjectNotFoundError(f"{target!r} has been deleted")
 
-    # --- Objects, attachment, immutability --------------------------------
-
-    def _handle_new(self, thread: SimThread, request: sc.New) -> None:
-        node_id = (thread.location if request.on_node is None
-                   else request.on_node)
-
-        def create() -> SimObject:
-            obj = self.create_object(request.cls, request.args,
-                                     request.kwargs, node_id,
-                                     request.size_bytes)
-            # AmberElide: mark a lock whose (creator, class) pair
-            # the active artifact proves single-thread-reachable.
-            owners = _ert.LOCK_OWNERS
-            if owners and thread.stack:
-                creator = _ert.lock_owner_name(
-                    type(thread.stack[-1].obj).__name__)
-                if (creator, request.cls.__name__) in owners:
-                    obj._elide_ok = True
-            return obj
-
-        self._kernel_op(thread, self.costs.object_create_us(), create)
-
-    def _handle_delete(self, thread: SimThread, request: sc.Delete) -> None:
-        self.validate_target(request.target)
-        self._kernel_op(
-            thread, self.costs.descriptor_init_us,
-            lambda: self.delete_object(request.target, thread.location))
-
-    def _handle_attach(self, thread: SimThread, request: sc.Attach) -> None:
-        self.validate_target(request.target)
-        self.validate_target(request.to)
-        node = self.cluster.nodes[thread.location]
-        a, b = request.target, request.to
-        if a.immutable or b.immutable:
-            raise AttachmentError(
-                "immutable (replicated) objects cannot be attached")
-        if not (node.descriptors.is_resident(a.vaddr)
-                and node.descriptors.is_resident(b.vaddr)):
-            raise AttachmentError(
-                "Attach requires both objects resident on the current node "
-                f"(node {node.id}): {a!r}, {b!r}")
-        self._kernel_op(
-            thread, self.costs.descriptor_init_us,
-            lambda: self.cluster.attachments.attach(a.vaddr, b.vaddr))
-
-    def _handle_unattach(self, thread: SimThread,
-                         request: sc.Unattach) -> None:
-        self.validate_target(request.target)
-        self._kernel_op(
-            thread, self.costs.descriptor_init_us,
-            lambda: self.cluster.attachments.unattach(request.target.vaddr))
-
-    def _handle_set_immutable(self, thread: SimThread,
-                              request: sc.SetImmutable) -> None:
-        self.validate_target(request.target)
-        target = request.target
-
-        def freeze() -> None:
-            if isinstance(target, SimThread):
-                raise MobilityError("threads cannot be marked immutable")
-            if self.cluster.attachments.is_attached(target.vaddr) or \
-                    target.vaddr in self.cluster.attachments.members():
-                raise MobilityError(
-                    "detach objects before marking them immutable")
-            target._immutable = True
-            target._replica_nodes = {target._location}
-
-        self._kernel_op(thread, self.costs.descriptor_init_us, freeze)
-
-    # --- Thread requests --------------------------------------------------
-
-    def _handle_new_thread(self, thread: SimThread,
-                           request: sc.NewThread) -> None:
-        self.validate_target(request.target)
-        body = sc.Invoke(request.target, request.method, *request.args)
-
-        def then() -> None:
-            thread.send_value = self.new_thread(
-                thread.location, request.name, request.priority, body)
-            self.advance(thread)
-
-        self.charge(thread, self.costs.object_create_us(), then)
-
-    def _handle_start(self, thread: SimThread, request: sc.Start) -> None:
-        child = request.thread
-        if not isinstance(child, SimThread) or \
-                child.state is not ThreadState.NEW:
-            raise InvocationError(
-                f"Start requires an unstarted thread, got {child!r}")
-        self.charge(thread, self.costs.thread_start_us,
-                    lambda: self._start_child(thread, child))
-
-    def _start_child(self, thread: SimThread, child: SimThread) -> None:
-        """Make ``child`` runnable and hand it back to its starter."""
-        san = _analysis.ACTIVE
-        if san is not None:
-            san.on_start(thread, child)
-        self.ready(child, child.location, self.costs.dispatch_us)
-        thread.send_value = child
-        self.advance(thread)
-
-    def _handle_fork(self, thread: SimThread, request: sc.Fork) -> None:
-        self.validate_target(request.target)
-        body = sc.Invoke(request.target, request.method, *request.args,
-                         arg_bytes=request.arg_bytes)
-        self.charge(thread,
-                    self.costs.object_create_us()
-                    + self.costs.thread_start_us,
-                    lambda: self._start_child(
-                        thread, self.new_thread(
-                            thread.location, request.name,
-                            request.priority, body)))
-
-    def _handle_join(self, thread: SimThread, request: sc.Join) -> None:
-        target = request.thread
-        if not isinstance(target, SimThread):
-            raise InvocationError(f"Join target {target!r} is not a thread")
-        if target is thread:
-            raise InvocationError("a thread cannot join itself")
-
-        def joined() -> None:
-            self._join_finished(thread, target)
-            self.advance(thread)
-
-        def block() -> None:
-            if target.done:
-                joined()  # the target exited while we entered the wait
-                return
-            target.joiners.append(thread)
-            self._block(thread, "join")
-
-        if target.done:
-            self.charge(thread, self.costs.join_us, joined)
-        else:
-            self.charge(thread, self.costs.block_us, block)
-
-    def _handle_suspend(self, thread: SimThread,
-                        request: sc.Suspend) -> None:
-        def then() -> None:
-            if thread.wakeup_pending:
-                thread.wakeup_pending = False
-                self.advance(thread)
-                return
-            self._block(thread, request.reason)
-
-        self.charge(thread, self.costs.block_us, then)
-
-    def _handle_wakeup(self, thread: SimThread, request: sc.Wakeup) -> None:
-        target = request.thread
-        if not isinstance(target, SimThread):
-            raise InvocationError(f"Wakeup target {target!r} is not a thread")
-
-        def then() -> None:
-            san = _analysis.ACTIVE
-            if san is not None and not target.done:
-                san.on_wakeup(thread, target)
-            if target.state is ThreadState.BLOCKED:
-                self.ready(target, target.location, self.costs.dispatch_us)
-            elif not target.done:
-                target.wakeup_pending = True
-            self.advance(thread)
-
-        self.charge(thread, self.costs.wakeup_us, then)
-
-    # --- Scheduling control -------------------------------------------------
-
-    def _handle_set_scheduler(self, thread: SimThread,
-                              request: sc.SetScheduler) -> None:
-        node = self.cluster.node(request.node)
-
-        def then() -> None:
-            node.set_scheduler(request.scheduler)
-            thread.send_value = None
-            self.advance(thread)
-            self._try_dispatch(node)
-
-        self.charge(thread, self.costs.descriptor_init_us, then)
-
-    def _handle_get_stats(self, thread: SimThread,
-                          request: sc.GetStats) -> None:
-        thread.send_value = self.cluster.stats
-        self.sim.call_now(lambda: self.advance(thread))
-
-    #: The core's request rows (MoveTo, Locate, Refresh: Mobility.HANDLERS).
-    _HANDLERS = {
+    #: The core's request rows.
+    HANDLERS = {
         sc.Compute: _handle_compute,
         sc.Charge: _handle_charge,
         sc.Yield: _handle_yield,
-        sc.Sleep: _handle_sleep,
+        sc.GetStats: _handle_get_stats,
         sc.Invoke: _handle_invoke,
         sc.FastInvoke: _handle_fast_invoke,
-        sc.New: _handle_new,
-        sc.Delete: _handle_delete,
-        sc.NewThread: _handle_new_thread,
-        sc.Start: _handle_start,
-        sc.Fork: _handle_fork,
-        sc.Join: _handle_join,
-        sc.Suspend: _handle_suspend,
-        sc.Wakeup: _handle_wakeup,
-        sc.Attach: _handle_attach,
-        sc.Unattach: _handle_unattach,
-        sc.SetImmutable: _handle_set_immutable,
-        sc.SetScheduler: _handle_set_scheduler,
-        sc.GetStats: _handle_get_stats,
     }

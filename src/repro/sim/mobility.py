@@ -4,8 +4,8 @@ Reached as ``kernel.mobility``; its request rows (``MoveTo``, ``Locate``,
 ``Refresh``) sit in the kernel's one handler table.
 
 * **Locating** (section 3.3): migrating threads and control messages follow
-  forwarding chains hop by hop; a node with an uninitialized descriptor
-  routes to the object's home node (derived from the address).  On arrival
+  forwarding chains hop by hop, each hop the node's ``next_hop`` rule
+  (its hint, else the home node derived from the address).  On arrival
   the final location is cached along the visited path (path compression).
   Both kinds of request are one :class:`Chase` followed by one routine
   (:meth:`Mobility._arrived` / ``_forward`` / ``_unreachable``).
@@ -104,20 +104,7 @@ class Mobility:
         self.metrics = kernel.metrics
         #: Histograms fed once per migration or chase are held.
         self._hists = Held(kernel.metrics.histogram)
-
-    def believed_location(self, node: SimNode, vaddr: int) -> int:
-        """Where ``node`` should send a request for ``vaddr``: the
-        forwarding hint if any, else the object's home node."""
-        descriptor = node.descriptors.lookup(vaddr)
-        if descriptor is not None:
-            if descriptor.resident:
-                return node.id
-            return descriptor.forward_to
-        home = self.cluster.home_node(vaddr)
-        if home == node.id:
-            raise ObjectNotFoundError(
-                f"object {vaddr:#x} unknown at its home node {node.id}")
-        return home
+        self._home_of = kernel.cluster.home_node
 
     # ------------------------------------------------------------------
     # Thread migration (function shipping)
@@ -143,10 +130,10 @@ class Mobility:
             rec = kernel.recovery
             if rec is not None:
                 rec.log_departure(thread, node.id)
-            believed = self.believed_location(node, vaddr)
+            next_node = node.descriptors.next_hop(vaddr, self._home_of)
             kernel.release_cpu(thread)
             thread.location = None
-            self.send_thread(thread, node.id, believed, vaddr, payload)
+            self.send_thread(thread, node.id, next_node, vaddr, payload)
 
         kernel.charge(thread, self.costs.thread_send_cpu_us(), depart)
 
@@ -221,7 +208,7 @@ class Mobility:
             # hint can change in between; every fixed point pins both).
             node.stats.forward_hops += 1
             self.cluster.stats.forwarding_hops_followed += 1
-            next_node = (self.believed_location(node, vaddr)
+            next_node = (node.descriptors.next_hop(vaddr, self._home_of)
                          if chase.on_found is None else None)
             self.sim.schedule_us(
                 self.costs.forward_hop_us,
@@ -254,7 +241,7 @@ class Mobility:
         wherever ``node`` now believes the object is."""
         vaddr = chase.vaddr
         if next_node is None:
-            next_node = self.believed_location(node, vaddr)
+            next_node = node.descriptors.next_hop(vaddr, self._home_of)
         if chase.path.count(next_node) < 2:
             self._hop(chase, node.id, next_node)
             return
@@ -307,10 +294,8 @@ class Mobility:
         home = self.cluster.home_node(vaddr)
         if dead != home and src != home:
             source = self.cluster.node(src)
-            descriptor = source.descriptors.lookup(vaddr)
-            if (descriptor is not None and not descriptor.resident
-                    and descriptor.forward_to == dead):
-                source.descriptors.clear(vaddr)
+            if source.descriptors.next_hop(vaddr, self._home_of) == dead:
+                source.descriptors.clear(vaddr)   # the hint that led there
                 self.metrics.inc("hints_repaired")
             self.metrics.inc("home_fallbacks")
             kernel.trace("home-fallback", src, name, vaddr,

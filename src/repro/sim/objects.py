@@ -9,12 +9,23 @@ non-generator methods execute atomically.
 
 Objects are created with the ``New`` request, never by calling the class
 directly, so the kernel can assign the virtual address, charge the creation
-cost, and install the resident descriptor (section 3.2).
+cost, and install the resident descriptor (section 3.2).  That request and
+the others that change an object in place are :class:`ObjectManager`'s rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Tuple
+
+from repro.analyze import runtime as _analysis
+from repro.analyze.elide import runtime as _ert
+from repro.errors import (
+    AmberError,
+    AttachmentError,
+    InvocationError,
+    MobilityError,
+)
+from repro.sim import syscalls as sc
 
 
 class SimObject:
@@ -90,10 +101,153 @@ class SimObject:
 def operation_of(obj: SimObject, method: str) -> Any:
     """Fetch the bound operation ``method`` of ``obj``, raising a clean
     error for unknown names (used by the kernel's invocation path)."""
-    from repro.errors import InvocationError
-
     fn = getattr(obj, method, None)
     if fn is None or not callable(fn):
         raise InvocationError(
             f"{type(obj).__name__} has no operation {method!r}")
     return fn
+
+
+class ObjectManager:
+    """Objects from creation to deletion, reached as
+    ``kernel.object_manager``; its rows sit in the kernel's one table."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.cluster = kernel.cluster
+        self.costs = kernel.costs
+
+    def create_object(self, cls: type, args: Tuple, kwargs: dict,
+                      node_id: int, size_bytes: Optional[int]) -> SimObject:
+        """Allocate, construct, and register an object on ``node_id``."""
+        node = self.cluster.node(node_id)
+        obj = cls(*args, **kwargs)
+        if not isinstance(obj, SimObject):
+            raise InvocationError(
+                f"{cls.__name__} does not derive from SimObject")
+        self.install_new(obj, node, size_bytes if size_bytes is not None
+                         else type(obj).SIZE_BYTES)
+        san = _analysis.ACTIVE
+        if san is not None:
+            san.on_create(obj)
+        rec = self.kernel.recovery
+        if rec is not None:
+            rec.object_created(obj, node_id)
+        return obj
+
+    def install_new(self, obj: SimObject, node, size: int) -> None:
+        """Give a new object (or thread) its address and residency on
+        ``node``."""
+        vaddr = node.heap.allocate(size)
+        obj._amber_init(vaddr, node.id, size)
+        self.cluster.objects[vaddr] = obj
+        node.descriptors.set_resident(vaddr)
+        node.stats.objects_created += 1
+
+    def delete_object(self, obj: SimObject, node_id: int) -> None:
+        vaddr = obj.vaddr
+        node = self.cluster.node(node_id)
+        if not node.descriptors.is_resident(vaddr):
+            raise MobilityError(
+                f"cannot delete {obj!r}: not resident on node {node_id}")
+        for other in self.cluster.nodes:
+            other.descriptors.clear(vaddr)
+        self.cluster.node(obj.home_node).heap.free(vaddr)
+        self.cluster.attachments.drop(vaddr)
+        self.cluster.objects.pop(vaddr, None)
+        obj._location = None
+
+    def _kernel_op(self, thread, us: float,
+                   operation: Callable[[], Any]) -> None:
+        """Charge ``us``, run one table operation, and resume the thread
+        with its value — or with the :class:`AmberError` it raised,
+        delivered into the generator so the program can catch it."""
+        kernel = self.kernel
+
+        def then() -> None:
+            try:
+                thread.send_value = operation()
+            except AmberError as error:
+                thread.send_exc = error
+            kernel.advance(thread)
+
+        kernel.charge(thread, us, then)
+
+    # --- The object requests ----------------------------------------------
+
+    def _handle_new(self, thread, request: sc.New) -> None:
+        node_id = (thread.location if request.on_node is None
+                   else request.on_node)
+
+        def create() -> SimObject:
+            obj = self.create_object(request.cls, request.args,
+                                     request.kwargs, node_id,
+                                     request.size_bytes)
+            # AmberElide: mark a lock whose (creator, class) pair
+            # the active artifact proves single-thread-reachable.
+            owners = _ert.LOCK_OWNERS
+            if owners and thread.stack:
+                creator = _ert.lock_owner_name(
+                    type(thread.stack[-1].obj).__name__)
+                if (creator, request.cls.__name__) in owners:
+                    obj._elide_ok = True
+            return obj
+
+        self._kernel_op(thread, self.costs.object_create_us(), create)
+
+    def _handle_delete(self, thread, request: sc.Delete) -> None:
+        self.kernel.validate_target(request.target)
+        self._kernel_op(
+            thread, self.costs.descriptor_init_us,
+            lambda: self.delete_object(request.target, thread.location))
+
+    def _handle_attach(self, thread, request: sc.Attach) -> None:
+        self.kernel.validate_target(request.target)
+        self.kernel.validate_target(request.to)
+        node = self.cluster.nodes[thread.location]
+        a, b = request.target, request.to
+        if a.immutable or b.immutable:
+            raise AttachmentError(
+                "immutable (replicated) objects cannot be attached")
+        if not (node.descriptors.is_resident(a.vaddr)
+                and node.descriptors.is_resident(b.vaddr)):
+            raise AttachmentError(
+                "Attach requires both objects resident on the current node "
+                f"(node {node.id}): {a!r}, {b!r}")
+        self._kernel_op(
+            thread, self.costs.descriptor_init_us,
+            lambda: self.cluster.attachments.attach(a.vaddr, b.vaddr))
+
+    def _handle_unattach(self, thread, request: sc.Unattach) -> None:
+        self.kernel.validate_target(request.target)
+        self._kernel_op(
+            thread, self.costs.descriptor_init_us,
+            lambda: self.cluster.attachments.unattach(request.target.vaddr))
+
+    def _handle_set_immutable(self, thread,
+                              request: sc.SetImmutable) -> None:
+        self.kernel.validate_target(request.target)
+        target = request.target
+
+        def freeze() -> None:
+            from repro.sim.thread import SimThread  # it imports this module
+
+            if isinstance(target, SimThread):
+                raise MobilityError("threads cannot be marked immutable")
+            if self.cluster.attachments.is_attached(target.vaddr) or \
+                    target.vaddr in self.cluster.attachments.members():
+                raise MobilityError(
+                    "detach objects before marking them immutable")
+            target._immutable = True
+            target._replica_nodes = {target._location}
+
+        self._kernel_op(thread, self.costs.descriptor_init_us, freeze)
+
+    #: This module's rows of the kernel's request table.
+    HANDLERS = {
+        sc.New: _handle_new,
+        sc.Delete: _handle_delete,
+        sc.Attach: _handle_attach,
+        sc.Unattach: _handle_unattach,
+        sc.SetImmutable: _handle_set_immutable,
+    }

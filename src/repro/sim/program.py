@@ -115,9 +115,10 @@ class AmberProgram:
                 node.set_scheduler(ControlledScheduler(controller,
                                                        node.id))
         kernel = AmberKernel(cluster)
-        main_obj = kernel.create_object(_MainObject, (main_fn, args), {},
-                                        main_node, None)
-        main_thread = kernel.start_main(main_obj, "run", (), main_node)
+        main_obj = kernel.object_manager.create_object(
+            _MainObject, (main_fn, args), {}, main_node, None)
+        main_thread = kernel.thread_manager.start_main(
+            main_obj, "run", (), main_node)
         sanitizer = None
         if self.sanitize or _analysis.auto_enabled():
             sanitizer = _analysis.make_sanitizer()

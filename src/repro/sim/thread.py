@@ -10,15 +10,21 @@ consider when one of those objects moves (section 3.5).
 Being objects, threads live in the global address space, can be joined from
 anywhere, and migrate between nodes — either because they invoked a remote
 object (function shipping) or because an object they are bound to moved.
+
+:class:`ThreadManager` holds the rows of the thread requests and ends
+threads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.analyze import runtime as _analysis
+from repro.errors import InvocationError
 from repro.obs.profile import bucket_for_state
+from repro.sim import syscalls as sc
 from repro.sim.engine import NS_PER_US
 from repro.sim.objects import SimObject
 
@@ -79,7 +85,7 @@ class SimThread(SimObject):
     __slots__ = (
         "tid", "name", "priority", "_state", "location", "stack",
         "send_value", "send_exc", "surcharge_us", "pending_compute_us",
-        "slice_left_us", "cpu", "run_token", "wakeup_pending",
+        "slice_left_us", "cpu", "run_token", "wakeup_pending", "suspended",
         "chase", "on_arrival", "transit_start_us", "invoke_t0",
         "invoke_remote", "pending_invoke_metric", "invoke_seq",
         "resurrect_stack", "carried_checkpoints", "result", "exception",
@@ -114,8 +120,12 @@ class SimThread(SimObject):
         self.cpu: Optional[int] = None
         #: Invalidates in-flight run events after a preemption.
         self.run_token: int = 0
-        #: Pending Wakeup that arrived before the Suspend completed.
+        #: A Wakeup that found the thread not blocked in Suspend: the
+        #: next Suspend returns at once.
         self.wakeup_pending: bool = False
+        #: Whether the latest block was a Suspend, the one wait a Wakeup
+        #: ends (a Join or a Sleep is not).
+        self.suspended: bool = False
 
         # --- migration --------------------------------------------------
         #: While on the wire: the :class:`repro.sim.mobility.Chase`
@@ -207,3 +217,219 @@ class SimThread(SimObject):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimThread {self.name} tid={self.tid} "
                 f"{self.state.value} @node {self.location}>")
+
+
+class ThreadManager:
+    """Threads from creation to exit, reached as ``kernel.thread_manager``;
+    its rows sit in the kernel's one handler table."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.cluster = kernel.cluster
+        self.sim = kernel.sim
+        self.costs = kernel.costs
+
+    def new_thread(self, node_id: int, name: str, priority: int,
+                   body: sc.Invoke) -> SimThread:
+        """Create (but do not start) a thread on ``node_id`` whose root
+        invocation is ``body``."""
+        threads = self.kernel.threads
+        thread = SimThread(len(threads), name, priority)
+        self.kernel.object_manager.install_new(
+            thread, self.cluster.node(node_id), SimThread.SIZE_BYTES)
+        thread.location = node_id
+        thread.attach_clock(self.sim)
+        thread.on_arrival = ("invoke", body, True)
+        threads.append(thread)
+        return thread
+
+    def start_main(self, obj: SimObject, method: str, args: Tuple,
+                   node_id: int) -> SimThread:
+        """Bootstrap: create and start the program's main thread."""
+        thread = self.new_thread(node_id, "main", 0,
+                                 sc.Invoke(obj, method, *args))
+        self.kernel.ready(thread, node_id, self.costs.dispatch_us)
+        return thread
+
+    def thread_exit(self, thread: SimThread, value: Any,
+                    exc: Optional[BaseException]) -> None:
+        kernel = self.kernel
+
+        def finish() -> None:
+            kernel.trace("exit", thread.location, thread.name)
+            rec = kernel.recovery
+            if rec is not None:
+                rec.settle(thread)
+            thread.state = ThreadState.DONE
+            thread.result = value
+            thread.exception = exc
+            kernel.release_cpu(thread)
+            self.release_joiners(thread)
+
+        kernel.charge(thread, self.costs.thread_exit_us, finish)
+
+    def release_joiners(self, thread: SimThread) -> None:
+        """``thread`` is done: every thread blocked joining it resumes
+        with its outcome."""
+        joiners, thread.joiners = thread.joiners, []
+        for joiner in joiners:
+            self._join_finished(joiner, thread)
+            self.kernel.ready(joiner, joiner.location, self.costs.join_us)
+
+    def _join_finished(self, joiner: SimThread, target: SimThread) -> None:
+        """``target`` is done: hand its outcome to ``joiner``'s Join."""
+        san = _analysis.ACTIVE
+        if san is not None:
+            san.on_join(joiner, target)
+        joiner.send_value = target.result
+        joiner.send_exc = target.exception
+
+    def _block(self, thread: SimThread, reason: str,
+               suspended: bool = False) -> int:
+        """Take ``thread`` off its CPU until something readies it;
+        returns the run token a later wake-up must still match."""
+        thread.block_reason = reason
+        thread.suspended = suspended
+        self.kernel.trace("block", thread.location, thread.name,
+                          detail=reason)
+        thread.state = ThreadState.BLOCKED
+        thread.run_token += 1
+        self.kernel.release_cpu(thread)
+        return thread.run_token
+
+    def _start_child(self, thread: SimThread, child: SimThread) -> None:
+        """Make ``child`` runnable and hand it back to its starter."""
+        san = _analysis.ACTIVE
+        if san is not None:
+            san.on_start(thread, child)
+        self.kernel.ready(child, child.location, self.costs.dispatch_us)
+        thread.send_value = child
+        self.kernel.advance(thread)
+
+    # --- The thread requests ----------------------------------------------
+
+    def _handle_new_thread(self, thread: SimThread,
+                           request: sc.NewThread) -> None:
+        self.kernel.validate_target(request.target)
+        body = sc.Invoke(request.target, request.method, *request.args)
+
+        def then() -> None:
+            thread.send_value = self.new_thread(
+                thread.location, request.name, request.priority, body)
+            self.kernel.advance(thread)
+
+        self.kernel.charge(thread, self.costs.object_create_us(), then)
+
+    def _handle_start(self, thread: SimThread, request: sc.Start) -> None:
+        child = request.thread
+        if not isinstance(child, SimThread) or \
+                child.state is not ThreadState.NEW:
+            raise InvocationError(
+                f"Start requires an unstarted thread, got {child!r}")
+        self.kernel.charge(thread, self.costs.thread_start_us,
+                           lambda: self._start_child(thread, child))
+
+    def _handle_fork(self, thread: SimThread, request: sc.Fork) -> None:
+        self.kernel.validate_target(request.target)
+        body = sc.Invoke(request.target, request.method, *request.args,
+                         arg_bytes=request.arg_bytes)
+        self.kernel.charge(thread,
+                           self.costs.object_create_us()
+                           + self.costs.thread_start_us,
+                           lambda: self._start_child(
+                               thread, self.new_thread(
+                                   thread.location, request.name,
+                                   request.priority, body)))
+
+    def _handle_join(self, thread: SimThread, request: sc.Join) -> None:
+        target = request.thread
+        if not isinstance(target, SimThread):
+            raise InvocationError(f"Join target {target!r} is not a thread")
+        if target is thread:
+            raise InvocationError("a thread cannot join itself")
+
+        def joined() -> None:
+            self._join_finished(thread, target)
+            self.kernel.advance(thread)
+
+        def block() -> None:
+            if target.done:
+                joined()  # the target exited while we entered the wait
+                return
+            target.joiners.append(thread)
+            self._block(thread, "join")
+
+        if target.done:
+            self.kernel.charge(thread, self.costs.join_us, joined)
+        else:
+            self.kernel.charge(thread, self.costs.block_us, block)
+
+    def _handle_suspend(self, thread: SimThread,
+                        request: sc.Suspend) -> None:
+        def then() -> None:
+            if thread.wakeup_pending:
+                thread.wakeup_pending = False
+                self.kernel.advance(thread)
+                return
+            self._block(thread, request.reason, suspended=True)
+
+        self.kernel.charge(thread, self.costs.block_us, then)
+
+    def _handle_wakeup(self, thread: SimThread, request: sc.Wakeup) -> None:
+        target = request.thread
+        if not isinstance(target, SimThread):
+            raise InvocationError(f"Wakeup target {target!r} is not a thread")
+
+        def then() -> None:
+            san = _analysis.ACTIVE
+            if san is not None and not target.done:
+                san.on_wakeup(thread, target)
+            if target.state is ThreadState.BLOCKED and target.suspended:
+                self.kernel.ready(target, target.location,
+                                  self.costs.dispatch_us)
+            elif not target.done:
+                target.wakeup_pending = True
+            self.kernel.advance(thread)
+
+        self.kernel.charge(thread, self.costs.wakeup_us, then)
+
+    def _handle_sleep(self, thread: SimThread, request: sc.Sleep) -> None:
+        if request.us < 0:
+            raise InvocationError(f"negative sleep time: {request.us}")
+
+        def block() -> None:
+            token = self._block(thread, "sleep")
+            self.sim.schedule_us(request.us, lambda: wake(token))
+
+        def wake(token: int) -> None:
+            # A stale token: a crash took the thread while it slept.
+            if thread.run_token == token and \
+                    thread.state is ThreadState.BLOCKED:
+                self.kernel.ready(thread, thread.location,
+                                  self.costs.dispatch_us)
+
+        self.kernel.charge(thread, self.costs.block_us, block)
+
+    def _handle_set_scheduler(self, thread: SimThread,
+                              request: sc.SetScheduler) -> None:
+        node = self.cluster.node(request.node)
+
+        def then() -> None:
+            node.set_scheduler(request.scheduler)
+            thread.send_value = None
+            self.kernel.advance(thread)
+            self.kernel.try_dispatch(node)
+
+        self.kernel.charge(thread, self.costs.descriptor_init_us, then)
+
+    #: This module's rows of the kernel's request table.
+    HANDLERS = {
+        sc.NewThread: _handle_new_thread,
+        sc.Start: _handle_start,
+        sc.Fork: _handle_fork,
+        sc.Join: _handle_join,
+        sc.Suspend: _handle_suspend,
+        sc.Wakeup: _handle_wakeup,
+        sc.Sleep: _handle_sleep,
+        sc.SetScheduler: _handle_set_scheduler,
+    }

@@ -404,6 +404,17 @@ class TestAnyReplyClosesTheBreaker:
             time.sleep(0.01)
         assert cluster.call(handle, "poke") == "ok"
 
+    def test_a_probe_forwarded_by_its_target(self):
+        """The probe's target relays it to the object's new holder, whose
+        reply closes the relay's breaker too."""
+        with Cluster(nodes=3) as cluster:
+            moved = cluster.create(Napper, node=1)
+            stays = cluster.create(Napper, node=1)
+            cluster.move(moved, 2)
+            self._open_with_cooldown_served(cluster.kernel)
+            assert cluster.call(moved, "poke") == "ok"
+            assert cluster.call(stays, "poke") == "ok"
+
 
 # ---------------------------------------------------------------------------
 # Live kernel: wait_reply races + the resend ladder

@@ -11,9 +11,11 @@ the per-event path was made to look instruments, nodes and state buckets
 up once (commit ``41e77d0``), **17.58** after (``cf12d11``), **17.15**
 once crash recovery became an attribute that is ``None`` when off (the
 ``_recovering()`` / ``_settle_replay_entries()`` calls of a recovery-free
-run are gone; the kernel split itself adds no call per event).  The
-budget is the current figure plus 10 %; an increase means a wrapper
-crept onto the per-event path.
+run are gone; the kernel split itself adds no call per event), 17.23
+with one return path for atomic and generator operations, and **16.86**
+once every hop of the chase is one ``DescriptorTable.next_hop``.  The
+budget is the 17.15 figure plus 10 %; an increase means a wrapper crept
+onto the per-event path.
 """
 
 from __future__ import annotations

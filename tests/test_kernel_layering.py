@@ -1,7 +1,9 @@
 """Structure of the simulator kernel (DESIGN.md, "Simulator kernel
 structure"): crash recovery is attached and imported only when it is
-configured, no module or class under ``src/repro/sim`` grows back into a
-monolith, and the public import points stay where their users expect.
+configured, no class under ``src/repro/sim`` grows back into a monolith
+(``tests/test_module_size.py`` holds the modules), no owner of a
+mechanism reaches another's underscore names, and the public import
+points stay where their users expect.
 """
 
 import ast
@@ -13,9 +15,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SIM = SRC / "repro" / "sim"
+RECOVERY = SRC / "repro" / "recovery"
 
-MAX_MODULE_LINES = 1000
 MAX_CLASS_METHODS = 60
+
+#: How the modules under sim/ and recovery/ name the owners of the
+#: kernel's mechanisms: the core, its three request owners, recovery.
+OWNERS = {"kernel", "_kernel", "thread_manager", "object_manager",
+          "mobility", "recovery", "rec"}
 
 _PROBE = """
 import json, sys
@@ -83,10 +90,7 @@ def test_recovery_package_import_stays_config_only():
 
 def test_no_monolith_under_sim():
     for path in sorted(SIM.glob("*.py")):
-        source = path.read_text()
-        lines = source.count("\n")
-        assert lines <= MAX_MODULE_LINES, f"{path.name}: {lines} lines"
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef):
                 methods = sum(isinstance(item, (ast.FunctionDef,
                                                 ast.AsyncFunctionDef))
@@ -96,16 +100,36 @@ def test_no_monolith_under_sim():
 
 
 def test_kernel_core_does_not_import_recovery_at_module_level():
-    tree = ast.parse((SIM / "kernel.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        assert not any(name.startswith("repro.recovery")
-                       for name in names), ast.dump(node)
+    """Nowhere under sim/: only the kernel imports it, and only when a
+    run configures it."""
+    for path in sorted(SIM.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.startswith("repro.recovery")
+                           for name in names), (path.name, ast.dump(node))
+
+
+def test_no_owner_reaches_another_owners_private_names():
+    """``kernel._x``, ``self.kernel._x``, ``kernel.mobility._x``,
+    ``rec._x`` and the like: each owner's underscore names are its own."""
+    reached = []
+    for path in sorted([*SIM.glob("*.py"), *RECOVERY.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                continue
+            owner = node.value
+            name = (owner.attr if isinstance(owner, ast.Attribute)
+                    else getattr(owner, "id", None))
+            if name in OWNERS:
+                reached.append(f"{path.name}: {ast.unparse(node)}")
+    assert not reached, reached
 
 
 def test_detector_uses_only_the_kernels_public_interface():

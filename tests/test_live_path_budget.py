@@ -24,9 +24,11 @@ second half a continuation (two frames and three hand-offs fewer a
 pair); **555.4** and **555.6** once a served request is answered by one
 routine that posts and writes its reply (no ``send`` between them), and
 **554.3** to **554.8** over five runs once the request rows go straight
-to the serve path (no per-kind wrapper).  The budget is the current
-figure plus 10 %: an increase means a frame, a hand-off or a wrapper
-crept back onto the path.
+to the serve path (no per-kind wrapper).  On a 2-vCPU container the
+same pair reads **534.4** there and **523.4** once a request is routed
+by ``DescriptorTable.next_hop`` alone (no locked residency check first).
+The budget is the 554.8 figure plus 10 %: an increase means a frame, a
+hand-off or a wrapper crept back onto the path.
 """
 
 from __future__ import annotations

@@ -167,9 +167,9 @@ class TestHarness:
         for node in cluster.nodes:
             node.heap._server = program_cluster_limit
         kernel = AmberKernel(cluster)
-        main_obj = kernel.create_object(
+        main_obj = kernel.object_manager.create_object(
             __import__("repro.sim.program", fromlist=["_MainObject"])
             ._MainObject, (main, ()), {}, 0, None)
-        thread = kernel.start_main(main_obj, "run", (), 0)
+        thread = kernel.thread_manager.start_main(main_obj, "run", (), 0)
         cluster.sim.run()
         assert isinstance(thread.exception, AddressExhaustedError)

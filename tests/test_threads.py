@@ -14,6 +14,7 @@ from repro.sim.syscalls import (
     MoveTo,
     New,
     NewThread,
+    Sleep,
     Start,
     Suspend,
     Wakeup,
@@ -228,6 +229,12 @@ class TestAtomicThreadBody:
         assert run(main).value == "caught atomic boom"
 
 
+class Poker(SimObject):
+    def poke(self, ctx, thread, after_us):
+        yield Compute(after_us)
+        yield Wakeup(thread)
+
+
 class TestSuspendWakeup:
     def test_wakeup_before_suspend_not_lost(self):
         """The classic race: Wakeup delivered while the target is still
@@ -252,6 +259,33 @@ class TestSuspendWakeup:
             return (yield Join(sleeper))
 
         assert run(main, cpus=2).value == "woke"
+
+    def test_wakeup_leaves_a_joiner_joined(self):
+        """A Wakeup aimed at a thread blocked in Join is remembered, not
+        delivered: the joiner still returns its target's value."""
+        class Slow(SimObject):
+            def work(self, ctx):
+                yield Compute(50_000)
+                return "done"
+
+        def main(ctx):
+            slow = yield New(Slow)
+            poker = yield New(Poker)
+            worker = yield Fork(slow, "work")
+            yield Fork(poker, "poke", ctx.thread, 1_000)
+            return (yield Join(worker))
+
+        assert run(main, cpus=2).value == "done"
+
+    def test_wakeup_does_not_cut_a_sleep_short(self):
+        def main(ctx):
+            poker = yield New(Poker)
+            t0 = ctx.now_us
+            yield Fork(poker, "poke", ctx.thread, 20_000)
+            yield Sleep(100_000)
+            return ctx.now_us - t0
+
+        assert run(main, cpus=2).value >= 100_000
 
     def test_yield_relinquishes(self):
         def main(ctx):
