@@ -3,7 +3,7 @@
 The paper's SOR study covers regular, static parallelism.  Its
 introduction promises more: "a dynamic program structure that can express
 and benefit from locality".  This application exercises the dynamic side
-of the model on the simulator — an irregular tree search whose work units
+of the model on both backends — an irregular tree search whose work units
 have wildly uneven costs, load-balanced through a shared pool object:
 
 * a **WorkPool** object (one node) seeded with every partial placement of
@@ -196,6 +196,30 @@ class QueensResult:
         return max(self.per_worker_units) / mean if mean else 1.0
 
 
+def queens_main(ctx, n: int, nodes: int, cpus_per_node: int,
+                split_depth: int, batch: int, node_cost_us: float,
+                place: PlacementPolicy):
+    """The search, for ``AmberProgram.run`` or the live ``Cluster.run``:
+    returns ``(solutions, nodes visited, units done, units per worker
+    thread)``."""
+    pool = yield New(WorkPool, seed_prefixes(n, split_depth),
+                     on_node=place.node_for("WorkPool", 0, None,
+                                            count=1))
+    workers = []
+    for node in range(nodes):
+        anchor = yield New(QueensWorker, n, pool, node_cost_us,
+                           on_node=place.node_for(
+                               "QueensWorker", node, node,
+                               count=nodes))
+        for _ in range(cpus_per_node):
+            workers.append((yield Fork(anchor, "run", batch)))
+    per_worker = []
+    for worker in workers:
+        per_worker.append((yield Join(worker)))
+    solutions, visited, done = yield Invoke(pool, "summary")
+    return solutions, visited, done, per_worker
+
+
 def run_amber_queens(n: int = 10,
                      nodes: int = 2,
                      cpus_per_node: int = 4,
@@ -212,29 +236,11 @@ def run_amber_queens(n: int = 10,
     ``placement`` overrides creation-time placement per class; the
     default policy passes the program's own choices through unchanged.
     """
-    prefixes = seed_prefixes(n, split_depth)
     place = placement if placement is not None else PlacementPolicy()
-
-    def main(ctx):
-        pool = yield New(WorkPool, prefixes,
-                         on_node=place.node_for("WorkPool", 0, None,
-                                                count=1))
-        workers = []
-        for node in range(nodes):
-            anchor = yield New(QueensWorker, n, pool, node_cost_us,
-                               on_node=place.node_for(
-                                   "QueensWorker", node, node,
-                                   count=nodes))
-            for _ in range(cpus_per_node):
-                workers.append((yield Fork(anchor, "run", batch)))
-        per_worker = []
-        for worker in workers:
-            per_worker.append((yield Join(worker)))
-        solutions, visited, done = yield Invoke(pool, "summary")
-        return solutions, visited, done, per_worker
-
     config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
-    result = AmberProgram(config, costs, faults).run(main, tracer=tracer)
+    result = AmberProgram(config, costs, faults).run(
+        queens_main, n, nodes, cpus_per_node, split_depth, batch,
+        node_cost_us, place, tracer=tracer)
     solutions, visited, done, per_worker = result.value
     return QueensResult(
         n=n, nodes=nodes, cpus_per_node=cpus_per_node,

@@ -4,33 +4,8 @@ Where :mod:`repro.faults.scenario` runs the deterministic *simulator*
 under a :class:`~repro.faults.plan.FaultPlan`, this suite runs the
 **live multiprocess runtime** — real forked node processes, real TCP —
 under the same plan, injected by :mod:`repro.faults.live`.  Five
-scenarios cover the hardening layers (see ``docs/CHAOS.md``):
-
-``live-sor``
-    Red/Black SOR under seeded loss/duplication/delay/connection-resets
-    plus a mid-run SIGKILL-and-restart of a bystander node.  The grid
-    must be bitwise-equal to a clean run, the victim must rejoin and
-    answer again (circuit breaker closes), and the chaos schedule must
-    fingerprint identically per seed.
-``live-queens``
-    The N-Queens work pool under loss + a heavy duplicate rate.  The
-    totals are an exactly-once ledger: a double-executed ``report``
-    inflates them, an unrecovered drop deflates them.
-``dedup``
-    A hand-crafted byte-identical duplicate ``InvokeMsg`` pair: the
-    counter must increment once and the executing node must account for
-    the suppressed twin.
-``typed-failures``
-    A peer is SIGKILLed with no restart: every caller gets a typed
-    ``NodeFailure``/``TimeoutError`` within the configured deadline, and
-    once the breaker is open the failure is near-instant.
-``coordinator-outage``
-    The coordinator is closed mid-run and a successor adopts its port
-    and address-space state: in-flight queries fail typed (no deadlock),
-    clients reconnect and re-register, heartbeats resume, and the data
-    plane keeps working.
-
-Used by ``python -m repro chaos`` and the chaos test-suite.
+scenarios cover the hardening layers; ``docs/CHAOS.md`` tabulates what
+each proves.  Used by ``python -m repro chaos`` and the chaos test-suite.
 """
 
 from __future__ import annotations
@@ -265,25 +240,33 @@ def _queens_plan(seed: int) -> FaultPlan:
 
 
 def _run_live_queens_chaos(seed: int, fast: bool) -> Outcome:
-    from repro.apps.live_queens import run_live_queens
-    from repro.apps.queens import KNOWN_SOLUTIONS
+    from repro.apps import queens
+    from repro.placement.policies import PlacementPolicy
     from repro.runtime.cluster import Cluster
+
+    class PoolOnNode1(PlacementPolicy):
+        def node_for(self, cls, index, default, count=None):
+            return 1 if cls == "WorkPool" else default
 
     n = 6 if fast else 7
     nodes = 3
+    known = queens.KNOWN_SOLUTIONS[n]
+    total = len(queens.seed_prefixes(n, 2))
     plan = _queens_plan(seed)
     fingerprint = schedule_fingerprint(plan, nodes)
     with _peer_timeout(6.0):
         with Cluster(nodes=nodes, chaos=plan) as cluster:
-            solutions, units, total = run_live_queens(
-                n, nodes=nodes, pool_node=1, cluster=cluster)
+            # One worker thread per node, batches of 2.
+            solutions, _, units, _ = cluster.run(
+                queens.queens_main, n, nodes, 1, 2, 2,
+                queens.DEFAULT_NODE_COST_US, PoolOnNode1())
             counters = _gather_counters(cluster)
-    correct = solutions == KNOWN_SOLUTIONS[n] and units == total
+    correct = solutions == known and units == total
     return _verdict(
         "live-queens",
         f"live {n}-Queens work pool on {nodes} nodes",
         correct, counters,
-        f"{solutions} solutions (expected {KNOWN_SOLUTIONS[n]}), "
+        f"{solutions} solutions (expected {known}), "
         f"{units}/{total} work units reported exactly once; "
         f"{counters['chaos_duplicated']} duplicate frame(s), "
         f"{counters['chaos_dropped']} dropped",

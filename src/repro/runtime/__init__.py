@@ -27,13 +27,10 @@ Usage::
         thread = cluster.fork(counter, "add", 7)
         print(thread.join())           # -> 12
 
-Faithfulness notes (also in DESIGN.md): a Python stack cannot be copied
-between processes, so a *logical* Amber thread is realized as a chain of
-shipped activations — each remote invocation executes at the object's
-node while the upstream activations wait, which preserves the observable
-semantics of thread migration.  ``move`` drains active invocations of the
-moving group instead of migrating threads mid-operation (the simulated
-backend implements the paper's full §3.5 protocol).
+Simulator program text runs here unchanged: ``cluster.run(main)``
+(:mod:`repro.runtime.programtext`).  A *logical* Amber thread is a chain
+of shipped activations, and ``move`` drains the moving group's running
+operations instead of migrating their threads (DESIGN.md, substitutions).
 """
 
 from repro.runtime.cluster import Cluster

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.address_space import DEFAULT_REGION_BYTES
 from repro.errors import ClusterError
@@ -20,6 +20,7 @@ from repro.runtime.coordinator import Coordinator, CoordinatorClient
 from repro.runtime.handles import Handle, ThreadHandle
 from repro.runtime.kernel import NodeKernel
 from repro.runtime.node import node_main
+from repro.runtime.programtext import run_program_text
 
 
 class Cluster:
@@ -116,6 +117,11 @@ class Cluster:
 
     def delete(self, handle: Handle) -> None:
         self.kernel.control(handle.vaddr, "delete")
+
+    def run(self, main: Callable, *args) -> Any:
+        """Run program text ``main(ctx, *args)`` here, on node 0: the live
+        twin of :meth:`repro.sim.program.AmberProgram.run`."""
+        return run_program_text(main, args, {})
 
     def node_stats(self, node: int) -> Dict[str, int]:
         """Kernel counters of one node (invocations, forwards, moves...)."""

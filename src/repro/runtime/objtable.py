@@ -13,6 +13,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.address_space import NodeHeap, RegionMap
 from repro.core.attachment import AttachmentGraph
 from repro.core.descriptor import DescriptorTable
+from repro.core.invocation import operation_of
 from repro.errors import (
     AmberError,
     AttachmentError,
@@ -21,6 +22,7 @@ from repro.errors import (
     ObjectNotFoundError,
 )
 from repro.runtime.objects import AmberObject
+from repro.runtime.programtext import run_program_text
 
 #: Seconds a move waits for active invocations of the group to drain.
 MOVE_DRAIN_TIMEOUT = 30.0
@@ -56,28 +58,29 @@ class ObjectTable:
     def create(self, cls: type, args: Tuple, kwargs: dict) -> int:
         obj = cls(*args, **kwargs)
         if not isinstance(obj, AmberObject):
-            raise AmberError(
-                f"{cls.__name__} does not derive from AmberObject")
+            from repro.sim.objects import SimObject   # loads the simulator
+            if not isinstance(obj, SimObject):
+                raise AmberError(f"{cls.__name__} derives from neither "
+                                 f"AmberObject nor SimObject")
+            obj._amber_immutable = False
         with self._state:
             vaddr = self._heap.allocate(64)
             obj._amber_vaddr = vaddr
-            obj._amber_home = self.node_id
             self.objects[vaddr] = obj
             self.descriptors.set_resident(vaddr)
         return vaddr
 
     def execute(self, obj: AmberObject, method: str, args: Tuple,
                 kwargs: dict) -> Any:
-        fn = getattr(obj, method, None)
-        if fn is None or not callable(fn):
-            raise AmberError(
-                f"{type(obj).__name__} has no operation {method!r}")
+        fn = operation_of(obj, method)
         vaddr = obj._amber_vaddr
         with self._state:
             self._bind[vaddr] = self._bind.get(vaddr, 0) + 1
         try:
             self._stats["invocations_executed"] += 1
-            return fn(*args, **kwargs)
+            if isinstance(obj, AmberObject):
+                return fn(*args, **kwargs)
+            return run_program_text(fn, args, kwargs)
         finally:
             with self._state:
                 self._bind[vaddr] -= 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.analyze import runtime as _analysis
+from repro.core.invocation import operation_of
 from repro.errors import AmberError, InvocationError, ObjectNotFoundError
 from repro.obs.metrics import Held
 from repro.sim import syscalls as sc
@@ -38,7 +39,7 @@ from repro.sim.cluster import SimCluster
 from repro.sim.engine import NS_PER_US
 from repro.sim.mobility import Mobility
 from repro.sim.node import Cpu, SimNode
-from repro.sim.objects import ObjectManager, SimObject, operation_of
+from repro.sim.objects import ObjectManager, SimObject
 from repro.sim.thread import Activation, SimThread, ThreadManager, ThreadState
 
 

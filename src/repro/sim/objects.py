@@ -98,16 +98,6 @@ class SimObject:
         return f"<{type(self).__name__} {tag} @node {where}>"
 
 
-def operation_of(obj: SimObject, method: str) -> Any:
-    """Fetch the bound operation ``method`` of ``obj``, raising a clean
-    error for unknown names (used by the kernel's invocation path)."""
-    fn = getattr(obj, method, None)
-    if fn is None or not callable(fn):
-        raise InvocationError(
-            f"{type(obj).__name__} has no operation {method!r}")
-    return fn
-
-
 class ObjectManager:
     """Objects from creation to deletion, reached as
     ``kernel.object_manager``; its rows sit in the kernel's one table."""

@@ -1,0 +1,290 @@
+"""One program text, two backends: each program here runs on the
+simulator (``AmberProgram.run``) and on a live cluster (``Cluster.run``),
+and the answers must be equal — except where :data:`DIFFERENCES` says
+the backends differ by design, and why.
+"""
+
+import numpy as np
+import pytest
+
+from repro.apps.matmul import DEFAULT_MAC_US, MatrixB, RowBlockWorker
+from repro.apps.queens import (
+    DEFAULT_NODE_COST_US,
+    KNOWN_SOLUTIONS,
+    queens_main,
+    seed_prefixes,
+)
+from repro.errors import AmberError, InvocationError
+from repro.placement.policies import PlacementPolicy
+from repro.runtime import AmberObject, Cluster
+from repro.runtime.programtext import REFUSED
+from repro.sim import syscalls as sc
+from repro.sim.cluster import ClusterConfig
+from repro.sim.objects import SimObject
+from repro.sim.program import AmberProgram
+
+NODES = 3
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    with Cluster(nodes=NODES) as c:
+        yield c
+
+
+def on_sim(main, *args):
+    config = ClusterConfig(nodes=NODES, cpus_per_node=1)
+    return AmberProgram(config).run(main, *args).value
+
+
+class Box(SimObject):
+    def __init__(self, value=0):
+        self.value = value
+
+    def add(self, ctx, n):
+        yield sc.Charge(1.0)
+        self.value += n
+        return self.value
+
+    def get(self, ctx):
+        return self.value
+
+    def where(self, ctx):
+        return ctx.node
+
+    def where_of(self, ctx, other):
+        return (yield sc.Invoke(other, "where"))
+
+    def fast_get(self, ctx, other):
+        return (yield sc.FastInvoke(other, "get"))
+
+    def span(self, ctx, us):
+        """Whether this operation ended on another node than it began."""
+        start = ctx.node
+        yield sc.Compute(us)
+        return start != ctx.node
+
+    def _helper(self, ctx):
+        return "internals"
+
+
+# -- programs --------------------------------------------------------------
+
+
+def coverage_main(ctx):
+    """Every request the live runtime serves, once."""
+    answers = {}
+    here = yield sc.New(Box, 1)
+    there = yield sc.New(Box, 2, on_node=1)
+    answers["local invoke"] = yield sc.Invoke(here, "add", 10)
+    answers["remote invoke"] = yield sc.Invoke(there, "add", 10)
+    answers["runs where the object is"] = yield sc.Invoke(there, "where")
+    partner = yield sc.New(Box, 5)
+    yield sc.Attach(here, partner)
+    answers["fast invoke, attached"] = yield sc.Invoke(here, "fast_get",
+                                                       partner)
+    thread = yield sc.Fork(there, "add", 1)
+    answers["fork/join"] = yield sc.Join(thread)
+    yield sc.MoveTo(there, 2)
+    answers["locate after move"] = yield sc.Locate(there)
+    answers["state moved along"] = yield sc.Invoke(there, "get")
+    yield sc.MoveTo(here, 1)
+    answers["group moved"] = ((yield sc.Locate(here)),
+                              (yield sc.Locate(partner)))
+    yield sc.Unattach(here)
+    yield sc.MoveTo(here, 2)
+    answers["unattached moves alone"] = ((yield sc.Locate(here)),
+                                         (yield sc.Locate(partner)))
+    frozen = yield sc.New(Box, 7)
+    yield sc.SetImmutable(frozen)
+    yield sc.MoveTo(frozen, 2)
+    answers["a copy leaves the original"] = yield sc.Locate(frozen)
+    answers["the copy is read where it went"] = yield sc.Invoke(
+        there, "where_of", frozen)
+    doomed = yield sc.New(Box)
+    yield sc.Delete(doomed)
+    try:
+        yield sc.Invoke(doomed, "get")
+    except AmberError as error:
+        answers["deleted"] = type(error).__name__
+    yield sc.Compute(5.0)
+    yield sc.Charge(1.0)
+    yield sc.Yield()
+    return answers
+
+
+COVERAGE = {
+    "local invoke": 11,
+    "remote invoke": 12,
+    "runs where the object is": 1,
+    "fast invoke, attached": 5,
+    "fork/join": 13,
+    "locate after move": 2,
+    "state moved along": 13,
+    "group moved": (1, 1),
+    "unattached moves alone": (2, 1),
+    "a copy leaves the original": 0,
+    "the copy is read where it went": 2,
+    "deleted": "ObjectNotFoundError",
+}
+
+
+def bad_names_main(ctx):
+    box = yield sc.New(Box, 1, on_node=2)
+    names = []
+    for method in ("no_such_operation", "__init__", "_helper"):
+        try:
+            yield sc.Invoke(box, method)
+        except AmberError as error:
+            names.append(type(error).__name__)
+    names.append((yield sc.Invoke(box, "get")))
+    return names
+
+
+def matmul_main(ctx, a, b_values, replicate):
+    b = yield sc.New(MatrixB, b_values)
+    if replicate:
+        yield sc.SetImmutable(b)
+    rows = a.shape[0]
+    workers = []
+    for node in range(NODES):
+        block = a[rows * node // NODES:rows * (node + 1) // NODES]
+        workers.append((yield sc.New(RowBlockWorker, block, b, 8,
+                                     DEFAULT_MAC_US, on_node=node)))
+    threads = []
+    for worker in workers:
+        threads.append((yield sc.Fork(worker, "multiply")))
+    for thread in threads:
+        yield sc.Join(thread)
+    blocks = []
+    for worker in workers:
+        blocks.append((yield sc.Invoke(worker, "collect")))
+    return np.vstack(blocks), (yield sc.Locate(b))
+
+
+def fast_unattached_main(ctx):
+    a = yield sc.New(Box, 1)
+    b = yield sc.New(Box, 5)
+    try:
+        return (yield sc.Invoke(a, "fast_get", b))
+    except InvocationError as error:
+        return type(error).__name__
+
+
+def compute_main(ctx):
+    start = ctx.now_us
+    yield sc.Compute(1e6)
+    yield sc.Charge(1e6)
+    return ctx.now_us - start >= 2e6
+
+
+def move_main(ctx):
+    box = yield sc.New(Box, on_node=1)
+    timer = yield sc.New(Box, on_node=2)
+    thread = yield sc.Fork(box, "span", 50_000.0)
+    # Away for 10 ms of simulated time: the fork starts its span.
+    yield sc.Invoke(timer, "span", 10_000.0)
+    yield sc.MoveTo(box, 2)
+    return (yield sc.Join(thread))
+
+
+def refused_main(ctx, request):
+    try:
+        yield request
+    except AmberError as error:
+        return type(error).__name__, str(error)
+    return "served"
+
+
+#: Where the backends answer differently by design (DESIGN.md, "One
+#: program text, two backends"): name -> (program, the simulator's
+#: answer, the live answer, why).
+DIFFERENCES = {
+    "fast-invoke-unattached": (
+        fast_unattached_main, "InvocationError", 5,
+        "FastInvoke's co-residency check is simulator-only: live, a "
+        "FastInvoke is an Invoke"),
+    "move-during-operation": (
+        move_main, True, False,
+        "a live MoveTo drains the group's running operations instead of "
+        "migrating their threads, so an operation ends where it began"),
+    "compute-takes-time": (
+        compute_main, True, False,
+        "Compute and Charge spend simulated time; live they take none"),
+}
+
+#: One instance of each refused request.
+REFUSED_REQUESTS = {
+    "NewThread": lambda: sc.NewThread(None, "run"),
+    "Start": lambda: sc.Start(None),
+    "Sleep": lambda: sc.Sleep(1.0),
+    "Suspend": lambda: sc.Suspend(),
+    "Wakeup": lambda: sc.Wakeup(None),
+    "SetScheduler": lambda: sc.SetScheduler(0, None),
+    "Refresh": lambda: sc.Refresh(None),
+    "GetStats": lambda: sc.GetStats(),
+}
+
+
+# -- the answers -----------------------------------------------------------
+
+
+def test_queens_counts_agree(cluster):
+    args = (6, NODES, 1, 2, 2, DEFAULT_NODE_COST_US, PlacementPolicy())
+    sim_solutions, sim_visited, sim_units, sim_per_worker = on_sim(
+        queens_main, *args)
+    solutions, visited, units, per_worker = cluster.run(queens_main, *args)
+    assert solutions == sim_solutions == KNOWN_SOLUTIONS[6]
+    assert units == sim_units == len(seed_prefixes(6, 2))
+    assert sum(per_worker) == sum(sim_per_worker) == units
+    assert visited == sim_visited
+
+
+@pytest.mark.parametrize("replicate", [True, False])
+def test_matmul_products_agree(cluster, replicate):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((24, 24), dtype=np.float32)
+    b = rng.standard_normal((24, 24), dtype=np.float32)
+    sim_product, sim_b_at = on_sim(matmul_main, a, b, replicate)
+    product, b_at = cluster.run(matmul_main, a, b, replicate)
+    assert product.tobytes() == sim_product.tobytes()
+    assert b_at == sim_b_at == 0
+    assert np.allclose(product, a @ b, rtol=1e-4, atol=1e-4)
+
+
+def test_every_served_request_agrees(cluster):
+    assert on_sim(coverage_main) == cluster.run(coverage_main) == COVERAGE
+
+
+def test_an_underscore_name_is_no_operation_on_either_backend(cluster):
+    expected = ["InvocationError"] * 3 + [1]
+    assert on_sim(bad_names_main) == cluster.run(bad_names_main) == expected
+
+
+class Counter(AmberObject):
+    def __init__(self, value=0):
+        self.value = value
+
+    def add(self, n):
+        self.value += n
+        return self.value
+
+
+def test_a_live_call_cannot_rerun_the_constructor(cluster):
+    counter = cluster.create(Counter, 40, node=1)
+    with pytest.raises(InvocationError):
+        cluster.call(counter, "__init__", 0)
+    assert counter.add(0) == 40
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENCES))
+def test_expected_difference(cluster, name):
+    main, sim_answer, live_answer, _why = DIFFERENCES[name]
+    assert on_sim(main) == sim_answer
+    assert cluster.run(main) == live_answer
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_a_refused_request_is_thrown_in_typed(cluster, name):
+    assert cluster.run(refused_main, REFUSED_REQUESTS[name]()) == (
+        "AmberError", f"{name} is not on the live runtime")

@@ -15,6 +15,7 @@ from repro.errors import (
     AttachmentError,
     ClusterError,
     ImmutabilityError,
+    InvocationError,
     SynchronizationError,
 )
 from repro.runtime import (
@@ -153,7 +154,7 @@ class TestInvocation:
 
     def test_unknown_method_rejected(self, cluster):
         counter = cluster.create(Counter, node=1)
-        with pytest.raises(AmberError):
+        with pytest.raises(InvocationError):
             counter.no_such_method()
 
     def test_non_amber_class_rejected(self, cluster):

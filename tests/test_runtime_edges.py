@@ -46,8 +46,8 @@ class Spawner(AmberObject):
         self.target = target
 
     def fan_out(self, n):
-        from repro.runtime.objects import current_kernel
-        kernel = current_kernel()
+        from repro.runtime.objects import process_kernel
+        kernel = process_kernel()
         handles = [kernel.fork(self.target.vaddr, "whoami", (), {})
                    for _ in range(n)]
         return [handle.join(timeout=15) for handle in handles]

@@ -1,12 +1,19 @@
 """Structure of the live runtime (DESIGN.md, "Live threading model"):
 each request's fate is decided in ``runtime/lifecycle.py``, which does
 no I/O, so a test can drive it at any ``now``; the kernel reads the
-clock and moves the frames.  ``ast`` only; no wall clock.
+clock and moves the frames.  Simulator program text reaches the live
+runtime through one table (``runtime/programtext.py``), and only when a
+program runs: ``import repro.runtime`` loads no simulator.  No wall
+clock.
 """
 
 import ast
+import inspect
+import json
 
-from tests.test_kernel_layering import SRC
+from repro.runtime.programtext import REFUSED, request_table
+from repro.sim import syscalls as sc
+from tests.test_kernel_layering import SRC, run_python
 
 RUNTIME = SRC / "repro" / "runtime"
 LIFECYCLE = RUNTIME / "lifecycle.py"
@@ -54,3 +61,22 @@ def test_the_lifecycle_is_decided_in_one_module():
                         and node.name in CLASSES), (path.name, node.name)
             assert not (isinstance(node, ast.Attribute)
                         and node.attr in FIELDS), (path.name, node.attr)
+
+
+def test_the_runtime_imports_no_simulator_or_analysis():
+    loaded = json.loads(run_python(
+        "import json, sys, repro.runtime\n"
+        "print(json.dumps(sorted(sys.modules)))\n"))
+    assert [name for name in loaded
+            if name.split(".")[:2] in (["repro", "sim"],
+                                       ["repro", "analyze"])] == []
+
+
+def test_every_simulator_request_is_served_or_refused_live():
+    requests = {cls for _, cls in inspect.getmembers(sc, inspect.isclass)
+                if cls.__module__ == sc.__name__}
+    served = set(request_table())
+    refused = {cls for cls in requests if cls.__name__ in REFUSED}
+    assert requests == served | refused
+    assert not served & refused
+    assert {cls.__name__ for cls in refused} == REFUSED

@@ -1,74 +1,23 @@
-"""Cross-backend parity: the N-Queens work pool on the live runtime.
+"""The N-Queens work pool of `repro.apps.queens` on the live runtime.
 
-The same decomposition as `repro.apps.queens` (simulated), rebuilt with
-live objects: a WorkPool object on node 0, worker threads on every node
-pulling batches through function-shipped invocations.  Counting is real,
-so the total must match the known solution counts.
+The simulator's program text, unchanged: a WorkPool object on one node,
+worker threads on every node pulling batches through function-shipped
+invocations.  Counting is real, so the total must match the known
+solution counts.
 """
-
-import threading
 
 import pytest
 
 from repro.apps.queens import (
+    DEFAULT_NODE_COST_US,
     KNOWN_SOLUTIONS,
-    count_completions,
+    QueensWorker,
+    WorkPool,
+    queens_main,
     seed_prefixes,
 )
-from repro.runtime import AmberObject, Cluster, CondVar, current_node
-
-
-class LiveWorkPool(AmberObject):
-    def __init__(self, prefixes):
-        self._lock = threading.Lock()
-        self._work = list(prefixes)
-        self.solutions = 0
-        self.units_done = 0
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def take(self, batch=2):
-        with self._lock:
-            units, self._work = (self._work[:batch],
-                                 self._work[batch:])
-            return units
-
-    def report(self, solutions, units):
-        with self._lock:
-            self.solutions += solutions
-            self.units_done += units
-
-    def summary(self):
-        with self._lock:
-            return self.solutions, self.units_done
-
-
-class LiveWorker(AmberObject):
-    def __init__(self, n, pool):
-        self.n = n
-        self.pool = pool
-
-    def run(self, batch=2):
-        solved = 0
-        nodes_seen = set()
-        while True:
-            prefixes = self.pool.take(batch)
-            if not prefixes:
-                return solved, sorted(nodes_seen)
-            nodes_seen.add(current_node())
-            total = 0
-            for prefix in prefixes:
-                solutions, _ = count_completions(self.n, prefix)
-                total += solutions
-            self.pool.report(total, len(prefixes))
-            solved += len(prefixes)
+from repro.placement.policies import PlacementPolicy
+from repro.runtime import Cluster
 
 
 @pytest.fixture(scope="module")
@@ -80,25 +29,21 @@ def cluster():
 class TestLiveWorkPool:
     def test_distributed_count_is_correct(self, cluster):
         n = 8
-        prefixes = seed_prefixes(n, 2)
-        pool = cluster.create(LiveWorkPool, prefixes, node=0)
-        workers = [cluster.create(LiveWorker, n, pool, node=node)
-                   for node in range(3)]
-        threads = [cluster.fork(worker, "run") for worker in workers]
-        per_worker = [thread.join(timeout=60) for thread in threads]
-        solutions, units = pool.summary()
+        units = len(seed_prefixes(n, 2))
+        # One worker per node, batches of 2, the pool on node 0.
+        solutions, _, done, per_worker = cluster.run(
+            queens_main, n, 3, 1, 2, 2, DEFAULT_NODE_COST_US,
+            PlacementPolicy())
         assert solutions == KNOWN_SOLUTIONS[n]
-        assert units == len(prefixes)
-        assert sum(solved for solved, _ in per_worker) == len(prefixes)
-        # Each worker executed on its own node.
-        for node, (_, nodes_seen) in enumerate(per_worker):
-            assert nodes_seen in ([], [node])
+        assert done == units
+        assert len(per_worker) == 3
+        assert sum(per_worker) == units
 
     def test_pool_empties_exactly_once(self, cluster):
         prefixes = seed_prefixes(6, 1)
-        pool = cluster.create(LiveWorkPool, prefixes, node=1)
-        worker = cluster.create(LiveWorker, 6, pool, node=2)
+        pool = cluster.create(WorkPool, prefixes, node=1)
+        worker = cluster.create(QueensWorker, 6, pool, DEFAULT_NODE_COST_US,
+                                node=2)
         thread = cluster.fork(worker, "run", 3)
-        solved, _ = thread.join(timeout=30)
-        assert solved == len(prefixes)
+        assert thread.join(timeout=30) == len(prefixes)
         assert pool.take() == []

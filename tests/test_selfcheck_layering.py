@@ -30,13 +30,14 @@ RUN_TIME_MODULES = """
 repro repro.analyze repro.analyze.elide repro.analyze.elide.runtime
 repro.analyze.runtime repro.core repro.core.address_space
 repro.core.attachment repro.core.costs repro.core.descriptor
-repro.errors repro.faults repro.faults.inject repro.faults.plan
+repro.core.invocation repro.errors repro.faults repro.faults.inject repro.faults.plan
 repro.obs repro.obs.metrics repro.obs.perfetto repro.obs.profile
 repro.obs.sinks repro.perf repro.perf.hotprof repro.recovery
 repro.recovery.config repro.runtime repro.runtime.cluster
 repro.runtime.coordinator repro.runtime.handles repro.runtime.kernel
 repro.runtime.lifecycle repro.runtime.messages repro.runtime.node
-repro.runtime.objects repro.runtime.objtable repro.runtime.sync
+repro.runtime.objects repro.runtime.objtable repro.runtime.programtext
+repro.runtime.sync
 repro.runtime.transport repro.sim repro.sim.cluster repro.sim.engine
 repro.sim.kernel repro.sim.mobility repro.sim.network repro.sim.node
 repro.sim.objects
