@@ -212,8 +212,10 @@ class NodeKernel:
         return ThreadHandle(self, entry, f"{method}@{vaddr:#x}")
 
     def move(self, vaddr: int, dest: int) -> None:
-        """MoveTo: relocate the object (and its attachment group)."""
+        """MoveTo: relocate the object (and its attachment group).  The
+        reply comes once the install landed: the mover now hints ``dest``."""
         self._request(None, vaddr, m.MoveMsg, vaddr, dest)
+        self._table.hint(vaddr, dest)
 
     def locate(self, vaddr: int) -> int:
         """Locate: the node where the object currently resides."""

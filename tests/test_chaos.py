@@ -36,6 +36,7 @@ from repro.runtime.lifecycle import (
     Pending,
     PeerCircuits,
 )
+from tests.live_helpers import move_behind_the_drivers_back
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +411,12 @@ class TestAnyReplyClosesTheBreaker:
         with Cluster(nodes=3) as cluster:
             moved = cluster.create(Napper, node=1)
             stays = cluster.create(Napper, node=1)
-            cluster.move(moved, 2)
+            move_behind_the_drivers_back(cluster, moved, 2)
+            forwards = cluster.node_stats(1)["forwards"]
             self._open_with_cooldown_served(cluster.kernel)
             assert cluster.call(moved, "poke") == "ok"
             assert cluster.call(stays, "poke") == "ok"
+            assert cluster.node_stats(1)["forwards"] == forwards + 1
 
 
 # ---------------------------------------------------------------------------

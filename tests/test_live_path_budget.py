@@ -10,8 +10,10 @@ probe object on each node reads its own process's count; the driver's is
 read in place.
 
 The work counted is AmberBench's ``live_mobility`` pair: ``move`` the
-object to the other worker node, then ``call`` it through the one
-forwarding hop that leaves behind.  Measured over 600 pairs, Python + C
+object to the other worker node, then ``call`` it there — straight, since
+the move's reply told the mover where it went (until that change the
+call chased the one forwarding hop the move left behind).  Measured over
+600 pairs, Python + C
 calls per pair summed over the three processes, two runs each: **591.2**
 and **591.2** at the parent of the live-message-path change (pickled
 dataclass frames, every request served by a pool worker, a worker parked
@@ -27,7 +29,10 @@ routine that posts and writes its reply (no ``send`` between them), and
 to the serve path (no per-kind wrapper).  On a 2-vCPU container the
 same pair reads **534.4** there and **523.4** once a request is routed
 by ``DescriptorTable.next_hop`` alone (no locked residency check first).
-The budget is the 554.8 figure plus 10 %: an increase means a frame, a
+Alternating with its parent on that container, two runs each: **524.8**
+and **524.7** at the parent, **469.7** and **469.5** once a successful
+move hints its mover at the destination (six frames a pair, no forward).
+The budget is the 469.7 figure plus 10 %: an increase means a frame, a
 hand-off or a wrapper crept back onto the path.
 """
 
@@ -40,7 +45,7 @@ import threading
 
 from repro.runtime import AmberObject, Cluster
 
-CALLS_PER_PAIR_BUDGET = 554.8 * 1.10
+CALLS_PER_PAIR_BUDGET = 469.7 * 1.10
 PAIRS = 600
 
 #: This process's count: ``next`` on it is one atomic step, whichever

@@ -27,6 +27,7 @@ from repro.runtime import (
     RendezvousQueue,
     current_node,
 )
+from tests.live_helpers import move_behind_the_drivers_back
 
 
 class Counter(AmberObject):
@@ -197,10 +198,12 @@ class TestMobility:
         reaches the object."""
         counter = cluster.create(Counter, node=1)
         counter.add(1)             # node 0 learns nothing (direct hit)
-        cluster.move(counter, 2)   # node 1 now forwards to 2
+        # Node 1 now forwards to 2; node 0, which did not move it, does
+        # not know.
+        move_behind_the_drivers_back(cluster, counter, 2)
+        forwards = cluster.node_stats(1)["forwards"]
         assert counter.get() == 1  # 0 -> believed 1 -> forwarded -> 2
-        stats1 = cluster.node_stats(1)
-        assert stats1["forwards"] >= 1
+        assert cluster.node_stats(1)["forwards"] == forwards + 1
 
     def test_move_to_bad_node_rejected(self, cluster):
         counter = cluster.create(Counter)

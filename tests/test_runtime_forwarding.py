@@ -1,12 +1,11 @@
 """Live-runtime tests for forwarding chains, path caching, and the
 address-space coordinator."""
 
-import time
-
 import pytest
 
 from repro.core.address_space import DEFAULT_REGION_BYTES
 from repro.runtime import AmberObject, Cluster, current_node
+from tests.live_helpers import move_behind_the_drivers_back
 
 
 class Token(AmberObject):
@@ -28,31 +27,38 @@ def cluster():
         yield c
 
 
+def _moved_twice_behind_the_drivers_back(cluster, tag):
+    """A token at node 3 that node 0 still looks for at its home, node 1:
+    moved 1 -> 2 -> 3 by third parties (a move hints its mover)."""
+    token = cluster.create(Token, tag, node=1)
+    token.ping()                        # node 0 learns nothing new
+    move_behind_the_drivers_back(cluster, token, 2)
+    move_behind_the_drivers_back(cluster, token, 3)
+    return token
+
+
+def _forwards(cluster):
+    return [cluster.node_stats(node)["forwards"] for node in (1, 2)]
+
+
 class TestForwardingChains:
     def test_chain_walk_after_multiple_moves(self, cluster):
-        token = cluster.create(Token, 1, node=1)
-        token.ping()                    # node 0 learns nothing new
-        cluster.move(token, 2)
-        cluster.move(token, 3)
+        token = _moved_twice_behind_the_drivers_back(cluster, 1)
+        before = _forwards(cluster)
         # Node 0 believes node 1; 1 forwards to 2; 2 forwards to 3.
         assert token.ping() == (1, 3)
+        assert _forwards(cluster) == [before[0] + 1, before[1] + 1]
 
     def test_location_hints_shorten_later_requests(self, cluster):
-        token = cluster.create(Token, 2, node=1)
-        token.ping()
-        cluster.move(token, 2)
-        cluster.move(token, 3)
-        forwards_before = (cluster.node_stats(1)["forwards"]
-                           + cluster.node_stats(2)["forwards"])
+        token = _moved_twice_behind_the_drivers_back(cluster, 2)
+        hints = cluster.node_stats(0)["hints"]
+        before = _forwards(cluster)
         token.ping()                    # chases the chain, leaves hints
-        _wait_for_hint(cluster)
-        token.ping()                    # should go (nearly) direct now
-        forwards_after = (cluster.node_stats(1)["forwards"]
-                          + cluster.node_stats(2)["forwards"])
-        chased = forwards_after - forwards_before
-        # The first ping cost the chain; the second at most one hop.
-        assert chased <= 3
-        assert cluster.node_stats(0)["hints"] >= 1
+        # The first ping cost the chain, one hop at each of 1 and 2.
+        assert _forwards(cluster) == [before[0] + 1, before[1] + 1]
+        token.ping()                    # direct now
+        assert _forwards(cluster) == [before[0] + 1, before[1] + 1]
+        assert cluster.node_stats(0)["hints"] == hints + 1
 
     def test_uninitialized_descriptor_routes_via_home(self, cluster):
         # Created on node 2 (its home), moved away; node 3 has never
@@ -61,14 +67,6 @@ class TestForwardingChains:
         cluster.move(token, 0)
         prober = cluster.create(Prober, node=3)
         assert prober.probe(token) == (3, 0)
-
-
-def _wait_for_hint(cluster, timeout=5.0):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        if cluster.node_stats(0)["hints"] >= 1:
-            return
-        time.sleep(0.02)
 
 
 class TestAddressSpace:

@@ -19,12 +19,13 @@ from repro.errors import (
     RuntimeTransportError,
 )
 from repro.recovery.config import PEER_TIMEOUT_ENV
-from repro.runtime import AmberObject, Cluster
+from repro.runtime import AmberObject, Cluster, current_node
 from repro.runtime import messages as m
 from repro.runtime import objects as runtime_objects
 from repro.runtime.kernel import NodeKernel
 from repro.runtime.objects import process_kernel
 from repro.runtime.transport import _encode
+from tests.live_helpers import Mover, move_behind_the_drivers_back, next_hop
 
 
 class Tally(AmberObject):
@@ -51,6 +52,9 @@ class Tally(AmberObject):
         """The peers this node's failure detector suspects."""
         return sorted(process_kernel()._suspected_peers())
 
+    def where(self):
+        return current_node()
+
 
 class Latch(Tally):
     """Cannot leave the node it was created on: a lock does not pickle."""
@@ -68,9 +72,10 @@ def cluster():
 
 def _moved_behind_the_drivers_back(cluster):
     """An object at node 2 that node 0 still looks for at its home,
-    node 1: the driver's next request is forwarded exactly once."""
+    node 1 — a third party moved it: the driver's next request is
+    forwarded exactly once."""
     tally = cluster.create(Tally, node=1)
-    cluster.move(tally, 2)
+    move_behind_the_drivers_back(cluster, tally, 2)
     return tally
 
 
@@ -125,14 +130,16 @@ class TestForwardedRequests:
                 before["forwards"] + 1
 
     def test_forwarded_move_and_control_send_none(self, cluster):
-        for request in (lambda t: cluster.move(t, 0),
-                        lambda t: cluster.set_immutable(t)):
+        """Nothing is read off their replies and nothing is sent back
+        along the chase; a move that succeeded hints its mover itself."""
+        for request, own in ((lambda t: cluster.move(t, 0), 1),
+                             (lambda t: cluster.set_immutable(t), 0)):
             tally = _moved_behind_the_drivers_back(cluster)
             before = _counters(cluster)
             request(tally)
             time.sleep(0.2)
             assert _counters(cluster) == {
-                "hints": before["hints"],
+                "hints": [before["hints"][0] + own, before["hints"][1]],
                 "forwards": before["forwards"] + 1}
 
 
@@ -186,12 +193,25 @@ def _pool_submits(cluster, node):
     return stats["workers_started"] + stats["worker_handoffs"]
 
 
+def _per_op(cluster, ops, run):
+    """``node_stats`` totals that ``run()`` adds, per op.  Reading the
+    stats sends frames of its own: two reads back to back price one, so
+    it can be taken out again."""
+    first = _totals(cluster)
+    base = _totals(cluster)
+    run()
+    after = _totals(cluster)
+    return after, {key: (after[key] - base[key] - (base[key] - first[key]))
+                   / ops for key in after}
+
+
 class TestLivePathCounts:
     """What one move+call pair costs, counted by the nodes themselves:
-    no clock.  The call goes to the object's previous node and chases
-    one forwarding hop, as in AmberBench's ``live_mobility``."""
+    no clock.  As in AmberBench's ``live_mobility``, the mover calls
+    next, and the move's reply has told it where the object went."""
 
     PAIRS = 200
+    CHASES = 20
 
     def test_a_move_and_call_pair_costs_exactly(self):
         with Cluster(nodes=3) as cluster:
@@ -206,18 +226,13 @@ class TestLivePathCounts:
                     assert cluster.call(tally, "bump") > 0
 
             pairs(4)        # every connection dialled, both ways round
-            # Reading the stats sends frames of its own: two reads back
-            # to back price one, so it can be taken out again.
-            first = _totals(cluster)
-            base = _totals(cluster)
-            pairs(self.PAIRS)
-            after = _totals(cluster)
-            per_pair = {
-                key: (after[key] - base[key] - (base[key] - first[key]))
-                / self.PAIRS for key in after}
-            assert per_pair["transport_sends"] == 7
+            after, per_pair = _per_op(cluster, self.PAIRS,
+                                      lambda: pairs(self.PAIRS))
+            # Move: request, install, its ack, the reply; the call goes
+            # straight to the object, hinted by the mover itself.
+            assert per_pair["transport_sends"] == 6
             assert per_pair["hints"] == 1
-            assert per_pair["forwards"] == 1
+            assert per_pair["forwards"] == 0
             assert per_pair["moves_out"] == 1 and per_pair["moves_in"] == 1
             # One hand-off to a pool worker: the invocation itself.
             assert per_pair["workers_started"] \
@@ -230,6 +245,29 @@ class TestLivePathCounts:
             assert cluster.call(tally, "value") == 4 + self.PAIRS
             assert cluster.locate(tally) == dest
 
+    def test_a_call_chased_after_a_third_party_move_costs_exactly(self):
+        """Moved by a third party, the object is called at its previous
+        node, which forwards the call: request, forward, reply."""
+        with Cluster(nodes=3) as cluster:
+            tallies = [cluster.create(Tally, node=1)
+                       for _ in range(self.CHASES + 1)]
+            for tally in tallies:
+                move_behind_the_drivers_back(cluster, tally, 2)
+            assert cluster.call(tallies.pop(), "bump") == 1    # warm-up
+
+            def chases():
+                for tally in tallies:
+                    assert cluster.call(tally, "bump") == 1
+
+            _, per_call = _per_op(cluster, self.CHASES, chases)
+            assert per_call["transport_sends"] == 3
+            assert per_call["forwards"] == 1
+            assert per_call["hints"] == 1       # the reply's sender
+            # The forward is a reader's; the invocation, a worker's.
+            assert per_call["workers_started"] \
+                + per_call["worker_handoffs"] == 1
+            assert per_call["invocations_executed"] == 1
+
     def test_a_chain_hints_the_middle_by_frame_and_the_origin_by_reply(
             self):
         """Moved twice behind the caller: 0 -> 1 -> 2 -> 3.  Node 1 gets
@@ -239,8 +277,9 @@ class TestLivePathCounts:
             for request in (lambda t: cluster.call(t, "bump"),
                             lambda t: cluster.locate(t)):
                 tally = cluster.create(Tally, node=1)
-                cluster.move(tally, 2)
-                cluster.move(tally, 3)      # itself forwarded by node 1
+                move_behind_the_drivers_back(cluster, tally, 2)
+                # Itself forwarded by node 1.
+                move_behind_the_drivers_back(cluster, tally, 3)
                 before = [cluster.node_stats(n) for n in range(4)]
                 assert request(tally) in (1, 3)
                 assert cluster.node_stats(0)["hints"] == \
@@ -271,6 +310,7 @@ class TestReaderServes:
         moved = cluster.create(Tally, node=1)
         chased = _moved_behind_the_drivers_back(cluster)
         assert cluster.call(napper, "value") == 0
+        forwards = cluster.node_stats(1)["forwards"]
         slow = cluster.fork(napper, "nap", 1.0)
         t0 = time.monotonic()
         assert cluster.locate(located) == 1
@@ -279,23 +319,28 @@ class TestReaderServes:
         assert time.monotonic() - t0 < 0.5
         assert slow.join(timeout=15) == 1
         assert time.monotonic() - t0 >= 0.9
+        assert cluster.node_stats(1)["forwards"] == forwards + 1
 
     def test_reader_served_requests_cost_no_pool_worker(self, cluster):
         tally = cluster.create(Tally, node=1)
         other = cluster.create(Tally, node=1)
+        chased = _moved_behind_the_drivers_back(cluster)
         assert cluster.call(tally, "bump") == 1
         cluster.move(other, 2)              # 1 -> 2 dialled
         cluster.move(other, 1)
         before = [_pool_submits(cluster, node) for node in (1, 2)]
+        forwards = cluster.node_stats(1)["forwards"]
         assert cluster.locate(tally) == 1
         cluster.attach(tally, other)
         cluster.unattach(tally)
         cluster.move(tally, 2)
         cluster.node_stats(1)
         assert [_pool_submits(cluster, node) for node in (1, 2)] == before
-        assert cluster.call(tally, "bump") == 2     # forwarded by node 1
+        assert cluster.call(chased, "bump") == 1    # forwarded by node 1
         assert [_pool_submits(cluster, node) for node in (1, 2)] == \
             [before[0], before[1] + 1]
+        assert cluster.node_stats(1)["forwards"] == forwards + 1
+        assert cluster.call(tally, "bump") == 2     # moved with its state
 
     def test_a_move_that_must_drain_is_served_by_a_worker(self, cluster):
         tally = cluster.create(Tally, node=1)
@@ -348,6 +393,69 @@ class TestReaderServes:
         assert 0.9 < time.monotonic() - t0 < 3.0
         assert kernel.stats["resends"] >= 2     # its ladder ran
         assert not kernel._pending
+
+
+class TestTheMoverIsHinted:
+    """A move's ``ok`` reply comes once the group is resident at the
+    destination, so the mover hints it there and its next request goes
+    straight to the object; a move that raises leaves the mover's
+    descriptor as it was."""
+
+    def test_the_drivers_next_call_is_not_forwarded(self, cluster):
+        tally = cluster.create(Tally, node=1)
+        cluster.move(tally, 2)
+        assert next_hop(cluster.kernel, tally) == 2
+        forwards = cluster.node_stats(1)["forwards"]
+        assert cluster.call(tally, "bump") == 1
+        assert cluster.node_stats(1)["forwards"] == forwards
+
+    def test_a_move_inside_an_operation_hints_its_node(self, cluster):
+        tally = cluster.create(Tally, node=0)
+        mover = cluster.create(Mover, node=1)
+        cluster.call(mover, "move", tally, 2)
+        assert cluster.call(mover, "next_hop", tally) == 2
+        forwards = cluster.node_stats(0)["forwards"]
+        assert cluster.call(mover, "call", tally, "where") == 2
+        assert cluster.node_stats(0)["forwards"] == forwards
+
+    def test_a_refused_move_hints_nothing(self, cluster):
+        latch = cluster.create(Latch, node=1)
+        assert next_hop(cluster.kernel, latch) == 1
+        with pytest.raises(TypeError, match="pickle"):
+            cluster.move(latch, 2)
+        assert next_hop(cluster.kernel, latch) == 1
+
+    def test_an_install_never_acked_hints_nothing(self, cluster,
+                                                  monkeypatch):
+        """The source is the driver, whose installs are lost; the mover
+        on node 1 gets the install's deadline verdict."""
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.25")    # reply in 1 s
+        kernel = cluster.kernel
+        tally = cluster.create(Tally, node=0)
+        mover = cluster.create(Mover, node=1)
+        assert cluster.call(mover, "next_hop", tally) == 0
+        mesh_post = kernel.mesh.post
+
+        def post(node, message):
+            if isinstance(message, m.InstallMsg):
+                return False            # lost on the wire, every time
+            return mesh_post(node, message)
+
+        monkeypatch.setattr(kernel.mesh, "post", post)
+        move = cluster.fork(mover, "move", tally, 2)
+        with pytest.raises((TimeoutError, NodeFailure), match="InstallMsg"):
+            move.join(timeout=10)
+        assert cluster.call(mover, "next_hop", tally) == 0
+
+    def test_an_immutable_move_hints_the_copy_at_the_destination(
+            self, cluster):
+        table = cluster.create(Tally, node=1)
+        cluster.set_immutable(table)
+        cluster.move(table, 2)
+        assert next_hop(cluster.kernel, table) == 2
+        assert cluster.call(table, "where") == 2
+        mover = cluster.create(Mover, node=1)
+        assert cluster.call(mover, "call", table, "where") == 1
 
 
 class Unpicklable:
