@@ -12,12 +12,14 @@ Three implementations share the numpy kernels in :mod:`grid`:
   are measured against;
 * :mod:`amber_sor` — the Amber program of Figure 1: one section object per
   stripe of the grid, worker threads per section, edge-exchange threads
-  overlapping communication with computation, and a convergence master;
+  overlapping communication with computation, and a convergence master.
+  Its program text, :func:`sor_main`, runs on the simulator and on the
+  live runtime (``Cluster.run``) alike;
 * :mod:`ivy_sor` — the same decomposition on the page-based DSM baseline
   (for the section 4 comparison; see :mod:`repro.dsm`).
 """
 
-from repro.apps.sor.amber_sor import AmberSorResult, run_amber_sor
+from repro.apps.sor.amber_sor import AmberSorResult, run_amber_sor, sor_main
 from repro.apps.sor.grid import (
     PAPER_COLS,
     PAPER_ROWS,
@@ -38,5 +40,6 @@ __all__ = [
     "run_amber_sor",
     "run_sequential_sor",
     "sor_iterate",
+    "sor_main",
     "sweep_color",
 ]

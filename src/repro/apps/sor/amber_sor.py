@@ -366,6 +366,65 @@ class SorSection(SimObject):
         return self.cells[:, 1:self.ncols + 1].copy()
 
 
+def sor_main(ctx, problem: SorProblem, nodes: int, nsections: int,
+             workers: int, per_point_us: float, overlap: bool,
+             collect_grid: bool, place: PlacementPolicy):
+    """The program of Figure 1, for ``AmberProgram.run`` or the live
+    ``Cluster.run``: sections in contiguous blocks over ``nodes``, then
+    every section's threads; returns ``(each coordinator's (iterations,
+    delta), the time its last one was joined, the grid or None)``."""
+    master = yield New(SorMaster, nsections, problem.tolerance,
+                       on_node=place.node_for("SorMaster", 0, None,
+                                              count=1))
+    section_objs = []
+    for s in range(nsections):
+        col_lo = problem.cols * s // nsections
+        col_hi = problem.cols * (s + 1) // nsections
+        ncols = col_hi - col_lo
+        slab_bytes = (problem.rows + 2) * (ncols + 2) * VALUE_BYTES
+        section = yield New(
+            SorSection, s, nsections, problem, col_lo, ncols,
+            workers, per_point_us, overlap,
+            size_bytes=slab_bytes,
+            on_node=place.node_for("SorSection", s, s * nodes // nsections,
+                                   count=nsections))
+        section_objs.append(section)
+    for s, section in enumerate(section_objs):
+        left = section_objs[s - 1] if s > 0 else None
+        right = section_objs[s + 1] if s < nsections - 1 else None
+        yield Invoke(section, "configure", master, left, right)
+    threads = []
+    coordinators = []
+    for s, section in enumerate(section_objs):
+        for w in range(workers):
+            threads.append((yield Fork(section, "worker", w,
+                                       name=f"w{s}.{w}")))
+        if s > 0:
+            threads.append((yield Fork(section, "edger", LEFT,
+                                       name=f"e{s}.L")))
+        if s < nsections - 1:
+            threads.append((yield Fork(section, "edger", RIGHT,
+                                       name=f"e{s}.R")))
+        threads.append((yield Fork(section, "converger",
+                                   name=f"c{s}")))
+        coordinators.append((yield Fork(section, "run",
+                                        name=f"coord{s}")))
+    outcomes = []
+    for coordinator in coordinators:
+        outcomes.append((yield Join(coordinator)))
+    finish_us = ctx.now_us
+    for thread in threads:
+        yield Join(thread)
+    grid = None
+    if collect_grid:
+        grid = make_grid(problem)
+        for s, section in enumerate(section_objs):
+            col_lo = problem.cols * s // nsections
+            slab = yield Invoke(section, "snapshot")
+            grid[:, col_lo + 1:col_lo + 1 + slab.shape[1]] = slab
+    return outcomes, finish_us, grid
+
+
 @dataclass
 class AmberSorResult:
     problem: SorProblem
@@ -423,65 +482,11 @@ def run_amber_sor(problem: SorProblem,
     workers = (workers_per_section if workers_per_section is not None
                else max(1, total_cpus // nsections))
     place = placement if placement is not None else PlacementPolicy()
-
-    def node_of(section_index: int) -> int:
-        return section_index * nodes // nsections
-
-    def main(ctx):
-        master = yield New(SorMaster, nsections, problem.tolerance,
-                           on_node=place.node_for("SorMaster", 0, None,
-                                                  count=1))
-        section_objs = []
-        for s in range(nsections):
-            col_lo = problem.cols * s // nsections
-            col_hi = problem.cols * (s + 1) // nsections
-            ncols = col_hi - col_lo
-            slab_bytes = (problem.rows + 2) * (ncols + 2) * VALUE_BYTES
-            section = yield New(
-                SorSection, s, nsections, problem, col_lo, ncols,
-                workers, per_point_us, overlap,
-                size_bytes=slab_bytes,
-                on_node=place.node_for("SorSection", s, node_of(s),
-                                       count=nsections))
-            section_objs.append(section)
-        for s, section in enumerate(section_objs):
-            left = section_objs[s - 1] if s > 0 else None
-            right = section_objs[s + 1] if s < nsections - 1 else None
-            yield Invoke(section, "configure", master, left, right)
-        threads = []
-        coordinators = []
-        for s, section in enumerate(section_objs):
-            for w in range(workers):
-                threads.append((yield Fork(section, "worker", w,
-                                           name=f"w{s}.{w}")))
-            if s > 0:
-                threads.append((yield Fork(section, "edger", LEFT,
-                                           name=f"e{s}.L")))
-            if s < nsections - 1:
-                threads.append((yield Fork(section, "edger", RIGHT,
-                                           name=f"e{s}.R")))
-            threads.append((yield Fork(section, "converger",
-                                       name=f"c{s}")))
-            coordinators.append((yield Fork(section, "run",
-                                            name=f"coord{s}")))
-        outcomes = []
-        for coordinator in coordinators:
-            outcomes.append((yield Join(coordinator)))
-        finish_us = ctx.now_us
-        for thread in threads:
-            yield Join(thread)
-        grid = None
-        if collect_grid:
-            grid = make_grid(problem)
-            for s, section in enumerate(section_objs):
-                col_lo = problem.cols * s // nsections
-                slab = yield Invoke(section, "snapshot")
-                grid[:, col_lo + 1:col_lo + 1 + slab.shape[1]] = slab
-        return outcomes, finish_us, grid
-
     config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node,
                            contended_network=contended_network)
-    result = AmberProgram(config, costs, faults).run(main, tracer=tracer)
+    result = AmberProgram(config, costs, faults).run(
+        sor_main, problem, nodes, nsections, workers, per_point_us, overlap,
+        collect_grid, place, tracer=tracer)
     outcomes, finish_us, grid = result.value
     iterations_run = max(outcome[0] for outcome in outcomes)
     final_delta = max(outcome[1] for outcome in outcomes)

@@ -176,8 +176,9 @@ def _sor_plan(seed: int) -> FaultPlan:
 def _run_live_sor_chaos(seed: int, fast: bool) -> Outcome:
     import numpy as np
 
-    from repro.apps.sor.grid import SorProblem
-    from repro.apps.sor.live_sor import run_live_sor
+    from repro.apps.sor import SorProblem, run_sequential_sor, sor_main
+    from repro.apps.sor.sequential import DEFAULT_POINT_UPDATE_US
+    from repro.placement.policies import PlacementPolicy
     from repro.runtime.cluster import Cluster
 
     problem = (SorProblem(rows=8, cols=24, iterations=3) if fast
@@ -191,11 +192,12 @@ def _run_live_sor_chaos(seed: int, fast: bool) -> Outcome:
                                                  total_nodes)
 
     with _peer_timeout(6.0):
-        clean = run_live_sor(problem, nodes=workers)
         with Cluster(nodes=total_nodes, chaos=plan) as cluster:
             controller = cluster.start_chaos()
-            faulted = run_live_sor(problem, nodes=workers,
-                                   cluster=cluster)
+            # One section per worker node, one worker thread each.
+            _, _, faulted = cluster.run(
+                sor_main, problem, workers, workers, 1,
+                DEFAULT_POINT_UPDATE_US, True, True, PlacementPolicy())
             controller.join(timeout=30.0)
             controller.stop()
             # The victim was killed and restarted; the replacement must
@@ -212,17 +214,18 @@ def _run_live_sor_chaos(seed: int, fast: bool) -> Outcome:
                     time.sleep(0.2)
             counters = _gather_counters(cluster)
             kills, restarts = controller.kills, controller.restarts
-    correct = bool(np.array_equal(clean, faulted))
+    correct = bool(np.array_equal(run_sequential_sor(problem).grid,
+                                  faulted))
     ok = (correct and stable and kills == 1 and restarts == 1
           and revived)
     return _verdict(
         "live-sor",
-        f"live SOR {problem.rows}x{problem.cols}, "
+        f"sor_main {problem.rows}x{problem.cols}, "
         f"{problem.iterations} iterations on {workers} "
         f"worker nodes + 1 victim",
         ok, counters,
         f"grid {'bit-identical to' if correct else 'DIVERGED from'}"
-        f" clean run; kills={kills} restarts={restarts} "
+        f" sequential grid; kills={kills} restarts={restarts} "
         f"victim revived={revived} schedule stable={stable}",
         plan=plan.describe(), fingerprint=fingerprint)
 

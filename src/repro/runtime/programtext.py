@@ -6,32 +6,67 @@ whose value or exception goes back in at the ``yield`` (a request in
 :data:`REFUSED` throws in an :class:`AmberError` naming it).  Code between
 two yields, and a plain operation's whole body, runs under the node's
 segment lock, as the simulator runs it atomically; a request is served
-without it, so a nested local invoke can take it.
+without it, so a nested local invoke can take it.  Program text runs on a
+pool worker or the ``Cluster.run`` caller, never on a mesh reader, so a
+``Suspend`` blocks no socket.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Callable, Dict
 
-from repro.errors import AmberError, InvocationError
-from repro.runtime.handles import Handle
+from repro.errors import AmberError, InvocationError, SynchronizationError
+from repro.recovery.config import reply_timeout_s
+from repro.runtime.handles import Handle, ThreadHandle
 from repro.runtime.objects import process_kernel, segment_lock
 
 #: The requests that need the simulator's own threads or scheduler.
-REFUSED = frozenset(("NewThread", "Start", "Sleep", "Suspend", "Wakeup",
-                     "SetScheduler", "Refresh", "GetStats"))
+REFUSED = frozenset(("NewThread", "Start", "Sleep", "SetScheduler",
+                     "Refresh", "GetStats"))
 
-_TABLE: Dict[type, Callable[[Any, Any], Any]] = {}
+_TABLE: Dict[type, Callable[[Any, Any, "WakeupToken"], Any]] = {}
+
+
+class WakeupToken:
+    """An activation's ``ctx.thread``: the simulator's ``wakeup_pending``
+    flag, under a condition.  :meth:`wakeup` sets it; :meth:`suspend`
+    waits for it and clears it, so a ``Wakeup`` that lands between two
+    ``Suspend``\\ s is kept for the next.  It holds a lock, so it does not
+    pickle: an object whose state holds waiters cannot move."""
+
+    __slots__ = ("_changed", "_pending")
+
+    def __init__(self):
+        self._changed = threading.Condition(threading.Lock())
+        self._pending = False
+
+    def wakeup(self) -> None:
+        with self._changed:
+            self._pending = True
+            self._changed.notify()
+
+    def suspend(self) -> None:
+        """Half the lost-peer ceiling, so a stuck wait surfaces here
+        before a caller's join gives up on this activation."""
+        bound_s = reply_timeout_s() / 2
+        with self._changed:
+            if not self._changed.wait_for(lambda: self._pending, bound_s):
+                raise SynchronizationError(
+                    f"Suspend: no Wakeup within {bound_s:g} s")
+            self._pending = False
 
 
 class LiveContext:
-    """A live operation's ``ctx``: its node, and the wall clock."""
+    """A live operation's ``ctx``: its node, its wake-up token, and the
+    wall clock."""
 
-    __slots__ = ("node",)
+    __slots__ = ("node", "thread")
 
     def __init__(self, node: int):
         self.node = node
+        self.thread = WakeupToken()
 
     @property
     def now_us(self) -> float:
@@ -43,39 +78,51 @@ def address(target: Any) -> int:
     return target.vaddr if type(target) is Handle else target._amber_vaddr
 
 
-def request_table() -> Dict[type, Callable[[Any, Any], Any]]:
-    """Request class -> ``serve(kernel, request)``."""
+def _thread(request: Any, cls: type) -> Any:
+    """The request's ``thread``, which must be a ``cls``."""
+    target = request.thread
+    if type(target) is not cls:
+        raise InvocationError(f"{type(request).__name__} target {target!r} "
+                              f"is not a thread")
+    return target
+
+
+def request_table() -> Dict[type, Callable[[Any, Any, WakeupToken], Any]]:
+    """Request class -> ``serve(kernel, request, the activation's token)``."""
     if not _TABLE:
         from repro.sim import syscalls as sc
 
-        def invoke(k, r):
+        def invoke(k, r, _):
             return k.invoke(address(r.target), r.method, r.args, r.kwargs)
 
         def control(op):
-            return lambda k, r: k.control(address(r.target), op)
+            return lambda k, r, _: k.control(address(r.target), op)
 
         _TABLE.update({
             sc.Invoke: invoke,
             sc.FastInvoke: invoke,
-            sc.New: lambda k, r: k.create(r.cls, r.args, r.kwargs, r.on_node),
-            sc.Fork: lambda k, r: k.fork(address(r.target), r.method, r.args,
-                                         {}),
-            sc.Join: lambda k, r: r.thread.join(),
-            sc.MoveTo: lambda k, r: k.move(address(r.target), r.node),
-            sc.Locate: lambda k, r: k.locate(address(r.target)),
+            sc.New: lambda k, r, _: k.create(r.cls, r.args, r.kwargs,
+                                             r.on_node),
+            sc.Fork: lambda k, r, _: k.fork(address(r.target), r.method,
+                                            r.args, {}),
+            sc.Join: lambda k, r, _: _thread(r, ThreadHandle).join(),
+            sc.Suspend: lambda k, r, token: token.suspend(),
+            sc.Wakeup: lambda k, r, _: _thread(r, WakeupToken).wakeup(),
+            sc.MoveTo: lambda k, r, _: k.move(address(r.target), r.node),
+            sc.Locate: lambda k, r, _: k.locate(address(r.target)),
             sc.SetImmutable: control("set_immutable"),
-            sc.Attach: lambda k, r: k.control(address(r.target), "attach",
-                                              address(r.to)),
+            sc.Attach: lambda k, r, _: k.control(address(r.target), "attach",
+                                                 address(r.to)),
             sc.Unattach: control("unattach"),
             sc.Delete: control("delete"),
             # Simulated time: a live run spends its own.
             **dict.fromkeys((sc.Compute, sc.Charge, sc.Yield),
-                            lambda k, r: None),
+                            lambda k, r, _: None),
         })
     return _TABLE
 
 
-def _refuse(kernel, request: Any) -> None:
+def _refuse(kernel, request: Any, _token) -> None:
     name = type(request).__name__
     if name in REFUSED:
         raise AmberError(f"{name} is not on the live runtime")
@@ -87,8 +134,9 @@ def run_program_text(fn: Callable, args: tuple, kwargs: dict) -> Any:
     """Run ``fn(ctx, *args, **kwargs)`` on this node to its return."""
     kernel = process_kernel()
     segment = segment_lock()
+    ctx = LiveContext(kernel.node_id)
     with segment:
-        body = fn(LiveContext(kernel.node_id), *args, **kwargs)
+        body = fn(ctx, *args, **kwargs)
     if not (hasattr(body, "send") and hasattr(body, "throw")):
         return body
     table = request_table()
@@ -102,6 +150,6 @@ def run_program_text(fn: Callable, args: tuple, kwargs: dict) -> Any:
                 return stop.value
         try:
             serve = table.get(type(request), _refuse)
-            value, error = serve(kernel, request), None
+            value, error = serve(kernel, request, ctx.thread), None
         except Exception as failure:
             value, error = None, failure

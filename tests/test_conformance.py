@@ -4,6 +4,10 @@ and the answers must be equal — except where :data:`DIFFERENCES` says
 the backends differ by design, and why.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,10 +18,13 @@ from repro.apps.queens import (
     queens_main,
     seed_prefixes,
 )
-from repro.errors import AmberError, InvocationError
+from repro.apps.sor import SorProblem, run_sequential_sor, sor_main
+from repro.apps.sor.sequential import DEFAULT_POINT_UPDATE_US
+from repro.errors import AmberError, InvocationError, SynchronizationError
 from repro.placement.policies import PlacementPolicy
+from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
-from repro.runtime.programtext import REFUSED
+from repro.runtime.programtext import REFUSED, WakeupToken
 from repro.sim import syscalls as sc
 from repro.sim.cluster import ClusterConfig
 from repro.sim.objects import SimObject
@@ -66,6 +73,31 @@ class Box(SimObject):
 
     def _helper(self, ctx):
         return "internals"
+
+
+class Gate(SimObject):
+    """Wake-ups that race ahead of their ``Suspend``."""
+
+    def __init__(self):
+        self.waiter = None
+
+    def woken_by_a_fork(self, ctx):
+        self.waiter = ctx.thread
+        opener = yield sc.Fork(self, "open")
+        yield sc.Suspend("gate")
+        yield sc.Join(opener)
+        return "woken"
+
+    def open(self, ctx):
+        yield sc.Wakeup(self.waiter)
+
+    def woken_by_itself(self, ctx):
+        yield sc.Wakeup(ctx.thread)
+        yield sc.Suspend("kept")
+        return "kept"
+
+    def remember(self, ctx):
+        self.waiter = ctx.thread
 
 
 # -- programs --------------------------------------------------------------
@@ -196,6 +228,65 @@ def refused_main(ctx, request):
     return "served"
 
 
+def race_main(ctx):
+    gate = yield sc.New(Gate, on_node=1)
+    return ((yield sc.Invoke(gate, "woken_by_a_fork")),
+            (yield sc.Invoke(gate, "woken_by_itself")))
+
+
+def not_a_thread_main(ctx):
+    errors = []
+    for request in (sc.Join(None), sc.Wakeup(None)):
+        try:
+            yield request
+        except InvocationError as error:
+            errors.append(str(error))
+    return errors
+
+
+def lonely_main(ctx):
+    """Two Wakeups bank one: the second Suspend is one nothing wakes."""
+    yield sc.Wakeup(ctx.thread)
+    yield sc.Wakeup(ctx.thread)
+    yield sc.Suspend("once")
+    yield sc.Suspend("nobody")
+
+
+def double_join_main(ctx):
+    box = yield sc.New(Box, 1, on_node=1)
+    thread = yield sc.Fork(box, "add", 1)
+    first = yield sc.Join(thread)
+    try:
+        return first, (yield sc.Join(thread))
+    except AmberError as error:
+        return first, type(error).__name__
+
+
+def move_a_waiter_main(ctx):
+    gate = yield sc.New(Gate, on_node=1)
+    yield sc.Invoke(gate, "remember")
+    try:
+        yield sc.MoveTo(gate, 2)
+    except TypeError as error:
+        return type(error).__name__, (yield sc.Locate(gate))
+    return (yield sc.Locate(gate))
+
+
+#: Name -> (problem, sections, workers per section, overlap): the shapes
+#: the live-only SOR program was tested at, no overlap (the only path
+#: through the ``sor-sends`` Suspend) and two workers per section.
+PROBLEM = SorProblem(rows=10, cols=24, iterations=6)
+SOR_CASES = {
+    "3-sections": (PROBLEM, 3, 1, True),
+    "5-sections": (PROBLEM, 5, 1, True),
+    "1-section": (PROBLEM, 1, 1, True),
+    "23-uneven-columns": (SorProblem(rows=8, cols=23, iterations=4), 3, 1,
+                          True),
+    "no-overlap": (PROBLEM, 3, 1, False),
+    "2-workers": (PROBLEM, 3, 2, True),
+}
+
+
 #: Where the backends answer differently by design (DESIGN.md, "One
 #: program text, two backends"): name -> (program, the simulator's
 #: answer, the live answer, why).
@@ -211,6 +302,16 @@ DIFFERENCES = {
     "compute-takes-time": (
         compute_main, True, False,
         "Compute and Charge spend simulated time; live they take none"),
+    "double-join": (
+        double_join_main, (2, 2), (2, "AmberError"),
+        "a simulated thread hands its result to every Join; a live "
+        "thread's reply is delivered once, so a second Join raises "
+        "(lifecycle.Pending.join)"),
+    "a-waiter-cannot-move": (
+        move_a_waiter_main, 2, ("TypeError", 1),
+        "a live ctx.thread is a wake-up token that holds a lock and does "
+        "not pickle, so a move of an object holding one is refused and "
+        "the object stays; a simulated thread is a reference"),
 }
 
 #: One instance of each refused request.
@@ -218,8 +319,6 @@ REFUSED_REQUESTS = {
     "NewThread": lambda: sc.NewThread(None, "run"),
     "Start": lambda: sc.Start(None),
     "Sleep": lambda: sc.Sleep(1.0),
-    "Suspend": lambda: sc.Suspend(),
-    "Wakeup": lambda: sc.Wakeup(None),
     "SetScheduler": lambda: sc.SetScheduler(0, None),
     "Refresh": lambda: sc.Refresh(None),
     "GetStats": lambda: sc.GetStats(),
@@ -259,6 +358,78 @@ def test_every_served_request_agrees(cluster):
 def test_an_underscore_name_is_no_operation_on_either_backend(cluster):
     expected = ["InvocationError"] * 3 + [1]
     assert on_sim(bad_names_main) == cluster.run(bad_names_main) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SOR_CASES))
+def test_sor_grids_agree(cluster, name):
+    problem, sections, workers, overlap = SOR_CASES[name]
+    args = (problem, NODES, sections, workers, DEFAULT_POINT_UPDATE_US,
+            overlap, True, PlacementPolicy())
+    sim_outcomes, _, sim_grid = on_sim(sor_main, *args)
+    outcomes, _, grid = cluster.run(sor_main, *args)
+    sequential = run_sequential_sor(problem).grid
+    assert grid.tobytes() == sim_grid.tobytes() == sequential.tobytes()
+    assert outcomes == sim_outcomes
+
+
+def test_wakeups_ahead_of_their_suspend_are_kept(cluster):
+    assert on_sim(race_main) == cluster.run(race_main) == ("woken", "kept")
+
+
+def test_join_and_wakeup_of_a_non_thread_raise_alike(cluster):
+    expected = ["Join target None is not a thread",
+                "Wakeup target None is not a thread"]
+    assert on_sim(not_a_thread_main) == cluster.run(not_a_thread_main) \
+        == expected
+
+
+def test_a_suspend_nothing_wakes_is_typed_within_its_bound(cluster,
+                                                           monkeypatch):
+    monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.5")     # bound: 4 x 0.5 / 2 s
+    started = time.monotonic()
+    with pytest.raises(SynchronizationError, match="no Wakeup within 1 s"):
+        cluster.run(lonely_main)
+    assert 1.0 <= time.monotonic() - started < 5.0
+
+
+def test_a_token_loses_no_wakeup_under_stress(monkeypatch):
+    """Pairs ping-pong, more threads than cores: one side wakes, then
+    suspends; the other suspends, then wakes — so a Wakeup lands before
+    its Suspend as often as after, and each Suspend must take the one
+    aimed at it."""
+    monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.5")     # a lost one: 1 s, typed
+    threads, rounds = 8, 300
+    tokens = [WakeupToken() for _ in range(threads)]
+    done, failures = [0] * threads, []
+
+    def run(i):
+        me, partner = tokens[i], tokens[i ^ 1]
+        try:
+            for _ in range(rounds):
+                if i % 2:
+                    me.suspend()
+                    partner.wakeup()
+                else:
+                    partner.wakeup()
+                    me.suspend()
+                done[i] += 1
+        except SynchronizationError as error:
+            failures.append(error)
+
+    workers = [threading.Thread(target=run, args=(i,))
+               for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
+    assert done == [rounds] * threads
 
 
 class Counter(AmberObject):
