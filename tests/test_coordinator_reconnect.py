@@ -99,6 +99,10 @@ class TestCoordinatorRestart:
             old = cluster._coordinator
             port = old.address[1]
             old.close()
+            # Until the client's reader sees the loss, the gate is still
+            # open from before: waiting for it to reopen would pass at once.
+            assert _await(lambda: not cluster._client._connected.is_set(),
+                          10.0), "gate never closed"
             with pytest.raises(ClusterError):
                 cluster._client.query_region(0)
             successor = _start_successor(cluster, port, old.server)
