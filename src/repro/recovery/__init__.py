@@ -15,9 +15,10 @@ from *injecting* failures (:mod:`repro.faults`) to *surviving* them:
   the primary-backup stores promotion draws from;
 * :mod:`repro.recovery.replay` — the caller-side invocation log behind
   orphan-thread resurrection with at-most-once semantics;
-* :mod:`repro.recovery.workloads` / :mod:`repro.recovery.scenario` —
-  SOR and N-Queens arranged so a crash lands on live mutable state, and
-  the seeded pass/fail scenarios behind ``repro faults --recover``.
+* :mod:`repro.recovery.scenario` — the seeded pass/fail scenarios
+  behind ``repro faults --recover``: ``queens_main`` and ``sor_main``
+  losing a node for good, and (:mod:`repro.recovery.workloads`) a
+  striped SOR whose drivers replay input-identically.
 
 Attach recovery to a simulated run with::
 

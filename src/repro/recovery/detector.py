@@ -18,7 +18,8 @@ randomness-free): a down node sends nothing, a severed pair exchanges
 nothing.
 
 The heartbeat timer terminates with the program (once the main thread
-is done it stops rescheduling), so the event queue still drains.
+is done, or the run can no longer progress, it stops rescheduling), so
+the event queue still drains.
 
 Events emitted into the obs layer: ``node_suspected``,
 ``node_confirmed_dead`` (with the ``detection_latency_us`` histogram —

@@ -78,10 +78,35 @@ class RecoveryManager:
         self._confirmed_dead.discard(node_id)
 
     def program_over(self) -> bool:
-        """The main thread is done: the periodic timers (heartbeat,
-        checkpoint sweep) stop rescheduling so the event queue drains."""
+        """The main thread is done, or the run can no longer progress:
+        the periodic timers (heartbeat, checkpoint sweep) stop
+        rescheduling so the event queue drains — a stalled run then ends
+        in ``AmberProgram.run``'s DeadlockError instead of ticking
+        forever."""
         threads = self.kernel.threads
-        return bool(threads) and threads[0].done
+        return bool(threads) and (threads[0].done or self._stalled())
+
+    def _stalled(self) -> bool:
+        """Only this manager's own traffic is left: every down node has
+        been swept, no crash or restart is still to come, and every
+        unfinished thread waits for another thread to act (a Suspend or
+        a Join, not a Sleep's timer).  A victim awaiting its relaunch is
+        in transit, so it counts as progress."""
+        if any(node.down and node.id not in self._confirmed_dead
+               for node in self.cluster.nodes):
+            return False
+        plan = self.cluster.faults
+        now = self.sim.now_us
+        if plan is not None and any(
+                crash.at_us >= now
+                or (crash.restart_us is not None and crash.restart_us >= now)
+                for crash in plan.crashes):
+            return False
+        return all(thread.done or thread.state is ThreadState.NEW
+                   or (thread.state is ThreadState.BLOCKED
+                       and (thread.suspended
+                            or thread.block_reason != "sleep"))
+                   for thread in self.kernel.threads)
 
     def is_lost(self, vaddr: int) -> bool:
         return vaddr in self._lost_objects

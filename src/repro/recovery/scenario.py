@@ -18,12 +18,17 @@ and twice under the same seeded plan, then checks:
     Striped Red/Black SOR; the dead node holds a live mutable grid
     stripe.  The recovered grid must equal the clean grid bit for bit.
 ``queens-recover``
-    N-Queens over mutating per-node tallies; replay must be at-most-once
-    (call counts and totals equal the clean run exactly).
+    ``queens_main``, the N-Queens program both backends run: the pool
+    stays on node 0, and the node dies holding a worker anchor and its
+    two workers.
+    Replay must be at-most-once: every work unit is counted exactly once.
 ``sor-unrecoverable``
-    The same SOR crash with checkpointing disabled: the run must
-    *terminate* with a typed :class:`~repro.errors.NodeFailure` — never
-    hang — and fail identically across replays.
+    ``sor_main``, the Figure 1 program, dying with two of its sections.
+    Its section threads cannot be carried (``repro.recovery.workloads``
+    says why), so the run must end in the sequential grid or a typed
+    :class:`~repro.errors.DeadlockError` / :class:`~repro.errors.NodeFailure`
+    — never a wrong grid, never a hang — and end identically across
+    replays.
 
 Used by ``python -m repro faults --recover`` and the recovery tests.
 """
@@ -32,23 +37,33 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.apps.sor.grid import SorProblem
-from repro.errors import NodeFailure
+import numpy as np
+
+from repro.apps.queens import KNOWN_SOLUTIONS, queens_main, seed_prefixes
+from repro.apps.sor import SorProblem, run_sequential_sor, sor_main
+from repro.apps.sor.amber_sor import default_sections
+from repro.apps.sor.sequential import DEFAULT_POINT_UPDATE_US
+from repro.errors import DeadlockError, NodeFailure
 from repro.faults.plan import FaultPlan
 from repro.faults.scenario import (
     COUNTER_NAMES,
     chaos_plan,
     clean_vs_faulted,
+    counters_of,
     faults_report,
     fingerprint,
     grid_detail,
     same_grid,
 )
+from repro.placement.policies import PlacementPolicy
 from repro.recovery.config import RecoveryConfig
-from repro.recovery.workloads import run_recovery_queens, run_recovery_sor
+from repro.recovery.workloads import run_recovery_sor
 from repro.selfcheck import Outcome, Report, judged
+from repro.sim.cluster import ClusterConfig
+from repro.sim.program import AmberProgram
 
-#: The node that dies in every scenario — it hosts stripe/tally 0.
+#: The node that dies in every scenario — it hosts stripe 0, a queens
+#: worker anchor, and SOR sections 2-3.
 CRASH_NODE = 1
 
 
@@ -89,6 +104,13 @@ def _recovering(faults):
     return RecoveryConfig() if faults is not None else None
 
 
+def _run(nodes: int, cpus: int, faults, main, *args):
+    """``main(ctx, *args)`` on ``nodes`` x ``cpus``, recovering under
+    ``faults``."""
+    return AmberProgram(ClusterConfig(nodes, cpus), faults=faults,
+                        recovery=_recovering(faults)).run(main, *args)
+
+
 def _run_sor_recover(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
@@ -113,58 +135,72 @@ def _run_sor_recover(seed: int, fast: bool) -> Outcome:
 def _run_queens_recover(seed: int, fast: bool) -> Outcome:
     n = 7 if fast else 8
     nodes, cpus = 3, 2
+    units = len(seed_prefixes(n, 2))
+
+    def exact(clean, faulted) -> bool:
+        """Every unit counted once, into the known and the clean total."""
+        solutions, _visited, done, per_worker = faulted.value
+        return (solutions == KNOWN_SOLUTIONS[n] == clean.value[0]
+                and done == units and sum(per_worker) == units)
+
     return clean_vs_faulted(
         "queens-recover",
-        f"{n}-Queens tallies, node {CRASH_NODE} dies for good holding "
-        f"live counters (at-most-once check)",
-        run=lambda faults: run_recovery_queens(
-            n=n, nodes=nodes, cpus_per_node=cpus, faults=faults,
-            recovery=_recovering(faults)),
+        f"{n}-Queens on queens_main, node {CRASH_NODE} dies for good "
+        f"holding a worker anchor and its workers (at-most-once check)",
+        run=lambda faults: _run(nodes, cpus, faults, queens_main, n, nodes,
+                                cpus, 2, 1, 10.0, PlacementPolicy()),
         plan_for=lambda elapsed_us: _recover_plan(seed, elapsed_us),
-        observe=lambda r, counters: (r.elapsed_us, r.solutions,
-                                     r.visited, r.tally_totals,
+        observe=lambda r, counters: (r.elapsed_us, r.value,
                                      sorted(counters.items())),
         judge=lambda clean, faulted, counters: (
-            faulted.correct
-            and faulted.tally_totals == clean.tally_totals
-            and _recovered(counters)),
+            exact(clean, faulted) and _recovered(counters)),
         detail=lambda clean, faulted, counters: (
-            f"{faulted.solutions} solutions, "
-            f"{sum(t[2] for t in faulted.tally_totals)} tally calls "
-            f"for {faulted.work_units} work units, "
+            f"{faulted.value[0]} solutions, {faulted.value[2]} units "
+            f"reported for {units} work units, "
             f"{counters['invocations_replayed']} replayed"))
 
 
 def _run_sor_unrecoverable(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
-
-    clean = run_recovery_sor(problem, nodes=nodes, cpus_per_node=cpus)
+    sections = default_sections(nodes)
+    args = (problem, nodes, sections, max(1, nodes * cpus // sections),
+            DEFAULT_POINT_UPDATE_US, True, True, PlacementPolicy())
+    clean = _run(nodes, cpus, None, sor_main, *args)
     plan = _recover_plan(seed, clean.elapsed_us)
-    recovery = RecoveryConfig(checkpointing=False)
+    sequential = run_sequential_sor(problem).grid
 
     def attempt():
-        """Returns ``(exception type name, message)`` — the run must
-        terminate with a typed failure, not hang or succeed."""
+        """``(outcome, detail, result)``: the sequential grid or a typed
+        failure — a hang would never return here."""
         try:
-            run_recovery_sor(problem, nodes=nodes, cpus_per_node=cpus,
-                             faults=plan, recovery=recovery)
-        except NodeFailure as failure:
-            return type(failure).__name__, str(failure)
-        return "", "run unexpectedly succeeded without checkpoints"
+            result = _run(nodes, cpus, plan, sor_main, *args)
+        except (DeadlockError, NodeFailure) as failure:
+            kind = type(failure).__name__
+            return kind, f"{kind}: {failure}", None
+        if np.array_equal(result.value[2], sequential):
+            return "grid", "grid bit-identical to the sequential run", result
+        return "wrong", "grid DIVERGED from the sequential run", result
 
-    kind1, message1 = attempt()
-    kind2, message2 = attempt()
-    fp1 = fingerprint(kind1, message1)
-    fp2 = fingerprint(kind2, message2)
+    def observed(kind, detail, result) -> str:
+        if result is None:
+            return fingerprint(kind, detail)
+        return fingerprint(kind, result.elapsed_us,
+                           result.value[2].tobytes(),
+                           sorted(counters_of(result).items()))
+
+    first, second = attempt(), attempt()
+    kind, detail, result = first
     return judged(
         "sor-unrecoverable",
-        "the same crash with checkpointing disabled: the run must fail "
-        "fast with a typed NodeFailure",
-        kind1 == "NodeFailure", fp1 == fp2,
+        f"sor_main {problem.rows}x{problem.cols}, node {CRASH_NODE} dies "
+        f"for good holding two sections: the sequential grid or a typed "
+        f"failure, never a wrong grid or a hang",
+        kind != "wrong", observed(*first) == observed(*second),
         plan=plan.describe(),
         clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=0.0,
-        fingerprint=fp1,
-        counters={name: 0 for name in COUNTER_NAMES},
-        detail=f"{kind1}: {message1}" if kind1 else message1)
+        faulted_elapsed_us=result.elapsed_us if result else 0.0,
+        fingerprint=observed(*first),
+        counters=(counters_of(result) if result
+                  else {name: 0 for name in COUNTER_NAMES}),
+        detail=detail)

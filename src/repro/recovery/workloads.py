@@ -1,13 +1,11 @@
-"""Recovery workloads: programs whose live mutable state dies mid-run.
+"""Recovery workload: a program whose live mutable state dies mid-run.
 
 The fault scenarios of :mod:`repro.faults.scenario` keep crashed nodes
 *restartable* — protocol retries span the outage and no state is lost.
-These workloads are built to survive the harder case: a node that holds
+This workload is built to survive the harder case: a node that holds
 live, mutable, mid-computation objects dies **permanently**, and the run
 must still produce the clean answer via checkpoint promotion and thread
 resurrection (``docs/RECOVERY.md``).
-
-Two programs, chosen to pin the two halves of the recovery guarantee:
 
 ``run_recovery_sor``
     Red/Black SOR over horizontal stripes.  Stripe objects (the mutable
@@ -18,12 +16,15 @@ Two programs, chosen to pin the two halves of the recovery guarantee:
     bit-identical values — grid equality with the clean run is
     structural, not probabilistic.
 
-``run_recovery_queens``
-    N-Queens over per-node tally objects with *cumulative counters* —
-    the at-most-once acid test.  Every ``count`` both returns a value
-    and mutates the tally; a duplicated or replayed invocation that
-    executed twice would inflate ``calls`` past the number of work
-    units.  The scenario asserts the totals match the clean run exactly.
+Why not the paper's ``sor_main``: a thread recovers by re-running from
+its last migrated invocation, and a section's threads live *on* the
+section.  When a section's node dies, its threads restart from their
+``Fork`` while their neighbours have moved on, and the run stalls; the
+``sor-unrecoverable`` scenario runs exactly that and holds it to a
+typed end.
+
+N-Queens needs no program of its own: ``queens-recover`` runs
+``queens_main`` itself (:mod:`repro.recovery.scenario`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.queens import KNOWN_SOLUTIONS, count_completions, seed_prefixes
 from repro.apps.sor.grid import (
     BLACK,
     RED,
@@ -222,131 +222,5 @@ def run_recovery_sor(problem: Optional[SorProblem] = None,
     return RecoverySorResult(
         problem=problem, nodes=nodes, cpus_per_node=cpus_per_node,
         stripes=nstripes, grid=grid, final_delta=final_delta,
-        elapsed_us=result.elapsed_us, stats=result.stats,
-        cluster=result.cluster)
-
-
-# ----------------------------------------------------------------------
-# Queens over crash-prone tallies
-# ----------------------------------------------------------------------
-
-
-class Tally(SimObject):
-    """A per-node solution counter.  ``count`` both computes *and*
-    mutates — the invocation the at-most-once log must never let run
-    twice."""
-
-    SIZE_BYTES = 256
-
-    def __init__(self, n: int, node_cost_us: float):
-        self.n = n
-        self.node_cost_us = node_cost_us
-        self.solutions = 0
-        self.visited = 0
-        self.calls = 0
-
-    def count(self, ctx, prefix: Tuple[int, ...]):
-        solutions, visited = count_completions(self.n, prefix)
-        yield Compute(max(1.0, visited * self.node_cost_us))
-        self.solutions += solutions
-        self.visited += visited
-        self.calls += 1
-        return solutions, visited
-
-    def totals(self, ctx):
-        yield Charge(EDGE_OP_US)
-        return self.solutions, self.visited, self.calls
-
-
-class QueensDriver(SimObject):
-    """Walks a fixed slice of the prefix list, spreading invocations
-    round-robin over the tallies (static partition: replay-safe and
-    schedule-independent)."""
-
-    SIZE_BYTES = 256
-
-    def __init__(self, tallies: List[Tally],
-                 prefixes: List[Tuple[int, ...]]):
-        self.tallies = tallies
-        self.prefixes = prefixes
-
-    def drive(self, ctx, offset: int):
-        solutions = visited = 0
-        for j, prefix in enumerate(self.prefixes):
-            tally = self.tallies[(offset + j) % len(self.tallies)]
-            s, v = yield Invoke(tally, "count", prefix, arg_bytes=64)
-            solutions += s
-            visited += v
-        return solutions, visited
-
-
-@dataclass
-class RecoveryQueensResult:
-    n: int
-    nodes: int
-    cpus_per_node: int
-    solutions: int
-    visited: int
-    work_units: int
-    #: Per-tally ``(solutions, visited, calls)`` — the mutable state the
-    #: crash must not corrupt or double-count.
-    tally_totals: List[Tuple[int, int, int]]
-    elapsed_us: float
-    stats: ClusterStats
-    cluster: object = None
-
-    @property
-    def correct(self) -> bool:
-        known = KNOWN_SOLUTIONS.get(self.n)
-        calls = sum(t[2] for t in self.tally_totals)
-        tally_solutions = sum(t[0] for t in self.tally_totals)
-        return (known is None or self.solutions == known) \
-            and tally_solutions == self.solutions \
-            and calls == self.work_units
-
-
-def run_recovery_queens(n: int = 7,
-                        nodes: int = 3,
-                        cpus_per_node: int = 2,
-                        split_depth: int = 2,
-                        drivers: int = 4,
-                        node_cost_us: float = 10.0,
-                        faults=None,
-                        recovery=None) -> RecoveryQueensResult:
-    """Count N-Queens solutions through per-node tally objects on nodes
-    ``1..N-1``; driver threads stay on node 0."""
-    if nodes < 2:
-        raise ValueError("recovery queens needs >=2 nodes")
-    prefixes = seed_prefixes(n, split_depth)
-
-    def main(ctx):
-        tallies = []
-        for node in range(1, nodes):
-            tallies.append((yield New(Tally, n, node_cost_us,
-                                      on_node=node)))
-        threads = []
-        for d in range(drivers):
-            mine = prefixes[d::drivers]
-            driver = yield New(QueensDriver, tallies, mine)
-            threads.append((yield Fork(driver, "drive", d,
-                                       name=f"qdrv{d}")))
-        solutions = visited = 0
-        for thread in threads:
-            s, v = yield Join(thread)
-            solutions += s
-            visited += v
-        totals = []
-        for tally in tallies:
-            totals.append((yield Invoke(tally, "totals")))
-        return solutions, visited, totals
-
-    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
-    result = AmberProgram(config, faults=faults,
-                          recovery=recovery).run(main)
-    solutions, visited, totals = result.value
-    return RecoveryQueensResult(
-        n=n, nodes=nodes, cpus_per_node=cpus_per_node,
-        solutions=solutions, visited=visited,
-        work_units=len(prefixes), tally_totals=totals,
         elapsed_us=result.elapsed_us, stats=result.stats,
         cluster=result.cluster)

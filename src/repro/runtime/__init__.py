@@ -36,7 +36,7 @@ operations instead of migrating their threads (DESIGN.md, substitutions).
 from repro.runtime.cluster import Cluster
 from repro.runtime.handles import Handle
 from repro.runtime.objects import AmberObject, current_node
-from repro.runtime.sync import Barrier, CondVar, Lock, RendezvousQueue
+from repro.runtime.sync import Barrier, CondVar, Lock
 
 __all__ = [
     "AmberObject",
@@ -45,6 +45,5 @@ __all__ = [
     "CondVar",
     "Handle",
     "Lock",
-    "RendezvousQueue",
     "current_node",
 ]

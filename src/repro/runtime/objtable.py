@@ -21,11 +21,9 @@ from repro.errors import (
     MobilityError,
     ObjectNotFoundError,
 )
+from repro.recovery.config import peer_timeout_s
 from repro.runtime.objects import AmberObject
 from repro.runtime.programtext import run_program_text
-
-#: Seconds a move waits for active invocations of the group to drain.
-MOVE_DRAIN_TIMEOUT = 30.0
 
 
 class MustWait(Exception):
@@ -57,15 +55,18 @@ class ObjectTable:
 
     def create(self, cls: type, args: Tuple, kwargs: dict) -> int:
         obj = cls(*args, **kwargs)
-        if not isinstance(obj, AmberObject):
+        live = isinstance(obj, AmberObject)
+        if not live:
             from repro.sim.objects import SimObject   # loads the simulator
             if not isinstance(obj, SimObject):
                 raise AmberError(f"{cls.__name__} derives from neither "
                                  f"AmberObject nor SimObject")
-            obj._amber_immutable = False
         with self._state:
             vaddr = self._heap.allocate(64)
-            obj._amber_vaddr = vaddr
+            if live:
+                obj._amber_vaddr = vaddr
+            else:
+                obj._amber_init(vaddr, self.node_id, 64)
             self.objects[vaddr] = obj
             self.descriptors.set_resident(vaddr)
         return vaddr
@@ -114,19 +115,23 @@ class ObjectTable:
     def take_group(self, vaddr: int, dest: int,
                    may_wait: bool) -> Tuple[dict, tuple]:
         """Drain the attachment group of ``vaddr``, take it out of this
-        node and leave forwarding addresses to ``dest``."""
-        deadline = time.monotonic() + MOVE_DRAIN_TIMEOUT
+        node and leave forwarding addresses to ``dest``.  The drain waits
+        at most the peer timeout."""
+        deadline = None
         with self._state:
             group = self._attachments.group(vaddr)
             # Wait for active invocations of every member to drain.
             while any(self._bind.get(member, 0) for member in group):
                 if not may_wait:
                     raise MustWait()
+                if deadline is None:
+                    bound_s = peer_timeout_s()
+                    deadline = time.monotonic() + bound_s
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise MobilityError(
                         f"move of {vaddr:#x}: active invocations did not "
-                        f"drain within {MOVE_DRAIN_TIMEOUT}s")
+                        f"drain within {bound_s:g}s")
                 self._drained.wait(remaining)
             if any(member not in self.objects for member in group):
                 raise MobilityError(

@@ -17,15 +17,18 @@ hold bind counts until released).
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Deque
+from typing import Optional
 
 from repro.errors import SynchronizationError
+from repro.recovery.config import peer_timeout_s
 from repro.runtime.objects import AmberObject
 
-#: Default ceiling on blocking waits; prevents lost-signal bugs in user
-#: programs from hanging a whole cluster.
-DEFAULT_WAIT_S = 30.0
+
+def _ceiling(timeout: Optional[float]) -> float:
+    """A blocking wait's bound: ``timeout``, or by default the peer
+    timeout, so a lost-signal bug in a user program cannot hang a whole
+    cluster."""
+    return peer_timeout_s() if timeout is None else timeout
 
 
 class _Synchronized(AmberObject):
@@ -52,9 +55,10 @@ class Lock(_Synchronized):
         self._held = False
         self.acquisitions = 0
 
-    def acquire(self, timeout: float = DEFAULT_WAIT_S) -> bool:
+    def acquire(self, timeout: Optional[float] = None) -> bool:
         with self._cv:
-            if not self._cv.wait_for(lambda: not self._held, timeout):
+            if not self._cv.wait_for(lambda: not self._held,
+                                     _ceiling(timeout)):
                 raise SynchronizationError(
                     f"lock {self._amber_vaddr:#x}: acquire timed out")
             self._held = True
@@ -96,7 +100,7 @@ class Barrier(_Synchronized):
         self._generation = 0
         self.cycles = 0
 
-    def wait(self, timeout: float = DEFAULT_WAIT_S) -> bool:
+    def wait(self, timeout: Optional[float] = None) -> bool:
         with self._cv:
             generation = self._generation
             self._count += 1
@@ -107,7 +111,8 @@ class Barrier(_Synchronized):
                 self._cv.notify_all()
                 return True
             if not self._cv.wait_for(
-                    lambda: self._generation != generation, timeout):
+                    lambda: self._generation != generation,
+                    _ceiling(timeout)):
                 raise SynchronizationError(
                     f"barrier {self._amber_vaddr:#x}: timed out with "
                     f"{self._count}/{self.parties} arrived")
@@ -125,7 +130,7 @@ class CondVar(_Synchronized):
         self._tickets = 0
         self._broadcast_generation = 0
 
-    def wait(self, timeout: float = DEFAULT_WAIT_S) -> None:
+    def wait(self, timeout: Optional[float] = None) -> None:
         with self._cv:
             generation = self._broadcast_generation
 
@@ -133,7 +138,7 @@ class CondVar(_Synchronized):
                 return (self._tickets > 0
                         or self._broadcast_generation != generation)
 
-            if not self._cv.wait_for(ready, timeout):
+            if not self._cv.wait_for(ready, _ceiling(timeout)):
                 raise SynchronizationError(
                     f"condvar {self._amber_vaddr:#x}: wait timed out")
             if self._broadcast_generation == generation:
@@ -148,34 +153,3 @@ class CondVar(_Synchronized):
         with self._cv:
             self._broadcast_generation += 1
             self._cv.notify_all()
-
-
-class RendezvousQueue(_Synchronized):
-    """A bounded blocking queue: the distributed producer/consumer
-    building block (both ends invoke the queue wherever it lives)."""
-
-    def __init__(self, capacity: int = 0) -> None:
-        super().__init__()
-        self.capacity = capacity   # 0 = unbounded
-        self._items: Deque[Any] = deque()
-
-    def put(self, item: Any, timeout: float = DEFAULT_WAIT_S) -> None:
-        with self._cv:
-            if self.capacity:
-                if not self._cv.wait_for(
-                        lambda: len(self._items) < self.capacity, timeout):
-                    raise SynchronizationError("queue put timed out")
-            self._items.append(item)
-            self._cv.notify_all()
-
-    def get(self, timeout: float = DEFAULT_WAIT_S) -> Any:
-        with self._cv:
-            if not self._cv.wait_for(lambda: self._items, timeout):
-                raise SynchronizationError("queue get timed out")
-            item = self._items.popleft()
-            self._cv.notify_all()
-            return item
-
-    def size(self) -> int:
-        with self._cv:
-            return len(self._items)

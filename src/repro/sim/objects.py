@@ -83,8 +83,23 @@ class SimObject:
     def home_node(self) -> int:
         return self._home_node
 
+    # The live runtime's names for the same two fields
+    # (repro.runtime.objtable): one address, one immutability flag.
+    @property
+    def _amber_vaddr(self) -> int:
+        return self._vaddr
+
+    @property
+    def _amber_immutable(self) -> bool:
+        return self._immutable
+
+    @_amber_immutable.setter
+    def _amber_immutable(self, value: bool) -> None:
+        self._immutable = value
+
     def _amber_init(self, vaddr: int, home_node: int, size_bytes: int) -> None:
-        """Called by the kernel when the object is created."""
+        """Called by the kernel (either backend's) when the object is
+        created."""
         self._vaddr = vaddr
         self._home_node = home_node
         self._location = home_node

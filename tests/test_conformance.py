@@ -59,6 +59,9 @@ class Box(SimObject):
     def where(self, ctx):
         return ctx.node
 
+    def identity(self, ctx):
+        return self.vaddr, self.immutable
+
     def where_of(self, ctx, other):
         return (yield sc.Invoke(other, "where"))
 
@@ -228,6 +231,15 @@ def refused_main(ctx, request):
     return "served"
 
 
+def self_view_main(ctx):
+    """An operation reads its own object's address and flag."""
+    box = yield sc.New(Box, on_node=1)
+    before = yield sc.Invoke(box, "identity")
+    yield sc.SetImmutable(box)
+    after = yield sc.Invoke(box, "identity")
+    return before == (box.vaddr, False), after == (box.vaddr, True)
+
+
 def race_main(ctx):
     gate = yield sc.New(Gate, on_node=1)
     return ((yield sc.Invoke(gate, "woken_by_a_fork")),
@@ -370,6 +382,11 @@ def test_sor_grids_agree(cluster, name):
     sequential = run_sequential_sor(problem).grid
     assert grid.tobytes() == sim_grid.tobytes() == sequential.tobytes()
     assert outcomes == sim_outcomes
+
+
+def test_an_operation_sees_its_own_address_and_flag(cluster):
+    assert on_sim(self_view_main) == cluster.run(self_view_main) \
+        == (True, True)
 
 
 def test_wakeups_ahead_of_their_suspend_are_kept(cluster):

@@ -24,7 +24,6 @@ from repro.runtime import (
     Cluster,
     CondVar,
     Lock,
-    RendezvousQueue,
     current_node,
 )
 from tests.live_helpers import move_behind_the_drivers_back
@@ -101,24 +100,6 @@ class Arriver(AmberObject):
     def arrive(self):
         serial = self.barrier.wait(timeout=15)
         return (current_node(), serial)
-
-
-class Producer(AmberObject):
-    def __init__(self, channel):
-        self.channel = channel
-
-    def produce(self, n):
-        for i in range(n):
-            self.channel.put(i)
-        return n
-
-
-class Consumer(AmberObject):
-    def __init__(self, channel):
-        self.channel = channel
-
-    def consume(self, n):
-        return [self.channel.get(timeout=15) for _ in range(n)]
 
 
 
@@ -337,16 +318,6 @@ class TestSync:
         serials = sorted(r[1] for r in results)
         assert nodes == [0, 1, 2]
         assert serials == [False, False, True]
-
-    def test_rendezvous_queue_producer_consumer(self, cluster):
-        channel = cluster.create(RendezvousQueue, 4, node=0)
-        producer = cluster.create(Producer, channel, node=1)
-        consumer = cluster.create(Consumer, channel, node=2)
-        consumer_thread = cluster.fork(consumer, "consume", 8)
-        producer_thread = cluster.fork(producer, "produce", 8)
-        assert producer_thread.join(timeout=20) == 8
-        assert consumer_thread.join(timeout=20) == list(range(8))
-        assert channel.size() == 0
 
     def test_condvar_signal_before_wait_not_lost(self, cluster):
         cond = cluster.create(CondVar, node=1)

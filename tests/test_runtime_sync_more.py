@@ -1,5 +1,5 @@
-"""Additional live-runtime synchronization coverage: CondVar broadcast,
-bounded RendezvousQueue back-pressure, barrier timeout diagnostics."""
+"""Additional live-runtime synchronization coverage: CondVar broadcast
+and barrier timeout diagnostics."""
 
 import time
 
@@ -11,7 +11,6 @@ from repro.runtime import (
     Barrier,
     Cluster,
     CondVar,
-    RendezvousQueue,
     current_node,
 )
 
@@ -23,29 +22,6 @@ class GateWaiter(AmberObject):
     def wait_through(self):
         self.cond.wait(timeout=20)
         return current_node()
-
-
-class SlowConsumer(AmberObject):
-    def __init__(self, channel):
-        self.channel = channel
-
-    def consume_slowly(self, n, delay):
-        got = []
-        for _ in range(n):
-            time.sleep(delay)
-            got.append(self.channel.get(timeout=20))
-        return got
-
-
-class FastProducer(AmberObject):
-    def __init__(self, channel):
-        self.channel = channel
-
-    def produce(self, n):
-        t0 = time.monotonic()
-        for i in range(n):
-            self.channel.put(i, timeout=20)
-        return time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
@@ -83,30 +59,6 @@ class TestCondVarBroadcast:
         cond = cluster.create(CondVar, node=1)
         with pytest.raises(SynchronizationError):
             cond.wait(timeout=0.2)
-
-
-class TestBoundedQueue:
-    def test_capacity_back_pressure(self, cluster):
-        """A capacity-2 queue makes a fast producer wait for the slow
-        consumer: production takes at least the consumption time."""
-        channel = cluster.create(RendezvousQueue, 2, node=0)
-        consumer = cluster.create(SlowConsumer, channel, node=1)
-        producer = cluster.create(FastProducer, channel, node=2)
-        consumer_thread = cluster.fork(consumer, "consume_slowly", 6, 0.1)
-        producer_elapsed_thread = cluster.fork(producer, "produce", 6)
-        got = consumer_thread.join(timeout=30)
-        produce_elapsed = producer_elapsed_thread.join(timeout=30)
-        assert got == list(range(6))
-        # 6 items, consumer takes 0.1 s each, queue holds 2: the producer
-        # must have been throttled for a meaningful fraction of that.
-        assert produce_elapsed > 0.2
-
-    def test_put_timeout_on_full_queue(self, cluster):
-        channel = cluster.create(RendezvousQueue, 1, node=1)
-        channel.put("x", timeout=5)
-        with pytest.raises(SynchronizationError):
-            channel.put("y", timeout=0.2)
-        assert channel.get(timeout=5) == "x"
 
 
 class TestBarrierDiagnostics:
