@@ -31,19 +31,27 @@ Simulator program text runs here unchanged: ``cluster.run(main)``
 (:mod:`repro.runtime.programtext`).  A *logical* Amber thread is a chain
 of shipped activations, and ``move`` drains the moving group's running
 operations instead of migrating their threads (DESIGN.md, substitutions).
+``Lock``, ``Monitor``, ``Barrier`` and ``CondVar`` are the simulator's
+(:mod:`repro.sim.sync`), run as program text; they load on first use, so
+``import repro.runtime`` loads no simulator.
 """
+
+from typing import Any
 
 from repro.runtime.cluster import Cluster
 from repro.runtime.handles import Handle
 from repro.runtime.objects import AmberObject, current_node
-from repro.runtime.sync import Barrier, CondVar, Lock
 
-__all__ = [
-    "AmberObject",
-    "Barrier",
-    "Cluster",
-    "CondVar",
-    "Handle",
-    "Lock",
-    "current_node",
-]
+_SYNC = ("Barrier", "CondVar", "Lock", "Monitor")
+
+__all__ = sorted(("AmberObject", "Cluster", "Handle", "current_node")
+                 + _SYNC)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SYNC:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    from repro.sim import sync
+
+    return getattr(sync, name)

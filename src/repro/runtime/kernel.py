@@ -39,7 +39,7 @@ from repro.runtime.lifecycle import (
     Pending,
     PeerCircuits,
 )
-from repro.runtime.objects import set_process_kernel
+from repro.runtime.objects import current_thread, set_process_kernel
 from repro.runtime.objtable import MustWait, ObjectTable
 from repro.runtime.transport import Mesh
 
@@ -201,7 +201,7 @@ class NodeKernel:
             return self._table.execute(obj, method, args, kwargs)
         self.stats["remote_invocations"] += 1
         return self._request(None, vaddr, m.InvokeMsg, vaddr, method, args,
-                             kwargs, (self.node_id,))
+                             kwargs, (self.node_id,), current_thread())
 
     def fork(self, vaddr: int, method: str, args: Tuple,
              kwargs: dict) -> ThreadHandle:
@@ -619,7 +619,7 @@ class NodeKernel:
 
     def _invoke(self, message: m.InvokeMsg, obj, _may_wait) -> Any:
         value = self._table.execute(obj, message.method, message.args,
-                                    message.kwargs)
+                                    message.kwargs, message.logical_thread)
         if obj._amber_immutable and message.reply_to != self.node_id:
             # Read-only object invoked remotely: a replica, ahead of the
             # reply, makes the caller's next reads local (§2.3); best effort.

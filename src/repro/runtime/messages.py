@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-#: 3: ``FetchReplicaMsg`` (never sent) is gone and the codes after it
-#: moved down; 2: frames are ``(code, fields)``; 1 pickled the message
-#: instance.
-PROTOCOL_VERSION = 3
+#: 4: ``InvokeMsg`` carries the caller's logical ``thread``; 3:
+#: ``FetchReplicaMsg`` (never sent) is gone and the codes after it moved
+#: down; 2: frames are ``(code, fields)``; 1 pickled the message instance.
+PROTOCOL_VERSION = 4
 
 
 class Hello(NamedTuple):
@@ -34,7 +34,8 @@ class InvokeMsg(NamedTuple):
 
     ``trace`` accumulates the nodes that forwarded this request along a
     forwarding chain; the node that finally executes it sends each of
-    them a :class:`LocationHint` (path caching, section 3.3)."""
+    them a :class:`LocationHint` (path caching, section 3.3).  ``thread``
+    is the logical thread the activation continues; a fork names none."""
 
     request_id: int
     reply_to: int
@@ -43,6 +44,13 @@ class InvokeMsg(NamedTuple):
     args: Tuple[Any, ...]
     kwargs: Dict[str, Any]
     trace: Tuple[int, ...] = ()
+    thread: Optional[Tuple[int, int]] = None
+
+    @property
+    def logical_thread(self) -> Tuple[int, int]:
+        """The thread the activation runs for: ``thread``, or the one a
+        fork starts, ``(reply_to, request_id)``."""
+        return self.thread or (self.reply_to, self.request_id)
 
 
 class ResultMsg(NamedTuple):

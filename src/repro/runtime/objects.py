@@ -9,19 +9,31 @@ escape hatches applies verbatim to Python attribute access — inside a
 node Python will happily let you touch a resident neighbour, and across
 nodes there is simply no object there to touch).
 
-Inside an operation, :func:`current_node` reports where it is executing
-and :func:`process_kernel` is the node kernel.
+Inside an operation, :func:`current_node` reports where it is executing,
+:func:`process_kernel` is the node kernel and :func:`current_thread` the
+logical thread the operation runs for.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import AmberError
+from repro.obs.metrics import MetricsRegistry
 
 _process_kernel: Optional[object] = None
 _segment = threading.Lock()
+_metrics = MetricsRegistry()
+
+
+class _Activation(threading.local):
+    #: The logical thread of the activation this OS thread runs, if any
+    #: (the object table sets it around an operation).
+    thread: Optional[Tuple[int, int]] = None
+
+
+activation = _Activation()
 
 
 class AmberObject:
@@ -37,10 +49,12 @@ class AmberObject:
 
 def set_process_kernel(kernel) -> None:
     """Install the (single) kernel of this OS process, and a new segment
-    lock with it (a forked node must not inherit one held)."""
-    global _process_kernel, _segment
+    lock (a forked node must not inherit one held) and metrics registry
+    with it."""
+    global _process_kernel, _segment, _metrics
     _process_kernel = kernel
     _segment = threading.Lock()
+    _metrics = MetricsRegistry()
 
 
 def process_kernel():
@@ -52,6 +66,22 @@ def process_kernel():
 def segment_lock() -> threading.Lock:
     """The node's lock around program text between two yields."""
     return _segment
+
+
+def node_metrics() -> MetricsRegistry:
+    """The node's registry: program text's ``ctx.metrics``, observed
+    into under the segment lock."""
+    return _metrics
+
+
+def current_thread() -> Tuple[int, int]:
+    """The logical thread this OS thread runs for: ``(node, request
+    id)`` of the fork that started it, or outside any activation, the
+    OS thread itself (a negative number, which no request id is)."""
+    thread = activation.thread
+    if thread is None:
+        return (process_kernel().node_id, -threading.get_ident())
+    return thread
 
 
 def current_node() -> int:

@@ -22,7 +22,7 @@ from repro.errors import (
     ObjectNotFoundError,
 )
 from repro.recovery.config import peer_timeout_s
-from repro.runtime.objects import AmberObject
+from repro.runtime.objects import AmberObject, activation
 from repro.runtime.programtext import run_program_text
 
 
@@ -72,17 +72,24 @@ class ObjectTable:
         return vaddr
 
     def execute(self, obj: AmberObject, method: str, args: Tuple,
-                kwargs: dict) -> Any:
+                kwargs: dict, thread: Optional[Tuple[int, int]] = None
+                ) -> Any:
+        """Run the operation for the logical ``thread`` (``None``: the
+        caller's, a local invoke)."""
         fn = operation_of(obj, method)
         vaddr = obj._amber_vaddr
         with self._state:
             self._bind[vaddr] = self._bind.get(vaddr, 0) + 1
+        if thread is not None:
+            outer, activation.thread = activation.thread, thread
         try:
             self._stats["invocations_executed"] += 1
             if isinstance(obj, AmberObject):
                 return fn(*args, **kwargs)
             return run_program_text(fn, args, kwargs)
         finally:
+            if thread is not None:
+                activation.thread = outer
             with self._state:
                 self._bind[vaddr] -= 1
                 if self._bind[vaddr] == 0:

@@ -8,19 +8,28 @@ two yields, and a plain operation's whole body, runs under the node's
 segment lock, as the simulator runs it atomically; a request is served
 without it, so a nested local invoke can take it.  Program text runs on a
 pool worker or the ``Cluster.run`` caller, never on a mesh reader, so a
-``Suspend`` blocks no socket.
+``Suspend`` blocks no socket.  The synchronization library of
+:mod:`repro.sim.sync` runs here as it is: ``repro.runtime.Lock`` is its
+``Lock``.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from typing import Any, Callable, Dict
+import weakref
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import AmberError, InvocationError, SynchronizationError
 from repro.recovery.config import reply_timeout_s
 from repro.runtime.handles import Handle, ThreadHandle
-from repro.runtime.objects import process_kernel, segment_lock
+from repro.runtime.objects import (
+    current_thread,
+    node_metrics,
+    process_kernel,
+    segment_lock,
+)
 
 #: The requests that need the simulator's own threads or scheduler.
 REFUSED = frozenset(("NewThread", "Start", "Sleep", "SetScheduler",
@@ -30,43 +39,60 @@ _TABLE: Dict[type, Callable[[Any, Any, "WakeupToken"], Any]] = {}
 
 
 class WakeupToken:
-    """An activation's ``ctx.thread``: the simulator's ``wakeup_pending``
-    flag, under a condition.  :meth:`wakeup` sets it; :meth:`suspend`
-    waits for it and clears it, so a ``Wakeup`` that lands between two
-    ``Suspend``\\ s is kept for the next.  It holds a lock, so it does not
-    pickle: an object whose state holds waiters cannot move."""
+    """A logical thread's ``ctx.thread`` on one node: the simulator's
+    ``wakeup_pending`` flag, under a condition.  :meth:`wakeup` sets it;
+    :meth:`suspend` waits for it and clears it, so a ``Wakeup`` that lands
+    between two ``Suspend``\\ s is kept for the next.  It holds a lock, so
+    it does not pickle: an object whose state holds a waiter or a lock
+    owner cannot move."""
 
-    __slots__ = ("_changed", "_pending")
+    __slots__ = ("_changed", "_pending", "name", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, thread: Tuple[int, int]):
         self._changed = threading.Condition(threading.Lock())
         self._pending = False
+        #: What a sync error calls this thread (a ``SimThread``'s name).
+        self.name = f"thread {thread[0]}:{thread[1]}"
 
     def wakeup(self) -> None:
         with self._changed:
             self._pending = True
             self._changed.notify()
 
-    def suspend(self) -> None:
+    def suspend(self, reason: str) -> None:
         """Half the lost-peer ceiling, so a stuck wait surfaces here
         before a caller's join gives up on this activation."""
         bound_s = reply_timeout_s() / 2
         with self._changed:
             if not self._changed.wait_for(lambda: self._pending, bound_s):
                 raise SynchronizationError(
-                    f"Suspend: no Wakeup within {bound_s:g} s")
+                    f"Suspend({reason!r}): no Wakeup within {bound_s:g} s")
             self._pending = False
 
 
-class LiveContext:
-    """A live operation's ``ctx``: its node, its wake-up token, and the
-    wall clock."""
+#: Logical thread -> this node's token for it, while anything holds it
+#: (an activation's ``ctx``, a waiter queue, a lock's owner).  A forked
+#: node starts with none.
+_TOKENS: "weakref.WeakValueDictionary[Tuple[int, int], WakeupToken]" = \
+    weakref.WeakValueDictionary()
+os.register_at_fork(after_in_child=_TOKENS.clear)
 
-    __slots__ = ("node", "thread")
+
+class LiveContext:
+    """A live operation's ``ctx``: its node, its thread's wake-up token,
+    the node's metrics registry, and the wall clock.  Made under the
+    segment lock, so a thread's token is made once."""
+
+    __slots__ = ("node", "thread", "metrics")
 
     def __init__(self, node: int):
         self.node = node
-        self.thread = WakeupToken()
+        thread = current_thread()
+        token = _TOKENS.get(thread)
+        if token is None:
+            token = _TOKENS[thread] = WakeupToken(thread)
+        self.thread = token
+        self.metrics = node_metrics()
 
     @property
     def now_us(self) -> float:
@@ -106,7 +132,7 @@ def request_table() -> Dict[type, Callable[[Any, Any, WakeupToken], Any]]:
             sc.Fork: lambda k, r, _: k.fork(address(r.target), r.method,
                                             r.args, {}),
             sc.Join: lambda k, r, _: _thread(r, ThreadHandle).join(),
-            sc.Suspend: lambda k, r, token: token.suspend(),
+            sc.Suspend: lambda k, r, token: token.suspend(r.reason),
             sc.Wakeup: lambda k, r, _: _thread(r, WakeupToken).wakeup(),
             sc.MoveTo: lambda k, r, _: k.move(address(r.target), r.node),
             sc.Locate: lambda k, r, _: k.locate(address(r.target)),
@@ -134,8 +160,8 @@ def run_program_text(fn: Callable, args: tuple, kwargs: dict) -> Any:
     """Run ``fn(ctx, *args, **kwargs)`` on this node to its return."""
     kernel = process_kernel()
     segment = segment_lock()
-    ctx = LiveContext(kernel.node_id)
     with segment:
+        ctx = LiveContext(kernel.node_id)
         body = fn(ctx, *args, **kwargs)
     if not (hasattr(body, "send") and hasattr(body, "throw")):
         return body

@@ -34,19 +34,22 @@ counter stays zero.
 Programmers extend these classes for custom concurrency control — see
 ``ReaderWriterLock`` below for an example built purely from the public
 machinery, as the paper intends.
+
+The live runtime runs these classes as they are (``repro.runtime.Lock``
+is :class:`Lock`): there a thread is the node's wake-up token for it,
+and an operation's ``ctx`` is a live one without elision.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import (TYPE_CHECKING, Any, ClassVar, Deque, Generator,
-                    List, Optional, Union)
+                    List, Optional, Protocol, Union)
 
 from repro.analyze import runtime as _analysis
 from repro.errors import SynchronizationError
 from repro.sim.objects import SimObject
 from repro.sim.syscalls import Charge, Compute, Invoke, Suspend, Wakeup
-from repro.sim.thread import SimThread
 
 if TYPE_CHECKING:
     from repro.sim.kernel import InvocationContext
@@ -62,8 +65,17 @@ _Op = Generator[Any, Any, None]
 _MaybeOp = Union[_Op, None]
 
 
-def _pick_waiter(waiters: "Deque[SimThread]", kind: str,
-                 vaddr: int) -> SimThread:
+class _Thread(Protocol):
+    """What an owner or a waiter is: a ``SimThread``, or live, the
+    node's ``WakeupToken`` for the thread."""
+
+    @property
+    def name(self) -> str:
+        ...
+
+
+def _pick_waiter(waiters: "Deque[_Thread]", kind: str,
+                 vaddr: int) -> _Thread:
     """Pick which waiter is handed the lock (or condvar signal) next.
 
     FIFO (``popleft``) by default; with an AmberCheck controller
@@ -104,8 +116,8 @@ class _Mutex(SimObject):
     _COUNTER: ClassVar[str]
 
     _held: bool
-    _owner: Optional[SimThread]
-    _waiters: Optional[Deque[SimThread]]
+    _owner: Optional[_Thread]
+    _waiters: Optional[Deque[_Thread]]
     _acquired_us: float
     #: Set by the kernel at creation when the active AmberElide
     #: artifact proves this lock single-thread-reachable.
@@ -117,12 +129,12 @@ class _Mutex(SimObject):
         self._acquired_us = 0.0
         self._elide_ok = False
 
-    def _wait(self, thread: SimThread) -> _Op:
+    def _wait(self, thread: _Thread) -> _Op:
         """Yield until the lock is seen free; the caller takes it in
         the same atomic step."""
         raise NotImplementedError
 
-    def _non_owner(self, thread: SimThread) -> SynchronizationError:
+    def _non_owner(self, thread: _Thread) -> SynchronizationError:
         return SynchronizationError(
             f"{self._DROP} of {self._NOUN} {self.vaddr:#x} by non-owner "
             f"{thread.name}")
@@ -200,7 +212,7 @@ class Lock(_Mutex):
                  "contended_acquisitions", "_acquired_us", "_elide_ok")
 
     _NOUN, _DROP, _COUNTER = "lock", "release", "acquisitions"
-    _waiters: Deque[SimThread]
+    _waiters: Deque[_Thread]
 
     def __init__(self) -> None:
         super().__init__()
@@ -211,7 +223,7 @@ class Lock(_Mutex):
     acquire = _Mutex._take
     release = _Mutex._drop
 
-    def _wait(self, thread: SimThread) -> _Op:
+    def _wait(self, thread: _Thread) -> _Op:
         while self._held:
             self._waiters.append(thread)
             yield Suspend("lock")
@@ -259,7 +271,7 @@ class SpinLock(_Mutex):
     acquire = _Mutex._take
     release = _Mutex._drop
 
-    def _wait(self, thread: SimThread) -> _Op:
+    def _wait(self, thread: _Thread) -> _Op:
         while self._held:
             self.spin_us += SPIN_STEP_US
             yield Compute(SPIN_STEP_US)
@@ -287,7 +299,7 @@ class Barrier(SimObject):
         self.parties = parties
         self._count = 0
         self._generation = 0
-        self._waiting: List[SimThread] = []
+        self._waiting: List[_Thread] = []
         self.cycles = 0
 
     def wait(self, ctx: "InvocationContext"
@@ -327,7 +339,7 @@ class Monitor(_Mutex):
                  "_acquired_us", "_elide_ok")
 
     _NOUN, _DROP, _COUNTER = "monitor", "exit", "entries"
-    _waiters: Deque[SimThread]
+    _waiters: Deque[_Thread]
 
     def __init__(self) -> None:
         super().__init__()
@@ -337,13 +349,10 @@ class Monitor(_Mutex):
     enter = _Mutex._take
     exit = _Mutex._drop
 
-    def _wait(self, thread: SimThread) -> _Op:
+    def _wait(self, thread: _Thread) -> _Op:
         while self._held:
             self._waiters.append(thread)
             yield Suspend("monitor")
-
-    def holds(self, thread: SimThread) -> bool:
-        return self._held and self._owner is thread
 
 
 class CondVar(SimObject):
@@ -359,15 +368,19 @@ class CondVar(SimObject):
 
     def __init__(self, monitor: Monitor) -> None:
         self.monitor = monitor
-        self._waiting: Deque[SimThread] = deque()
+        self._waiting: Deque[_Thread] = deque()
 
     def wait(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
-        if not self.monitor.holds(ctx.thread):
-            raise SynchronizationError(
-                "CondVar.wait without holding the monitor")
+        # Queued before the exit, so a signal after it finds the waiter.
         self._waiting.append(ctx.thread)
-        yield Invoke(self.monitor, "exit")
+        try:
+            yield Invoke(self.monitor, "exit")
+        except SynchronizationError as error:
+            if ctx.thread in self._waiting:
+                self._waiting.remove(ctx.thread)
+            raise SynchronizationError(
+                "CondVar.wait without holding the monitor") from error
         yield Suspend("condvar")
         yield Invoke(self.monitor, "enter")
 
@@ -395,8 +408,8 @@ class ReaderWriterLock(SimObject):
 
     def __init__(self) -> None:
         self._readers = 0
-        self._writer: Optional[SimThread] = None
-        self._waiters: Deque[SimThread] = deque()
+        self._writer: Optional[_Thread] = None
+        self._waiters: Deque[_Thread] = deque()
 
     def acquire_read(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
@@ -441,6 +454,6 @@ class ReaderWriterLock(SimObject):
         for thread in self._drain():
             yield Wakeup(thread)
 
-    def _drain(self) -> List[SimThread]:
+    def _drain(self) -> List[_Thread]:
         waiting, self._waiters = list(self._waiters), deque()
         return waiting

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.runtime
 from repro.apps.matmul import DEFAULT_MAC_US, MatrixB, RowBlockWorker
 from repro.apps.queens import (
     DEFAULT_NODE_COST_US,
@@ -25,10 +26,13 @@ from repro.placement.policies import PlacementPolicy
 from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
 from repro.runtime.programtext import REFUSED, WakeupToken
+from repro.sim import sync
 from repro.sim import syscalls as sc
 from repro.sim.cluster import ClusterConfig
 from repro.sim.objects import SimObject
 from repro.sim.program import AmberProgram
+from repro.sim.sync import Barrier, CondVar, Lock, Monitor
+from tests.live_helpers import move_behind_the_drivers_back
 
 NODES = 3
 
@@ -101,6 +105,120 @@ class Gate(SimObject):
 
     def remember(self, ctx):
         self.waiter = ctx.thread
+
+
+class Tally(SimObject):
+    """A total whose read and write are two invocations: exact only
+    under a lock."""
+
+    def __init__(self):
+        self.total = 0
+
+    def read(self, ctx):
+        return self.total
+
+    def write(self, ctx, total):
+        yield sc.Charge(1.0)
+        self.total = total
+
+
+class Buffer(SimObject):
+    """A bounded buffer on a Monitor and two CondVars, each wait in its
+    predicate loop (Mesa)."""
+
+    def __init__(self, capacity, monitor, not_full, not_empty):
+        self.capacity = capacity
+        self.monitor = monitor
+        self.not_full = not_full
+        self.not_empty = not_empty
+        self.items = []
+
+    def put(self, ctx, item):
+        yield sc.Invoke(self.monitor, "enter")
+        while len(self.items) >= self.capacity:
+            yield sc.Invoke(self.not_full, "wait")
+        self.items.append(item)
+        yield sc.Invoke(self.not_empty, "signal")
+        yield sc.Invoke(self.monitor, "exit")
+
+    def take(self, ctx):
+        yield sc.Invoke(self.monitor, "enter")
+        while not self.items:
+            yield sc.Invoke(self.not_empty, "wait")
+        item = self.items.pop(0)
+        yield sc.Invoke(self.not_full, "signal")
+        yield sc.Invoke(self.monitor, "exit")
+        return item
+
+
+class Latch(SimObject):
+    """Opened by one broadcast, once every waiter is waiting."""
+
+    def __init__(self, monitor, arrived, opened):
+        self.monitor = monitor
+        self.arrived = arrived
+        self.opened = opened
+        self.waiting = 0
+        self.open = False
+
+    def pass_through(self, ctx):
+        yield sc.Invoke(self.monitor, "enter")
+        self.waiting += 1
+        yield sc.Invoke(self.arrived, "signal")
+        while not self.open:
+            yield sc.Invoke(self.opened, "wait")
+        yield sc.Invoke(self.monitor, "exit")
+        return True
+
+    def open_for(self, ctx, waiters):
+        yield sc.Invoke(self.monitor, "enter")
+        while self.waiting < waiters:
+            yield sc.Invoke(self.arrived, "wait")
+        self.open = True
+        yield sc.Invoke(self.opened, "broadcast")
+        yield sc.Invoke(self.monitor, "exit")
+
+
+class Peer(SimObject):
+    """Where a program's threads start: every touch of a shared object
+    is an invocation of it."""
+
+    def bump(self, ctx, lock, tally, times):
+        for _ in range(times):
+            yield sc.Invoke(lock, "acquire")
+            total = yield sc.Invoke(tally, "read")
+            yield sc.Invoke(tally, "write", total + 1)
+            yield sc.Invoke(lock, "release")
+
+    def arrive(self, ctx, barrier, cycles):
+        serials = []
+        for _ in range(cycles):
+            serials.append((yield sc.Invoke(barrier, "wait")))
+        return serials
+
+    def produce(self, ctx, buffer, count):
+        for item in range(count):
+            yield sc.Invoke(buffer, "put", item)
+
+    def consume(self, ctx, buffer, count):
+        items = []
+        for _ in range(count):
+            items.append((yield sc.Invoke(buffer, "take")))
+        return items
+
+    def release(self, ctx, lock):
+        try:
+            yield sc.Invoke(lock, "release")
+        except SynchronizationError as error:
+            return type(error).__name__
+        return "released"
+
+    def cycle(self, ctx, lock):
+        yield sc.Invoke(lock, "acquire")
+        yield sc.Invoke(lock, "release")
+
+    def call(self, ctx, target, method):
+        return (yield sc.Invoke(target, method))
 
 
 # -- programs --------------------------------------------------------------
@@ -284,6 +402,112 @@ def move_a_waiter_main(ctx):
     return (yield sc.Locate(gate))
 
 
+def forks_on_every_node(method, *args, per_node=1):
+    """Fork ``method`` of a new :class:`Peer` on each node, ``per_node``
+    times; join them all and return their answers."""
+    threads = []
+    for node in range(NODES):
+        peer = yield sc.New(Peer, on_node=node)
+        for _ in range(per_node):
+            threads.append((yield sc.Fork(peer, method, *args)))
+    answers = []
+    for thread in threads:
+        answers.append((yield sc.Join(thread)))
+    return answers
+
+
+def locked_tally_main(ctx):
+    lock = yield sc.New(Lock, on_node=1)
+    tally = yield sc.New(Tally, on_node=2)
+    yield from forks_on_every_node("bump", lock, tally, 5, per_node=2)
+    return (yield sc.Invoke(tally, "read"))
+
+
+def barrier_cycles_main(ctx):
+    """How many parties were told they came last, per cycle."""
+    barrier = yield sc.New(Barrier, NODES, on_node=0)
+    serials = yield from forks_on_every_node("arrive", barrier, 4)
+    return [sum(cycle) for cycle in zip(*serials)]
+
+
+def bounded_buffer_main(ctx):
+    monitor = yield sc.New(Monitor, on_node=1)
+    not_full = yield sc.New(CondVar, monitor, on_node=1)
+    not_empty = yield sc.New(CondVar, monitor, on_node=1)
+    buffer = yield sc.New(Buffer, 2, monitor, not_full, not_empty,
+                          on_node=1)
+    producer = yield sc.New(Peer, on_node=0)
+    consumer = yield sc.New(Peer, on_node=2)
+    sending = yield sc.Fork(producer, "produce", buffer, 12)
+    taking = yield sc.Fork(consumer, "consume", buffer, 12)
+    yield sc.Join(sending)
+    return (yield sc.Join(taking))
+
+
+def broadcast_gate_main(ctx):
+    monitor = yield sc.New(Monitor, on_node=2)
+    arrived = yield sc.New(CondVar, monitor, on_node=2)
+    opened = yield sc.New(CondVar, monitor, on_node=2)
+    latch = yield sc.New(Latch, monitor, arrived, opened, on_node=2)
+    threads = []
+    for node in range(NODES):
+        peer = yield sc.New(Peer, on_node=node)
+        for _ in range(2):
+            threads.append((yield sc.Fork(peer, "call", latch,
+                                          "pass_through")))
+    yield sc.Invoke(latch, "open_for", len(threads))
+    passed = []
+    for thread in threads:
+        passed.append((yield sc.Join(thread)))
+    return passed
+
+
+def non_owner_main(ctx):
+    """Another thread's release fails; the owner's succeeds."""
+    lock = yield sc.New(Lock, on_node=1)
+    yield sc.Invoke(lock, "acquire")
+    peer = yield sc.New(Peer, on_node=2)
+    thief = yield sc.Join((yield sc.Fork(peer, "release", lock)))
+    yield sc.Invoke(lock, "release")
+    return thief, (yield sc.Invoke(lock, "try_acquire"))
+
+
+def unheld_wait_main(ctx):
+    """A wait by a thread that does not hold the monitor: the monitor's
+    ``exit`` refuses it."""
+    monitor = yield sc.New(Monitor, on_node=1)
+    cond = yield sc.New(CondVar, monitor, on_node=1)
+    try:
+        yield sc.Invoke(cond, "wait")
+    except SynchronizationError as error:
+        return str(error)
+
+
+#: Name -> (program, the answer both backends give).
+SYNC_PROGRAMS = {
+    "locked-tally": (locked_tally_main, NODES * 2 * 5),
+    "barrier-cycles": (barrier_cycles_main, [1] * 4),
+    "bounded-buffer": (bounded_buffer_main, list(range(12))),
+    "broadcast-gate": (broadcast_gate_main, [True] * NODES * 2),
+    "non-owner-release": (non_owner_main, ("SynchronizationError", True)),
+    "wait-without-the-monitor": (
+        unheld_wait_main, "CondVar.wait without holding the monitor"),
+}
+
+
+def move_a_held_lock_main(ctx):
+    lock = yield sc.New(Lock, on_node=1)
+    yield sc.Invoke(lock, "acquire")
+    try:
+        yield sc.MoveTo(lock, 2)
+    except TypeError as error:
+        answer = type(error).__name__, (yield sc.Locate(lock))
+    else:
+        answer = yield sc.Locate(lock)
+    yield sc.Invoke(lock, "release")
+    return answer
+
+
 #: Name -> (problem, sections, workers per section, overlap): the shapes
 #: the live-only SOR program was tested at, no overlap (the only path
 #: through the ``sor-sends`` Suspend) and two workers per section.
@@ -324,6 +548,11 @@ DIFFERENCES = {
         "a live ctx.thread is a wake-up token that holds a lock and does "
         "not pickle, so a move of an object holding one is refused and "
         "the object stays; a simulated thread is a reference"),
+    "a-held-lock-cannot-move": (
+        move_a_held_lock_main, 2, ("TypeError", 1),
+        "a held lock's owner is its thread's wake-up token, which does not "
+        "pickle: live, the move is refused and the lock stays; the owner "
+        "still releases it"),
 }
 
 #: One instance of each refused request.
@@ -404,7 +633,8 @@ def test_a_suspend_nothing_wakes_is_typed_within_its_bound(cluster,
                                                            monkeypatch):
     monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.5")     # bound: 4 x 0.5 / 2 s
     started = time.monotonic()
-    with pytest.raises(SynchronizationError, match="no Wakeup within 1 s"):
+    with pytest.raises(SynchronizationError,
+                       match=r"Suspend\('nobody'\): no Wakeup within 1 s"):
         cluster.run(lonely_main)
     assert 1.0 <= time.monotonic() - started < 5.0
 
@@ -416,7 +646,7 @@ def test_a_token_loses_no_wakeup_under_stress(monkeypatch):
     aimed at it."""
     monkeypatch.setenv(PEER_TIMEOUT_ENV, "0.5")     # a lost one: 1 s, typed
     threads, rounds = 8, 300
-    tokens = [WakeupToken() for _ in range(threads)]
+    tokens = [WakeupToken((0, i)) for i in range(threads)]
     done, failures = [0] * threads, []
 
     def run(i):
@@ -424,11 +654,11 @@ def test_a_token_loses_no_wakeup_under_stress(monkeypatch):
         try:
             for _ in range(rounds):
                 if i % 2:
-                    me.suspend()
+                    me.suspend("ping")
                     partner.wakeup()
                 else:
                     partner.wakeup()
-                    me.suspend()
+                    me.suspend("ping")
                 done[i] += 1
         except SynchronizationError as error:
             failures.append(error)
@@ -463,6 +693,54 @@ def test_a_live_call_cannot_rerun_the_constructor(cluster):
     with pytest.raises(InvocationError):
         cluster.call(counter, "__init__", 0)
     assert counter.add(0) == 40
+
+
+def test_the_runtime_sync_classes_are_the_simulators():
+    for name in ("Lock", "Monitor", "Barrier", "CondVar"):
+        assert getattr(repro.runtime, name) is getattr(sync, name)
+
+
+@pytest.mark.parametrize("name", sorted(SYNC_PROGRAMS))
+def test_sync_programs_agree(cluster, name):
+    main, answer = SYNC_PROGRAMS[name]
+    assert on_sim(main) == cluster.run(main) == answer
+
+
+def lock_twice_main(ctx, lock):
+    """Acquire and release in two invocations, by this thread and by a
+    forked one."""
+    yield sc.Invoke(lock, "acquire")
+    yield sc.Invoke(lock, "release")
+    peer = yield sc.New(Peer, on_node=2)
+    yield sc.Join((yield sc.Fork(peer, "cycle", lock)))
+
+
+class Holder(AmberObject):
+    def cycle(self, lock):
+        lock.acquire()
+        lock.release()
+
+
+def test_a_live_lock_knows_its_owner_across_activations(cluster):
+    """Acquire and release are two activations of one logical thread,
+    from the driver, an AmberObject (called and forked) and program
+    text; one lock's acquire chases a forwarding address."""
+    here, there, chased = (cluster.create(Lock, node=node)
+                           for node in (0, 1, 1))
+    move_behind_the_drivers_back(cluster, chased, 2)
+    forwards = cluster.node_stats(1)["forwards"]
+    holder = cluster.create(Holder, node=2)
+    for lock in (here, there, chased):
+        cluster.call(lock, "acquire")
+        cluster.call(lock, "release")
+        holder.cycle(lock)
+        cluster.fork(holder, "cycle", lock).join(timeout=30)
+        cluster.run(lock_twice_main, lock)
+        assert lock.try_acquire() is True
+        assert lock.try_acquire() is False
+        lock.release()
+    assert cluster.node_stats(1)["forwards"] == forwards + 1
+    assert cluster.locate(chased) == 2
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENCES))

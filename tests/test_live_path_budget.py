@@ -32,6 +32,10 @@ by ``DescriptorTable.next_hop`` alone (no locked residency check first).
 Alternating with its parent on that container, two runs each: **524.8**
 and **524.7** at the parent, **469.7** and **469.5** once a successful
 move hints its mover at the destination (six frames a pair, no forward).
+Again alternating on a 2-vCPU container: **468.6** and **468.4** at the
+parent, **473.0** and **472.9** once an invocation carries its logical
+thread (``InvokeMsg.thread``: read on the call, set and reset where it
+executes).
 The budget is the 469.7 figure plus 10 %: an increase means a frame, a
 hand-off or a wrapper crept back onto the path.
 """

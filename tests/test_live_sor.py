@@ -70,7 +70,9 @@ class TestPeerWaits:
             started = time.monotonic()
             outcomes = cluster.run(silent_right_main, PROBLEM)
             elapsed = time.monotonic() - started
-        assert outcomes == ["Suspend: no Wakeup within 1 s"] * 2
+        # Each names what it waited for: an edge, then the next phase.
+        assert outcomes == [f"Suspend({reason!r}): no Wakeup within 1 s"
+                            for reason in ("sor-edges", "sor-phase")]
         assert 1.0 <= elapsed < 5.0
 
     @pytest.mark.parametrize("env,peer_s,suspend_s", [
@@ -84,9 +86,9 @@ class TestPeerWaits:
         else:
             monkeypatch.setenv(PEER_TIMEOUT_ENV, env)
         assert peer_timeout_s() == peer_s
-        token = WakeupToken()
+        token = WakeupToken((0, 1))
         token._changed = condition = self.RecordingCondition()
         with pytest.raises(SynchronizationError,
                            match=f"no Wakeup within {suspend_s:g} s"):
-            token.suspend()
+            token.suspend("edge")
         assert condition.timeouts == [suspend_s]

@@ -24,8 +24,10 @@ from repro.runtime import (
     Cluster,
     CondVar,
     Lock,
+    Monitor,
     current_node,
 )
+from repro.sim import Invoke, SimObject
 from tests.live_helpers import move_behind_the_drivers_back
 
 
@@ -98,9 +100,31 @@ class Arriver(AmberObject):
         self.barrier = barrier
 
     def arrive(self):
-        serial = self.barrier.wait(timeout=15)
+        serial = self.barrier.wait()
         return (current_node(), serial)
 
+
+class Mailbox(SimObject):
+    """Items under a Monitor; ``take`` waits in the Mesa predicate loop."""
+
+    def __init__(self, monitor, arrived):
+        self.monitor = monitor
+        self.arrived = arrived
+        self.items = []
+
+    def put(self, ctx, item):
+        yield Invoke(self.monitor, "enter")
+        self.items.append(item)
+        yield Invoke(self.arrived, "signal")
+        yield Invoke(self.monitor, "exit")
+
+    def take(self, ctx):
+        yield Invoke(self.monitor, "enter")
+        while not self.items:
+            yield Invoke(self.arrived, "wait")
+        item = self.items.pop(0)
+        yield Invoke(self.monitor, "exit")
+        return item
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +296,6 @@ class TestThreads:
 
     def test_many_threads(self, cluster):
         counter = cluster.create(Counter, node=1)
-        lock = cluster.create(Lock, node=1)
         threads = [cluster.fork(counter, "add", 1) for _ in range(10)]
         results = [t.join(timeout=10) for t in threads]
         assert counter.get() == 10
@@ -291,7 +314,8 @@ class TestSync:
         assert lock.try_acquire() is True
         assert lock.try_acquire() is False   # from this node, still held
         lock.release()
-        assert lock.locked() is False
+        assert lock.try_acquire() is True    # free again
+        lock.release()
 
     def test_lock_release_while_free_rejected(self, cluster):
         lock = cluster.create(Lock, node=2)
@@ -319,10 +343,14 @@ class TestSync:
         assert nodes == [0, 1, 2]
         assert serials == [False, False, True]
 
-    def test_condvar_signal_before_wait_not_lost(self, cluster):
-        cond = cluster.create(CondVar, node=1)
-        cond.signal()
-        cond.wait(timeout=5)   # consumes the banked signal
+    def test_condvar_predicate_loop_keeps_an_early_signal(self, cluster):
+        """A signal with no waiter is not banked (Mesa): what keeps it is
+        the state it announced, which the waiter's loop reads first."""
+        monitor = cluster.create(Monitor, node=1)
+        arrived = cluster.create(CondVar, monitor, node=1)
+        mailbox = cluster.create(Mailbox, monitor, arrived, node=1)
+        mailbox.put("early")
+        assert mailbox.take() == "early"
 
 
 class TestClusterLifecycle:

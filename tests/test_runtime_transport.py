@@ -90,10 +90,12 @@ class TestFraming:
             b.close()
 
 
-#: One instance of every message class, defaults left to default.
+#: One instance of every message class, defaults left to default, and
+#: an invocation that names its thread.
 SAMPLES = [
     m.Hello(3),
     m.InvokeMsg(7, 0, 0x1100000, "add", (1, "two"), {"k": [3]}, trace=(0, 2)),
+    m.InvokeMsg(8, 1, 0x1100000, "add", (1,), {}, (1,), (0, -4242)),
     m.ResultMsg(7, True, {"value": 1}),
     m.ResultMsg(8, False, None, KeyError("gone")),
     m.LocationHint(0x1100000, 2),
@@ -395,6 +397,19 @@ class TestMeshHandshake:
         finally:
             mesh.close()
 
+    def test_a_version_3_hello_rejected(self):
+        """Protocol 4 added ``InvokeMsg.thread``: a version 3 peer is
+        turned away at the handshake."""
+        mesh = Mesh(0, lambda peer, msg: None)
+        try:
+            raw = socket.create_connection(mesh.address, timeout=5)
+            raw.sendall(_frame(Hello(9, version=3)))
+            _assert_dropped(raw)
+            raw.close()
+            assert mesh.stats["handshake_rejects"] == 1
+        finally:
+            mesh.close()
+
     def test_version_mismatch_rejected(self):
         inbox = queue.SimpleQueue()
         mesh = Mesh(0, lambda peer, msg: inbox.put((peer, msg)))
@@ -500,6 +515,12 @@ class TestReaderFraming:
     def test_undecodable_frame_drops_the_connection(self, inbound, body):
         """Frames before the bad one are delivered; none after it."""
         self._bad_frame_drops_the_connection(inbound, body)
+
+    def test_a_version_3_invoke_is_a_bad_frame(self, inbound):
+        """A version 3 ``InvokeMsg`` had seven fields (no ``thread``)."""
+        code = m.KINDS.index(InvokeMsg)
+        self._bad_frame_drops_the_connection(inbound, pickle.dumps(
+            (code, (2, 5, 0x1000, "put", (1,), {}, ()))))
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_frame_drops_the_connection(self, inbound, name):

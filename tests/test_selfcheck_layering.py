@@ -37,7 +37,6 @@ repro.recovery.config repro.runtime repro.runtime.cluster
 repro.runtime.coordinator repro.runtime.handles repro.runtime.kernel
 repro.runtime.lifecycle repro.runtime.messages repro.runtime.node
 repro.runtime.objects repro.runtime.objtable repro.runtime.programtext
-repro.runtime.sync
 repro.runtime.transport repro.sim repro.sim.cluster repro.sim.engine
 repro.sim.kernel repro.sim.mobility repro.sim.network repro.sim.node
 repro.sim.objects
