@@ -139,9 +139,8 @@ class CheckpointManager:
     confirmation time is lost.
     """
 
-    def __init__(self, cluster, config):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.config = config
         self._epochs: Dict[int, int] = {}
         #: backup node id -> {vaddr -> (epoch, state)}
         self._stores: Dict[int, Dict[int, Tuple[int, dict]]] = {}
@@ -150,18 +149,17 @@ class CheckpointManager:
 
     def backup_node(self, vaddr: int, primary: int) -> int:
         """Deterministic backup placement for ``vaddr`` held at
-        ``primary``: the home node when the object lives away from home
-        (policy ``"home"``), else the hash-ring successor — always a
-        node other than the primary, skipping nodes that are down (an
-        epoch shipped at a corpse is an epoch lost)."""
+        ``primary``: the home node when the object lives away from home,
+        else the hash-ring successor — always a node other than the
+        primary, skipping nodes that are down (an epoch shipped at a
+        corpse is an epoch lost)."""
         nodes = self.cluster.nodes
         nnodes = len(nodes)
         if nnodes < 2:
             return primary
-        if self.config.backup_placement == "home":
-            home = self.cluster.home_node(vaddr)
-            if home != primary and not nodes[home].down:
-                return home
+        home = self.cluster.home_node(vaddr)
+        if home != primary and not nodes[home].down:
+            return home
         start = (primary + 1 + vaddr % (nnodes - 1)) % nnodes
         for step in range(nnodes):
             candidate = (start + step) % nnodes

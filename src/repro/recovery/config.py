@@ -70,17 +70,10 @@ def heartbeat_grace_s() -> float:
 class RecoveryConfig:
     """Simulator-side recovery policy (pure configuration, hashable).
 
-    ``heartbeat_interval_us``
-        Every up node multicasts a heartbeat this often (heartbeats
-        occupy the shared wire like any control message, but bypass the
-        *random* fault injector so attaching a detector never perturbs
-        the seeded fault stream — crash and partition silence still
-        applies, deterministically).
-    ``grace_us`` / ``confirm_us``
-        A node unheard-from for ``grace_us`` is *suspected*; one silent
-        for ``confirm_us`` is *confirmed dead*, which triggers backup
-        promotion and orphan resurrection.  ``confirm_us`` defaults to
-        twice ``grace_us`` (see ``__post_init__``).
+    The detector's cadence and windows are constants of
+    :mod:`repro.recovery.detector`; backup placement is the one rule of
+    :meth:`~repro.recovery.checkpoint.CheckpointManager.backup_node`.
+
     ``checkpointing``
         Master switch for checkpoint shipping and promotion.  With it
         off, the detector still runs, but a confirmed-dead node's
@@ -91,39 +84,12 @@ class RecoveryConfig:
         leaving only the write-through checkpoint shipped whenever a
         remote invocation completes on a mutable object — what makes
         every effect a survivor has observed durable).
-    ``backup_placement``
-        ``"home"``: back up on the object's home node (falling back to
-        the ring when the object is resident *at* home); ``"ring"``:
-        always the deterministic hash-ring successor.
     """
 
-    heartbeat_interval_us: float = 2_000.0
-    grace_us: float = 8_000.0
-    confirm_us: float = 0.0           # 0 -> 2 * grace_us
     checkpointing: bool = True
     checkpoint_interval_us: float = 25_000.0
-    backup_placement: str = "home"
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval_us <= 0:
-            raise SimulationError(
-                f"heartbeat interval must be positive: "
-                f"{self.heartbeat_interval_us}")
-        if self.grace_us < self.heartbeat_interval_us:
-            raise SimulationError(
-                "grace window shorter than the heartbeat interval would "
-                f"suspect healthy nodes: grace={self.grace_us}, "
-                f"interval={self.heartbeat_interval_us}")
-        if self.confirm_us == 0.0:
-            object.__setattr__(self, "confirm_us", 2.0 * self.grace_us)
-        if self.confirm_us < self.grace_us:
-            raise SimulationError(
-                f"confirm window must be >= grace window: "
-                f"confirm={self.confirm_us}, grace={self.grace_us}")
-        if self.backup_placement not in ("home", "ring"):
-            raise SimulationError(
-                f"backup_placement must be 'home' or 'ring', "
-                f"got {self.backup_placement!r}")
         if self.checkpoint_interval_us < 0:
             raise SimulationError(
                 f"checkpoint interval must be >= 0: "

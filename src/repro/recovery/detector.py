@@ -1,9 +1,9 @@
 """Heartbeat failure detection for the simulated cluster.
 
-Every ``heartbeat_interval_us`` each live node multicasts a small
+Every ``HEARTBEAT_INTERVAL_US`` each live node multicasts a small
 heartbeat to every reachable peer.  The detector aggregates receptions:
-a node unheard-from for ``grace_us`` is *suspected*; one silent for
-``confirm_us`` is *confirmed dead*, which hands control to the
+a node unheard-from for ``GRACE_US`` is *suspected*; one silent for
+``CONFIRM_US`` is *confirmed dead*, which hands control to the
 promotion/resurrection machinery of its
 :class:`~repro.recovery.manager.RecoveryManager`.  A heartbeat from a
 suspected or confirmed node (it restarted) rescinds the verdict as a
@@ -34,6 +34,16 @@ from typing import Dict, Set
 #: Nominal wire size of one heartbeat, bytes.
 HEARTBEAT_BYTES = 32
 
+#: Every up node multicasts a heartbeat this often, us.
+HEARTBEAT_INTERVAL_US = 2_000.0
+
+#: Silence after which a node is *suspected*, us.
+GRACE_US = 8_000.0
+
+#: Silence after which a node is *confirmed dead*, us: promotion and
+#: resurrection start here.
+CONFIRM_US = 2.0 * GRACE_US
+
 
 class HeartbeatDetector:
     """Heartbeat/suspicion service (one per recovering simulation)."""
@@ -41,14 +51,13 @@ class HeartbeatDetector:
     def __init__(self, manager):
         self.manager = manager
         self.kernel = manager.kernel
-        self.config = manager.config
         self.last_heard: Dict[int, float] = {
             node.id: 0.0 for node in self.kernel.cluster.nodes}
         self.suspected: Set[int] = set()
         self.confirmed: Set[int] = set()
 
     def start(self) -> None:
-        self.kernel.sim.schedule_us(self.config.heartbeat_interval_us,
+        self.kernel.sim.schedule_us(HEARTBEAT_INTERVAL_US,
                                     self._tick)
 
     # -- internals -----------------------------------------------------
@@ -73,7 +82,7 @@ class HeartbeatDetector:
                 kernel.net.send(src.id, dst.id, HEARTBEAT_BYTES,
                                 lambda s=src.id: self._heard(s))
         self._check(now)
-        kernel.sim.schedule_us(self.config.heartbeat_interval_us,
+        kernel.sim.schedule_us(HEARTBEAT_INTERVAL_US,
                                self._tick)
 
     def _heard(self, node_id: int) -> None:
@@ -92,7 +101,7 @@ class HeartbeatDetector:
             if node_id in self.confirmed:
                 continue
             silence = now - self.last_heard[node_id]
-            if silence >= self.config.confirm_us:
+            if silence >= CONFIRM_US:
                 self.suspected.discard(node_id)
                 self.confirmed.add(node_id)
                 crashed_at = self.manager.crash_times.get(
@@ -105,7 +114,7 @@ class HeartbeatDetector:
                     detail=f"silent {silence:.0f} us; "
                            f"detection latency {latency:.0f} us")
                 self.manager.node_confirmed_dead(node_id)
-            elif silence >= self.config.grace_us and \
+            elif silence >= GRACE_US and \
                     node_id not in self.suspected:
                 self.suspected.add(node_id)
                 kernel.metrics.inc("node_suspected")

@@ -53,7 +53,7 @@ class RecoveryManager:
         #: Objects confirmed unrecoverable (primary and backup both
         #: dead at confirmation time): requests fail fast.
         self._lost_objects: Set[int] = set()
-        self.checkpoints = CheckpointManager(self.cluster, config)
+        self.checkpoints = CheckpointManager(self.cluster)
         self.detector = HeartbeatDetector(self)
         self.detector.start()
         if config.checkpointing and config.checkpoint_interval_us > 0:
