@@ -10,10 +10,10 @@ test:
 	python -m pytest tests/ -q
 
 # Every Amber program shipped in the tree: the bundled apps and
-# examples, the paper-figure drivers, the recovery workloads.
+# examples, the paper-figure drivers.
 lint:
 	PYTHONPATH=src python -m repro lint src/repro/apps examples \
-		src/repro/bench src/repro/recovery/workloads.py
+		src/repro/bench
 
 analyze:
 	PYTHONPATH=src python -m repro analyze --fast

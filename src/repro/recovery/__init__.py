@@ -5,11 +5,12 @@ objects and visiting threads with it.  This package closes the loop
 from *injecting* failures (:mod:`repro.faults`) to *surviving* them:
 
 * :mod:`repro.recovery.config` — the :class:`RecoveryConfig` policy
-  object (heartbeat cadence, grace windows, checkpoint policy) and the
+  object (the checkpoint switch and sweep period) and the
   ``REPRO_PEER_TIMEOUT_S`` knob every live-runtime peer-wait ceiling is
   derived from;
 * :mod:`repro.recovery.detector` — heartbeat failure detection in the
-  simulator (the live runtime's coordinator-mediated detection lives in
+  simulator, with its cadence and windows as constants (the live
+  runtime's coordinator-mediated detection lives in
   :mod:`repro.runtime`);
 * :mod:`repro.recovery.checkpoint` — epoch-based object snapshots and
   the primary-backup stores promotion draws from;
@@ -17,8 +18,7 @@ from *injecting* failures (:mod:`repro.faults`) to *surviving* them:
   orphan-thread resurrection with at-most-once semantics;
 * :mod:`repro.recovery.scenario` — the seeded pass/fail scenarios
   behind ``repro faults --recover``: ``queens_main`` and ``sor_main``
-  losing a node for good, and (:mod:`repro.recovery.workloads`) a
-  striped SOR whose drivers replay input-identically.
+  losing a node for good.
 
 Attach recovery to a simulated run with::
 

@@ -15,17 +15,26 @@ and twice under the same seeded plan, then checks:
   final clock, result fingerprint, and counters).
 
 ``sor-recover``
-    Striped Red/Black SOR; the dead node holds a live mutable grid
-    stripe.  The recovered grid must equal the clean grid bit for bit.
+    ``sor_main``, the Figure 1 program, with ``SorMaster`` on the dying
+    node and the sections on the survivors: the node dies holding the
+    per-iteration barrier with the reporters that reached it suspended
+    inside.  The recovered grid must equal the clean and the sequential
+    grid bit for bit, every coordinator's outcome the clean one, and
+    the promoted master must hold exactly one report per section for
+    every iteration (at-most-once: with tolerance 0 the grid alone
+    cannot see the master's state).
 ``queens-recover``
     ``queens_main``, the N-Queens program both backends run: the pool
     stays on node 0, and the node dies holding a worker anchor and its
     two workers.
     Replay must be at-most-once: every work unit is counted exactly once.
 ``sor-unrecoverable``
-    ``sor_main``, the Figure 1 program, dying with two of its sections.
-    Its section threads cannot be carried (``repro.recovery.workloads``
-    says why), so the run must end in the sequential grid or a typed
+    The same ``sor_main`` under its own placement, dying with two of
+    its sections.  A thread recovers by re-running from its last
+    migrated invocation, and a section's threads live *on* the section:
+    when a section's node dies, its threads restart from their ``Fork``
+    while their neighbours have moved on, and the run stalls.  So the
+    run must end in the sequential grid or a typed
     :class:`~repro.errors.DeadlockError` / :class:`~repro.errors.NodeFailure`
     — never a wrong grid, never a hang — and end identically across
     replays.
@@ -36,12 +45,13 @@ Used by ``python -m repro faults --recover`` and the recovery tests.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import List
 
 import numpy as np
 
 from repro.apps.queens import KNOWN_SOLUTIONS, queens_main, seed_prefixes
 from repro.apps.sor import SorProblem, run_sequential_sor, sor_main
-from repro.apps.sor.amber_sor import default_sections
+from repro.apps.sor.amber_sor import SorMaster, default_sections
 from repro.apps.sor.sequential import DEFAULT_POINT_UPDATE_US
 from repro.errors import DeadlockError, NodeFailure
 from repro.faults.plan import FaultPlan
@@ -52,18 +62,16 @@ from repro.faults.scenario import (
     counters_of,
     faults_report,
     fingerprint,
-    grid_detail,
-    same_grid,
 )
 from repro.placement.policies import PlacementPolicy
 from repro.recovery.config import RecoveryConfig
-from repro.recovery.workloads import run_recovery_sor
 from repro.selfcheck import Outcome, Report, judged
 from repro.sim.cluster import ClusterConfig
 from repro.sim.program import AmberProgram
 
-#: The node that dies in every scenario — it hosts stripe 0, a queens
-#: worker anchor, and SOR sections 2-3.
+#: The node that dies in every scenario — it hosts ``sor-recover``'s
+#: master, a queens worker anchor, and ``sor-unrecoverable``'s sections
+#: 2-3.
 CRASH_NODE = 1
 
 
@@ -111,25 +119,71 @@ def _run(nodes: int, cpus: int, faults, main, *args):
                         recovery=_recovering(faults)).run(main, *args)
 
 
+class _MasterOnCrashNode(PlacementPolicy):
+    """``SorMaster`` on :data:`CRASH_NODE`; the first half of the
+    sections on node 0 and the rest on node 2, none on the dying node."""
+
+    def node_for(self, cls, index, default, count=None):
+        if cls == "SorMaster":
+            return CRASH_NODE
+        if cls == "SorSection":
+            return 0 if index < count // 2 else 2
+        return default
+
+
+def _sor_args(problem: SorProblem, nodes: int, cpus: int,
+              place: PlacementPolicy) -> tuple:
+    """``sor_main``'s arguments for both SOR scenarios: the paper's
+    sectioning at ``nodes``, the CPUs shared out as workers, overlap on,
+    the grid collected; only ``place`` tells the scenarios apart."""
+    sections = default_sections(nodes)
+    return (problem, nodes, sections, max(1, nodes * cpus // sections),
+            DEFAULT_POINT_UPDATE_US, True, True, place)
+
+
+def _reports_per_iteration(result, iterations: int) -> List[int]:
+    """How many reports the run's one (possibly promoted) ``SorMaster``
+    holds for each iteration: one per section when none was lost and
+    none replayed twice."""
+    master, = [obj for obj in result.cluster.objects.values()
+               if isinstance(obj, SorMaster)]
+    return [len(master._deltas.get(i, ())) for i in range(iterations)]
+
+
 def _run_sor_recover(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
+    args = _sor_args(problem, nodes, cpus, _MasterOnCrashNode())
+    sections = args[2]
+    sequential = run_sequential_sor(problem).grid
+
+    def exact(clean, faulted) -> bool:
+        """The sequential and clean grid, the clean outcomes, and every
+        report counted once."""
+        outcomes, _finish_us, grid = faulted.value
+        return (np.array_equal(grid, sequential)
+                and np.array_equal(grid, clean.value[2])
+                and outcomes == clean.value[0]
+                and _reports_per_iteration(faulted, problem.iterations)
+                == [sections] * problem.iterations)
+
     return clean_vs_faulted(
         "sor-recover",
-        f"striped SOR {problem.rows}x{problem.cols}, node "
-        f"{CRASH_NODE} dies for good holding a live stripe",
-        run=lambda faults: run_recovery_sor(
-            problem, nodes=nodes, cpus_per_node=cpus, faults=faults,
-            recovery=_recovering(faults)),
+        f"sor_main {problem.rows}x{problem.cols}, node {CRASH_NODE} dies "
+        f"for good holding SorMaster (at-most-once check)",
+        run=lambda faults: _run(nodes, cpus, faults, sor_main, *args),
         plan_for=lambda elapsed_us: _recover_plan(seed, elapsed_us),
-        observe=lambda r, counters: (r.elapsed_us, r.grid.tobytes(),
+        observe=lambda r, counters: (r.elapsed_us, r.value[0],
+                                     r.value[2].tobytes(),
                                      sorted(counters.items())),
         judge=lambda clean, faulted, counters: (
-            same_grid(clean, faulted) and _recovered(counters)),
+            exact(clean, faulted) and _recovered(counters)),
         detail=lambda clean, faulted, counters: (
             f"{counters['objects_recovered']} object(s) promoted, "
             f"{counters['invocations_replayed']} invocation(s) replayed; "
-            + grid_detail(clean, faulted)))
+            + ("grid bit-identical to clean run, every report counted "
+               "once" if exact(clean, faulted)
+               else "grid, outcomes or reports DIVERGED from clean run")))
 
 
 def _run_queens_recover(seed: int, fast: bool) -> Outcome:
@@ -163,9 +217,7 @@ def _run_queens_recover(seed: int, fast: bool) -> Outcome:
 def _run_sor_unrecoverable(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
-    sections = default_sections(nodes)
-    args = (problem, nodes, sections, max(1, nodes * cpus // sections),
-            DEFAULT_POINT_UPDATE_US, True, True, PlacementPolicy())
+    args = _sor_args(problem, nodes, cpus, PlacementPolicy())
     clean = _run(nodes, cpus, None, sor_main, *args)
     plan = _recover_plan(seed, clean.elapsed_us)
     sequential = run_sequential_sor(problem).grid

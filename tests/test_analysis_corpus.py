@@ -13,10 +13,9 @@ of the corpus below, what each of them says about it:
 
 The corpus is every Amber program in the tree (bundled apps and
 examples as one program, the three fixture catalogs, the paper-figure
-drivers, the recovery workloads, AmberBench's workloads — read, never
-edited — and the hot-path test programs) plus the inline ``SNIPPETS``,
-which cover the branch / loop / try / with / nested-function shapes of
-every AMB1xx rule.
+drivers, AmberBench's workloads — read, never edited — and the hot-path
+test programs) plus the inline ``SNIPPETS``, which cover the branch /
+loop / try / with / nested-function shapes of every AMB1xx rule.
 
 The file is committed at the behaviour of the commit *before* a change
 to the analysis, and regenerated (only for an intended change of an
@@ -53,7 +52,6 @@ TREES: Dict[str, List[str]] = {
     "apps+examples": ["src/repro/apps", "examples"],
     "analyze-fixtures": ["src/repro/analyze/fixtures.py"],
     "bench": ["src/repro/bench"],
-    "recovery-workloads": ["src/repro/recovery/workloads.py"],
     "amberbench-workloads": ["benchmarks/amberbench/workloads"],
     "hot-path-programs": ["tests/hot_path_programs.py"],
 }

@@ -636,8 +636,7 @@ class TestCollectSources:
 class TestRealCode:
     @pytest.mark.parametrize("tree", ["src/repro/apps", "examples",
                                       "src/repro/analyze/fixtures.py",
-                                      "src/repro/bench",
-                                      "src/repro/recovery/workloads.py"])
+                                      "src/repro/bench"])
     def test_bundled_code_is_lint_clean(self, tree):
         findings = lint_paths([str(REPO / tree)])
         assert findings == [], "\n".join(f.render() for f in findings)
