@@ -66,14 +66,18 @@ gauges) as JSON.
 
 Every subcommand is one row of ``COMMANDS``.  Input that cannot be
 acted on (:class:`~repro.errors.UsageError`) is one ``error:`` line on
-stderr and exit code 2.
+stderr and exit code 2: a count option below 1, or an output path whose
+directory does not exist, is caught before anything runs, and an output
+that cannot be written at the end is the same one line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -122,8 +126,46 @@ def _print_sanitizer_reports(reports) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Output files
+# Checked options and output files
 # ---------------------------------------------------------------------------
+
+#: The options that name a file a command writes, by ``dest``
+#: (``flow --expect`` is read, not written).
+_OUTPUTS = ("json", "metrics_json", "out", "hints_out", "artifact_out",
+            "write_expect", "trace_out")
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before anything runs, an output option that names a
+    directory or a file in a directory that does not exist."""
+    for dest in _OUTPUTS:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path}: is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"{flag} {path}: no such directory "
+                             f"{parent}")
+
+
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+@contextmanager
+def _writing(path: str):
+    """An output that cannot be written is a usage error, not a
+    traceback."""
+    try:
+        yield
+    except OSError as error:
+        raise UsageError(f"cannot write {path}: "
+                         f"{error.strerror or error}") from None
 
 
 def _write(path: Optional[str], content: Any, what: str,
@@ -134,7 +176,7 @@ def _write(path: Optional[str], content: Any, what: str,
         return
     if not isinstance(content, str):
         content = json.dumps(content, indent=2)
-    with open(path, "w") as handle:
+    with _writing(path), open(path, "w") as handle:
         handle.write(content)
     print(f"{lead}{what} written to {path}")
 
@@ -142,7 +184,8 @@ def _write(path: Optional[str], content: Any, what: str,
 def _write_metrics(path: Optional[str], metrics: Dict[str, Any],
                    what: str = "metrics", lead: str = "") -> None:
     if path:
-        write_metrics_json(path, metrics)
+        with _writing(path):
+            write_metrics_json(path, metrics)
         print(f"{lead}{what} written to {path}")
 
 
@@ -181,10 +224,12 @@ def _cmd_trace(args) -> int:
     from repro.obs.perfetto import export_chrome_trace
     from repro.sim.trace import Tracer
 
-    tracer = Tracer(max_events=args.max_events)
+    tracer = Tracer(max_events=_at_least_one(args.max_events,
+                                             "--max-events"))
     result, san_reports = _run_workload(args, tracer, args.sanitize)
-    count = export_chrome_trace(tracer.events, args.out,
-                                nodes=result.cluster.config.nodes)
+    with _writing(args.out):
+        count = export_chrome_trace(tracer.events, args.out,
+                                    nodes=result.cluster.config.nodes)
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
     print(f"wrote {count} trace events to {args.out}{dropped}")
     print(f"simulated elapsed: {result.elapsed_us:.1f} us "
@@ -241,6 +286,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_check(args) -> int:
     if args.replay is not None and not args.fixture:
         raise UsageError("--replay requires --fixture")
+    _at_least_one(args.budget, "--budget")
     from repro.analyze.checkscenario import (
         CHECK_FIXTURES,
         run_check_scenarios,
@@ -324,9 +370,10 @@ def _cmd_perf(args) -> int:
             export_chrome_trace,
             profiler_track_events,
         )
-        count = export_chrome_trace(
-            [], args.trace_out,
-            extra=profiler_track_events(profiler))
+        with _writing(args.trace_out):
+            count = export_chrome_trace(
+                [], args.trace_out,
+                extra=profiler_track_events(profiler))
         print(f"\nwrote {count} self-profiler trace events to "
               f"{args.trace_out}")
     _write(args.json, profiler.as_dict(), "profile", lead="")
@@ -602,6 +649,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sp.set_defaults(handler=command.handler)
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.handler(args)
     except UsageError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -8,14 +8,15 @@ Three layers, usable independently:
   owns one; the kernel feeds it operation latencies (local/remote
   invocation, migration, move, replication, locate), forwarding-chain
   lengths, lock wait/hold times, and network queueing.
-* **Tracing** (:mod:`repro.obs.sinks`, :mod:`repro.obs.perfetto`) —
-  streaming trace sinks (in-memory ring, JSONL file, null) behind
-  :class:`repro.sim.trace.Tracer`, plus an exporter to Chrome/Perfetto
-  trace-event JSON: per-node tracks, per-thread slices, migration flow
-  arrows.  ``python -m repro trace sor --fast --out trace.json``.
+* **Tracing** (:mod:`repro.obs.perfetto`) — an exporter from the
+  bounded event ring of :class:`repro.sim.trace.Tracer` to
+  Chrome/Perfetto trace-event JSON: per-node tracks, per-thread slices,
+  migration flow arrows.
+  ``python -m repro trace sor --fast --out trace.json``.
 * **Profiling** (:mod:`repro.obs.profile`) — per-thread wall-time
   attribution into compute / migration / queue / lock-wait / blocked
-  buckets, with a critical-path summary.
+  buckets, read off the kernel's per-thread state clocks, with a
+  critical-path summary.
   ``python -m repro profile sor --fast``.
 
 This package deliberately imports nothing from :mod:`repro.sim` so the
@@ -35,28 +36,21 @@ from repro.obs.profile import (
     BUCKETS,
     LOCK_WAIT_REASONS,
     ThreadProfile,
-    analyze_trace,
     bucket_for_state,
     critical_path,
     profile_result,
     render_profile,
 )
-from repro.obs.sinks import JsonlSink, NullSink, RingSink, TraceSink
 
 __all__ = [
     "BUCKETS",
     "Counter",
     "Gauge",
     "Held",
-    "JsonlSink",
     "LOCK_WAIT_REASONS",
     "LatencyHistogram",
     "MetricsRegistry",
-    "NullSink",
-    "RingSink",
     "ThreadProfile",
-    "TraceSink",
-    "analyze_trace",
     "bucket_for_state",
     "chrome_trace_events",
     "critical_path",

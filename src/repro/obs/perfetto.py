@@ -25,7 +25,7 @@ emitted at completion time.
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, List, Optional
 
 #: Kinds rendered as instant markers on the thread (or node) track.
 _INSTANT_KINDS = {
@@ -180,7 +180,7 @@ def profiler_track_events(profiler) -> List[Dict[str, object]]:
     return out
 
 
-def export_chrome_trace(events, path_or_file: Union[str, IO[str]],
+def export_chrome_trace(events, path: str,
                         nodes: Optional[int] = None,
                         extra: Optional[List[Dict[str, object]]] = None
                         ) -> int:
@@ -197,9 +197,6 @@ def export_chrome_trace(events, path_or_file: Union[str, IO[str]],
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.sim (Amber reproduction)"},
     }
-    if hasattr(path_or_file, "write"):
-        json.dump(trace, path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as file:
-            json.dump(trace, file)
+    with open(path, "w", encoding="utf-8") as file:
+        json.dump(trace, file)
     return len(trace["traceEvents"])

@@ -3,14 +3,10 @@
 The paper explains performance by decomposing where threads spend their
 time — computing, migrating between nodes, queued behind busy CPUs, or
 waiting on locks.  This module produces that decomposition for any
-simulated run, from either of two sources:
-
-* :func:`profile_result` — exact accounting from the kernel's per-thread
-  state clocks (every :class:`~repro.sim.thread.SimThread` accumulates
-  time per scheduling state as it transitions); no tracer needed.
-* :func:`analyze_trace` — the same bucket shape reconstructed from a
-  trace-event stream (``compute`` slices, ``migrate-out``/``migrate-in``
-  pairs, ``ready``/``run``/``block`` transitions), for offline traces.
+simulated run from one source, :func:`profile_result`: exact accounting
+from the kernel's per-thread state clocks (every
+:class:`~repro.sim.thread.SimThread` accumulates time per scheduling
+state as it transitions); no tracer needed.
 
 Buckets:
 
@@ -96,55 +92,6 @@ def profile_result(result) -> List[ThreadProfile]:
         profiles.append(ThreadProfile(thread.name, buckets,
                                       thread.migrations))
     return profiles
-
-
-def analyze_trace(events) -> List[ThreadProfile]:
-    """Reconstruct per-thread profiles from a trace-event stream.
-
-    Works on any iterable of objects with ``t_us``, ``kind``, ``thread``,
-    ``detail`` and ``dur_us`` fields (e.g. a hand-built event list in a
-    test, or events parsed back from a JSONL sink).
-    """
-    profiles: Dict[str, ThreadProfile] = {}
-    out_at: Dict[str, float] = {}      # migrate-out times
-    ready_at: Dict[str, float] = {}    # enqueue times
-    block_at: Dict[str, object] = {}   # (time, reason)
-
-    def prof(thread: str) -> ThreadProfile:
-        if thread not in profiles:
-            profiles[thread] = ThreadProfile(thread)
-        return profiles[thread]
-
-    def add(thread: str, bucket: str, us: float) -> None:
-        if us < 0:
-            return
-        buckets = prof(thread).buckets
-        buckets[bucket] = buckets.get(bucket, 0.0) + us
-
-    for event in sorted(events, key=lambda e: e.t_us):
-        thread, kind, t = event.thread, event.kind, event.t_us
-        if not thread:
-            continue
-        if kind == "compute" and event.dur_us > 0:
-            add(thread, "compute", event.dur_us)
-        elif kind == "migrate-out":
-            out_at[thread] = t
-        elif kind == "migrate-in":
-            if thread in out_at:
-                add(thread, "migration", t - out_at.pop(thread))
-                prof(thread).migrations += 1
-        elif kind == "ready":
-            if thread in block_at:
-                t0, reason = block_at.pop(thread)
-                add(thread,
-                    bucket_for_state("blocked", reason), t - t0)
-            ready_at[thread] = t
-        elif kind == "run":
-            if thread in ready_at:
-                add(thread, "queue", t - ready_at.pop(thread))
-        elif kind == "block":
-            block_at[thread] = (t, event.detail)
-    return list(profiles.values())
 
 
 def critical_path(profiles: Iterable[ThreadProfile]

@@ -12,9 +12,10 @@ and each attached subsystem's hooks cost.
 Design constraints:
 
 * **Zero cost when detached.**  The engine's fast loop
-  (:meth:`repro.sim.engine.Simulator.run`) carries no timing code; only
-  an attached profiler switches it to the instrumented loop, and only
-  then are the subsystem hooks wrapped.
+  (:meth:`repro.sim.engine.Simulator.run`) and its event push carry no
+  timing code; only an attached profiler switches the loop to the
+  instrumented one, swaps a timed ``heappush`` into
+  :mod:`repro.sim.engine`, and wraps the subsystem hooks.
 * **No per-subsystem instrumentation code.**  Attached subsystems are
   wrapped in a :class:`_TimedProxy` that times every method call, so the
   tracer/sanitizer/injector/controller themselves stay byte-identical —
@@ -156,10 +157,12 @@ class HotLoopProfiler:
 
     def attach(self, cluster: Any) -> None:
         """Instrument ``cluster`` for one run: switch its engine to the
-        profiled loop and wrap whatever subsystems are attached."""
+        profiled loop, time its heap pushes, and wrap whatever
+        subsystems are attached."""
         if self._attach_state is not None:
             raise RuntimeError("profiler is already attached")
         from repro.analyze import runtime as _analysis
+        from repro.sim import engine as _engine
 
         state: dict = {"cluster": cluster}
         sim = cluster.sim
@@ -197,6 +200,18 @@ class HotLoopProfiler:
                 controller, self._hook_acc["controller"])
             self._note("controller")
 
+        # Heap pushes happen inside dispatch, from anywhere in the
+        # kernel; they are timed by swapping the engine's heappush, so
+        # the push path of an unprofiled run names no profiler.
+        push = state["heappush"] = _engine.heappush
+
+        def timed_push(heap: list, item: Any) -> None:
+            t0 = perf_counter()
+            push(heap, item)
+            self.heap_push_s += perf_counter() - t0
+            self.heap_pushes += 1
+
+        _engine.heappush = timed_push
         self._attach_state = state
         self._sample_base_us = self.total_s * 1e6
         self._t0 = perf_counter()
@@ -211,7 +226,9 @@ class HotLoopProfiler:
         self.runs += 1
         self._attach_state = None
         from repro.analyze import runtime as _analysis
+        from repro.sim import engine as _engine
 
+        _engine.heappush = state["heappush"]
         cluster = state["cluster"]
         state["sim"].profiler = None
         if "tracer" in state:
@@ -243,15 +260,6 @@ class HotLoopProfiler:
         self.samples.append((rel_us, self.events, self.phases()))
 
     # -- export ----------------------------------------------------------
-
-    def publish(self, metrics: Any) -> None:
-        """Mirror phase totals into a metrics registry as counters
-        (nanoseconds, so they stay integers) plus the event count."""
-        for phase, seconds in self.phases().items():
-            name = phase.replace(":", "_").replace("-", "_")
-            metrics.inc(f"hotloop_{name}_ns", int(seconds * 1e9))
-        metrics.inc("hotloop_events", self.events)
-        metrics.inc("hotloop_heap_pushes", self.heap_pushes)
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -56,8 +56,9 @@ class Simulator:
         #: Optional hot-loop self-profiler (see
         #: :mod:`repro.perf.hotprof`).  When attached, :meth:`run` takes
         #: the instrumented loop that attributes host time to heap-op /
-        #: dispatch / hook phases; when ``None`` (the default) the loop
-        #: carries no timing instrumentation at all.
+        #: dispatch / hook phases, and the profiler times pushes by
+        #: swapping this module's ``heappush``; when ``None`` (the
+        #: default) no timing instrumentation runs at all.
         self.profiler = None
 
     @property
@@ -84,14 +85,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time_ns, seq, fn)
-        profiler = self.profiler
-        if profiler is None:
-            heappush(self._queue, (time_ns, seq, event))
-        else:
-            t0 = perf_counter()
-            heappush(self._queue, (time_ns, seq, event))
-            profiler.heap_push_s += perf_counter() - t0
-            profiler.heap_pushes += 1
+        heappush(self._queue, (time_ns, seq, event))
         return event
 
     def call_now(self, fn: Callable[[], None]) -> Event:
@@ -143,8 +137,8 @@ class Simulator:
         """The :meth:`run` loop with host-time phase attribution: heap
         maintenance (pop + cancelled-event skipping) and event dispatch
         are timed separately; heap pushes and subsystem hooks nested
-        inside a dispatch are timed at their own sites and subtracted by
-        the profiler's report."""
+        inside a dispatch are timed by the profiler's swapped-in
+        ``heappush`` and hook proxies, and subtracted by its report."""
         profiler = self.profiler
         queue = self._queue
         pop = heappop

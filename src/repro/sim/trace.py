@@ -4,14 +4,13 @@ Attach a :class:`Tracer` to a cluster before running and the kernel emits
 an event for every interesting transition: invocations (local/remote),
 thread migrations (departure and arrival), object moves, replica
 installs, move-protocol preemptions, plus scheduling events (compute
-slices, ready/run/block transitions) that power the Perfetto exporter and
-the profile analyzer in :mod:`repro.obs`.  Traces explain *why* a run
+slices, ready/run/block transitions) that power the Perfetto exporter in
+:mod:`repro.obs.perfetto`.  Traces explain *why* a run
 spent its time — which threads bounced between which nodes, which objects
 were migration magnets — and feed the text renderings below.
 
-Events flow into a :class:`repro.obs.sinks.TraceSink`; the default is an
-in-memory ring (newest events win, O(1) eviction), but a
-:class:`~repro.obs.sinks.JsonlSink` streams arbitrarily long runs to disk.
+Events land in one bounded in-memory ring: the newest ``max_events``
+are kept, eviction is O(1), and ``dropped`` counts what fell off.
 
 Usage::
 
@@ -27,10 +26,9 @@ Usage::
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from repro.obs.sinks import RingSink, TraceSink
 
 
 @dataclass(frozen=True)
@@ -50,42 +48,37 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records into a sink.
+    """Collects :class:`TraceEvent` records into a bounded ring.
 
-    By default events land in a bounded in-memory ring to protect memory
-    on long runs (the newest events win; ``dropped`` counts the rest).
-    Pass any :class:`~repro.obs.sinks.TraceSink` to change the policy —
-    e.g. ``Tracer(sink=JsonlSink("events.jsonl"))`` to stream to disk.
+    The ring protects memory on long runs: it keeps the newest
+    ``max_events`` events, and ``dropped`` counts the older ones it
+    evicted.
     """
 
-    def __init__(self, max_events: int = 100_000,
-                 sink: Optional[TraceSink] = None):
+    def __init__(self, max_events: int = 100_000):
+        if max_events < 1:
+            raise ValueError(f"tracer needs max_events >= 1, "
+                             f"got {max_events}")
         self.max_events = max_events
-        self.sink = sink if sink is not None else RingSink(max_events)
+        self.dropped = 0
+        self._ring: deque = deque(maxlen=max_events)
 
     def emit(self, t_us: float, kind: str, node: int, thread: str = "",
              vaddr: Optional[int] = None, detail: str = "",
              dur_us: float = 0.0) -> None:
-        self.sink.append(TraceEvent(t_us, kind, node, thread, vaddr,
-                                    detail, dur_us))
+        ring = self._ring
+        if len(ring) == self.max_events:
+            self.dropped += 1
+        ring.append(TraceEvent(t_us, kind, node, thread, vaddr, detail,
+                               dur_us))
 
     @property
     def events(self) -> List[TraceEvent]:
         """Retained events, oldest first."""
-        return self.sink.events
-
-    @property
-    def dropped(self) -> int:
-        return self.sink.dropped
-
-    def close(self) -> None:
-        self.sink.close()
+        return list(self._ring)
 
     def by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        return dict(Counter(event.kind for event in self._ring))
 
     def migrations(self) -> List[Tuple[str, int, int]]:
         """(thread, src, dst) per completed migration, in order."""

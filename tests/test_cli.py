@@ -1,10 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+QUEENS = str(Path(__file__).resolve().parent.parent
+             / "src" / "repro" / "apps" / "queens.py")
 
 
 class TestCli:
@@ -71,3 +75,74 @@ class TestTraceProfileCli:
             main(["trace", "nosuch"])
         with pytest.raises(SystemExit):
             main(["profile"])
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if any simulated run starts."""
+    from repro.sim.engine import Simulator
+
+    def refuse(self, until_us=None):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(Simulator, "run", refuse)
+
+
+def _one_error_line(capsys, *tokens):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for token in tokens:
+        assert token in lines[0]
+
+
+#: One command per way an output is written: ``_write`` (lint),
+#: ``_write_metrics`` (faults) and ``export_chrome_trace`` (trace).
+_OUTPUT_CASES = {
+    "lint-json": (["lint", QUEENS], "--json"),
+    "faults-metrics-json": (["faults", "--fast"], "--metrics-json"),
+    "trace-out": (["trace", "queens", "--fast"], "--out"),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "sor", "--fast", "--max-events", "0"], "--max-events"),
+        (["check", "--fixture", "sync-zoo", "--budget", "-1"], "--budget"),
+        (["check", "--fast", "--budget", "0"], "--budget"),
+    ])
+    def test_count_below_one_fails_before_the_run(self, argv, flag,
+                                                  capsys, no_simulation):
+        assert main(argv) == 2
+        _one_error_line(capsys, flag, "at least 1")
+
+    @pytest.mark.parametrize("case", sorted(_OUTPUT_CASES))
+    def test_output_in_missing_directory_fails_before_the_run(
+            self, case, tmp_path, capsys, no_simulation):
+        argv, flag = _OUTPUT_CASES[case]
+        path = str(tmp_path / "no" / "such" / "out.json")
+        assert main(argv + [flag, path]) == 2
+        _one_error_line(capsys, flag, "no such directory")
+
+    def test_output_naming_a_directory_fails_before_the_run(
+            self, tmp_path, capsys, no_simulation):
+        assert main(["perf", "--profile", "sor", "--fast",
+                     "--trace-out", str(tmp_path)]) == 2
+        _one_error_line(capsys, "--trace-out", "is a directory")
+
+    @pytest.mark.parametrize("case", sorted(_OUTPUT_CASES))
+    def test_output_unwritable_at_the_end_is_one_error_line(
+            self, case, tmp_path, capsys, monkeypatch):
+        # The directory vanishes between the check and the write.
+        monkeypatch.setattr("repro.cli._check_outputs", lambda args: None)
+        argv, flag = _OUTPUT_CASES[case]
+        path = str(tmp_path / "gone" / "out.json")
+        assert main(argv + [flag, path]) == 2
+        _one_error_line(capsys, "cannot write", path)
+
+    def test_expect_is_an_input_and_not_checked_as_an_output(
+            self, tmp_path, capsys):
+        missing = str(tmp_path / "no" / "expect.json")
+        assert main(["flow", "--paths", QUEENS,
+                     "--expect", missing]) == 1
+        assert "cannot read" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 """Tests for the observability layer (``repro.obs``): metrics registry,
-trace sinks, the Chrome/Perfetto exporter, and the profile analyzer."""
+the Chrome/Perfetto exporter, and the profile report."""
 
 import json
 import math
@@ -20,13 +20,11 @@ from repro.obs.metrics import (
 from repro.obs.perfetto import chrome_trace_events, export_chrome_trace
 from repro.obs.profile import (
     ThreadProfile,
-    analyze_trace,
     bucket_for_state,
     critical_path,
     profile_result,
     render_profile,
 )
-from repro.obs.sinks import JsonlSink, NullSink, RingSink
 from repro.sim import (
     AmberProgram,
     ClusterConfig,
@@ -326,39 +324,6 @@ class TestMetricsRegistry:
         assert MetricsRegistry().render() == "(no metrics)"
 
 
-class TestSinks:
-    def test_ring_sink_evicts_oldest_with_dropped_count(self):
-        sink = RingSink(maxlen=3)
-        for t in range(6):
-            sink.append(TraceEvent(float(t), "run", 0))
-        assert sink.dropped == 3
-        assert [event.t_us for event in sink.events] == [3.0, 4.0, 5.0]
-
-    def test_ring_sink_rejects_bad_maxlen(self):
-        with pytest.raises(ValueError):
-            RingSink(0)
-
-    def test_jsonl_sink_streams_parseable_lines(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        tracer = Tracer(sink=JsonlSink(str(path)))
-        tracer.emit(1.0, "compute", 0, thread="t1", dur_us=5.0)
-        tracer.emit(2.0, "migrate-out", 0, thread="t1", vaddr=0x10)
-        tracer.close()
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first == {"t_us": 1.0, "kind": "compute", "node": 0,
-                         "thread": "t1", "dur_us": 5.0}
-        assert second["vaddr"] == 0x10
-        assert tracer.dropped == 0
-
-    def test_null_sink_counts_and_discards(self):
-        tracer = Tracer(sink=NullSink())
-        tracer.emit(1.0, "run", 0)
-        assert tracer.events == []
-        assert tracer.dropped == 1
-
-
 def _sor_trace(fast_rows=16):
     """A small traced SOR run (2 nodes, guaranteed migrations)."""
     from repro.apps.sor import SorProblem, run_amber_sor
@@ -432,50 +397,24 @@ class TestPerfettoExporter:
         assert entries[0]["dur"] == pytest.approx(40.0)
 
 
-def _hand_built_trace():
-    """A deterministic 2-node, 2-thread event stream with known answers."""
-    E = TraceEvent
+def _hand_built_profiles():
+    """Two threads with known buckets: t1 is the busier one."""
     return [
-        E(0.0, "ready", 0, "t1"),
-        E(10.0, "run", 0, "t1"),                       # queue 10
-        E(60.0, "compute", 0, "t1", dur_us=50.0),      # compute 50
-        E(60.0, "migrate-out", 0, "t1"),
-        E(90.0, "migrate-in", 1, "t1"),                # migration 30
-        E(90.0, "ready", 1, "t1"),
-        E(95.0, "run", 1, "t1"),                       # queue 5
-        E(135.0, "compute", 1, "t1", dur_us=40.0),     # compute 40
-        E(135.0, "block", 1, "t1", detail="lock"),
-        E(155.0, "ready", 1, "t1"),                    # lock-wait 20
-        E(160.0, "run", 1, "t1"),                      # queue 5
-        E(0.0, "ready", 0, "t2"),
-        E(5.0, "run", 0, "t2"),                        # queue 5
-        E(25.0, "compute", 0, "t2", dur_us=20.0),      # compute 20
-        E(25.0, "block", 0, "t2", detail="join"),
-        E(125.0, "ready", 0, "t2"),                    # blocked 100
+        ThreadProfile("t2", {"compute": 20.0, "blocked": 100.0}),
+        ThreadProfile("t1", {"compute": 90.0, "migration": 30.0,
+                             "queue": 20.0, "lock-wait": 20.0},
+                      migrations=1),
     ]
 
 
 class TestAnalyzeTrace:
-    def test_buckets_from_hand_built_two_node_trace(self):
-        profiles = {p.name: p for p in analyze_trace(_hand_built_trace())}
-        t1 = profiles["t1"]
-        assert t1.buckets["compute"] == pytest.approx(90.0)
-        assert t1.buckets["migration"] == pytest.approx(30.0)
-        assert t1.buckets["queue"] == pytest.approx(20.0)
-        assert t1.buckets["lock-wait"] == pytest.approx(20.0)
-        assert t1.migrations == 1
-        t2 = profiles["t2"]
-        assert t2.buckets["compute"] == pytest.approx(20.0)
-        assert t2.buckets["blocked"] == pytest.approx(100.0)
-
     def test_critical_path_is_busiest_thread(self):
-        profiles = analyze_trace(_hand_built_trace())
+        profiles = _hand_built_profiles()
         assert critical_path(profiles).name == "t1"
         assert critical_path([]) is None
 
     def test_render_reports_buckets_and_critical_path(self):
-        profiles = analyze_trace(_hand_built_trace())
-        text = render_profile(profiles, elapsed_us=160.0)
+        text = render_profile(_hand_built_profiles(), elapsed_us=160.0)
         for token in ("compute", "migration", "queue", "lock-wait",
                       "critical path: t1", "TOTAL"):
             assert token in text

@@ -1,5 +1,6 @@
 """The hot-loop self-profiler, its CLI, and the bundled-app run table."""
 
+import heapq
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from repro.perf.hotprof import (
     profile_runs,
     render_hotloop,
 )
+from repro.sim import engine
+from repro.sim.trace import Tracer
 
 # ---------------------------------------------------------------------------
 # The bundled-app run table
@@ -45,6 +48,19 @@ def _profiled_sor(sanitize=False, sample_every=256):
         else:
             run_amber_sor(problem, nodes=2, cpus_per_node=2)
     return profiler
+
+
+class _TracerFailingAfter(Tracer):
+    """Raises from inside the event loop once ``limit`` events are in."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def emit(self, *args, **kwargs):
+        if len(self.events) >= self.limit:
+            raise RuntimeError("tracer failed mid-run")
+        super().emit(*args, **kwargs)
 
 
 class TestHotLoopProfiler:
@@ -87,6 +103,20 @@ class TestHotLoopProfiler:
                       nodes=1, cpus_per_node=1)
         assert profiler.events == events_before
 
+    def test_profile_runs_restores_the_engine_heappush(self):
+        from repro.apps.sor import SorProblem, run_amber_sor
+
+        problem = SorProblem(rows=12, cols=24, iterations=1)
+        with profile_runs():
+            run_amber_sor(problem, nodes=2, cpus_per_node=1)
+        assert engine.heappush is heapq.heappush
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with profile_runs() as profiler:
+                run_amber_sor(problem, nodes=2, cpus_per_node=1,
+                              tracer=_TracerFailingAfter(50))
+        assert profiler.heap_pushes > 0
+        assert engine.heappush is heapq.heappush
+
     def test_nested_profile_runs_rejected(self):
         with profile_runs():
             with pytest.raises(RuntimeError, match="already active"):
@@ -98,16 +128,6 @@ class TestHotLoopProfiler:
         assert len(profiler.samples) >= 2
         times = [t for t, _, _ in profiler.samples]
         assert times == sorted(times)
-
-    def test_publish_mirrors_phases_into_metrics(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        profiler = _profiled_sor()
-        metrics = MetricsRegistry()
-        profiler.publish(metrics)
-        counters = metrics.as_dict()["counters"]
-        assert counters["hotloop_events"] == profiler.events
-        assert counters["hotloop_dispatch_ns"] > 0
 
     def test_render_names_every_phase(self):
         text = render_hotloop(_profiled_sor())

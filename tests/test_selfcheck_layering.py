@@ -32,7 +32,7 @@ repro.analyze.runtime repro.core repro.core.address_space
 repro.core.attachment repro.core.costs repro.core.descriptor
 repro.core.invocation repro.errors repro.faults repro.faults.inject repro.faults.plan
 repro.obs repro.obs.metrics repro.obs.perfetto repro.obs.profile
-repro.obs.sinks repro.perf repro.perf.hotprof repro.recovery
+repro.perf repro.perf.hotprof repro.recovery
 repro.recovery.config repro.runtime repro.runtime.cluster
 repro.runtime.coordinator repro.runtime.handles repro.runtime.kernel
 repro.runtime.lifecycle repro.runtime.messages repro.runtime.node

@@ -75,6 +75,10 @@ class TestTracer:
         assert tracer.dropped == 3
         assert [event.t_us for event in tracer.events] == [3.0, 4.0, 5.0]
 
+    def test_rejects_max_events_below_one(self):
+        with pytest.raises(ValueError, match="max_events >= 1"):
+            Tracer(max_events=0)
+
     def test_no_tracer_no_overhead(self):
         """Runs without a tracer behave identically (and don't crash)."""
         def main(ctx):
