@@ -463,7 +463,6 @@ def run_amber_sor(problem: SorProblem,
                   overlap: bool = True,
                   per_point_us: float = DEFAULT_POINT_UPDATE_US,
                   costs: Optional[CostModel] = None,
-                  contended_network: bool = True,
                   collect_grid: bool = False,
                   tracer=None,
                   faults=None,
@@ -482,8 +481,7 @@ def run_amber_sor(problem: SorProblem,
     workers = (workers_per_section if workers_per_section is not None
                else max(1, total_cpus // nsections))
     place = placement if placement is not None else PlacementPolicy()
-    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node,
-                           contended_network=contended_network)
+    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
     result = AmberProgram(config, costs, faults).run(
         sor_main, problem, nodes, nsections, workers, per_point_us, overlap,
         collect_grid, place, tracer=tracer)

@@ -106,14 +106,13 @@ def run_ivy_sor(problem: SorProblem,
                 processes: Optional[int] = None,
                 per_point_us: float = DEFAULT_POINT_UPDATE_US,
                 costs: Optional[CostModel] = None,
-                contended_network: bool = True,
                 manager_mode: str = "fixed") -> IvySorResult:
     """Run SOR on the DSM.  One process per CPU by default, pinned in
     contiguous blocks (explicit placement, as Ivy requires).
     ``manager_mode`` selects Li & Hudak's ownership algorithm
     (fixed / centralized / dynamic)."""
     nprocs = processes if processes is not None else nodes * cpus_per_node
-    cluster = IvyCluster(nodes, cpus_per_node, costs, contended_network,
+    cluster = IvyCluster(nodes, cpus_per_node, costs,
                          manager_mode=manager_mode)
     for p in range(nprocs):
         row_lo = problem.rows * p // nprocs

@@ -141,7 +141,6 @@ class IvyCluster:
 
     def __init__(self, nodes: int, cpus_per_node: int,
                  costs: Optional[CostModel] = None,
-                 contended_network: bool = True,
                  manager_mode: str = "fixed"):
         if nodes < 1 or cpus_per_node < 1:
             raise SimulationError("cluster needs >=1 node and >=1 CPU")
@@ -152,8 +151,7 @@ class IvyCluster:
         self.manager_mode = manager_mode
         self.costs = costs or CostModel.firefly()
         self.sim = Simulator()
-        self.network = Ethernet(self.sim, self.costs,
-                                contended=contended_network)
+        self.network = Ethernet(self.sim, self.costs)
         self.nodes = [_IvyNode(i, cpus_per_node) for i in range(nodes)]
         self.memory: Dict[int, Any] = {}   # python values at addresses
         self.stats = IvyStats()

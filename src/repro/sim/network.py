@@ -6,9 +6,6 @@ the fixed per-message latency (controller + protocol software at both ends)
 overlaps freely.  That contention matters: the SOR edge-exchange and barrier
 storms compete for the wire exactly as they did on the real segment.
 
-``contended=False`` turns the medium into independent point-to-point links
-(useful for isolating protocol costs in tests and ablations).
-
 With a :class:`~repro.faults.inject.FaultInjector` attached, the
 reliable layer (:meth:`Ethernet.send_reliable`) consults it once per
 transmission attempt: dropped messages still occupy the wire but never
@@ -51,12 +48,10 @@ class Ethernet:
     """Delivers messages after queueing + transmission + fixed latency."""
 
     def __init__(self, sim: Simulator, costs: CostModel,
-                 contended: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  faults=None):
         self._sim = sim
         self._costs = costs
-        self.contended = contended
         self._busy_until_ns = 0
         self.stats = NetworkStats()
         #: Per-message instruments, held (see repro.obs.metrics.Held);
@@ -160,17 +155,13 @@ class Ethernet:
         now_ns = sim.now_ns
         occupancy_us = nbytes * self._costs.per_byte_us
         queued_us = 0.0
-        if self.contended:
-            start_ns = self._busy_until_ns
-            if start_ns > now_ns:
-                queued_us = (start_ns - now_ns) / 1000
-                stats.queueing_us += queued_us
-            else:
-                start_ns = now_ns
-            end_ns = self._busy_until_ns = \
-                start_ns + round(occupancy_us * 1000)
+        start_ns = self._busy_until_ns
+        if start_ns > now_ns:
+            queued_us = (start_ns - now_ns) / 1000
+            stats.queueing_us += queued_us
         else:
-            end_ns = now_ns + round(occupancy_us * 1000)
+            start_ns = now_ns
+        end_ns = self._busy_until_ns = start_ns + round(occupancy_us * 1000)
         stats.messages += 1
         stats.bytes += nbytes
         stats.busy_us += occupancy_us

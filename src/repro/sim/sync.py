@@ -209,7 +209,7 @@ class Lock(_Mutex):
     """A relinquishing (blocking) mutual-exclusion lock."""
 
     __slots__ = ("_held", "_owner", "_waiters", "acquisitions",
-                 "contended_acquisitions", "_acquired_us", "_elide_ok")
+                 "waited_acquisitions", "_acquired_us", "_elide_ok")
 
     _NOUN, _DROP, _COUNTER = "lock", "release", "acquisitions"
     _waiters: Deque[_Thread]
@@ -218,7 +218,7 @@ class Lock(_Mutex):
         super().__init__()
         self._waiters = deque()
         self.acquisitions = 0
-        self.contended_acquisitions = 0
+        self.waited_acquisitions = 0
 
     acquire = _Mutex._take
     release = _Mutex._drop
@@ -227,7 +227,7 @@ class Lock(_Mutex):
         while self._held:
             self._waiters.append(thread)
             yield Suspend("lock")
-        self.contended_acquisitions += 1
+        self.waited_acquisitions += 1
 
     def try_acquire(self, ctx: "InvocationContext") -> bool:
         """Non-blocking attempt; returns True on success.  Atomic."""

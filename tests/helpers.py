@@ -9,12 +9,10 @@ from repro.sim.program import AmberProgram
 from repro.sim.syscalls import Charge, Compute
 
 
-def run(main_fn, *args, nodes=2, cpus=2, costs=None, contended=True):
+def run(main_fn, *args, nodes=2, cpus=2, costs=None):
     """Run a main generator on a small cluster with Table 1 costs."""
-    program = AmberProgram(
-        ClusterConfig(nodes=nodes, cpus_per_node=cpus,
-                      contended_network=contended),
-        costs or CostModel.firefly())
+    program = AmberProgram(ClusterConfig(nodes=nodes, cpus_per_node=cpus),
+                           costs or CostModel.firefly())
     return program.run(main_fn, *args)
 
 

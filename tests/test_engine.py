@@ -103,9 +103,9 @@ class TestSimulator:
 
 
 class TestEthernet:
-    def make(self, contended=True):
+    def make(self):
         sim = Simulator()
-        net = Ethernet(sim, CostModel.firefly(), contended=contended)
+        net = Ethernet(sim, CostModel.firefly())
         return sim, net
 
     def test_uncontended_delivery_time(self):
@@ -126,14 +126,6 @@ class TestEthernet:
         sim.run()
         assert times["a"] == pytest.approx(1600)
         assert times["b"] == pytest.approx(2400)   # +800 of queueing
-
-    def test_uncontended_mode_is_point_to_point(self):
-        sim, net = self.make(contended=False)
-        times = []
-        net.send(0, 1, 1000, lambda: times.append(sim.now_us))
-        net.send(2, 3, 1000, lambda: times.append(sim.now_us))
-        sim.run()
-        assert times == [pytest.approx(1600), pytest.approx(1600)]
 
     def test_stats_accumulate(self):
         sim, net = self.make()

@@ -1,8 +1,11 @@
 """Edge-case tests for the simulated kernel: Sleep, thread-object moves,
 deletion of attached objects, stats plumbing, and network contention."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.costs import CostModel
 from repro.errors import AttachmentError, MobilityError
 from repro.sim.objects import SimObject
 from repro.sim.syscalls import (
@@ -190,9 +193,12 @@ class TestStatsPlumbing:
 
 
 class TestNetworkContention:
-    def test_contended_network_slows_bursts(self):
-        """Eight simultaneous remote invocations on a shared wire take
-        longer than on independent links."""
+    def test_burst_serialises_on_the_wire(self):
+        """Eight simultaneous remote invocations share one wire: their
+        transmissions queue behind each other, so the burst lasts at
+        least one message latency plus every byte it sent on the wire.
+        A slow wire makes that dominate the CPU costs (independent
+        links would finish in about one message's wire time)."""
         class Target(SimObject):
             def op(self, ctx):
                 if False:
@@ -201,17 +207,20 @@ class TestNetworkContention:
         def main(ctx):
             targets = []
             for node in range(1, 5):
-                targets.append((yield New(Target, on_node=node,
-                                          size_bytes=1000)))
+                targets.append((yield New(Target, on_node=node)))
+            wire = ctx.cluster.network.stats
+            t0, bytes0 = ctx.now_us, wire.bytes
             callers = []
             for target in targets:
                 for _ in range(2):
                     callers.append((yield Fork(target, "op")))
-            t0 = ctx.now_us
             for caller in callers:
                 yield Join(caller)
-            return ctx.now_us - t0
+            return ctx.now_us - t0, wire.bytes - bytes0, wire.queueing_us
 
-        shared = run(main, nodes=5, cpus=4, contended=True).value
-        independent = run(main, nodes=5, cpus=4, contended=False).value
-        assert shared > independent
+        costs = replace(CostModel.firefly(), per_byte_us=8.0)
+        elapsed, burst_bytes, queueing_us = run(
+            main, nodes=5, cpus=4, costs=costs).value
+        assert burst_bytes >= 8 * costs.thread_packet_bytes
+        assert queueing_us > 0
+        assert elapsed >= costs.wire_us(burst_bytes)

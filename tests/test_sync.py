@@ -132,7 +132,7 @@ class TestLock:
                                            5_000.0)))
             for worker in workers:
                 yield Join(worker)
-            return lock.acquisitions, lock.contended_acquisitions
+            return lock.acquisitions, lock.waited_acquisitions
 
         acquisitions, contended = run(main, cpus=4).value
         assert acquisitions == 15
