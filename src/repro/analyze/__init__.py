@@ -25,11 +25,11 @@ Three cooperating tools (see ``docs/ANALYSIS.md``):
   AMB201-AMB205 locality diagnostics, and cross-validates its
   predictions against simulator runs of the bundled apps.
 
-The subsystem is enabled per run (``AmberProgram(..., sanitize=True)``,
-``--sanitize`` on the CLI, or :func:`repro.analyze.runtime.sanitize_runs`)
-and is entirely passive: it schedules no simulator events, charges no
-costs, and consumes no PRNG draws, so sanitized runs are bit-identical
-to unsanitized ones.
+AmberSan observes every simulated run inside a
+:func:`repro.analyze.runtime.sanitize_runs` block (``--sanitize`` on
+the CLI opens one) and is entirely passive: it schedules no simulator
+events, charges no costs, and consumes no PRNG draws, so sanitized
+runs are bit-identical to unsanitized ones.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    cast,
 )
 
 from repro.analyze import runtime as _rt
@@ -302,25 +303,21 @@ def run_schedule(program_fn: Callable[[], Any],
     """Run ``program_fn`` once under a controller, sanitized.
 
     ``program_fn`` runs a bounded simulated program (e.g. one of the
-    :mod:`repro.analyze.fixtures`) with ``sanitize=True`` and returns
-    its :class:`~repro.sim.program.ProgramResult`.  This is also the
-    replay primitive: passing a previously recorded choice trace as
-    ``forced`` reproduces that schedule bit-identically.
+    :mod:`repro.analyze.fixtures`) and returns its
+    :class:`~repro.sim.program.ProgramResult`.  Every run it starts
+    gets a tracing sanitizer; the last run's findings and events are
+    the schedule's.  This is also the replay primitive: passing a
+    previously recorded choice trace as ``forced`` reproduces that
+    schedule bit-identically.
     """
     if controller is None:
         controller = ChoiceController(forced)
-    sanitizers: List[_TracingSanitizer] = []
-
-    def factory() -> Sanitizer:
-        sanitizer = _TracingSanitizer(controller)
-        sanitizers.append(sanitizer)
-        return sanitizer
-
     _rt.install_controller(controller)
-    _rt.set_sanitizer_factory(factory)
     status, detail, value_repr, elapsed_us = "ok", "", "", 0.0
     try:
-        result = program_fn()
+        with _rt.sanitize_runs(
+                lambda: _TracingSanitizer(controller)) as sanitizers:
+            result = program_fn()
         value_repr = repr(getattr(result, "value", None))
         elapsed_us = float(getattr(result, "elapsed_us", 0.0))
     except DeadlockError as exc:
@@ -329,15 +326,15 @@ def run_schedule(program_fn: Callable[[], Any],
         status = f"exception:{type(exc).__name__}"
         detail = str(exc)
     finally:
-        _rt.set_sanitizer_factory(None)
         _rt.uninstall_controller()
 
     findings: List[Tuple[str, str]] = []
     events: List[_Event] = []
     if sanitizers:
-        report = sanitizers[-1].report()
-        findings = [(f.signature(), f.render()) for f in report.findings]
-        events = sanitizers[-1].events
+        last = cast(_TracingSanitizer, sanitizers[-1])
+        findings = [(f.signature(), f.render())
+                    for f in last.report().findings]
+        events = last.events
     return RunOutcome(
         forced=tuple(forced), choices=controller.choices(),
         points=list(controller.points), status=status, detail=detail,

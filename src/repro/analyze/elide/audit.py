@@ -119,12 +119,8 @@ def audit_run(run: Callable[[], Any]
     result, the findings, and where each marked lock was created."""
     from repro.analyze import runtime as _rt
 
-    _rt.set_sanitizer_factory(_make_audit_sanitizer)
-    try:
-        with _rt.sanitize_runs() as sanitizers:
-            result = run()
-    finally:
-        _rt.set_sanitizer_factory(None)
+    with _rt.sanitize_runs(_make_audit_sanitizer) as sanitizers:
+        result = run()
     findings = [f for s in sanitizers for f in s.report().findings]
     marked = [site for s in sanitizers
               for site in getattr(s, "marked", ())]

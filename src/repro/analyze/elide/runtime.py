@@ -49,11 +49,9 @@ class ElideSet:
 #: The active elision set, or None.
 ACTIVE: Optional[ElideSet] = None
 
-#: True while the soundness audit is running: lock elision stays on,
-#: but the interposition skip is disabled so every access is observed.
-AUDIT: bool = False
-
-#: Hot-path views (empty when nothing is active).
+#: Hot-path views (empty when nothing is active).  An audit-mode
+#: activation keeps lock elision on but leaves ``SKIP`` empty, so every
+#: access is observed.
 SKIP: FrozenSet[str] = frozenset()
 LOCK_OWNERS: FrozenSet[Tuple[str, str]] = frozenset()
 
@@ -64,19 +62,17 @@ STALE_DISABLES = 0
 
 def activate(elide_set: ElideSet, audit: bool = False) -> None:
     """Make ``elide_set`` the process-wide elision set."""
-    global ACTIVE, AUDIT, SKIP, LOCK_OWNERS
+    global ACTIVE, SKIP, LOCK_OWNERS
     if ACTIVE is not None:
         raise RuntimeError("an elision set is already active")
     ACTIVE = elide_set
-    AUDIT = audit
     SKIP = frozenset() if audit else elide_set.skip_classes
     LOCK_OWNERS = elide_set.lock_owners
 
 
 def deactivate() -> None:
-    global ACTIVE, AUDIT, SKIP, LOCK_OWNERS
+    global ACTIVE, SKIP, LOCK_OWNERS
     ACTIVE = None
-    AUDIT = False
     SKIP = frozenset()
     LOCK_OWNERS = frozenset()
 

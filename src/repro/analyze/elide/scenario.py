@@ -110,14 +110,14 @@ class _RunRecord:
             bailouts=bailed.value if bailed else 0)
 
 
-def _program(fx: ElideFixture, sanitize: bool = False) -> Any:
+def _program(fx: ElideFixture) -> Any:
     """An ``AmberProgram`` on the cluster ``fx`` was written for."""
     from repro.sim.cluster import ClusterConfig
     from repro.sim.program import AmberProgram
 
     config = ClusterConfig(nodes=fx.nodes,
                            cpus_per_node=fx.cpus_per_node)
-    return AmberProgram(config, sanitize=sanitize)
+    return AmberProgram(config)
 
 
 def _plain_run(fx: ElideFixture) -> _RunRecord:
@@ -138,7 +138,7 @@ def _activated(fx: ElideFixture, audit: bool = False) -> ElideArtifact:
 def _audit_fixture(fx: ElideFixture
                    ) -> Tuple[Any, List[Any], List[Tuple[str, str, int]]]:
     main = fx.load_main()
-    return audit_run(lambda: _program(fx, sanitize=True).run(main))
+    return audit_run(lambda: _program(fx).run(main))
 
 
 def _mismarked(artifact: ElideArtifact,
@@ -455,7 +455,7 @@ def _outcome_schedule_audit() -> Outcome:
         main = fx.load_main()
 
         def program() -> Any:
-            return _program(fx, sanitize=True).run(main)
+            return _program(fx).run(main)
 
         _activated(fx, audit=True)
         try:

@@ -11,6 +11,10 @@ must stall with a wait-for cycle report.
 interleaving while leaving the defect and its source sites fixed: the
 determinism scenarios assert that finding *signatures* are identical
 across seeds.
+
+A runner never sanitizes on its own: run it inside
+:func:`repro.analyze.runtime.sanitize_runs` to get
+``result.cluster.sanitizer``.
 """
 
 from __future__ import annotations
@@ -66,8 +70,7 @@ class BumpAnchor(SimObject):
 
 
 def run_racy_counter(seed: int = 0, locked: bool = False,
-                     rounds: int = DEFAULT_ROUNDS,
-                     sanitize: bool = True) -> ProgramResult:
+                     rounds: int = DEFAULT_ROUNDS) -> ProgramResult:
     """Two threads increment an unlocked shared counter (race), or the
     same program with a lock (clean) when ``locked``."""
 
@@ -87,8 +90,7 @@ def run_racy_counter(seed: int = 0, locked: bool = False,
             yield Join(thread)
         return shared.count
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2))
     return program.run(main, seed)
 
 
@@ -114,8 +116,7 @@ class Clobberer(SimObject):
         cfg.value = 99
 
 
-def run_immutable_write(seed: int = 0,
-                        sanitize: bool = True) -> ProgramResult:
+def run_immutable_write(seed: int = 0) -> ProgramResult:
     def main(ctx: Any, seed: int) -> Any:
         rng = random.Random(seed)
         cfg = yield New(Config)
@@ -127,8 +128,7 @@ def run_immutable_write(seed: int = 0,
         yield Join(thread)
         return (yield Invoke(cfg, "get"))
 
-    program = AmberProgram(ClusterConfig(nodes=2, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=2, cpus_per_node=2))
     return program.run(main, seed)
 
 
@@ -154,8 +154,7 @@ class Toucher(SimObject):
         return got + direct
 
 
-def run_nonresident_touch(seed: int = 0,
-                          sanitize: bool = True) -> ProgramResult:
+def run_nonresident_touch(seed: int = 0) -> ProgramResult:
     def main(ctx: Any, seed: int) -> Any:
         rng = random.Random(seed)
         far = yield New(Far)
@@ -165,8 +164,7 @@ def run_nonresident_touch(seed: int = 0,
         thread = yield Fork(toucher, "touch", far, name="toucher")
         return (yield Join(thread))
 
-    program = AmberProgram(ClusterConfig(nodes=2, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=2, cpus_per_node=2))
     return program.run(main, seed)
 
 
@@ -186,8 +184,7 @@ class LockUser(SimObject):
         yield Invoke(first, "release")
 
 
-def run_lock_inversion(seed: int = 0,
-                       sanitize: bool = True) -> ProgramResult:
+def run_lock_inversion(seed: int = 0) -> ProgramResult:
     """Thread order-ab takes A then B; thread order-ba takes B then A —
     run *sequentially* so the run cannot deadlock, yet the lock-order
     graph must still report the cycle."""
@@ -205,8 +202,7 @@ def run_lock_inversion(seed: int = 0,
             yield Join(thread)
         return True
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2))
     return program.run(main, seed)
 
 
@@ -222,8 +218,7 @@ class RwUser(SimObject):
         yield Invoke(first, release)
 
 
-def run_rw_inversion(seed: int = 0, mode: str = "read",
-                     sanitize: bool = True) -> ProgramResult:
+def run_rw_inversion(seed: int = 0, mode: str = "read") -> ProgramResult:
     """Two threads take a pair of reader-writer locks in opposite
     orders, *sequentially* (no deadlock possible).  In ``write`` mode
     this is the classic inversion and must produce a lock-order cycle;
@@ -243,13 +238,11 @@ def run_rw_inversion(seed: int = 0, mode: str = "read",
             yield Join(thread)
         return True
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2))
     return program.run(main, seed)
 
 
-def run_lock_deadlock(seed: int = 0,
-                      sanitize: bool = False) -> ProgramResult:
+def run_lock_deadlock(seed: int = 0) -> ProgramResult:
     """The same inversion run *concurrently* with holds long enough to
     interleave fatally: stalls, raising DeadlockError with the wait-for
     cycle report."""
@@ -267,8 +260,7 @@ def run_lock_deadlock(seed: int = 0,
         yield Join(t2)
         return True
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2))
     return program.run(main, seed)
 
 
@@ -314,8 +306,8 @@ class SlotBumper(SimObject):
             shared.count = count + 1
 
 
-def run_opaque_state(seed: int = 0, rounds: int = DEFAULT_ROUNDS,
-                     sanitize: bool = True) -> ProgramResult:
+def run_opaque_state(seed: int = 0,
+                     rounds: int = DEFAULT_ROUNDS) -> ProgramResult:
     """Two threads race on a slotted counter (a race the field hooks
     cannot fully observe) while a property-bearing object sits nearby:
     both classes must be reported as AMBSAN-OPAQUE."""
@@ -335,8 +327,7 @@ def run_opaque_state(seed: int = 0, rounds: int = DEFAULT_ROUNDS,
             yield Join(thread)
         return (shared.count, derived.count)
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=2))
     return program.run(main, seed)
 
 
@@ -402,7 +393,6 @@ class Setter(SimObject):
 
 
 def run_sync_zoo(seed: int = 0, rounds: int = 3,
-                 sanitize: bool = True,
                  cpus_per_node: int = 4) -> ProgramResult:
     """Barrier epochs, monitor mutual exclusion, and a condvar handoff,
     all used correctly: the sanitizer must stay silent.
@@ -450,8 +440,7 @@ def run_sync_zoo(seed: int = 0, rounds: int = 3,
                 "handoff": got}
 
     program = AmberProgram(
-        ClusterConfig(nodes=1, cpus_per_node=cpus_per_node),
-        sanitize=sanitize)
+        ClusterConfig(nodes=1, cpus_per_node=cpus_per_node))
     return program.run(main, seed)
 
 
@@ -514,8 +503,7 @@ class GateChaser(SimObject):
         return seen
 
 
-def run_hidden_race(seed: int = 0, decoys: int = 10,
-                    sanitize: bool = True) -> ProgramResult:
+def run_hidden_race(seed: int = 0, decoys: int = 10) -> ProgramResult:
     """A data race on ``board.data`` that manifests only if the chaser's
     gate observation lands inside the writer's one-segment window —
     rare under random scheduling, clean on the default schedule, found
@@ -537,8 +525,7 @@ def run_hidden_race(seed: int = 0, decoys: int = 10,
         yield Join(tw)
         return {"data": board.data, "seen": seen}
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=1),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=1))
     return program.run(main, seed)
 
 
@@ -595,8 +582,7 @@ class ModeFollower(SimObject):
         return seen
 
 
-def run_hidden_deadlock(seed: int = 0, decoys: int = 10,
-                        sanitize: bool = True) -> ProgramResult:
+def run_hidden_deadlock(seed: int = 0, decoys: int = 10) -> ProgramResult:
     """A deadlock reachable only through a double coincidence: the
     follower must observe the transient mode=1 (inverting its lock
     order), and the two lock phases must then interleave fatally.  The
@@ -622,6 +608,5 @@ def run_hidden_deadlock(seed: int = 0, decoys: int = 10,
         yield Join(tf)
         return {"seen": seen}
 
-    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=1),
-                           sanitize=sanitize)
+    program = AmberProgram(ClusterConfig(nodes=1, cpus_per_node=1))
     return program.run(main, seed)

@@ -16,7 +16,7 @@ to record and force scheduling decisions.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analyze.check import ChoiceController
@@ -31,26 +31,9 @@ ACTIVE: Optional["Sanitizer"] = None
 #: :class:`repro.sim.scheduler.ControlledScheduler` (ready-queue picks).
 CONTROLLER: Optional["ChoiceController"] = None
 
-_AUTO: bool = False
-_COLLECTED: Optional[List["Sanitizer"]] = None
-_SANITIZER_FACTORY: Optional[Callable[[], "Sanitizer"]] = None
-
-
-def activate(sanitizer: "Sanitizer") -> None:
-    """Make ``sanitizer`` the process-wide active sanitizer."""
-    global ACTIVE
-    if ACTIVE is not None:
-        raise RuntimeError("a sanitizer is already active")
-    ACTIVE = sanitizer
-
-
-def deactivate() -> None:
-    global ACTIVE
-    ACTIVE = None
-
-
-def active() -> Optional["Sanitizer"]:
-    return ACTIVE
+#: The innermost open :func:`sanitize_runs` block: its sanitizer
+#: builder and the list its runs' sanitizers are appended to.
+_BLOCK: Optional[Tuple[Callable[[], "Sanitizer"], List["Sanitizer"]]] = None
 
 
 def install_controller(controller: "ChoiceController") -> None:
@@ -66,55 +49,39 @@ def uninstall_controller() -> None:
     CONTROLLER = None
 
 
-def controller() -> Optional["ChoiceController"]:
-    return CONTROLLER
-
-
-def set_sanitizer_factory(
-        factory: Optional[Callable[[], "Sanitizer"]]) -> None:
-    """Override the sanitizer class instantiated per sanitized run —
-    AmberCheck installs a tracing subclass that additionally logs the
-    access/lock event stream its dependence analysis needs."""
-    global _SANITIZER_FACTORY
-    _SANITIZER_FACTORY = factory
-
-
-def make_sanitizer() -> "Sanitizer":
-    """Build the sanitizer for one run (factory override or default)."""
-    if _SANITIZER_FACTORY is not None:
-        return _SANITIZER_FACTORY()
-    from repro.analyze.sanitizer import Sanitizer
-
-    return Sanitizer()
-
-
-def auto_enabled() -> bool:
-    """True inside a :func:`sanitize_runs` block: every
-    :class:`repro.sim.program.AmberProgram` run sanitizes itself."""
-    return _AUTO
-
-
-def collect(sanitizer: "Sanitizer") -> None:
-    """Hand a finished run's sanitizer to the enclosing
-    :func:`sanitize_runs` block (no-op outside one)."""
-    if _COLLECTED is not None:
-        _COLLECTED.append(sanitizer)
+def sanitizer_for_run() -> Optional["Sanitizer"]:
+    """The sanitizer for one :class:`repro.sim.program.AmberProgram`
+    run: inside a :func:`sanitize_runs` block a new one, appended to
+    the block's list; outside any block ``None``."""
+    if _BLOCK is None:
+        return None
+    if ACTIVE is not None:
+        raise RuntimeError("a sanitizer is already active")
+    make, collected = _BLOCK
+    sanitizer = make()
+    collected.append(sanitizer)
+    return sanitizer
 
 
 @contextmanager
-def sanitize_runs() -> Iterator[List["Sanitizer"]]:
+def sanitize_runs(make: Optional[Callable[[], "Sanitizer"]] = None
+                  ) -> Iterator[List["Sanitizer"]]:
     """Sanitize every simulated program run in the block.
 
-    Yields a list that accumulates the :class:`Sanitizer` of each run
-    started inside the block — the mechanism behind the CLI's
-    ``--sanitize`` flag, which cannot thread a parameter through every
-    workload entry point.
+    Each run gets a fresh ``make()`` (default: a plain
+    :class:`Sanitizer`; AmberCheck passes a tracing subclass, the
+    AmberElide audit an auditing one).  Yields the list of every run's
+    sanitizer, in run order.  A nested block restores the outer
+    block's ``make`` and list on exit.
     """
-    global _AUTO, _COLLECTED
-    saved = (_AUTO, _COLLECTED)
+    global _BLOCK
+    if make is None:
+        from repro.analyze.sanitizer import Sanitizer
+        make = Sanitizer
+    outer = _BLOCK
     collected: List["Sanitizer"] = []
-    _AUTO, _COLLECTED = True, collected
+    _BLOCK = (make, collected)
     try:
         yield collected
     finally:
-        _AUTO, _COLLECTED = saved
+        _BLOCK = outer

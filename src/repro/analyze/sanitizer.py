@@ -188,10 +188,9 @@ class SanitizerReport:
 
 
 class Sanitizer:
-    """Observes one simulated run.  Create, pass to
-    :class:`repro.sim.program.AmberProgram` (``sanitize=True``) or
-    activate via :func:`repro.analyze.runtime.sanitize_runs`, then read
-    :meth:`report`."""
+    """Observes one simulated run.  :func:`repro.analyze.runtime.
+    sanitize_runs` builds one per :class:`repro.sim.program.AmberProgram`
+    run in its block (``make=`` for a subclass); read :meth:`report`."""
 
     def __init__(self) -> None:
         self.cluster: Any = None

@@ -95,8 +95,12 @@ def run_analysis_scenarios(seed: int = 0,
 # ----------------------------------------------------------------------
 
 
-def _report_of(result: Any) -> SanitizerReport:
-    return cast(SanitizerReport, result.cluster.sanitizer.report())
+def _sanitized(fixture: Callable[[int], Any], seed: int
+               ) -> Tuple[Any, SanitizerReport]:
+    """Run ``fixture(seed)`` under AmberSan: its result and report."""
+    with sanitize_runs():
+        result = fixture(seed)
+    return result, cast(SanitizerReport, result.cluster.sanitizer.report())
 
 
 def _expect_findings(name: str, description: str,
@@ -105,8 +109,7 @@ def _expect_findings(name: str, description: str,
     """The fixture must produce at least one finding of each expected
     rule, no findings of other rules, and identical signatures on a
     repeat run and on neighbouring seeds."""
-    result = fixture(seed)
-    report = _report_of(result)
+    result, report = _sanitized(fixture, seed)
     seen_rules = {f.rule for f in report.findings}
     signatures = report.signatures()
     correct = rules <= seen_rules and seen_rules <= rules
@@ -116,7 +119,7 @@ def _expect_findings(name: str, description: str,
                   f"saw {sorted(seen_rules)}")
     deterministic = True
     for other_seed in (seed, seed + 1, seed + 2):
-        again = _report_of(fixture(other_seed)).signatures()
+        again = _sanitized(fixture, other_seed)[1].signatures()
         if again != signatures:
             deterministic = False
             detail = (detail + " " if detail else "") + (
@@ -132,8 +135,7 @@ def _expect_findings(name: str, description: str,
 def _expect_clean(name: str, description: str,
                   fixture: Callable[[int], Any],
                   seed: int) -> Outcome:
-    result = fixture(seed)
-    report = _report_of(result)
+    result, report = _sanitized(fixture, seed)
     detail = "" if report.ok else report.render()
     return judged(
         name, description, report.ok, True, expected="clean",
@@ -144,8 +146,8 @@ def _expect_clean(name: str, description: str,
 def _timing_neutral(seed: int) -> Outcome:
     """Sanitizing must not move a single simulated timestamp or change
     the program's result."""
-    plain = run_racy_counter(seed=seed, sanitize=False)
-    sanitized = run_racy_counter(seed=seed, sanitize=True)
+    plain = run_racy_counter(seed=seed)
+    sanitized, _ = _sanitized(run_racy_counter, seed)
     correct = (plain.elapsed_us == sanitized.elapsed_us
                and plain.value == sanitized.value)
     detail = "" if correct else (

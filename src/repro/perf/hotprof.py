@@ -282,8 +282,8 @@ def profile_runs(sample_every: int = 4096
     The mechanism behind ``repro perf --profile``: workload entry points
     build their own clusters internally, so the profiler is handed to
     :class:`repro.sim.program.AmberProgram` through this process-global,
-    exactly like the sanitizer's :func:`~repro.analyze.runtime.
-    sanitize_runs`.
+    the same way :func:`~repro.analyze.runtime.sanitize_runs` hands it
+    each run's sanitizer.
     """
     global _CURRENT
     if _CURRENT is not None:

@@ -76,7 +76,7 @@ class AmberProgram:
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  costs: Optional[CostModel] = None,
-                 faults=None, recovery=None, sanitize: bool = False):
+                 faults=None, recovery=None):
         self.config = config or ClusterConfig()
         self.costs = costs
         #: Optional repro.faults.plan.FaultPlan applied to the run.
@@ -84,12 +84,6 @@ class AmberProgram:
         #: Optional repro.recovery.config.RecoveryConfig enabling crash
         #: detection, checkpoint/promotion, and thread resurrection.
         self.recovery = recovery
-        #: Observe the run with AmberSan (repro.analyze): happens-before
-        #: race detection, immutable-write and residency checks, and the
-        #: lock-order deadlock predictor.  Purely passive — simulated
-        #: timestamps and results are unchanged.  Read the findings from
-        #: ``result.cluster.sanitizer.report()``.
-        self.sanitize = sanitize
 
     def run(self, main_fn, *args, main_node: int = 0,
             until_us: Optional[float] = None,
@@ -97,9 +91,12 @@ class AmberProgram:
         """Run ``main_fn(ctx, *args)`` as the main thread on ``main_node``.
 
         ``tracer`` (a :class:`repro.sim.trace.Tracer`) receives kernel
-        events.  Raises the main thread's exception if it failed, and
-        :class:`DeadlockError` if the simulation ran out of events with the
-        main thread still alive.
+        events.  Inside a :func:`repro.analyze.runtime.sanitize_runs`
+        block AmberSan observes the run, purely passively; its findings
+        are ``result.cluster.sanitizer.report()``.  Raises the main
+        thread's exception if it failed, and :class:`DeadlockError` if
+        the simulation ran out of events with the main thread still
+        alive.
         """
         cluster = SimCluster(self.config, self.costs, self.faults,
                              recovery=self.recovery)
@@ -119,11 +116,10 @@ class AmberProgram:
             _MainObject, (main_fn, args), {}, main_node, None)
         main_thread = kernel.thread_manager.start_main(
             main_obj, "run", (), main_node)
-        sanitizer = None
-        if self.sanitize or _analysis.auto_enabled():
-            sanitizer = _analysis.make_sanitizer()
+        sanitizer = _analysis.sanitizer_for_run()
+        if sanitizer is not None:
             sanitizer.bind(cluster)
-            _analysis.activate(sanitizer)
+            _analysis.ACTIVE = sanitizer
         # Hot-loop self-profiler (repro perf --profile): attached after
         # the sanitizer so its hook proxy wraps the active sanitizer,
         # detached before deactivation so the original is restored.
@@ -136,9 +132,8 @@ class AmberProgram:
             if profiler is not None:
                 profiler.detach()
             if sanitizer is not None:
-                _analysis.deactivate()
+                _analysis.ACTIVE = None
                 sanitizer.unbind()
-                _analysis.collect(sanitizer)
         if main_thread.state is not ThreadState.DONE:
             raise DeadlockError(_describe_stall(kernel, main_thread))
         if main_thread.exception is not None:

@@ -17,6 +17,7 @@ from repro.analyze.fixtures import (
     run_hidden_race,
     run_racy_counter,
 )
+from repro.analyze.scenario import small_app_jobs
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
 
@@ -152,6 +153,27 @@ class TestExploration:
         assert payload["findings"]
         rendered = report.render()
         assert "replay" in rendered
+
+
+class TestAppsUnderCheck:
+    """A bundled app builds its own ``AmberProgram``: the explorer must
+    still sanitize it, or it records no dependence events and never
+    branches."""
+
+    @pytest.fixture(scope="class")
+    def sor_job(self):
+        jobs = dict(small_app_jobs(12, 8, 2, queens_n=5, matmul_n=12))
+        return jobs["sor"]
+
+    def test_schedule_records_dependence_events(self, sor_job):
+        outcome = run_schedule(sor_job)
+        assert outcome.status == "ok"
+        assert len(outcome.events) > 0
+
+    def test_exploration_branches(self, sor_job):
+        report = check_program(sor_job, name="sor", budget=12)
+        assert report.ok, report.render()
+        assert report.schedules > 1
 
 
 class TestCheckCli:
