@@ -434,7 +434,7 @@ class RecoveryManager:
                 cpu = node.cpus[thread.cpu]
                 if cpu.thread is thread:
                     if cpu.run_event is not None:
-                        cpu.run_event.cancel()
+                        self.sim.cancel(cpu.run_event)
                     cpu.thread = None
                     cpu.run_event = None
                 thread.cpu = None

@@ -3,40 +3,38 @@
 Every cause of simulated delay — CPU charges, wire time, protocol waits —
 becomes an event.  Events at equal timestamps fire in scheduling order
 (a monotonic sequence number breaks ties), so runs are exactly reproducible.
+
+An event is its heap entry, the list ``[time_ns, seq, fn]``; there is no
+event object.  ``seq`` is unique, so every ordering decision resolves on
+the two integers at C speed and ``fn`` is never compared.  Cancelling an
+entry sets its ``fn`` to ``None`` (lazy deletion: the entry stays in the
+heap and is skipped, uncounted, when it reaches the top).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import SimulationError
 
 NS_PER_US = 1000
 
 
-class Event:
-    """A scheduled callback.  ``cancel()`` makes it a no-op (lazy deletion:
-    the heap entry stays but is skipped when popped).
+#: A heap entry: ``[time_ns, seq, fn]``, ``fn`` ``None`` once cancelled.
+Entry = List
 
-    Events never compare with each other: the heap holds
-    ``(time_ns, seq, event)`` triples, and ``seq`` is unique, so every
-    ordering decision resolves on the integers at C speed — a Python
-    ``__lt__`` here would put an interpreter frame inside every sift of
-    every heap operation of the hot loop.
-    """
 
-    __slots__ = ("time_ns", "seq", "fn", "cancelled")
+class _Handle(list):
+    """The entry :meth:`Simulator.schedule_us` returns: a plain entry
+    that also answers ``cancel()``, for callers outside the simulator
+    that hold the handle but not the simulator."""
 
-    def __init__(self, time_ns: int, seq: int, fn: Callable[[], None]):
-        self.time_ns = time_ns
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
+    __slots__ = ()
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self[2] = None
 
 
 class Simulator:
@@ -45,12 +43,20 @@ class Simulator:
     ``max_events`` bounds total event count as a runaway-program backstop
     (a simulation hitting it raises :class:`SimulationError` rather than
     spinning forever).
+
+    ``queue`` and ``seq`` are public because the kernel's
+    :meth:`~repro.sim.kernel.AmberKernel.charge`, one push per charge,
+    builds and pushes its own entry exactly as :meth:`schedule_at_ns`
+    would, through this module's ``heappush`` (which the self-profiler
+    swaps to time every push).
     """
 
     def __init__(self, max_events: int = 500_000_000):
         self.now_ns: int = 0
-        self._queue: List[Tuple[int, int, Event]] = []
-        self._seq = 0
+        #: The event heap of ``[time_ns, seq, fn]`` entries.
+        self.queue: List[Entry] = []
+        #: The sequence number the next entry gets.
+        self.seq = 0
         self._events_run = 0
         self.max_events = max_events
         #: Optional hot-loop self-profiler (see
@@ -71,27 +77,37 @@ class Simulator:
         """Events executed so far — the denominator of events/sec."""
         return self._events_run
 
-    def schedule_us(self, delay_us: float, fn: Callable[[], None]) -> Event:
+    def schedule_us(self, delay_us: float,
+                    fn: Callable[[], None]) -> Entry:
         """Schedule ``fn`` to run ``delay_us`` microseconds from now."""
         if delay_us < 0:
             raise SimulationError(f"negative delay: {delay_us}")
-        return self.schedule_at_ns(self.now_ns + round(delay_us * NS_PER_US),
-                                   fn)
+        seq = self.seq
+        self.seq = seq + 1
+        entry = _Handle((self.now_ns + round(delay_us * NS_PER_US), seq, fn))
+        heappush(self.queue, entry)
+        return entry
 
-    def schedule_at_ns(self, time_ns: int, fn: Callable[[], None]) -> Event:
+    def schedule_at_ns(self, time_ns: int, fn: Callable[[], None]) -> Entry:
         if time_ns < self.now_ns:
             raise SimulationError(
                 f"event scheduled in the past: {time_ns} < {self.now_ns}")
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time_ns, seq, fn)
-        heappush(self._queue, (time_ns, seq, event))
-        return event
+        seq = self.seq
+        self.seq = seq + 1
+        entry = [time_ns, seq, fn]
+        heappush(self.queue, entry)
+        return entry
 
-    def call_now(self, fn: Callable[[], None]) -> Event:
+    def call_now(self, fn: Callable[[], None]) -> Entry:
         """Schedule ``fn`` at the current time (after already-queued events
         at this timestamp)."""
         return self.schedule_at_ns(self.now_ns, fn)
+
+    @staticmethod
+    def cancel(entry: Entry) -> None:
+        """Make a scheduled entry a no-op: it is skipped, and not counted
+        in :attr:`events_run`, when it reaches the top of the heap."""
+        entry[2] = None
 
     def run(self, until_us: Optional[float] = None) -> None:
         """Drain the event queue, optionally stopping once the clock would
@@ -104,7 +120,7 @@ class Simulator:
         if self.profiler is not None:
             self._run_profiled(until_us)
             return
-        queue = self._queue
+        queue = self.queue
         pop = heappop
         max_events = self.max_events
         events_run = self._events_run
@@ -113,8 +129,8 @@ class Simulator:
         try:
             while queue:
                 head = queue[0]
-                event = head[2]
-                if event.cancelled:
+                fn = head[2]
+                if fn is None:
                     pop(queue)
                     continue
                 time_ns = head[0]
@@ -127,7 +143,7 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; "
                         "likely a livelocked simulation")
-                event.fn()
+                fn()
         finally:
             # The counter lives in a local while the loop runs; publish
             # it on every exit, including an event that raised.
@@ -140,7 +156,7 @@ class Simulator:
         inside a dispatch are timed by the profiler's swapped-in
         ``heappush`` and hook proxies, and subtracted by its report."""
         profiler = self.profiler
-        queue = self._queue
+        queue = self.queue
         pop = heappop
         max_events = self.max_events
         events_run = self._events_run
@@ -150,7 +166,7 @@ class Simulator:
             while queue:
                 t0 = perf_counter()
                 head = queue[0]
-                while head[2].cancelled:
+                while head[2] is None:
                     pop(queue)
                     if not queue:
                         profiler.heap_pop_s += perf_counter() - t0
@@ -168,7 +184,7 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; "
                         "likely a livelocked simulation")
-                head[2].fn()
+                head[2]()
                 profiler.dispatch_s += perf_counter() - t1
                 profiler.events += 1
                 if profiler.events % profiler.sample_every == 0:
@@ -178,4 +194,4 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of non-cancelled events still queued."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        return sum(1 for entry in self.queue if entry[2] is not None)

@@ -27,6 +27,8 @@ structure").
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Any, List, Optional
 
 from repro.analyze import runtime as _analysis
@@ -35,12 +37,14 @@ from repro.errors import AmberError, InvocationError, ObjectNotFoundError
 from repro.obs.metrics import Held
 from repro.sim import syscalls as sc
 from repro.analyze.elide import runtime as _ert
+from repro.sim import engine as _engine
 from repro.sim.cluster import SimCluster
 from repro.sim.engine import NS_PER_US
 from repro.sim.mobility import Mobility
 from repro.sim.node import Cpu, SimNode
 from repro.sim.objects import ObjectManager, SimObject
-from repro.sim.thread import Activation, SimThread, ThreadManager, ThreadState
+from repro.sim.thread import (
+    READY, RUNNING, Activation, SimThread, ThreadManager)
 
 
 class InvocationContext:
@@ -59,7 +63,7 @@ class InvocationContext:
 
     @property
     def now_us(self) -> float:
-        return self._kernel.sim.now_us
+        return self._kernel.sim.now_ns / NS_PER_US
 
     @property
     def cluster(self) -> SimCluster:
@@ -130,12 +134,11 @@ class AmberKernel:
     def _schedule_fault_events(self, plan) -> None:
         for crash in plan.crashes:
             self.cluster.node(crash.node)  # validates the node id
-            self.sim.schedule_us(
-                crash.at_us, lambda c=crash: self._crash_node(c.node))
+            self.sim.schedule_us(crash.at_us,
+                                 partial(self._crash_node, crash.node))
             if crash.restart_us is not None:
-                self.sim.schedule_us(
-                    crash.restart_us,
-                    lambda c=crash: self._restart_node(c.node))
+                self.sim.schedule_us(crash.restart_us,
+                                     partial(self._restart_node, crash.node))
 
     def _crash_node(self, node_id: int) -> None:
         """Fail-stop ``node_id``: its network interface goes silent (the
@@ -189,43 +192,45 @@ class AmberKernel:
     def ready(self, thread: SimThread, node_id: int,
               surcharge_us: float) -> None:
         """Queue ``thread`` as runnable on ``node_id``."""
-        thread.state = ThreadState.READY
+        thread.state = READY
         thread.location = node_id
         thread.cpu = None
         thread.surcharge_us += surcharge_us
         node = self.cluster.nodes[node_id]
-        self.trace("ready", node_id, thread.name)
+        tracer = self.cluster.tracer
+        if tracer is not None:
+            self.trace("ready", node_id, thread.name)
         node.scheduler.enqueue(thread)
-        if self.cluster.tracer is not None:
+        if tracer is not None:
             self.metrics.sample(f"ready_queue_n{node_id}",
                                 len(node.scheduler))
         self.try_dispatch(node)
 
     def try_dispatch(self, node: SimNode) -> None:
-        """Give each idle CPU of ``node`` the next ready thread."""
+        """Give each idle CPU of ``node`` the next ready thread, in one
+        pass over the CPUs (installing a thread never frees a CPU)."""
         if node.down:
             return
-        while True:
-            cpu = node.idle_cpu()
-            if cpu is None or len(node.scheduler) == 0:
-                return
-            thread = node.scheduler.dequeue()
-            if thread is None:
-                return
-            self._install_on_cpu(node, cpu, thread)
+        scheduler = node.scheduler
+        for cpu in node.cpus:
+            if cpu.thread is None:
+                thread = scheduler.dequeue()
+                if thread is None:
+                    return
+                self._install_on_cpu(node, cpu, thread)
 
     def _install_on_cpu(self, node: SimNode, cpu: Cpu,
                         thread: SimThread) -> None:
-        self.trace("run", node.id, thread.name)
-        thread.state = ThreadState.RUNNING
+        if self.cluster.tracer is not None:
+            self.trace("run", node.id, thread.name)
+        thread.state = RUNNING
         thread.cpu = cpu.index
         thread.location = node.id
         thread.slice_left_us = self.costs.timeslice_us
         cpu.thread = thread
         surcharge = thread.surcharge_us
         thread.surcharge_us = 0.0
-        self.charge(thread, surcharge,
-                    lambda: self._after_switch_in(thread))
+        self.charge(thread, surcharge, partial(self._after_switch_in, thread))
 
     def release_cpu(self, thread: SimThread) -> None:
         """Take ``thread`` off its CPU and hand the CPU to the scheduler."""
@@ -244,7 +249,7 @@ class AmberKernel:
         action = thread.on_arrival
         if action is not None and action[0] == "invoke":
             _, request, is_root = action
-            vaddr = request.target.vaddr
+            vaddr = request.target._vaddr
             if node.descriptors.is_resident(vaddr):
                 thread.on_arrival = None
                 rec = self.recovery
@@ -259,9 +264,9 @@ class AmberKernel:
         # A result to deliver, or a plain resume: residency check against
         # the current frame's object first.
         if thread.stack:
-            top = thread.stack[-1]
-            if not node.descriptors.is_resident(top.obj.vaddr):
-                self.mobility.migrate(thread, top.obj.vaddr)
+            vaddr = thread.stack[-1].obj._vaddr
+            if not node.descriptors.is_resident(vaddr):
+                self.mobility.migrate(thread, vaddr)
                 return
         if action is not None:
             _, value, exc = action
@@ -279,60 +284,63 @@ class AmberKernel:
     def charge(self, thread: SimThread, us: float, then,
                preemptible: bool = False) -> None:
         """Consume ``us`` of CPU on the thread's current CPU, then continue
-        with ``then``.  The thread must be RUNNING."""
+        with ``then``.  The thread must be RUNNING, and its CPU must have
+        no charge in flight.
+
+        The hottest scheduling site of a run pushes its own engine entry,
+        as ``Simulator.schedule_at_ns`` would less the past-time check (a
+        charge never lies in the past), through the engine module's
+        ``heappush``: the self-profiler swaps that name to time every
+        push."""
         # Direct indexing, not cluster.node(): thread.location is
         # kernel-maintained (only ever a validated node id), and this
         # runs once per charge — the single hottest lookup in a run.
         sim = self.sim
-        node = self.cluster.nodes[thread.location]
-        cpu = node.cpus[thread.cpu]
-        cpu.charge_started_ns = sim.now_ns
+        cpu = self.cluster.nodes[thread.location].cpus[thread.cpu]
+        if cpu.run_event is not None:
+            # A kernel bug, not a program error: never an AmberError,
+            # so _handle_request cannot deliver it into the program.
+            raise RuntimeError(
+                f"charge on node {thread.location} cpu {cpu.index} for "
+                f"{thread.name} while a charge is still in flight there")
+        now_ns = sim.now_ns
+        cpu.charge_started_ns = now_ns
         cpu.charge_us = us
         cpu.charge_preemptible = preemptible
-        token = thread.run_token
-
-        def fire() -> None:
-            if thread.run_token != token:
-                return  # stale: the thread was preempted mid-charge
-            node.stats.cpu_busy_us += us
-            cpu.run_event = None
-            cpu.charge_preemptible = False
-            then()
-
-        # schedule_at_ns directly: charges are kernel-validated
-        # non-negative, so the schedule_us guard is pure per-event
-        # overhead on the single hottest scheduling site.
-        cpu.run_event = sim.schedule_at_ns(
-            sim.now_ns + round(us * NS_PER_US), fire)
+        cpu.then = then
+        seq = sim.seq
+        sim.seq = seq + 1
+        entry = cpu.run_event = [now_ns + round(us * NS_PER_US), seq,
+                                 partial(cpu.fire, thread, thread.run_token)]
+        _engine.heappush(sim.queue, entry)
 
     def _run_pending_compute(self, thread: SimThread) -> None:
         """Run (part of) an outstanding Compute, honoring the timeslice."""
-        remaining = thread.pending_compute_us
-        run = min(remaining, thread.slice_left_us)
+        run = min(thread.pending_compute_us, thread.slice_left_us)
+        self.charge(thread, run, partial(self._compute_done, thread, run),
+                    preemptible=True)
 
-        def done() -> None:
+    def _compute_done(self, thread: SimThread, run: float) -> None:
+        """A slice of ``run`` us of a Compute has elapsed."""
+        if self.cluster.tracer is not None:
             # Duration event: timestamped at completion; the exporter
             # backdates the slice start by ``dur_us``.
-            self.trace("compute", thread.location, thread.name,
-                       dur_us=run)
-            thread.pending_compute_us -= run
-            thread.slice_left_us -= run
-            if thread.pending_compute_us <= 1e-12:
-                thread.pending_compute_us = 0.0
-                if self._controller_preempts(thread):
-                    return
-                self.advance(thread)
+            self.trace("compute", thread.location, thread.name, dur_us=run)
+        thread.pending_compute_us -= run
+        thread.slice_left_us -= run
+        if thread.pending_compute_us <= 1e-12:
+            thread.pending_compute_us = 0.0
+            if self._controller_preempts(thread):
                 return
-            node = self.cluster.nodes[thread.location]
-            if len(node.scheduler) == 0:
-                # Nobody waiting: take a fresh quantum and keep going.
-                thread.slice_left_us = self.costs.timeslice_us
-                self._run_pending_compute(thread)
-            else:
-                self._preempt_for_quantum(thread,
-                                          self.costs.context_switch_us)
-
-        self.charge(thread, run, done, preemptible=True)
+            self.advance(thread)
+            return
+        node = self.cluster.nodes[thread.location]
+        if len(node.scheduler) == 0:
+            # Nobody waiting: take a fresh quantum and keep going.
+            thread.slice_left_us = self.costs.timeslice_us
+            self._run_pending_compute(thread)
+        else:
+            self._preempt_for_quantum(thread, self.costs.context_switch_us)
 
     def _controller_preempts(self, thread: SimThread) -> bool:
         """AmberCheck hook: a compute segment just finished and other
@@ -375,7 +383,7 @@ class AmberKernel:
         if thread is None or not cpu.charge_preemptible:
             return
         if cpu.run_event is not None:
-            cpu.run_event.cancel()
+            self.sim.cancel(cpu.run_event)
         elapsed_us = (self.sim.now_ns - cpu.charge_started_ns) / 1000
         node.stats.cpu_busy_us += elapsed_us
         thread.pending_compute_us = max(
@@ -388,7 +396,7 @@ class AmberKernel:
                        dur_us=elapsed_us)
         self.trace("preempt", node.id, thread.name)
         cpu.thread = None
-        cpu.run_event = None
+        cpu.run_event = cpu.then = None
         thread.cpu = None
         self.ready(thread, node.id,
                    self.costs.context_switch_us
@@ -440,52 +448,53 @@ class AmberKernel:
             # Deliver kernel-detected errors into the user generator so
             # programs can catch them.
             thread.send_exc = error
-            self.sim.call_now(lambda: self.advance(thread))
+            self.sim.call_now(partial(self.advance, thread))
 
     # --- Compute / Charge / Yield / GetStats ------------------------------
 
     def _handle_compute(self, thread: SimThread, request: sc.Compute) -> None:
-        if request.us < 0:
-            raise InvocationError(f"negative compute time: {request.us}")
+        if not 0 <= request.us < math.inf:
+            raise InvocationError(
+                f"compute time must be finite and non-negative: "
+                f"{request.us}")
         thread.pending_compute_us += float(request.us)
         self._run_pending_compute(thread)
 
     def _handle_charge(self, thread: SimThread, request: sc.Charge) -> None:
-        if request.us < 0:
-            raise InvocationError(f"negative charge: {request.us}")
-        self.charge(thread, float(request.us),
-                    lambda: self.advance(thread))
+        if not 0 <= request.us < math.inf:
+            raise InvocationError(
+                f"charge must be finite and non-negative: {request.us}")
+        self.charge(thread, float(request.us), partial(self.advance, thread))
 
     def _handle_yield(self, thread: SimThread, request: sc.Yield) -> None:
-        node = self.cluster.nodes[thread.location]
+        self.charge(thread, self.costs.context_switch_us,
+                    partial(self._yielded, thread))
 
-        def then() -> None:
-            if len(node.scheduler) == 0:
-                thread.slice_left_us = self.costs.timeslice_us
-                self.advance(thread)
-            else:
-                self._preempt_for_quantum(thread, 0.0)
-
-        self.charge(thread, self.costs.context_switch_us, then)
+    def _yielded(self, thread: SimThread) -> None:
+        if len(self.cluster.nodes[thread.location].scheduler) == 0:
+            thread.slice_left_us = self.costs.timeslice_us
+            self.advance(thread)
+        else:
+            self._preempt_for_quantum(thread, 0.0)
 
     def _handle_get_stats(self, thread: SimThread,
                           request: sc.GetStats) -> None:
         thread.send_value = self.cluster.stats
-        self.sim.call_now(lambda: self.advance(thread))
+        self.sim.call_now(partial(self.advance, thread))
 
     # --- Invocation ------------------------------------------------------
 
     def _handle_invoke(self, thread: SimThread, request: sc.Invoke) -> None:
         self.validate_target(request.target)
         thread.invocations += 1
-        thread.invoke_t0 = self.sim.now_us
+        thread.invoke_t0 = self.sim.now_ns / NS_PER_US
         thread.invoke_remote = False
         self.charge(thread, self.costs.local_invoke_us,
-                    lambda: self._invoke_entry(thread, request))
+                    partial(self._invoke_entry, thread, request))
 
     def _invoke_entry(self, thread: SimThread, request: sc.Invoke) -> None:
         node = self.cluster.nodes[thread.location]
-        vaddr = request.target.vaddr
+        vaddr = request.target._vaddr
         # AmberElide: proven-confined/immutable targets skip the
         # access-log update — its only consumers (affinity rebalancing,
         # flow evidence) never see elided runs, and a confined object's
@@ -500,19 +509,21 @@ class AmberKernel:
             if rec is not None and not request.target.immutable \
                     and rec.replay_local(thread, request):
                 return
-            self.trace("invoke-local", node.id, thread.name, vaddr,
-                       request.method)
+            if self.cluster.tracer is not None:
+                self.trace("invoke-local", node.id, thread.name, vaddr,
+                           request.method)
             self._push_and_run(thread, request, False)
         elif request.target.immutable:
             self.mobility.fetch_replica(
                 thread, request.target,
-                lambda: self._push_and_run(thread, request, False))
+                partial(self._push_and_run, thread, request, False))
         else:
             thread.remote_invocations += 1
             node.stats.remote_invocations += 1
             thread.invoke_remote = True
-            self.trace("invoke-remote", node.id, thread.name, vaddr,
-                       request.method)
+            if self.cluster.tracer is not None:
+                self.trace("invoke-remote", node.id, thread.name, vaddr,
+                           request.method)
             self.mobility.migrate(thread, vaddr, payload=request.arg_bytes,
                                   on_arrival=("invoke", request, False))
 
@@ -529,23 +540,23 @@ class AmberKernel:
         current = thread.stack[-1].obj
         target = request.target
         attachments = self.cluster.attachments
-        if target.vaddr != current.vaddr \
-                and not attachments.directly_attached(current.vaddr,
-                                                      target.vaddr) \
-                and target.vaddr not in attachments.group(current.vaddr):
+        if target._vaddr != current._vaddr \
+                and not attachments.directly_attached(current._vaddr,
+                                                      target._vaddr) \
+                and target._vaddr not in attachments.group(current._vaddr):
             raise InvocationError(
                 f"FastInvoke on {target!r}: co-residency with "
                 f"{current!r} is not guaranteed (attach them first)")
         thread.invocations += 1
-        thread.invoke_t0 = self.sim.now_us
+        thread.invoke_t0 = self.sim.now_ns / NS_PER_US
         thread.invoke_remote = False
+        self.charge(thread, self.costs.inline_call_us,
+                    partial(self._fast_invoke_entry, thread, request))
 
-        def then() -> None:
-            node = self.cluster.nodes[thread.location]
-            node.stats.local_invocations += 1
-            self._push_and_run(thread, request, False)
-
-        self.charge(thread, self.costs.inline_call_us, then)
+    def _fast_invoke_entry(self, thread: SimThread,
+                           request: sc.FastInvoke) -> None:
+        self.cluster.nodes[thread.location].stats.local_invocations += 1
+        self._push_and_run(thread, request, False)
 
     def _push_and_run(self, thread: SimThread, request,
                       is_root: bool) -> None:
@@ -613,8 +624,8 @@ class AmberKernel:
         if surcharge:
             thread.surcharge_us = 0.0
         self.charge(thread, self.costs.local_return_us + surcharge,
-                    lambda: self.complete_return(thread, value, exc,
-                                                 result_bytes))
+                    partial(self.complete_return, thread, value, exc,
+                            result_bytes))
 
     def complete_return(self, thread: SimThread, value: Any,
                         exc: Optional[BaseException],
@@ -622,11 +633,11 @@ class AmberKernel:
         """Return-time residency check: the frame has been popped; make
         sure we are where the caller's object lives before continuing."""
         node = self.cluster.nodes[thread.location]
-        top = thread.stack[-1]
-        if node.descriptors.is_resident(top.obj.vaddr):
+        vaddr = thread.stack[-1].obj._vaddr
+        if node.descriptors.is_resident(vaddr):
             self._resume_caller(thread, value, exc)
         else:
-            self.mobility.migrate(thread, top.obj.vaddr,
+            self.mobility.migrate(thread, vaddr,
                                   payload=result_bytes,
                                   on_arrival=("deliver", value, exc))
 
@@ -639,7 +650,8 @@ class AmberKernel:
         if pending is not None:
             thread.pending_invoke_metric = None
             name, start_us = pending
-            self._hists[name].observe(self.sim.now_us - start_us)
+            self._hists[name].observe(self.sim.now_ns / NS_PER_US
+                                      - start_us)
         rec = self.recovery
         if rec is not None:
             rec.settle(thread)
@@ -652,7 +664,7 @@ class AmberKernel:
             raise InvocationError(
                 f"invocation target {target!r} is not an Amber object")
         if getattr(target, "_location", None) is None and \
-                target.vaddr not in self.cluster.objects:
+                target._vaddr not in self.cluster.objects:
             raise ObjectNotFoundError(f"{target!r} has been deleted")
 
     #: The core's request rows.

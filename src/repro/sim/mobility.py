@@ -37,9 +37,11 @@ from repro.analyze import runtime as _analysis
 from repro.errors import MobilityError, NodeFailure, ObjectNotFoundError
 from repro.obs.metrics import Held
 from repro.sim import syscalls as sc
+from repro.sim.engine import NS_PER_US
 from repro.sim.node import SimNode
 from repro.sim.objects import SimObject
-from repro.sim.thread import SimThread, ThreadState
+from repro.sim.thread import (
+    BLOCKED, DONE, READY, RUNNING, TRANSIT, SimThread)
 
 #: Safety bound on forwarding-chain chasing for one request.
 MAX_CHASE_HOPS = 1000
@@ -116,26 +118,28 @@ class Mobility:
         thread toward the target object."""
         if on_arrival is not None:
             thread.on_arrival = on_arrival
+        self.kernel.charge(thread, self.costs.thread_send_cpu_us(),
+                           partial(self._depart, thread, vaddr, payload))
+
+    def _depart(self, thread: SimThread, vaddr: int, payload: int) -> None:
+        """The send cost has elapsed: put the thread on the wire."""
         kernel = self.kernel
         node = self.cluster.nodes[thread.location]
-
-        def depart() -> None:
-            node.stats.threads_out += 1
-            self.cluster.stats.thread_migrations += 1
-            thread.migrations += 1
-            thread.transit_start_us = self.sim.now_us
+        node.stats.threads_out += 1
+        self.cluster.stats.thread_migrations += 1
+        thread.migrations += 1
+        thread.transit_start_us = self.sim.now_ns / NS_PER_US
+        if self.cluster.tracer is not None:
             kernel.trace("migrate-out", node.id, thread.name, vaddr)
-            thread.state = ThreadState.TRANSIT
-            thread.run_token += 1
-            rec = kernel.recovery
-            if rec is not None:
-                rec.log_departure(thread, node.id)
-            next_node = node.descriptors.next_hop(vaddr, self._home_of)
-            kernel.release_cpu(thread)
-            thread.location = None
-            self.send_thread(thread, node.id, next_node, vaddr, payload)
-
-        kernel.charge(thread, self.costs.thread_send_cpu_us(), depart)
+        thread.state = TRANSIT
+        thread.run_token += 1
+        rec = kernel.recovery
+        if rec is not None:
+            rec.log_departure(thread, node.id)
+        next_node = node.descriptors.next_hop(vaddr, self._home_of)
+        kernel.release_cpu(thread)
+        thread.location = None
+        self.send_thread(thread, node.id, next_node, vaddr, payload)
 
     def send_thread(self, thread: SimThread, src: int, dst: int,
                     vaddr: int, payload: int) -> None:
@@ -152,9 +156,9 @@ class Mobility:
         nodes = self.cluster.nodes
         previous = thread._location
         if previous is not None and previous != node_id:
-            nodes[previous].descriptors.set_forwarding(thread.vaddr,
+            nodes[previous].descriptors.set_forwarding(thread._vaddr,
                                                        node_id)
-        nodes[node_id].descriptors.set_resident(thread.vaddr)
+        nodes[node_id].descriptors.set_resident(thread._vaddr)
         thread._location = node_id
 
     # ------------------------------------------------------------------
@@ -179,7 +183,8 @@ class Mobility:
 
     def _arrived(self, chase: Chase, node_id: int) -> None:
         thread = chase.thread
-        if thread.run_token != chase.token or thread.done:
+        if thread.run_token != chase.token \
+                or thread._state is DONE:
             return  # resurrected or failed while in flight
         kernel = self.kernel
         nodes = self.cluster.nodes
@@ -226,12 +231,13 @@ class Mobility:
         # The thread object itself now resides here.
         self._relocate_thread_object(thread, node_id)
         node.stats.threads_in += 1
-        kernel.trace("migrate-in", node_id, thread.name, vaddr)
+        if self.cluster.tracer is not None:
+            kernel.trace("migrate-in", node_id, thread.name, vaddr)
+        now_us = self.sim.now_ns / NS_PER_US
         san = _analysis.ACTIVE
         if san is not None:
-            san.on_migrate(thread, node_id, self.sim.now_us)
-        hists["migration_us"].observe(
-            self.sim.now_us - thread.transit_start_us)
+            san.on_migrate(thread, node_id, now_us)
+        hists["migration_us"].observe(now_us - thread.transit_start_us)
         thread.chase = None
         kernel.ready(thread, node_id, self.costs.thread_recv_cpu_us())
 
@@ -407,36 +413,38 @@ class Mobility:
         dest = request.node
         self.cluster.node(dest)  # validates the node id
         target = request.target
-        t0 = self.sim.now_us
+        t0 = self.sim.now_ns / NS_PER_US
         if isinstance(target, SimThread):
             self._move_thread_object(thread, target, dest)
             return
         if target.immutable:
-            self._replicate(
-                thread, target, dest,
-                lambda: self._finish_move(thread, "replicate_us", t0))
+            self._replicate(thread, target, dest, partial(
+                self._finish_move, thread, "replicate_us", t0))
             return
         node = self.cluster.nodes[thread.location]
-        if node.descriptors.is_resident(target.vaddr):
+        if node.descriptors.is_resident(target._vaddr):
             self._move_group_local(
-                thread, True, node, target.vaddr, dest,
-                lambda: self._finish_move(thread, "move_us", t0))
+                thread, True, node, target._vaddr, dest,
+                partial(self._finish_move, thread, "move_us", t0))
         else:
-            self._move_remote(thread, target.vaddr, dest, t0)
+            self._move_remote(thread, target._vaddr, dest, t0)
 
     def _finish_move(self, thread: SimThread, metric: str,
                      t0: float) -> None:
         """After a move completes, the mover itself may now be standing on
         the wrong node (it was bound to the moved group)."""
-        self.metrics.observe(metric, self.sim.now_us - t0)
+        self.metrics.observe(metric, self.sim.now_ns / NS_PER_US - t0)
         node = self.cluster.nodes[thread.location]
         if thread.stack and not node.descriptors.is_resident(
-                thread.stack[-1].obj.vaddr):
-            self.migrate(thread, thread.stack[-1].obj.vaddr,
+                thread.stack[-1].obj._vaddr):
+            self.migrate(thread, thread.stack[-1].obj._vaddr,
                          on_arrival=("deliver", None, None))
         else:
-            thread.send_value = None
-            self.kernel.advance(thread)
+            self._resume(thread)
+
+    def _resume(self, thread: SimThread) -> None:
+        thread.send_value = None
+        self.kernel.advance(thread)
 
     def _move_group_local(self, requester: SimThread, local: bool,
                           node: SimNode, vaddr: int, dest: int,
@@ -447,68 +455,66 @@ class Mobility:
         phases; a move request that arrived from another node charges
         the same costs as pure delays.
         """
+        mover = requester if local else None
+        if dest != node.id:
+            on_done = partial(self._move_marked, requester, mover, node,
+                              vaddr, dest, on_done)
+        self._after(mover, node, self.costs.move_setup_us, on_done)
+
+    def _move_marked(self, requester: SimThread, mover: Optional[SimThread],
+                     node: SimNode, vaddr: int, dest: int, on_done) -> None:
+        """Set-up done: mark the group away and interrupt the CPUs."""
         costs = self.costs
         cluster = self.cluster
-        mover = requester if local else None
-        group: List[SimObject] = []
-        if dest == node.id:
-            self._after(mover, node, costs.move_setup_us, on_done)
+        if not node.descriptors.is_resident(vaddr):
+            # Lost a race with a concurrent move: the object left while
+            # we were setting up.  Chase it and run the protocol where it
+            # actually lives.
+            self.route(requester, node, vaddr, partial(
+                self._move_group_local, requester, False, vaddr=vaddr,
+                dest=dest, on_done=on_done))
             return
+        # 1. Mark every member non-resident, leaving forwarding addresses
+        #    (before the copy, per section 3.5).  The group is read now,
+        #    under the same event as the marking.
+        group = [cluster.objects[member]
+                 for member in cluster.attachments.group(vaddr)]
+        for member in group:
+            node.descriptors.set_forwarding(member._vaddr, dest)
+            member._location = None
+        # 2. Briefly interrupt every other processor so running threads
+        #    make residency checks when rescheduled.
+        for cpu in node.cpus:
+            if mover is not None and cpu.index == mover.cpu:
+                continue
+            self.kernel.preempt_cpu(node, cpu)
+        preempt_cost = costs.preempt_us * max(0, node.ncpus - 1)
+        marshal_cost = costs.object_marshal_us * len(group)
+        install = partial(self._move_install, mover, node, vaddr, dest,
+                          group, on_done)
+        self._after(mover, node, preempt_cost + marshal_cost, partial(
+            self.net.send_reliable, node.id, dest,
+            sum(member.size_bytes for member in group),
+            partial(self.sim.schedule_us,
+                    costs.object_install_us * len(group), install)))
 
-        def setup_done() -> None:
-            nonlocal group
-            if not node.descriptors.is_resident(vaddr):
-                # Lost a race with a concurrent move: the object left
-                # while we were setting up.  Chase it and run the
-                # protocol where it actually lives.
-                self.route(
-                    requester, node, vaddr,
-                    lambda holder: self._move_group_local(
-                        requester, False, holder, vaddr, dest, on_done))
-                return
-            # 1. Mark every member non-resident, leaving forwarding
-            #    addresses (before the copy, per section 3.5).  The
-            #    group is read now, under the same event as the marking.
-            group = [cluster.objects[member]
-                     for member in cluster.attachments.group(vaddr)]
-            for member in group:
-                node.descriptors.set_forwarding(member.vaddr, dest)
-                member._location = None
-            # 2. Briefly interrupt every other processor so running
-            #    threads make residency checks when rescheduled.
-            for cpu in node.cpus:
-                if mover is not None and cpu.index == mover.cpu:
-                    continue
-                self.kernel.preempt_cpu(node, cpu)
-            preempt_cost = costs.preempt_us * max(0, node.ncpus - 1)
-            marshal_cost = costs.object_marshal_us * len(group)
-            self._after(mover, node, preempt_cost + marshal_cost, transmit)
-
-        def transmit() -> None:
-            total_bytes = sum(member.size_bytes for member in group)
-            self.net.send_reliable(node.id, dest, total_bytes, arrived)
-
-        def arrived() -> None:
-            self.sim.schedule_us(costs.object_install_us * len(group),
-                                 install)
-
-        def install() -> None:
-            dest_node = cluster.node(dest)
-            for member in group:
-                dest_node.descriptors.set_resident(member.vaddr)
-                member._location = dest
-            dest_node.stats.objects_in += len(group)
-            node.stats.objects_out += len(group)
-            cluster.stats.object_moves += 1
-            self.kernel.trace("move", dest, "", vaddr,
-                              f"group of {len(group)} from node {node.id}")
-            self.net.send_reliable(dest, node.id, costs.control_bytes,
-                                   acked)
-
-        def acked() -> None:
-            self._after(mover, node, costs.move_complete_us, on_done)
-
-        self._after(mover, node, costs.move_setup_us, setup_done)
+    def _move_install(self, mover: Optional[SimThread], node: SimNode,
+                      vaddr: int, dest: int, group: List[SimObject],
+                      on_done) -> None:
+        """The group has arrived and installed at ``dest``: acknowledge."""
+        cluster = self.cluster
+        dest_node = cluster.node(dest)
+        for member in group:
+            dest_node.descriptors.set_resident(member._vaddr)
+            member._location = dest
+        dest_node.stats.objects_in += len(group)
+        node.stats.objects_out += len(group)
+        cluster.stats.object_moves += 1
+        self.kernel.trace("move", dest, "", vaddr,
+                          f"group of {len(group)} from node {node.id}")
+        self.net.send_reliable(dest, node.id, self.costs.control_bytes,
+                               partial(self._after, mover, node,
+                                       self.costs.move_complete_us, on_done))
 
     def _after(self, mover: Optional[SimThread], node: SimNode,
                us: float, then) -> None:
@@ -526,65 +532,63 @@ class Mobility:
         """MoveTo on a non-resident object: route the request to wherever
         the object lives and run the protocol there."""
         origin = self.cluster.nodes[thread.location]
+        self.kernel.charge(thread, self.costs.remote_trap_us, partial(
+            self.route, thread, origin, vaddr,
+            partial(self._move_found, thread, origin, vaddr, dest, t0)))
 
-        def found(holder: SimNode) -> None:
-            self._move_group_local(
-                thread, False, holder, vaddr, dest,
-                lambda: self.net.send_reliable(holder.id, origin.id,
-                                               self.costs.control_bytes,
-                                               resume))
-
-        def resume() -> None:
-            self.kernel.charge(
-                thread, self.costs.move_complete_us,
-                lambda: self._finish_move(thread, "move_us", t0))
-
-        self.kernel.charge(thread, self.costs.remote_trap_us,
-                           lambda: self.route(thread, origin, vaddr, found))
+    def _move_found(self, thread: SimThread, origin: SimNode, vaddr: int,
+                    dest: int, t0: float, holder: SimNode) -> None:
+        """Run the protocol at ``holder``, then resume the mover."""
+        resume = partial(self.kernel.charge, thread,
+                         self.costs.move_complete_us,
+                         partial(self._finish_move, thread, "move_us", t0))
+        self._move_group_local(thread, False, holder, vaddr, dest, partial(
+            self.net.send_reliable, holder.id, origin.id,
+            self.costs.control_bytes, resume))
 
     def _move_thread_object(self, mover: SimThread, target: SimThread,
                             dest: int) -> None:
         """Moving a thread object relocates the thread itself.  Only
         unstarted, queued, or blocked threads may be moved explicitly;
         running threads move via the invocation mechanism."""
-        if target is mover or target.state in (ThreadState.RUNNING,
-                                               ThreadState.TRANSIT):
+        if target is mover or target.state in (RUNNING, TRANSIT):
             raise MobilityError(
                 f"cannot explicitly move {target!r} while it is "
                 f"{target.state.value}; threads migrate via invocation")
         if target.done:
             raise MobilityError(f"cannot move finished thread {target!r}")
-        costs = self.costs
-        source = self.cluster.node(target.location)
+        self.kernel.charge(mover, self.costs.thread_marshal_us, partial(
+            self._thread_object_departs, mover, target,
+            self.cluster.node(target.location), dest))
 
-        def depart() -> None:
-            was_ready = target.state is ThreadState.READY
-            if was_ready:
-                source.scheduler.remove(target)
-                target.state = ThreadState.TRANSIT
-            source.descriptors.set_forwarding(target.vaddr, dest)
-            source.stats.threads_out += 1
-            self.cluster.stats.thread_migrations += 1
-            target.migrations += 1
+    def _thread_object_departs(self, mover: SimThread, target: SimThread,
+                               source: SimNode, dest: int) -> None:
+        """Marshalled: ship the thread object and resume the mover."""
+        was_ready = target.state is READY
+        if was_ready:
+            source.scheduler.remove(target)
+            target.state = TRANSIT
+        source.descriptors.set_forwarding(target._vaddr, dest)
+        source.stats.threads_out += 1
+        self.cluster.stats.thread_migrations += 1
+        target.migrations += 1
+        self.net.send_reliable(
+            source.id, dest, self.costs.thread_packet_bytes,
+            partial(self._thread_object_arrives, target, dest, was_ready))
+        self._resume(mover)
 
-            def arrive() -> None:
-                dest_node = self.cluster.node(dest)
-                dest_node.descriptors.set_resident(target.vaddr)
-                dest_node.stats.threads_in += 1
-                target.location = dest
-                target._location = dest
-                if was_ready:
-                    target.state = ThreadState.BLOCKED  # re-readied below
-                    self.kernel.ready(target, dest,
-                                      costs.thread_recv_cpu_us())
-                # NEW threads stay NEW (Start will queue them here);
-                # BLOCKED threads stay blocked and resume here when woken.
-            self.net.send_reliable(source.id, dest,
-                                   costs.thread_packet_bytes, arrive)
-            mover.send_value = None
-            self.kernel.advance(mover)
-
-        self.kernel.charge(mover, costs.thread_marshal_us, depart)
+    def _thread_object_arrives(self, target: SimThread, dest: int,
+                               was_ready: bool) -> None:
+        dest_node = self.cluster.node(dest)
+        dest_node.descriptors.set_resident(target._vaddr)
+        dest_node.stats.threads_in += 1
+        target.location = dest
+        target._location = dest
+        if was_ready:
+            target.state = BLOCKED  # re-readied below
+            self.kernel.ready(target, dest, self.costs.thread_recv_cpu_us())
+        # NEW threads stay NEW (Start will queue them here); BLOCKED
+        # threads stay blocked and resume here when woken.
 
     # ------------------------------------------------------------------
     # Locate, Refresh and immutable replication
@@ -592,28 +596,28 @@ class Mobility:
 
     def _handle_locate(self, thread: SimThread, request: sc.Locate) -> None:
         self.kernel.validate_target(request.target)
-        vaddr = request.target.vaddr
-        node = self.cluster.nodes[thread.location]
         self.cluster.stats.locates += 1
-        t0 = self.sim.now_us
+        self.kernel.charge(thread, self.costs.local_invoke_us, partial(
+            self._locate, thread, request.target._vaddr,
+            self.sim.now_ns / NS_PER_US))
 
-        def local_check() -> None:
-            if node.descriptors.is_resident(vaddr):
-                deliver(node.id)
-            else:
-                self.route(thread, node, vaddr, found)
+    def _locate(self, thread: SimThread, vaddr: int, t0: float) -> None:
+        node = self.cluster.nodes[thread.location]
+        if node.descriptors.is_resident(vaddr):
+            self._located(thread, t0, node.id)
+        else:
+            self.route(thread, node, vaddr,
+                       partial(self._locate_found, thread, node, t0))
 
-        def found(holder: SimNode) -> None:
-            self.net.send_reliable(holder.id, node.id,
-                                   self.costs.control_bytes,
-                                   lambda: deliver(holder.id))
+    def _locate_found(self, thread: SimThread, node: SimNode, t0: float,
+                      holder: SimNode) -> None:
+        self.net.send_reliable(holder.id, node.id, self.costs.control_bytes,
+                               partial(self._located, thread, t0, holder.id))
 
-        def deliver(where: int) -> None:
-            self.metrics.observe("locate_us", self.sim.now_us - t0)
-            thread.send_value = where
-            self.kernel.advance(thread)
-
-        self.kernel.charge(thread, self.costs.local_invoke_us, local_check)
+    def _located(self, thread: SimThread, t0: float, where: int) -> None:
+        self.metrics.observe("locate_us", self.sim.now_ns / NS_PER_US - t0)
+        thread.send_value = where
+        self.kernel.advance(thread)
 
     def _handle_refresh(self, thread: SimThread, request: sc.Refresh) -> None:
         self.kernel.validate_target(request.target)
@@ -622,12 +626,8 @@ class Mobility:
         if not target.immutable:
             raise MobilityError(f"Refresh requires an immutable object, "
                                 f"got {target!r}")
-
-        def resume() -> None:
-            thread.send_value = None
-            self.kernel.advance(thread)
-
-        if node.descriptors.is_resident(target.vaddr):
+        resume = partial(self._resume, thread)
+        if node.descriptors.is_resident(target._vaddr):
             self.kernel.charge(thread, self.costs.residency_check_us,
                                resume)
         else:
@@ -637,58 +637,53 @@ class Mobility:
                    on_done) -> None:
         """Copy an immutable object to ``dest`` (MoveTo-on-immutable)."""
         costs = self.costs
-        cluster = self.cluster
         charge = self.kernel.charge
-        dest_node = cluster.node(dest)
-        if dest_node.descriptors.is_resident(target.vaddr):
+        dest_node = self.cluster.node(dest)
+        if dest_node.descriptors.is_resident(target._vaddr):
             charge(thread, costs.residency_check_us, on_done)
             return
         source = min(target._replica_nodes)
-
-        def request_sent() -> None:
-            self.net.send_reliable(thread.location, source,
-                                   costs.control_bytes, marshal)
-
-        def marshal() -> None:
-            self.sim.schedule_us(costs.object_marshal_us, transfer)
-
-        def transfer() -> None:
-            self.net.send_reliable(source, dest, target.size_bytes, install)
-
-        def install() -> None:
-            self.sim.schedule_us(costs.object_install_us, installed)
-
-        def installed() -> None:
-            dest_node.descriptors.set_resident(target.vaddr)
-            target._replica_nodes.add(dest)
-            dest_node.stats.replicas_installed += 1
-            cluster.stats.replications += 1
-            self.kernel.trace("replicate", dest, "", target.vaddr,
-                              f"from node {source}")
-            if dest == thread.location:
-                # The replica landed right here: no acknowledgement needed.
-                charge(thread, 0.0, on_done)
-            else:
-                self.net.send_reliable(dest, thread.location,
-                                       costs.control_bytes,
-                                       lambda: charge(thread, 0.0, on_done))
-
+        transfer = partial(
+            self.net.send_reliable, source, dest, target.size_bytes,
+            partial(self.sim.schedule_us, costs.object_install_us, partial(
+                self._replicated, thread, target, source, dest_node,
+                on_done)))
         if source == thread.location:
             # We hold a replica: marshal here and ship it.
             charge(thread, costs.object_marshal_us, transfer)
         else:
-            charge(thread, costs.remote_trap_us, request_sent)
+            charge(thread, costs.remote_trap_us, partial(
+                self.net.send_reliable, thread.location, source,
+                costs.control_bytes,
+                partial(self.sim.schedule_us, costs.object_marshal_us,
+                        transfer)))
+
+    def _replicated(self, thread: SimThread, target: SimObject, source: int,
+                    dest_node: SimNode, on_done) -> None:
+        """The replica is installed at ``dest_node``: tell the thread."""
+        dest = dest_node.id
+        dest_node.descriptors.set_resident(target._vaddr)
+        target._replica_nodes.add(dest)
+        dest_node.stats.replicas_installed += 1
+        self.cluster.stats.replications += 1
+        self.kernel.trace("replicate", dest, "", target._vaddr,
+                          f"from node {source}")
+        done = partial(self.kernel.charge, thread, 0.0, on_done)
+        if dest == thread.location:
+            done()  # the replica landed right here: no acknowledgement
+        else:
+            self.net.send_reliable(dest, thread.location,
+                                   self.costs.control_bytes, done)
 
     def fetch_replica(self, thread: SimThread, target: SimObject,
                       on_done) -> None:
         """Install a local replica of an immutable object, then continue."""
-        t0 = self.sim.now_us
+        self._replicate(thread, target, thread.location, partial(
+            self._replica_fetched, on_done, self.sim.now_ns / NS_PER_US))
 
-        def done() -> None:
-            self.metrics.observe("replicate_us", self.sim.now_us - t0)
-            on_done()
-
-        self._replicate(thread, target, thread.location, done)
+    def _replica_fetched(self, on_done, t0: float) -> None:
+        self.metrics.observe("replicate_us", self.sim.now_ns / NS_PER_US - t0)
+        on_done()
 
     #: This module's rows of the kernel's request table.
     HANDLERS = {

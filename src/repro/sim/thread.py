@@ -18,7 +18,9 @@ threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.analyze import runtime as _analysis
@@ -41,6 +43,18 @@ class ThreadState(enum.Enum):
         #: Profile bucket of time spent in this state, classified once
         #: (a BLOCKED thread's bucket also depends on its block reason).
         self.bucket = bucket_for_state(value)
+
+
+# The members as module names, for the per-event path: on Python 3.11
+# ``EnumType`` defines ``__getattr__``, which sends every ``ThreadState.X``
+# read through the slow attribute hook (~0.2 us, about five times a
+# plain class attribute), and a run reads them on every state change.
+NEW = ThreadState.NEW
+READY = ThreadState.READY
+RUNNING = ThreadState.RUNNING
+BLOCKED = ThreadState.BLOCKED
+TRANSIT = ThreadState.TRANSIT
+DONE = ThreadState.DONE
 
 
 @dataclass(slots=True)
@@ -97,7 +111,7 @@ class SimThread(SimObject):
         self.tid = tid
         self.name = name or f"thread-{tid}"
         self.priority = priority
-        self._state = ThreadState.NEW
+        self._state = NEW
         #: Node the thread currently occupies (None while in transit).
         self.location: Optional[int] = None
         self.stack: List[Activation] = []
@@ -197,8 +211,10 @@ class SimThread(SimObject):
             elapsed = now_us - (self._state_since_us or 0.0)
             if elapsed > 0:
                 state = self._state
-                bucket = (bucket_for_state(state.value, self.block_reason)
-                          if state is ThreadState.BLOCKED
+                # The literal, not state.value: an enum's ``value`` is a
+                # property, two Python calls per move out of BLOCKED.
+                bucket = (bucket_for_state("blocked", self.block_reason)
+                          if state is BLOCKED
                           else state.bucket)
                 self.state_time_us[bucket] = \
                     self.state_time_us.get(bucket, 0.0) + elapsed
@@ -207,7 +223,7 @@ class SimThread(SimObject):
 
     @property
     def done(self) -> bool:
-        return self._state is ThreadState.DONE
+        return self._state is DONE
 
     def is_bound_to(self, vaddrs: set) -> bool:
         """True if any activation on the stack targets one of ``vaddrs``."""
@@ -253,20 +269,22 @@ class ThreadManager:
 
     def thread_exit(self, thread: SimThread, value: Any,
                     exc: Optional[BaseException]) -> None:
+        self.kernel.charge(thread, self.costs.thread_exit_us,
+                           partial(self._exited, thread, value, exc))
+
+    def _exited(self, thread: SimThread, value: Any,
+                exc: Optional[BaseException]) -> None:
         kernel = self.kernel
-
-        def finish() -> None:
+        if self.cluster.tracer is not None:
             kernel.trace("exit", thread.location, thread.name)
-            rec = kernel.recovery
-            if rec is not None:
-                rec.settle(thread)
-            thread.state = ThreadState.DONE
-            thread.result = value
-            thread.exception = exc
-            kernel.release_cpu(thread)
-            self.release_joiners(thread)
-
-        kernel.charge(thread, self.costs.thread_exit_us, finish)
+        rec = kernel.recovery
+        if rec is not None:
+            rec.settle(thread)
+        thread.state = DONE
+        thread.result = value
+        thread.exception = exc
+        kernel.release_cpu(thread)
+        self.release_joiners(thread)
 
     def release_joiners(self, thread: SimThread) -> None:
         """``thread`` is done: every thread blocked joining it resumes
@@ -290,9 +308,10 @@ class ThreadManager:
         returns the run token a later wake-up must still match."""
         thread.block_reason = reason
         thread.suspended = suspended
-        self.kernel.trace("block", thread.location, thread.name,
-                          detail=reason)
-        thread.state = ThreadState.BLOCKED
+        if self.cluster.tracer is not None:
+            self.kernel.trace("block", thread.location, thread.name,
+                              detail=reason)
+        thread.state = BLOCKED
         thread.run_token += 1
         self.kernel.release_cpu(thread)
         return thread.run_token
@@ -312,22 +331,23 @@ class ThreadManager:
                            request: sc.NewThread) -> None:
         self.kernel.validate_target(request.target)
         body = sc.Invoke(request.target, request.method, *request.args)
+        self.kernel.charge(thread, self.costs.object_create_us(),
+                           partial(self._thread_made, thread, request, body))
 
-        def then() -> None:
-            thread.send_value = self.new_thread(
-                thread.location, request.name, request.priority, body)
-            self.kernel.advance(thread)
-
-        self.kernel.charge(thread, self.costs.object_create_us(), then)
+    def _thread_made(self, thread: SimThread, request: sc.NewThread,
+                     body: sc.Invoke) -> None:
+        thread.send_value = self.new_thread(
+            thread.location, request.name, request.priority, body)
+        self.kernel.advance(thread)
 
     def _handle_start(self, thread: SimThread, request: sc.Start) -> None:
         child = request.thread
         if not isinstance(child, SimThread) or \
-                child.state is not ThreadState.NEW:
+                child.state is not NEW:
             raise InvocationError(
                 f"Start requires an unstarted thread, got {child!r}")
         self.kernel.charge(thread, self.costs.thread_start_us,
-                           lambda: self._start_child(thread, child))
+                           partial(self._start_child, thread, child))
 
     def _handle_fork(self, thread: SimThread, request: sc.Fork) -> None:
         self.kernel.validate_target(request.target)
@@ -336,10 +356,12 @@ class ThreadManager:
         self.kernel.charge(thread,
                            self.costs.object_create_us()
                            + self.costs.thread_start_us,
-                           lambda: self._start_child(
-                               thread, self.new_thread(
-                                   thread.location, request.name,
-                                   request.priority, body)))
+                           partial(self._forked, thread, request, body))
+
+    def _forked(self, thread: SimThread, request: sc.Fork,
+                body: sc.Invoke) -> None:
+        self._start_child(thread, self.new_thread(
+            thread.location, request.name, request.priority, body))
 
     def _handle_join(self, thread: SimThread, request: sc.Join) -> None:
         target = request.thread
@@ -347,80 +369,86 @@ class ThreadManager:
             raise InvocationError(f"Join target {target!r} is not a thread")
         if target is thread:
             raise InvocationError("a thread cannot join itself")
-
-        def joined() -> None:
-            self._join_finished(thread, target)
-            self.kernel.advance(thread)
-
-        def block() -> None:
-            if target.done:
-                joined()  # the target exited while we entered the wait
-                return
-            target.joiners.append(thread)
-            self._block(thread, "join")
-
-        if target.done:
-            self.kernel.charge(thread, self.costs.join_us, joined)
+        if target._state is DONE:
+            self.kernel.charge(thread, self.costs.join_us,
+                               partial(self._joined, thread, target))
         else:
-            self.kernel.charge(thread, self.costs.block_us, block)
+            self.kernel.charge(thread, self.costs.block_us,
+                               partial(self._join_wait, thread, target))
+
+    def _joined(self, thread: SimThread, target: SimThread) -> None:
+        self._join_finished(thread, target)
+        self.kernel.advance(thread)
+
+    def _join_wait(self, thread: SimThread, target: SimThread) -> None:
+        if target._state is DONE:
+            # The target exited while we entered the wait.
+            self._joined(thread, target)
+            return
+        target.joiners.append(thread)
+        self._block(thread, "join")
 
     def _handle_suspend(self, thread: SimThread,
                         request: sc.Suspend) -> None:
-        def then() -> None:
-            if thread.wakeup_pending:
-                thread.wakeup_pending = False
-                self.kernel.advance(thread)
-                return
-            self._block(thread, request.reason, suspended=True)
+        self.kernel.charge(thread, self.costs.block_us,
+                           partial(self._suspend, thread, request.reason))
 
-        self.kernel.charge(thread, self.costs.block_us, then)
+    def _suspend(self, thread: SimThread, reason: str) -> None:
+        if thread.wakeup_pending:
+            thread.wakeup_pending = False
+            self.kernel.advance(thread)
+            return
+        self._block(thread, reason, suspended=True)
 
     def _handle_wakeup(self, thread: SimThread, request: sc.Wakeup) -> None:
         target = request.thread
         if not isinstance(target, SimThread):
             raise InvocationError(f"Wakeup target {target!r} is not a thread")
+        self.kernel.charge(thread, self.costs.wakeup_us,
+                           partial(self._wakeup, thread, target))
 
-        def then() -> None:
-            san = _analysis.ACTIVE
-            if san is not None and not target.done:
-                san.on_wakeup(thread, target)
-            if target.state is ThreadState.BLOCKED and target.suspended:
-                self.kernel.ready(target, target.location,
-                                  self.costs.dispatch_us)
-            elif not target.done:
-                target.wakeup_pending = True
-            self.kernel.advance(thread)
-
-        self.kernel.charge(thread, self.costs.wakeup_us, then)
+    def _wakeup(self, thread: SimThread, target: SimThread) -> None:
+        state = target._state
+        san = _analysis.ACTIVE
+        if san is not None and state is not DONE:
+            san.on_wakeup(thread, target)
+        if state is BLOCKED and target.suspended:
+            self.kernel.ready(target, target.location,
+                              self.costs.dispatch_us)
+        elif state is not DONE:
+            target.wakeup_pending = True
+        self.kernel.advance(thread)
 
     def _handle_sleep(self, thread: SimThread, request: sc.Sleep) -> None:
-        if request.us < 0:
-            raise InvocationError(f"negative sleep time: {request.us}")
+        if not 0 <= request.us < math.inf:
+            raise InvocationError(
+                f"sleep time must be finite and non-negative: {request.us}")
+        self.kernel.charge(thread, self.costs.block_us,
+                           partial(self._sleep, thread, request.us))
 
-        def block() -> None:
-            token = self._block(thread, "sleep")
-            self.sim.schedule_us(request.us, lambda: wake(token))
+    def _sleep(self, thread: SimThread, us: float) -> None:
+        token = self._block(thread, "sleep")
+        self.sim.schedule_us(us, partial(self._sleep_over, thread, token))
 
-        def wake(token: int) -> None:
-            # A stale token: a crash took the thread while it slept.
-            if thread.run_token == token and \
-                    thread.state is ThreadState.BLOCKED:
-                self.kernel.ready(thread, thread.location,
-                                  self.costs.dispatch_us)
-
-        self.kernel.charge(thread, self.costs.block_us, block)
+    def _sleep_over(self, thread: SimThread, token: int) -> None:
+        # A stale token: a crash took the thread while it slept.
+        if thread.run_token == token and \
+                thread.state is BLOCKED:
+            self.kernel.ready(thread, thread.location,
+                              self.costs.dispatch_us)
 
     def _handle_set_scheduler(self, thread: SimThread,
                               request: sc.SetScheduler) -> None:
-        node = self.cluster.node(request.node)
+        self.kernel.charge(thread, self.costs.descriptor_init_us,
+                           partial(self._set_scheduler, thread,
+                                   self.cluster.node(request.node),
+                                   request.scheduler))
 
-        def then() -> None:
-            node.set_scheduler(request.scheduler)
-            thread.send_value = None
-            self.kernel.advance(thread)
-            self.kernel.try_dispatch(node)
-
-        self.kernel.charge(thread, self.costs.descriptor_init_us, then)
+    def _set_scheduler(self, thread: SimThread, node, scheduler) -> None:
+        node.set_scheduler(scheduler)
+        thread.send_value = None
+        self.kernel.advance(thread)
+        self.kernel.try_dispatch(node)
 
     #: This module's rows of the kernel's request table.
     HANDLERS = {

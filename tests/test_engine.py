@@ -49,11 +49,38 @@ class TestSimulator:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        event = sim.schedule_us(10, lambda: fired.append(1))
-        event.cancel()
+        entry = sim.schedule_at_ns(10_000, lambda: fired.append(1))
+        sim.schedule_us(20, lambda: fired.append(2))
+        assert sim.pending() == 2
+        sim.cancel(entry)
+        assert sim.pending() == 1
         sim.run()
-        assert fired == []
+        assert fired == [2]
         assert sim.pending() == 0
+        # A cancelled entry is skipped, not run: it is no event.
+        assert sim.events_run == 1
+
+    def test_schedule_us_handle_cancels_itself(self):
+        """``schedule_us`` returns an entry that also answers
+        ``cancel()``, for a caller that holds it but not the simulator."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_us(10, lambda: fired.append(1)).cancel()
+        sim.run()
+        assert fired == [] and sim.events_run == 0
+
+    def test_entries_order_on_time_then_scheduling_order(self):
+        """An entry is ``[time_ns, seq, fn]``; the heap orders on the
+        two integers alone."""
+        sim = Simulator()
+
+        def noop():
+            pass
+
+        entries = [sim.schedule_at_ns(5, noop), sim.call_now(noop),
+                   sim.schedule_us(0.005, noop)]
+        assert [entry[:2] for entry in entries] == [[5, 0], [0, 1], [5, 2]]
+        assert sorted(sim.queue) == [entries[1], entries[0], entries[2]]
 
     def test_negative_delay_rejected(self):
         sim = Simulator()

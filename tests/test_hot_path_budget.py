@@ -12,10 +12,15 @@ up once (commit ``41e77d0``), **17.58** after (``cf12d11``), **17.15**
 once crash recovery became an attribute that is ``None`` when off (the
 ``_recovering()`` / ``_settle_replay_entries()`` calls of a recovery-free
 run are gone; the kernel split itself adds no call per event), 17.23
-with one return path for atomic and generator operations, and **16.86**
-once every hop of the chase is one ``DescriptorTable.next_hop``.  The
-budget is the 17.15 figure plus 10 %; an increase means a wrapper crept
-onto the per-event path.
+with one return path for atomic and generator operations, **16.86**
+once every hop of the chase is one ``DescriptorTable.next_hop``, and
+**12.04** once an event is its heap entry (no ``Event`` object, no
+``schedule_at_ns`` call from ``charge``), every continuation a
+``functools.partial`` of a bound method instead of a lambda around one,
+trace calls made only with a tracer attached, ``try_dispatch`` one pass
+over the CPUs and no property read on the kernel's and the chase's
+per-event paths.  The budget is the 12.04 figure plus 10 %; an increase
+means a wrapper crept onto the per-event path.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import sys
 
 from tests import hot_path_programs as programs
 
-CALLS_PER_EVENT_BUDGET = 17.15 * 1.10
+CALLS_PER_EVENT_BUDGET = 12.04 * 1.10
 
 
 def count_python_calls(run):

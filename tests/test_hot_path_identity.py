@@ -1,10 +1,14 @@
 """Golden identity of the simulator's per-event path.
 
 Seven small fixed programs (``tests/hot_path_programs.py``: three
-fault-free, four faulted or recovering) are run with a tracer attached and every fixed point of the run — ``(events_run,
-elapsed_us)``, ``ClusterStats``, ``NetworkStats``, ``metrics.as_dict()``,
-every thread's ``state_time_us`` and the full trace-event stream — is
-compared against ``tests/golden/hot_path_identity.json``.  The golden
+fault-free, four faulted or recovering) are run with a tracer attached
+and every fixed point of the run — ``(events_run, elapsed_us)``,
+``ClusterStats``, ``NetworkStats``, ``metrics.as_dict()``, every
+thread's ``state_time_us`` and the full trace-event stream — is compared
+against ``tests/golden/hot_path_identity.json``.  Each program
+also runs untraced, and every fixed point but the trace must be the same:
+the kernel emits trace events only when a tracer is attached, and that
+guard must not move a single event.  The golden
 file was generated before the per-event path was optimised; a change to
 that path must leave this file untouched.  Regenerate (only for an
 intended behaviour change) with::
@@ -36,16 +40,17 @@ PROGRAMS = {
 }
 
 
-def observe(run) -> dict:
-    """Every fixed point of one traced run, as JSON-ready data (floats
-    round-trip exactly through ``json``)."""
-    tracer = Tracer(max_events=1_000_000)
+def observe(run, traced: bool = True) -> dict:
+    """Every fixed point of one run, as JSON-ready data (floats
+    round-trip exactly through ``json``); an untraced run has no trace
+    keys."""
+    tracer = Tracer(max_events=1_000_000) if traced else None
     result = run(tracer=tracer)
     cluster = result.cluster
     stats = dataclasses.asdict(
         dataclasses.replace(cluster.stats, metrics=None))
     del stats["metrics"]
-    return {
+    observed = {
         "events_run": cluster.sim.events_run,
         "elapsed_us": cluster.sim.now_us,
         "cluster_stats": stats,
@@ -53,11 +58,14 @@ def observe(run) -> dict:
         "metrics": cluster.metrics.as_dict(),
         "state_time_us": {thread.name: thread.state_time_us
                           for thread in cluster.kernel.threads},
-        "trace_dropped": tracer.dropped,
-        "trace": [[event.t_us, event.kind, event.node, event.thread,
-                   event.vaddr, event.detail, event.dur_us]
-                  for event in tracer.events],
     }
+    if traced:
+        observed["trace_dropped"] = tracer.dropped
+        observed["trace"] = [[event.t_us, event.kind, event.node,
+                              event.thread, event.vaddr, event.detail,
+                              event.dur_us]
+                             for event in tracer.events]
+    return observed
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +78,24 @@ def test_run_matches_golden(name, golden):
     # Through json once, so tuples/ints compare as the file stores them.
     observed = json.loads(json.dumps(observe(PROGRAMS[name])))
     expected = golden[name]
+    assert sorted(observed) == sorted(expected)
+    for key in expected:
+        assert observed[key] == expected[key], f"{name}: {key} differs"
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_untraced_run_matches_golden(name, golden):
+    """Without a tracer every fixed point but the trace is the traced
+    run's, less the ``ready_queue_n*`` gauges only a tracer samples."""
+    observed = json.loads(json.dumps(observe(PROGRAMS[name],
+                                             traced=False)))
+    expected = dict(golden[name])
+    del expected["trace"], expected["trace_dropped"]
+    expected["metrics"] = dict(
+        expected["metrics"],
+        gauges={gauge: value
+                for gauge, value in expected["metrics"]["gauges"].items()
+                if not gauge.startswith("ready_queue_n")})
     assert sorted(observed) == sorted(expected)
     for key in expected:
         assert observed[key] == expected[key], f"{name}: {key} differs"

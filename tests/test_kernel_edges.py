@@ -84,6 +84,73 @@ class TestSleep:
         assert run_free(main).value == "rejected"
 
 
+@pytest.mark.parametrize("us", [float("nan"), float("inf")])
+@pytest.mark.parametrize("request_type", [Compute, Charge, Sleep])
+def test_non_finite_duration_raises_inside_the_program(request_type, us):
+    """A NaN or infinite duration is rejected like a negative one: a
+    typed error the program can catch, not a ValueError or
+    OverflowError out of the run, and not a Compute that never ends."""
+    from repro.errors import InvocationError
+
+    def main(ctx):
+        try:
+            yield request_type(us)
+        except InvocationError as error:
+            return str(error)
+
+    assert "finite and non-negative" in run_free(main).value
+
+
+class TestChargeInFlight:
+    def test_move_preemption_cancels_the_compute_entry(self):
+        """The move protocol interrupts a bound thread mid-Compute by
+        cancelling its CPU's engine entry; the remaining compute is kept
+        and run on the object's new node."""
+        class Workplace(SimObject):
+            def work(self, ctx):
+                yield Compute(50_000)
+                return ctx.node
+
+        def main(ctx):
+            place = yield New(Workplace)
+            worker = yield Fork(place, "work")
+            yield Compute(1_000)
+            cpu, = [cpu for cpu in ctx.cluster.nodes[0].cpus
+                    if cpu.thread is worker]
+            entry = cpu.run_event
+            assert entry[2] is not None and cpu.charge_preemptible
+            yield MoveTo(place, 1)
+            cancelled = entry[2] is None
+            left_us = worker.pending_compute_us
+            return cancelled, left_us, (yield Join(worker))
+
+        cancelled, left_us, where = run(main, cpus=2).value
+        assert cancelled
+        assert 0 < left_us < 50_000
+        assert where == 1
+
+    def test_second_charge_on_a_busy_cpu_is_a_kernel_error(self):
+        """A CPU runs one charge at a time.  A second is a kernel bug:
+        it stops the run, and is never delivered into the program as an
+        AmberError it could catch."""
+        from repro.errors import AmberError
+
+        class Meddler(SimObject):
+            def meddle(self, ctx):
+                ctx._kernel.charge(ctx.thread, 1.0, lambda: None)
+                return 1
+
+        def main(ctx):
+            meddler = yield New(Meddler)
+            try:
+                yield Invoke(meddler, "meddle")
+            except AmberError:
+                return "delivered"
+
+        with pytest.raises(RuntimeError, match="still in flight"):
+            run_free(main)
+
+
 class TestThreadObjectMoves:
     def test_move_unstarted_thread_starts_on_new_node(self):
         def main(ctx):

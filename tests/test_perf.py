@@ -76,6 +76,15 @@ class TestHotLoopProfiler:
         assert phases["heap-pop"] > 0
         assert phases["heap-push"] > 0
 
+    def test_every_push_is_timed(self):
+        """The kernel's charge pushes its own entries; they must go
+        through the engine module's ``heappush`` the profiler swaps.
+        Each run's first push (the main thread's switch-in charge)
+        happens before the profiler attaches."""
+        profiler = _profiled_sor()
+        assert profiler.runs == 1
+        assert profiler.heap_pushes + profiler.runs >= profiler.events > 0
+
     def test_phase_seconds_sum_to_total(self):
         profiler = _profiled_sor()
         # Exclusive phases partition the run: they sum to total_s up to
