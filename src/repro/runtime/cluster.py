@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.core.address_space import DEFAULT_REGION_BYTES
 from repro.errors import ClusterError
@@ -128,9 +128,10 @@ class Cluster:
         self._check_node(node)
         return self.kernel.node_stats(node)
 
-    def failed_peers(self) -> set:
+    def failed_peers(self) -> FrozenSet[int]:
         """Nodes the coordinator's failure detector currently suspects
-        dead (heartbeat silence past the grace window).  Detection only:
+        dead (heartbeat silence past the grace window), as a frozen
+        snapshot that later verdicts do not change.  Detection only:
         invocations routed at a suspect node still time out rather than
         recover — see docs/RECOVERY.md for the simulator's full story."""
         return self._client.failed_peers()

@@ -33,7 +33,7 @@ import socket
 import threading
 import time
 import weakref
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.address_space import (
     DEFAULT_REGION_BYTES,
@@ -299,8 +299,9 @@ class CoordinatorClient:
         #: of waiting out a deadline nobody will answer.
         self._connected = threading.Event()
         self._connected.set()
-        #: node -> last PeerStatus verdict (False = suspected dead).
-        self.peer_status: Dict[int, bool] = {}
+        #: The nodes the last PeerStatus of each said were suspected
+        #: dead: a snapshot, replaced (never changed) by the reader.
+        self._suspected: FrozenSet[int] = frozenset()
         #: Set the first time any peer is suspected (tests/wait hooks).
         self.peer_failure_event = threading.Event()
         self._heartbeat_stop = threading.Event()
@@ -329,8 +330,10 @@ class CoordinatorClient:
                         if box is not None:
                             box.put(message)
                     elif isinstance(message, m.PeerStatus):
-                        self.peer_status[message.node] = message.alive
-                        if not message.alive:
+                        if message.alive:
+                            self._suspected -= {message.node}
+                        else:
+                            self._suspected |= {message.node}
                             self.peer_failure_event.set()
                     elif isinstance(message, m.Shutdown):
                         self.shutdown_event.set()
@@ -458,10 +461,10 @@ class CoordinatorClient:
         with self._send_lock:
             send_frame(self._sock, m.Heartbeat(node))
 
-    def failed_peers(self) -> set:
-        """Nodes currently suspected dead by the coordinator."""
-        return {node for node, alive in self.peer_status.items()
-                if not alive}
+    def failed_peers(self) -> FrozenSet[int]:
+        """Nodes currently suspected dead by the coordinator: a frozen
+        snapshot, which a later verdict does not change."""
+        return self._suspected
 
     # -- AddressSpaceServer interface for NodeHeap ------------------------
 

@@ -60,12 +60,19 @@ class _RemoteMethod:
 class ThreadHandle:
     """A started Amber thread: an outstanding shipped activation."""
 
-    def __init__(self, kernel: Any, entry: Any, description: str):
+    __slots__ = ("_kernel", "_entry", "_method", "_vaddr")
+
+    def __init__(self, kernel: Any, entry: Any, method: str, vaddr: int):
         self._kernel = kernel
         #: The kernel's entry for the request: the reply waits in it, so
         #: an answered thread lives as long as its handle.
         self._entry = entry
-        self.description = description
+        self._method = method
+        self._vaddr = vaddr
+
+    @property
+    def description(self) -> str:
+        return f"{self._method}@{self._vaddr:#x}"
 
     def join(self, timeout: Optional[float] = None):
         """Wait for the thread to finish; returns its result or re-raises

@@ -140,7 +140,8 @@ class NodeKernel:
     def __init__(self, node_id: int, coordinator_client, chaos=None):
         self.node_id = node_id
         #: The failure detector's suspects (none without a detector).
-        self._failed_peers = getattr(coordinator_client, "failed_peers", set)
+        self._suspected_peers = getattr(coordinator_client, "failed_peers",
+                                        frozenset)
         self.chaos = None
         if chaos is not None:
             from repro.faults.live import LiveFaultInjector
@@ -209,7 +210,7 @@ class NodeKernel:
         executes at the object's node."""
         entry = self._start(None, vaddr, m.InvokeMsg, vaddr, method, args,
                             kwargs, (self.node_id,), post=True)
-        return ThreadHandle(self, entry, f"{method}@{vaddr:#x}")
+        return ThreadHandle(self, entry, method, vaddr)
 
     def move(self, vaddr: int, dest: int) -> None:
         """MoveTo: relocate the object (and its attachment group).  The
@@ -254,11 +255,11 @@ class NodeKernel:
         if self._posted:
             # What this thread waits for may still sit in an outbox.
             self._flush(list(self._posted))
-        try:
-            ok, value, error = entry.box.get(timeout=deadline_s)
-        except queue.Empty:
+        outcome = entry.wait(deadline_s)
+        if outcome is None:
             self._forget(entry)     # a late reply finds no entry
-            raise self._deadline_verdict(entry, deadline_s) from None
+            raise self._deadline_verdict(entry, deadline_s)
+        ok, value, error = outcome
         if ok:
             return value
         raise error
@@ -284,9 +285,8 @@ class NodeKernel:
         was never accepted for transmission (a routing verdict, an
         encode error, an unknown peer)."""
         request_id = next(self._request_ids)
-        box = None if on_reply else queue.SimpleQueue()
         entry = Pending(kind(request_id, self.node_id, *fields), node,
-                        vaddr, box, on_reply or box.put, time.monotonic())
+                        vaddr, on_reply, time.monotonic())
         self._pending[request_id] = entry
         try:
             self._send_request(entry, post)
@@ -300,16 +300,20 @@ class NodeKernel:
 
     def _route(self, entry: Pending) -> int:
         """The target of the next transmission of ``entry``: this node,
-        or a peer the breakers let through (:meth:`PeerCircuits.route`;
-        its fast ``NodeFailure`` leaves here)."""
+        or a peer the breakers let through (:meth:`PeerCircuits.route`,
+        asked only when one is not closed; its fast ``NodeFailure``
+        leaves here)."""
         target, vaddr = entry.node, entry.vaddr
         if vaddr is not None:
             target = self._table.descriptors.next_hop(
                 vaddr, self._table.home_node)
         if target == self.node_id:
             return target
+        suspected = self._suspected_peers()
+        if self._circuits.lets_through(target, suspected):
+            return target
         return self._circuits.route(
-            target, self._suspected_peers(), time.monotonic(),
+            target, suspected, time.monotonic(),
             None if vaddr is None else lambda: self._table.home_node(vaddr))
 
     def _send_request(self, entry: Pending, post: bool = False) -> None:
@@ -406,19 +410,14 @@ class NodeKernel:
         return self._circuits.deadline_verdict(
             entry, deadline_s, self._suspected_peers(), time.monotonic())
 
-    def _suspected_peers(self) -> set:
-        try:
-            return self._failed_peers()
-        except Exception:      # pragma: no cover - defensive
-            return set()
-
     # -- at-most-once execution (receive side) -------------------------
 
     def _duplicate(self, message, claim: bool) -> bool:
-        """The at-most-once gate, asked twice per request: a peek before
-        routing (``claim=False``), the atomic claim before execution.
-        True when this copy must not execute: it was answered from the
-        reply cache, or dropped as the twin of one still executing."""
+        """The at-most-once gate, asked once per request: the atomic
+        claim before execution, or a peek (``claim=False``) before a
+        forward or a reader's :class:`MustWait`.  True when this copy
+        must not execute: it was answered from the reply cache, or
+        dropped as the twin of one still executing."""
         status, cached = self._dedup.claim(
             (message.reply_to, message.request_id), claim)
         if status in ("new", "absent"):
@@ -536,13 +535,11 @@ class NodeKernel:
             log.debug("dispatch traceback:\n%s", traceback.format_exc())
 
     def _serve(self, message, body, on_reader, may_wait) -> None:
-        """The gate of every request: replay or drop a duplicate, forward
-        it if its object is not here, claim it, refresh the chase path,
-        then :meth:`_finish` it.  A mesh reader (``may_wait`` false) runs
-        a body only if it may (``on_reader``): :class:`MustWait` leaves
-        here only while nothing is claimed."""
-        if self._duplicate(message, claim=False):
-            return
+        """The gate of every request: forward it if its object is not
+        here, else claim it (a duplicate is replayed or dropped), refresh
+        the chase path, then :meth:`_finish` it.  A mesh reader
+        (``may_wait`` false) runs a body only if it may (``on_reader``):
+        :class:`MustWait` leaves here only while nothing is claimed."""
         obj = None
         try:
             vaddr = message.vaddr
@@ -551,9 +548,12 @@ class NodeKernel:
         if vaddr != -1:             # a "stats" control names none either
             obj = self._table.resident(vaddr)
             if obj is None:
-                self._forward(message, may_wait)
+                if not self._duplicate(message, claim=False):
+                    self._forward(message, may_wait)
                 return
         if not (on_reader or may_wait):
+            if self._duplicate(message, claim=False):
+                return
             raise MustWait()
         if self._duplicate(message, claim=True):
             return

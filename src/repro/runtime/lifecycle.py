@@ -110,23 +110,26 @@ class Dedup:
 
 class Pending:
     """One outstanding request, joined or not: where its outcome ``(ok,
-    value, error)`` goes (``deliver``: into the ``box`` a joiner reads,
-    or with no box to a continuation), where it is sent — ``node``, or
-    with a ``vaddr`` the next hop toward the object (this node while it
-    is resident here) — and its place on the
+    value, error)`` goes (:meth:`deliver`: into the slot a joiner reads
+    by :meth:`wait`, or to the continuation ``on_reply``), where it is
+    sent — ``node``, or with a ``vaddr`` the next hop toward the object
+    (this node while it is resident here) — and its place on the
     resend ladder: re-sent at ``resend_at``, ``rto_s`` later each time,
     until ``give_up_at``.  The reply ceiling comes from
     REPRO_PEER_TIMEOUT_S (repro.recovery.config), read per request."""
 
-    __slots__ = ("box", "deliver", "joined", "message", "node", "vaddr",
-                 "last_target", "held", "reply_s", "rto_base_s", "rto_s",
-                 "resend_at", "give_up_at")
+    __slots__ = ("on_reply", "outcome", "waiter", "joined", "message",
+                 "node", "vaddr", "last_target", "held", "reply_s",
+                 "rto_base_s", "rto_s", "resend_at", "give_up_at")
 
     def __init__(self, message: Any, node: Optional[int],
-                 vaddr: Optional[int], box: Any,
-                 deliver: Callable[[Tuple], None], now: float):
-        self.box = box
-        self.deliver = deliver
+                 vaddr: Optional[int],
+                 on_reply: Optional[Callable[[Tuple], None]], now: float):
+        self.on_reply = on_reply
+        #: The slot: the outcome, once delivered to a joinable entry.
+        self.outcome: Optional[Tuple] = None
+        #: The lock a joiner parked on, held until the outcome comes.
+        self.waiter: Any = None
         self.joined = False
         self.message = message
         self.node = node
@@ -140,6 +143,33 @@ class Pending:
             RTO_MIN_S, min(RTO_MAX_S, self.reply_s / 24.0))
         self.resend_at = now + self.rto_s
         self.give_up_at = now + self.reply_s
+
+    def deliver(self, outcome: Tuple) -> None:
+        """Hand over the outcome (the kernel delivers one per entry): to
+        the continuation, or into the slot, waking a parked joiner.  The
+        slot is written before the waiter is read, and :meth:`wait`
+        publishes its waiter before it reads the slot again, so one of
+        the two sees the other."""
+        if self.on_reply is not None:
+            self.on_reply(outcome)
+            return
+        self.outcome = outcome
+        waiter = self.waiter
+        if waiter is not None:
+            waiter.release()
+
+    def wait(self, timeout_s: float) -> Optional[Tuple]:
+        """The outcome, at once if it is in the slot; else after parking
+        at most ``timeout_s`` on a lock of the joiner's own.  None: no
+        outcome came within it."""
+        if self.outcome is None:
+            waiter = threading.Lock()
+            waiter.acquire()
+            self.waiter = waiter
+            if self.outcome is None and \
+                    not waiter.acquire(timeout=timeout_s):
+                return None
+        return self.outcome
 
     def join(self, now: float, timeout: Optional[float] = None) -> float:
         """The one join: returns its deadline, seconds, and moves
@@ -155,10 +185,10 @@ class Pending:
 
     def take_due(self, now: float) -> bool:
         """Whether it is due a re-send — or, past ``give_up_at`` with
-        nobody to join it, its verdict (a box waits for a join instead).
+        nobody to join it, its verdict (a slot waits for a join instead).
         A due request is off the ladder until :meth:`backoff`."""
         if self.resend_at <= now and (now < self.give_up_at
-                                      or self.box is None):
+                                      or self.on_reply is not None):
             self.resend_at = math.inf
             return True
         return False
@@ -166,7 +196,7 @@ class Pending:
     def expired(self, now: float) -> bool:
         """A continuation's deadline has passed: it is due its verdict,
         not another re-send."""
-        return self.box is None and now >= self.give_up_at
+        return self.on_reply is not None and now >= self.give_up_at
 
     def backoff(self, now: float, jitter: float) -> None:
         """Back on the ladder after a re-send: the timeout doubles up to
@@ -207,11 +237,8 @@ class PeerCircuits:
     def check(self, node: int, suspected: bool, now: float) -> str:
         """The verdict for sending to ``node``: ``closed``, ``open``
         (fail fast / reroute), or ``probe`` (the one half-open attempt;
-        its reply or failure settles the breaker)."""
-        if not suspected:
-            peer = self._peers.get(node)
-            if peer is None or not peer.opened_at:
-                return CLOSED           # no lock while closed
+        its reply or failure settles the breaker).  A send that
+        :meth:`lets_through` passes never needs to ask."""
         with self._lock:
             peer = self._peers.setdefault(node, _Peer())
             if suspected and not peer.opened_at:
@@ -236,6 +263,14 @@ class PeerCircuits:
             peer.probe_at = now
             self.stats["circuit_probes"] += 1
             return PROBE
+
+    def lets_through(self, node: int, suspected: Set[int]) -> bool:
+        """Whether a send to ``node`` goes straight there: not suspected,
+        breaker closed.  No lock; anything else is :meth:`route`'s."""
+        if node in suspected:
+            return False
+        peer = self._peers.get(node)
+        return peer is None or not peer.opened_at
 
     def route(self, target: int, suspected: Set[int], now: float,
               home: Optional[Callable[[], int]] = None) -> int:

@@ -3,10 +3,10 @@
 Every message is a small named tuple.  On the wire it is the pair
 ``(code, fields)`` — ``code`` the class's index in :data:`KINDS`,
 ``fields`` a plain tuple — pickled and length-framed by
-:mod:`repro.runtime.transport`, which rebuilds it with
-``KINDS[code]._make(fields)``; no class travels by name.  ``reply_to``
-is always a node id; replies are matched by ``request_id`` (unique per
-sending node).
+:mod:`repro.runtime.transport`, which checks the arity and rebuilds it
+with ``tuple.__new__(KINDS[code], fields)``; no class travels by name.
+``reply_to`` is always a node id; replies are matched by ``request_id``
+(unique per sending node).
 """
 
 from __future__ import annotations

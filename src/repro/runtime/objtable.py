@@ -32,7 +32,8 @@ class MustWait(Exception):
 
 class ObjectTable:
     """:meth:`execute` holds a bind count on its object while the
-    operation runs; :meth:`take_group` waits for a group's to drain."""
+    operation runs; :meth:`take_group` waits for a group's to drain, and
+    is woken only while it waits."""
 
     def __init__(self, node_id: int, coordinator_client,
                  stats: Dict[str, int]):
@@ -41,6 +42,9 @@ class ObjectTable:
         self._stats = stats
         self._state = threading.RLock()
         self._drained = threading.Condition(self._state)
+        #: Drains waiting on ``_drained``; read and written under
+        #: ``_state``, so an invocation that ends finds every waiter.
+        self._draining = 0
         #: vaddr -> the object, for every object resident here.
         self.objects: Dict[int, AmberObject] = {}
         #: Written under ``_state``.  The kernel asks it for a next hop
@@ -94,7 +98,8 @@ class ObjectTable:
                 self._bind[vaddr] -= 1
                 if self._bind[vaddr] == 0:
                     del self._bind[vaddr]
-                    self._drained.notify_all()
+                    if self._draining:
+                        self._drained.notify_all()
 
     def resident(self, vaddr: int) -> Optional[AmberObject]:
         with self._state:
@@ -139,7 +144,11 @@ class ObjectTable:
                     raise MobilityError(
                         f"move of {vaddr:#x}: active invocations did not "
                         f"drain within {bound_s:g}s")
-                self._drained.wait(remaining)
+                self._draining += 1
+                try:
+                    self._drained.wait(remaining)
+                finally:
+                    self._draining -= 1
             if any(member not in self.objects for member in group):
                 raise MobilityError(
                     f"attachment group of {vaddr:#x} is not fully "

@@ -174,7 +174,7 @@ def _decode(frame) -> Any:
             return fields
         if 0 <= code < len(KINDS) and type(fields) is tuple \
                 and len(fields) == _ARITIES[code]:
-            return KINDS[code]._make(fields)
+            return tuple.__new__(KINDS[code], fields)
     raise RuntimeTransportError(
         f"malformed frame of {len(frame)} bytes: not (code, fields) of a "
         f"known message, got {type(body).__name__}")

@@ -1,5 +1,6 @@
 """AmberChaos units: live fault decisions, at-most-once dedup, circuit
-breakers, the one resend ladder, and wait_reply timeout races.
+breakers, the one resend ladder, the reply slot, a move's drain, and
+wait_reply timeout races.
 
 The live *scenario* suite (``repro chaos``) exercises these end to end;
 here each hardening layer is pinned down in isolation so a regression
@@ -12,10 +13,12 @@ import contextlib
 import itertools
 import socket
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.core.address_space import AddressSpaceServer
 from repro.errors import AmberError, NodeFailure
 from repro.faults.live import (
     LiveFaultInjector,
@@ -36,6 +39,7 @@ from repro.runtime.lifecycle import (
     Pending,
     PeerCircuits,
 )
+from repro.runtime.objtable import ObjectTable
 from tests.live_helpers import move_behind_the_drivers_back
 
 
@@ -303,12 +307,11 @@ class TestPeerCircuits:
         assert circuits.check(4, False, 1.0) == "open"
 
 
-def _pending(now, joinable=True):
-    """A request on object 0x10 made at ``now``, with a box to join it
-    by or (``joinable`` false) a continuation."""
+def _pending(now, joinable=True, on_reply=lambda outcome: None):
+    """A request on object 0x10 made at ``now``, with a slot to join it
+    by or (``joinable`` false) the continuation ``on_reply``."""
     return Pending(m.InvokeMsg(1, 0, 0x10, "poke", (), {}, (0,)), None,
-                   0x10, object() if joinable else None,
-                   lambda outcome: None, now)
+                   0x10, None if joinable else on_reply, now)
 
 
 class TestLadder:
@@ -370,6 +373,187 @@ class TestLadder:
         entry.resend_at = 11.0
         assert entry.take_due(12.0)         # due its verdict ...
         assert entry.expired(12.0)          # ... not a re-send
+
+
+class TestReplySlot:
+    """A joinable entry keeps its outcome in a slot: a delivery stores
+    it and wakes a joiner only if one is parked; a join finds it there
+    or parks on a lock of its own."""
+
+    def test_an_outcome_delivered_before_the_join_is_read_at_once(self):
+        entry = _pending(0.0)
+        entry.deliver((True, 7, None))
+        assert entry.wait(60.0) == (True, 7, None)
+        assert entry.waiter is None         # never parked
+
+    def test_a_parked_joiner_is_woken_by_a_delivery(self):
+        entry = _pending(0.0)
+        got = []
+        joiner = threading.Thread(target=lambda: got.append(entry.wait(60.0)))
+        joiner.start()
+        deadline = time.monotonic() + 10
+        while entry.waiter is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        entry.deliver((False, None, KeyError("k")))
+        joiner.join(timeout=10)
+        assert not joiner.is_alive()
+        assert got[0][0] is False and isinstance(got[0][2], KeyError)
+
+    def test_a_deadline_with_no_delivery_returns_no_outcome(self):
+        entry = _pending(0.0)
+        assert entry.wait(0.02) is None
+        entry.deliver((True, 1, None))      # a late one: nobody reads it
+        assert entry.outcome == (True, 1, None)
+
+    def test_a_continuation_never_touches_the_slot(self):
+        seen = []
+        entry = _pending(0.0, joinable=False, on_reply=seen.append)
+        entry.deliver((True, 3, None))
+        assert seen == [(True, 3, None)]
+        assert entry.outcome is None and entry.waiter is None
+
+    def test_many_deliverers_each_joiner_gets_its_own_outcome_once(self):
+        """Joiners and deliverers race on every entry.  A lost wakeup
+        parks a joiner until its deadline: ``None`` here, or a hang."""
+        entries = [_pending(0.0) for _ in range(4000)]
+        got = [None] * len(entries)
+
+        def join(start):
+            for index in range(start, len(entries), 4):
+                got[index] = entries[index].wait(20.0)
+
+        def deliver(start):
+            for index in range(start, len(entries), 3):
+                entries[index].deliver((True, index, None))
+
+        threads = [threading.Thread(target=join, args=(start,))
+                   for start in range(4)]
+        threads += [threading.Thread(target=deliver, args=(start,))
+                    for start in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads between bytecodes
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [(True, index, None) for index in range(len(entries))]
+
+    def test_the_kernels_deadline_verdict_is_unchanged(self, monkeypatch):
+        """No reply within the join's deadline: out of ``_pending``, no
+        longer held by the peer, a typed verdict — NodeFailure once the
+        detector suspects the peer — and a late reply finds nothing."""
+
+        class Detector:
+            suspected = frozenset()
+
+            def failed_peers(self):
+                return self.suspected
+
+        detector = Detector()
+        kernel, _ = _stubbed_kernel(monkeypatch, detector)
+        try:
+            quiet = kernel._start(2, None, m.ControlMsg, -1, "stats")
+            with pytest.raises(TimeoutError, match="no reply to ControlMsg"):
+                kernel.wait_reply(quiet, timeout=0.02)
+            suspect = kernel._start(2, None, m.ControlMsg, -1, "stats")
+            detector.suspected = frozenset({2})
+            with pytest.raises(NodeFailure, match="suspects it dead"):
+                kernel.wait_reply(suspect, timeout=0.02)
+            assert not kernel._pending and not kernel._unanswered[2]
+            kernel._on_message(
+                2, m.ResultMsg(quiet.message.request_id, True, 1))
+            assert quiet.outcome is None
+        finally:
+            kernel._resender_stop.set()
+            kernel._workers.close()
+
+
+def _stubbed_kernel(monkeypatch, coordinator_client=None):
+    """A lone node 1 whose mesh records what it is asked to post; the
+    process kernel is restored after the test."""
+    monkeypatch.setattr(runtime_objects, "_process_kernel",
+                        runtime_objects._process_kernel)
+    kernel = NodeKernel(1, coordinator_client)
+    sent = []
+
+    class StubMesh:
+        def post(self, node, message):
+            sent.append((node, message))
+            return True
+
+        def flush(self, node):
+            pass
+
+    kernel.mesh.close()
+    kernel.mesh = StubMesh()
+    return kernel, sent
+
+
+class Bumper(AmberObject):
+    def __init__(self):
+        self.bumps = 0
+
+    def bump(self, gate=None):
+        if gate is not None:
+            gate.wait(30)
+        self.bumps += 1
+        return self.bumps
+
+
+class TestDrain:
+    """A move drains its object's invocations: ``execute`` wakes the
+    drain only while one waits."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        monkeypatch.setenv(PEER_TIMEOUT_ENV, "10")
+        table = ObjectTable(1, AddressSpaceServer(), dict.fromkeys(
+            ("invocations_executed", "hints"), 0))
+        notified = []
+        wake = table._drained.notify_all
+        table._drained.notify_all = lambda: (notified.append(1), wake())
+        table.notified = notified
+        return table
+
+    def test_execute_with_no_drain_waiting_notifies_nobody(self, table):
+        obj = table.objects[table.create(Bumper, (), {})]
+        assert [table.execute(obj, "bump", (), {}) for _ in range(3)] == \
+            [1, 2, 3]
+        assert table.notified == []
+
+    def test_a_drain_wakes_when_the_last_invocation_ends(self, table):
+        vaddr = table.create(Bumper, (), {})
+        obj = table.objects[vaddr]
+        gates = [threading.Event() for _ in range(3)]
+        running = [threading.Thread(
+            target=table.execute, args=(obj, "bump", (gate,), {}))
+            for gate in gates]
+        for thread in running:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while table._bind.get(vaddr, 0) < len(gates):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        taken = []
+        mover = threading.Thread(target=lambda: taken.append(
+            table.take_group(vaddr, 2, may_wait=True)))
+        mover.start()
+        while table._draining == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        for gate, thread in zip(gates, running):
+            assert not taken
+            gate.set()
+            thread.join(timeout=10)
+        mover.join(timeout=10)
+        assert taken and taken[0][0] == {vaddr: obj}
+        assert obj.bumps == 3 and table._draining == 0
+        assert table.notified == [1]       # the last one only
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +751,7 @@ class TestPendingLifetime:
         must not stay in that peer's unanswered set — nothing would ever
         take it out, and every fork to the peer would be posted, never
         written inline."""
-        monkeypatch.setattr(runtime_objects, "_process_kernel",
-                            runtime_objects._process_kernel)
-        kernel = NodeKernel(1, None)
-        sent = []
-
-        class StubMesh:
-            def post(self, node, message):
-                sent.append((node, message))
-                return True
-
-            def flush(self, node):
-                pass
-
-        kernel.mesh.close()
-        kernel.mesh = StubMesh()
+        kernel, sent = _stubbed_kernel(monkeypatch)
         try:
             targets = iter((2, 3))
 

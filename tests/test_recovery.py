@@ -908,3 +908,50 @@ class TestLiveDetection:
         finally:
             silent.close()
             coordinator.close()
+
+    def test_failed_peers_is_a_snapshot_the_reader_replaces(self):
+        """The client's reader thread replaces the suspected set on each
+        verdict; a set handed out never changes under a later one, so
+        routing can read it while verdicts arrive (iterating the
+        verdict table then could raise "dictionary changed size during
+        iteration")."""
+        import socket
+
+        from repro.runtime import messages as m
+        from repro.runtime.coordinator import CoordinatorClient
+        from repro.runtime.transport import send_frame
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = CoordinatorClient(listener.getsockname())
+        server, _ = listener.accept()
+
+        def verdicts_read(expected):
+            deadline = time.monotonic() + 5.0
+            while client.failed_peers() != expected:
+                assert time.monotonic() < deadline, client.failed_peers()
+                time.sleep(0.01)
+            return client.failed_peers()
+
+        try:
+            none = client.failed_peers()
+            assert none == frozenset() and type(none) is frozenset
+            send_frame(server, m.PeerStatus(2, alive=False))
+            assert client.peer_failure_event.wait(timeout=5.0)
+            two = verdicts_read({2})
+            send_frame(server, m.PeerStatus(3, alive=False))
+            send_frame(server, m.PeerStatus(2, alive=True))   # retracted
+            three = verdicts_read({3})
+            assert type(three) is frozenset
+            assert none == frozenset() and two == {2}
+            # Many verdicts for new nodes while a router walks the set.
+            for node in range(100, 600):
+                send_frame(server, m.PeerStatus(node, alive=False))
+            deadline = time.monotonic() + 5.0
+            while len(client.failed_peers()) < 501:
+                assert time.monotonic() < deadline
+                assert sum(1 for _ in client.failed_peers()) <= 501
+            assert three == {3}
+        finally:
+            client.close()
+            server.close()
+            listener.close()
