@@ -33,11 +33,10 @@ chaos:
 		PYTHONPATH=src python -m repro chaos --fast --seed $$seed || exit 1; \
 	done
 
-# AmberElide: escape/confinement analysis + verified sync-elision
-# fast paths (docs/ANALYSIS.md).  Add --verify for the full dynamic
-# soundness suite (AmberCheck, bit-identity); no clock in either.
+# AmberElide: escape/confinement analysis with advisory AMB3xx
+# findings (docs/ANALYSIS.md); static, no clock.
 elide:
-	PYTHONPATH=src python -m repro elide --fast
+	PYTHONPATH=src python -m repro elide
 
 # The full static + dynamic + model-checking gauntlet.
 check: lint flow elide analyze amber-check

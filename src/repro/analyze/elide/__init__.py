@@ -1,4 +1,4 @@
-"""AmberElide: static escape/confinement analysis with verified elision.
+"""AmberElide: static escape/confinement analysis.
 
 The pass classifies, on top of the AmberFlow object-flow model
 (:mod:`repro.analyze.flow`):
@@ -12,22 +12,15 @@ The pass classifies, on top of the AmberFlow object-flow model
   whose instances only guard confined or immutable state or are only
   reachable from one thread.
 
-The result is a deterministic, sha256-fingerprinted ``amberelide/1``
-artifact (:mod:`repro.analyze.elide.artifact`) that the runtime
-consumes: the sync objects elide uncontended acquire/release of proven
-locks (no scheduler event; simulated time is preserved via the
-thread's surcharge accumulator), the sanitizer skips field
-interposition for proven-confined/immutable classes, and the placement
-hints promote effectively-immutable classes to ``replicate``.
+The result is reported as AMB301-AMB304 findings
+(:mod:`repro.analyze.elide.diagnostics`) and as a deterministic,
+sha256-fingerprinted ``amberelide/1`` artifact
+(:mod:`repro.analyze.elide.artifact`).  Both are advisory: no run
+reads them.  The one consumer that changes a run is hint promotion —
+the placement hints promote effectively-immutable classes to
+``replicate`` (``derive_hints(..., extra_immutable=)``).
 
-Soundness is *verified*, not assumed — ``repro elide --verify`` runs
-the fixture catalog and the bundled apps with elision active under an
-auditing sanitizer and asserts zero cross-thread traffic on anything
-the analysis elided (any violation is a hard ``AMBELIDE-UNSOUND``
-finding) and bit-identical results with elision on vs. off.  See
-docs/ANALYSIS.md.
-
-This ``__init__`` deliberately imports nothing: the simulator's hot
-paths import :mod:`repro.analyze.elide.runtime` (stdlib-only), and
-pulling the analysis machinery in here would tax every simulated run.
+``repro elide`` checks the pass itself: a byte-identical artifact
+across reruns, the fixture catalog's expected findings, loads that
+never raise, and hint promotion.  See docs/ANALYSIS.md.
 """

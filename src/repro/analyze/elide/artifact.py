@@ -7,12 +7,10 @@ path-order-dependent), the fingerprint is a sha256 over the canonical
 JSON encoding, and :func:`load_artifact` never raises — a mangled file
 loads with a wrong ``schema`` and fails ``valid``.
 
-Unlike the hints artifact, elision changes *runtime mechanism*, so
-staleness is checked before activation: the artifact records a sha256
-per analyzed source, and :meth:`ElideArtifact.activate` refuses (and
-counts, via :func:`repro.analyze.elide.runtime.note_stale`) when the
-sources on disk no longer match.  A stale artifact silently disables
-elision; it never half-applies.
+The artifact is a report: nothing at run time reads it.  It records
+a sha256 per analyzed source, so two artifacts of the same tree
+compare equal byte for byte and a changed source changes the
+fingerprint.
 """
 
 from __future__ import annotations
@@ -20,10 +18,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
-from repro.analyze.elide import runtime as _ert
+from repro.analyze.elide.model import MAIN_OWNER
 from repro.selfcheck import Artifact
 
 #: Schema tag checked by consumers; bump on incompatible change.
@@ -39,7 +36,7 @@ def source_sha(text: str) -> str:
 
 @dataclass
 class ElideArtifact(Artifact):
-    """The elision facts derived from one analysis run."""
+    """The confinement facts derived from one analysis run."""
 
     SCHEMA = ELIDE_SCHEMA
 
@@ -58,14 +55,15 @@ class ElideArtifact(Artifact):
 
     @property
     def skip_classes(self) -> List[str]:
-        """Classes whose field interposition may be skipped."""
+        """Classes proven confined or effectively immutable."""
         return sorted(set(self.confined) | set(self.immutable))
 
     @property
     def lock_owners(self) -> List[Tuple[str, str]]:
         """``(owner, lock_cls)`` pairs where *every* lock site of that
-        owner and class is elidable — the all-sites rule keeps the
-        runtime's per-creation marking sound at pair granularity.
+        owner and class is elidable.  A run tells a lock's site only by
+        that pair (the class of the activation that creates it, and its
+        own class), so a pair is elidable only if all its sites are.
 
         A site owned by ``<main>`` is in a module-level function, which
         any activation may delegate to with ``yield from`` — the lock
@@ -78,55 +76,10 @@ class ElideArtifact(Artifact):
             key = (str(lock.get("owner", "")), str(lock.get("cls", "")))
             verdict[key] = verdict.get(key, True) \
                 and bool(lock.get("elidable"))
-            if key[0] == _ert.MAIN_OWNER and not lock.get("elidable"):
+            if key[0] == MAIN_OWNER and not lock.get("elidable"):
                 vetoed.add(key[1])
         return sorted(key for key, ok in verdict.items()
                       if ok and key[1] not in vetoed)
-
-    def to_elide_set(self) -> _ert.ElideSet:
-        return _ert.ElideSet(
-            skip_classes=frozenset(self.skip_classes),
-            lock_owners=frozenset(self.lock_owners),
-            confined=frozenset(self.confined),
-            immutable=frozenset(self.immutable),
-            fingerprint=self.fingerprint)
-
-    # -- staleness -------------------------------------------------------
-
-    def stale_sources(
-            self,
-            source_texts: Optional[Mapping[str, str]] = None
-    ) -> List[str]:
-        """Paths whose current text no longer matches the recorded
-        sha256.  ``source_texts`` supplies in-memory texts (fixtures);
-        otherwise the paths are read from disk.  Unreadable paths
-        count as stale."""
-        stale: List[str] = []
-        for path, sha in sorted(self.sources.items()):
-            if source_texts is not None:
-                text = source_texts.get(path)
-            else:
-                try:
-                    text = Path(path).read_text()
-                except OSError:
-                    text = None
-            if text is None or source_sha(text) != sha:
-                stale.append(path)
-        return stale
-
-    def activate(self,
-                 source_texts: Optional[Mapping[str, str]] = None,
-                 audit: bool = False) -> bool:
-        """Activate this artifact's elision set for the process.
-
-        Returns False — and bumps the stale counter — without
-        activating anything when the artifact is invalid or any
-        analyzed source changed since the analysis ran."""
-        if not self.valid or self.stale_sources(source_texts):
-            _ert.note_stale()
-            return False
-        _ert.activate(self.to_elide_set(), audit=audit)
-        return True
 
     # -- serialization ---------------------------------------------------
 
@@ -189,7 +142,6 @@ def load_artifact(source: Union[str, Path, Mapping[str, Any]]
     """Load an elide artifact from a JSON file path or a parsed dict.
 
     Never raises on bad content — truncated, malformed, or unknown-
-    schema files load with a wrong ``schema`` and fail ``valid``,
-    which consumers treat as stale (elision silently disabled); the
+    schema files load with a wrong ``schema`` and fail ``valid``; the
     loader is :meth:`repro.selfcheck.Artifact.load`, as for the hints."""
     return ElideArtifact.load(source)

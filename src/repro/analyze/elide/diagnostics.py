@@ -1,4 +1,4 @@
-"""AMB3xx: elision diagnostics derived from the classification.
+"""AMB3xx: advisory diagnostics derived from the classification.
 
 Emitted as :class:`~repro.analyze.lint.LintFinding` instances so they
 share the renderer, the JSON shape, and the ``# repro: noqa[...]``
@@ -6,7 +6,7 @@ suppression machinery with the AMB1xx lint and AMB2xx flow passes.
 
 ``AMB301``
     An elidable lock site: the lock is only reachable from one thread,
-    so its acquire/release pairs will use the elided fast path.
+    so its acquire/release pairs synchronise nothing.
 ``AMB302``
     An effectively-immutable class invoked across an object boundary
     that is never ``SetImmutable``-d: marking it unlocks replication
@@ -51,7 +51,7 @@ def diagnose(model: ElideModel,
             findings.append(LintFinding(
                 site.path, site.line, "AMB301",
                 f"{site.cls} {site.var!r} (owner {site.owner}) "
-                f"{site.reason}; acquire/release will be elided"))
+                f"{site.reason}; acquire/release synchronise nothing"))
         else:
             findings.append(LintFinding(
                 site.path, site.line, "AMB304",

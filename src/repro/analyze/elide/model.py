@@ -35,8 +35,8 @@ resolver), then computes a three-point confinement lattice per class:
     acquire/release pairs cannot contend.
 
 All facts are conservative: anything the pass cannot prove stays
-unclassified, and the dynamic soundness audit (``repro elide
---verify``) checks the claims against real runs.
+unclassified.  They are advisory: the AMB3xx findings report them,
+and hint promotion places effectively-immutable classes by them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analyze.elide.runtime import MAIN_OWNER
 from repro.analyze.flow.model import FlowModel, scan_sources
 from repro.analyze.program import (
     LOCK_CLASSES,
@@ -61,8 +60,12 @@ from repro.analyze.program import (
     unwrapped,
 )
 
-__all__ = ["LOCK_CLASSES", "ElideModel", "LockSite", "classify",
-           "classify_sources"]
+__all__ = ["LOCK_CLASSES", "MAIN_OWNER", "ElideModel", "LockSite",
+           "classify", "classify_sources"]
+
+#: Owner name of a lock created outside any user class (the program's
+#: main thread runs inside the synthetic ``_MainObject``).
+MAIN_OWNER = "<main>"
 
 
 @dataclass(frozen=True)

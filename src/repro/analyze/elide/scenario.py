@@ -1,61 +1,36 @@
-"""The ``repro elide`` verification suite.
+"""The ``repro elide`` self-check suite.
 
-An elision analysis that is wrong does not produce a bad report — it
-produces a *differently scheduled simulation*, which is far worse.  So
-the suite is built around one invariant: **elision must be
-unobservable** except in host cost and event count.
+Four static scenarios check the pass itself:
 
-* **static self-consistency** — the classification is deterministic
-  (byte-identical ``amberelide/1`` artifact across reruns) and the
-  AMB301-AMB304 catalog fires exactly as specified on the bundled
-  fixtures (including ``# repro: noqa[...]`` suppression);
-* **artifact hygiene** — ``load_artifact`` never raises on truncated,
-  malformed, or unknown-schema files, and a stale artifact silently
-  disables elision (counted, never half-applied);
-* **hint promotion** — classes AmberElide proves effectively immutable
+* **deterministic-analysis** — the classification is deterministic
+  (byte-identical ``amberelide/1`` artifact across reruns);
+* **fixture-catalog** — the AMB301-AMB304 catalog fires exactly as
+  specified on the bundled fixtures (including ``# repro:
+  noqa[...]`` suppression);
+* **artifact-roundtrip** — ``load_artifact`` keeps the fingerprint and
+  never raises on truncated, malformed, or unknown-schema files;
+* **hint-promotion** — classes AmberElide proves effectively immutable
   are promoted to ``replicate`` placement hints even when AmberFlow
-  saw no foreign traffic;
-* **soundness audit** — every runnable fixture executes under the
-  sanitizer of :mod:`.audit` with elision active in audit mode (interposition
-  fully installed): any cross-thread touch of a claimed-confined
-  object, any post-construction write to a claimed-immutable class,
-  and any cross-thread acquire of an elision-marked lock is a hard
-  ``AMBELIDE-UNSOUND`` finding; and no lock may be marked whose own
-  creation site the analysis judged un-elidable (the static lock owner
-  must be the one the kernel computes).  The bundled apps run under
-  the same audit.  A deliberately unsound elision set is also run to
-  prove the auditor has teeth;
-* **``--verify``** adds: bounded AmberCheck exploration with elision
-  active, bit-identical results/elapsed (fixtures and the bundled
-  apps of ``repro.apps.WORKLOADS``) between elision on and off, and
-  elision-effectiveness counters (``lock_elided_total`` > 0,
-  ``lock_elide_bailout_total`` == 0).
+  saw no foreign traffic.
 
-Every verdict is a comparison of simulated observables: nothing here
-reads a clock, so a run's report is the same on any host.  Whether
-elision makes a run *faster* is AmberBench's question
-(``sim.sync.lock_elided_total`` and the end-to-end metrics of
-``python -m benchmarks.amberbench``), not this suite's.
+Nothing here runs a program or reads a clock, so a run's report is the
+same on any host.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analyze.elide import runtime as _ert
 from repro.analyze.elide.artifact import (
     ElideArtifact,
     build_artifact,
     load_artifact,
 )
-from repro.analyze.elide.audit import audit_run
 from repro.analyze.elide.diagnostics import diagnose
-from repro.analyze.elide.fixtures import FIXTURES, ElideFixture
+from repro.analyze.elide.fixtures import FIXTURES
 from repro.analyze.elide.model import classify_sources
 from repro.analyze.lint import (
     DEFAULT_PATHS,
@@ -76,90 +51,6 @@ ELIDE_SUITE = Suite(
     body=lambda outcome: [f"      {line}"
                           for line in outcome.fields["details"]],
     trailer="overall: {verdict} ({passed}/{total} scenarios)")
-
-
-# ---------------------------------------------------------------------------
-# Running programs under (and without) elision
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _RunRecord:
-    """The observables one program run is compared on."""
-
-    value: str          # repr of the main thread's result
-    elapsed_us: float
-    events: int
-    elided: int
-    bailouts: int
-
-    def core(self) -> Tuple[str, float]:
-        """The bits elision must never change."""
-        return (self.value, self.elapsed_us)
-
-    @staticmethod
-    def of(result: Any) -> "_RunRecord":
-        counters = result.cluster.metrics.counters
-        elided = counters.get("lock_elided_total")
-        bailed = counters.get("lock_elide_bailout_total")
-        return _RunRecord(
-            value=repr(result.value),
-            elapsed_us=result.elapsed_us,
-            events=result.cluster.sim.events_run,
-            elided=elided.value if elided else 0,
-            bailouts=bailed.value if bailed else 0)
-
-
-def _program(fx: ElideFixture) -> Any:
-    """An ``AmberProgram`` on the cluster ``fx`` was written for."""
-    from repro.sim.cluster import ClusterConfig
-    from repro.sim.program import AmberProgram
-
-    config = ClusterConfig(nodes=fx.nodes,
-                           cpus_per_node=fx.cpus_per_node)
-    return AmberProgram(config)
-
-
-def _plain_run(fx: ElideFixture) -> _RunRecord:
-    return _RunRecord.of(_program(fx).run(fx.load_main()))
-
-
-def _activated(fx: ElideFixture, audit: bool = False) -> ElideArtifact:
-    """Classify ``fx`` and activate its artifact (caller deactivates)."""
-    emodel = classify_sources(fx.sources())
-    artifact = build_artifact(emodel, fx.sources())
-    if not artifact.activate(source_texts=dict(fx.sources()),
-                             audit=audit):
-        raise RuntimeError(f"fixture artifact unexpectedly stale: "
-                           f"{fx.name}")
-    return artifact
-
-
-def _audit_fixture(fx: ElideFixture
-                   ) -> Tuple[Any, List[Any], List[Tuple[str, str, int]]]:
-    main = fx.load_main()
-    return audit_run(lambda: _program(fx).run(main))
-
-
-def _mismarked(artifact: ElideArtifact,
-               marked: List[Tuple[str, str, int]]) -> List[str]:
-    """The marked locks created at a site the analysis itself judged
-    un-elidable: the runtime's ``(owner, class)`` pair then differs
-    from the static one, and the all-sites rule protects nothing."""
-    refused = {(str(lock["path"]), lock["line"])
-               for lock in artifact.locks if not lock["elidable"]}
-    return [f"{cls} created at {file}:{line} is marked, but its site "
-            f"is un-elidable"
-            for cls, file, line in marked if (file, line) in refused]
-
-
-def _apps_artifact() -> ElideArtifact:
-    """The artifact of the bundled apps, wherever the package is (the
-    paths are the ones their code objects carry)."""
-    import repro.apps
-
-    sources, _ = collect_sources([os.path.dirname(repro.apps.__file__)])
-    return build_artifact(classify_sources(sources), sources)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +108,8 @@ def _outcome_fixture_catalog() -> Outcome:
 
 
 def _outcome_artifact_roundtrip(artifact: ElideArtifact) -> Outcome:
-    """Serialization invariants: load never raises, stale never
-    activates (and is counted)."""
+    """Serialization invariants: a roundtrip keeps the fingerprint and
+    a load never raises."""
     details: List[str] = []
     ok = True
 
@@ -259,27 +150,6 @@ def _outcome_artifact_roundtrip(artifact: ElideArtifact) -> Outcome:
         details.append(f"{len(hostile) + 1} hostile loads, "
                        f"none raised, none valid")
 
-    # Staleness: a changed source refuses activation and is counted.
-    fx = FIXTURES["confined-counter"]
-    art = build_artifact(classify_sources(fx.sources()), fx.sources())
-    before = _ert.STALE_DISABLES
-    activated = art.activate(
-        source_texts={fx.path: fx.source + "\n# drifted\n"})
-    if activated or _ert.active() is not None:
-        ok = False
-        details.append("stale artifact activated")
-        _ert.deactivate()
-    if _ert.STALE_DISABLES != before + 1:
-        ok = False
-        details.append("stale disable was not counted")
-    else:
-        details.append("stale artifact refused and counted "
-                       f"(STALE_DISABLES={_ert.STALE_DISABLES})")
-    invalid = ElideArtifact(schema="amberelide/99")
-    if invalid.activate() or _ert.active() is not None:
-        ok = False
-        details.append("invalid-schema artifact activated")
-        _ert.deactivate()
     return detailed("artifact-roundtrip", ok, details)
 
 
@@ -358,194 +228,13 @@ def _outcome_hint_promotion() -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic scenarios
-# ---------------------------------------------------------------------------
-
-
-def _outcome_soundness_audit() -> Outcome:
-    """Audit-mode runs observe every access; claims must hold — and a
-    deliberately unsound set must be *caught*."""
-    from repro.apps import WORKLOADS
-
-    details: List[str] = []
-    ok = True
-    runnable = [fx for fx in FIXTURES.values() if fx.runnable]
-    for fx in runnable:
-        artifact = _activated(fx, audit=True)
-        try:
-            result, findings, marked = _audit_fixture(fx)
-        finally:
-            _ert.deactivate()
-        record = _RunRecord.of(result)
-        unsound = [f for f in findings
-                   if f.rule == "AMBELIDE-UNSOUND"]
-        problems = _mismarked(artifact, marked)
-        if findings:
-            problems.append(
-                f"{len(findings)} sanitizer finding(s), "
-                f"{len(unsound)} unsound")
-        if record.value != repr(fx.expect_result):
-            problems.append(f"result {record.value}")
-        if record.bailouts:
-            problems.append(f"{record.bailouts} elision bailout(s)")
-        if fx.expect_elided and record.elided == 0:
-            problems.append("nothing elided")
-        if not fx.expect_elided and record.elided != 0:
-            problems.append(f"{record.elided} unexpected elisions")
-        if problems:
-            ok = False
-            details.append(f"{fx.name}: " + "; ".join(problems))
-        else:
-            details.append(f"{fx.name}: clean audit, "
-                           f"{record.elided} op(s) elided")
-
-    apps_artifact = _apps_artifact()
-    for name, run in WORKLOADS.items():
-        if not apps_artifact.activate(audit=True):
-            ok = False
-            details.append(f"{name}: apps artifact stale on disk")
-            continue
-        try:
-            # The fast sizes: what gets marked does not depend on it.
-            _, findings, marked = audit_run(lambda: run(True))
-        finally:
-            _ert.deactivate()
-        problems = _mismarked(apps_artifact, marked) + [
-            f.message for f in findings if f.rule == "AMBELIDE-UNSOUND"]
-        if problems:
-            ok = False
-            details.append(f"{name}: " + "; ".join(problems))
-        else:
-            details.append(f"{name}: clean audit, "
-                           f"{len(marked)} lock(s) marked")
-
-    # Teeth check: claim the shared pool confined and its gate
-    # elidable; the audit must produce AMBELIDE-UNSOUND findings.
-    fx = FIXTURES["shared-pool"]
-    _ert.activate(_ert.ElideSet(
-        skip_classes=frozenset({"JobPool"}),
-        lock_owners=frozenset({(_ert.MAIN_OWNER, "Lock")}),
-        confined=frozenset({"JobPool"}),
-        immutable=frozenset(),
-        fingerprint="deliberately-unsound"), audit=True)
-    try:
-        _, findings, _ = _audit_fixture(fx)
-    finally:
-        _ert.deactivate()
-    caught = [f for f in findings if f.rule == "AMBELIDE-UNSOUND"]
-    if not caught:
-        ok = False
-        details.append("unsound control set produced no "
-                       "AMBELIDE-UNSOUND finding")
-    else:
-        details.append(f"unsound control set caught: "
-                       f"{len(caught)} AMBELIDE-UNSOUND finding(s)")
-    return detailed("soundness-audit", ok, details)
-
-
-def _outcome_schedule_audit() -> Outcome:
-    """Bounded AmberCheck exploration with elision active (audit
-    mode): every explored schedule must stay clean and converge."""
-    from repro.analyze.check import check_program
-
-    details: List[str] = []
-    ok = True
-    for name in ("confined-counter", "scratch-workers"):
-        fx = FIXTURES[name]
-        main = fx.load_main()
-
-        def program() -> Any:
-            return _program(fx).run(main)
-
-        _activated(fx, audit=True)
-        try:
-            report = check_program(program, name=f"elide:{name}",
-                                   budget=64)
-        finally:
-            _ert.deactivate()
-        if not report.ok:
-            ok = False
-            details.append(
-                f"{name}: {len(report.findings)} finding(s) over "
-                f"{report.schedules} schedule(s)")
-        else:
-            details.append(f"{name}: {report.schedules} schedule(s) "
-                           f"explored, clean")
-    return detailed("schedule-audit", ok, details)
-
-
-def _outcome_bit_identical(fast: bool) -> Outcome:
-    """Elision on vs. off: results and simulated elapsed bit-identical,
-    runs deterministic per mode, and elision never adds events — on the
-    fixtures and on the bundled apps."""
-    from repro.apps import WORKLOADS, fingerprint
-
-    details: List[str] = []
-    ok = True
-    for fx in (fx for fx in FIXTURES.values() if fx.runnable):
-        off = [_plain_run(fx), _plain_run(fx)]
-        _activated(fx)
-        try:
-            on = [_plain_run(fx), _plain_run(fx)]
-        finally:
-            _ert.deactivate()
-        problems: List[str] = []
-        if off[0] != off[1] or on[0] != on[1]:
-            problems.append("nondeterministic")
-        if off[0].core() != on[0].core():
-            problems.append(
-                f"off={off[0].core()} on={on[0].core()}")
-        if on[0].events > off[0].events:
-            problems.append(f"events grew {off[0].events} -> "
-                            f"{on[0].events}")
-        if fx.expect_elided and on[0].events >= off[0].events:
-            problems.append("no event was elided")
-        if on[0].bailouts:
-            problems.append(f"{on[0].bailouts} bailout(s)")
-        if problems:
-            ok = False
-            details.append(f"{fx.name}: " + "; ".join(problems))
-        else:
-            details.append(
-                f"{fx.name}: bit-identical, events "
-                f"{off[0].events} -> {on[0].events}, "
-                f"{on[0].elided} op(s) elided")
-
-    apps_artifact = _apps_artifact()
-    for name, run in WORKLOADS.items():
-        off_runs = [fingerprint(run(fast)) for _ in range(2)]
-        if not apps_artifact.activate():
-            ok = False
-            details.append(f"{name}: apps artifact stale on disk")
-            continue
-        try:
-            on_runs = [fingerprint(run(fast)) for _ in range(2)]
-        finally:
-            _ert.deactivate()
-        if len(set(off_runs)) != 1 or len(set(on_runs)) != 1:
-            ok = False
-            details.append(f"{name}: nondeterministic fingerprints")
-        elif off_runs[0] != on_runs[0]:
-            ok = False
-            details.append(f"{name}: fingerprint {off_runs[0]} -> "
-                           f"{on_runs[0]}")
-        else:
-            details.append(f"{name}: fingerprint {on_runs[0]} "
-                           f"identical with elision active")
-    return detailed("bit-identical", ok, details)
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def run_elide_scenarios(paths: Optional[Sequence[str]] = None,
-                        fast: bool = False,
-                        verify: bool = False) -> Report:
-    """Run the (static, and with ``verify`` also dynamic) suite."""
-    if _ert.active() is not None:   # hygiene: never run nested
-        _ert.deactivate()
+def run_elide_scenarios(paths: Optional[Sequence[str]] = None) -> Report:
+    """Analyze ``paths`` (the bundled apps and examples by default)
+    and run the suite."""
     used_paths = [str(p) for p in (paths or DEFAULT_PATHS)]
     sources, _ = collect_sources(used_paths)
     emodel = classify_sources(sources)
@@ -557,17 +246,12 @@ def run_elide_scenarios(paths: Optional[Sequence[str]] = None,
         _outcome_fixture_catalog(),
         _outcome_artifact_roundtrip(artifact),
         _outcome_hint_promotion(),
-        _outcome_soundness_audit(),
     ]
-    if verify:
-        outcomes.append(_outcome_schedule_audit())
-        outcomes.append(_outcome_bit_identical(fast))
-    return elide_report(outcomes, artifact, findings, used_paths, verify)
+    return elide_report(outcomes, artifact, findings, used_paths)
 
 
 def elide_report(outcomes: List[Outcome], artifact: ElideArtifact,
-                 findings: List[LintFinding], paths: List[str],
-                 verify: bool) -> Report:
+                 findings: List[LintFinding], paths: List[str]) -> Report:
     """The report of one ``repro elide`` invocation."""
     elidable = [f"{owner}/{cls}" for owner, cls in artifact.lock_owners]
     title = [f"AmberElide over {', '.join(paths)}:",
@@ -579,8 +263,7 @@ def elide_report(outcomes: List[Outcome], artifact: ElideArtifact,
     title.append("scenarios:")
     return Report(
         ELIDE_SUITE, title=title,
-        params={"schema": "amberelide-report/1", "paths": paths,
-                "verify": verify},
+        params={"schema": "amberelide-report/1", "paths": paths},
         outcomes=outcomes,
         extras={"artifact": artifact,
                 "findings": [finding.as_dict() for finding in findings]})

@@ -69,10 +69,9 @@ def sanitize_runs(make: Optional[Callable[[], "Sanitizer"]] = None
     """Sanitize every simulated program run in the block.
 
     Each run gets a fresh ``make()`` (default: a plain
-    :class:`Sanitizer`; AmberCheck passes a tracing subclass, the
-    AmberElide audit an auditing one).  Yields the list of every run's
-    sanitizer, in run order.  A nested block restores the outer
-    block's ``make`` and list on exit.
+    :class:`Sanitizer`; AmberCheck passes a tracing subclass).  Yields
+    the list of every run's sanitizer, in run order.  A nested block
+    restores the outer block's ``make`` and list on exit.
     """
     global _BLOCK
     if make is None:

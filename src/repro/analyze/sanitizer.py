@@ -67,7 +67,6 @@ from types import FrameType
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analyze import runtime as _rt
-from repro.analyze.elide import runtime as _ert
 from repro.analyze.hb import Epoch, VectorClock
 from repro.analyze.lockorder import LockOrderGraph, Site
 
@@ -607,10 +606,6 @@ def _tracked_getattribute(self: Any, name: str) -> Any:
         return value
     if not type(self).SANITIZE_FIELDS:
         return value
-    # AmberElide: interposition skipped for proven-confined/immutable
-    # classes (empty set unless an artifact is active in non-audit mode).
-    if type(self).__name__ in _ert.SKIP:
-        return value
     obj_dict = object.__getattribute__(self, "__dict__")
     if name not in obj_dict:
         return value
@@ -625,8 +620,7 @@ def _tracked_getattribute(self: Any, name: str) -> Any:
 def _tracked_setattr(self: Any, name: str, value: Any) -> None:
     san = _rt.ACTIVE
     if san is not None and san._current and not name.startswith("_") \
-            and type(self).SANITIZE_FIELDS \
-            and type(self).__name__ not in _ert.SKIP:
+            and type(self).SANITIZE_FIELDS:
         obj_dict = object.__getattribute__(self, "__dict__")
         vaddr = obj_dict.get("_vaddr")
         if vaddr is not None:

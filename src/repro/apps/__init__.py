@@ -6,10 +6,10 @@ Successive Over-Relaxation solving Laplace's equation on a plate (section
 Figure 1, and an Ivy-style DSM port used by the section 4 ablations.
 
 One table of bundled-app runs (:data:`WORKLOADS`) sits here, below the
-CLI: ``repro trace``, ``profile``, ``perf --profile``, ``analyze
---workload`` and the ``bit-identical`` outcome of ``repro elide
---verify`` all run an app by looking its name up in it, so "the fast SOR
-run" is one problem size everywhere.
+CLI: ``repro trace``, ``profile``, ``perf --profile`` and ``analyze
+--workload`` all run an app by looking its name up in it, so "the fast
+SOR run" is one problem size everywhere; :func:`fingerprint` is what two
+runs of one of them must agree on.
 """
 
 from __future__ import annotations

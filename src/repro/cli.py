@@ -46,10 +46,9 @@
                                               # artifact
     python -m repro flow --expect PATH        # gate findings against a
                                               # committed expectation
-    python -m repro elide [--fast] [--verify] [--json PATH]
-                                              # AmberElide escape analysis
-                                              # + verified sync elision
-                                              # (docs/ANALYSIS.md)
+    python -m repro elide [--json PATH]       # AmberElide escape analysis
+                                              # (advisory AMB3xx findings;
+                                              # docs/ANALYSIS.md)
     python -m repro elide --artifact-out PATH # emit the amberelide/1
                                               # artifact
     python -m repro perf --profile sor --fast # hot-loop self-profile
@@ -420,8 +419,7 @@ def _cmd_flow(args) -> int:
 def _cmd_elide(args) -> int:
     from repro.analyze.elide.scenario import run_elide_scenarios
 
-    report = run_elide_scenarios(paths=args.paths, fast=args.fast,
-                                 verify=args.verify)
+    report = run_elide_scenarios(paths=args.paths)
     return _emit(
         report, args.json,
         (args.artifact_out, report.extras["artifact"].to_json(),
@@ -614,20 +612,13 @@ COMMANDS: Tuple[Command, ...] = (
             _path("--json", "dump the full report as JSON"))),
     Command(
         "elide", "AmberElide: static escape/confinement analysis "
-                 "(AMB301-AMB304); proves locks elidable and "
-                 "interposition skippable, and verifies the elision "
-                 "fast paths change nothing observable "
-                 "(docs/ANALYSIS.md)",
+                 "(AMB301-AMB304, advisory); reports thread-confined "
+                 "and effectively-immutable classes and locks that "
+                 "synchronise nothing (docs/ANALYSIS.md)",
         _cmd_elide, (
-            _fast("smaller app runs for the dynamic scenarios "
-                  "(CI smoke)"),
             _arg("--paths", nargs="*", default=None,
                  help="analyze these files/directories instead of "
                       "the bundled apps+examples"),
-            _arg("--verify", action="store_true",
-                 help="also run the dynamic soundness suite: "
-                      "AmberCheck + audit-sanitizer runs and "
-                      "elision-on vs. off bit-identity"),
             _path("--artifact-out",
                   "write the amberelide/1 artifact as JSON"),
             _path("--json", "dump the full report as JSON"))),

@@ -36,7 +36,6 @@ from repro.core.invocation import operation_of
 from repro.errors import AmberError, InvocationError, ObjectNotFoundError
 from repro.obs.metrics import Held
 from repro.sim import syscalls as sc
-from repro.analyze.elide import runtime as _ert
 from repro.sim import engine as _engine
 from repro.sim.cluster import SimCluster
 from repro.sim.engine import NS_PER_US
@@ -495,14 +494,8 @@ class AmberKernel:
     def _invoke_entry(self, thread: SimThread, request: sc.Invoke) -> None:
         node = self.cluster.nodes[thread.location]
         vaddr = request.target._vaddr
-        # AmberElide: proven-confined/immutable targets skip the
-        # access-log update — its only consumers (affinity rebalancing,
-        # flow evidence) never see elided runs, and a confined object's
-        # log would be a single-node row anyway.
-        skip = _ert.SKIP
-        if not skip or type(request.target).__name__ not in skip:
-            log = self.cluster.access_log.setdefault(vaddr, {})
-            log[node.id] = log.get(node.id, 0) + 1
+        log = self.cluster.access_log.setdefault(vaddr, {})
+        log[node.id] = log.get(node.id, 0) + 1
         if node.descriptors.is_resident(vaddr):
             node.stats.local_invocations += 1
             rec = self.recovery
@@ -614,16 +607,8 @@ class AmberKernel:
             # A thread body: there is no caller frame to return into.
             self.thread_manager.thread_exit(thread, value, exc)
             return
-        # The return pays the return-check cost.  An elided sync op
-        # deposits its nominal SYNC_OP_US in the thread's surcharge;
-        # folding it into this charge keeps simulated elapsed identical
-        # to the slow path while saving the separate Charge event.  (A
-        # RUNNING thread's surcharge is otherwise always zero — it is
-        # consumed at switch-in.)
-        surcharge = thread.surcharge_us
-        if surcharge:
-            thread.surcharge_us = 0.0
-        self.charge(thread, self.costs.local_return_us + surcharge,
+        # The return pays the return-check cost.
+        self.charge(thread, self.costs.local_return_us,
                     partial(self.complete_return, thread, value, exc,
                             result_bytes))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Tuple
 
 from repro.analyze import runtime as _analysis
-from repro.analyze.elide import runtime as _ert
 from repro.errors import (
     AmberError,
     AttachmentError,
@@ -185,18 +184,9 @@ class ObjectManager:
                    else request.on_node)
 
         def create() -> SimObject:
-            obj = self.create_object(request.cls, request.args,
-                                     request.kwargs, node_id,
-                                     request.size_bytes)
-            # AmberElide: mark a lock whose (creator, class) pair
-            # the active artifact proves single-thread-reachable.
-            owners = _ert.LOCK_OWNERS
-            if owners and thread.stack:
-                creator = _ert.lock_owner_name(
-                    type(thread.stack[-1].obj).__name__)
-                if (creator, request.cls.__name__) in owners:
-                    obj._elide_ok = True
-            return obj
+            return self.create_object(request.cls, request.args,
+                                      request.kwargs, node_id,
+                                      request.size_bytes)
 
         self._kernel_op(thread, self.costs.object_create_us(), create)
 

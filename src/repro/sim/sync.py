@@ -19,32 +19,20 @@ the lock is moved meanwhile, the waiter migrates to the lock's new home the
 next time it is scheduled (the context-switch-time residency check of
 section 3.5).
 
-**Sync elision (AmberElide).**  When a verified ``amberelide/1``
-artifact proves a lock single-thread-reachable, the kernel marks the
-instance ``_elide_ok`` at creation and ``acquire``/``release`` (and
-``Monitor.enter``/``exit``) take an *atomic* fast path: the state
-update runs inline with no Charge scheduler event, and the nominal
-``SYNC_OP_US`` is folded into the thread's surcharge so the simulated
-clock advances exactly as the slow path would — elision changes host
-cost, never simulated semantics.  A marked lock that is nonetheless
-observed held/contended bails to the slow path and counts it
-(``lock_elide_bailout_total``); the soundness audit asserts that
-counter stays zero.
-
 Programmers extend these classes for custom concurrency control — see
 ``ReaderWriterLock`` below for an example built purely from the public
 machinery, as the paper intends.
 
 The live runtime runs these classes as they are (``repro.runtime.Lock``
 is :class:`Lock`): there a thread is the node's wake-up token for it,
-and an operation's ``ctx`` is a live one without elision.
+and an operation's ``ctx`` is a live one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import (TYPE_CHECKING, Any, ClassVar, Deque, Generator,
-                    List, Optional, Protocol, Union)
+                    List, Optional, Protocol)
 
 from repro.analyze import runtime as _analysis
 from repro.errors import SynchronizationError
@@ -59,10 +47,8 @@ SYNC_OP_US = 5.0
 #: CPU burned per spin iteration of a non-relinquishing lock.
 SPIN_STEP_US = 2.0
 
-#: An operation body: a generator the kernel advances, or ``None`` from
-#: an atomic (elided) completion.
+#: An operation body: a generator the kernel advances.
 _Op = Generator[Any, Any, None]
-_MaybeOp = Union[_Op, None]
 
 
 class _Thread(Protocol):
@@ -94,8 +80,8 @@ def _pick_waiter(waiters: "Deque[_Thread]", kind: str,
 
 class _Mutex(SimObject):
     """What :class:`Lock`, :class:`SpinLock` and :class:`Monitor` share:
-    the held/owner state and the four bodies of taking and dropping it,
-    elided (atomic) and slow (a generator the kernel advances).
+    the held/owner state and the two bodies of taking and dropping it
+    (generators the kernel advances).
 
     A subclass keeps what is its own: its ``__slots__`` and counters,
     its public operation names (bound to :meth:`_take` and
@@ -119,15 +105,11 @@ class _Mutex(SimObject):
     _owner: Optional[_Thread]
     _waiters: Optional[Deque[_Thread]]
     _acquired_us: float
-    #: Set by the kernel at creation when the active AmberElide
-    #: artifact proves this lock single-thread-reachable.
-    _elide_ok: bool
 
     def __init__(self) -> None:
         self._held = False
         self._owner = None
         self._acquired_us = 0.0
-        self._elide_ok = False
 
     def _wait(self, thread: _Thread) -> _Op:
         """Yield until the lock is seen free; the caller takes it in
@@ -139,25 +121,7 @@ class _Mutex(SimObject):
             f"{self._DROP} of {self._NOUN} {self.vaddr:#x} by non-owner "
             f"{thread.name}")
 
-    def _take(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held:
-                self._held = True
-                self._owner = ctx.thread
-                self._acquired_us = ctx.now_us
-                setattr(self, self._COUNTER,
-                        getattr(self, self._COUNTER) + 1)
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_acquire(self, ctx.thread)
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                ctx.metrics.observe("lock_wait_us", 0.0)
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._take_slow(ctx)
-
-    def _take_slow(self, ctx: "InvocationContext") -> _Op:
+    def _take(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         t0 = ctx.now_us
         if self._held:
@@ -171,25 +135,7 @@ class _Mutex(SimObject):
             san.on_acquire(self, ctx.thread)
         ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
 
-    def _drop(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._waiters:
-                if not self._held or self._owner is not ctx.thread:
-                    raise self._non_owner(ctx.thread)
-                ctx.metrics.observe("lock_hold_us",
-                                    ctx.now_us - self._acquired_us)
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_release(self, ctx.thread)
-                self._held = False
-                self._owner = None
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._drop_slow(ctx)
-
-    def _drop_slow(self, ctx: "InvocationContext") -> _Op:
+    def _drop(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         if not self._held or self._owner is not ctx.thread:
             raise self._non_owner(ctx.thread)
@@ -209,7 +155,7 @@ class Lock(_Mutex):
     """A relinquishing (blocking) mutual-exclusion lock."""
 
     __slots__ = ("_held", "_owner", "_waiters", "acquisitions",
-                 "waited_acquisitions", "_acquired_us", "_elide_ok")
+                 "waited_acquisitions", "_acquired_us")
 
     _NOUN, _DROP, _COUNTER = "lock", "release", "acquisitions"
     _waiters: Deque[_Thread]
@@ -258,7 +204,7 @@ class SpinLock(_Mutex):
     """
 
     __slots__ = ("_held", "_owner", "acquisitions", "spin_us",
-                 "_acquired_us", "_elide_ok")
+                 "_acquired_us")
 
     _NOUN, _DROP, _COUNTER = "spinlock", "release", "acquisitions"
     _waiters = None     # a spinner finds the lock free by itself
@@ -336,7 +282,7 @@ class Monitor(_Mutex):
     """
 
     __slots__ = ("_held", "_owner", "_waiters", "entries",
-                 "_acquired_us", "_elide_ok")
+                 "_acquired_us")
 
     _NOUN, _DROP, _COUNTER = "monitor", "exit", "entries"
     _waiters: Deque[_Thread]

@@ -17,8 +17,8 @@ compared against ``tests/golden/cli_surface.json``:
 reports built out of literal outcomes (``_layouts``), as are the
 failing and the empty ``elide`` report, which no run of a healthy tree
 prints.  That builder is the only part of this file that may change
-with the report classes; the expected text may not.  ``elide --verify``
-reads no clock, so it is pinned by value like the rest.
+with the report classes; the expected text may not.  ``elide`` reads
+no clock, so it is pinned by value like the rest.
 
 The file was generated before the suites moved onto shared plumbing; a
 change to the plumbing must leave it untouched.  Regenerate (only for
@@ -40,7 +40,6 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.analyze.elide import runtime as elide_runtime
 from repro.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,11 +103,8 @@ CASES: Dict[str, List[str]] = {
                    "--json", "{tmp}/flow.json"],
     "flow-paths-write-expect": ["flow", "--paths", "src/repro/apps",
                                 "--write-expect", "{tmp}/expect.json"],
-    "elide-fast": ["elide", "--fast",
-                   "--artifact-out", "{tmp}/elide.json",
-                   "--json", "{tmp}/report.json"],
-    "elide-verify-fast": ["elide", "--verify", "--fast",
-                          "--json", "{tmp}/verify.json"],
+    "elide": ["elide", "--artifact-out", "{tmp}/elide.json",
+              "--json", "{tmp}/report.json"],
     "profile-queens": ["profile", "queens", "--fast"],
     # Input that cannot be acted on: one ``error:`` line, exit 2.
     "lint-missing-path": ["lint", "no/such/path"],
@@ -151,9 +147,6 @@ def observe_case(name: str, tmp: Path,
     (tmp / "bad.py").write_text(BAD_SOURCE)
     (tmp / "prog.txt").write_text(BAD_SOURCE)
     before = {path.name for path in tmp.iterdir()}
-    # A process-wide count that ``repro elide`` prints; start every case
-    # where a fresh ``python -m repro`` process starts.
-    elide_runtime.STALE_DISABLES = 0
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(tmp if name in IN_TMP else REPO)
@@ -243,9 +236,9 @@ def parser_surface() -> Dict[str, Any]:
 
 
 def _layouts() -> Dict[str, Any]:
-    """Render (and dict-encode) ``chaos`` and ``elide --verify``
-    reports built from literals.  The only part of this file that
-    follows the report classes."""
+    """Render (and dict-encode) ``chaos`` and ``elide`` reports built
+    from literals.  The only part of this file that follows the report
+    classes."""
     from repro.analyze.elide.artifact import ELIDE_SCHEMA, ElideArtifact
     from repro.analyze.elide.scenario import elide_report
     from repro.analyze.lint import LintFinding
@@ -286,21 +279,20 @@ def _layouts() -> Dict[str, Any]:
             detailed("deterministic-analysis", True,
                      ["8 corpora scanned twice, byte-identical "
                       "artifacts"]),
-            detailed("bit-identical", True,
-                     ["sor: fingerprint 1f2e3d identical with "
-                      "elision active"]),
-            detailed("soundness-audit", False,
-                     ["shared-pool: 2 sanitizer finding(s), 1 unsound",
-                      "unsound control set produced no "
-                      "AMBELIDE-UNSOUND finding"]),
-            detailed("schedule-audit", True, []),
+            detailed("fixture-catalog", False,
+                     ["shared-pool: rules: got (), want ('AMB304',)",
+                      "scratch-workers: 2 finding(s), classification "
+                      "as expected"]),
+            detailed("artifact-roundtrip", True,
+                     ["json roundtrip preserves the fingerprint"]),
+            detailed("hint-promotion", True, []),
         ],
         artifact,
         [LintFinding("apps/pool.py", 12, "AMB301",
-                     "lock 'gate' is elidable")],
-        ["apps"], True)
+                     "lock 'gate' synchronises nothing")],
+        ["apps"])
     bare = elide_report([], ElideArtifact(schema=ELIDE_SCHEMA), [],
-                        ["nowhere"], False)
+                        ["nowhere"])
     return {
         "chaos": {"text": chaos.render(), "json": chaos.as_dict(),
                   "ok": chaos.ok},
@@ -344,14 +336,13 @@ def test_case_matches_golden(name, golden, tmp_path):
 
 
 def test_elide_verify_reads_no_clock(tmp_path):
-    """Two consecutive runs in one process: same stdout, exit code and
-    JSON, on any host."""
+    """Two consecutive runs in one process: same stdout, exit code,
+    JSON and artifact bytes, on any host."""
     pytest.importorskip("numpy")
     runs = []
     for scratch in ("first", "second"):
         (tmp_path / scratch).mkdir()
-        runs.append(observe_case("elide-verify-fast", tmp_path / scratch,
-                                 {}))
+        runs.append(observe_case("elide", tmp_path / scratch, {}))
     assert runs[0] == runs[1]
     assert runs[0]["exit"] == 0
 
@@ -401,11 +392,9 @@ def test_golden_cases_are_not_trivial(golden):
     assert "PASS: 7/7 scenarios" in cases["flow-gated"]["stdout"]
     assert json.loads(cases["flow-gated"]["files"]["hints.json"])[
         "fingerprint"]
-    assert "overall: PASS (5/5 scenarios)" \
-        in cases["elide-fast"]["stdout"]
-    verify = cases["elide-verify-fast"]
-    assert verify["exit"] == 0 and verify["json"]["verify.json"]["ok"]
-    assert "overall: PASS (7/7 scenarios)" in verify["stdout"]
+    elide = cases["elide"]
+    assert elide["exit"] == 0 and elide["json"]["report.json"]["ok"]
+    assert "overall: PASS (4/4 scenarios)" in elide["stdout"]
     for name in PINS_STDERR:
         assert cases[name]["exit"] == 2 and not cases[name]["stdout"]
         assert cases[name]["stderr"].startswith("error: ")

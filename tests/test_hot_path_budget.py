@@ -2,13 +2,14 @@
 
 A perf regression test without a wall clock: ``sys.setprofile`` counts
 Python-level ``call`` events (function entries and generator resumptions;
-C builtins and interpreter-version inlining do not enter) while the fixed
-mobility program of ``tests/hot_path_programs.py`` runs untraced, and the
-count per simulated event must stay inside the budget.
+C builtins and interpreter-version inlining do not enter) while a fixed
+program of ``tests/hot_path_programs.py`` runs untraced, and the count
+per simulated event must stay inside that program's budget.
 
-Measured on that program (6,442 events): **24.51** calls per event before
-the per-event path was made to look instruments, nodes and state buckets
-up once (commit ``41e77d0``), **17.58** after (``cf12d11``), **17.15**
+Measured on the mobility program (6,442 events): **24.51** calls per
+event before the per-event path was made to look instruments, nodes and
+state buckets up once (commit ``41e77d0``), **17.58** after
+(``cf12d11``), **17.15**
 once crash recovery became an attribute that is ``None`` when off (the
 ``_recovering()`` / ``_settle_replay_entries()`` calls of a recovery-free
 run are gone; the kernel split itself adds no call per event), 17.23
@@ -21,6 +22,13 @@ trace calls made only with a tracer attached, ``try_dispatch`` one pass
 over the CPUs and no property read on the kernel's and the chase's
 per-event paths.  The budget is the 12.04 figure plus 10 %; an increase
 means a wrapper crept onto the per-event path.
+
+Measured on the fork-join program (1,068 events: a contended ``Lock``
+and a ``Barrier``): **13.39** calls per event with AmberElide's runtime
+half on the sync path (a fast-path test that then called the
+generator body), **13.34** once ``acquire``/``release`` are the
+generator bodies themselves (one Python call less per lock operation).
+Its budget is the 13.34 figure plus 10 %.
 """
 
 from __future__ import annotations
@@ -30,7 +38,12 @@ import sys
 
 from tests import hot_path_programs as programs
 
-CALLS_PER_EVENT_BUDGET = 12.04 * 1.10
+#: program -> (events it runs, measured calls per event); each
+#: program's budget is its figure plus 10 %.
+MEASURED = {
+    "run_mobility": (6442, 12.04),
+    "run_forkjoin": (1068, 13.34),
+}
 
 
 def count_python_calls(run):
@@ -57,14 +70,25 @@ def count_python_calls(run):
     return calls, result
 
 
-def test_mobility_calls_per_event_within_budget():
-    calls, result = count_python_calls(programs.run_mobility)
+def _assert_within_budget(program):
+    expected_events, measured = MEASURED[program]
+    budget = measured * 1.10
+    calls, result = count_python_calls(getattr(programs, program))
     events = result.cluster.sim.events_run
-    assert events == 6442
-    assert calls / events <= CALLS_PER_EVENT_BUDGET, (
-        f"{calls / events:.2f} Python calls per simulated event "
-        f"(budget {CALLS_PER_EVENT_BUDGET:.2f}): something on the "
-        "per-event path went back to per-event lookups")
+    assert events == expected_events
+    assert calls / events <= budget, (
+        f"{program}: {calls / events:.2f} Python calls per simulated "
+        f"event (budget {budget:.2f}): something on the per-event "
+        "path went back to per-event lookups")
+
+
+def test_mobility_calls_per_event_within_budget():
+    _assert_within_budget("run_mobility")
+
+
+def test_forkjoin_calls_per_event_within_budget():
+    """The one budget over ``Lock`` and ``Barrier`` operations."""
+    _assert_within_budget("run_forkjoin")
 
 
 def test_call_count_is_deterministic():

@@ -27,7 +27,7 @@ DELETED_CLASSES = {
 #: ``setup_s`` and ``peak_rss_mib`` pay for every entry: nothing here
 #: may be the CLI, a scenario suite or the report harness.
 RUN_TIME_MODULES = """
-repro repro.analyze repro.analyze.elide repro.analyze.elide.runtime
+repro repro.analyze
 repro.analyze.runtime repro.core repro.core.address_space
 repro.core.attachment repro.core.costs repro.core.descriptor
 repro.core.invocation repro.errors repro.faults repro.faults.inject repro.faults.plan
