@@ -1,7 +1,7 @@
 # Convenience targets for the Amber reproduction.
 
 .PHONY: install test bench perf artifacts examples lint analyze \
-	amber-check check chaos flow elide clean
+	amber-check check chaos flow clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -21,8 +21,9 @@ analyze:
 amber-check:
 	PYTHONPATH=src python -m repro check --fast
 
-# AmberFlow: static object-flow analysis + placement-hint
-# cross-validation against simulator runs (docs/ANALYSIS.md).
+# AmberFlow: static object-flow analysis (AMB2xx, and AmberElide's
+# AMB3xx) + placement-hint cross-validation against simulator runs
+# (docs/ANALYSIS.md).
 flow:
 	PYTHONPATH=src python -m repro flow --fast \
 		--expect benchmarks/baseline/FLOW_expected.json
@@ -33,13 +34,8 @@ chaos:
 		PYTHONPATH=src python -m repro chaos --fast --seed $$seed || exit 1; \
 	done
 
-# AmberElide: escape/confinement analysis with advisory AMB3xx
-# findings (docs/ANALYSIS.md); static, no clock.
-elide:
-	PYTHONPATH=src python -m repro elide
-
 # The full static + dynamic + model-checking gauntlet.
-check: lint flow elide analyze amber-check
+check: lint flow analyze amber-check
 
 # The paper-shape suite (simulated results asserted against the paper's
 # shape; nothing here is timed) plus AmberBench's smoke test.

@@ -69,7 +69,7 @@ _LAZY = {
     "PlacementHints": ("repro.analyze.flow", "PlacementHints"),
     "derive_hints": ("repro.analyze.flow", "derive_hints"),
     "load_hints": ("repro.analyze.flow", "load_hints"),
-    "run_flow_scenarios": ("repro.analyze.flow",
+    "run_flow_scenarios": ("repro.analyze.flow.scenario",
                            "run_flow_scenarios"),
 }
 

@@ -12,15 +12,10 @@ The pass classifies, on top of the AmberFlow object-flow model
   whose instances only guard confined or immutable state or are only
   reachable from one thread.
 
-The result is reported as AMB301-AMB304 findings
-(:mod:`repro.analyze.elide.diagnostics`) and as a deterministic,
-sha256-fingerprinted ``amberelide/1`` artifact
-(:mod:`repro.analyze.elide.artifact`).  Both are advisory: no run
-reads them.  The one consumer that changes a run is hint promotion —
-the placement hints promote effectively-immutable classes to
-``replicate`` (``derive_hints(..., extra_immutable=)``).
-
-``repro elide`` checks the pass itself: a byte-identical artifact
-across reruns, the fixture catalog's expected findings, loads that
-never raise, and hint promotion.  See docs/ANALYSIS.md.
+The result is reported as the advisory AMB301-AMB304 findings
+(:mod:`repro.analyze.elide.diagnostics`) of ``repro flow``, which
+classifies the same :class:`~repro.analyze.flow.model.FlowModel` it
+derives its hints from, and prints the confined classes, immutable
+classes and lock sites in its report.  No run reads them.  See
+docs/ANALYSIS.md.
 """

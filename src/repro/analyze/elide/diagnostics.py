@@ -2,7 +2,8 @@
 
 Emitted as :class:`~repro.analyze.lint.LintFinding` instances so they
 share the renderer, the JSON shape, and the ``# repro: noqa[...]``
-suppression machinery with the AMB1xx lint and AMB2xx flow passes.
+suppression machinery with the AMB1xx lint and AMB2xx flow passes;
+``repro flow`` reports them with its own.
 
 ``AMB301``
     An elidable lock site: the lock is only reachable from one thread,
@@ -10,7 +11,8 @@ suppression machinery with the AMB1xx lint and AMB2xx flow passes.
 ``AMB302``
     An effectively-immutable class invoked across an object boundary
     that is never ``SetImmutable``-d: marking it unlocks replication
-    (the hint derivation promotes it to ``replicate``).
+    (unless the class is spread, its placement hint is ``replicate``
+    already).
 ``AMB303``
     An invocation performed while holding a lock whose receiver is
     proven confined or immutable — the guard is redundant.

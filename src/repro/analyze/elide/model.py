@@ -35,8 +35,7 @@ resolver), then computes a three-point confinement lattice per class:
     acquire/release pairs cannot contend.
 
 All facts are conservative: anything the pass cannot prove stays
-unclassified.  They are advisory: the AMB3xx findings report them,
-and hint promotion places effectively-immutable classes by them.
+unclassified.  They are advisory: the AMB3xx findings report them.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class LockSite:
 
 @dataclass
 class ElideModel:
-    """The classification result consumed by artifact + diagnostics."""
+    """The classification result the AMB3xx diagnostics read."""
 
     flow: FlowModel
     confined: List[str] = field(default_factory=list)
@@ -94,10 +93,6 @@ class ElideModel:
     #: class -> why it is shared (diagnostics evidence).
     shared: Dict[str, str] = field(default_factory=dict)
     lock_sites: List[LockSite] = field(default_factory=list)
-
-    @property
-    def skip_classes(self) -> List[str]:
-        return sorted(set(self.confined) | set(self.immutable))
 
 
 # ---------------------------------------------------------------------------

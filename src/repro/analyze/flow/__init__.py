@@ -29,11 +29,16 @@ statically, before a single event runs:
   into forked threads), suppressible with the existing
   ``# repro: noqa`` machinery.
 * :mod:`repro.analyze.flow.scenario` — the ``repro flow``
-  cross-validation suite: replays the bundled apps in the simulator and
-  scores the static predictions against the dynamic metrics
-  (``invoke_remote_us``, access-log affinity, object locations),
-  reporting per-hint precision and an ablation of hint-driven vs.
-  static-default placement.
+  cross-validation suite.  Its finding set is one reading of the
+  sources: AMB000 for a file it could not analyze, the AMB2xx
+  diagnostics, and AmberElide's AMB301-AMB304
+  (:mod:`repro.analyze.elide`) over the same model.  It checks the
+  analysis against the fixture catalog
+  (:mod:`repro.analyze.flow.fixtures`), replays the bundled apps in
+  the simulator and scores the static predictions against the dynamic
+  metrics (``invoke_remote_us``, access-log affinity, object
+  locations), reporting per-hint precision and an ablation of
+  hint-driven vs. static-default placement.
 
 The first analysis in the repo that changes runtime behavior rather
 than only reporting on it: hints feed placement, placement feeds the
@@ -50,7 +55,6 @@ from repro.analyze.flow.hints import (
     load_hints,
 )
 from repro.analyze.flow.model import FlowModel, scan_paths, scan_sources
-from repro.analyze.flow.scenario import run_flow_scenarios
 
 __all__ = [
     "FLOW_RULES",
@@ -60,7 +64,7 @@ __all__ = [
     "derive_hints",
     "flow_diagnostics",
     "load_hints",
-    "run_flow_scenarios",
     "scan_paths",
     "scan_sources",
 ]
+

@@ -1,21 +1,25 @@
-"""Source-string fixtures for the AmberFlow diagnostics.
+"""The fixture catalog of ``repro flow``.
 
 Unlike :mod:`repro.analyze.fixtures` (runnable sanitizer workloads),
 these are *analyzed, never executed*: each is a small Amber program
-source with a known static verdict.  For every rule there are three
-variants: one that must fire, the same program with a
-``# repro: noqa[RULE]`` suppression (must come back clean), and a
-genuinely clean twin that fixes the hazard instead of silencing it.
+source with a known static verdict.  For every AMB2xx rule there are
+three variants: one that must fire, the same program with a
+``# repro: noqa[RULE]`` suppression (must come back clean of that
+rule), and a genuinely clean twin that fixes the hazard instead of
+silencing it.  The AMB3xx fixtures pin AmberElide's classification as
+well: the classes it proves thread-confined and effectively immutable.
 
-``FLOW_FIXTURES`` maps fixture name -> source; ``EXPECTED_RULES`` maps
-fixture name -> the rule set that must fire on it (empty for the noqa
-and clean variants).  The ``repro flow`` diagnostics-catalog scenario
-and the unit tests both consume these tables.
+``FIXTURES`` maps fixture name -> :class:`Fixture`: its source, every
+rule that fires on it with multiplicity (a fixture made for one rule
+may trip another, and the catalog says so), and the classification
+where it pins one.  The ``repro flow`` diagnostics-catalog scenario
+and the unit tests both consume it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 
 def _noqa(source: str, needle: str, rule: str) -> str:
@@ -285,49 +289,337 @@ def main(ctx):
 '''
 
 
-FLOW_FIXTURES: Dict[str, str] = {
-    "amb201": AMB201_HOT_LOOP,
-    "amb201-noqa": _noqa(AMB201_HOT_LOOP,
-                         'Invoke(self.counter, "bump")', "AMB201"),
-    "amb201-clean": AMB201_CLEAN,
-    "amb202": AMB202_REPLICA_WRITE,
-    "amb202-noqa": _noqa(AMB202_REPLICA_WRITE,
-                         "self.values[key] = val", "AMB202"),
-    "amb202-clean": AMB202_CLEAN,
-    "amb203": AMB203_LOCKED_INVOKE,
-    "amb203-noqa": _noqa(AMB203_LOCKED_INVOKE,
-                         'Invoke(store, "put", 1)', "AMB203"),
-    "amb203-clean": AMB203_CLEAN,
-    "amb204": AMB204_STRANDED_MOVE,
-    "amb204-noqa": _noqa(AMB204_STRANDED_MOVE,
-                         "MoveTo(agent, 1)", "AMB204"),
-    "amb204-clean": AMB204_CLEAN,
-    "amb205": AMB205_SHARED_LIST,
-    "amb205-noqa": _noqa(AMB205_SHARED_LIST,
-                         't2 = yield Fork(b, "run", shared)', "AMB205"),
-    "amb205-mutate": AMB205_MUTATE_AFTER,
-    "amb205-mutate-noqa": _noqa(AMB205_MUTATE_AFTER,
-                                "shared.append(0)", "AMB205"),
-    "amb205-clean": AMB205_CLEAN,
-}
+# -- AMB301-AMB304: confined classes, immutable classes, lock sites ------
 
-#: fixture name -> rules that must fire (exactly; empty = clean).
-EXPECTED_RULES: Dict[str, FrozenSet[str]] = {
-    "amb201": frozenset({"AMB201"}),
-    "amb201-noqa": frozenset(),
-    "amb201-clean": frozenset(),
-    "amb202": frozenset({"AMB202"}),
-    "amb202-noqa": frozenset(),
-    "amb202-clean": frozenset(),
-    "amb203": frozenset({"AMB203"}),
-    "amb203-noqa": frozenset(),
-    "amb203-clean": frozenset(),
-    "amb204": frozenset({"AMB204"}),
-    "amb204-noqa": frozenset(),
-    "amb204-clean": frozenset(),
-    "amb205": frozenset({"AMB205"}),
-    "amb205-noqa": frozenset(),
-    "amb205-mutate": frozenset({"AMB205"}),
-    "amb205-mutate-noqa": frozenset(),
-    "amb205-clean": frozenset(),
+#: Common preamble of the AMB3xx fixtures: they import the real
+#: simulator API, so each is an ordinary Amber program.
+_PRELUDE = """\
+from repro.sim import SimObject
+from repro.sim.syscalls import Charge, Fork, Invoke, Join, New
+from repro.sim.sync import Lock
+"""
+
+_CONFINED_COUNTER = _PRELUDE + """\
+
+ROUNDS = 12
+
+
+class Tally(SimObject):
+    def __init__(self) -> None:
+        self.total = 0
+
+    def bump(self, ctx, amount):
+        self.total += amount
+        yield Charge(1.0)
+        return self.total
+
+    def snapshot(self, ctx):
+        return self.total
+
+
+def main(ctx):
+    tally = yield New(Tally)
+    gate = yield New(Lock)
+    for round_no in range(ROUNDS):
+        yield Invoke(gate, "acquire")
+        yield Invoke(tally, "bump", round_no)
+        yield Invoke(gate, "release")
+    result = yield Invoke(tally, "snapshot")
+    return result
+"""
+
+_CONFINED_COUNTER_NOQA = _CONFINED_COUNTER.replace(
+    "    gate = yield New(Lock)",
+    "    gate = yield New(Lock)  # repro: noqa[AMB301]").replace(
+    '        yield Invoke(tally, "bump", round_no)',
+    '        yield Invoke(tally, "bump", round_no)'
+    '  # repro: noqa[AMB303]')
+
+_SHARED_POOL = _PRELUDE + """\
+
+ITEMS = 10
+
+
+class JobPool(SimObject):
+    def __init__(self, items: int) -> None:
+        self.items = list(range(items))
+        self.taken = 0
+
+    def take(self, ctx):
+        yield Charge(1.0)
+        if not self.items:
+            return None
+        self.taken += 1
+        return self.items.pop(0)
+
+
+class PoolWorker(SimObject):
+    def __init__(self, pool: "JobPool", gate) -> None:
+        self.pool = pool
+        self.gate = gate
+        self.claimed = 0
+
+    def run(self, ctx):
+        while True:
+            yield Invoke(self.gate, "acquire")
+            job = yield Invoke(self.pool, "take")
+            yield Invoke(self.gate, "release")
+            if job is None:
+                return self.claimed
+            self.claimed += 1
+
+
+def main(ctx):
+    pool = yield New(JobPool, ITEMS)
+    gate = yield New(Lock)
+    workers = []
+    for index in range(2):
+        worker = yield New(PoolWorker, pool, gate, on_node=index % 2)
+        workers.append(worker)
+    threads = []
+    for worker in workers:
+        thread = yield Fork(worker, "run")
+        threads.append(thread)
+    total = 0
+    for thread in threads:
+        claimed = yield Join(thread)
+        total += claimed
+    return total
+"""
+
+_SHARED_POOL_NOQA = _SHARED_POOL.replace(
+    "    gate = yield New(Lock)",
+    "    gate = yield New(Lock)  # repro: noqa[AMB304]")
+
+_IMMUTABLE_TABLE = _PRELUDE + """\
+
+SIZE = 8
+
+
+class SumTable(SimObject):
+    def __init__(self, size: int) -> None:
+        self.values = [v * v for v in range(size)]
+
+    def lookup(self, ctx, index):
+        yield Charge(1.0)
+        return self.values[index]
+
+
+class TableReader(SimObject):
+    def __init__(self, table: "SumTable", size: int) -> None:
+        self.table = table
+        self.size = size
+
+    def run(self, ctx):
+        total = 0
+        for index in range(self.size):
+            value = yield Invoke(self.table, "lookup", index)
+            total += value
+        return total
+
+
+def main(ctx):
+    table = yield New(SumTable, SIZE)
+    readers = []
+    for index in range(2):
+        reader = yield New(TableReader, table, SIZE, on_node=index % 2)
+        readers.append(reader)
+    threads = []
+    for reader in readers:
+        thread = yield Fork(reader, "run")
+        threads.append(thread)
+    total = 0
+    for thread in threads:
+        part = yield Join(thread)
+        total += part
+    return total
+"""
+
+_IMMUTABLE_TABLE_NOQA = _IMMUTABLE_TABLE.replace(
+    "class SumTable(SimObject):",
+    "class SumTable(SimObject):  # repro: noqa[AMB302]")
+
+_SCRATCH_WORKERS = _PRELUDE + """\
+
+STEPS = 6
+
+
+class Scratch(SimObject):
+    def __init__(self) -> None:
+        self.value = 0
+
+    def bump(self, ctx, amount):
+        self.value += amount
+        yield Charge(1.0)
+        return self.value
+
+
+class Cruncher(SimObject):
+    def __init__(self, steps: int) -> None:
+        self.steps = steps
+
+    def run(self, ctx):
+        scratch = yield New(Scratch)
+        latch = yield New(Lock)
+        total = 0
+        for step in range(self.steps):
+            yield Invoke(latch, "acquire")
+            total = yield Invoke(scratch, "bump", step)
+            yield Invoke(latch, "release")
+        return total
+
+
+def main(ctx):
+    crunchers = []
+    for index in range(2):
+        cruncher = yield New(Cruncher, STEPS, on_node=index % 2)
+        crunchers.append(cruncher)
+    threads = []
+    for cruncher in crunchers:
+        thread = yield Fork(cruncher, "run")
+        threads.append(thread)
+    grand = 0
+    for thread in threads:
+        part = yield Join(thread)
+        grand += part
+    return grand
+"""
+
+#: The static lock owner must be the runtime's.  ``fan_out`` is nested
+#: in ``Worker.run`` and runs, through ``yield from``, inside that
+#: activation: the shared lock it creates is created by a ``Worker``,
+#: like the private one beside it.  The shared one crosses a ``Fork``
+#: (AMB304); the private one guards nothing another thread sees
+#: (AMB301).
+_NESTED_HELPER_LOCK = _PRELUDE + """\
+
+ROUNDS = 3
+
+
+class Sink(SimObject):
+    def __init__(self) -> None:
+        self.uses = 0
+
+    def use(self, ctx, gate, rounds):
+        for _ in range(rounds):
+            yield Invoke(gate, "acquire")
+            self.uses += 1
+            yield Charge(1.0)
+            yield Invoke(gate, "release")
+
+    def count(self, ctx):
+        return self.uses
+
+
+class Worker(SimObject):
+    def __init__(self, sink: "Sink") -> None:
+        self.sink = sink
+
+    def run(self, ctx):
+        def fan_out(sink):
+            shared = yield New(Lock)
+            first = yield Fork(sink, "use", shared, ROUNDS)
+            second = yield Fork(sink, "use", shared, ROUNDS)
+            yield Join(first)
+            yield Join(second)
+
+        private = yield New(Lock)
+        yield Invoke(private, "acquire")
+        yield from fan_out(self.sink)
+        yield Invoke(private, "release")
+        total = yield Invoke(self.sink, "count")
+        return total
+
+
+def main(ctx):
+    sink = yield New(Sink)
+    worker = yield New(Worker, sink)
+    result = yield Invoke(worker, "run")
+    return result
+"""
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """One catalog entry and everything asserted about it."""
+
+    name: str
+    source: str
+    #: Every AMB2xx/AMB3xx rule that fires, sorted, with multiplicity.
+    expected_rules: Tuple[str, ...]
+    #: The classes AmberElide proves thread-confined and effectively
+    #: immutable, where the fixture pins them.
+    confined: Optional[Tuple[str, ...]] = None
+    immutable: Optional[Tuple[str, ...]] = None
+
+    @property
+    def path(self) -> str:
+        return f"<fixture:{self.name}>"
+
+    def sources(self) -> List[Tuple[str, str]]:
+        return [(self.path, self.source)]
+
+
+FIXTURES: Dict[str, Fixture] = {
+    fixture.name: fixture for fixture in (
+        Fixture("amb201", AMB201_HOT_LOOP, ("AMB201",)),
+        Fixture("amb201-noqa",
+                _noqa(AMB201_HOT_LOOP, 'Invoke(self.counter, "bump")',
+                      "AMB201"), ()),
+        Fixture("amb201-clean", AMB201_CLEAN, ()),
+        Fixture("amb202", AMB202_REPLICA_WRITE, ("AMB202",)),
+        Fixture("amb202-noqa",
+                _noqa(AMB202_REPLICA_WRITE, "self.values[key] = val",
+                      "AMB202"), ()),
+        Fixture("amb202-clean", AMB202_CLEAN, ()),
+        # The lock guards nothing another thread sees: AmberElide's
+        # AMB301 (and AMB303 on the guarded invoke) fire beside AMB203.
+        Fixture("amb203", AMB203_LOCKED_INVOKE,
+                ("AMB203", "AMB301", "AMB303")),
+        Fixture("amb203-noqa",
+                _noqa(AMB203_LOCKED_INVOKE, 'Invoke(store, "put", 1)',
+                      "AMB203"), ("AMB301", "AMB303")),
+        Fixture("amb203-clean", AMB203_CLEAN, ("AMB301",)),
+        Fixture("amb204", AMB204_STRANDED_MOVE, ("AMB204",)),
+        Fixture("amb204-noqa",
+                _noqa(AMB204_STRANDED_MOVE, "MoveTo(agent, 1)",
+                      "AMB204"), ()),
+        Fixture("amb204-clean", AMB204_CLEAN, ()),
+        Fixture("amb205", AMB205_SHARED_LIST, ("AMB205",)),
+        Fixture("amb205-noqa",
+                _noqa(AMB205_SHARED_LIST,
+                      't2 = yield Fork(b, "run", shared)', "AMB205"),
+                ()),
+        Fixture("amb205-mutate", AMB205_MUTATE_AFTER, ("AMB205",)),
+        Fixture("amb205-mutate-noqa",
+                _noqa(AMB205_MUTATE_AFTER, "shared.append(0)",
+                      "AMB205"), ()),
+        Fixture("amb205-clean", AMB205_CLEAN, ()),
+        # The AMB3xx fixtures lock and invoke in loops across objects,
+        # so AMB201 and AMB203 fire on most of them too.
+        Fixture("confined-counter", _CONFINED_COUNTER,
+                ("AMB201", "AMB203", "AMB301", "AMB303"),
+                confined=("Tally",), immutable=()),
+        Fixture("confined-counter-noqa", _CONFINED_COUNTER_NOQA,
+                ("AMB201", "AMB203"),
+                confined=("Tally",), immutable=()),
+        Fixture("shared-pool", _SHARED_POOL,
+                ("AMB201", "AMB203", "AMB304"),
+                confined=(), immutable=()),
+        Fixture("shared-pool-noqa", _SHARED_POOL_NOQA,
+                ("AMB201", "AMB203"),
+                confined=(), immutable=()),
+        Fixture("immutable-table", _IMMUTABLE_TABLE,
+                ("AMB201", "AMB302"),
+                confined=(), immutable=("SumTable", "TableReader")),
+        Fixture("immutable-table-noqa", _IMMUTABLE_TABLE_NOQA,
+                ("AMB201",),
+                confined=(), immutable=("SumTable", "TableReader")),
+        Fixture("scratch-workers", _SCRATCH_WORKERS,
+                ("AMB201", "AMB203", "AMB301", "AMB303"),
+                confined=("Scratch",), immutable=("Cruncher",)),
+        Fixture("nested-helper-lock", _NESTED_HELPER_LOCK,
+                ("AMB301", "AMB304"),
+                confined=("Worker",), immutable=("Worker",)),
+    )
 }

@@ -19,20 +19,20 @@ The derivation maps structural facts to placement advice:
 * **colocate** — self-affine spread classes: adjacent indices should
   land on the same node (this is what ``block`` implements).
 
-The artifact is deterministic (:class:`repro.selfcheck.Artifact`):
-hints are sorted, the fingerprint is a sha256 over the canonical JSON
-encoding, and nothing time- or path-order-dependent enters the payload.
+The artifact is deterministic: hints are sorted, the fingerprint is a
+sha256 over the canonical JSON encoding, and nothing time- or
+path-order-dependent enters the payload.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Union)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analyze.flow.model import FlowModel
-from repro.selfcheck import Artifact
+from repro.selfcheck import canonical_sha256
 
 #: Schema tag checked by consumers; bump on incompatible change.
 HINTS_SCHEMA = "amberflow-hints/1"
@@ -79,10 +79,10 @@ class Hint:
 
 
 @dataclass
-class PlacementHints(Artifact):
-    """The deterministic hint artifact consumed by placement policies."""
-
-    SCHEMA = HINTS_SCHEMA
+class PlacementHints:
+    """The deterministic hint artifact consumed by placement policies.
+    A loaded artifact with a wrong ``schema`` is not :attr:`valid`, and
+    consumers treat it as stale."""
 
     schema: str
     sources: List[str]
@@ -118,11 +118,28 @@ class PlacementHints(Artifact):
     # -- serialization ---------------------------------------------------
 
     def payload(self) -> Dict[str, Any]:
+        """Canonical content, *excluding* the fingerprint."""
         return {
             "schema": self.schema,
             "sources": list(self.sources),
             "hints": [h.as_dict() for h in self.hints],
         }
+
+    @property
+    def fingerprint(self) -> str:
+        return canonical_sha256(self.payload())
+
+    def as_dict(self) -> Dict[str, Any]:
+        data = self.payload()
+        data["fingerprint"] = self.fingerprint
+        return data
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+
+    @property
+    def valid(self) -> bool:
+        return self.schema == HINTS_SCHEMA
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "PlacementHints":
@@ -138,10 +155,20 @@ def load_hints(source: Union[str, Path, Mapping[str, Any]]
                ) -> PlacementHints:
     """Load a hints artifact from a JSON file path or a parsed dict.
 
-    Never raises on bad content — a mangled artifact loads with a wrong
-    ``schema`` and fails ``valid``, which consumers treat as stale
-    (:meth:`repro.selfcheck.Artifact.load`, shared with AmberElide)."""
-    return PlacementHints.load(source)
+    Never raises on bad content: a truncated, malformed or mistyped
+    file loads with a wrong ``schema`` and fails ``valid``."""
+    raw: Any = source
+    if not isinstance(source, Mapping):
+        try:
+            raw = json.loads(Path(source).read_text())
+        except (OSError, ValueError):
+            raw = {"schema": "unreadable"}
+    if isinstance(raw, Mapping):
+        try:
+            return PlacementHints.from_dict(raw)
+        except (TypeError, ValueError):
+            pass        # right keys, hostile types
+    return PlacementHints.from_dict({"schema": "malformed"})
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +177,9 @@ def load_hints(source: Union[str, Path, Mapping[str, Any]]
 
 
 def derive_hints(model: FlowModel,
-                 sources: Optional[Sequence[str]] = None,
-                 extra_immutable: Iterable[str] = ()
+                 sources: Optional[Sequence[str]] = None
                  ) -> PlacementHints:
-    """Derive the deterministic hint set from a flow model.
-
-    ``extra_immutable`` names classes some *other* analysis (AmberElide)
-    proved effectively immutable; they are promoted to ``replicate``
-    even without observed foreign traffic — immutability alone makes
-    replica caching safe.
-    """
+    """Derive the deterministic hint set from a flow model."""
     hints: List[Hint] = []
     spread = model.spread_classes()
     affine = model.self_affine_classes()
@@ -218,20 +238,6 @@ def derive_hints(model: FlowModel,
                          + ") invoked only by " + caller
                          + "; MoveTo its node",
                 weight=total))
-
-    replicated = {h.cls for h in hints if h.kind == "replicate"}
-    for cls in sorted(set(extra_immutable)):
-        if cls in replicated or cls in spread \
-                or cls not in instantiated:
-            continue
-        callers = {c: w for c, w in invoked.get(cls, {}).items()
-                   if c != cls}
-        hints.append(Hint(
-            kind="replicate", cls=cls,
-            evidence="effectively immutable per AmberElide "
-                     "(no field writes outside __init__, no foreign "
-                     "writes); safe to replicate",
-            weight=sum(callers.values())))
 
     hints.sort(key=lambda h: (_KIND_ORDER.get(h.kind, 9),
                               h.cls, h.with_cls))

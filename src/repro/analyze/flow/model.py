@@ -197,7 +197,7 @@ class FlowModel:
     #: Files that failed to parse: path -> message.
     errors: Dict[str, str] = field(default_factory=dict)
     #: The parsed sources the model was built from: the one parse that
-    #: AmberElide goes on reading.
+    #: AmberElide's classification goes on reading.
     program: Program = field(default_factory=lambda: Program(()),
                              repr=False, compare=False)
 

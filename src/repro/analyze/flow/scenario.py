@@ -5,8 +5,10 @@ fiction.  This suite closes the loop in both directions:
 
 * **static self-consistency** — the analysis is deterministic
   (byte-identical hints artifact and findings fingerprint across
-  reruns) and the AMB201-AMB205 catalog fires exactly as specified on
-  the bundled fixtures (including noqa suppression);
+  reruns) and the AMB201-AMB205 and AMB301-AMB304 catalog fires
+  exactly as specified on the bundled fixtures (including noqa
+  suppression), with AmberElide's classification where a fixture pins
+  one;
 * **expectation gate** — the finding set over the bundled apps and
   examples matches a committed expectation file, so a hint or
   diagnostic change shows up in review as a diff, not as silence;
@@ -21,6 +23,11 @@ fiction.  This suite closes the loop in both directions:
   static default on the apps where locality is on the table (SOR's
   neighbor chatter, matmul's shared B), with the numbers printed.
 
+The finding set is one reading of the sources (:func:`analyze`): an
+AMB000 row per file that could not be read or parsed, the AMB2xx
+diagnostics and AmberElide's AMB3xx over the same ``FlowModel``.  A
+file that is not analyzed fails the run (``unreadable-sources``).
+
 Custom ``--paths`` runs keep only the static scenarios: the dynamic
 ones are meaningful only for the bundled apps.
 """
@@ -28,20 +35,23 @@ ones are meaningful only for the bundled apps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
+from repro.analyze.elide.diagnostics import diagnose
+from repro.analyze.elide.model import ElideModel, classify
 from repro.analyze.flow.diagnostics import flow_diagnostics
-from repro.analyze.flow.fixtures import EXPECTED_RULES, FLOW_FIXTURES
+from repro.analyze.flow.fixtures import FIXTURES
 from repro.analyze.flow.hints import PlacementHints, derive_hints
-from repro.analyze.flow.model import FlowModel, scan_sources
+from repro.analyze.flow.model import scan_sources
 from repro.analyze.lint import (
     DEFAULT_PATHS,
     LintFinding,
     collect_sources,
 )
+from repro.analyze.program import report
 from repro.placement.policies import (
     HintedPlacement,
     PlacementPolicy,
@@ -87,24 +97,57 @@ def findings_fingerprint(findings: Sequence[LintFinding]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# One reading of the sources
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Analysis:
+    """Everything ``repro flow`` derives from one program (the
+    ``FlowModel`` is ``elide.flow``)."""
+
+    elide: ElideModel
+    hints: PlacementHints
+    #: AMB000, AMB2xx and AMB3xx, noqa-filtered and sorted.
+    findings: List[LintFinding]
+
+
+def analyze(sources: Sequence[Tuple[str, str]],
+            unreadable: Optional[Mapping[str, str]] = None) -> Analysis:
+    """Scan ``sources`` once and derive the hints, the classification
+    and the finding set from that one model.  ``unreadable`` maps the
+    files that could not be read to why (``collect_sources``); each is
+    an AMB000 row, as is each file that does not parse — the rows
+    ``repro lint`` prints for the same files."""
+    model = scan_sources(sources)
+    elide = classify(model, sources)
+    texts = dict(sources)
+    errors = [LintFinding(path, 0, "AMB000", message)
+              for path, message in (unreadable or {}).items()]
+    errors.extend(LintFinding(path, line, "AMB000", message)
+                  for path, (line, message)
+                  in model.program.errors.items())
+    findings = report(errors + flow_diagnostics(model, texts)
+                      + diagnose(elide, sources), texts)
+    return Analysis(elide, derive_hints(model), findings)
+
+
+# ---------------------------------------------------------------------------
 # Static scenarios
 # ---------------------------------------------------------------------------
 
 
 def _determinism(sources: List[Tuple[str, str]],
-                 hints: PlacementHints,
-                 findings: List[LintFinding]) -> Outcome:
+                 unreadable: Mapping[str, str], first: Analysis) -> Outcome:
     """Scan everything a second time: the artifacts must be
     byte-identical."""
-    model2 = scan_sources(sources)
-    hints2 = derive_hints(model2)
-    findings2 = flow_diagnostics(model2, dict(sources))
-    same_hints = hints.to_json() == hints2.to_json()
-    fp1 = findings_fingerprint(findings)
-    fp2 = findings_fingerprint(findings2)
+    second = analyze(sources, unreadable)
+    same_hints = first.hints.to_json() == second.hints.to_json()
+    fp1 = findings_fingerprint(first.findings)
+    fp2 = findings_fingerprint(second.findings)
     details = [
         f"hints json: {'identical' if same_hints else 'DIFFERS'} "
-        f"({hints.fingerprint[:16]})",
+        f"({first.hints.fingerprint[:16]})",
         f"findings fingerprint: "
         f"{'identical' if fp1 == fp2 else 'DIFFERS'} ({fp1[:16]})",
     ]
@@ -113,23 +156,26 @@ def _determinism(sources: List[Tuple[str, str]],
 
 
 def _fixture_catalog() -> Outcome:
-    """Every AMB2xx rule fires on its fixture, its noqa twin is
-    silent, and the genuinely-fixed twin is clean."""
+    """Every rule fires on its fixture as often as the catalog says,
+    its noqa twin is silent, the genuinely-fixed twin is clean, and
+    the classification is the one pinned."""
     details: List[str] = []
     ok = True
-    for name in sorted(FLOW_FIXTURES):
-        source = FLOW_FIXTURES[name]
-        path = f"<fixture:{name}>"
-        model = scan_sources([(path, source)])
-        findings = flow_diagnostics(model, {path: source})
-        got = {f.rule for f in findings}
-        want = set(EXPECTED_RULES[name])
-        good = got == want
-        ok = ok and good
-        show_got = ",".join(sorted(got)) or "-"
-        show_want = ",".join(sorted(want)) or "-"
-        suffix = "" if good else f"  MISMATCH (want {show_want})"
-        details.append(f"{name}: {show_got}{suffix}")
+    for name in sorted(FIXTURES):
+        fx = FIXTURES[name]
+        got = analyze(fx.sources())
+        rules = tuple(sorted(f.rule for f in got.findings))
+        checks = [("rules", rules, fx.expected_rules)]
+        for what, pinned, derived in (
+                ("confined", fx.confined, got.elide.confined),
+                ("immutable", fx.immutable, got.elide.immutable)):
+            if pinned is not None:
+                checks.append((what, tuple(derived), pinned))
+        bad = [f"{what}: want {','.join(want) or '-'}"
+               for what, have, want in checks if have != want]
+        ok = ok and not bad
+        suffix = f"  MISMATCH ({'; '.join(bad)})" if bad else ""
+        details.append(f"{name}: {','.join(rules) or '-'}{suffix}")
     return detailed("diagnostics-catalog", ok, details)
 
 
@@ -167,9 +213,16 @@ def _expectation(findings: List[LintFinding],
         return detailed("expected-findings", False,
                         [f"{expect_path}: wrong schema "
                          f"(want {EXPECT_SCHEMA})"])
-    want = [(str(f.get("path")), int(f.get("line", 0)),
-             str(f.get("rule")), str(f.get("message")))
-            for f in raw.get("findings", [])]
+    try:
+        want = [(str(f.get("path")), int(f.get("line", 0)),
+                 str(f.get("rule")), str(f.get("message")))
+                for f in raw.get("findings", [])]
+    except (AttributeError, TypeError, ValueError) as exc:
+        return detailed("expected-findings", False,
+                        [f"{expect_path}: malformed findings: "
+                         f"{type(exc).__name__}: {exc}",
+                         "regenerate with: repro flow "
+                         f"--write-expect {expect_path}"])
     got = [(f.path, f.line, f.rule, f.message) for f in findings]
     missing = [w for w in want if w not in got]
     unexpected = [g for g in got if g not in want]
@@ -363,15 +416,17 @@ def run_flow_scenarios(fast: bool = True,
     the expectation gate against a committed findings file."""
     bundled = paths is None
     scan = list(paths if paths is not None else DEFAULT_PATHS)
-    sources, _ = collect_sources(scan)
-    model: FlowModel = scan_sources(sources)
-    hints = derive_hints(model)
-    findings = flow_diagnostics(model, dict(sources))
+    sources, unreadable = collect_sources(scan)
+    first = analyze(sources, unreadable)
+    hints, findings, elide = first.hints, first.findings, first.elide
 
     outcomes = [
-        _determinism(sources, hints, findings),
+        _determinism(sources, unreadable, first),
         _fixture_catalog(),
     ]
+    unread = [f.render() for f in findings if f.rule == "AMB000"]
+    if unread:      # a file that was not analyzed must not read as clean
+        outcomes.append(detailed("unreadable-sources", False, unread))
     if expect is not None:
         outcomes.append(_expectation(findings, expect))
     if bundled:
@@ -383,6 +438,10 @@ def run_flow_scenarios(fast: bool = True,
                 outcomes.append(_ablation(run))
 
     fingerprint = findings_fingerprint(findings)
+    locks = [f"    {site.path}:{site.line} {site.cls} {site.var!r} "
+             f"(owner {site.owner}): "
+             + ("elidable" if site.elidable else "kept")
+             for site in elide.lock_sites]
     return Report(
         FLOW_SUITE,
         title=[f"AmberFlow cross-validation ({'fast' if fast else 'full'}"
@@ -391,7 +450,15 @@ def run_flow_scenarios(fast: bool = True,
                f"(fingerprint {hints.fingerprint[:16]})",
                f"  findings: {len(findings)} "
                f"(fingerprint {fingerprint[:16]})",
+               f"  confined: {', '.join(elide.confined) or '(none)'}",
+               f"  immutable: {', '.join(elide.immutable) or '(none)'}",
+               f"  lock sites: {len(locks) or '(none)'}",
+               *locks,
                ""],
         params={"fast": fast, "paths": scan}, outcomes=outcomes,
         extras={"hints": hints, "findings": findings_payload(findings),
-                "findings_fingerprint": fingerprint})
+                "findings_fingerprint": fingerprint,
+                "confined": elide.confined,
+                "immutable": elide.immutable,
+                "lock_sites": [asdict(site)
+                               for site in elide.lock_sites]})

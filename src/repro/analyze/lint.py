@@ -571,7 +571,7 @@ def lint_source(source: str, path: str = "<string>"
     return _lint(Program([(path, source)]))
 
 
-#: What ``repro lint``, ``flow`` and ``elide`` analyze when no paths
+#: What ``repro lint`` and ``repro flow`` analyze when no paths
 #: are given (relative: run them from the repository root).
 DEFAULT_PATHS = ("src/repro/apps", "examples")
 

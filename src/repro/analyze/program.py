@@ -1,4 +1,4 @@
-"""The one front end under ``repro lint``, ``repro flow`` and ``repro elide``.
+"""The one front end under ``repro lint`` and ``repro flow``.
 
 The paper's C++ preprocessor reads a program once, knows the Amber
 idioms once, and inserts every residency check from that one reading.

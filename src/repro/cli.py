@@ -39,18 +39,15 @@
                                               # (exit 1 on findings)
     python -m repro flow [--fast] [--json PATH]
                                               # AmberFlow object-flow
-                                              # analysis + placement-hint
+                                              # analysis (AMB2xx, and
+                                              # AmberElide's AMB3xx) +
+                                              # placement-hint
                                               # cross-validation
                                               # (docs/ANALYSIS.md)
     python -m repro flow --hints-out PATH     # emit the PlacementHints
                                               # artifact
     python -m repro flow --expect PATH        # gate findings against a
                                               # committed expectation
-    python -m repro elide [--json PATH]       # AmberElide escape analysis
-                                              # (advisory AMB3xx findings;
-                                              # docs/ANALYSIS.md)
-    python -m repro elide --artifact-out PATH # emit the amberelide/1
-                                              # artifact
     python -m repro perf --profile sor --fast # hot-loop self-profile
                                               # (see docs/PERF.md; speed
                                               # is measured by python -m
@@ -130,8 +127,8 @@ def _print_sanitizer_reports(reports) -> None:
 
 #: The options that name a file a command writes, by ``dest``
 #: (``flow --expect`` is read, not written).
-_OUTPUTS = ("json", "metrics_json", "out", "hints_out", "artifact_out",
-            "write_expect", "trace_out")
+_OUTPUTS = ("json", "metrics_json", "out", "hints_out", "write_expect",
+            "trace_out")
 
 
 def _check_outputs(args) -> None:
@@ -416,16 +413,6 @@ def _cmd_flow(args) -> int:
          "findings expectation"))
 
 
-def _cmd_elide(args) -> int:
-    from repro.analyze.elide.scenario import run_elide_scenarios
-
-    report = run_elide_scenarios(paths=args.paths)
-    return _emit(
-        report, args.json,
-        (args.artifact_out, report.extras["artifact"].to_json(),
-         "elision artifact"))
-
-
 # ---------------------------------------------------------------------------
 # The command table
 # ---------------------------------------------------------------------------
@@ -609,18 +596,6 @@ COMMANDS: Tuple[Command, ...] = (
                   "file"),
             _path("--hints-out",
                   "write the PlacementHints artifact as JSON"),
-            _path("--json", "dump the full report as JSON"))),
-    Command(
-        "elide", "AmberElide: static escape/confinement analysis "
-                 "(AMB301-AMB304, advisory); reports thread-confined "
-                 "and effectively-immutable classes and locks that "
-                 "synchronise nothing (docs/ANALYSIS.md)",
-        _cmd_elide, (
-            _arg("--paths", nargs="*", default=None,
-                 help="analyze these files/directories instead of "
-                      "the bundled apps+examples"),
-            _path("--artifact-out",
-                  "write the amberelide/1 artifact as JSON"),
             _path("--json", "dump the full report as JSON"))),
 )
 

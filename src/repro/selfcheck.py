@@ -1,9 +1,9 @@
 """The harness under the self-check suites and their artifacts.
 
-Seven ``repro`` subcommands assert something about the system —
-``analyze``, ``check``, ``flow``, ``elide``, ``faults``,
-``faults --recover`` and ``chaos``.  Each is a list of scenarios that
-end in a verdict, rendered as text and as JSON.  A suite *declares*
+Six ``repro`` subcommands assert something about the system —
+``analyze``, ``check``, ``flow``, ``faults``, ``faults --recover`` and
+``chaos``.  Each is a list of scenarios that end in a verdict, rendered
+as text and as JSON.  A suite *declares*
 (:class:`Suite`) what is truly its own: the JSON fields of one outcome,
 its verdict-line style, its trailer, its counter names, and one
 function from an outcome to its indented body lines.  The harness
@@ -12,9 +12,8 @@ layout, ``as_dict``, the counter merge with its ``totals:`` and
 ``counters:`` lines, and the guard that turns a crashing scenario into
 a FAIL verdict (:func:`guarded`).
 
-:class:`Artifact` is the base of the two deterministic JSON artifacts
-(``amberflow-hints/1`` and ``amberelide/1``): canonical payload, sha256
-fingerprint, and a load that never raises.
+:func:`canonical_sha256` is the fingerprint of every deterministic
+payload (the ``amberflow-hints/1`` artifact, the findings set).
 
 Report text and artifact bytes are fixed points
 (``tests/test_cli_golden.py``); JSON key order is not.
@@ -25,9 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Tuple,
-                    Type, TypeVar, Union)
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 # ---------------------------------------------------------------------------
 # Outcomes and reports
@@ -175,7 +172,7 @@ def detailed(name: str, ok: bool, details: List[str]) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Artifacts
+# Fingerprints
 # ---------------------------------------------------------------------------
 
 
@@ -185,64 +182,3 @@ def canonical_sha256(value: Any) -> str:
     hash seeds."""
     blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-A = TypeVar("A", bound="Artifact")
-
-
-class Artifact:
-    """A deterministic JSON artifact.
-
-    The payload is canonical (sorted entries, nothing time- or
-    path-order-dependent), the fingerprint is a sha256 over its
-    canonical JSON encoding, and :meth:`load` never raises — a mangled
-    file loads with a wrong ``schema`` and fails :attr:`valid`, which
-    consumers treat as stale.  A subclass is a dataclass with a
-    ``schema`` field that sets :attr:`SCHEMA` and defines
-    :meth:`payload` and :meth:`from_dict`."""
-
-    #: Schema tag checked by consumers; bump on incompatible change.
-    SCHEMA: ClassVar[str]
-    schema: str
-
-    def payload(self) -> Dict[str, Any]:
-        """Canonical content, *excluding* the fingerprint."""
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls: Type[A], raw: Mapping[str, Any]) -> A:
-        """Build from a parsed document, tolerating anything in it."""
-        raise NotImplementedError
-
-    @property
-    def fingerprint(self) -> str:
-        return canonical_sha256(self.payload())
-
-    def as_dict(self) -> Dict[str, Any]:
-        data = self.payload()
-        data["fingerprint"] = self.fingerprint
-        return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-
-    @property
-    def valid(self) -> bool:
-        return self.schema == self.SCHEMA
-
-    @classmethod
-    def load(cls: Type[A],
-             source: Union[str, Path, Mapping[str, Any]]) -> A:
-        """Load from a JSON file path or a parsed dict; never raises."""
-        raw: Any = source
-        if not isinstance(source, Mapping):
-            try:
-                raw = json.loads(Path(source).read_text())
-            except (OSError, ValueError):
-                raw = {"schema": "unreadable"}
-        if isinstance(raw, Mapping):
-            try:
-                return cls.from_dict(raw)
-            except (TypeError, ValueError):
-                pass        # right keys, hostile types
-        return cls.from_dict({"schema": "malformed"})

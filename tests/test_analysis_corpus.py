@@ -1,18 +1,19 @@
 """Golden answers of the three static passes over a fixed corpus.
 
-``repro lint``, ``repro flow`` and ``repro elide`` read the same
-programs; ``tests/golden/analysis_corpus.json`` pins, for every program
-of the corpus below, what each of them says about it:
+``repro lint`` reads the same programs as ``repro flow`` and the
+AmberElide classification under it; ``tests/golden/analysis_corpus.json``
+pins, for every program of the corpus below, what each pass says about
+it:
 
 * the rendered AMB1xx lint findings;
 * the ``FlowModel``: every site list and every class's field tables,
   method read/write sets, as sorted tuples;
 * the rendered AMB2xx ``flow_diagnostics`` and the hints fingerprint;
 * AmberElide's ``confined`` / ``immutable`` / ``shared`` reasons, lock
-  sites, ``lock_owners`` and the rendered AMB3xx ``diagnose`` findings.
+  sites and the rendered AMB3xx ``diagnose`` findings.
 
 The corpus is every Amber program in the tree (bundled apps and
-examples as one program, the three fixture catalogs, the paper-figure
+examples as one program, the two fixture catalogs, the paper-figure
 drivers, AmberBench's workloads — read, never edited — and the hot-path
 test programs) plus the inline ``SNIPPETS``, which cover the branch /
 loop / try / with / nested-function shapes of every AMB1xx rule.
@@ -34,12 +35,10 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.analyze.elide.artifact import build_artifact
 from repro.analyze.elide.diagnostics import diagnose
-from repro.analyze.elide.fixtures import FIXTURES
 from repro.analyze.elide.model import classify
 from repro.analyze.flow import derive_hints, flow_diagnostics, scan_sources
-from repro.analyze.flow.fixtures import FLOW_FIXTURES
+from repro.analyze.flow.fixtures import FIXTURES
 from repro.analyze.lint import collect_sources, lint_source
 
 REPO = Path(__file__).resolve().parent.parent
@@ -540,10 +539,14 @@ def corpus() -> Dict[str, Sources]:
             programs[name] = sources
     finally:
         os.chdir(cwd)
-    for name, text in FLOW_FIXTURES.items():
-        programs[f"flow-fixture:{name}"] = [(f"<flow:{name}>", text)]
+    # The names and paths the golden is keyed by: the fixtures that pin
+    # a classification are the AMB3xx ones.
     for name, fixture in FIXTURES.items():
-        programs[f"elide-fixture:{name}"] = fixture.sources()
+        if fixture.confined is None:
+            programs[f"flow-fixture:{name}"] = [(f"<flow:{name}>",
+                                                fixture.source)]
+        else:
+            programs[f"elide-fixture:{name}"] = fixture.sources()
     for name, text in SNIPPETS.items():
         programs[f"snippet:{name}"] = [(f"<snippet:{name}>", text)]
     return programs
@@ -598,8 +601,6 @@ def answers(sources: Sources) -> Dict[str, Any]:
             "immutable": emodel.immutable,
             "shared": emodel.shared,
             "lock_sites": _rows(emodel.lock_sites),
-            "lock_owners": [list(pair) for pair in build_artifact(
-                emodel, sources).lock_owners],
             "diagnose": [finding.render()
                          for finding in diagnose(emodel, sources)],
         },
@@ -630,6 +631,24 @@ def test_program_answers_match_golden(golden, name):
     assert observed == expected
 
 
+def test_every_invoked_immutable_class_is_replicated_or_spread():
+    """Why the hints need no promotion from AmberElide: a class it
+    proves effectively immutable that another class invokes already
+    has flow's ``replicate`` hint, or is spread.  If flow's replicate
+    rule drifts from the immutability proof, this fails."""
+    checked = 0
+    for name, sources in corpus().items():
+        model = scan_sources(sources)
+        replicated = set(derive_hints(model).replicate_classes())
+        spread = model.spread_classes()
+        invoked = model.invoked_by()
+        for cls in classify(model, sources).immutable:
+            if any(caller != cls for caller in invoked.get(cls, {})):
+                assert cls in replicated | spread, (name, cls)
+                checked += 1
+    assert checked >= 6, checked     # MatrixB, SumTable, Table, ...
+
+
 def test_the_corpus_exercises_every_rule_and_every_answer(golden):
     """The pinned programs are not trivially quiet."""
     rendered = "\n".join(
@@ -646,8 +665,8 @@ def test_the_corpus_exercises_every_rule_and_every_answer(golden):
         assert any(program["flow"][key] for program in golden.values())
     apps = golden["apps+examples"]
     assert apps["lint"] == [] and len(apps["flow"]["classes"]) > 10
-    assert any(program["elide"]["lock_owners"]
-               for program in golden.values())
+    assert any(site[5] for program in golden.values()      # elidable
+               for site in program["elide"]["lock_sites"])
     assert any(cls["field_elems"] for program in golden.values()
                for cls in program["flow"]["classes"].values())
 

@@ -1,9 +1,10 @@
 """Structure of the static analysis (docs/ANALYSIS.md, "One front
-end"): ``repro lint``, ``flow`` and ``elide`` read one parse, one scope
-enumeration, one idiom vocabulary, one receiver key, one class resolver
-and end in one tail, all of it in ``repro.analyze.program`` — and none
-of it on the import path of a simulated or live run.  ``ast`` and
-``sys.modules`` only; no wall clock.
+end"): ``repro lint`` and ``repro flow`` (AmberFlow and the AmberElide
+classification under it) read one parse, one scope enumeration, one
+idiom vocabulary, one receiver key, one class resolver and end in one
+tail, all of it in ``repro.analyze.program`` — and none of it on the
+import path of a simulated or live run.  ``ast`` and ``sys.modules``
+only; no wall clock.
 """
 
 import ast
@@ -13,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze.elide.artifact import build_artifact
 from repro.analyze.elide.diagnostics import diagnose
-from repro.analyze.elide.model import classify, classify_sources
-from repro.analyze.flow import flow_diagnostics, scan_paths, scan_sources
+from repro.analyze.elide.model import classify
+from repro.analyze.flow import flow_diagnostics, scan_sources
+from repro.analyze.flow.scenario import analyze
 from repro.analyze.lint import collect_sources, lint_paths, lint_source
 from tests.test_analysis_corpus import corpus
 from tests.test_kernel_layering import SRC, run_python
@@ -217,13 +218,7 @@ def test_each_command_parses_each_source_once(monkeypatch):
     assert sorted(parsed) == expected
     del parsed[:]
 
-    flow_diagnostics(scan_paths(paths), dict(sources))
-    assert sorted(parsed) == expected
-    del parsed[:]
-
-    emodel = classify_sources(sources)
-    diagnose(emodel, sources)
-    build_artifact(emodel, sources)
+    analyze(sources)        # hints, classification, AMB2xx + AMB3xx
     assert sorted(parsed) == expected
 
 
@@ -262,7 +257,7 @@ def _answers(sources):
         [finding.render()
          for finding in flow_diagnostics(model, dict(sources))],
         emodel.confined, emodel.immutable, emodel.shared,
-        build_artifact(emodel, sources).to_json(),
+        sorted(map(repr, emodel.lock_sites)),
         [finding.render() for finding in diagnose(emodel, sources)],
     ])
 

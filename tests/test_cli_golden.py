@@ -6,19 +6,17 @@ compared against ``tests/golden/cli_surface.json``:
 * **stdout byte for byte** and the **exit code**;
 * every JSON report **as parsed values** (key order inside an object is
   not a fixed point; keys, values and list order are);
-* the canonical files (``--hints-out``, ``--artifact-out``,
-  ``--write-expect``, ``lint --json``) **byte for byte**;
+* the canonical files (``--hints-out``, ``--write-expect``,
+  ``lint --json``) **byte for byte**;
 * the **parser surface**: for each subcommand, every argument's option
   strings, default, choices, nargs and raw help string, read off the
   parser object (argparse wraps formatted help differently across
   3.10-3.12, so ``--help`` text itself is not pinned).
 
 ``chaos`` prints wall-clock numbers, so its *layout* is pinned from
-reports built out of literal outcomes (``_layouts``), as are the
-failing and the empty ``elide`` report, which no run of a healthy tree
-prints.  That builder is the only part of this file that may change
-with the report classes; the expected text may not.  ``elide`` reads
-no clock, so it is pinned by value like the rest.
+reports built out of literal outcomes (``_layouts``).  That builder is
+the only part of this file that may change with the report classes;
+the expected text may not.
 
 The file was generated before the suites moved onto shared plumbing; a
 change to the plumbing must leave it untouched.  Regenerate (only for
@@ -103,14 +101,10 @@ CASES: Dict[str, List[str]] = {
                    "--json", "{tmp}/flow.json"],
     "flow-paths-write-expect": ["flow", "--paths", "src/repro/apps",
                                 "--write-expect", "{tmp}/expect.json"],
-    "elide": ["elide", "--artifact-out", "{tmp}/elide.json",
-              "--json", "{tmp}/report.json"],
     "profile-queens": ["profile", "queens", "--fast"],
     # Input that cannot be acted on: one ``error:`` line, exit 2.
     "lint-missing-path": ["lint", "no/such/path"],
     "flow-missing-path": ["flow", "--paths", "no_such_dir"],
-    "elide-missing-path": ["elide", "--paths", "src/repro/apps",
-                           "no_such_dir"],
     "check-replay-not-integers": ["check", "--fixture", "hidden-race",
                                   "--replay", "a,b"],
     "perf-without-workload": ["perf", "--fast"],
@@ -120,22 +114,18 @@ CASES: Dict[str, List[str]] = {
     "lint-named-non-py": ["lint", "prog.txt"],
     "flow-named-non-py": ["flow", "--paths", "prog.txt",
                           "--json", "flow.json"],
-    "elide-named-non-py": ["elide", "--paths", "prog.txt",
-                           "--artifact-out", "elide.json"],
 }
 
 #: Cases run with the scratch directory as cwd (paths in their output
 #: are then relative, so the text is stable).
-IN_TMP = {"lint-bad-fixture", "lint-named-non-py",
-          "flow-named-non-py", "elide-named-non-py"}
+IN_TMP = {"lint-bad-fixture", "lint-named-non-py", "flow-named-non-py"}
 
 #: Cases whose stderr is pinned too.
 PINS_STDERR = {"lint-missing-path", "flow-missing-path",
-               "elide-missing-path", "check-replay-not-integers",
-               "perf-without-workload"}
+               "check-replay-not-integers", "perf-without-workload"}
 
 #: Output files compared byte for byte rather than as parsed JSON.
-CANONICAL = {"hints.json", "elide.json", "expect.json", "lint.json"}
+CANONICAL = {"hints.json", "expect.json", "lint.json"}
 
 
 def observe_case(name: str, tmp: Path,
@@ -236,14 +226,10 @@ def parser_surface() -> Dict[str, Any]:
 
 
 def _layouts() -> Dict[str, Any]:
-    """Render (and dict-encode) ``chaos`` and ``elide`` reports built
-    from literals.  The only part of this file that follows the report
-    classes."""
-    from repro.analyze.elide.artifact import ELIDE_SCHEMA, ElideArtifact
-    from repro.analyze.elide.scenario import elide_report
-    from repro.analyze.lint import LintFinding
+    """Render (and dict-encode) ``chaos`` reports built from literals.
+    The only part of this file that follows the report classes."""
     from repro.faults.livescenario import chaos_report
-    from repro.selfcheck import Outcome, detailed
+    from repro.selfcheck import Outcome
 
     def live(name: str, description: str, ok: bool,
              **fields: Any) -> Outcome:
@@ -266,42 +252,11 @@ def _layouts() -> Dict[str, Any]:
              detail="crashed: ClusterError: node 2 never registered"),
     ])
     quiet = chaos_report(0, False, [])
-
-    artifact = ElideArtifact(
-        schema=ELIDE_SCHEMA,
-        sources={"apps/pool.py": "ab" * 32},
-        confined=["Scratch"], immutable=["Table"],
-        locks=[{"path": "apps/pool.py", "line": 12, "owner": "<main>",
-                "var": "gate", "cls": "Lock", "elidable": True,
-                "reason": "single-thread-reachable"}])
-    elide = elide_report(
-        [
-            detailed("deterministic-analysis", True,
-                     ["8 corpora scanned twice, byte-identical "
-                      "artifacts"]),
-            detailed("fixture-catalog", False,
-                     ["shared-pool: rules: got (), want ('AMB304',)",
-                      "scratch-workers: 2 finding(s), classification "
-                      "as expected"]),
-            detailed("artifact-roundtrip", True,
-                     ["json roundtrip preserves the fingerprint"]),
-            detailed("hint-promotion", True, []),
-        ],
-        artifact,
-        [LintFinding("apps/pool.py", 12, "AMB301",
-                     "lock 'gate' synchronises nothing")],
-        ["apps"])
-    bare = elide_report([], ElideArtifact(schema=ELIDE_SCHEMA), [],
-                        ["nowhere"])
     return {
         "chaos": {"text": chaos.render(), "json": chaos.as_dict(),
                   "ok": chaos.ok},
         "chaos-empty": {"text": quiet.render(), "json": quiet.as_dict(),
                         "ok": quiet.ok},
-        "elide-verify": {"text": elide.render(), "json": elide.as_dict(),
-                         "ok": elide.ok},
-        "elide-empty": {"text": bare.render(), "json": bare.as_dict(),
-                        "ok": bare.ok},
     }
 
 
@@ -335,14 +290,14 @@ def test_case_matches_golden(name, golden, tmp_path):
     assert observed["files"] == expected["files"]
 
 
-def test_elide_verify_reads_no_clock(tmp_path):
-    """Two consecutive runs in one process: same stdout, exit code,
-    JSON and artifact bytes, on any host."""
-    pytest.importorskip("numpy")
+def test_flow_paths_reads_no_clock(tmp_path):
+    """The static ``flow --paths`` run, twice in one process: same
+    stdout, exit code and expectation bytes, on any host."""
     runs = []
     for scratch in ("first", "second"):
         (tmp_path / scratch).mkdir()
-        runs.append(observe_case("elide", tmp_path / scratch, {}))
+        runs.append(observe_case("flow-paths-write-expect",
+                                 tmp_path / scratch, {}))
     assert runs[0] == runs[1]
     assert runs[0]["exit"] == 0
 
@@ -356,11 +311,10 @@ def test_parser_surface_matches_golden(golden):
         == [c["name"] for c in expected["commands"]]
     for got, want in zip(observed["commands"], expected["commands"]):
         assert got == want, got["name"]
-    assert len(expected["commands"]) == 16
+    assert len(expected["commands"]) == 15
 
 
-@pytest.mark.parametrize("name", ["chaos", "chaos-empty", "elide-verify",
-                                  "elide-empty"])
+@pytest.mark.parametrize("name", ["chaos", "chaos-empty"])
 def test_wall_clock_report_layout_matches_golden(name, golden):
     observed = json.loads(json.dumps(_layouts()[name]))
     expected = golden["layouts"][name]
@@ -392,9 +346,9 @@ def test_golden_cases_are_not_trivial(golden):
     assert "PASS: 7/7 scenarios" in cases["flow-gated"]["stdout"]
     assert json.loads(cases["flow-gated"]["files"]["hints.json"])[
         "fingerprint"]
-    elide = cases["elide"]
-    assert elide["exit"] == 0 and elide["json"]["report.json"]["ok"]
-    assert "overall: PASS (4/4 scenarios)" in elide["stdout"]
+    flow = cases["flow-gated"]["json"]["flow.json"]
+    assert "diagnostics-catalog" in {o["name"] for o in flow["outcomes"]}
+    assert flow["lock_sites"] == [] and flow["confined"] == []
     for name in PINS_STDERR:
         assert cases[name]["exit"] == 2 and not cases[name]["stdout"]
         assert cases[name]["stderr"].startswith("error: ")
@@ -404,11 +358,7 @@ def test_golden_cases_are_not_trivial(golden):
     assert "prog.txt:10: AMB103" in cases["lint-named-non-py"]["stdout"]
     assert cases["flow-named-non-py"]["json"]["flow.json"]["hints"][
         "sources"] == ["prog.txt"]
-    assert list(json.loads(cases["elide-named-non-py"]["files"][
-        "elide.json"])["sources"]) == ["prog.txt"]
     assert "[FAIL]" in golden["layouts"]["chaos"]["text"]
-    assert "overall: FAIL (3/4 scenarios)" \
-        in golden["layouts"]["elide-verify"]["text"]
 
 
 def _dump(document: Dict[str, Any]) -> str:

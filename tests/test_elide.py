@@ -1,9 +1,9 @@
-"""AmberElide: classification and artifact hygiene.
+"""AmberElide: the classification under ``repro flow``'s AMB3xx rules.
 
-The suite itself lives in ``repro.analyze.elide.scenario``
-(``repro elide``); these tests pin the load-bearing unit behaviors —
-the classification of every fixture, the static owner of a lock site,
-cross-process artifact determinism and loads that never raise.
+The catalog lives in ``repro.analyze.flow.fixtures`` and ``repro flow``
+checks it; these tests pin the load-bearing unit behaviors — the
+classification of every fixture that pins one, the verdict and static
+owner of a lock site, and output that does not depend on the hash seed.
 """
 
 import dataclasses
@@ -12,25 +12,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.analyze.elide.artifact import (
-    ELIDE_SCHEMA,
-    ElideArtifact,
-    build_artifact,
-    load_artifact,
-)
 from repro.analyze.elide.diagnostics import diagnose
-from repro.analyze.elide.fixtures import FIXTURES
 from repro.analyze.elide.model import MAIN_OWNER, classify_sources
-from repro.analyze.elide.scenario import run_elide_scenarios
+from repro.analyze.flow.fixtures import FIXTURES
+from repro.analyze.flow.scenario import run_flow_scenarios
 
 REPO = Path(__file__).resolve().parent.parent
 
+#: The catalog entries that pin AmberElide's classification.
+CLASSIFIED = [fx for fx in FIXTURES.values() if fx.confined is not None]
 
-def _fixture_artifact(name):
-    fx = FIXTURES[name]
-    return build_artifact(classify_sources(fx.sources()), fx.sources())
+
+def _verdicts(sources):
+    """``(owner, lock class, elidable)`` of every lock site."""
+    return [(site.owner, site.cls, site.elidable)
+            for site in classify_sources(sources).lock_sites]
 
 
 class TestClassification:
@@ -38,13 +34,12 @@ class TestClassification:
         fx = FIXTURES["confined-counter"]
         model = classify_sources(fx.sources())
         assert set(model.confined) == {"Tally"}
-        artifact = build_artifact(model, fx.sources())
-        assert artifact.lock_owners == [(MAIN_OWNER, "Lock")]
+        assert _verdicts(fx.sources()) == [(MAIN_OWNER, "Lock", True)]
 
     def test_shared_pool_lock_is_not_elidable(self):
-        artifact = _fixture_artifact("shared-pool")
-        assert artifact.lock_owners == []
-        assert "JobPool" not in artifact.confined
+        fx = FIXTURES["shared-pool"]
+        assert _verdicts(fx.sources()) == [(MAIN_OWNER, "Lock", False)]
+        assert "JobPool" not in classify_sources(fx.sources()).confined
 
     def test_immutable_table_classes(self):
         fx = FIXTURES["immutable-table"]
@@ -52,16 +47,15 @@ class TestClassification:
         assert set(model.immutable) == {"SumTable", "TableReader"}
 
     def test_every_fixture_matches_its_catalog_entry(self):
-        for fx in FIXTURES.values():
+        assert len(CLASSIFIED) == 8
+        for fx in CLASSIFIED:
             model = classify_sources(fx.sources())
             findings = diagnose(model, fx.sources())
-            assert sorted(f.rule for f in findings) == \
-                sorted(fx.expected_rules), fx.name
-            assert set(model.confined) == set(fx.confined), fx.name
-            assert set(model.immutable) == set(fx.immutable), fx.name
-            artifact = build_artifact(model, fx.sources())
-            assert artifact.lock_owners == \
-                sorted(fx.elidable_owners), fx.name
+            assert tuple(sorted(f.rule for f in findings)) == tuple(
+                rule for rule in fx.expected_rules
+                if rule.startswith("AMB3")), fx.name
+            assert tuple(model.confined) == fx.confined, fx.name
+            assert tuple(model.immutable) == fx.immutable, fx.name
 
     def test_container_append_leaks_lock(self):
         sources = [("<case>", (
@@ -72,8 +66,7 @@ class TestClassification:
             "    stash.append(gate)\n"
             "    yield Invoke(gate, 'acquire')\n"
             "    yield Invoke(gate, 'release')\n"))]
-        artifact = build_artifact(classify_sources(sources), sources)
-        assert artifact.lock_owners == []
+        assert _verdicts(sources) == [(MAIN_OWNER, "Lock", False)]
 
 
 #: The module-level twin of the ``nested-helper-lock`` fixture: the
@@ -134,42 +127,24 @@ class TestLockOwner:
         assert (sites["shared"].owner, sites["shared"].elidable) \
             == (MAIN_OWNER, False)
 
-    def test_no_pair_is_elidable_and_no_lock_is_marked(self):
-        for fx in self._fixtures():
-            artifact = build_artifact(classify_sources(fx.sources()),
-                                      fx.sources())
-            assert artifact.lock_owners == [], fx.name
-
-    def test_unelidable_main_site_vetoes_its_class_for_every_owner(self):
-        locks = [
-            {"path": "p", "line": 1, "owner": "<main>", "var": "a",
-             "cls": "Lock", "elidable": False, "reason": ""},
-            {"path": "p", "line": 2, "owner": "Worker", "var": "b",
-             "cls": "Lock", "elidable": True, "reason": ""},
-            {"path": "p", "line": 3, "owner": "Worker", "var": "c",
-             "cls": "SpinLock", "elidable": True, "reason": ""},
-            {"path": "p", "line": 4, "owner": "<main>", "var": "d",
-             "cls": "Monitor", "elidable": True, "reason": ""},
-        ]
-        artifact = ElideArtifact(schema=ELIDE_SCHEMA, locks=locks)
-        assert artifact.lock_owners == [("<main>", "Monitor"),
-                                        ("Worker", "SpinLock")]
-
 
 class TestArtifact:
-    def test_byte_identical_across_processes(self, tmp_path):
-        """Two freshly started interpreters must emit the same bytes:
-        no dict-order, hash-seed, or id() dependence anywhere."""
+    def test_byte_identical_across_processes(self):
+        """Two freshly started interpreters must print the same
+        classification and findings: no dict-order, hash-seed, or id()
+        dependence anywhere."""
         script = (
-            "import sys\n"
-            "from repro.analyze.elide.artifact import build_artifact\n"
-            "from repro.analyze.elide.fixtures import FIXTURES\n"
-            "from repro.analyze.elide.model import classify_sources\n"
+            "import dataclasses, json, sys\n"
+            "from repro.analyze.flow.fixtures import FIXTURES\n"
+            "from repro.analyze.flow.scenario import analyze\n"
             "for fx in FIXTURES.values():\n"
-            "    art = build_artifact(classify_sources(fx.sources()),\n"
-            "                         fx.sources())\n"
-            "    sys.stdout.write(art.fingerprint + '\\n')\n"
-            "    sys.stdout.write(art.to_json())\n")
+            "    got = analyze(fx.sources())\n"
+            "    sys.stdout.write(json.dumps([\n"
+            "        got.elide.confined, got.elide.immutable,\n"
+            "        got.elide.shared,\n"
+            "        [dataclasses.astuple(site)\n"
+            "         for site in got.elide.lock_sites],\n"
+            "        [f.render() for f in got.findings]]) + '\\n')\n")
         outs = []
         for seed in ("0", "1"):
             proc = subprocess.run(
@@ -181,61 +156,33 @@ class TestArtifact:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("text", [
-        "", "{", "[1, 2, 3]", "null", "\x00\x01",
-        '{"schema": "amberelide/99"}',
-    ])
-    def test_load_never_raises(self, tmp_path, text):
-        path = tmp_path / "artifact.json"
-        path.write_text(text)
-        artifact = load_artifact(str(path))
-        assert not artifact.valid
-
-    def test_load_tolerates_mistyped_fields(self, tmp_path):
-        """Right schema, hostile field types: loads without raising
-        and carries no elision facts."""
-        path = tmp_path / "artifact.json"
-        path.write_text('{"schema": "amberelide/1", "locks": "nope", '
-                        '"sources": 7, "confined": 3, '
-                        '"immutable": {"x": 1}}')
-        artifact = load_artifact(str(path))
-        assert artifact.valid
-        assert artifact.lock_owners == []
-        assert artifact.skip_classes == []
-
-    def test_load_missing_file(self, tmp_path):
-        artifact = load_artifact(str(tmp_path / "absent.json"))
-        assert not artifact.valid
-
-    def test_truncated_roundtrip(self, tmp_path):
-        good = _fixture_artifact("confined-counter")
-        path = tmp_path / "artifact.json"
-        path.write_text(good.to_json()[:-25])
-        assert not load_artifact(str(path)).valid
-
-    def test_roundtrip_preserves_fingerprint(self, tmp_path):
-        good = _fixture_artifact("scratch-workers")
-        path = tmp_path / "artifact.json"
-        path.write_text(good.to_json())
-        loaded = load_artifact(str(path))
-        assert loaded.valid
-        assert loaded.fingerprint == good.fingerprint
-        assert loaded.to_json() == good.to_json()
+        assert outs[0].count("\n") == len(FIXTURES)
 
 
 class TestScenarioSuite:
-    def test_fast_suite_passes(self):
-        report = run_elide_scenarios()
-        assert report.ok, report.render()
-        assert {o.name for o in report.outcomes} == {
-            "deterministic-analysis", "fixture-catalog",
-            "artifact-roundtrip", "hint-promotion"}
-        assert report.extras["artifact"].schema == ELIDE_SCHEMA
+    """``repro flow`` reports the classification beside its findings."""
 
-    def test_report_json_shape(self):
-        report = run_elide_scenarios(paths=["src/repro/apps"])
+    def test_fast_suite_passes(self):
+        report = run_flow_scenarios(paths=["src/repro/apps", "examples"])
+        assert report.ok, report.render()
+        assert [o.name for o in report.outcomes] == [
+            "deterministic-analysis", "diagnostics-catalog"]
+        assert report.extras["lock_sites"] == []
+        assert report.extras["confined"] == []
+        assert "  lock sites: (none)" in report.render()
+
+    def test_report_json_shape(self, tmp_path):
+        fx = FIXTURES["scratch-workers"]
+        path = tmp_path / "scratch.py"
+        path.write_text(fx.source)
+        report = run_flow_scenarios(paths=[str(path)])
         payload = json.loads(json.dumps(report.as_dict()))
-        assert payload["schema"] == "amberelide-report/1"
-        assert payload["artifact"]["schema"] == ELIDE_SCHEMA
-        assert all(o["ok"] for o in payload["outcomes"])
+        assert payload["confined"] == list(fx.confined)
+        assert payload["immutable"] == list(fx.immutable)
+        assert [(site["owner"], site["cls"], site["elidable"])
+                for site in payload["lock_sites"]] \
+            == [("Cruncher", "Lock", True)]
+        assert sorted(f["rule"] for f in payload["findings"][
+            "findings"]) == list(fx.expected_rules)
+        assert "Lock 'latch' (owner Cruncher): elidable" \
+            in report.render()

@@ -1,5 +1,6 @@
 """AmberFlow: static model extraction, placement-hint derivation,
-AMB201-AMB205 diagnostics, and artifact determinism."""
+the AMB2xx/AMB3xx fixture catalog, artifact determinism, and the
+finding set of ``repro flow`` over files it cannot analyze."""
 
 import json
 from pathlib import Path
@@ -16,7 +17,8 @@ from repro.analyze.flow import (
     scan_paths,
     scan_sources,
 )
-from repro.analyze.flow.fixtures import EXPECTED_RULES, FLOW_FIXTURES
+from repro.analyze.flow.fixtures import FIXTURES
+from repro.analyze.flow.scenario import analyze, run_flow_scenarios
 
 REPO = Path(__file__).resolve().parent.parent
 APPS = str(REPO / "src" / "repro" / "apps")
@@ -181,29 +183,34 @@ def main(ctx):
 
 
 class TestDiagnostics:
-    @pytest.mark.parametrize("name", sorted(FLOW_FIXTURES))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixture_fires_expected_rules(self, name):
-        source = FLOW_FIXTURES[name]
-        path = f"<fixture:{name}>"
-        model = scan_sources([(path, source)])
-        findings = flow_diagnostics(model, {path: source})
-        assert {f.rule for f in findings} == set(EXPECTED_RULES[name])
+        """The one finding set (AMB2xx and AMB3xx) fires each rule as
+        often as the catalog says; where the fixture pins AmberElide's
+        classification, it is that."""
+        fx = FIXTURES[name]
+        got = analyze(fx.sources())
+        assert tuple(sorted(f.rule for f in got.findings)) \
+            == fx.expected_rules
+        if fx.confined is not None:
+            assert tuple(got.elide.confined) == fx.confined
+        if fx.immutable is not None:
+            assert tuple(got.elide.immutable) == fx.immutable
 
     def test_rules_catalogue(self):
         assert set(FLOW_RULES) == {"AMB201", "AMB202", "AMB203",
                                    "AMB204", "AMB205"}
 
     def test_findings_are_sorted_and_deduplicated(self):
-        source = FLOW_FIXTURES["amb201"]
-        path = "<fixture:amb201>"
-        model = scan_sources([(path, source)])
-        findings = flow_diagnostics(model, {path: source})
+        fx = FIXTURES["amb201"]
+        model = scan_sources(fx.sources())
+        findings = flow_diagnostics(model, dict(fx.sources()))
         keys = [(f.path, f.line, f.rule) for f in findings]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
     def test_immutable_receiver_suppresses_amb201(self):
-        model = model_of(FLOW_FIXTURES["amb201-clean"])
+        model = model_of(FIXTURES["amb201-clean"].source)
         assert flow_diagnostics(model, None) == []
 
 
@@ -215,3 +222,40 @@ class TestArtifactSchema:
                         evidence="read-mostly")])
         again = PlacementHints.from_dict(hints.as_dict())
         assert again.to_json() == hints.to_json()
+
+
+class TestUnanalyzedFiles:
+    """A file ``repro flow`` cannot read or parse is an AMB000 row, as
+    in ``repro lint``, and fails the run: it must not read as clean."""
+
+    def test_unparsable_and_undecodable_files_fail_the_run(self, tmp_path):
+        (tmp_path / "bad.py").write_text("def broken(:\n")
+        (tmp_path / "undecodable.py").write_bytes(b"\xff\xfe")
+        paths = [str(tmp_path / "bad.py"), str(tmp_path / "undecodable.py")]
+        report = run_flow_scenarios(paths=paths)
+        assert not report.ok
+        rows = report.extras["findings"]["findings"]
+        assert [(row["path"], row["rule"]) for row in rows] == [
+            ((tmp_path / "bad.py").as_posix(), "AMB000"),
+            ((tmp_path / "undecodable.py").as_posix(), "AMB000")]
+        failed = [o for o in report.outcomes if not o.ok]
+        assert [o.name for o in failed] == ["unreadable-sources"]
+        assert len(failed[0].fields["details"]) == 2
+
+
+class TestExpectationFile:
+    @pytest.mark.parametrize("findings", [[1], [{"line": "abc"}], 5],
+                             ids=["row-not-an-object", "line-not-a-number",
+                                  "not-a-list"])
+    def test_hostile_findings_are_a_fail_verdict(self, findings,
+                                                 tmp_path):
+        expect = tmp_path / "expect.json"
+        expect.write_text(json.dumps({"schema": "amberflow-findings/1",
+                                      "findings": findings}))
+        (tmp_path / "ok.py").write_text("class Pool:\n    pass\n")
+        report = run_flow_scenarios(paths=[str(tmp_path / "ok.py")],
+                                    expect=str(expect))
+        gate = next(o for o in report.outcomes
+                    if o.name == "expected-findings")
+        assert not gate.ok
+        assert "malformed findings" in gate.fields["details"][0]

@@ -1,16 +1,12 @@
 """The self-check harness (``repro.selfcheck``): the report branches no
 suite run exercises — a FAIL verdict, a crashing scenario, counter
-merging — and the artifact base both artifact types load through."""
+merging — and the placement-hints artifact: its fingerprint, and a
+load that never raises."""
 
 import json
 
 import pytest
 
-from repro.analyze.elide.artifact import (
-    ELIDE_SCHEMA,
-    ElideArtifact,
-    load_artifact,
-)
 from repro.analyze.flow.hints import (
     HINTS_SCHEMA,
     Hint,
@@ -20,7 +16,6 @@ from repro.analyze.flow.hints import (
 from repro.selfcheck import (
     OK_MARK,
     PASS_FAIL,
-    Artifact,
     Outcome,
     Report,
     Suite,
@@ -155,29 +150,25 @@ class TestGuarded:
 
 
 # ---------------------------------------------------------------------------
-# The artifact base, through both artifact types
+# The deterministic artifact: the placement hints
 # ---------------------------------------------------------------------------
 
 ARTIFACTS = {
     "hints": (load_hints, PlacementHints(
         HINTS_SCHEMA, ["apps/a.py"],
         [Hint(kind="hub", cls="Pool", evidence="busy", weight=3)])),
-    "elide": (load_artifact, ElideArtifact(
-        ELIDE_SCHEMA, sources={"apps/a.py": "00" * 32},
-        confined=["Scratch"], immutable=["Table"])),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(ARTIFACTS))
 class TestArtifactBase:
-    def test_both_types_are_artifacts_with_one_loader(self, kind):
+    def test_fingerprint_is_over_the_payload(self, kind):
         load, artifact = ARTIFACTS[kind]
-        assert isinstance(artifact, Artifact)
-        assert type(artifact).load.__func__ is Artifact.load.__func__
         assert artifact.valid
         assert artifact.fingerprint == canonical_sha256(
             artifact.payload())
         assert "fingerprint" not in artifact.payload()
+        assert artifact.as_dict()["fingerprint"] == artifact.fingerprint
 
     def test_roundtrip_keeps_the_fingerprint(self, kind, tmp_path):
         load, artifact = ARTIFACTS[kind]
@@ -197,8 +188,8 @@ class TestArtifactBase:
         ("[1, 2, 3]\n", "malformed"),               # not an object
         ('"just a string"', "malformed"),
         ('{"schema": "someone-elses/9", "locks": 4}', "someone-elses/9"),
-        # Right keys, hostile types (both raised out of ``load_hints``
-        # before the loader was shared).
+        # Right keys, hostile types (each once raised out of
+        # ``load_hints``).
         ('{"schema": "amberflow-hints/1", "hints": 3}', None),
         ('{"schema": "amberflow-hints/1", "hints": [{"weight": "x"}]}',
          None),
