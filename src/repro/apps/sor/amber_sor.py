@@ -45,6 +45,7 @@ from repro.apps.sor.grid import (
     SorProblem,
     count_color_points,
     make_grid,
+    max_delta,
     sweep_color,
 )
 from repro.apps.sor.sequential import (
@@ -118,7 +119,7 @@ class SorMaster(SimObject):
         deltas.append(delta)
         if len(deltas) == self._nsections:
             converged = (self._tolerance > 0
-                         and max(deltas) < self._tolerance)
+                         and max_delta(*deltas) < self._tolerance)
             self._verdicts[iteration] = not converged
             self.iterations_seen = max(self.iterations_seen, iteration + 1)
             yield from _wake_all(self._waiting.get(iteration, []))
@@ -144,11 +145,11 @@ class SorSection(SimObject):
         self.per_point_us = per_point_us
         self.overlap = overlap
 
-        rows = problem.rows
-        full = make_grid(problem)
-        # Slab: all rows, my columns plus one ghost/boundary column each
-        # side (array col 0 and ncols+1).
-        self.cells = full[:, col0:col0 + ncols + 2].copy()
+        # Slab: all rows, my columns and a ghost/boundary column each side
+        # (array col 0, ncols+1), zero-padded to an odd width for sweep_color.
+        slab = make_grid(problem)[:, col0:col0 + ncols + 2]
+        self.cells = np.zeros((problem.rows + 2, (ncols + 2) | 1), np.float32)
+        self.cells[:, :ncols + 2] = slab
 
         self.master: Optional[SorMaster] = None
         self.neighbors: List[Optional["SorSection"]] = [None, None]
@@ -214,8 +215,7 @@ class SorSection(SimObject):
     def run(self, ctx):
         """The coordinator: drives phases, edges, and convergence."""
         problem = self.problem
-        boundary_cols = ([1] if self.ncols == 1
-                         else [1, self.ncols])
+        boundary_cols = [1] if self.ncols == 1 else [1, self.ncols]
         interior = (2, self.ncols) if self.ncols > 2 else (1, 1)
         for iteration in range(problem.iterations):
             iter_delta = 0.0
@@ -230,7 +230,7 @@ class SorSection(SimObject):
                         yield Compute(pts * self.per_point_us)
                         delta = self._sweep(color, 0, problem.rows,
                                             col, col + 1)
-                        self._phase_delta = max(self._phase_delta, delta)
+                        self._phase_delta = max_delta(self._phase_delta, delta)
                     # 2. Launch the edge exchange.
                     yield from self._request_sends(iteration, color)
                     # 3. Interior in parallel with the exchange.
@@ -247,7 +247,7 @@ class SorSection(SimObject):
                 # 4. The next phase reads this color's ghost values:
                 #    wait for the neighbors' edges to arrive.
                 yield from self._await_edges(ctx, iteration, color)
-                iter_delta = max(iter_delta, self._phase_delta)
+                iter_delta = max_delta(iter_delta, self._phase_delta)
             # Iteration barrier: report the delta, learn the verdict.
             self._pending_report = (iteration, iter_delta)
             yield from _wake_all(self._converger_wait)
@@ -307,7 +307,7 @@ class SorSection(SimObject):
             pts = self._points(color, row_lo, row_hi, col_lo, col_hi)
             yield Compute(pts * self.per_point_us)
             delta = self._sweep(color, row_lo, row_hi, col_lo, col_hi)
-            self._phase_delta = max(self._phase_delta, delta)
+            self._phase_delta = max_delta(self._phase_delta, delta)
             self._workers_done += 1
             if self._workers_done == self.workers:
                 yield from _wake_all(self._coord_wait)
@@ -475,11 +475,21 @@ def run_amber_sor(problem: SorProblem,
     over the nodes, one worker thread per CPU share of a section.
     ``placement`` overrides creation-time placement per class; the
     default policy passes the program's block layout through unchanged.
+    A shape the program cannot run (a section without a column or a
+    worker) raises ``ValueError`` naming the argument.
     """
     nsections = sections if sections is not None else default_sections(nodes)
+    # Every section needs a column and a worker: refuse any other shape
+    # before a cluster is built.
+    if not 1 <= nsections <= problem.cols:
+        raise ValueError(f"sections must be 1..{problem.cols} (the grid's "
+                         f"columns), got {nsections}")
     total_cpus = nodes * cpus_per_node
     workers = (workers_per_section if workers_per_section is not None
                else max(1, total_cpus // nsections))
+    if workers < 1:
+        raise ValueError(
+            f"workers_per_section must be at least 1, got {workers}")
     place = placement if placement is not None else PlacementPolicy()
     config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
     result = AmberProgram(config, costs, faults).run(
@@ -487,7 +497,7 @@ def run_amber_sor(problem: SorProblem,
         collect_grid, place, tracer=tracer)
     outcomes, finish_us, grid = result.value
     iterations_run = max(outcome[0] for outcome in outcomes)
-    final_delta = max(outcome[1] for outcome in outcomes)
+    final_delta = max_delta(*(outcome[1] for outcome in outcomes))
     return AmberSorResult(
         problem=problem,
         nodes=nodes,

@@ -5,6 +5,8 @@ identical* grids to the sequential baseline for any partitioning, because
 same-color points never read each other within a phase.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,12 @@ from repro.apps.sor import (
     run_sequential_sor,
     sweep_color,
 )
-from repro.apps.sor.amber_sor import default_sections
+from repro.apps.sor import amber_sor
+from repro.apps.sor.amber_sor import SorSection, default_sections
 from repro.apps.sor.grid import (
     BLACK,
     RED,
+    VALUE_BYTES,
     count_color_points,
     residual,
     sor_iterate,
@@ -140,6 +144,81 @@ class TestAmberSorCorrectness:
         b = run_amber_sor(SMALL, nodes=2, cpus_per_node=2, sections=4)
         assert a.elapsed_us == b.elapsed_us
         assert a.stats.as_dict() == b.stats.as_dict()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("problem", [
+        SorProblem(rows=8, cols=16, iterations=400, tolerance=1e-3,
+                   omega=math.nan),
+        SorProblem(rows=8, cols=16, iterations=400, tolerance=1e-3,
+                   omega=2.5),
+        # One row: the NaN boundary is read by one red point only, so
+        # the first iteration's NaN is the red phase's, in the last
+        # section, and behind every finite delta below the tolerance.
+        SorProblem(rows=1, cols=16, iterations=5, tolerance=1e9,
+                   boundary=(100.0, 0.0, 0.0, math.nan)),
+    ], ids=["omega-nan", "omega-2.5", "nan-right-boundary"])
+    def test_a_diverged_grid_never_reads_as_converged(self, problem):
+        """``max(a, nan)`` is ``a``: a NaN delta that came second in any
+        reduction once stopped the run as converged (after 1 iteration at
+        ``omega=nan``, 210 at 2.5) with ``final_delta == 0.0``."""
+        seq = run_sequential_sor(problem)
+        amber = run_amber_sor(problem, nodes=2, cpus_per_node=2)
+        assert amber.iterations_run == seq.iterations_run \
+            == problem.iterations
+        assert math.isnan(seq.final_delta)
+        assert math.isnan(amber.final_delta)
+
+    @pytest.mark.parametrize("problem,kwargs,argument", [
+        (SMALL, dict(workers_per_section=0), "workers_per_section"),
+        (SMALL, dict(sections=0), "sections"),
+        (SMALL, dict(sections=SMALL.cols + 1), "sections"),
+        (SorProblem(rows=10, cols=4), {}, "sections"),   # default 8
+    ], ids=["no-workers", "no-sections", "a-section-per-column-and-one",
+            "default-sections-over-4-columns"])
+    def test_a_shape_it_cannot_run_is_refused_by_name(
+            self, monkeypatch, problem, kwargs, argument):
+        def no_cluster(*args, **kwargs):
+            raise AssertionError("a cluster was built")
+        monkeypatch.setattr(amber_sor, "AmberProgram", no_cluster)
+        with pytest.raises(ValueError, match=f"^{argument} "):
+            run_amber_sor(problem, nodes=1, **kwargs)
+
+
+def _result(generator):
+    """What a program-text method returns, its syscalls ignored."""
+    try:
+        while True:
+            next(generator)
+    except StopIteration as stop:
+        return stop.value
+
+
+def test_section_slabs_hide_their_pad_column():
+    """``SorSection`` pads its slab to an odd row length for the flat
+    sweep; nothing else sees the pad.  31 columns in 5 sections are
+    stripes of 6 (slab 8 wide, padded to 9) and one of 7 (9, no pad)."""
+    problem = SorProblem(rows=9, cols=31, iterations=5)
+    seq = run_sequential_sor(problem)
+    amber = run_amber_sor(problem, nodes=2, cpus_per_node=2, sections=5,
+                          collect_grid=True)
+    assert np.array_equal(seq.grid, amber.grid)
+    sections = sorted((obj for obj in amber.cluster.objects.values()
+                       if isinstance(obj, SorSection)),
+                      key=lambda section: section.index)
+    assert [s.ncols for s in sections] == [6, 6, 6, 6, 7]
+    for section in sections:
+        width = section.ncols + 2
+        assert section.cells.shape == (problem.rows + 2, 9)
+        # Simulated time and events read the declared, unpadded slab.
+        assert section.size_bytes == (problem.rows + 2) * width * VALUE_BYTES
+        assert _result(section.snapshot(None)).shape \
+            == (problem.rows + 2, section.ncols)
+        # Ghost columns (the neighbours' edges), boundary columns and
+        # interior: the sequential grid's bytes, the ghosts where
+        # ``put_edge`` wrote them.
+        assert section.cells[:, :width].tobytes() \
+            == seq.grid[:, section.col0:section.col0 + width].tobytes()
+        assert not section.cells[:, width:].any()
 
 
 class TestAmberSorStructure:

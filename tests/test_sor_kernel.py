@@ -16,6 +16,7 @@ Regenerate (only for an intended change of the arithmetic) with::
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -33,7 +34,14 @@ from repro.apps.sor import (
     run_sequential_sor,
     sweep_color,
 )
-from repro.apps.sor.grid import BLACK, RED, count_color_points
+from repro.apps.sor import grid as grid_module
+from repro.apps.sor.grid import (
+    BLACK,
+    FLAT_MIN_COLS,
+    RED,
+    count_color_points,
+    max_delta,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "sor_kernel.json"
 
@@ -95,12 +103,20 @@ def sha256(grid: np.ndarray) -> str:
 
 @st.composite
 def sweeps(draw):
+    """Any window of any grid, empty ones too; half of the draws have an
+    odd row length and a window at least ``FLAT_MIN_COLS`` wide, the
+    shape ``sweep_color`` sweeps as one flat view."""
     rows = draw(st.integers(1, 40))
-    cols = draw(st.integers(1, 40))
     row0 = draw(st.integers(1, rows + 1))
-    row1 = draw(st.integers(row0 - 1, rows + 1))     # empty windows too
-    col0 = draw(st.integers(1, cols + 1))
-    col1 = draw(st.integers(col0 - 1, cols + 1))
+    row1 = draw(st.integers(row0 - 1, rows + 1))
+    if draw(st.booleans()):
+        cols = 2 * draw(st.integers(FLAT_MIN_COLS // 2, 19)) + 1
+        col0 = draw(st.integers(1, cols + 1 - FLAT_MIN_COLS))
+        col1 = draw(st.integers(col0 + FLAT_MIN_COLS, cols + 1))
+    else:
+        cols = draw(st.integers(1, 40))
+        col0 = draw(st.integers(1, cols + 1))
+        col1 = draw(st.integers(col0 - 1, cols + 1))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     grid = np.random.default_rng(seed).uniform(
         -100, 100, (rows + 2, cols + 2)).astype(np.float32)
@@ -114,7 +130,7 @@ def sweeps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
-def test_sweep_matches_the_masked_kernel(case):
+def _matches_the_masked_kernel(case):
     grid, args = case
     expected_grid = grid.copy()
     expected = reference_sweep(expected_grid, **args)
@@ -124,15 +140,29 @@ def test_sweep_matches_the_masked_kernel(case):
     assert type(got) is float
 
 
+def test_sweep_matches_the_masked_kernel(monkeypatch):
+    """On both of ``sweep_color``'s paths: a spy on each counts it."""
+    taken = collections.Counter()
+    for name in ("_sweep_flat", "_sweep_strided"):
+        def spy(*args, _name=name, _path=getattr(grid_module, name)):
+            taken[_name] += 1
+            return _path(*args)
+        monkeypatch.setattr(grid_module, name, spy)
+    _matches_the_masked_kernel()
+    assert taken["_sweep_flat"] and taken["_sweep_strided"], taken
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(1, 1), (3, 4), (4, 4), (6, 9)])
 def test_non_finite_values_propagate_as_in_the_masked_kernel(value, where):
-    """Sweeping the poisoned point's own colour puts the NaN change in
-    one sub-lattice only, the first or the second by the point's row: a
-    running ``if m > best`` over the two would drop it."""
-    for color in (BLACK, RED):
-        grid = patterned_grid(6, 9)
+    """On the flat path (9 columns: an odd row length) and the strided
+    one (10).  On the strided path, sweeping the poisoned point's own
+    colour puts the NaN change in one sub-lattice only, the first or the
+    second by the point's row: a running ``if m > best`` over the two
+    would drop it."""
+    for cols, color in itertools.product((9, 10), (BLACK, RED)):
+        grid = patterned_grid(6, cols)
         grid[where] = value
         expected_grid = grid.copy()
         expected = reference_sweep(expected_grid, 1.5, color)
@@ -142,15 +172,55 @@ def test_non_finite_values_propagate_as_in_the_masked_kernel(value, where):
         assert not math.isfinite(expected)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(3, 0), (5, 1), (4, 9), (2, 10),
+                                   (6, 10)])
+@pytest.mark.parametrize("window", [(1, 9), (2, 8)])
+def test_non_finite_values_outside_the_window_as_in_the_masked_kernel(
+        value, where, window):
+    """A section's slab: ghost columns 0 and 9 around 8 interior
+    columns, then a zero pad column to the odd width 11; the window is
+    the whole interior, or the workers' band without the two boundary
+    columns.  The flat view computes over the columns outside the window
+    it crosses: a non-finite value there keeps its bytes and reaches
+    the delta only through the window points that read it."""
+    col0, col1 = window
+    for color in (BLACK, RED):
+        grid = np.zeros((8, 11), np.float32)
+        grid[:, :10] = patterned_grid(6, 8)
+        grid[where] = value
+        expected_grid = grid.copy()
+        expected = reference_sweep(expected_grid, 1.5, color,
+                                   col0=col0, col1=col1)
+        got = sweep_color(grid, 1.5, color, col0=col0, col1=col1)
+        assert grid.tobytes() == expected_grid.tobytes()
+        assert same_delta(got, expected)
+
+
+@pytest.mark.parametrize("deltas,expected", [
+    ((1.0, 2.0), 2.0),
+    ((2.0, 1.0), 2.0),
+    ((0.5,), 0.5),
+    ((math.nan, 1.0), math.nan),
+    ((1.0, math.nan), math.nan),
+    ((1.0, math.inf, math.nan, 3.0), math.nan),
+])
+def test_max_delta_keeps_a_nan_wherever_it_comes(deltas, expected):
+    assert same_delta(max_delta(*deltas), expected)
+    if not math.isnan(expected):
+        assert max_delta(*deltas) == max(deltas)
+
+
 def test_non_contiguous_grid():
-    """``SorSection.cells`` is a contiguous copy today; the kernel must
-    not rely on it."""
+    """``SorSection.cells`` is a contiguous array; the kernel must not
+    rely on it, at an even or an odd row length."""
     wide = patterned_grid(12, 40)
     expected_wide = wide.copy()
-    cells = wide[:, 7:25]
-    assert not cells.flags["C_CONTIGUOUS"]
-    for color in (BLACK, RED):
-        expected = reference_sweep(expected_wide[:, 7:25], 1.5, color,
+    for stop, color in itertools.product((25, 26), (BLACK, RED)):
+        cells = wide[:, 7:stop]
+        assert not cells.flags["C_CONTIGUOUS"]
+        expected = reference_sweep(expected_wide[:, 7:stop], 1.5, color,
                                    global_col0=7)
         got = sweep_color(cells, 1.5, color, global_col0=7)
         assert got == expected
