@@ -36,9 +36,9 @@ no mask and no full-window temporary is built.  Two layouts:
   columns (a section's boundary columns, where the flat view would be
   mostly out-of-window points) and non-contiguous grids.
 
-The arithmetic per point is fixed on both --
+The arithmetic per point is fixed on both —
 ``((up + down) + left) + right``, ``* 0.25``, ``- old``, ``* omega``,
-``old +`` -- because float32 addition does not associate: any other
+``old +`` — because float32 addition does not associate: any other
 order moves last bits, and every SOR in the tree (and the goldens under
 ``tests/golden/``) is compared to this kernel byte for byte.  Every
 reduction of changes to one delta goes through :func:`max_delta`, which

@@ -173,7 +173,7 @@ class TestAmberSorCorrectness:
         (SMALL, dict(sections=0), "sections"),
         (SMALL, dict(sections=SMALL.cols + 1), "sections"),
         (SorProblem(rows=10, cols=4), {}, "sections"),   # default 8
-    ], ids=["no-workers", "no-sections", "a-section-per-column-and-one",
+    ], ids=["no-workers", "no-sections", "more-sections-than-columns",
             "default-sections-over-4-columns"])
     def test_a_shape_it_cannot_run_is_refused_by_name(
             self, monkeypatch, problem, kwargs, argument):
