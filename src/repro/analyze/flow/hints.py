@@ -34,7 +34,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from repro.analyze.flow.model import FlowModel
 from repro.selfcheck import canonical_sha256
 
-#: Schema tag checked by consumers; bump on incompatible change.
+#: Schema tag checked by :attr:`PlacementHints.valid`; bump on
+#: incompatible change.
 HINTS_SCHEMA = "amberflow-hints/1"
 
 _KIND_ORDER = {"spread": 0, "colocate": 1, "replicate": 2,
@@ -80,9 +81,10 @@ class Hint:
 
 @dataclass
 class PlacementHints:
-    """The deterministic hint artifact consumed by placement policies.
-    A loaded artifact with a wrong ``schema`` is not :attr:`valid`, and
-    consumers treat it as stale."""
+    """The deterministic hint artifact, and the one reader and
+    interpreter of its format: placement policies ask its lookups and
+    never parse the payload.  A loaded artifact with a wrong ``schema``
+    is not :attr:`valid`, and consumers treat it as stale."""
 
     schema: str
     sources: List[str]
@@ -161,13 +163,13 @@ def load_hints(source: Union[str, Path, Mapping[str, Any]]
     if not isinstance(source, Mapping):
         try:
             raw = json.loads(Path(source).read_text())
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             raw = {"schema": "unreadable"}
     if isinstance(raw, Mapping):
         try:
             return PlacementHints.from_dict(raw)
-        except (TypeError, ValueError):
-            pass        # right keys, hostile types
+        except (TypeError, ValueError, OverflowError):
+            pass        # right keys, hostile types (an infinite weight)
     return PlacementHints.from_dict({"schema": "malformed"})
 
 

@@ -204,7 +204,7 @@ def _expectation(findings: List[LintFinding],
     """The finding set must match the committed expectation file."""
     try:
         raw = json.loads(Path(expect_path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return detailed("expected-findings", False,
                         [f"cannot read {expect_path}: {exc}",
                          "regenerate with: repro flow "
@@ -217,7 +217,7 @@ def _expectation(findings: List[LintFinding],
         want = [(str(f.get("path")), int(f.get("line", 0)),
                  str(f.get("rule")), str(f.get("message")))
                 for f in raw.get("findings", [])]
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         return detailed("expected-findings", False,
                         [f"{expect_path}: malformed findings: "
                          f"{type(exc).__name__}: {exc}",
@@ -329,14 +329,9 @@ def _run_apps(hints: PlacementHints, fast: bool) -> List[_AppRun]:
         ("queens", 2, lambda placement: run_amber_queens(
             n=queens_n, nodes=2, cpus_per_node=2, placement=placement)),
     ]
-    runs: List[_AppRun] = []
-    for name, nodes, run in jobs:
-        static = SpreadPlacement(nodes)
-        hinted = HintedPlacement(hints, nodes,
-                                 fallback=SpreadPlacement(nodes))
-        runs.append(_AppRun(name, nodes, run(static).cluster,
-                            run(hinted).cluster))
-    return runs
+    return [_AppRun(name, nodes, run(SpreadPlacement(nodes)).cluster,
+                    run(HintedPlacement(hints, nodes)).cluster)
+            for name, nodes, run in jobs]
 
 
 def _precision(hints: PlacementHints,

@@ -10,39 +10,35 @@ primitives, keeping location under explicit program control exactly as
 the paper requires (contrast Sloop's overridable hints and Orca's fully
 automatic placement, both discussed in §2.3).
 
-* :class:`~repro.placement.policies.RoundRobinPlacer`,
-  :class:`~repro.placement.policies.LeastPopulatedPlacer` — choose nodes
-  for new objects;
+* :class:`~repro.placement.policies.PlacementPolicy` and its two
+  subclasses — class-level creation-time policies the bundled apps
+  consult, the one way a new object is placed: the pass-through default
+  (bit-identical to no policy),
+  :class:`~repro.placement.policies.SpreadPlacement` (knowledge-free
+  round-robin baseline), and
+  :class:`~repro.placement.policies.HintedPlacement`, which places by
+  the answers of an AmberFlow ``PlacementHints`` artifact (``repro
+  flow``) — the artifact alone reads and interprets its format — and
+  places round-robin where the artifact is not valid or does not name
+  the class;
 * :class:`~repro.placement.policies.AffinityRebalancer` — mine the
   kernel's access log for objects whose invocations mostly arrive from
   some other node and suggest moving them there (the "reorganize object
-  locations following different computational phases" pattern of §2.3);
-* :class:`~repro.placement.policies.PlacementPolicy` and friends —
-  class-level creation-time policies the bundled apps consult:
-  the pass-through default (bit-identical to no policy),
-  :class:`~repro.placement.policies.SpreadPlacement` (knowledge-free
-  round-robin baseline), and
-  :class:`~repro.placement.policies.HintedPlacement`, which consumes
-  the AmberFlow ``PlacementHints`` artifact (``repro flow``) and falls
-  back cleanly when hints are absent, stale, or name unknown classes.
+  locations following different computational phases" pattern of §2.3).
 """
 
 from repro.placement.policies import (
     AffinityRebalancer,
     HintedPlacement,
-    LeastPopulatedPlacer,
     MoveSuggestion,
     PlacementPolicy,
-    RoundRobinPlacer,
     SpreadPlacement,
 )
 
 __all__ = [
     "AffinityRebalancer",
     "HintedPlacement",
-    "LeastPopulatedPlacer",
     "MoveSuggestion",
     "PlacementPolicy",
-    "RoundRobinPlacer",
     "SpreadPlacement",
 ]

@@ -7,47 +7,15 @@ the program decides and moves.  See the package docstring for why.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.sim.cluster import SimCluster
-from repro.sim.node import SimNode
 from repro.sim.objects import SimObject
 from repro.sim.thread import SimThread
 
 #: Share of an object's invocations one other node must account for
 #: before the object is suggested to move there.
 MOVE_FRACTION = 0.5
-
-
-class RoundRobinPlacer:
-    """Spread new objects evenly: the classic static load-balancing
-    choice for regular problems (it is exactly how the SOR program lays
-    out its sections)."""
-
-    def __init__(self, nodes: int, start: int = 0) -> None:
-        self.nodes = nodes
-        self._next = start % nodes
-
-    def place(self) -> int:
-        node = self._next
-        self._next = (self._next + 1) % self.nodes
-        return node
-
-
-class LeastPopulatedPlacer:
-    """Place where the fewest objects currently live — a cheap dynamic
-    balance signal read from the per-node statistics."""
-
-    def __init__(self, cluster: SimCluster) -> None:
-        self._cluster = cluster
-
-    def place(self) -> int:
-        def population(node: SimNode) -> int:
-            return (node.stats.objects_created + node.stats.objects_in
-                    - node.stats.objects_out)
-
-        best = min(self._cluster.nodes, key=lambda n: (population(n), n.id))
-        return best.id
 
 
 @dataclass(frozen=True)
@@ -75,9 +43,9 @@ class AffinityRebalancer:
     per origin node invocation counts).  An object is suggested for
     relocation when some other node accounts for at least
     :data:`MOVE_FRACTION` of its invocations and at least
-    ``min_accesses`` were observed.  Threads and attachment non-roots
-    are skipped — moving any group member moves the group, so one
-    suggestion per group suffices.
+    ``min_accesses`` were observed.  Threads are skipped, and an
+    attachment group gets at most one suggestion (its first member that
+    qualifies) — moving any group member moves the group.
     """
 
     def __init__(self, min_accesses: int = 4) -> None:
@@ -96,10 +64,8 @@ class AffinityRebalancer:
             if location is None:
                 continue
             group = tuple(sorted(cluster.attachments.group(vaddr)))
-            if len(group) > 1:
-                if group in seen_groups:
-                    continue
-                seen_groups.add(group)
+            if group in seen_groups:
+                continue
             total = sum(by_node.values())
             if total < self.min_accesses:
                 continue
@@ -112,6 +78,7 @@ class AffinityRebalancer:
             suggestions.append(MoveSuggestion(
                 obj=obj, dest=best_node, remote_count=best_count,
                 local_count=by_node.get(location, 0)))
+            seen_groups.add(group)
         suggestions.sort(key=lambda s: -s.gain)
         return suggestions
 
@@ -168,16 +135,16 @@ class SpreadPlacement(PlacementPolicy):
         return False
 
 
-class HintedPlacement(PlacementPolicy):
+class HintedPlacement(SpreadPlacement):
     """Placement driven by an AmberFlow ``PlacementHints`` artifact.
 
-    ``hints`` may be the artifact object itself (anything with an
-    ``as_dict()``) or the parsed JSON dict; this module deliberately
-    does not import :mod:`repro.analyze` — the artifact schema is the
-    contract.  A missing, stale (wrong ``schema``), or malformed
-    artifact disables the policy entirely: every decision goes to
-    ``fallback`` (the base pass-through policy when not given).
-    Classes the artifact does not mention also fall back.
+    The artifact is the one reader and interpreter of its format:
+    this policy asks it ``valid``, ``kind_of``, ``spread_strategy`` and
+    ``replicate_classes`` and never looks at the payload, so this module
+    imports nothing from :mod:`repro.analyze`.  An artifact that is not
+    ``valid`` (missing, stale or malformed file), and a class it does
+    not place, get the round-robin baseline of
+    :class:`SpreadPlacement`.
 
     Hint kinds map to decisions:
 
@@ -186,67 +153,34 @@ class HintedPlacement(PlacementPolicy):
       share a node; needs ``count``, else round-robin);
     * ``hub``/``move`` — the program's default (stay put, let function
       shipping or an explicit ``MoveTo`` do the work);
-    * ``replicate`` — ``replicate()`` answers True.
+    * ``replicate`` — the program's default node, and ``replicate()``
+      answers True.
     """
 
-    SCHEMA = "amberflow-hints/1"
+    def __init__(self, hints: Any, nodes: int) -> None:
+        super().__init__(nodes)
+        self.hints = hints
 
-    def __init__(self, hints: Any, nodes: int,
-                 fallback: Optional[PlacementPolicy] = None) -> None:
-        self.nodes = max(1, nodes)
-        self.fallback: PlacementPolicy = (
-            fallback if fallback is not None else PlacementPolicy())
-        self._spread: Dict[str, str] = {}
-        self._stay: Set[str] = set()        # hub + move classes
-        self._replicate: Set[str] = set()
-        self.stale = True
-        raw: Any = hints
-        as_dict = getattr(raw, "as_dict", None)
-        if callable(as_dict):
-            raw = as_dict()
-        if not isinstance(raw, Mapping) or \
-                raw.get("schema") != self.SCHEMA:
-            return
-        self.stale = False
-        for hint in raw.get("hints", ()):
-            if not isinstance(hint, Mapping):
-                continue
-            kind = str(hint.get("kind", ""))
-            cls = str(hint.get("cls", ""))
-            if not cls:
-                continue
-            if kind == "spread":
-                strategy = str(hint.get("strategy") or "round-robin")
-                self._spread[cls] = strategy
-            elif kind in ("hub", "move"):
-                self._stay.add(cls)
-            elif kind == "replicate":
-                self._replicate.add(cls)
-
-    def knows(self, cls: str) -> bool:
-        """Whether the artifact says anything about ``cls``."""
-        return (not self.stale
-                and (cls in self._spread or cls in self._stay
-                     or cls in self._replicate))
+    def _kind(self, cls: str) -> Optional[str]:
+        """The artifact's kind for ``cls``; ``None`` where this policy
+        defers to round-robin."""
+        if not self.hints.valid:
+            return None
+        kind = self.hints.kind_of(cls)
+        return None if kind == "colocate" else kind
 
     def node_for(self, cls: str, index: int, default: Optional[int],
                  count: Optional[int] = None) -> Optional[int]:
-        if self.stale:
-            return self.fallback.node_for(cls, index, default, count)
-        strategy = self._spread.get(cls)
-        if strategy is not None:
-            if strategy == "block" and count:
-                return (index * self.nodes) // count
-            return index % self.nodes
-        if cls in self._stay or cls in self._replicate:
+        kind = self._kind(cls)
+        if kind is None:
+            return super().node_for(cls, index, default, count)
+        if kind != "spread":
             return default
-        return self.fallback.node_for(cls, index, default, count)
+        if self.hints.spread_strategy(cls) == "block" and count:
+            return (index * self.nodes) // count
+        return index % self.nodes
 
     def replicate(self, cls: str, default: bool) -> bool:
-        if self.stale:
-            return self.fallback.replicate(cls, default)
-        if cls in self._replicate:
-            return True
-        if cls in self._spread or cls in self._stay:
-            return False
-        return self.fallback.replicate(cls, default)
+        if self._kind(cls) is None:
+            return super().replicate(cls, default)
+        return cls in self.hints.replicate_classes()

@@ -278,3 +278,49 @@ def test_the_passes_survive_the_interpreters_own_library():
     for source in sources:                  # each file alone ...
         assert _answers([source]) == _answers([source])
     assert _answers(sources) == _answers(sources)   # ... and as one
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of its classes and
+    functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def test_the_hints_format_is_spelled_in_one_module():
+    """``PlacementHints`` is the one reader of its artifact: no other
+    module under ``src/repro`` spells the schema tag in code."""
+    spelled = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = set(map(id, _docstrings(tree)))
+        if any(isinstance(node, ast.Constant)
+               and isinstance(node.value, str)
+               and "amberflow-hints/1" in node.value
+               and id(node) not in docs for node in ast.walk(tree)):
+            spelled.append(path.relative_to(SRC).as_posix())
+    assert spelled == ["repro/analyze/flow/hints.py"]
+
+
+def _loaded(module, *prefixes):
+    return json.loads(run_python(
+        f"import json, sys, {module}\n"
+        f"print(json.dumps(sorted(m for m in sys.modules\n"
+        f"                        if m.startswith({prefixes!r}))))\n"))
+
+
+def test_placement_loads_no_analysis_pass():
+    """The policies ask the artifact by duck typing: importing them
+    loads only what the simulator loads of ``repro.analyze``."""
+    assert _loaded("repro.placement", "repro.analyze",
+                   "repro.selfcheck") == ["repro.analyze",
+                                          "repro.analyze.runtime"]
+
+
+def test_the_flow_analysis_loads_no_simulator():
+    assert _loaded("repro.analyze.flow", "repro.sim") == []

@@ -19,9 +19,14 @@ from repro.analyze.flow import (
 )
 from repro.analyze.flow.fixtures import FIXTURES
 from repro.analyze.flow.scenario import analyze, run_flow_scenarios
+from repro.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 APPS = str(REPO / "src" / "repro" / "apps")
+
+
+#: JSON nested deeper than ``json.loads`` can recurse.
+DEEP = "[" * 100000 + "]" * 100000
 
 
 def model_of(source):
@@ -181,6 +186,21 @@ def main(ctx):
                                      "hints": []}))
         assert not load_hints(str(stale)).valid
 
+    @pytest.mark.parametrize("text, schema", [
+        ('{"schema": "amberflow-hints/1", "hints": [{"weight": Infinity}]}',
+         "malformed"),
+        ('{"schema": "amberflow-hints/1", "hints": [{"weight": 1e400}]}',
+         "malformed"),
+        (DEEP, "unreadable"),
+    ], ids=["infinite-weight", "overflowing-weight", "deep-nesting"])
+    def test_load_hints_never_raises_on_hostile_json(self, text, schema,
+                                                     tmp_path):
+        path = tmp_path / "hints.json"
+        path.write_text(text)
+        loaded = load_hints(path)
+        assert loaded.schema == schema
+        assert not loaded.valid
+
 
 class TestDiagnostics:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -259,3 +279,19 @@ class TestExpectationFile:
                     if o.name == "expected-findings")
         assert not gate.ok
         assert "malformed findings" in gate.fields["details"][0]
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": "amberflow-findings/1", "findings": [{"path": "a", '
+        '"line": Infinity, "rule": "r", "message": "m"}]}',
+        DEEP,
+    ], ids=["infinite-line", "deep-nesting"])
+    def test_hostile_json_is_a_fail_verdict_not_a_traceback(
+            self, text, tmp_path, capsys):
+        expect = tmp_path / "expect.json"
+        expect.write_text(text)
+        (tmp_path / "t.py").write_text("x = 1\n")
+        assert main(["flow", "--paths", str(tmp_path / "t.py"),
+                     "--expect", str(expect)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] expected-findings" in out
+        assert "FAIL: 2/3 scenarios" in out

@@ -3,12 +3,12 @@ placement software")."""
 
 import pytest
 
+from repro.analyze.flow import Hint, PlacementHints, load_hints
+from repro.analyze.flow.hints import HINTS_SCHEMA
 from repro.placement import (
     AffinityRebalancer,
     HintedPlacement,
-    LeastPopulatedPlacer,
     PlacementPolicy,
-    RoundRobinPlacer,
     SpreadPlacement,
 )
 from repro.sim.objects import SimObject
@@ -25,36 +25,6 @@ from repro.sim.syscalls import (
     SetImmutable,
 )
 from tests.helpers import Cell
-
-
-class TestPlacers:
-    def test_round_robin_cycles(self):
-        placer = RoundRobinPlacer(3)
-        assert [placer.place() for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_round_robin_start_offset(self):
-        placer = RoundRobinPlacer(3, start=2)
-        assert [placer.place() for _ in range(3)] == [2, 0, 1]
-
-    def test_least_populated_balances(self):
-        def main(ctx):
-            placer = LeastPopulatedPlacer(ctx.cluster)
-            placements = []
-            for _ in range(8):
-                node = placer.place()
-                yield New(Cell, on_node=node)
-                placements.append(node)
-            return placements
-
-        placements = run_program(main, nodes=4, cpus_per_node=1).value
-        # Node 0 starts with the main object + main thread (population
-        # 2), so the advisor fills the other nodes first; the *final*
-        # population ends balanced: 2 + 8 objects over 4 nodes.
-        population = [2, 0, 0, 0]
-        for node in placements:
-            population[node] += 1
-        assert max(population) - min(population) <= 1
-        assert placements[0] != 0   # it avoided the preloaded node
 
 
 class Client(SimObject):
@@ -141,6 +111,25 @@ class TestAffinityRebalancer:
                       if s.obj.vaddr in (a.vaddr, b.vaddr)]
         assert len(group_hits) == 1
 
+    def test_a_member_that_does_not_qualify_hides_no_partner(self):
+        """``a`` has too few accesses to qualify; its partner ``b``,
+        hammered from node 2, still gets the group's one suggestion."""
+        def main(ctx):
+            a = yield New(Cell)
+            b = yield New(Cell)
+            yield Attach(a, b)
+            yield Invoke(a, "add", 1)
+            client = yield New(Client, on_node=2)
+            worker = yield Fork(client, "pound", b, 12)
+            yield Join(worker)
+            return AffinityRebalancer(min_accesses=4).suggest(
+                ctx.cluster), b
+
+        suggestions, b = run_program(main, nodes=3,
+                                     cpus_per_node=2).value
+        assert [(s.obj.vaddr, s.dest) for s in suggestions] == \
+            [(b.vaddr, 2)]
+
     def test_acting_on_suggestions_improves_time(self):
         """The whole point: consult the advisor between phases, apply its
         moves, and the next phase runs faster."""
@@ -176,9 +165,9 @@ class TestAffinityRebalancer:
         assert run_program(main, nodes=2).value == {}
 
 
-def _artifact(hints):
-    return {"schema": "amberflow-hints/1", "sources": [],
-            "hints": hints}
+def _artifact(*hints):
+    return PlacementHints(schema=HINTS_SCHEMA, sources=[],
+                          hints=list(hints))
 
 
 class TestPlacementPolicies:
@@ -198,73 +187,70 @@ class TestPlacementPolicies:
         assert policy.replicate("C", True) is False
 
     def test_hinted_spread_round_robin(self):
-        policy = HintedPlacement(_artifact([
-            {"kind": "spread", "cls": "Worker",
-             "strategy": "round-robin"}]), nodes=2)
+        policy = HintedPlacement(_artifact(
+            Hint(kind="spread", cls="Worker", strategy="round-robin")),
+            nodes=2)
         assert [policy.node_for("Worker", i, 9, count=4)
                 for i in range(4)] == [0, 1, 0, 1]
 
     def test_hinted_spread_block_keeps_neighbors_together(self):
-        policy = HintedPlacement(_artifact([
-            {"kind": "spread", "cls": "Section",
-             "strategy": "block"}]), nodes=2)
+        policy = HintedPlacement(_artifact(
+            Hint(kind="spread", cls="Section", strategy="block")),
+            nodes=2)
         assert [policy.node_for("Section", i, 9, count=8)
                 for i in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_block_without_count_degrades_to_round_robin(self):
-        policy = HintedPlacement(_artifact([
-            {"kind": "spread", "cls": "Section",
-             "strategy": "block"}]), nodes=2)
+        policy = HintedPlacement(_artifact(
+            Hint(kind="spread", cls="Section", strategy="block")),
+            nodes=2)
         assert [policy.node_for("Section", i, 9)
                 for i in range(4)] == [0, 1, 0, 1]
 
     def test_hub_and_replicate_classes_stay_at_program_default(self):
-        policy = HintedPlacement(_artifact([
-            {"kind": "hub", "cls": "Pool"},
-            {"kind": "replicate", "cls": "Table"}]), nodes=4)
+        policy = HintedPlacement(_artifact(
+            Hint(kind="hub", cls="Pool"),
+            Hint(kind="replicate", cls="Table")), nodes=4)
         assert policy.node_for("Pool", 0, None) is None
         assert policy.node_for("Table", 1, 3) == 3
         assert policy.replicate("Table", False) is True
         assert policy.replicate("Pool", True) is False
 
     def test_unknown_class_goes_to_fallback(self):
-        policy = HintedPlacement(
-            _artifact([{"kind": "hub", "cls": "Pool"}]), nodes=2,
-            fallback=SpreadPlacement(2))
-        assert not policy.knows("Stranger")
-        assert policy.node_for("Stranger", 3, None) == 1
-        assert policy.replicate("Stranger", True) is False
+        """A class the artifact does not place, a colocate-only class
+        among them, is placed round-robin and not replicated."""
+        policy = HintedPlacement(_artifact(
+            Hint(kind="hub", cls="Pool"),
+            Hint(kind="colocate", cls="Pair", with_cls="Pair")), nodes=2)
+        for cls in ("Stranger", "Pair"):
+            assert policy.node_for(cls, 3, None) == 1
+            assert policy.replicate(cls, True) is False
 
-    def test_unknown_class_without_fallback_keeps_program_choice(self):
-        policy = HintedPlacement(_artifact([]), nodes=2)
-        assert policy.node_for("Stranger", 3, 1) == 1
-        assert policy.replicate("Stranger", True) is True
-
-    def test_absent_hints_disable_the_policy(self):
-        policy = HintedPlacement(None, nodes=2,
-                                 fallback=SpreadPlacement(2))
-        assert policy.stale
+    def test_absent_hints_disable_the_policy(self, tmp_path):
+        hints = load_hints(tmp_path / "missing.json")
+        assert not hints.valid
+        policy = HintedPlacement(hints, nodes=2)
         assert policy.node_for("Worker", 3, 0) == 1
         assert policy.replicate("Worker", True) is False
 
     def test_stale_schema_disables_the_policy(self):
-        policy = HintedPlacement(
-            {"schema": "amberflow-hints/999", "hints": [
-                {"kind": "spread", "cls": "Worker"}]}, nodes=2)
-        assert policy.stale
-        assert not policy.knows("Worker")
-        assert policy.node_for("Worker", 3, 0) == 0
+        hints = _artifact(Hint(kind="spread", cls="Worker",
+                               strategy="block"))
+        hints.schema = "amberflow-hints/999"
+        policy = HintedPlacement(hints, nodes=2)
+        assert [policy.node_for("Worker", i, 0, count=4)
+                for i in range(4)] == [0, 1, 0, 1]
 
-    def test_malformed_artifact_disables_the_policy(self):
-        policy = HintedPlacement(["not", "a", "mapping"], nodes=2)
-        assert policy.stale
-        assert policy.node_for("Worker", 1, 7) == 7
+    def test_malformed_artifact_disables_the_policy(self, tmp_path):
+        path = tmp_path / "hints.json"
+        path.write_text('["not", "a", "mapping"]')
+        hints = load_hints(path)
+        assert hints.schema == "malformed"
+        policy = HintedPlacement(hints, nodes=2)
+        assert policy.node_for("Worker", 1, 7) == 1
+        assert policy.replicate("Worker", True) is False
 
     def test_artifact_object_is_accepted(self):
-        from repro.analyze.flow import Hint, PlacementHints
-        hints = PlacementHints(
-            schema="amberflow-hints/1", sources=[],
-            hints=[Hint(kind="replicate", cls="B")])
-        policy = HintedPlacement(hints, nodes=2)
-        assert not policy.stale
+        policy = HintedPlacement(_artifact(Hint(kind="replicate",
+                                                cls="B")), nodes=2)
         assert policy.replicate("B", False) is True
