@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analyze.fixtures import run_racy_counter
+from repro.apps import WORKLOADS
 from repro.cli import main
+from repro.obs.perfetto import PROFILER_PID
 
 QUEENS = str(Path(__file__).resolve().parent.parent
              / "src" / "repro" / "apps" / "queens.py")
@@ -50,7 +53,7 @@ class TestCli:
 
 class TestTraceProfileCli:
     def test_profile_prints_time_attribution(self, capsys):
-        assert main(["profile", "queens", "--fast"]) == 0
+        assert main(["run", "queens", "--fast"]) == 0
         out = capsys.readouterr().out
         for token in ("compute", "migration", "queue", "lock-wait",
                       "critical path:", "Operation metrics"):
@@ -59,8 +62,8 @@ class TestTraceProfileCli:
     def test_trace_writes_chrome_trace_json(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
-        assert main(["trace", "queens", "--fast",
-                     "--out", str(trace_path),
+        assert main(["run", "queens", "--fast",
+                     "--trace", str(trace_path),
                      "--metrics-json", str(metrics_path)]) == 0
         document = json.loads(trace_path.read_text())
         events = document["traceEvents"]
@@ -72,9 +75,48 @@ class TestTraceProfileCli:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
-            main(["trace", "nosuch"])
+            main(["run", "nosuch"])
         with pytest.raises(SystemExit):
-            main(["profile"])
+            main(["run"])
+
+
+class TestOneRunEveryView:
+    @pytest.mark.parametrize("workload", ["sor", "queens", "matmul"])
+    def test_attachments_leave_the_simulated_views_alone(
+            self, workload, tmp_path, capsys):
+        """Self-profiling and sanitizing a traced run change none of
+        its trace events, its attribution table or its metrics; the
+        host-time track is in the file only with ``--hotloop``."""
+        plain, full = tmp_path / "plain.json", tmp_path / "full.json"
+        assert main(["run", workload, "--fast",
+                     "--trace", str(plain)]) == 0
+        bare = capsys.readouterr().out
+        assert main(["run", workload, "--fast", "--trace", str(full),
+                     "--hotloop", "--sanitize"]) == 0
+        attached = capsys.readouterr().out
+        views = bare[:bare.index("\n\nwrote ")]
+        assert "Operation metrics" in views
+        assert attached.startswith(views + "\n\nAmberSan: ")
+        assert "Hot-loop self-profile" in attached
+        plain_events = json.loads(plain.read_text())["traceEvents"]
+        full_events = json.loads(full.read_text())["traceEvents"]
+        assert [event for event in full_events
+                if event["pid"] != PROFILER_PID] == plain_events
+        assert PROFILER_PID not in {event["pid"] for event in plain_events}
+        assert full_events[-1]["pid"] == PROFILER_PID
+
+    def test_a_sanitizer_finding_fails_the_run(self, monkeypatch,
+                                               tmp_path, capsys):
+        monkeypatch.setitem(WORKLOADS, "queens",
+                            lambda fast, tracer=None: run_racy_counter())
+        report = tmp_path / "report.json"
+        assert main(["run", "queens", "--fast", "--sanitize",
+                     "--json", str(report)]) == 1
+        assert "AMBSAN-RACE" in capsys.readouterr().out
+        sanitizer = json.loads(report.read_text())["sanitizer"]
+        assert [entry["ok"] for entry in sanitizer] == [False]
+        # Unsanitized, the same run has no verdict to fail.
+        assert main(["run", "queens", "--fast"]) == 0
 
 
 @pytest.fixture
@@ -97,17 +139,17 @@ def _one_error_line(capsys, *tokens):
 
 
 #: One command per way an output is written: ``_write`` (lint),
-#: ``_write_metrics`` (faults) and ``export_chrome_trace`` (trace).
+#: ``_write_metrics`` (faults) and ``export_chrome_trace`` (run).
 _OUTPUT_CASES = {
     "lint-json": (["lint", QUEENS], "--json"),
     "faults-metrics-json": (["faults", "--fast"], "--metrics-json"),
-    "trace-out": (["trace", "queens", "--fast"], "--out"),
+    "trace-out": (["run", "queens", "--fast"], "--trace"),
 }
 
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag", [
-        (["trace", "sor", "--fast", "--max-events", "0"], "--max-events"),
+        (["run", "sor", "--fast", "--max-events", "0"], "--max-events"),
         (["check", "--fixture", "sync-zoo", "--budget", "-1"], "--budget"),
         (["check", "--fast", "--budget", "0"], "--budget"),
     ])
@@ -126,9 +168,9 @@ class TestUsageErrors:
 
     def test_output_naming_a_directory_fails_before_the_run(
             self, tmp_path, capsys, no_simulation):
-        assert main(["perf", "--profile", "sor", "--fast",
-                     "--trace-out", str(tmp_path)]) == 2
-        _one_error_line(capsys, "--trace-out", "is a directory")
+        assert main(["run", "sor", "--fast", "--hotloop",
+                     "--trace", str(tmp_path)]) == 2
+        _one_error_line(capsys, "--trace", "is a directory")
 
     @pytest.mark.parametrize("case", sorted(_OUTPUT_CASES))
     def test_output_unwritable_at_the_end_is_one_error_line(

@@ -80,8 +80,6 @@ CASES: Dict[str, List[str]] = {
                       "--metrics-json", "{tmp}/recover.json"],
     "analyze-seed0": ["analyze", "--fast", "--seed", "0",
                       "--json", "{tmp}/analyze.json"],
-    "analyze-workload-queens": ["analyze", "--workload", "queens",
-                                "--fast", "--json", "{tmp}/workload.json"],
     "check-scenarios": ["check", "--fast", "--budget", "500",
                         "--json", "{tmp}/check.json",
                         "--metrics-json", "{tmp}/check-metrics.json"],
@@ -101,13 +99,16 @@ CASES: Dict[str, List[str]] = {
                    "--json", "{tmp}/flow.json"],
     "flow-paths-write-expect": ["flow", "--paths", "src/repro/apps",
                                 "--write-expect", "{tmp}/expect.json"],
-    "profile-queens": ["profile", "queens", "--fast"],
+    "run-queens": ["run", "queens", "--fast"],
+    "run-queens-sanitize": ["run", "queens", "--fast", "--sanitize",
+                            "--json", "{tmp}/views.json"],
     # Input that cannot be acted on: one ``error:`` line, exit 2.
     "lint-missing-path": ["lint", "no/such/path"],
     "flow-missing-path": ["flow", "--paths", "no_such_dir"],
     "check-replay-not-integers": ["check", "--fixture", "hidden-race",
                                   "--replay", "a,b"],
-    "perf-without-workload": ["perf", "--fast"],
+    "run-max-events-zero": ["run", "queens", "--fast",
+                            "--max-events", "0"],
     # One path policy: the defaults resolve from the repo root, and a
     # file named explicitly is read whatever its suffix.
     "lint-default-paths": ["lint"],
@@ -122,7 +123,7 @@ IN_TMP = {"lint-bad-fixture", "lint-named-non-py", "flow-named-non-py"}
 
 #: Cases whose stderr is pinned too.
 PINS_STDERR = {"lint-missing-path", "flow-missing-path",
-               "check-replay-not-integers", "perf-without-workload"}
+               "check-replay-not-integers", "run-max-events-zero"}
 
 #: Output files compared byte for byte rather than as parsed JSON.
 CANONICAL = {"hints.json", "expect.json", "lint.json"}
@@ -311,7 +312,7 @@ def test_parser_surface_matches_golden(golden):
         == [c["name"] for c in expected["commands"]]
     for got, want in zip(observed["commands"], expected["commands"]):
         assert got == want, got["name"]
-    assert len(expected["commands"]) == 15
+    assert len(expected["commands"]) == 13
 
 
 @pytest.mark.parametrize("name", ["chaos", "chaos-empty"])
@@ -353,6 +354,10 @@ def test_golden_cases_are_not_trivial(golden):
         assert cases[name]["exit"] == 2 and not cases[name]["stdout"]
         assert cases[name]["stderr"].startswith("error: ")
         assert cases[name]["stderr"].count("\n") == 1
+    sanitized = cases["run-queens-sanitize"]
+    assert sanitized["stdout"].startswith(cases["run-queens"]["stdout"])
+    assert "AmberSan: 0 finding(s)" in sanitized["stdout"]
+    assert list(sanitized["json"]["views.json"]) == ["sanitizer"]
     assert cases["lint-default-paths"]["stdout"] \
         == "clean: src/repro/apps, examples\n"
     assert "prog.txt:10: AMB103" in cases["lint-named-non-py"]["stdout"]

@@ -192,30 +192,34 @@ class TestPerfCli:
     def test_profile_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = str(tmp_path / "prof.json")
+        out = str(tmp_path / "views.json")
         trace = str(tmp_path / "trace.json")
-        code = main(["perf", "--profile", "sor", "--fast",
-                     "--json", out, "--trace-out", trace])
+        code = main(["run", "sor", "--fast", "--hotloop",
+                     "--json", out, "--trace", trace])
         assert code == 0
-        prof = json.load(open(out))
+        views = json.load(open(out))
+        assert list(views) == ["hotloop"]
+        prof = views["hotloop"]
         assert prof["attributed_fraction"] >= 0.9
         assert sorted(prof) == [
             "attached", "attributed_fraction", "events", "heap_pushes",
             "phases_s", "runs", "total_s"]
+        assert prof["attached"] == ["tracer"]
         assert json.load(open(trace))["traceEvents"]
         assert "Hot-loop self-profile" in capsys.readouterr().out
 
     def test_without_a_workload_is_a_usage_error(self, capsys):
-        """``repro perf`` measures nothing by itself any more: one
-        ``error:`` line that names the benchmark, exit 2."""
+        """The workload is ``run``'s one positional argument: without
+        it argparse refuses the command line, exit 2, before anything
+        runs."""
         from repro.cli import main
 
-        assert main(["perf"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--hotloop"])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: perf wants --profile")
-        assert "python -m benchmarks.amberbench" in captured.err
-        assert captured.err.count("\n") == 1
+        assert "required: workload" in captured.err.splitlines()[-1]
 
     @pytest.mark.parametrize("retired", [
         ["--compare", "a.json", "b.json"], ["--baseline", "a.json"],
@@ -226,7 +230,7 @@ class TestPerfCli:
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exit_info:
-            main(["perf", *retired])
+            main(["run", "sor", "--hotloop", *retired])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {retired[0]}" \
             in capsys.readouterr().err.splitlines()[-1]

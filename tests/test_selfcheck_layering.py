@@ -167,7 +167,7 @@ def test_cli_dispatches_through_its_table():
 
 def test_every_subcommand_is_a_row_with_a_lazy_handler():
     names = [command.name for command in repro.cli.COMMANDS]
-    assert len(names) == len(set(names)) == 15
+    assert len(names) == len(set(names)) == 13
     for command in repro.cli.COMMANDS:
         assert command.help and callable(command.handler)
     # Building the parser (any invocation) imports no suite: handlers
