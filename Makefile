@@ -46,7 +46,7 @@ bench:
 # change is faster is AmberBench's question:
 #   PYTHONPATH=src python -m benchmarks.amberbench repeat --help
 perf:
-	PYTHONPATH=src python -m repro perf --profile sor --fast
+	PYTHONPATH=src python -m repro run sor --fast --hotloop
 
 artifacts:
 	python -m repro all

@@ -9,7 +9,7 @@ is runnable standalone::
     python -m repro.bench.figure3     # Figure 3: speedup vs problem size
     python -m repro.bench.ablations   # Section 4 claims (Amber vs Ivy...)
 
-The pytest-benchmark entries in ``benchmarks/`` call the same drivers and
+The paper-shape pytest files in ``benchmarks/`` call the same drivers and
 assert the *shape* of each result against the paper (who wins, by what
 rough factor, where crossovers fall); absolute 1989 latencies are matched
 by cost-model calibration, not by accident.

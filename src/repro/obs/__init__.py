@@ -12,12 +12,12 @@ Three layers, usable independently:
   bounded event ring of :class:`repro.sim.trace.Tracer` to
   Chrome/Perfetto trace-event JSON: per-node tracks, per-thread slices,
   migration flow arrows.
-  ``python -m repro trace sor --fast --out trace.json``.
+  ``python -m repro run sor --fast --trace trace.json``.
 * **Profiling** (:mod:`repro.obs.profile`) — per-thread wall-time
   attribution into compute / migration / queue / lock-wait / blocked
   buckets, read off the kernel's per-thread state clocks, with a
   critical-path summary.
-  ``python -m repro profile sor --fast``.
+  ``python -m repro run sor --fast``.
 
 This package deliberately imports nothing from :mod:`repro.sim` so the
 simulator can depend on it without cycles.

@@ -1,8 +1,8 @@
 """The simulator's in-process profiler (see ``docs/PERF.md``).
 
 :mod:`repro.perf.hotprof` attributes the host time of the simulator's
-hot loop to phases, per-subsystem hook overhead included; ``repro perf
---profile`` prints it and AmberBench's traced pass reads it.  Whether a
+hot loop to phases, per-subsystem hook overhead included; ``repro run
+--hotloop`` prints it and AmberBench's traced pass reads it.  Whether a
 change is *faster* is measured in one place, ``python -m
 benchmarks.amberbench``.
 

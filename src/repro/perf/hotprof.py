@@ -279,7 +279,7 @@ def profile_runs(sample_every: int = 4096
                  ) -> Iterator[HotLoopProfiler]:
     """Profile every simulated program run started inside the block.
 
-    The mechanism behind ``repro perf --profile``: workload entry points
+    The mechanism behind ``repro run --hotloop``: workload entry points
     build their own clusters internally, so the profiler is handed to
     :class:`repro.sim.program.AmberProgram` through this process-global,
     the same way :func:`~repro.analyze.runtime.sanitize_runs` hands it

@@ -120,7 +120,7 @@ class AmberProgram:
         if sanitizer is not None:
             sanitizer.bind(cluster)
             _analysis.ACTIVE = sanitizer
-        # Hot-loop self-profiler (repro perf --profile): attached after
+        # Hot-loop self-profiler (repro run --hotloop): attached after
         # the sanitizer so its hook proxy wraps the active sanitizer,
         # detached before deactivation so the original is restored.
         profiler = _hotprof.current()
