@@ -200,9 +200,6 @@ class AmberKernel:
         if tracer is not None:
             self.trace("ready", node_id, thread.name)
         node.scheduler.enqueue(thread)
-        if tracer is not None:
-            self.metrics.sample(f"ready_queue_n{node_id}",
-                                len(node.scheduler))
         self.try_dispatch(node)
 
     def try_dispatch(self, node: SimNode) -> None:

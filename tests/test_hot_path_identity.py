@@ -86,16 +86,11 @@ def test_run_matches_golden(name, golden):
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_untraced_run_matches_golden(name, golden):
     """Without a tracer every fixed point but the trace is the traced
-    run's, less the ``ready_queue_n*`` gauges only a tracer samples."""
+    run's, the metrics included: a tracer samples nothing of its own."""
     observed = json.loads(json.dumps(observe(PROGRAMS[name],
                                              traced=False)))
     expected = dict(golden[name])
     del expected["trace"], expected["trace_dropped"]
-    expected["metrics"] = dict(
-        expected["metrics"],
-        gauges={gauge: value
-                for gauge, value in expected["metrics"]["gauges"].items()
-                if not gauge.startswith("ready_queue_n")})
     assert sorted(observed) == sorted(expected)
     for key in expected:
         assert observed[key] == expected[key], f"{name}: {key} differs"
