@@ -130,6 +130,14 @@ def _at_least_one(value: int, flag: str) -> int:
     return value
 
 
+class _Default(int):
+    """A default that is not the same number given on the command line:
+    ``args.max_events is _MAX_EVENTS`` only when the option was left out."""
+
+
+_MAX_EVENTS = _Default(500_000)
+
+
 @contextmanager
 def _writing(path: str):
     """An output that cannot be written is a usage error, not a
@@ -209,6 +217,8 @@ def _cmd_run(args) -> int:
     from repro.obs.profile import profile_result, render_profile
 
     max_events = _at_least_one(args.max_events, "--max-events")
+    if max_events is not _MAX_EVENTS and not args.trace:
+        raise UsageError("--max-events requires --trace")
     tracer = sanitizers = profiler = None
     if args.trace:
         from repro.sim.trace import Tracer
@@ -431,7 +441,7 @@ COMMANDS: Tuple[Command, ...] = (
             _path("--trace", "export a Chrome/Perfetto trace: the node "
                              "tracks and, with --hotloop, the host-time "
                              "phase track"),
-            _arg("--max-events", type=int, default=500_000,
+            _arg("--max-events", type=int, default=_MAX_EVENTS,
                  help="tracer ring capacity (default: 500000)"),
             _arg("--sanitize", action="store_true",
                  help="run under AmberSan and print its findings "

@@ -158,6 +158,12 @@ class TestUsageErrors:
         assert main(argv) == 2
         _one_error_line(capsys, flag, "at least 1")
 
+    @pytest.mark.parametrize("events", ["5", "500000"])
+    def test_max_events_without_trace_fails_before_the_run(
+            self, events, capsys, no_simulation):
+        assert main(["run", "sor", "--fast", "--max-events", events]) == 2
+        _one_error_line(capsys, "--max-events requires --trace")
+
     @pytest.mark.parametrize("case", sorted(_OUTPUT_CASES))
     def test_output_in_missing_directory_fails_before_the_run(
             self, case, tmp_path, capsys, no_simulation):
