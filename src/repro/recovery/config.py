@@ -24,6 +24,7 @@ from which every previously hard-coded peer-wait ceiling is derived:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -48,9 +49,10 @@ def peer_timeout_s() -> float:
         raise SimulationError(
             f"{PEER_TIMEOUT_ENV} must be a number of seconds, "
             f"got {raw!r}") from None
-    if value <= 0:
+    if not 0 < value < math.inf:
         raise SimulationError(
-            f"{PEER_TIMEOUT_ENV} must be positive, got {value}")
+            f"{PEER_TIMEOUT_ENV} must be a finite positive number of "
+            f"seconds, got {raw!r}")
     return value
 
 
