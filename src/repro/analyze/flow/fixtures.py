@@ -538,6 +538,31 @@ def main(ctx):
     return result
 """
 
+#: Two locks handed to forked threads through the tuple a loop walks:
+#: each crosses a ``Fork`` as surely as one passed to it directly, and
+#: the pass, which does not follow a lock into a tuple, keeps both
+#: (AMB304).
+_LOOPED_LOCK_PAIR = _PRELUDE + """\
+
+class PairUser(SimObject):
+    def pair(self, ctx, first, second):
+        yield Invoke(first, "acquire")
+        yield Invoke(second, "acquire")
+        yield Charge(1.0)
+        yield Invoke(second, "release")
+        yield Invoke(first, "release")
+
+
+def main(ctx):
+    lock_a = yield New(Lock)
+    lock_b = yield New(Lock)
+    for first, second in ((lock_a, lock_b), (lock_b, lock_a)):
+        user = yield New(PairUser)
+        thread = yield Fork(user, "pair", first, second)
+        yield Join(thread)
+    return True
+"""
+
 
 @dataclass(frozen=True)
 class Fixture:
@@ -621,5 +646,8 @@ FIXTURES: Dict[str, Fixture] = {
         Fixture("nested-helper-lock", _NESTED_HELPER_LOCK,
                 ("AMB301", "AMB304"),
                 confined=("Worker",), immutable=("Worker",)),
+        Fixture("looped-lock-pair", _LOOPED_LOCK_PAIR,
+                ("AMB304", "AMB304"),
+                confined=(), immutable=("PairUser",)),
     )
 }

@@ -47,7 +47,7 @@ class TestClassification:
         assert set(model.immutable) == {"SumTable", "TableReader"}
 
     def test_every_fixture_matches_its_catalog_entry(self):
-        assert len(CLASSIFIED) == 8
+        assert len(CLASSIFIED) == 9
         for fx in CLASSIFIED:
             model = classify_sources(fx.sources())
             findings = diagnose(model, fx.sources())
@@ -67,6 +67,38 @@ class TestClassification:
             "    yield Invoke(gate, 'acquire')\n"
             "    yield Invoke(gate, 'release')\n"))]
         assert _verdicts(sources) == [(MAIN_OWNER, "Lock", False)]
+
+    def test_locks_a_loop_hands_to_forks_are_kept(self):
+        """The tuple a loop walks is a use the pass does not follow: the
+        locks in it leak, as they would passed to ``Fork`` directly."""
+        fx = FIXTURES["looped-lock-pair"]
+        assert _verdicts(fx.sources()) == [(MAIN_OWNER, "Lock", False)] * 2
+
+    def test_the_inverted_locks_of_the_sanitizer_fixture_are_kept(self):
+        """``run_lock_inversion`` hands its two locks to forked threads
+        in opposite orders; AmberSan reports the cycle, so neither lock
+        synchronises nothing."""
+        path = REPO / "src" / "repro" / "analyze" / "fixtures.py"
+        text = path.read_text()
+        head = text[:text.index("lock_a = yield New(Lock)",
+                                text.index("def run_lock_inversion"))]
+        line = head.count("\n") + 1
+        sites = {site.line: site for site in classify_sources(
+            [(str(path), text)]).lock_sites}
+        assert [sites[line].var, sites[line + 1].var] == ["lock_a", "lock_b"]
+        for site in (sites[line], sites[line + 1]):
+            assert (site.owner, site.elidable) == (MAIN_OWNER, False)
+            assert "cannot follow" in site.reason
+
+    def test_a_lock_compared_or_tested_is_not_carried(self):
+        sources = [("<case>", (
+            "from repro.sim.sync import Lock\n"
+            "def main(ctx):\n"
+            "    gate = yield New(Lock)\n"
+            "    if gate is not None and not gate:\n"
+            "        yield Invoke(gate, 'acquire')\n"
+            "        yield Invoke(gate, 'release')\n"))]
+        assert _verdicts(sources) == [(MAIN_OWNER, "Lock", True)]
 
 
 #: The module-level twin of the ``nested-helper-lock`` fixture: the
