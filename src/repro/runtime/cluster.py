@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, FrozenSet, Optional
 from repro.core.address_space import DEFAULT_REGION_BYTES
 from repro.errors import ClusterError
 from repro.obs.metrics import MetricsRegistry
-from repro.recovery.config import peer_timeout_s
 from repro.runtime.coordinator import Coordinator, CoordinatorClient
 from repro.runtime.handles import Handle, ThreadHandle
 from repro.runtime.kernel import NodeKernel
@@ -53,13 +52,8 @@ class Cluster:
         self._client = CoordinatorClient(self._coordinator.address,
                                          region_bytes)
         self.kernel = NodeKernel(0, self._client, chaos=chaos)
-        self._client.on_directory = self.kernel.mesh.set_directory
-        self._client.register(0, self.kernel.mesh.address)
-        self._client.start_heartbeats(0)
-        # REPRO_PEER_TIMEOUT_S scales every peer-wait in the live
-        # runtime (see repro.recovery.config).
-        directory = self._client.wait_directory(timeout=peer_timeout_s())
-        self.kernel.mesh.set_directory(directory)
+        self._client.join(0, self.kernel.mesh)
+        self._client.wait_directory()
         self._alive = True
         #: Wall-clock latency histograms for driver-side operations
         #: (``invoke_us``, ``move_us``, ``locate_us``, ``create_us``).
@@ -162,9 +156,9 @@ class Cluster:
         process.join(timeout=5)
 
     def restart_node(self, node: int) -> None:
-        """Fork a replacement process for a killed node.  It re-registers
-        with the coordinator (fresh mesh address), which rebroadcasts the
-        directory so survivors redial it."""
+        """Fork a replacement process for a killed node.  Its first
+        heartbeat registers its fresh mesh address with the coordinator,
+        which rebroadcasts the directory so survivors redial it."""
         if not 1 <= node < self.num_nodes:
             raise ClusterError(f"cannot restart node {node}")
         old = self._processes.get(node)

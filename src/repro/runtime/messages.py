@@ -13,10 +13,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-#: 4: ``InvokeMsg`` carries the caller's logical ``thread``; 3:
-#: ``FetchReplicaMsg`` (never sent) is gone and the codes after it moved
-#: down; 2: frames are ``(code, fields)``; 1 pickled the message instance.
-PROTOCOL_VERSION = 4
+#: 5: the coordinator is a mesh peer, so its messages name no node:
+#: ``Heartbeat`` carries the node's mesh address and registers it,
+#: ``RegisterNode`` is gone, and a grant is a ``RegionAnswer``
+#: (``RegionGrant`` is gone); 4: ``InvokeMsg`` carries the caller's
+#: logical ``thread``; 3: ``FetchReplicaMsg`` (never sent) is gone and
+#: the codes after it moved down; 2: frames are ``(code, fields)``; 1
+#: pickled the message instance.
+PROTOCOL_VERSION = 5
 
 
 class Hello(NamedTuple):
@@ -128,17 +132,16 @@ class ControlMsg(NamedTuple):
 
 
 # --- coordinator traffic -------------------------------------------------
-
-
-class RegisterNode(NamedTuple):
-    node: int
-    address: Tuple[str, int]
+#
+# The coordinator is a mesh peer like any node: the Hello of a
+# connection names its sender, so none of these does.
 
 
 class Heartbeat(NamedTuple):
-    """Node -> coordinator: still alive (sent every grace/3 seconds)."""
+    """Node -> coordinator: still alive, at this mesh address (sent
+    every grace/3 seconds; the first registers the node)."""
 
-    node: int
+    address: Tuple[str, int]
 
 
 class PeerStatus(NamedTuple):
@@ -164,26 +167,21 @@ class NodeDirectory(NamedTuple):
 
 
 class RegionRequest(NamedTuple):
-    request_id: int
-    node: int
+    """Grant the sender a fresh region."""
 
-
-class RegionGrant(NamedTuple):
     request_id: int
-    base: int
-    size: int
-    owner: int
 
 
 class RegionQuery(NamedTuple):
     """Who owns the region containing this address?"""
 
     request_id: int
-    node: int
     address: int
 
 
 class RegionAnswer(NamedTuple):
+    """The reply to either: the region, or ``owner`` -1 for none."""
+
     request_id: int
     base: int
     size: int
@@ -199,7 +197,6 @@ class Shutdown(NamedTuple):
 #: change of shape, takes a new PROTOCOL_VERSION.
 KINDS: Tuple[type, ...] = (
     Hello, InvokeMsg, ResultMsg, LocationHint, CreateMsg, MoveMsg,
-    InstallMsg, LocateMsg, ControlMsg, RegisterNode, Heartbeat,
-    PeerStatus, NodeDirectory, RegionRequest, RegionGrant, RegionQuery,
-    RegionAnswer, Shutdown,
+    InstallMsg, LocateMsg, ControlMsg, Heartbeat, PeerStatus,
+    NodeDirectory, RegionRequest, RegionQuery, RegionAnswer, Shutdown,
 )

@@ -18,13 +18,8 @@ def node_main(node_id: int, coordinator_address: Tuple[str, int],
     """
     client = CoordinatorClient(coordinator_address, region_bytes)
     kernel = NodeKernel(node_id, client, chaos=chaos)
-    # Mid-run directory rebroadcasts (a peer restarted at a new address)
-    # must reach the mesh, not just the startup queue.
-    client.on_directory = kernel.mesh.set_directory
-    client.register(node_id, kernel.mesh.address)
-    client.start_heartbeats(node_id)
-    directory = client.wait_directory()
-    kernel.mesh.set_directory(directory)
+    client.join(node_id, kernel.mesh)
+    client.wait_directory()
     client.shutdown_event.wait()
     kernel.shutdown()
     client.close()

@@ -14,7 +14,9 @@ frame on a dialed connection is a
 :class:`~repro.runtime.messages.Hello`; a connection that opens with
 anything else is rejected and closed, and so is one that carries a frame
 that does not decode (``bad_frames``) — the sender's resend ladder
-redials.
+redials.  The coordinator is a mesh peer too: :meth:`Mesh.control`
+names a *control peer*, whose frames bypass the chaos layer and the
+``stats`` and whose connections' frames go to a handler of their own.
 
 The write side batches the same way.  Every outbound frame is encoded by
 the thread that sends it and appended to its peer's *outbox*; whichever
@@ -60,12 +62,15 @@ thread that next writes it) — see ``docs/CHAOS.md``.
 from __future__ import annotations
 
 import logging
+import os
 import pickle
 import random
 import socket
 import struct
 import threading
 import time
+import weakref
+from contextlib import suppress
 from typing import (
     Any,
     Callable,
@@ -220,16 +225,37 @@ def _read_frames(conn: socket.socket) -> Iterator[Any]:
         end += received
 
 
+def _close_listener_at_fork(mesh: "Mesh") -> None:
+    """Close ``mesh``'s listening socket in forked children.
+
+    ``os.register_at_fork`` handlers cannot be unregistered, so hold the
+    mesh only weakly: a dead one costs a no-op per fork."""
+    ref = weakref.ref(mesh)
+
+    def _in_child() -> None:
+        owner = ref()
+        if owner is not None:
+            with suppress(OSError):
+                owner._listener.close()
+
+    os.register_at_fork(after_in_child=_in_child)
+
+
 class _Outbox:
     """Frames encoded and waiting to be written to one peer, and the
     lock that serializes dial + handshake + writes to it (so no data
     frame can beat the Hello onto a fresh connection).  Everything but
     the lock changes under the mesh lock only."""
 
-    __slots__ = ("lock", "frames", "nbytes", "reset", "delay_s")
+    __slots__ = ("lock", "stats", "chaos", "frames", "nbytes", "reset",
+                 "delay_s")
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Dict[str, int], chaos: Optional[Any]) -> None:
         self.lock = threading.Lock()
+        #: The counters this peer's frames add to, and the chaos layer
+        #: they pass (none for a control peer).
+        self.stats = stats
+        self.chaos = chaos
         self.frames: List[bytes] = []
         self.nbytes = 0
         #: A chaos reset is owed: the next write first poisons the
@@ -245,7 +271,6 @@ class Mesh:
 
     def __init__(self, node: int,
                  on_message: Callable[[int, Any], None],
-                 host: str = "127.0.0.1",
                  port: int = 0,
                  chaos: Optional[Any] = None):
         self.node = node
@@ -254,8 +279,12 @@ class Mesh:
         self._chaos = chaos
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
+        self._listener.bind(("127.0.0.1", port))
         self._listener.listen(64)
+        # A forked child keeps the listening fd open unless it closes
+        # it: the port would stay in LISTEN after close(), and a
+        # successor could not bind it (a restarted coordinator).
+        _close_listener_at_fork(self)
         self.address: Tuple[str, int] = self._listener.getsockname()
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._out: Dict[int, socket.socket] = {}
@@ -286,6 +315,13 @@ class Mesh:
                                       "bad_frames": 0,
                                       "dropped_frames": 0,
                                       "dropped_on_close": 0}
+        #: The same counters for control peers' frames, so that
+        #: ``stats`` counts the data plane alone.
+        self.control_stats: Dict[str, int] = dict.fromkeys(self.stats, 0)
+        #: Control peer -> what takes the frames of a connection it
+        #: dials here, and what is told when that connection ends.
+        self._control: Dict[int, Tuple[Callable[[int, Any], None],
+                                       Callable[[], None]]] = {}
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"mesh-accept-{node}",
             daemon=True)
@@ -303,9 +339,24 @@ class Mesh:
             self._peers.update(addresses)
             for node in addresses:
                 if node not in self._outboxes:
-                    self._outboxes[node] = _Outbox()
+                    self._outboxes[node] = _Outbox(self.stats, self._chaos)
         for node in changed:
             self._invalidate(node)
+
+    def control(self, peer: int, address: Tuple[str, int],
+                on_message: Callable[[int, Any], None],
+                on_end: Callable[[], None]) -> None:
+        """Reach ``peer`` at ``address`` as a control-plane endpoint
+        (the coordinator).  Frames to it bypass the chaos layer and are
+        counted in :attr:`control_stats`.  A connection it dials here
+        hands its frames to ``on_message`` instead of the mesh's
+        callback, chosen once at the Hello; when that connection ends,
+        this mesh's own connection to ``peer`` is torn down too, so the
+        next frame redials, and ``on_end()`` is called."""
+        with self._lock:
+            self._peers[peer] = address
+            self._outboxes[peer] = _Outbox(self.control_stats, None)
+            self._control[peer] = (on_message, on_end)
 
     def send(self, node: int, message: Any) -> None:
         """Send one message to ``node``: queue it, then write what is
@@ -332,8 +383,8 @@ class Mesh:
                 f"node {self.node}: no address for node {node}")
         duplicate = reset = False
         delay_s = 0.0
-        if self._chaos is not None:
-            decision = self._chaos.on_send(node, message)
+        if outbox.chaos is not None:
+            decision = outbox.chaos.on_send(node, message)
             if decision.drop:
                 # Consumed by the chaos layer: to the caller this looks
                 # exactly like loss on the wire.
@@ -345,7 +396,7 @@ class Mesh:
             if self._closing:
                 # Pretending this was delivered would let a caller
                 # mistake a swallowed send for success; fail typed.
-                self.stats["dropped_on_close"] += 1
+                outbox.stats["dropped_on_close"] += 1
                 raise RuntimeTransportError(
                     f"node {self.node}: send to node {node} aborted: "
                     f"mesh is closing")
@@ -359,7 +410,7 @@ class Mesh:
                 outbox.reset = True
             if delay_s:
                 outbox.delay_s += delay_s
-            self.stats["sends"] += 1
+            outbox.stats["sends"] += 1
         if outbox.nbytes >= OUTBOX_MAX_BYTES:
             self.flush(node)
         return was_empty
@@ -428,7 +479,7 @@ class Mesh:
             reset, outbox.reset = outbox.reset, False
             delay_s, outbox.delay_s = outbox.delay_s, 0.0
             if batch:
-                self.stats["writes"] += 1
+                outbox.stats["writes"] += 1
         if not batch:
             return True     # another writer took it first
         if delay_s:
@@ -442,7 +493,7 @@ class Mesh:
             sent = 0
             try:
                 if sock is None:
-                    sock = self._dial(node)
+                    sock = self._dial(node, outbox)
                 try:
                     sent = sock.send(data, socket.MSG_DONTWAIT)
                 except BlockingIOError:
@@ -463,8 +514,8 @@ class Mesh:
                     # Lost here, recovered (or not) by whoever owns the
                     # frames' loss; this thread says so, typed.
                     with self._lock:
-                        self.stats["dropped_on_close" if closing
-                                   else "dropped_frames"] += len(batch)
+                        outbox.stats["dropped_on_close" if closing
+                                     else "dropped_frames"] += len(batch)
                     raise RuntimeTransportError(
                         f"node {self.node}: {len(batch)} frame(s) to node "
                         f"{node} dropped: " + (
@@ -472,7 +523,7 @@ class Mesh:
                             f"{attempt} attempts failed: {error}")
                     ) from error
                 with self._lock:
-                    self.stats["retries"] += 1
+                    outbox.stats["retries"] += 1
                 backoff = min(BACKOFF_BASE_S * 2 ** (attempt - 1),
                               BACKOFF_CAP_S)
                 time.sleep(backoff * (1.0 + 0.25 * self._rng.random()))
@@ -497,7 +548,7 @@ class Mesh:
     def _discard_locked(self, outbox: _Outbox, counter: str) -> None:
         """Drop what ``outbox`` holds, counted.  Caller holds the mesh
         lock."""
-        self.stats[counter] += len(outbox.frames)
+        outbox.stats[counter] += len(outbox.frames)
         outbox.frames = []
         outbox.nbytes = 0
 
@@ -505,14 +556,12 @@ class Mesh:
         """A chaos reset: poison the connection to ``node`` with a
         truncated frame, then tear it down — the receiver sees a broken
         frame and drops the connection, the write in hand redials."""
-        try:
+        with suppress(OSError):
             # Header promising 64 bytes, followed by silence.
             sock.sendall(_LENGTH.pack(64) + b"\x00" * 7)
-        except OSError:
-            pass
         self._invalidate(node)
 
-    def _dial(self, node: int) -> socket.socket:
+    def _dial(self, node: int, outbox: _Outbox) -> socket.socket:
         """A fresh connection to ``node``.  Caller holds the outbox's
         write lock; the Hello handshake completes *before* the socket
         is published, so no data frame can be on the wire first."""
@@ -529,7 +578,7 @@ class Mesh:
         with self._lock:
             self._out[node] = sock
             if node in self._connected_once:
-                self.stats["reconnects"] += 1
+                outbox.stats["reconnects"] += 1
             else:
                 self._connected_once.add(node)
         return sock
@@ -540,10 +589,8 @@ class Mesh:
         with self._lock:
             sock = self._out.pop(node, None)
         if sock is not None:
-            try:
+            with suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
     # -- inbound ---------------------------------------------------------
 
@@ -571,6 +618,7 @@ class Mesh:
 
     def _reader_loop(self, conn: socket.socket) -> None:
         self.reader_ids.add(threading.get_ident())
+        on_end = None
         try:
             frames = _read_frames(conn)
             hello = next(frames, None)
@@ -591,8 +639,10 @@ class Mesh:
                         f"{PROTOCOL_VERSION})"))
                 return
             peer = hello.node
+            on_message, on_end = self._control.get(
+                peer, (self._on_message, None))
             for message in frames:
-                self._on_message(peer, message)
+                on_message(peer, message)
         except RuntimeTransportError as error:
             # An oversized or undecodable frame: the stream cannot be
             # trusted past it.  Dropping the connection turns it into
@@ -608,34 +658,29 @@ class Mesh:
             with self._lock:
                 self._in.discard(conn)
             conn.close()
+            if on_end is not None:
+                self._invalidate(peer)
+                on_end()
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         self._closing = True
-        try:
+        with suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
+        with suppress(OSError):
             self._listener.close()
-        except OSError:
-            pass
         if self._accept_thread is not threading.current_thread():
             self._accept_thread.join(timeout=1.0)
         with self._lock:
             for sock in list(self._out.values()) + list(self._in):
-                try:
-                    # shutdown (not just close) wakes any reader thread
-                    # blocked in recv, so the kernel socket is actually
-                    # released and the port is free for a restart.
+                # shutdown (not just close) wakes any reader thread
+                # blocked in recv, so the kernel socket is actually
+                # released and the port is free for a restart.
+                with suppress(OSError):
                     sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
+                with suppress(OSError):
                     sock.close()
-                except OSError:
-                    pass
             self._out.clear()
             self._in.clear()
             for outbox in self._outboxes.values():

@@ -1,17 +1,25 @@
 """Structure of the live runtime (DESIGN.md, "Live threading model"):
 each request's fate is decided in ``runtime/lifecycle.py``, which does
 no I/O, so a test can drive it at any ``now``; the kernel reads the
-clock and moves the frames.  Simulator program text reaches the live
-runtime through one table (``runtime/programtext.py``), and only when a
-program runs: ``import repro.runtime`` loads no simulator.  No wall
-clock.
+clock and moves the frames.  One transport carries every frame: only
+``runtime/transport.py`` opens a socket, and the coordinator is a mesh
+peer that holds a connection to the same handshake as a node.
+Simulator program text reaches the live runtime through one table
+(``runtime/programtext.py``), and only when a program runs: ``import
+repro.runtime`` loads no simulator.  No wall clock.
 """
 
 import ast
 import inspect
 import json
+import socket
 
+import pytest
+
+from repro.runtime import messages as m
+from repro.runtime.coordinator import Coordinator
 from repro.runtime.programtext import REFUSED, request_table
+from repro.runtime.transport import _encode
 from repro.sim import syscalls as sc
 from tests.test_kernel_layering import SRC, run_python
 
@@ -61,6 +69,33 @@ def test_the_lifecycle_is_decided_in_one_module():
                         and node.name in CLASSES), (path.name, node.name)
             assert not (isinstance(node, ast.Attribute)
                         and node.attr in FIELDS), (path.name, node.attr)
+
+
+def test_only_the_transport_opens_sockets():
+    importers = sorted(
+        path.name for path in RUNTIME.glob("*.py")
+        if any(name == "socket" or name.startswith("socket.")
+               for name in _imported(ast.parse(path.read_text()))))
+    assert importers == ["transport.py"]
+
+
+@pytest.mark.parametrize("first", [
+    m.Hello(0, version=m.PROTOCOL_VERSION - 1),
+    m.Heartbeat(("127.0.0.1", 1)),
+], ids=["old-hello", "no-hello"])
+def test_the_coordinator_rejects_a_connection_without_a_current_hello(
+        first):
+    coordinator = Coordinator(expected_nodes=1)
+    try:
+        with socket.create_connection(coordinator.address,
+                                      timeout=10) as raw:
+            raw.sendall(_encode(first))
+            assert raw.recv(1) == b""       # closed on us
+        assert coordinator.mesh.stats["handshake_rejects"] == 1
+        assert coordinator.suspected_nodes() == set()
+        assert coordinator._registered == {}
+    finally:
+        coordinator.close()
 
 
 def test_the_runtime_imports_no_simulator_or_analysis():

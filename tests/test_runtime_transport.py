@@ -105,13 +105,11 @@ SAMPLES = [
                  replica=True),
     m.LocateMsg(12, 0, 0x1100000, trace=(0,)),
     m.ControlMsg(14, 0, 0x1100000, "attach", 0x1100040),
-    m.RegisterNode(1, ("127.0.0.1", 4000)),
-    m.Heartbeat(1),
+    m.Heartbeat(("127.0.0.1", 4000)),
     m.PeerStatus(2, alive=False, silence_s=1.5),
     m.NodeDirectory({0: ("127.0.0.1", 4000), 1: ("127.0.0.1", 4001)}),
-    m.RegionRequest(1, 2),
-    m.RegionGrant(1, 0x1000000, 0x100000, 2),
-    m.RegionQuery(2, -1, 0x1100000),
+    m.RegionRequest(1),
+    m.RegionQuery(2, 0x1100000),
     m.RegionAnswer(2, 0x1000000, 0x100000, 2),
     m.Shutdown(),
 ]
