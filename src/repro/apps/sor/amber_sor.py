@@ -478,20 +478,19 @@ def run_amber_sor(problem: SorProblem,
     A shape the program cannot run (a section without a column or a
     worker) raises ``ValueError`` naming the argument.
     """
+    # Imported here: the analysis goldens pin this module's line numbers.
+    from repro.errors import finite
+
+    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
     nsections = sections if sections is not None else default_sections(nodes)
     # Every section needs a column and a worker: refuse any other shape
     # before a cluster is built.
-    if not 1 <= nsections <= problem.cols:
-        raise ValueError(f"sections must be 1..{problem.cols} (the grid's "
-                         f"columns), got {nsections}")
-    total_cpus = nodes * cpus_per_node
+    finite("sections", nsections, ValueError, 1, problem.cols,
+           integral=True)
     workers = (workers_per_section if workers_per_section is not None
-               else max(1, total_cpus // nsections))
-    if workers < 1:
-        raise ValueError(
-            f"workers_per_section must be at least 1, got {workers}")
+               else max(1, config.total_cpus // nsections))
+    finite("workers_per_section", workers, ValueError, 1, integral=True)
     place = placement if placement is not None else PlacementPolicy()
-    config = ClusterConfig(nodes=nodes, cpus_per_node=cpus_per_node)
     result = AmberProgram(config, costs, faults).run(
         sor_main, problem, nodes, nsections, workers, per_point_us, overlap,
         collect_grid, place, tracer=tracer)

@@ -53,6 +53,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.errors import finite
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -133,14 +135,12 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if isinstance(value, (int, float)) and value < 0:
-                raise ValueError(
-                    f"CostModel.{name} must be non-negative, got {value}")
-        if self.timeslice_us <= 0:
-            raise ValueError("timeslice_us must be positive")
-        for name in ("page_bytes", "thread_packet_bytes", "control_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"CostModel.{name} must be positive")
+            count = name in ("thread_packet_bytes", "control_bytes",
+                             "page_bytes")
+            # An infinite quantum is no preemption at all (free()).
+            quantum = name == "timeslice_us"
+            finite(name, value, ValueError, int(count), integral=count,
+                   open_low=quantum, allow_inf=quantum)
 
     # --- Derived quantities ----------------------------------------------
 
@@ -206,8 +206,9 @@ class CostModel:
     def free(cls) -> "CostModel":
         """A zero-cost model: useful in unit tests that check semantics and
         event ordering without arithmetic noise."""
-        fields = {f.name: 0 if isinstance(getattr(cls(), f.name), int) else 0.0
-                  for f in dataclasses.fields(cls)}
+        default = cls()
+        fields = {f.name: 0 if isinstance(getattr(default, f.name), int)
+                  else 0.0 for f in dataclasses.fields(cls)}
         fields["timeslice_us"] = float("inf")
         fields["per_byte_us"] = 0.0
         # Byte counts stay positive (sizes, not costs); wire time is zero

@@ -2,9 +2,16 @@
 
 All errors raised by this package derive from :class:`AmberError` so callers
 can catch library failures without catching unrelated bugs.
+:func:`finite` decides which numbers a setting accepts, raising the
+caller's error type.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
+from typing import Any, Callable
 
 
 class AmberError(Exception):
@@ -99,3 +106,34 @@ class RemoteInvocationError(AmberError):
     def __init__(self, message: str, remote_traceback: str = ""):
         super().__init__(message)
         self.remote_traceback = remote_traceback
+
+
+def finite(name: str, value: Any, error: Callable[[str], Exception],
+           low: float = 0, high: float = math.inf, *,
+           integral: bool = False, open_low: bool = False,
+           allow_inf: bool = False) -> Any:
+    """Return ``value`` if the setting ``name`` may take it, else raise
+    ``error`` with a message that starts with ``name``.
+
+    The rule for every number that configures a run: a real number, not
+    a bool; an integer where ``integral`` (what :func:`operator.index`
+    takes: numpy integers, not ``2.0``); inside ``[low, high]``, or
+    ``(low, high]`` with ``open_low``; finite, unless ``allow_inf``
+    admits ``+inf``.  NaN lies inside no range."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and integral:
+        try:
+            operator.index(value)
+        except TypeError:
+            ok = False
+    elif ok:
+        ok = math.isfinite(value) or (allow_inf and value == math.inf)
+    if ok and (low < value if open_low else low <= value) \
+            and value <= high:
+        return value
+    kind = ("an integer" if integral else
+            "a number" if allow_inf else "a finite number")
+    bounds = (f"{name} {'>' if open_low else '>='} {low}"
+              if high == math.inf else
+              f"{low} {'<' if open_low else '<='} {name} <= {high}")
+    raise error(f"{name} must be {kind} with {bounds}, got {value!r}")

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, finite
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,11 @@ class NodeCrash:
     restart_us: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise SimulationError(f"crash time must be >= 0: {self}")
-        if self.restart_us is not None and self.restart_us <= self.at_us:
-            raise SimulationError(
-                f"restart must come after the crash: {self}")
+        finite("node", self.node, SimulationError, integral=True)
+        finite("at_us", self.at_us, SimulationError)
+        if self.restart_us is not None:
+            finite("restart_us", self.restart_us, SimulationError,
+                   self.at_us, open_low=True)
 
     def down_at(self, now_us: float) -> bool:
         if now_us < self.at_us:
@@ -68,10 +68,13 @@ class Partition:
     end_us: float
 
     def __post_init__(self) -> None:
-        if self.end_us <= self.start_us:
-            raise SimulationError(f"empty partition window: {self}")
         if not self.nodes:
             raise SimulationError("a partition needs at least one node")
+        for node in self.nodes:
+            finite("nodes", node, SimulationError, integral=True)
+        finite("start_us", self.start_us, SimulationError)
+        finite("end_us", self.end_us, SimulationError, self.start_us,
+               open_low=True)
 
     def severs(self, src: int, dst: int, now_us: float) -> bool:
         if not self.start_us <= now_us < self.end_us:
@@ -102,27 +105,26 @@ class FaultPlan:
     max_attempts: int = 16
 
     def __post_init__(self) -> None:
+        def check(name, *bounds, **kind):
+            finite(name, getattr(self, name), SimulationError, *bounds,
+                   **kind)
+
+        check("seed", -math.inf, integral=True)
         for name in ("drop_rate", "dup_rate", "delay_rate",
                      "reorder_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise SimulationError(f"{name} must be in [0, 1]: {rate}")
+            check(name, 0, 1)
         total = (self.drop_rate + self.dup_rate + self.delay_rate
                  + self.reorder_rate)
         if total > 1.0 + 1e-12:
             raise SimulationError(
                 f"fault rates sum to {total}, which exceeds 1")
-        if self.delay_max_us < self.delay_min_us or self.delay_min_us < 0:
-            raise SimulationError(
-                f"bad delay bounds: [{self.delay_min_us}, "
-                f"{self.delay_max_us}]")
-        if self.rto_us <= 0 or self.rto_cap_us < self.rto_us:
-            raise SimulationError(
-                f"bad RTO configuration: rto_us={self.rto_us}, "
-                f"rto_cap_us={self.rto_cap_us}")
-        if self.max_attempts < 1:
-            raise SimulationError(
-                f"max_attempts must be >= 1: {self.max_attempts}")
+        check("delay_min_us")
+        check("delay_max_us", self.delay_min_us)
+        check("rto_us", open_low=True)
+        check("rto_cap_us", self.rto_us)
+        # The injector's backoff is rto_us * 2 ** (attempt - 1), and
+        # 2 ** 1024 does not fit a float.
+        check("max_attempts", 1, 1024, integral=True)
         # The plan is hashable config; normalize accidental lists.
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "partitions", tuple(self.partitions))

@@ -24,11 +24,10 @@ from which every previously hard-coded peer-wait ceiling is derived:
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, finite
 
 #: Environment variable holding the single tunable peer-wait budget
 #: (seconds).  Everything else is derived from it.
@@ -36,6 +35,13 @@ PEER_TIMEOUT_ENV = "REPRO_PEER_TIMEOUT_S"
 
 #: Default peer-wait budget when the environment does not override it.
 DEFAULT_PEER_TIMEOUT_S = 30.0
+
+#: Shortest checkpoint sweep period.  Each sweep ships one message per
+#: quiescent mutable object, and one message holds the Ethernet for
+#: ``net_latency_us`` (0.8 ms at Firefly costs): a much shorter period
+#: queues checkpoints faster than the wire drains them, and the run's
+#: own messages wait behind a queue that keeps growing.
+MIN_CHECKPOINT_INTERVAL_US = 1_000.0
 
 
 def peer_timeout_s() -> float:
@@ -49,11 +55,7 @@ def peer_timeout_s() -> float:
         raise SimulationError(
             f"{PEER_TIMEOUT_ENV} must be a number of seconds, "
             f"got {raw!r}") from None
-    if not 0 < value < math.inf:
-        raise SimulationError(
-            f"{PEER_TIMEOUT_ENV} must be a finite positive number of "
-            f"seconds, got {raw!r}")
-    return value
+    return finite(PEER_TIMEOUT_ENV, value, SimulationError, open_low=True)
 
 
 def reply_timeout_s() -> float:
@@ -85,14 +87,14 @@ class RecoveryConfig:
         Period of the epoch checkpoint sweep (0 disables the sweep,
         leaving only the write-through checkpoint shipped whenever a
         remote invocation completes on a mutable object — what makes
-        every effect a survivor has observed durable).
+        every effect a survivor has observed durable).  Any other
+        period is at least :data:`MIN_CHECKPOINT_INTERVAL_US`.
     """
 
     checkpointing: bool = True
     checkpoint_interval_us: float = 25_000.0
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval_us < 0:
-            raise SimulationError(
-                f"checkpoint interval must be >= 0: "
-                f"{self.checkpoint_interval_us}")
+        interval = self.checkpoint_interval_us
+        finite("checkpoint_interval_us", interval, SimulationError,
+               0 if interval == 0 else MIN_CHECKPOINT_INTERVAL_US)

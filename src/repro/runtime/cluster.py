@@ -13,7 +13,7 @@ import time
 from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.core.address_space import DEFAULT_REGION_BYTES
-from repro.errors import ClusterError
+from repro.errors import ClusterError, finite
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.coordinator import Coordinator, CoordinatorClient
 from repro.runtime.handles import Handle, ThreadHandle
@@ -35,9 +35,8 @@ class Cluster:
     def __init__(self, nodes: int = 2,
                  region_bytes: int = DEFAULT_REGION_BYTES,
                  chaos=None):
-        if nodes < 1:
-            raise ClusterError("a cluster needs at least one node")
-        self.num_nodes = nodes
+        self.num_nodes = finite("nodes", nodes, ClusterError, 1,
+                                integral=True)
         self._region_bytes = region_bytes
         #: Optional frozen FaultPlan: every node's mesh (driver
         #: included) gets a seeded LiveFaultInjector, and

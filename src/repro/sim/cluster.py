@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 from repro.core.address_space import AddressSpaceServer
 from repro.core.attachment import AttachmentGraph
 from repro.core.costs import CostModel
-from repro.errors import SimulationError
+from repro.errors import SimulationError, finite
 from repro.faults.inject import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
@@ -31,9 +31,9 @@ class ClusterConfig:
     cpus_per_node: int = 4
 
     def __post_init__(self) -> None:
-        if self.nodes < 1 or self.cpus_per_node < 1:
-            raise SimulationError(
-                f"cluster needs >=1 node and >=1 CPU, got {self}")
+        for name in ("nodes", "cpus_per_node"):
+            finite(name, getattr(self, name), SimulationError, 1,
+                   integral=True)
 
     @property
     def total_cpus(self) -> int:

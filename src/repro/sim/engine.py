@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, finite
 
 NS_PER_US = 1000
 
@@ -58,7 +58,8 @@ class Simulator:
         #: The sequence number the next entry gets.
         self.seq = 0
         self._events_run = 0
-        self.max_events = max_events
+        self.max_events = finite("max_events", max_events, SimulationError,
+                                 1, integral=True)
         #: Optional hot-loop self-profiler (see
         #: :mod:`repro.perf.hotprof`).  When attached, :meth:`run` takes
         #: the instrumented loop that attributes host time to heap-op /

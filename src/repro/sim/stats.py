@@ -11,7 +11,7 @@ counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -40,14 +40,6 @@ class NodeStats:
         if elapsed_us <= 0 or self.cpus <= 0:
             return 0.0
         return self.cpu_busy_us / (elapsed_us * self.cpus)
-
-    def merge(self, other: "NodeStats") -> None:
-        """Accumulate another run's counters for the same node shape."""
-        for f in fields(self):
-            if f.name in ("node", "cpus"):
-                continue
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -81,27 +73,6 @@ class ClusterStats:
         if elapsed_us <= 0 or total_cpus == 0:
             return 0.0
         return self.total_cpu_busy_us / (elapsed_us * total_cpus)
-
-    def merge(self, other: "ClusterStats") -> "ClusterStats":
-        """Fold another run's stats into this one (in place) so
-        multi-run benchmarks can report aggregates; returns self.
-        Node lists are matched by index (shorter list is extended)."""
-        for mine, theirs in zip(self.nodes, other.nodes):
-            mine.merge(theirs)
-        for extra in other.nodes[len(self.nodes):]:
-            clone = NodeStats(extra.node, extra.cpus)
-            clone.merge(extra)
-            self.nodes.append(clone)
-        self.object_moves += other.object_moves
-        self.replications += other.replications
-        self.locates += other.locates
-        self.thread_migrations += other.thread_migrations
-        self.forwarding_hops_followed += other.forwarding_hops_followed
-        if other.metrics is not None:
-            if self.metrics is None:
-                self.metrics = MetricsRegistry()
-            self.metrics.merge(other.metrics)
-        return self
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary, convenient for benchmark reporting.  When a

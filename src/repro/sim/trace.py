@@ -30,6 +30,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import finite
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -56,10 +58,8 @@ class Tracer:
     """
 
     def __init__(self, max_events: int = 100_000):
-        if max_events < 1:
-            raise ValueError(f"tracer needs max_events >= 1, "
-                             f"got {max_events}")
-        self.max_events = max_events
+        self.max_events = finite("max_events", max_events, ValueError, 1,
+                                 integral=True)
         self.dropped = 0
         self._ring: deque = deque(maxlen=max_events)
 

@@ -495,20 +495,6 @@ class TestClusterStatsExtensions:
         stats = ClusterStats(nodes=[NodeStats(0, 2, cpu_busy_us=500.0)])
         assert stats.mean_utilization(0.0) == 0.0
 
-    def test_merge_accumulates_counters_and_metrics(self):
-        a = ClusterStats(nodes=[NodeStats(0, 2, local_invocations=3)],
-                         thread_migrations=1, metrics=MetricsRegistry())
-        a.metrics.observe("invoke_local_us", 10.0)
-        b = ClusterStats(nodes=[NodeStats(0, 2, local_invocations=5),
-                                NodeStats(1, 2, remote_invocations=2)],
-                         thread_migrations=4, metrics=MetricsRegistry())
-        b.metrics.observe("invoke_local_us", 1000.0)
-        a.merge(b)
-        assert a.node(0).local_invocations == 8
-        assert a.node(1).remote_invocations == 2      # list extended
-        assert a.thread_migrations == 5
-        assert a.metrics.histograms["invoke_local_us"].count == 2
-
     def test_as_dict_reports_histogram_quantiles(self):
         stats = ClusterStats(nodes=[NodeStats(0, 2)],
                              metrics=MetricsRegistry())
