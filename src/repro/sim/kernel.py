@@ -385,7 +385,6 @@ class AmberKernel:
         thread.pending_compute_us = max(
             0.0, thread.pending_compute_us - elapsed_us)
         thread.run_token += 1
-        node.stats.preemptions += 1
         node.stats.context_switches += 1
         if elapsed_us > 0:
             self.trace("compute", node.id, thread.name,
@@ -482,7 +481,6 @@ class AmberKernel:
 
     def _handle_invoke(self, thread: SimThread, request: sc.Invoke) -> None:
         self.validate_target(request.target)
-        thread.invocations += 1
         thread.invoke_t0 = self.sim.now_ns / NS_PER_US
         thread.invoke_remote = False
         self.charge(thread, self.costs.local_invoke_us,
@@ -508,7 +506,6 @@ class AmberKernel:
                 thread, request.target,
                 partial(self._push_and_run, thread, request, False))
         else:
-            thread.remote_invocations += 1
             node.stats.remote_invocations += 1
             thread.invoke_remote = True
             if self.cluster.tracer is not None:
@@ -537,7 +534,6 @@ class AmberKernel:
             raise InvocationError(
                 f"FastInvoke on {target!r}: co-residency with "
                 f"{current!r} is not guaranteed (attach them first)")
-        thread.invocations += 1
         thread.invoke_t0 = self.sim.now_ns / NS_PER_US
         thread.invoke_remote = False
         self.charge(thread, self.costs.inline_call_us,

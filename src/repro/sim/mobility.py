@@ -126,7 +126,6 @@ class Mobility:
         kernel = self.kernel
         node = self.cluster.nodes[thread.location]
         node.stats.threads_out += 1
-        self.cluster.stats.thread_migrations += 1
         thread.migrations += 1
         thread.transit_start_us = self.sim.now_ns / NS_PER_US
         if self.cluster.tracer is not None:
@@ -212,7 +211,6 @@ class Mobility:
             # arrival, a control message's when the cost has elapsed (a
             # hint can change in between; every fixed point pins both).
             node.stats.forward_hops += 1
-            self.cluster.stats.forwarding_hops_followed += 1
             next_node = (node.descriptors.next_hop(vaddr, self._home_of)
                          if chase.on_found is None else None)
             self.sim.schedule_us(
@@ -230,7 +228,6 @@ class Mobility:
             return
         # The thread object itself now resides here.
         self._relocate_thread_object(thread, node_id)
-        node.stats.threads_in += 1
         if self.cluster.tracer is not None:
             kernel.trace("migrate-in", node_id, thread.name, vaddr)
         now_us = self.sim.now_ns / NS_PER_US
@@ -570,7 +567,6 @@ class Mobility:
             target.state = TRANSIT
         source.descriptors.set_forwarding(target._vaddr, dest)
         source.stats.threads_out += 1
-        self.cluster.stats.thread_migrations += 1
         target.migrations += 1
         self.net.send_reliable(
             source.id, dest, self.costs.thread_packet_bytes,
@@ -581,7 +577,6 @@ class Mobility:
                                was_ready: bool) -> None:
         dest_node = self.cluster.node(dest)
         dest_node.descriptors.set_resident(target._vaddr)
-        dest_node.stats.threads_in += 1
         target.location = dest
         target._location = dest
         if was_ready:
@@ -665,7 +660,6 @@ class Mobility:
         dest_node.descriptors.set_resident(target._vaddr)
         target._replica_nodes.add(dest)
         dest_node.stats.replicas_installed += 1
-        self.cluster.stats.replications += 1
         self.kernel.trace("replicate", dest, "", target._vaddr,
                           f"from node {source}")
         done = partial(self.kernel.charge, thread, 0.0, on_done)

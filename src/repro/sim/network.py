@@ -12,7 +12,9 @@ transmission attempt: dropped messages still occupy the wire but never
 arrive, duplicates arrive twice (and are suppressed by the delivery
 guard), delays postpone arrival.  Lost attempts are retransmitted on an
 exponential-backoff timer; a sender that exhausts every attempt calls
-its ``on_give_up`` hook — the kernel's cue for dead-node recovery.
+its ``on_give_up`` hook — the kernel's cue for dead-node recovery.  The
+injector counts each outcome (``faults_dropped``, ``retries``, ...) in
+the run's metrics registry; :class:`NetworkStats` counts only the wire.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class NetworkStats:
     busy_us: float = 0.0
     #: Total time messages spent queued behind other transmissions.
     queueing_us: float = 0.0
-    #: Fault-injection outcomes (nonzero only with an injector attached).
-    dropped: int = 0
-    duplicated: int = 0
-    retransmits: int = 0
 
     def utilization(self, elapsed_us: float) -> float:
         return self.busy_us / elapsed_us if elapsed_us > 0 else 0.0
@@ -110,13 +108,11 @@ class Ethernet:
         def attempt(k: int) -> None:
             decision = faults.decide(src, dst, self._sim.now_us)
             if decision.drop:
-                self.stats.dropped += 1
                 self._transmit(src, dst, nbytes, None, 0.0)
             else:
                 self._transmit(src, dst, nbytes, delivered,
                                decision.extra_delay_us)
                 if decision.duplicate:
-                    self.stats.duplicated += 1
                     self._transmit(src, dst, nbytes, delivered,
                                    decision.extra_delay_us
                                    + self._costs.net_latency_us)
@@ -137,7 +133,6 @@ class Ethernet:
                     raise SimulationError(
                         f"message {src} -> {dst} undeliverable after "
                         f"{k} attempts and no recovery handler")
-                self.stats.retransmits += 1
                 faults.count_retry()
                 attempt(k + 1)
 

@@ -25,13 +25,10 @@ class NodeStats:
     cpu_busy_us: float = 0.0
     local_invocations: int = 0
     remote_invocations: int = 0      # traps taken on this node (outbound)
-    threads_in: int = 0              # migrated threads accepted
-    threads_out: int = 0
-    objects_created: int = 0
+    threads_out: int = 0             # one-way thread transfers from here
     objects_in: int = 0              # objects moved here
     objects_out: int = 0
-    replicas_installed: int = 0
-    preemptions: int = 0             # move-protocol CPU preemptions
+    replicas_installed: int = 0      # immutable copies installed here
     context_switches: int = 0
     forward_hops: int = 0            # misdelivered requests forwarded on
 
@@ -46,15 +43,26 @@ class NodeStats:
 class ClusterStats:
     nodes: List[NodeStats] = field(default_factory=list)
     object_moves: int = 0            # group moves completed
-    replications: int = 0            # immutable copies made
     locates: int = 0
-    thread_migrations: int = 0       # one-way thread transfers
-    forwarding_hops_followed: int = 0
     #: Latency histograms etc. for the same run (attached by SimCluster).
     metrics: Optional[MetricsRegistry] = None
 
     def node(self, node_id: int) -> NodeStats:
         return self.nodes[node_id]
+
+    # Per-node facts are counted on their node only; the cluster figure
+    # is the sum.
+    @property
+    def thread_migrations(self) -> int:
+        return sum(n.threads_out for n in self.nodes)
+
+    @property
+    def forwarding_hops_followed(self) -> int:
+        return sum(n.forward_hops for n in self.nodes)
+
+    @property
+    def replications(self) -> int:
+        return sum(n.replicas_installed for n in self.nodes)
 
     @property
     def total_local_invocations(self) -> int:

@@ -103,9 +103,8 @@ class SimThread(SimObject):
         "chase", "on_arrival", "transit_start_us", "invoke_t0",
         "invoke_remote", "pending_invoke_metric", "invoke_seq",
         "resurrect_stack", "carried_checkpoints", "result", "exception",
-        "joiners",
-        "migrations", "invocations", "remote_invocations",
-        "state_time_us", "block_reason", "_clock", "_state_since_us")
+        "joiners", "migrations", "state_time_us", "block_reason", "_clock",
+        "_state_since_us")
 
     def __init__(self, tid: int, name: str = "", priority: int = 0):
         self.tid = tid
@@ -179,8 +178,6 @@ class SimThread(SimObject):
 
         # --- per-thread statistics ---------------------------------------
         self.migrations: int = 0
-        self.invocations: int = 0
-        self.remote_invocations: int = 0
         #: Wall-time attribution: profile bucket -> microseconds, kept by
         #: the ``state`` setter once the kernel attaches a clock.
         self.state_time_us: Dict[str, float] = {}
