@@ -620,12 +620,12 @@ class NodeKernel:
     def _invoke(self, message: m.InvokeMsg, obj, _may_wait) -> Any:
         value = self._table.execute(obj, message.method, message.args,
                                     message.kwargs, message.logical_thread)
-        if obj._amber_immutable and message.reply_to != self.node_id:
+        if obj._immutable and message.reply_to != self.node_id:
             # Read-only object invoked remotely: a replica, ahead of the
             # reply, makes the caller's next reads local (§2.3); best effort.
             self._send_quiet(message.reply_to, m.InstallMsg(
                 next(self._request_ids), self.node_id,
-                {obj._amber_vaddr: obj}, (), replica=True))
+                {obj._vaddr: obj}, (), replica=True))
         return value
 
     def _create(self, message: m.CreateMsg, _obj, _may_wait) -> int:
@@ -642,7 +642,7 @@ class NodeKernel:
         dest = message.dest
         if dest == self.node_id:
             return None
-        replica = obj._amber_immutable
+        replica = obj._immutable
         if replica:
             shipment, edges = {message.vaddr: obj}, ()
         else:

@@ -40,11 +40,17 @@ class AmberObject:
     """Base class for all distributable objects in the live runtime.
 
     Kernel-managed attributes (never touch them from user code):
-    ``_amber_vaddr`` (global address) and ``_amber_immutable``.
+    ``_vaddr`` (global address) and ``_immutable``, the names a
+    simulator object keeps the same two facts under.
     """
 
-    _amber_vaddr: int = -1
-    _amber_immutable: bool = False
+    _vaddr: int = -1
+    _immutable: bool = False
+
+    def _amber_init(self, vaddr: int, home_node: int,
+                    size_bytes: int) -> None:
+        """Called by the node kernel when the object is created."""
+        self._vaddr = vaddr
 
 
 def set_process_kernel(kernel) -> None:

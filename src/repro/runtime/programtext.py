@@ -101,7 +101,7 @@ class LiveContext:
 
 def address(target: Any) -> int:
     """A target is a :class:`Handle` or a resident object (``self``)."""
-    return target.vaddr if type(target) is Handle else target._amber_vaddr
+    return target.vaddr if type(target) is Handle else target._vaddr
 
 
 def _thread(request: Any, cls: type) -> Any:
