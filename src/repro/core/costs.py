@@ -51,9 +51,17 @@ mobility to increase as processors are added to a node" falls out of the
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.errors import finite
+
+#: Ceiling on any simulated duration a setting names (about 32 years):
+#: every charge derived from such settings, wire time included, stays a
+#: finite float and fits the integer-nanosecond clock.
+MAX_DURATION_US = 1e15
+#: Ceiling on a byte count a setting names (1 TiB).
+MAX_BYTES = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -137,10 +145,13 @@ class CostModel:
         for name, value in self.__dict__.items():
             count = name in ("thread_packet_bytes", "control_bytes",
                              "page_bytes")
-            # An infinite quantum is no preemption at all (free()).
+            # An infinite quantum is no preemption at all (free()); the
+            # quantum only caps a compute charge, so it needs no ceiling.
             quantum = name == "timeslice_us"
-            finite(name, value, ValueError, int(count), integral=count,
-                   open_low=quantum, allow_inf=quantum)
+            high = (math.inf if quantum else MAX_BYTES if count
+                    else MAX_DURATION_US)
+            finite(name, value, ValueError, int(count), high,
+                   integral=count, open_low=quantum, allow_inf=quantum)
 
     # --- Derived quantities ----------------------------------------------
 

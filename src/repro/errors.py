@@ -127,7 +127,10 @@ def finite(name: str, value: Any, error: Callable[[str], Exception],
         except TypeError:
             ok = False
     elif ok:
-        ok = math.isfinite(value) or (allow_inf and value == math.inf)
+        try:
+            ok = math.isfinite(value) or (allow_inf and value == math.inf)
+        except OverflowError:      # an integer past the largest float
+            ok = False
     if ok and (low < value if open_low else low <= value) \
             and value <= high:
         return value

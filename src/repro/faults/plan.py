@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.costs import MAX_DURATION_US
 from repro.errors import SimulationError, finite
 
 
@@ -47,10 +48,10 @@ class NodeCrash:
 
     def __post_init__(self) -> None:
         finite("node", self.node, SimulationError, integral=True)
-        finite("at_us", self.at_us, SimulationError)
+        finite("at_us", self.at_us, SimulationError, 0, MAX_DURATION_US)
         if self.restart_us is not None:
             finite("restart_us", self.restart_us, SimulationError,
-                   self.at_us, open_low=True)
+                   self.at_us, MAX_DURATION_US, open_low=True)
 
     def down_at(self, now_us: float) -> bool:
         if now_us < self.at_us:
@@ -72,9 +73,10 @@ class Partition:
             raise SimulationError("a partition needs at least one node")
         for node in self.nodes:
             finite("nodes", node, SimulationError, integral=True)
-        finite("start_us", self.start_us, SimulationError)
+        finite("start_us", self.start_us, SimulationError, 0,
+               MAX_DURATION_US)
         finite("end_us", self.end_us, SimulationError, self.start_us,
-               open_low=True)
+               MAX_DURATION_US, open_low=True)
 
     def severs(self, src: int, dst: int, now_us: float) -> bool:
         if not self.start_us <= now_us < self.end_us:
@@ -118,10 +120,10 @@ class FaultPlan:
         if total > 1.0 + 1e-12:
             raise SimulationError(
                 f"fault rates sum to {total}, which exceeds 1")
-        check("delay_min_us")
-        check("delay_max_us", self.delay_min_us)
-        check("rto_us", open_low=True)
-        check("rto_cap_us", self.rto_us)
+        check("delay_min_us", 0, MAX_DURATION_US)
+        check("delay_max_us", self.delay_min_us, MAX_DURATION_US)
+        check("rto_us", 0, MAX_DURATION_US, open_low=True)
+        check("rto_cap_us", self.rto_us, MAX_DURATION_US)
         # The injector's backoff is rto_us * 2 ** (attempt - 1), and
         # 2 ** 1024 does not fit a float.
         check("max_attempts", 1, 1024, integral=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.core.costs import MAX_DURATION_US
 from repro.errors import SimulationError, finite
 
 #: Environment variable holding the single tunable peer-wait budget
@@ -97,4 +98,5 @@ class RecoveryConfig:
     def __post_init__(self) -> None:
         interval = self.checkpoint_interval_us
         finite("checkpoint_interval_us", interval, SimulationError,
-               0 if interval == 0 else MIN_CHECKPOINT_INTERVAL_US)
+               0 if interval == 0 else MIN_CHECKPOINT_INTERVAL_US,
+               MAX_DURATION_US)

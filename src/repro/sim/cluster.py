@@ -18,6 +18,11 @@ from repro.sim.objects import SimObject
 from repro.sim.stats import ClusterStats
 
 
+#: Ceiling on ``nodes`` and on ``cpus_per_node``: a cluster builds every
+#: node and processor up front.
+MAX_NODES_OR_CPUS = 1024
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Shape of the simulated machine.
@@ -33,7 +38,7 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         for name in ("nodes", "cpus_per_node"):
             finite(name, getattr(self, name), SimulationError, 1,
-                   integral=True)
+                   MAX_NODES_OR_CPUS, integral=True)
 
     @property
     def total_cpus(self) -> int:

@@ -35,7 +35,7 @@ from typing import (TYPE_CHECKING, Any, ClassVar, Deque, Generator,
                     List, Optional, Protocol)
 
 from repro.analyze import runtime as _analysis
-from repro.errors import SynchronizationError
+from repro.errors import SynchronizationError, finite
 from repro.sim.objects import SimObject
 from repro.sim.syscalls import Charge, Compute, Invoke, Suspend, Wakeup
 
@@ -239,10 +239,8 @@ class Barrier(SimObject):
                  "cycles")
 
     def __init__(self, parties: int) -> None:
-        if parties < 1:
-            raise SynchronizationError(
-                f"barrier needs >=1 party, got {parties}")
-        self.parties = parties
+        self.parties = finite("parties", parties, SynchronizationError, 1,
+                              integral=True)
         self._count = 0
         self._generation = 0
         self._waiting: List[_Thread] = []

@@ -211,6 +211,16 @@ class TestBarrier:
         with pytest.raises(SynchronizationError):
             Barrier(0)
 
+    @pytest.mark.parametrize("parties", [2.5, float("nan"), 2.0, True])
+    def test_parties_a_wait_can_never_reach_are_refused(self, parties):
+        """No count of arrivals equals 2.5 or NaN: such a barrier would
+        release nobody and end the run in a deadlock."""
+        def main(ctx):
+            return (yield New(Barrier, parties))
+
+        with pytest.raises(SynchronizationError, match="^parties "):
+            run(main)
+
     def test_distributed_barrier(self):
         """Sections on different nodes meet at one barrier object — each
         wait is a remote invocation for the far node's thread."""
