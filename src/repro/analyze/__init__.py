@@ -53,7 +53,7 @@ _LAZY = {
     "run_schedule": ("repro.analyze.check", "run_schedule"),
     "CheckReport": ("repro.analyze.check", "CheckReport"),
     "CheckFinding": ("repro.analyze.check", "CheckFinding"),
-    "ChoiceController": ("repro.analyze.check", "ChoiceController"),
+    "ChoiceController": ("repro.analyze.choice", "ChoiceController"),
     "sample_random_schedules": ("repro.analyze.check",
                                 "sample_random_schedules"),
     "run_check_scenarios": ("repro.analyze.checkscenario",

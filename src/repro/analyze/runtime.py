@@ -9,7 +9,7 @@ module-attribute load per hook site.
 Exactly one sanitizer can be active at a time (the simulator is
 single-threaded, and a sanitizer's class-level attribute hooks are
 process-global), and likewise exactly one schedule controller — the
-:class:`repro.analyze.check.ChoiceController` that AmberCheck installs
+:class:`repro.analyze.choice.ChoiceController` that AmberCheck installs
 to record and force scheduling decisions.
 """
 
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analyze.check import ChoiceController
+    from repro.analyze.choice import ChoiceController
     from repro.analyze.sanitizer import Sanitizer
 
 #: The sanitizer observing the currently running simulation, if any.

@@ -3,7 +3,9 @@
 Each OS process runs one :class:`NodeKernel`.  Its
 :class:`~repro.runtime.objtable.ObjectTable` holds the node's share of
 the object space, :mod:`repro.runtime.lifecycle` decides each request's
-fate at a ``now`` read here, and this module moves the frames.
+fate at a ``now`` read here, and this module moves the frames; its
+requests run on a :mod:`~repro.runtime.workers` pool, and their bodies
+but ``invoke``'s are in :mod:`repro.runtime.bodies`.
 Invocation is function shipping: a request for a non-resident object
 chases the forwarding chain hop by hop (home-node fallback); the node
 that executes it sends :class:`LocationHint` messages back along the
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import queue
 import random
 import threading
 import time
@@ -31,7 +32,9 @@ from repro.errors import (
     RemoteInvocationError,
     RuntimeTransportError,
 )
+from repro.runtime import bodies
 from repro.runtime import messages as m
+from repro.runtime.bodies import _LATER
 from repro.runtime.handles import Handle, ThreadHandle
 from repro.runtime.lifecycle import (
     REQUEST_ID_BASE_BITS,
@@ -42,14 +45,11 @@ from repro.runtime.lifecycle import (
 from repro.runtime.objects import current_thread, set_process_kernel
 from repro.runtime.objtable import MustWait, ObjectTable
 from repro.runtime.transport import Mesh
+from repro.runtime.workers import WORKER_IDLE_S, _WorkerPool
 
 #: Forwarding-chase guard (generous: chains are short, but a move's
 #: install window can bounce a request a few times).
 MAX_TRACE = 256
-
-#: Period of worker retirement, seconds: a worker nothing needed for
-#: one whole period retires at its end (see :class:`_WorkerPool`).
-WORKER_IDLE_S = 1.0
 
 log = logging.getLogger(__name__)
 
@@ -61,79 +61,6 @@ class _Flush(tuple):
 class _Claimed(tuple):
     """``(message, body, obj)``: a request a mesh reader claimed, then
     found it must wait for (a move that has to drain)."""
-
-
-#: What a body returns when a continuation will send the reply.
-_LATER = object()
-
-
-class _WorkerPool:
-    """The kernel's elastic worker threads.  Handlers may block (move
-    drains, nested requests, the bounce sleep in ``_forward``, live
-    ``Lock``/``CondVar`` waits), so no message waits behind a running
-    one: :meth:`submit` hands it to a parked worker it claims under the
-    lock (the queue never holds more messages than claimed workers), or
-    else starts a thread — the pool is unbounded.  :meth:`retire_spare`,
-    called once per :data:`WORKER_IDLE_S`, retires the workers nothing
-    claimed since the call before."""
-
-    _RETIRE = object()
-
-    def __init__(self, run: Callable[[Any], None], name: str,
-                 stats: Dict[str, int]):
-        self._run = run
-        self._name = name
-        self._stats = stats
-        self._lock = threading.Lock()
-        #: Parked workers no submit has claimed yet, and the fewest
-        #: there have been since the last retire_spare.
-        self._idle = 0
-        self._spare = 0
-        self._closed = False
-        self._handoff: "queue.SimpleQueue" = queue.SimpleQueue()
-
-    def submit(self, message: Any) -> None:
-        with self._lock:
-            reuse = self._idle > 0
-            if reuse:
-                self._idle -= 1
-                self._stats["worker_handoffs"] += 1
-            else:
-                self._stats["workers_started"] += 1
-            if self._idle < self._spare:
-                self._spare = self._idle
-        if reuse:
-            self._handoff.put(message)
-        else:
-            threading.Thread(target=self._work, args=(message,),
-                             name=self._name, daemon=True).start()
-
-    def retire_spare(self) -> None:
-        with self._lock:
-            spare = self._spare
-            self._idle -= spare
-            self._spare = self._idle
-        for _ in range(spare):
-            self._handoff.put(self._RETIRE)
-
-    def close(self) -> None:
-        """Retire every parked worker now, and the running ones as they
-        finish."""
-        with self._lock:
-            self._closed = True
-            self._spare = self._idle
-        self.retire_spare()
-
-    def _work(self, message: Any) -> None:
-        while message is not self._RETIRE:
-            self._run(message)
-            with self._lock:
-                if self._closed:
-                    return
-                self._idle += 1
-            # No timeout: with several consumers CPython's
-            # SimpleQueue.get can outstay one.
-            message = self._handoff.get()
 
 
 class NodeKernel:
@@ -628,70 +555,16 @@ class NodeKernel:
                 {obj._vaddr: obj}, (), replica=True))
         return value
 
-    def _create(self, message: m.CreateMsg, _obj, _may_wait) -> int:
-        return self._table.create(message.cls, message.args, message.kwargs)
-
-    def _located(self, _message, _obj, _may_wait) -> int:
-        return self.node_id
-
-    def _move_out(self, message: m.MoveMsg, obj, may_wait) -> Any:
-        """Ship the group (of an immutable, a replica) and return: the
-        move's second half — counting it, answering the mover — is the
-        continuation of the install, a request of its own (re-sent on
-        silence, typed failure on a dead destination)."""
-        dest = message.dest
-        if dest == self.node_id:
-            return None
-        replica = obj._immutable
-        if replica:
-            shipment, edges = {message.vaddr: obj}, ()
-        else:
-            shipment, edges = self._table.take_group(message.vaddr, dest,
-                                                     may_wait)
-
-        def installed(outcome: Tuple) -> None:
-            # Not ok: the group stays forwarded (dest may hold it).
-            if outcome[0] and not replica:
-                self.stats["moves_out"] += 1
-            try:
-                self._answer(message, outcome)
-            except (RuntimeTransportError, OSError) as failure:
-                # On a reader, perhaps.  The reply is cached: replayed.
-                log.debug("node %d: reply to the mover: %s", self.node_id,
-                          failure)
-
-        try:
-            self._start(dest, None, m.InstallMsg, shipment, edges, replica,
-                        on_reply=installed)
-        except BaseException:
-            # Never transmitted, so the destination cannot hold it: a
-            # refused move leaves the group where it was.
-            self._table.adopt(shipment, edges, replica)
-            raise
-        return _LATER
-
-    def _install(self, message: m.InstallMsg, _obj, _may_wait) -> None:
-        self._table.adopt(message.objects, message.attach_edges,
-                          message.replica)
-        if message.replica:
-            self.stats["replicas_installed"] += len(message.objects)
-        else:
-            self.stats["moves_in"] += len(message.objects)
-
-    def _control(self, message: m.ControlMsg, obj, _may_wait) -> Any:
-        if message.op == "stats":
-            return self._stats_snapshot()
-        return self._table.control(obj, message.op, message.extra)
-
-    #: Each kind of request: its body, and whether a mesh reader may run
+    #: Each kind of request: its body (all but ``_invoke`` are in
+    #: :mod:`repro.runtime.bodies`), and whether a mesh reader may run
     #: it (user code never runs on a reader).
     _HANDLERS = {
         m.InvokeMsg: (_invoke, False),
-        m.CreateMsg: (_create, False),
-        m.MoveMsg: (_move_out, True),
-        m.InstallMsg: (_install, True),
-        m.LocateMsg: (_located, True),
-        m.ControlMsg: (_control, True),
+        m.CreateMsg: (bodies.create, False),
+        m.MoveMsg: (bodies.move_out, True),
+        m.InstallMsg: (bodies.install, True),
+        m.LocateMsg: (bodies.located, True),
+        m.ControlMsg: (bodies.control, True),
     }
 
 

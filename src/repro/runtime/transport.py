@@ -1,16 +1,9 @@
 """Length-framed pickle over TCP, plus the per-node connection mesh.
 
-Framing: 4-byte big-endian length, then the pickle of a pair — ``(code,
-fields)`` for a message (its class's index in
-:data:`~repro.runtime.messages.KINDS` and its fields as a plain tuple),
-``(-1, payload)`` for anything else.  The receiver checks that shape
-before it rebuilds the message.  Each node keeps one
+The frame format is :mod:`repro.runtime.frames`.  Each node keeps one
 outgoing connection per peer (dialed lazily) and accepts any number of
 incoming connections, each drained by a reader thread that hands decoded
-messages to a callback.  A reader fills one reusable buffer per
-connection and decodes every complete frame it holds before the next
-``recv``, so pipelined frames cost one syscall, not two each.  The first
-frame on a dialed connection is a
+messages to a callback.  The first frame on a dialed connection is a
 :class:`~repro.runtime.messages.Hello`; a connection that opens with
 anything else is rejected and closed, and so is one that carries a frame
 that does not decode (``bad_frames``) — the sender's resend ladder
@@ -18,7 +11,8 @@ redials.  The coordinator is a mesh peer too: :meth:`Mesh.control`
 names a *control peer*, whose frames bypass the chaos layer and the
 ``stats`` and whose connections' frames go to a handler of their own.
 
-The write side batches the same way.  Every outbound frame is encoded by
+The write side batches as a reader does (one ``recv`` serves every
+frame it completes).  Every outbound frame is encoded by
 the thread that sends it and appended to its peer's *outbox*; whichever
 thread holds that peer's write lock takes everything queued and writes
 it as one batch.  :meth:`Mesh.send` queues and then writes;
@@ -63,38 +57,25 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import random
 import socket
-import struct
 import threading
 import time
 import weakref
 from contextlib import suppress
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import FrameSizeError, RuntimeTransportError
-from repro.runtime.messages import KINDS, PROTOCOL_VERSION, Hello
+from repro.errors import RuntimeTransportError
+from repro.runtime.frames import (
+    _LENGTH,
+    _body_length,
+    _decode,
+    _encode,
+    _read_frames,
+)
+from repro.runtime.messages import PROTOCOL_VERSION, Hello
 
 logger = logging.getLogger(__name__)
-
-_LENGTH = struct.Struct(">I")
-
-#: Ceiling on a single frame (a moved object group); prevents a corrupt
-#: length prefix from triggering a giant allocation.
-MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-#: Size of a reader's reusable receive buffer.  A frame that does not
-#: fit is read into a buffer of its own, dropped once decoded.
-READ_BUFFER_BYTES = 16 * 1024
 
 #: Queued bytes at which an outbox stops growing: a sender that finds
 #: this much waiting writes it (waiting its turn for the write lock if
@@ -110,34 +91,13 @@ BACKOFF_CAP_S = 2.0
 DIAL_TIMEOUT_S = 10.0
 
 
-#: Wire code of each message class; a payload of any other type
-#: travels whole under :data:`_RAW`.
-_CODES: Dict[type, int] = {kind: code for code, kind in enumerate(KINDS)}
-_ARITIES: Tuple[int, ...] = tuple(len(kind._fields) for kind in KINDS)
-_RAW = -1
-
-
-def _encode(payload: Any) -> bytes:
-    """One frame: length prefix and pickle."""
-    code = _CODES.get(type(payload), _RAW)
-    data = pickle.dumps(
-        (code, payload if code == _RAW else tuple(payload)),
-        protocol=pickle.HIGHEST_PROTOCOL)
-    if len(data) > MAX_FRAME_BYTES:
-        raise FrameSizeError(f"frame of {len(data)} bytes exceeds limit")
-    return _LENGTH.pack(len(data)) + data
-
-
 def send_frame(sock: socket.socket, payload: Any) -> None:
     sock.sendall(_encode(payload))
 
 
 def recv_frame(sock: socket.socket) -> Any:
     header = _recv_exact(sock, _LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise RuntimeTransportError(f"oversized frame: {length} bytes")
-    return _decode(_recv_exact(sock, length))
+    return _decode(_recv_exact(sock, _body_length(header)))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -150,79 +110,6 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-def _recv_into_exact(sock: socket.socket, view: memoryview) -> None:
-    while view:
-        received = sock.recv_into(view)
-        if not received:
-            raise ConnectionError("peer closed the connection")
-        view = view[received:]
-
-
-def _decode(frame) -> Any:
-    """Unpickle one frame body and rebuild what it carries.  Bytes that
-    do not decode can raise nearly anything (``UnpicklingError``,
-    ``AttributeError``, ``ImportError``, ``IndexError``,
-    ``EOFError``...), and a body that decodes need not be a frame of
-    this protocol (a version 1 peer pickled the message itself), so all
-    of it is reported as one typed transport error."""
-    try:
-        body = pickle.loads(frame)
-    except Exception as error:
-        raise RuntimeTransportError(
-            f"undecodable frame of {len(frame)} bytes: "
-            f"{type(error).__name__}: {error}") from error
-    if type(body) is tuple and len(body) == 2 and type(body[0]) is int:
-        code, fields = body
-        if code == _RAW:
-            return fields
-        if 0 <= code < len(KINDS) and type(fields) is tuple \
-                and len(fields) == _ARITIES[code]:
-            return tuple.__new__(KINDS[code], fields)
-    raise RuntimeTransportError(
-        f"malformed frame of {len(frame)} bytes: not (code, fields) of a "
-        f"known message, got {type(body).__name__}")
-
-
-def _read_frames(conn: socket.socket) -> Iterator[Any]:
-    """Decoded frames of one inbound connection, in order, until the
-    peer closes it.  One ``recv_into`` a reusable buffer per batch:
-    every complete frame already held is yielded before the next
-    syscall."""
-    view = memoryview(bytearray(READ_BUFFER_BYTES))
-    start = end = 0            # unread bytes are view[start:end]
-    while True:
-        while end - start >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(view, start)
-            if length > MAX_FRAME_BYTES:
-                raise RuntimeTransportError(
-                    f"oversized frame: {length} bytes")
-            body = start + _LENGTH.size
-            if body + length <= end:
-                frame = view[body:body + length]
-                start = body + length
-            elif _LENGTH.size + length > len(view):
-                # Larger than the buffer: give it one of its own,
-                # read exactly to its end, and carry on in ours.
-                frame = memoryview(bytearray(length))
-                frame[:end - body] = view[body:end]
-                _recv_into_exact(conn, frame[end - body:])
-                start = end = 0
-            else:
-                break
-            yield _decode(frame)
-        if start == end:
-            start = end = 0
-        elif start:
-            # A partial frame at the tail: slide it to the front so
-            # the rest of it has room.
-            view[:end - start] = view[start:end]
-            start, end = 0, end - start
-        received = conn.recv_into(view[end:])
-        if not received:
-            return
-        end += received
 
 
 def _close_listener_at_fork(mesh: "Mesh") -> None:

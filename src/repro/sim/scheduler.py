@@ -108,7 +108,7 @@ class ControlledScheduler(Scheduler):
 
     def __init__(self, chooser, node_id: int) -> None:
         #: Anything with ``choose(kind, where, options, queued=())``
-        #: returning an index — see repro.analyze.check.ChoiceController.
+        #: returning an index — see repro.analyze.choice.ChoiceController.
         self._chooser = chooser
         self._node_id = node_id
         self._queue: List[SimThread] = []

@@ -324,3 +324,18 @@ def test_placement_loads_no_analysis_pass():
 
 def test_the_flow_analysis_loads_no_simulator():
     assert _loaded("repro.analyze.flow", "repro.sim") == []
+
+
+def test_the_choice_controller_loads_no_explorer_and_no_simulator():
+    """AmberCheck's recorder (``analyze/choice.py``) is what the
+    simulator's hooks call: it stands apart from the explorer that
+    drives it and from the simulator it records."""
+    tree = ast.parse((ANALYZE / "choice.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)} | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names}
+    assert not {name for name in imported
+                if name.startswith(("repro.sim", "repro.analyze.check"))}
+    assert _loaded("repro.analyze.choice", "repro.sim",
+                   "repro.analyze.check") == []

@@ -7,11 +7,11 @@ import json
 import pytest
 
 from repro.analyze.check import (
-    ChoiceController,
     check_program,
     run_schedule,
     sample_random_schedules,
 )
+from repro.analyze.choice import ChoiceController
 from repro.analyze.fixtures import (
     run_hidden_deadlock,
     run_hidden_race,

@@ -6,20 +6,25 @@ clock and moves the frames.  One transport carries every frame: only
 peer that holds a connection to the same handshake as a node.
 Simulator program text reaches the live runtime through one table
 (``runtime/programtext.py``), and only when a program runs: ``import
-repro.runtime`` loads no simulator.  No wall clock.
+repro.runtime`` loads no simulator.  The frame format
+(``runtime/frames.py``) and the worker pool (``runtime/workers.py``)
+are modules of their own, and every user of a name that moved there
+takes it from there.  No wall clock.
 """
 
 import ast
 import inspect
 import json
 import socket
+from pathlib import Path
 
 import pytest
 
 from repro.runtime import messages as m
+from repro.runtime import transport
 from repro.runtime.coordinator import Coordinator
+from repro.runtime.frames import _encode
 from repro.runtime.programtext import REFUSED, request_table
-from repro.runtime.transport import _encode
 from repro.sim import syscalls as sc
 from tests.test_kernel_layering import SRC, run_python
 
@@ -69,6 +74,73 @@ def test_the_lifecycle_is_decided_in_one_module():
                         and node.name in CLASSES), (path.name, node.name)
             assert not (isinstance(node, ast.Attribute)
                         and node.attr in FIELDS), (path.name, node.attr)
+
+
+def _imports_of(name):
+    return set(_imported(ast.parse((RUNTIME / name).read_text())))
+
+
+def _is_in(name, modules):
+    return any(name == module or name.startswith(module + ".")
+               for module in modules)
+
+
+def test_the_codec_reads_a_connection_it_is_handed():
+    imported = _imports_of("frames.py")
+    assert {name for name in imported if name.startswith("repro")
+            and not _is_in(name, ("repro.errors",
+                                  "repro.runtime.messages"))} == set()
+    assert not [name for name in imported
+                if _is_in(name, ("socket", "threading"))]
+
+
+def test_the_worker_pool_knows_no_requests():
+    assert not [name for name in _imports_of("workers.py")
+                if _is_in(name, ("repro",))]
+
+
+def test_only_the_codec_packs_bytes():
+    importers = sorted(path.name for path in RUNTIME.glob("*.py")
+                       if any(_is_in(name, ("struct",))
+                              for name in _imports_of(path.name)))
+    assert importers == ["frames.py"]
+
+
+#: Names that left a module, by the module they left.
+MOVED = {
+    "repro.runtime.kernel": {"_WorkerPool", "WORKER_IDLE_S", "_LATER"},
+    "repro.runtime.transport": {
+        "_LENGTH", "MAX_FRAME_BYTES", "READ_BUFFER_BYTES", "_CODES",
+        "_ARITIES", "_RAW", "_encode", "_decode", "_recv_into_exact",
+        "_read_frames"},
+    "repro.analyze.check": {"ChoicePoint", "ChoiceController",
+                            "RandomController"},
+}
+
+
+def test_a_moved_name_is_taken_from_its_new_home():
+    """No ``from <old home> import <name>`` and no patch of
+    ``"<old home>.<name>"`` in the sources or the tests: a patch left
+    on the transport would change a name the codec never reads."""
+    stale = []
+    tests = Path(__file__).resolve().parent
+    for path in sorted([*SRC.rglob("*.py"), *tests.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}"
+                         for alias in node.names}
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names = {node.value}
+            else:
+                continue
+            stale += [f"{path.name}: {name}" for name in names
+                      if name.rpartition(".")[2]
+                      in MOVED.get(name.rpartition(".")[0], ())]
+    assert stale == []
+    # Not even imported: the codec's ceilings are read where they live.
+    assert not {"MAX_FRAME_BYTES",
+                "READ_BUFFER_BYTES"} & vars(transport).keys()
 
 
 def test_only_the_transport_opens_sockets():

@@ -22,9 +22,9 @@ from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster, current_node
 from repro.runtime import messages as m
 from repro.runtime import objects as runtime_objects
+from repro.runtime.frames import _encode
 from repro.runtime.kernel import NodeKernel
 from repro.runtime.objects import process_kernel
-from repro.runtime.transport import _encode
 from tests.live_helpers import Mover, move_behind_the_drivers_back, next_hop
 
 
@@ -555,7 +555,7 @@ class TestAnswers:
     ])
     def test_an_outcome_that_cannot_be_framed_gets_a_stand_in(
             self, lone_kernel, monkeypatch, method, args, named):
-        monkeypatch.setattr("repro.runtime.transport.MAX_FRAME_BYTES", 1 << 15)
+        monkeypatch.setattr("repro.runtime.frames.MAX_FRAME_BYTES", 1 << 15)
         kernel, vaddr = lone_kernel
         answers = self._serve_twice(kernel, vaddr, method, *args)
         assert len(answers) == 2 and answers[0] == answers[1]

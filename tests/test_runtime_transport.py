@@ -15,18 +15,16 @@ from repro.faults.live import LiveDecision, LiveFaultInjector, decide_frame
 from repro.faults.plan import FaultPlan
 from repro.runtime import messages as m
 from repro.runtime.messages import Hello, InvokeMsg, ResultMsg
-from repro.runtime.kernel import _WorkerPool
-from repro.runtime.transport import (
+from repro.runtime.frames import (
     _LENGTH,
     MAX_FRAME_BYTES,
     READ_BUFFER_BYTES,
-    Mesh,
     _decode,
     _encode as _frame,
     _read_frames,
-    recv_frame,
-    send_frame,
 )
+from repro.runtime.transport import Mesh, recv_frame, send_frame
+from repro.runtime.workers import _WorkerPool
 
 
 def socket_pair():
@@ -687,7 +685,7 @@ class TestOutbox:
                                 AttributeError)):
                 call(1, lambda: None)           # unpicklable
         with monkeypatch.context() as patch:
-            patch.setattr("repro.runtime.transport.MAX_FRAME_BYTES", 64)
+            patch.setattr("repro.runtime.frames.MAX_FRAME_BYTES", 64)
             with pytest.raises(RuntimeTransportError):
                 mesh.post(1, b"x" * 65)         # oversized
         with pytest.raises(RuntimeTransportError):

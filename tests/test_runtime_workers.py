@@ -9,9 +9,8 @@ import pytest
 
 from repro.recovery.config import PEER_TIMEOUT_ENV
 from repro.runtime import AmberObject, Cluster
-from repro.runtime import kernel as kernel_module
-from repro.runtime.kernel import _WorkerPool
-from repro.runtime.transport import _LENGTH
+from repro.runtime.frames import _LENGTH
+from repro.runtime.workers import WORKER_IDLE_S, _WorkerPool
 
 
 class Gate(AmberObject):
@@ -77,7 +76,7 @@ class TestLivePool:
         assert cluster.call(gate, "poke") == "ok"   # connections dialed
         # A worker nothing used for one whole period leaves at its end:
         # two periods of quiet empty the pool, whatever the phase.
-        quiet = 2 * kernel_module.WORKER_IDLE_S + 0.3
+        quiet = 2 * WORKER_IDLE_S + 0.3
         time.sleep(quiet)
         before = cluster.call(gate, "threads")
         burst = [cluster.fork(gate, "wait") for _ in range(20)]

@@ -34,10 +34,12 @@ repro.core.invocation repro.errors repro.faults repro.faults.inject repro.faults
 repro.obs repro.obs.metrics repro.obs.perfetto repro.obs.profile
 repro.perf repro.perf.hotprof repro.recovery
 repro.recovery.config repro.runtime repro.runtime.cluster
-repro.runtime.coordinator repro.runtime.handles repro.runtime.kernel
+repro.runtime.bodies repro.runtime.coordinator repro.runtime.frames
+repro.runtime.handles repro.runtime.kernel
 repro.runtime.lifecycle repro.runtime.messages repro.runtime.node
 repro.runtime.objects repro.runtime.objtable repro.runtime.programtext
-repro.runtime.transport repro.sim repro.sim.cluster repro.sim.engine
+repro.runtime.transport repro.runtime.workers
+repro.sim repro.sim.cluster repro.sim.engine
 repro.sim.kernel repro.sim.mobility repro.sim.network repro.sim.node
 repro.sim.objects
 repro.sim.program repro.sim.scheduler repro.sim.stats repro.sim.sync
