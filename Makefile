@@ -6,8 +6,9 @@
 install:
 	pip install -e . || python setup.py develop
 
+# The tier-1 suite.
 test:
-	python -m pytest tests/ -q
+	PYTHONPATH=src python -m pytest -x -q
 
 # Every Amber program shipped in the tree: the bundled apps and
 # examples, the paper-figure drivers.
@@ -49,16 +50,16 @@ perf:
 	PYTHONPATH=src python -m repro run sor --fast --hotloop
 
 artifacts:
-	python -m repro all
+	PYTHONPATH=src python -m repro all
 
 examples:
-	python examples/quickstart.py
-	python examples/sor_speedup.py
-	python examples/distributed_philosophers.py
-	python examples/custom_scheduler.py
-	python examples/mobile_directory.py
-	python examples/parallel_queens.py
-	python examples/replicated_matmul.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/sor_speedup.py
+	PYTHONPATH=src python examples/distributed_philosophers.py
+	PYTHONPATH=src python examples/custom_scheduler.py
+	PYTHONPATH=src python examples/mobile_directory.py
+	PYTHONPATH=src python examples/parallel_queens.py
+	PYTHONPATH=src python examples/replicated_matmul.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

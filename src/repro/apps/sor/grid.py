@@ -53,6 +53,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.errors import finite
+
 #: The specific problem measured in Figure 2: "a grid size of 122 by 842".
 PAPER_ROWS = 122
 PAPER_COLS = 842
@@ -88,6 +90,10 @@ class SorProblem:
     tolerance: float = 0.0
     #: Boundary temperatures: (top, bottom, left, right).
     boundary: Tuple[float, float, float, float] = (100.0, 0.0, 0.0, 0.0)
+
+    def __post_init__(self) -> None:
+        for name in ("rows", "cols", "iterations"):
+            finite(name, getattr(self, name), ValueError, 1, integral=True)
 
     @property
     def points(self) -> int:

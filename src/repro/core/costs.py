@@ -62,6 +62,10 @@ from repro.errors import finite
 MAX_DURATION_US = 1e15
 #: Ceiling on a byte count a setting names (1 TiB).
 MAX_BYTES = 1 << 40
+#: Ceiling on a node count and on the processors of a node: a simulated
+#: cluster builds every node and processor up front, and a live one
+#: starts one OS process per node.
+MAX_NODES_OR_CPUS = 1024
 
 
 @dataclass(frozen=True)

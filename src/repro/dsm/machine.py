@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.costs import CostModel
+from repro.core.costs import MAX_NODES_OR_CPUS, CostModel
 from repro.dsm import ops
 from repro.dsm.pages import (
     ManagerTable,
@@ -54,7 +54,12 @@ from repro.dsm.pages import (
     PageTable,
     pages_of_range,
 )
-from repro.errors import DeadlockError, InvocationError, SimulationError
+from repro.errors import (
+    DeadlockError,
+    InvocationError,
+    SimulationError,
+    finite,
+)
 from repro.sim.engine import Simulator
 from repro.sim.network import Ethernet
 
@@ -142,8 +147,10 @@ class IvyCluster:
     def __init__(self, nodes: int, cpus_per_node: int,
                  costs: Optional[CostModel] = None,
                  manager_mode: str = "fixed"):
-        if nodes < 1 or cpus_per_node < 1:
-            raise SimulationError("cluster needs >=1 node and >=1 CPU")
+        for name, count in (("nodes", nodes),
+                            ("cpus_per_node", cpus_per_node)):
+            finite(name, count, SimulationError, 1, MAX_NODES_OR_CPUS,
+                   integral=True)
         if manager_mode not in self.MANAGER_MODES:
             raise SimulationError(
                 f"unknown manager_mode {manager_mode!r}; "

@@ -38,10 +38,12 @@ PEER_TIMEOUT_ENV = "REPRO_PEER_TIMEOUT_S"
 DEFAULT_PEER_TIMEOUT_S = 30.0
 
 #: Shortest checkpoint sweep period.  Each sweep ships one message per
-#: quiescent mutable object, and one message holds the Ethernet for
-#: ``net_latency_us`` (0.8 ms at Firefly costs): a much shorter period
-#: queues checkpoints faster than the wire drains them, and the run's
-#: own messages wait behind a queue that keeps growing.
+#: quiescent mutable object, and one message holds the Ethernet for its
+#: bytes times ``per_byte_us`` — 284.8 us at Firefly costs for a default
+#: 256-byte object and the 100-byte header; ``net_latency_us`` overlaps
+#: it: a much shorter period queues checkpoints faster than the wire
+#: drains them, and the run's own messages wait behind a queue that
+#: keeps growing.
 MIN_CHECKPOINT_INTERVAL_US = 1_000.0
 
 

@@ -13,6 +13,7 @@ import time
 from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.core.address_space import DEFAULT_REGION_BYTES
+from repro.core.costs import MAX_NODES_OR_CPUS
 from repro.errors import ClusterError, finite
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.coordinator import Coordinator, CoordinatorClient
@@ -36,7 +37,7 @@ class Cluster:
                  region_bytes: int = DEFAULT_REGION_BYTES,
                  chaos=None):
         self.num_nodes = finite("nodes", nodes, ClusterError, 1,
-                                integral=True)
+                                MAX_NODES_OR_CPUS, integral=True)
         self._region_bytes = region_bytes
         #: Optional frozen FaultPlan: every node's mesh (driver
         #: included) gets a seeded LiveFaultInjector, and

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from repro.core.address_space import AddressSpaceServer
 from repro.core.attachment import AttachmentGraph
-from repro.core.costs import CostModel
+from repro.core.costs import MAX_NODES_OR_CPUS, CostModel
 from repro.errors import SimulationError, finite
 from repro.faults.inject import FaultInjector
 from repro.obs.metrics import MetricsRegistry
@@ -16,11 +16,6 @@ from repro.sim.network import Ethernet
 from repro.sim.node import SimNode
 from repro.sim.objects import SimObject
 from repro.sim.stats import ClusterStats
-
-
-#: Ceiling on ``nodes`` and on ``cpus_per_node``: a cluster builds every
-#: node and processor up front.
-MAX_NODES_OR_CPUS = 1024
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.apps.sor import SorProblem, run_amber_sor
-from repro.core.costs import CostModel
+from repro.core.costs import MAX_NODES_OR_CPUS, CostModel
+from repro.dsm.machine import IvyCluster
 from repro.errors import AmberError, ClusterError, SimulationError, finite
 from repro.faults import FaultPlan, NodeCrash, Partition
 from repro.recovery.config import RecoveryConfig
@@ -134,19 +135,45 @@ def test_tracer_refuses_nan_with_a_value_error():
         Tracer(max_events=NAN)
 
 
-def test_live_cluster_refuses_a_fractional_node_count():
+@pytest.mark.parametrize("nodes", [2.5, MAX_NODES_OR_CPUS + 1, 10**400],
+                         ids=["fractional", "past-the-ceiling", "10**400"])
+def test_live_cluster_refuses_a_fractional_node_count(nodes, monkeypatch):
+    def no_processes(*args):
+        raise AssertionError("a refused node count started a cluster")
+
+    # The check comes first: nothing is started for a count it refuses.
+    monkeypatch.setattr("repro.runtime.cluster.Coordinator", no_processes)
     with pytest.raises(ClusterError, match="^nodes "):
-        Cluster(nodes=2.5)
+        Cluster(nodes=nodes)
+
+
+@pytest.mark.parametrize("count", [2.5, NAN, True, MAX_NODES_OR_CPUS + 1],
+                         ids=["fractional", "nan", "bool", "past-the-ceiling"])
+@pytest.mark.parametrize("name", ["nodes", "cpus_per_node"])
+def test_dsm_cluster_refuses_a_count_that_is_not_a_machine(name, count):
+    shape = dict(nodes=2, cpus_per_node=1)
+    shape[name] = count
+    with pytest.raises(SimulationError, match=f"^{name} "):
+        IvyCluster(**shape)
 
 
 @pytest.mark.parametrize("kwargs,name", [
     (dict(sections=2.5), "sections"),
     (dict(workers_per_section=1.5), "workers_per_section"),
-], ids=["sections", "workers_per_section"])
+    (dict(rows=2.5), "rows"),
+    (dict(rows=NAN), "rows"),
+    (dict(rows=0), "rows"),
+    (dict(cols=2.5), "cols"),
+    (dict(iterations=NAN), "iterations"),
+    (dict(iterations=-1), "iterations"),
+], ids=["sections", "workers_per_section", "rows-2.5", "rows-nan",
+        "rows-0", "cols-2.5", "iterations-nan", "iterations--1"])
 def test_sor_refuses_a_fractional_shape(kwargs, name):
+    shape, options = dict(rows=6, cols=8, iterations=2), {}
+    for key, value in kwargs.items():
+        (shape if key in shape else options)[key] = value
     with pytest.raises(ValueError, match=f"^{name} "):
-        run_amber_sor(SorProblem(rows=6, cols=8, iterations=2), nodes=1,
-                      **kwargs)
+        run_amber_sor(SorProblem(**shape), nodes=1, **options)
 
 
 # ---------------------------------------------------------------------------
