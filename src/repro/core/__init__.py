@@ -19,15 +19,13 @@ from repro.core.address_space import (
 )
 from repro.core.attachment import AttachmentGraph
 from repro.core.costs import CostModel
-from repro.core.descriptor import Descriptor, DescriptorState, DescriptorTable
+from repro.core.descriptor import DescriptorTable
 
 __all__ = [
     "AddressSpaceServer",
     "AttachmentGraph",
     "CostModel",
     "DEFAULT_REGION_BYTES",
-    "Descriptor",
-    "DescriptorState",
     "DescriptorTable",
     "NodeHeap",
     "Region",

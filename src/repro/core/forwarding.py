@@ -74,7 +74,7 @@ def resolve(address: int, start_node: int,
                 f"forwarding cycle for object {address:#x}: "
                 f"{path + [next_node]}")
         # Uninitialized (a zero-filled page): the hop went to the home.
-        via_home = via_home or address not in table
+        via_home = via_home or address not in table.where
         node = next_node
         path.append(node)
     raise ObjectNotFoundError(

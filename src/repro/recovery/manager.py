@@ -137,8 +137,8 @@ class RecoveryManager:
     def _checkpointable(self, node: SimNode):
         """``(vaddr, object)`` of every object resident on ``node`` that
         checkpoints, in address order."""
-        for vaddr, descriptor in sorted(node.descriptors.items()):
-            if descriptor.resident:
+        for vaddr, where in sorted(node.descriptors.where.items()):
+            if where == node.id:
                 obj = self.cluster.objects.get(vaddr)
                 if obj is not None and self.checkpoints.eligible(obj):
                     yield vaddr, obj
@@ -178,8 +178,6 @@ class RecoveryManager:
         epoch = self.checkpoints.next_epoch(vaddr)
         state = snapshot_state(obj)
         nbytes = self.costs.control_bytes + obj.size_bytes
-        self.cluster.node(primary).descriptors.set_backup(
-            vaddr, backup, epoch)
         self.metrics.inc("checkpoints_shipped")
         if carrier is not None:
             carrier.carried_checkpoints.append(
@@ -408,7 +406,6 @@ class RecoveryManager:
         restore_state(obj, state)
         backup = self.cluster.node(backup_id)
         backup.descriptors.set_resident(vaddr)
-        backup.descriptors.set_backup(vaddr, None, epoch)
         dead_node.descriptors.set_forwarding(vaddr, backup_id)
         home = self.cluster.home_node(vaddr)
         if home != backup_id:

@@ -173,8 +173,8 @@ class AmberKernel:
         rec = self.recovery
         if rec is not None:
             rec.node_restarted(node_id)
-        stale = [vaddr for vaddr, descriptor in node.descriptors.items()
-                 if not descriptor.resident
+        stale = [vaddr for vaddr, where in node.descriptors.where.items()
+                 if where != node_id
                  and self.cluster.home_node(vaddr) != node_id]
         for vaddr in stale:
             node.descriptors.clear(vaddr)
@@ -246,7 +246,7 @@ class AmberKernel:
         if action is not None and action[0] == "invoke":
             _, request, is_root = action
             vaddr = request.target._vaddr
-            if node.descriptors.is_resident(vaddr):
+            if node.descriptors.where.get(vaddr) == node.id:
                 thread.on_arrival = None
                 rec = self.recovery
                 if rec is not None and \
@@ -261,7 +261,7 @@ class AmberKernel:
         # the current frame's object first.
         if thread.stack:
             vaddr = thread.stack[-1].obj._vaddr
-            if not node.descriptors.is_resident(vaddr):
+            if node.descriptors.where.get(vaddr) != node.id:
                 self.mobility.migrate(thread, vaddr)
                 return
         if action is not None:
@@ -491,7 +491,7 @@ class AmberKernel:
         vaddr = request.target._vaddr
         log = self.cluster.access_log.setdefault(vaddr, {})
         log[node.id] = log.get(node.id, 0) + 1
-        if node.descriptors.is_resident(vaddr):
+        if node.descriptors.where.get(vaddr) == node.id:
             node.stats.local_invocations += 1
             rec = self.recovery
             if rec is not None and not request.target.immutable \
@@ -612,7 +612,7 @@ class AmberKernel:
         sure we are where the caller's object lives before continuing."""
         node = self.cluster.nodes[thread.location]
         vaddr = thread.stack[-1].obj._vaddr
-        if node.descriptors.is_resident(vaddr):
+        if node.descriptors.where.get(vaddr) == node.id:
             self._resume_caller(thread, value, exc)
         else:
             self.mobility.migrate(thread, vaddr,

@@ -107,6 +107,10 @@ class Mobility:
         #: Histograms fed once per migration or chase are held.
         self._hists = Held(kernel.metrics.histogram)
         self._home_of = kernel.cluster.home_node
+        #: A migration's CPU costs at either end (the cost model is
+        #: frozen, so they are summed once).
+        self._send_cpu_us = kernel.costs.thread_send_cpu_us()
+        self._recv_cpu_us = kernel.costs.thread_recv_cpu_us()
 
     # ------------------------------------------------------------------
     # Thread migration (function shipping)
@@ -118,7 +122,7 @@ class Mobility:
         thread toward the target object."""
         if on_arrival is not None:
             thread.on_arrival = on_arrival
-        self.kernel.charge(thread, self.costs.thread_send_cpu_us(),
+        self.kernel.charge(thread, self._send_cpu_us,
                            partial(self._depart, thread, vaddr, payload))
 
     def _depart(self, thread: SimThread, vaddr: int, payload: int) -> None:
@@ -151,13 +155,14 @@ class Mobility:
 
     def _relocate_thread_object(self, thread: SimThread,
                                 node_id: int) -> None:
-        """Keep the thread object's descriptors consistent as it moves."""
+        """Keep the thread object's descriptors consistent as it moves.
+        Once per arrival, so both entries are written in place."""
         nodes = self.cluster.nodes
+        vaddr = thread._vaddr
         previous = thread._location
         if previous is not None and previous != node_id:
-            nodes[previous].descriptors.set_forwarding(thread._vaddr,
-                                                       node_id)
-        nodes[node_id].descriptors.set_resident(thread._vaddr)
+            nodes[previous].descriptors.where[vaddr] = node_id
+        nodes[node_id].descriptors.where[vaddr] = node_id
         thread._location = node_id
 
     # ------------------------------------------------------------------
@@ -175,10 +180,12 @@ class Mobility:
 
     def _hop(self, chase: Chase, src: int, dst: int) -> None:
         chase.hop = dst
-        self.net.send_reliable(
+        net = self.net
+        # Without an injector no send gives up: build nothing for it.
+        net.send_reliable(
             src, dst, chase.nbytes, partial(self._arrived, chase, dst),
-            on_give_up=partial(self._unreachable, chase, src, dst),
-            kind=chase.kind)
+            None if net.faults is None
+            else partial(self._unreachable, chase, src, dst), chase.kind)
 
     def _arrived(self, chase: Chase, node_id: int) -> None:
         thread = chase.thread
@@ -205,7 +212,7 @@ class Mobility:
             raise ObjectNotFoundError(
                 f"{chase.who()} chased object {vaddr:#x} for more than "
                 f"{MAX_CHASE_HOPS} hops")
-        if not node.descriptors.is_resident(vaddr):
+        if node.descriptors.where.get(vaddr) != node_id:
             # Not here: follow the chain one more hop, after the
             # forwarding cost.  A migrating thread's next hop is read on
             # arrival, a control message's when the cost has elapsed (a
@@ -236,7 +243,7 @@ class Mobility:
             san.on_migrate(thread, node_id, now_us)
         hists["migration_us"].observe(now_us - thread.transit_start_us)
         thread.chase = None
-        kernel.ready(thread, node_id, self.costs.thread_recv_cpu_us())
+        kernel.ready(thread, node_id, self._recv_cpu_us)
 
     def _forward(self, chase: Chase, node: SimNode,
                  next_node: Optional[int] = None) -> None:

@@ -34,8 +34,7 @@ class TestLongChains:
             # Rebuild the worst-case chain 0 -> 1 -> 2 -> 3 -> 4 -> 5.
             build_chain(ctx.cluster, cell.vaddr, [0, 1, 2, 3, 4, 5])
             value = yield Invoke(cell, "add", 10)
-            origin = ctx.cluster.node(0).descriptors.lookup(cell.vaddr)
-            return value, origin.forward_to
+            return value, ctx.cluster.node(0).descriptors.where[cell.vaddr]
 
         value, cached = run(main, nodes=6, cpus=1).value
         assert value == 11
@@ -101,8 +100,7 @@ class TestCycles:
             ctx.cluster.node(0).descriptors.update_hint(cell.vaddr, 1)
             ctx.cluster.node(1).descriptors.update_hint(cell.vaddr, 0)
             yield Invoke(cell, "get")
-            home = ctx.cluster.node(0).descriptors.lookup(cell.vaddr)
-            return home.forward_to
+            return ctx.cluster.node(0).descriptors.where[cell.vaddr]
 
         result = run(main, nodes=3, cpus=1)
         assert result.value == 2

@@ -34,7 +34,7 @@ class TestMoveTo:
             yield MoveTo(cell, 1)
             tables = ctx.cluster.descriptor_tables()
             return (tables[0].is_resident(cell.vaddr),
-                    tables[0].lookup(cell.vaddr).forward_to,
+                    tables[0].where[cell.vaddr],
                     tables[1].is_resident(cell.vaddr))
 
         assert run_free(main).value == (False, 1, True)

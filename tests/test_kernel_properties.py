@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import forwarding
-from repro.core.descriptor import DescriptorState
 from repro.errors import AmberError
 from repro.sim.objects import SimObject
 from repro.sim.program import run_program
