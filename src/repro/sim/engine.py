@@ -155,8 +155,12 @@ class Simulator:
         maintenance (pop + cancelled-event skipping) and event dispatch
         are timed separately; heap pushes and subsystem hooks nested
         inside a dispatch are timed by the profiler's swapped-in
-        ``heappush`` and hook proxies, and subtracted by its report."""
+        ``heappush`` and hook proxies, and subtracted by its report.
+        Each dispatch is also booked under the step it ran (the
+        profiler's ``step_name``, timed with it)."""
         profiler = self.profiler
+        steps = profiler.dispatch_steps
+        step_name = profiler.step_name
         queue = self.queue
         pop = heappop
         max_events = self.max_events
@@ -179,14 +183,18 @@ class Simulator:
                 pop(queue)
                 t1 = perf_counter()
                 profiler.heap_pop_s += t1 - t0
+                fn = head[2]
+                step = step_name(fn)
                 self.now_ns = head[0]
                 events_run += 1
                 if events_run > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; "
                         "likely a livelocked simulation")
-                head[2]()
-                profiler.dispatch_s += perf_counter() - t1
+                fn()
+                spent = perf_counter() - t1
+                profiler.dispatch_s += spent
+                steps[step] = steps.get(step, 0.0) + spent
                 profiler.events += 1
                 if profiler.events % profiler.sample_every == 0:
                     profiler.take_sample()

@@ -144,6 +144,37 @@ class TestHotLoopProfiler:
             assert f"hook:{name}" in text
         assert "events/sec" in text
 
+    def test_dispatch_steps_partition_dispatch(self):
+        """Every dispatch is booked under one step, a charge under the
+        continuation its ``Cpu.fire`` runs and a network delivery under
+        what it delivers."""
+        profiler = _profiled_sor()
+        steps = profiler.dispatch_steps
+        assert sum(steps.values()) == pytest.approx(profiler.dispatch_s,
+                                                    rel=1e-9)
+        assert not {"Cpu.fire", "Ethernet._landed"} & steps.keys()
+        assert {"AmberKernel._after_switch_in",
+                "Mobility._arrived"} <= steps.keys()
+        top = profiler.top_steps()
+        assert len(top) == 10
+        assert [seconds for _, seconds in top] == sorted(
+            (seconds for _, seconds in top), reverse=True)
+        assert list(profiler.as_dict()["dispatch_steps_s"]) \
+            == sorted(steps, key=lambda name: (-steps[name], name))
+        text = render_hotloop(profiler)
+        assert all(name in text for name, _ in top)
+
+    def test_an_untraced_run_makes_the_same_calls_after_profiling(self):
+        from tests import hot_path_programs as programs
+        from tests.test_hot_path_budget import count_python_calls
+
+        before, _ = count_python_calls(programs.run_forkjoin)
+        with profile_runs() as profiler:
+            programs.run_forkjoin()
+        assert profiler.dispatch_steps
+        after, _ = count_python_calls(programs.run_forkjoin)
+        assert after == before
+
     def test_attach_requires_detach_first(self):
         from repro.sim.cluster import ClusterConfig, SimCluster
 
@@ -202,8 +233,8 @@ class TestPerfCli:
         prof = views["hotloop"]
         assert prof["attributed_fraction"] >= 0.9
         assert sorted(prof) == [
-            "attached", "attributed_fraction", "events", "heap_pushes",
-            "phases_s", "runs", "total_s"]
+            "attached", "attributed_fraction", "dispatch_steps_s",
+            "events", "heap_pushes", "phases_s", "runs", "total_s"]
         assert prof["attached"] == ["tracer"]
         assert json.load(open(trace))["traceEvents"]
         assert "Hot-loop self-profile" in capsys.readouterr().out
