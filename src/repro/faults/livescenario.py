@@ -283,7 +283,7 @@ def _run_dedup_probe(seed: int, fast: bool) -> Outcome:
     with _peer_timeout(6.0), Cluster(nodes=2) as cluster:
         handle = cluster.create(ChaosCounter, node=1)
         kernel = cluster.kernel
-        request_id = next(kernel._request_ids)
+        request_id = next(kernel.request_ids)
         message = m.InvokeMsg(request_id, 0, handle.vaddr, "add", (1,),
                               {}, trace=(0,))
         # A byte-identical duplicate pair, as the chaos layer's
@@ -328,7 +328,7 @@ def _run_typed_failure(seed: int, fast: bool) -> Outcome:
         t_second = time.monotonic()
         second_error = _expect_failure(cluster, handle)
         second_s = time.monotonic() - t_second
-        stats = cluster.kernel._stats_snapshot()
+        stats = cluster.kernel.stats_snapshot()
         fast_fails = stats.get("circuit_fast_fails", 0)
         counters = _gather_counters(cluster)
     typed = (isinstance(first_error, (NodeFailure, TimeoutError))

@@ -18,7 +18,7 @@ _LATER = object()
 
 
 def create(kernel, message: m.CreateMsg, _obj, _may_wait) -> int:
-    return kernel._table.create(message.cls, message.args, message.kwargs)
+    return kernel.table.create(message.cls, message.args, message.kwargs)
 
 
 def located(kernel, _message, _obj, _may_wait) -> int:
@@ -37,34 +37,34 @@ def move_out(kernel, message: m.MoveMsg, obj, may_wait) -> Any:
     if replica:
         shipment, edges = {message.vaddr: obj}, ()
     else:
-        shipment, edges = kernel._table.take_group(message.vaddr, dest,
-                                                   may_wait)
+        shipment, edges = kernel.table.take_group(message.vaddr, dest,
+                                                  may_wait)
 
     def installed(outcome: Tuple) -> None:
         # Not ok: the group stays forwarded (dest may hold it).
         if outcome[0] and not replica:
             kernel.stats["moves_out"] += 1
         try:
-            kernel._answer(message, outcome)
+            kernel.answer(message, outcome)
         except (RuntimeTransportError, OSError) as failure:
             # On a reader, perhaps.  The reply is cached: replayed.
             log.debug("node %d: reply to the mover: %s", kernel.node_id,
                       failure)
 
     try:
-        kernel._start(dest, None, m.InstallMsg, shipment, edges, replica,
-                      on_reply=installed)
+        kernel.start(dest, None, m.InstallMsg, shipment, edges, replica,
+                     on_reply=installed)
     except BaseException:
         # Never transmitted, so the destination cannot hold it: a
         # refused move leaves the group where it was.
-        kernel._table.adopt(shipment, edges, replica)
+        kernel.table.adopt(shipment, edges, replica)
         raise
     return _LATER
 
 
 def install(kernel, message: m.InstallMsg, _obj, _may_wait) -> None:
-    kernel._table.adopt(message.objects, message.attach_edges,
-                        message.replica)
+    kernel.table.adopt(message.objects, message.attach_edges,
+                       message.replica)
     if message.replica:
         kernel.stats["replicas_installed"] += len(message.objects)
     else:
@@ -73,5 +73,5 @@ def install(kernel, message: m.InstallMsg, _obj, _may_wait) -> None:
 
 def control(kernel, message: m.ControlMsg, obj, _may_wait) -> Any:
     if message.op == "stats":
-        return kernel._stats_snapshot()
-    return kernel._table.control(obj, message.op, message.extra)
+        return kernel.stats_snapshot()
+    return kernel.table.control(obj, message.op, message.extra)

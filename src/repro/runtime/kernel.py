@@ -89,7 +89,7 @@ class NodeKernel:
         #: (:meth:`_flush` takes a peer out before it writes).
         self._posted: Set[int] = set()
         self._resender_stop = threading.Event()
-        self._request_ids = itertools.count(
+        self.request_ids = itertools.count(
             random.SystemRandom().getrandbits(REQUEST_ID_BASE_BITS))
         #: Jitter source for the resend ladder (seeded per node so test
         #: runs are reproducible).
@@ -102,7 +102,7 @@ class NodeKernel:
             "resends", "dedup_in_flight", "dedup_replayed",
             # Worker pool: threads created, messages given to a parked one.
             "workers_started", "worker_handoffs"), 0)
-        self._table = ObjectTable(node_id, coordinator_client, self.stats)
+        self.table = ObjectTable(node_id, coordinator_client, self.stats)
         self._workers = _WorkerPool(self._dispatch,
                                     f"amber-worker-{node_id}", self.stats)
         set_process_kernel(self)
@@ -115,7 +115,7 @@ class NodeKernel:
                node: Optional[int] = None) -> Handle:
         """Create an object (locally, or on ``node``)."""
         if node is None or node == self.node_id:
-            return Handle(self._table.create(cls, args, kwargs))
+            return Handle(self.table.create(cls, args, kwargs))
         return Handle(self._request(node, None, m.CreateMsg, cls, args,
                                     kwargs))
 
@@ -123,10 +123,10 @@ class NodeKernel:
                kwargs: dict) -> Any:
         """Invoke ``method`` on the object at ``vaddr`` (synchronously,
         wherever it lives)."""
-        obj = self._table.resident(vaddr)
+        obj = self.table.resident(vaddr)
         if obj is not None:
             self.stats["local_invocations"] += 1
-            return self._table.execute(obj, method, args, kwargs)
+            return self.table.execute(obj, method, args, kwargs)
         self.stats["remote_invocations"] += 1
         return self._request(None, vaddr, m.InvokeMsg, vaddr, method, args,
                              kwargs, (self.node_id,), current_thread())
@@ -135,19 +135,19 @@ class NodeKernel:
              kwargs: dict) -> ThreadHandle:
         """Start an Amber thread running ``method`` on the object; it
         executes at the object's node."""
-        entry = self._start(None, vaddr, m.InvokeMsg, vaddr, method, args,
-                            kwargs, (self.node_id,), post=True)
+        entry = self.start(None, vaddr, m.InvokeMsg, vaddr, method, args,
+                           kwargs, (self.node_id,), post=True)
         return ThreadHandle(self, entry, method, vaddr)
 
     def move(self, vaddr: int, dest: int) -> None:
         """MoveTo: relocate the object (and its attachment group).  The
         reply comes once the install landed: the mover now hints ``dest``."""
         self._request(None, vaddr, m.MoveMsg, vaddr, dest)
-        self._table.hint(vaddr, dest)
+        self.table.hint(vaddr, dest)
 
     def locate(self, vaddr: int) -> int:
         """Locate: the node where the object currently resides."""
-        if self._table.resident(vaddr) is not None:
+        if self.table.resident(vaddr) is not None:
             return self.node_id
         return self._request(None, vaddr, m.LocateMsg, vaddr,
                              (self.node_id,))
@@ -159,10 +159,10 @@ class NodeKernel:
 
     def node_stats(self, node: int) -> Dict[str, int]:
         if node == self.node_id:
-            return self._stats_snapshot()
+            return self.stats_snapshot()
         return self._request(node, None, m.ControlMsg, -1, "stats")
 
-    def _stats_snapshot(self) -> Dict[str, int]:
+    def stats_snapshot(self) -> Dict[str, int]:
         """Kernel counters plus the mesh's (as ``transport_*`` keys),
         the circuit breakers', and the chaos layer's."""
         snapshot = dict(self.stats)
@@ -198,10 +198,10 @@ class NodeKernel:
 
     # -- Request plumbing: start, re-send with backoff, bounded wait ---
 
-    def _start(self, node: Optional[int], vaddr: Optional[int],
-               kind: type, *fields: Any, post: bool = False,
-               on_reply: Optional[Callable[[Tuple], None]] = None
-               ) -> Pending:
+    def start(self, node: Optional[int], vaddr: Optional[int],
+              kind: type, *fields: Any, post: bool = False,
+              on_reply: Optional[Callable[[Tuple], None]] = None
+              ) -> Pending:
         """Send ``kind(request_id, this node, *fields)`` to ``node`` —
         or, with a ``vaddr``, as :class:`Pending` says — and return its
         entry for :meth:`wait_reply`.  Every (re)send routes afresh
@@ -211,7 +211,7 @@ class NodeKernel:
         continuation.  Raises, leaving nothing behind, when the request
         was never accepted for transmission (a routing verdict, an
         encode error, an unknown peer)."""
-        request_id = next(self._request_ids)
+        request_id = next(self.request_ids)
         entry = Pending(kind(request_id, self.node_id, *fields), node,
                         vaddr, on_reply, time.monotonic())
         self._pending[request_id] = entry
@@ -223,7 +223,7 @@ class NodeKernel:
         return entry
 
     def _request(self, node, vaddr, kind, *fields) -> Any:
-        return self.wait_reply(self._start(node, vaddr, kind, *fields))
+        return self.wait_reply(self.start(node, vaddr, kind, *fields))
 
     def _route(self, entry: Pending) -> int:
         """The target of the next transmission of ``entry``: this node,
@@ -232,8 +232,8 @@ class NodeKernel:
         leaves here)."""
         target, vaddr = entry.node, entry.vaddr
         if vaddr is not None:
-            target = self._table.descriptors.next_hop(
-                vaddr, self._table.home_node)
+            target = self.table.descriptors.next_hop(
+                vaddr, self.table.home_node)
         if target == self.node_id:
             return target
         suspected = self._suspected_peers()
@@ -241,7 +241,7 @@ class NodeKernel:
             return target
         return self._circuits.route(
             target, suspected, time.monotonic(),
-            None if vaddr is None else lambda: self._table.home_node(vaddr))
+            None if vaddr is None else lambda: self.table.home_node(vaddr))
 
     def _send_request(self, entry: Pending, post: bool = False) -> None:
         """One transmission of a pending request: what raises is
@@ -364,7 +364,7 @@ class NodeKernel:
         except Exception:
             pass
 
-    def _answer(self, message, outcome: Tuple) -> None:
+    def answer(self, message, outcome: Tuple) -> None:
         """The one way a served request is answered: its outcome ``(ok,
         value, error)`` is cached, then posted to the origin.  Only an
         outcome that cannot be framed (does not pickle, or is too big)
@@ -393,7 +393,7 @@ class NodeKernel:
                     "answering with a RemoteInvocationError stand-in",
                     self.node_id, what, request_id,
                     type(unframable).__name__, unframable)
-        self._answer(message, (False, None, RemoteInvocationError(
+        self.answer(message, (False, None, RemoteInvocationError(
             f"{what} could not be framed: {type(unframable).__name__}: "
             f"{unframable}", remote_traceback="" if ok else "".join(
                 traceback.format_exception(type(error), error,
@@ -419,12 +419,12 @@ class NodeKernel:
                     # Relayed there: the relay is up; the object is at peer.
                     self._circuits.record_success(entry.last_target)
                     if type(entry.message) in _LOCATING:
-                        self._table.hint(entry.message.vaddr, peer)
+                        self.table.hint(entry.message.vaddr, peer)
                 entry.deliver(message[1:])
         elif kind is m.LocationHint:
-            self._table.hint(*message)
+            self.table.hint(*message)
         elif peer != self.node_id and not (
-                kind is m.InvokeMsg and message.vaddr in self._table.objects):
+                kind is m.InvokeMsg and message.vaddr in self.table.objects):
             # The probe is advisory: _serve decides.
             self._dispatch(message, False)
         else:
@@ -473,7 +473,7 @@ class NodeKernel:
         except AttributeError:      # a create or an install names none
             vaddr = -1
         if vaddr != -1:             # a "stats" control names none either
-            obj = self._table.resident(vaddr)
+            obj = self.table.resident(vaddr)
             if obj is None:
                 if not self._duplicate(message, claim=False):
                     self._forward(message, may_wait)
@@ -503,10 +503,10 @@ class NodeKernel:
         except BaseException as error:
             # Even a SystemExit out of user code is the caller's answer:
             # swallowed here it would only end this worker, silently.
-            self._answer(message, (False, None, error))
+            self.answer(message, (False, None, error))
         else:
             if value is not _LATER:
-                self._answer(message, (True, value, None))
+                self.answer(message, (True, value, None))
 
     def _forward(self, message, may_wait: bool) -> None:
         """Forward a routed message one hop along the chain, or reply
@@ -517,10 +517,10 @@ class NodeKernel:
             if len(trace) > MAX_TRACE:
                 raise ObjectNotFoundError(
                     f"object {vaddr:#x}: chase exceeded {MAX_TRACE} hops")
-            target = self._table.descriptors.next_hop(
-                vaddr, lambda _: self._table.home_node(vaddr, may_wait))
+            target = self.table.descriptors.next_hop(
+                vaddr, lambda _: self.table.home_node(vaddr, may_wait))
         except ObjectNotFoundError as error:
-            self._answer(message, (False, None, error))
+            self.answer(message, (False, None, error))
             return
         bounce = bool(message.trace) and target == message.trace[-1]
         if not may_wait and (bounce or not self.mesh.connected(target)):
@@ -537,7 +537,7 @@ class NodeKernel:
             # The next hop is unreachable: tell the breaker and give the
             # origin a typed verdict instead of letting it time out.
             self._circuits.record_failure(target, time.monotonic())
-            self._answer(message, (False, None, NodeFailure(
+            self.answer(message, (False, None, NodeFailure(
                 f"node {self.node_id}: forwarding "
                 f"{type(message).__name__} for {vaddr:#x} to node "
                 f"{target} failed: {error}")))
@@ -545,13 +545,13 @@ class NodeKernel:
     # -- Request bodies: body(self, message, obj, may_wait) -------------
 
     def _invoke(self, message: m.InvokeMsg, obj, _may_wait) -> Any:
-        value = self._table.execute(obj, message.method, message.args,
+        value = self.table.execute(obj, message.method, message.args,
                                     message.kwargs, message.logical_thread)
         if obj._immutable and message.reply_to != self.node_id:
             # Read-only object invoked remotely: a replica, ahead of the
             # reply, makes the caller's next reads local (§2.3); best effort.
             self._send_quiet(message.reply_to, m.InstallMsg(
-                next(self._request_ids), self.node_id,
+                next(self.request_ids), self.node_id,
                 {obj._vaddr: obj}, (), replica=True))
         return value
 

@@ -25,7 +25,7 @@ class Mover(AmberObject):
 
 def next_hop(kernel, handle):
     """Where ``kernel``'s node sends its next request for ``handle``."""
-    table = kernel._table
+    table = kernel.table
     return table.descriptors.next_hop(handle.vaddr, table.home_node)
 
 

@@ -457,10 +457,10 @@ class TestReplySlot:
         detector = Detector()
         kernel, _ = _stubbed_kernel(monkeypatch, detector)
         try:
-            quiet = kernel._start(2, None, m.ControlMsg, -1, "stats")
+            quiet = kernel.start(2, None, m.ControlMsg, -1, "stats")
             with pytest.raises(TimeoutError, match="no reply to ControlMsg"):
                 kernel.wait_reply(quiet, timeout=0.02)
-            suspect = kernel._start(2, None, m.ControlMsg, -1, "stats")
+            suspect = kernel.start(2, None, m.ControlMsg, -1, "stats")
             detector.suspected = frozenset({2})
             with pytest.raises(NodeFailure, match="suspects it dead"):
                 kernel.wait_reply(suspect, timeout=0.02)
@@ -763,8 +763,8 @@ class TestPendingLifetime:
                 return target
 
             kernel._route = route
-            entry = kernel._start(None, 0x1100000, m.InvokeMsg, 0x1100000,
-                                  "poke", (), {}, (1,))
+            entry = kernel.start(None, 0x1100000, m.InvokeMsg, 0x1100000,
+                                 "poke", (), {}, (1,))
             request_id = entry.message.request_id
             assert kernel._unanswered[2] == {request_id}
             assert request_id in kernel._pending
@@ -862,7 +862,7 @@ class TestRequestIdsAcrossIncarnations:
         for _ in range(2):
             kernel = NodeKernel(1, None)
             try:
-                draws.append(list(itertools.islice(kernel._request_ids,
+                draws.append(list(itertools.islice(kernel.request_ids,
                                                    100_000)))
             finally:
                 kernel.shutdown()

@@ -143,6 +143,28 @@ def test_a_moved_name_is_taken_from_its_new_home():
                 "READ_BUFFER_BYTES"} & vars(transport).keys()
 
 
+def test_no_module_reaches_the_kernels_private_names():
+    """``kernel._x``, ``cluster.kernel._x`` and the like: what the request
+    bodies and the scenarios use of a ``NodeKernel`` is public, and its
+    underscore names are its own (the simulator's owners keep the same
+    rule, ``tests/test_kernel_layering.py``)."""
+    reached = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == RUNTIME / "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                continue
+            owner = node.value
+            name = (owner.attr if isinstance(owner, ast.Attribute)
+                    else getattr(owner, "id", None))
+            if name == "kernel":
+                reached.append(f"{path.name}: {ast.unparse(node)}")
+    assert reached == []
+
+
 def test_only_the_transport_opens_sockets():
     importers = sorted(
         path.name for path in RUNTIME.glob("*.py")

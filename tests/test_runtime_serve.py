@@ -165,7 +165,7 @@ class TestPeekBeforeRoute:
         where it would execute a second time."""
         tally = cluster.create(Tally, node=1)
         kernel = cluster.kernel
-        message = m.InvokeMsg(next(kernel._request_ids), 0, tally.vaddr,
+        message = m.InvokeMsg(next(kernel.request_ids), 0, tally.vaddr,
                               "bump", (), {}, trace=(0,))
         kernel.mesh.send(1, message)
         _wait_for(lambda: cluster.call(tally, "value") == 1)
@@ -376,8 +376,8 @@ class TestReaderServes:
 
         monkeypatch.setattr(kernel.mesh, "post", post)
         t0 = time.monotonic()
-        entry = kernel._start(kernel.node_id, tally.vaddr, m.MoveMsg,
-                              tally.vaddr, 1)
+        entry = kernel.start(kernel.node_id, tally.vaddr, m.MoveMsg,
+                             tally.vaddr, 1)
         time.sleep(0.3)
         # The install is out and unanswered, and no thread is parked
         # waiting for its reply.
@@ -521,7 +521,7 @@ def lone_kernel(monkeypatch):
     kernel.mesh.close()
     kernel.mesh = _Wire()
     try:
-        yield kernel, kernel._table.create(Ledger, (), {})
+        yield kernel, kernel.table.create(Ledger, (), {})
     finally:
         kernel._resender_stop.set()
         kernel._workers.close()
@@ -571,7 +571,7 @@ class TestRegionCache:
         """A second, different grant of a region base the node knows
         is a typed error, not a silent change of the home node."""
         kernel, vaddr = lone_kernel
-        table = kernel._table
+        table = kernel.table
         granted = table._heap._regions[-1]
         assert table.home_node(vaddr) == 1
         with pytest.raises(AddressSpaceError, match="conflicting"):
