@@ -15,6 +15,7 @@ the others that change an object in place are :class:`ObjectManager`'s rows.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
 from repro.analyze import runtime as _analysis
@@ -148,38 +149,36 @@ class ObjectManager:
 
     def _kernel_op(self, thread, us: float,
                    operation: Callable[[], Any]) -> None:
-        """Charge ``us``, run one table operation, and resume the thread
-        with its value — or with the :class:`AmberError` it raised,
-        delivered into the generator so the program can catch it."""
-        kernel = self.kernel
+        """Charge ``us``, then run one table operation in
+        :meth:`_finish_op`."""
+        self.kernel.charge(thread, us,
+                           partial(self._finish_op, thread, operation))
 
-        def then() -> None:
-            try:
-                thread.send_value = operation()
-            except AmberError as error:
-                thread.send_exc = error
-            kernel.advance(thread)
-
-        kernel.charge(thread, us, then)
+    def _finish_op(self, thread, operation: Callable[[], Any]) -> None:
+        """Run ``operation`` and resume the thread with its value — or
+        with the :class:`AmberError` it raised, delivered into the
+        generator so the program can catch it."""
+        try:
+            thread.send_value = operation()
+        except AmberError as error:
+            thread.send_exc = error
+        self.kernel.advance(thread)
 
     # --- The object requests ----------------------------------------------
 
     def _handle_new(self, thread, request: sc.New) -> None:
         node_id = (thread.location if request.on_node is None
                    else request.on_node)
-
-        def create() -> SimObject:
-            return self.create_object(request.cls, request.args,
-                                      request.kwargs, node_id,
-                                      request.size_bytes)
-
-        self._kernel_op(thread, self.costs.object_create_us(), create)
+        self._kernel_op(
+            thread, self.costs.object_create_us(),
+            partial(self.create_object, request.cls, request.args,
+                    request.kwargs, node_id, request.size_bytes))
 
     def _handle_delete(self, thread, request: sc.Delete) -> None:
         self.kernel.validate_target(request.target)
         self._kernel_op(
             thread, self.costs.descriptor_init_us,
-            lambda: self.delete_object(request.target, thread.location))
+            partial(self.delete_object, request.target, thread.location))
 
     def _handle_attach(self, thread, request: sc.Attach) -> None:
         self.kernel.validate_target(request.target)
@@ -196,32 +195,33 @@ class ObjectManager:
                 f"(node {node.id}): {a!r}, {b!r}")
         self._kernel_op(
             thread, self.costs.descriptor_init_us,
-            lambda: self.cluster.attachments.attach(a.vaddr, b.vaddr))
+            partial(self.cluster.attachments.attach, a.vaddr, b.vaddr))
 
     def _handle_unattach(self, thread, request: sc.Unattach) -> None:
         self.kernel.validate_target(request.target)
         self._kernel_op(
             thread, self.costs.descriptor_init_us,
-            lambda: self.cluster.attachments.unattach(request.target.vaddr))
+            partial(self.cluster.attachments.unattach,
+                    request.target.vaddr))
 
     def _handle_set_immutable(self, thread,
                               request: sc.SetImmutable) -> None:
         self.kernel.validate_target(request.target)
-        target = request.target
+        self._kernel_op(thread, self.costs.descriptor_init_us,
+                        partial(self._freeze, request.target))
 
-        def freeze() -> None:
-            from repro.sim.thread import SimThread  # it imports this module
+    def _freeze(self, target: SimObject) -> None:
+        """Mark ``target`` immutable, replicated from where it lives."""
+        from repro.sim.thread import SimThread  # it imports this module
 
-            if isinstance(target, SimThread):
-                raise MobilityError("threads cannot be marked immutable")
-            if self.cluster.attachments.is_attached(target.vaddr) or \
-                    target.vaddr in self.cluster.attachments.members():
-                raise MobilityError(
-                    "detach objects before marking them immutable")
-            target._immutable = True
-            target._replica_nodes = {target._location}
-
-        self._kernel_op(thread, self.costs.descriptor_init_us, freeze)
+        if isinstance(target, SimThread):
+            raise MobilityError("threads cannot be marked immutable")
+        if self.cluster.attachments.is_attached(target.vaddr) or \
+                target.vaddr in self.cluster.attachments.members():
+            raise MobilityError(
+                "detach objects before marking them immutable")
+        target._immutable = True
+        target._replica_nodes = {target._location}
 
     #: This module's rows of the kernel's request table.
     HANDLERS = {

@@ -26,8 +26,11 @@ and a migrating thread object's two entries are dict reads and writes in
 place, no record is allocated per move, arrival or hint), a fault-free
 hop builds no give-up continuation, the network pushes its delivery
 entry itself (no ``schedule_at_ns`` call) and a migration's CPU costs
-are summed once.  The budget is the 10.31 figure plus 10 %; an increase
-means a wrapper crept onto the per-event path.
+are summed once, and **10.30** once the object requests (``New``,
+``Delete``, ``Attach``, ``Unattach``, ``SetImmutable``) continue through
+partials of bound methods instead of closures.  The budget is the 10.30
+figure plus 10 %; an increase means a wrapper crept onto the per-event
+path.
 
 Measured on the fork-join program (1,068 events: a contended ``Lock``
 and a ``Barrier``): **13.39** calls per event with AmberElide's runtime
@@ -48,7 +51,7 @@ from tests import hot_path_programs as programs
 #: program -> (events it runs, measured calls per event); each
 #: program's budget is its figure plus 10 %.
 MEASURED = {
-    "run_mobility": (6442, 10.31),
+    "run_mobility": (6442, 10.30),
     "run_forkjoin": (1068, 11.46),
 }
 

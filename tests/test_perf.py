@@ -164,6 +164,20 @@ class TestHotLoopProfiler:
         text = render_hotloop(profiler)
         assert all(name in text for name, _ in top)
 
+    @pytest.mark.parametrize("program", ["run_sor", "run_forkjoin"])
+    def test_every_dispatch_step_is_a_named_method(self, program):
+        """Each continuation is a partial of a bound method, so every
+        step the profile names is one a reader can find by name, never
+        a closure or lambda's ``<locals>``."""
+        from tests import hot_path_programs as programs
+
+        with profile_runs() as profiler:
+            getattr(programs, program)()
+        steps = profiler.as_dict()["dispatch_steps_s"]
+        assert steps
+        assert [name for name in steps
+                if "<locals>" in name or "<lambda>" in name] == []
+
     def test_an_untraced_run_makes_the_same_calls_after_profiling(self):
         from tests import hot_path_programs as programs
         from tests.test_hot_path_budget import count_python_calls
