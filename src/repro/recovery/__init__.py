@@ -5,7 +5,7 @@ objects and visiting threads with it.  This package closes the loop
 from *injecting* failures (:mod:`repro.faults`) to *surviving* them:
 
 * :mod:`repro.recovery.config` — the :class:`RecoveryConfig` policy
-  object (the checkpoint switch and sweep period) and the
+  object (the checkpoint switch) and the
   ``REPRO_PEER_TIMEOUT_S`` knob every live-runtime peer-wait ceiling is
   derived from;
 * :mod:`repro.recovery.detector` — heartbeat failure detection in the

@@ -1,11 +1,11 @@
 """Epoch-based object checkpoints and primary-backup promotion.
 
 Mutable objects ship versioned snapshots of their state to a
-deterministic backup node.  Snapshots travel two ways:
+deterministic backup node.  Snapshots are taken at two points:
 
-* **periodic sweep** — every ``checkpoint_interval_us`` the kernel ships
-  a fresh epoch of every resident mutable object straight to its backup
-  (through the faulty reliable layer, like any protocol message);
+* **birth** — a new object's construction-time state ships straight to
+  its backup (through the faulty reliable layer, like any protocol
+  message), so every object has an epoch to promote;
 * **write-through** — when a migrated invocation completes, the
   *departing thread itself* carries the new epoch and flushes it from
   wherever it lands.  This couples checkpoint survival to thread
@@ -23,10 +23,11 @@ at threads that are being resurrected elsewhere) while direct attribute
 references such as a lock's owner are preserved: a live owner will
 still release the promoted lock.
 
-Torn snapshots are avoided, not repaired: the kernel skips any object a
-live thread is currently bound to (its state may be mid-operation).
-Consequently sync objects checkpoint only at protocol-quiescent points
-— a barrier between cycles, a lock with no enqueued waiters.
+Torn snapshots are avoided, not repaired: the kernel skips the epoch of
+any object another live thread is currently bound to (its state may be
+mid-operation).  Consequently sync objects checkpoint only at
+protocol-quiescent points — a barrier between cycles, a lock with no
+enqueued waiters.
 
 Consistency is per object.  Multi-object invariants that span a dead
 node (a monitor held while waiting on its condition variable) recover

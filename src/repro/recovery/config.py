@@ -1,5 +1,5 @@
-"""Recovery configuration: the simulator's knobs and the process-wide
-peer-timeout knob shared with the live runtime.
+"""Recovery configuration: the simulator's checkpoint switch and the
+process-wide peer-timeout knob shared with the live runtime.
 
 The simulator side is a frozen :class:`RecoveryConfig` passed to
 :class:`~repro.sim.program.AmberProgram` (``recovery=``).  Recovery is
@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.core.costs import MAX_DURATION_US
 from repro.errors import SimulationError, finite
 
 #: Environment variable holding the single tunable peer-wait budget
@@ -36,15 +35,6 @@ PEER_TIMEOUT_ENV = "REPRO_PEER_TIMEOUT_S"
 
 #: Default peer-wait budget when the environment does not override it.
 DEFAULT_PEER_TIMEOUT_S = 30.0
-
-#: Shortest checkpoint sweep period.  Each sweep ships one message per
-#: quiescent mutable object, and one message holds the Ethernet for its
-#: bytes times ``per_byte_us`` — 284.8 us at Firefly costs for a default
-#: 256-byte object and the 100-byte header; ``net_latency_us`` overlaps
-#: it: a much shorter period queues checkpoints faster than the wire
-#: drains them, and the run's own messages wait behind a queue that
-#: keeps growing.
-MIN_CHECKPOINT_INTERVAL_US = 1_000.0
 
 
 def peer_timeout_s() -> float:
@@ -80,25 +70,15 @@ class RecoveryConfig:
     The detector's cadence and windows are constants of
     :mod:`repro.recovery.detector`; backup placement is the one rule of
     :meth:`~repro.recovery.checkpoint.CheckpointManager.backup_node`.
+    Checkpoints are taken at two points only: an object's birth, and the
+    return of a migrated invocation on it (the write-through epoch, see
+    :mod:`repro.recovery.checkpoint`).
 
     ``checkpointing``
         Master switch for checkpoint shipping and promotion.  With it
         off, the detector still runs, but a confirmed-dead node's
         objects are lost forever and its threads terminate with
         :class:`~repro.errors.NodeFailure` instead of hanging.
-    ``checkpoint_interval_us``
-        Period of the epoch checkpoint sweep (0 disables the sweep,
-        leaving only the write-through checkpoint shipped whenever a
-        remote invocation completes on a mutable object — what makes
-        every effect a survivor has observed durable).  Any other
-        period is at least :data:`MIN_CHECKPOINT_INTERVAL_US`.
     """
 
     checkpointing: bool = True
-    checkpoint_interval_us: float = 25_000.0
-
-    def __post_init__(self) -> None:
-        interval = self.checkpoint_interval_us
-        finite("checkpoint_interval_us", interval, SimulationError,
-               0 if interval == 0 else MIN_CHECKPOINT_INTERVAL_US,
-               MAX_DURATION_US)

@@ -20,7 +20,6 @@ from repro.core.costs import MAX_NODES_OR_CPUS, CostModel
 from repro.dsm.machine import IvyCluster
 from repro.errors import AmberError, ClusterError, SimulationError, finite
 from repro.faults import FaultPlan, NodeCrash, Partition
-from repro.recovery.config import RecoveryConfig
 from repro.runtime import Cluster
 from repro.sim import (
     AmberProgram,
@@ -113,12 +112,6 @@ def test_crash_and_partition_refuse_nan_times():
         Partition((1.5,), 0.0, 5.0)
 
 
-@pytest.mark.parametrize("interval", [NAN, INF])
-def test_recovery_config_refuses_an_interval_that_never_fires(interval):
-    with pytest.raises(SimulationError, match="^checkpoint_interval_us "):
-        RecoveryConfig(checkpoint_interval_us=interval)
-
-
 def test_cluster_config_refuses_a_fractional_node_count():
     with pytest.raises(SimulationError, match="^nodes "):
         ClusterConfig(nodes=2.5)
@@ -194,8 +187,6 @@ SITES = {
                 lambda c: dict(faults=FaultPlan(crashes=(c,)))),
     Partition: (Partition((1,), 2_000.0, 6_000.0), SimulationError,
                 lambda w: dict(faults=FaultPlan(partitions=(w,)))),
-    RecoveryConfig: (RecoveryConfig(), SimulationError,
-                     lambda r: dict(recovery=r)),
     ClusterConfig: (ClusterConfig(2, 2), SimulationError,
                     lambda c: dict(config=c)),
 }
