@@ -372,7 +372,7 @@ def _recovery_main(ctx):
 
 def run_recovery(tracer=None):
     """``recovery=RecoveryConfig()`` and a permanent crash of node 1:
-    birth, sweep and write-through checkpoints, promotion, a nested
+    birth and write-through checkpoints, promotion, a nested
     replay whose inner call is suppressed, a replayed pounder, and one
     unrecoverable thread failing its joiner with NodeFailure."""
     plan = FaultPlan(

@@ -134,7 +134,7 @@ def test_golden_runs_are_not_trivial(golden):
     assert recovering["invocations_replayed"] == 2
     assert recovering["invocations_suppressed"] == 1
     assert recovering["threads_lost"] == 1
-    assert recovering["checkpoints_shipped"] > 20   # birth+sweep+carried
+    assert recovering["checkpoints_shipped"] > 5    # 5 births + carried
     assert traced("recovering_permanent_crash_3Nx2P",
                   "home-fallback", True) == 1       # live promoted copy
     # Three remote moves ran the protocol four times: one lost the race
