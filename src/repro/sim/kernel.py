@@ -3,9 +3,9 @@
 This module implements the paper's runtime semantics on the discrete-event
 substrate.  Each other mechanism has an owner whose request rows sit in the
 kernel's one handler table: threads in :mod:`repro.sim.thread`, objects in
-:mod:`repro.sim.objects`, location and mobility in :mod:`repro.sim.mobility`;
-crash recovery lives in :mod:`repro.recovery.manager` (attached only when
-configured).
+:mod:`repro.sim.objects`, location and mobility in :mod:`repro.sim.mobility`
+(a broken chain in :mod:`repro.sim.repair`); crash recovery lives in
+:mod:`repro.recovery.manager` (attached only when configured).
 
 * **Invocation path** (sections 3.2, 3.4): every invocation charges the
   entry cost (frame push + residency check).  A resident target runs
@@ -42,6 +42,7 @@ from repro.sim.engine import NS_PER_US
 from repro.sim.mobility import Mobility
 from repro.sim.node import Cpu, SimNode
 from repro.sim.objects import ObjectManager, SimObject
+from repro.sim.repair import ChainRepair
 from repro.sim.thread import (
     READY, RUNNING, Activation, SimThread, ThreadManager)
 
@@ -102,6 +103,8 @@ class AmberKernel:
         self.object_manager = ObjectManager(self)
         #: Locating, thread migration and the move protocol.
         self.mobility = Mobility(self)
+        #: A chase's crash path: unreachable hops and cyclic chains.
+        self.repair = ChainRepair(self)
         #: Request type -> bound handler, from each owner's rows.
         self._handlers = {
             kind: handler.__get__(owner)

@@ -8,7 +8,8 @@ Reached as ``kernel.mobility``; its request rows (``MoveTo``, ``Locate``,
   (its hint, else the home node derived from the address).  On arrival
   the final location is cached along the visited path (path compression).
   Both kinds of request are one :class:`Chase` followed by one routine
-  (:meth:`Mobility._arrived` / ``_forward`` / ``_unreachable``).
+  (:meth:`Mobility._arrived` / ``_forward``); a broken chain goes to
+  :mod:`repro.sim.repair`.
 * **Moves** (section 3.5): a move first marks the descriptor non-resident,
   then briefly interrupts every other processor on the node so running
   threads make a context-switch-time residency check; bound threads migrate
@@ -17,6 +18,8 @@ Reached as ``kernel.mobility``; its request rows (``MoveTo``, ``Locate``,
   concurrency it admits to).  Because mutable objects are never copied
   while resident state diverges (there is a single authoritative instance),
   the multiprocessor races of section 3.5 affect *timing*, never state.
+  Until the destination acknowledges, the source holds the chases that
+  reach it for the group, so none bounces off a destination without it.
 * **Immutables** (section 2.3): ``MoveTo`` on an immutable copies it;
   invoking a non-resident immutable fetches a local replica.
 
@@ -31,10 +34,10 @@ the synchronous protocol, matching the kernel-mediated move of the paper.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analyze import runtime as _analysis
-from repro.errors import MobilityError, NodeFailure, ObjectNotFoundError
+from repro.errors import MobilityError, ObjectNotFoundError
 from repro.obs.metrics import Held
 from repro.sim import syscalls as sc
 from repro.sim.engine import NS_PER_US
@@ -46,12 +49,6 @@ from repro.sim.thread import (
 #: Safety bound on forwarding-chain chasing for one request.
 MAX_CHASE_HOPS = 1000
 
-#: With faults enabled: bounded patience with an unreachable home node.
-#: Each probe re-runs a full reliable send (all retransmissions), spaced
-#: by the capped RTO — graceful degradation while the home is down, a
-#: clean ObjectNotFoundError once it is evidently never coming back.
-MAX_HOME_PROBES = 16
-
 
 class Chase:
     """One request following the forwarding chain of ``vaddr``.
@@ -61,7 +58,7 @@ class Chase:
     message travels for (``on_found(holder)`` continues its ``Locate`` /
     ``MoveTo``).  Everything else the two differ in follows from that:
     wire size and message kind here, what *found* and *lost* mean in
-    :meth:`Mobility._arrived` and :meth:`Mobility._lost`.
+    :meth:`Mobility._arrived` and ``ChainRepair._lost``.
     """
 
     __slots__ = ("thread", "token", "vaddr", "path", "hop", "probes",
@@ -83,7 +80,8 @@ class Chase:
         #: sweep catch threads migrating *toward* a confirmed-dead node
         #: without waiting out the reliable layer's give-up budget).
         self.hop: Optional[int] = None
-        #: Consecutive probes of an unreachable node; reset on arrival.
+        #: Consecutive probes of an unreachable node, or broadcast
+        #: rounds that found no holder; reset on arrival.
         self.probes = 0
         self.nbytes = nbytes
         self.kind = "thread" if on_found is None else "message"
@@ -111,6 +109,10 @@ class Mobility:
         #: frozen, so they are summed once).
         self._send_cpu_us = kernel.costs.thread_send_cpu_us()
         self._recv_cpu_us = kernel.costs.thread_recv_cpu_us()
+        #: (source node, member vaddr) -> the chases that reached the
+        #: source while that member's move is in flight; one list per
+        #: move, released when the destination acknowledges.
+        self._held: Dict[Tuple[int, int], List[Chase]] = {}
 
     # ------------------------------------------------------------------
     # Thread migration (function shipping)
@@ -151,7 +153,7 @@ class Mobility:
         chase = thread.chase = Chase(
             thread, vaddr, src, self.costs.thread_packet_bytes + payload,
             None)
-        self._hop(chase, src, dst)
+        self.hop(chase, src, dst)
 
     def _relocate_thread_object(self, thread: SimThread,
                                 node_id: int) -> None:
@@ -178,14 +180,15 @@ class Mobility:
         self._forward(Chase(requester, vaddr, origin.id,
                             self.costs.control_bytes, on_found), origin)
 
-    def _hop(self, chase: Chase, src: int, dst: int) -> None:
+    def hop(self, chase: Chase, src: int, dst: int) -> None:
         chase.hop = dst
         net = self.net
         # Without an injector no send gives up: build nothing for it.
         net.send_reliable(
             src, dst, chase.nbytes, partial(self._arrived, chase, dst),
             None if net.faults is None
-            else partial(self._unreachable, chase, src, dst), chase.kind)
+            else partial(self.kernel.repair.unreachable, chase, src, dst),
+            chase.kind)
 
     def _arrived(self, chase: Chase, node_id: int) -> None:
         thread = chase.thread
@@ -201,7 +204,7 @@ class Mobility:
             if node.down:
                 # Delivery raced the crash: landed on a corpse.  Bounce
                 # from the last live hop as if the send had given up.
-                self._unreachable(chase, path[-1], node_id)
+                kernel.repair.unreachable(chase, path[-1], node_id)
                 return
             if thread.carried_checkpoints and chase.on_found is None:
                 rec.flush_carried(thread, node_id)
@@ -213,6 +216,13 @@ class Mobility:
                 f"{chase.who()} chased object {vaddr:#x} for more than "
                 f"{MAX_CHASE_HOPS} hops")
         if node.descriptors.where.get(vaddr) != node_id:
+            held = self._held.get((node_id, vaddr))
+            if held is not None:
+                # Moving out of here: wait for the destination to hold
+                # it rather than bounce off a stale hint there.
+                path.pop()
+                held.append(chase)
+                return
             # Not here: follow the chain one more hop, after the
             # forwarding cost.  A migrating thread's next hop is read on
             # arrival, a control message's when the cost has elapsed (a
@@ -249,164 +259,14 @@ class Mobility:
                  next_node: Optional[int] = None) -> None:
         """Send the chase on from ``node`` to ``next_node`` — by default
         wherever ``node`` now believes the object is."""
-        vaddr = chase.vaddr
         if next_node is None:
-            next_node = node.descriptors.next_hop(vaddr, self._home_of)
+            next_node = node.descriptors.next_hop(chase.vaddr, self._home_of)
         if chase.path.count(next_node) < 2:
-            self._hop(chase, node.id, next_node)
-            return
-        # We have been to next_node before and come back: the chain is
-        # cyclic (a restart shed a link the remaining hints still route
-        # through).  Chasing cannot terminate; locate the object by
-        # broadcast, repair the chain and restart the chase there.
-        def repaired(where: int) -> None:
-            # Point this node's and the home's hints at the located
-            # holder so the repaired chain is immediately usable.
-            home = self.cluster.nodes[self.cluster.home_node(vaddr)]
-            node.descriptors.update_hint(vaddr, where)
-            home.descriptors.update_hint(vaddr, where)
-            self.metrics.inc("hints_repaired")
-            chase.path = [node.id]
-            self._hop(chase, node.id, where)
-
-        self._chain_repair_locate(node.id, vaddr, repaired)
-
-    def _unreachable(self, chase: Chase, src: int, dead: int) -> None:
-        """The reliable layer exhausted its retries sending the chase to
-        ``dead``: that hop is dead.  Shed the stale hint that led there
-        and reroute via the object's home node — unless the dead node is
-        where the home itself points (or *is* the home), in which case the
-        object is behind the crash and all we can do is probe on a slow
-        timer until it restarts or the budget runs out."""
-        thread = chase.thread
-        if thread.run_token != chase.token or thread.done:
-            return
-        kernel = self.kernel
-        vaddr = chase.vaddr
-        name = thread.name if chase.on_found is None else ""
-        rec = kernel.recovery
-        if rec is not None:
-            if rec.is_lost(vaddr):
-                self._lost(chase, dead, NodeFailure(
-                    f"{chase.who()} cannot reach object {vaddr:#x}: it "
-                    f"was lost with node {dead}"))
-                return
-            where = rec.live_copy(vaddr, dead)
-            if where is not None:
-                # The object escaped the crash (a promoted backup, or a
-                # live holder): go straight there, not via a corpse.
-                self.metrics.inc("home_fallbacks")
-                kernel.trace("home-fallback", src, name, vaddr,
-                             f"node {dead} unreachable; live copy at "
-                             f"node {where}")
-                self._hop(chase, src, where)
-                return
-        home = self.cluster.home_node(vaddr)
-        if dead != home and src != home:
-            source = self.cluster.node(src)
-            if source.descriptors.next_hop(vaddr, self._home_of) == dead:
-                source.descriptors.clear(vaddr)   # the hint that led there
-                self.metrics.inc("hints_repaired")
-            self.metrics.inc("home_fallbacks")
-            kernel.trace("home-fallback", src, name, vaddr,
-                         f"node {dead} unreachable; rerouting via home "
-                         f"{home}")
-            self._hop(chase, src, home)
-            return
-        if chase.probes >= MAX_HOME_PROBES:
-            self._lost(chase, dead, ObjectNotFoundError(
-                f"{chase.who()} cannot reach object {vaddr:#x}: node "
-                f"{dead} stayed unreachable through "
-                f"{MAX_HOME_PROBES} probes"))
-            return
-        chase.probes += 1
-        self.metrics.inc("home_probes")
-        kernel.trace("home-probe", src, name, vaddr,
-                     f"probe {chase.probes} of node {dead}")
-        self.sim.schedule_us(
-            self._probe_interval_us(),
-            lambda: None if thread.run_token != chase.token or thread.done
-            else self._hop(chase, src, dead))
-
-    def _lost(self, chase: Chase, dead: int, error: Exception) -> None:
-        """The chase cannot end.  Without crash recovery that is fatal to
-        the run; with it, a typed failure instead of an exception out of
-        the event loop: a migrating thread terminates and its joiners
-        learn, a ``Locate`` / ``MoveTo`` raises inside its operation."""
-        rec = self.kernel.recovery
-        if rec is None:
-            raise error
-        if chase.on_found is None:
-            rec.fail_thread(chase.thread, dead)
+            self.hop(chase, node.id, next_node)
         else:
-            chase.thread.send_exc = error
-            self.kernel.advance(chase.thread)
-
-    def _probe_interval_us(self) -> float:
-        """Spacing between probes of an unreachable node: the retry
-        layer's backoff cap, so probes are strictly slower than the
-        in-protocol retransmissions that already failed."""
-        plan = self.cluster.faults
-        return plan.rto_cap_us if plan is not None else 1_000.0
-
-    def _chain_repair_locate(self, origin_id: int, vaddr: int,
-                             on_found, probes: int = 0) -> None:
-        """Broadcast locate of last resort (the Emerald lineage's
-        unreachable-object search).  A restart can shed a forwarding
-        link whose upstream hints still point into the broken chain,
-        leaving a cycle no amount of chasing escapes — e.g. the home's
-        stale hint aims at the restarted node, which knows nothing and
-        bounces requests back to the home.  When a chase detects such a
-        cycle, ask every node directly whether the object is resident
-        there and repair the chain from the answer.
-
-        If no node holds the object (it may be in transit, or behind a
-        crashed node that dropped the query), the broadcast is retried
-        on the probe timer up to :data:`MAX_HOME_PROBES` times before
-        the object is declared lost.  Queries go out in node-id order
-        and replies are collected by counting, so the broadcast is
-        deterministic."""
-        if self.cluster.node(origin_id).descriptors.is_resident(vaddr):
-            on_found(origin_id)  # arrived here while we were looping
-            return
-        self.metrics.inc("location_broadcasts")
-        self.kernel.trace("locate-broadcast", origin_id, "", vaddr,
-                          f"round {probes + 1}")
-        peers = [node for node in self.cluster.nodes
-                 if node.id != origin_id]
-        outstanding = [len(peers)]
-        found: List[int] = []
-
-        def finish() -> None:
-            if found:
-                on_found(min(found))
-                return
-            if probes >= MAX_HOME_PROBES:
-                raise ObjectNotFoundError(
-                    f"object {vaddr:#x} not resident on any node after "
-                    f"{MAX_HOME_PROBES} broadcast rounds: lost")
-            self.metrics.inc("home_probes")
-            self.sim.schedule_us(
-                self._probe_interval_us(),
-                lambda: self._chain_repair_locate(origin_id, vaddr,
-                                                  on_found, probes + 1))
-
-        def account() -> None:
-            outstanding[0] -= 1
-            if outstanding[0] == 0:
-                finish()
-
-        for peer in peers:
-            def check(peer=peer) -> None:
-                if peer.descriptors.is_resident(vaddr):
-                    found.append(peer.id)
-                self.net.send_reliable(peer.id, origin_id,
-                                       self.costs.control_bytes,
-                                       account, on_give_up=account)
-
-            self.net.send_reliable(origin_id, peer.id,
-                                   self.costs.control_bytes, check,
-                                   on_give_up=account)
+            # Been there and back: the chain is cyclic (a restart shed
+            # a link the remaining hints still route through).
+            self.kernel.repair.chain_repair_locate(chase, node)
 
     # ------------------------------------------------------------------
     # MoveTo
@@ -483,9 +343,11 @@ class Mobility:
         #    under the same event as the marking.
         group = [cluster.objects[member]
                  for member in cluster.attachments.group(vaddr)]
+        held: List[Chase] = []
         for member in group:
             node.descriptors.set_forwarding(member._vaddr, dest)
             member._location = None
+            self._held[node.id, member._vaddr] = held
         # 2. Briefly interrupt every other processor so running threads
         #    make residency checks when rescheduled.
         for cpu in node.cpus:
@@ -495,7 +357,7 @@ class Mobility:
         preempt_cost = costs.preempt_us * max(0, node.ncpus - 1)
         marshal_cost = costs.object_marshal_us * len(group)
         install = partial(self._move_install, mover, node, vaddr, dest,
-                          group, on_done)
+                          group, held, on_done)
         self._after(mover, node, preempt_cost + marshal_cost, partial(
             self.net.send_reliable, node.id, dest,
             sum(member.size_bytes for member in group),
@@ -504,7 +366,7 @@ class Mobility:
 
     def _move_install(self, mover: Optional[SimThread], node: SimNode,
                       vaddr: int, dest: int, group: List[SimObject],
-                      on_done) -> None:
+                      held: List[Chase], on_done) -> None:
         """The group has arrived and installed at ``dest``: acknowledge."""
         cluster = self.cluster
         dest_node = cluster.node(dest)
@@ -517,8 +379,19 @@ class Mobility:
         self.kernel.trace("move", dest, "", vaddr,
                           f"group of {len(group)} from node {node.id}")
         self.net.send_reliable(dest, node.id, self.costs.control_bytes,
-                               partial(self._after, mover, node,
-                                       self.costs.move_complete_us, on_done))
+                               partial(self._move_acked, mover, node, group,
+                                       held, on_done))
+
+    def _move_acked(self, mover: Optional[SimThread], node: SimNode,
+                    group: List[SimObject], held: List[Chase],
+                    on_done) -> None:
+        """Acknowledged: send the chases held at ``node`` on, and finish."""
+        for member in group:
+            if self._held.get((node.id, member._vaddr)) is held:
+                del self._held[node.id, member._vaddr]
+        for chase in held:
+            self._arrived(chase, node.id)
+        self._after(mover, node, self.costs.move_complete_us, on_done)
 
     def _after(self, mover: Optional[SimThread], node: SimNode,
                us: float, then) -> None:

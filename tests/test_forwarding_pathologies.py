@@ -13,7 +13,9 @@ states a crashed-and-restarted node leaves behind.
 import pytest
 
 from repro.errors import ObjectNotFoundError
-from repro.sim.syscalls import Invoke, Locate, MoveTo, New
+from repro.faults import FaultPlan, NodeCrash
+from repro.sim import AmberProgram, ClusterConfig, SimObject
+from repro.sim.syscalls import Fork, Invoke, Join, Locate, MoveTo, New, Sleep
 from tests.helpers import Cell, run
 
 
@@ -137,6 +139,71 @@ class TestCycles:
 
         with pytest.raises(ObjectNotFoundError, match="lost"):
             run(main, nodes=3, cpus=1)
+
+
+class Mover(SimObject):
+    def shove(self, ctx, cell, dest):
+        yield MoveTo(cell, dest)
+
+
+class Finder(SimObject):
+    def find(self, ctx, cell):
+        return (yield Locate(cell))
+
+
+class TestMoveInFlight:
+    """From marking the group away until the destination acknowledges,
+    a move's source holds the chases that reach it: none bounces off a
+    destination that does not hold the object yet, so a fault-free run
+    never mistakes an object in transit for a cyclic chain."""
+
+    def test_chases_wait_at_the_source_instead_of_broadcasting(self):
+        def main(ctx):
+            cell = yield New(Cell, 40)          # homed on node 0
+            yield MoveTo(cell, 1)
+            # The destination's stale hint points back at the source.
+            ctx.cluster.node(2).descriptors.update_hint(cell.vaddr, 1)
+            mover = yield New(Mover, on_node=1)
+            finder = yield New(Finder)
+            shove = yield Fork(mover, "shove", cell, 2)
+            # Both chases reach node 1 after it marks the cell away and
+            # before node 2 has installed it.
+            yield Sleep(2_700.0)
+            finding = yield Fork(finder, "find", cell)
+            value = yield Invoke(cell, "add", 2)
+            yield Join(shove)
+            return value, (yield Join(finding))
+
+        result = run(main, nodes=3, cpus=1)
+        assert result.value == (42, 2)
+        metrics = result.cluster.metrics
+        assert metrics.counter("location_broadcasts").value == 0
+        assert metrics.counter("home_probes").value == 0
+        # Each chase took one forwarding hop: node 1 straight to node 2.
+        assert result.cluster.stats.forwarding_hops_followed == 2
+
+    @pytest.mark.parametrize("crash_us", [20_000.0, 22_000.0, 24_000.0])
+    def test_source_that_restarts_releases_what_it_held(self, crash_us):
+        """Node 1 crashes while it holds main's chase and restarts 5 ms
+        later; the retried acknowledgement releases the chase.  The one
+        broadcast is the restart's own cycle: node 1 shed its link."""
+        def main(ctx):
+            cell = yield New(Cell, 40)          # homed on node 0
+            yield MoveTo(cell, 1)
+            mover = yield New(Mover, on_node=1)
+            shove = yield Fork(mover, "shove", cell, 2)
+            yield Sleep(6_000.0)
+            value = yield Invoke(cell, "add", 2)
+            yield Join(shove)
+            return value
+
+        plan = FaultPlan(seed=0, crashes=(NodeCrash(
+            node=1, at_us=crash_us, restart_us=crash_us + 5_000.0),))
+        result = AmberProgram(ClusterConfig(nodes=3, cpus_per_node=2),
+                              faults=plan).run(main)
+        assert result.value == 42
+        assert result.cluster.metrics.counter(
+            "location_broadcasts").value == 1
 
 
 class TestHomeFallback:

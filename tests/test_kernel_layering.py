@@ -20,9 +20,10 @@ RECOVERY = SRC / "repro" / "recovery"
 MAX_CLASS_METHODS = 60
 
 #: How the modules under sim/ and recovery/ name the owners of the
-#: kernel's mechanisms: the core, its three request owners, recovery.
+#: kernel's mechanisms: the core, its three request owners, the chase's
+#: crash path, recovery.
 OWNERS = {"kernel", "_kernel", "thread_manager", "object_manager",
-          "mobility", "recovery", "rec"}
+          "mobility", "repair", "recovery", "rec"}
 
 _PROBE = """
 import json, sys

@@ -153,6 +153,9 @@ def test_object_space_consistent_after_random_program(steps):
             assert final == expected
             assert box.hits == expected
 
+    # No fault plan, so no chain broke: no chase needed the broadcast.
+    assert cluster.metrics.counter("location_broadcasts").value == 0
+
 
 @settings(max_examples=25, deadline=None)
 @given(moves=st.lists(st.integers(0, N_NODES - 1), max_size=10),

@@ -164,7 +164,8 @@ class TestHotLoopProfiler:
         text = render_hotloop(profiler)
         assert all(name in text for name, _ in top)
 
-    @pytest.mark.parametrize("program", ["run_sor", "run_forkjoin"])
+    @pytest.mark.parametrize("program", ["run_sor", "run_forkjoin",
+                                         "run_mobility", "run_move_race"])
     def test_every_dispatch_step_is_a_named_method(self, program):
         """Each continuation is a partial of a bound method, so every
         step the profile names is one a reader can find by name, never

@@ -42,8 +42,8 @@ repro.runtime.transport repro.runtime.workers
 repro.sim repro.sim.cluster repro.sim.engine
 repro.sim.kernel repro.sim.mobility repro.sim.network repro.sim.node
 repro.sim.objects
-repro.sim.program repro.sim.scheduler repro.sim.stats repro.sim.sync
-repro.sim.syscalls repro.sim.thread repro.sim.trace
+repro.sim.program repro.sim.repair repro.sim.scheduler repro.sim.stats
+repro.sim.sync repro.sim.syscalls repro.sim.thread repro.sim.trace
 """.split()
 
 
