@@ -1,7 +1,7 @@
 """Golden identity of the simulator's per-event path.
 
-Seven small fixed programs (``tests/hot_path_programs.py``: three
-fault-free, four faulted or recovering) are run with a tracer attached
+Seven small fixed programs (``tests/hot_path_programs.py``: four
+fault-free, three faulted or recovering) are run with a tracer attached
 and every fixed point of the run — ``(events_run, elapsed_us)``,
 ``ClusterStats``, ``NetworkStats``, ``metrics.as_dict()``, every
 thread's ``state_time_us`` and the full trace-event stream — is compared
@@ -139,12 +139,16 @@ def test_golden_runs_are_not_trivial(golden):
                   "home-fallback", True) == 1       # live promoted copy
     # Three remote moves ran the protocol four times: one lost the race
     # at setup_done and was re-routed; chases of the object in flight
-    # found cycles and broadcast.
+    # were held at the move's source until the destination held it.
     race = golden["move_race_4Nx1P"]
     assert race["cluster_stats"]["object_moves"] == 3
     assert race["metrics"]["histograms"]["forward_chain_hops"]["count"] \
         > 3 + 4
-    assert counters("move_race_4Nx1P")["location_broadcasts"] == 4
+    # No fault-free program needed the crash path's broadcast or probes.
+    for name in ("sor_40x280_4Nx2P", "mobility_8Nx2P",
+                 "forkjoin_lock_barrier_2Nx2P", "move_race_4Nx1P"):
+        assert not {"location_broadcasts", "home_probes"} \
+            & counters(name).keys(), name
 
 
 def _dump(golden: dict) -> str:
