@@ -379,16 +379,16 @@ class Mobility:
         self.kernel.trace("move", dest, "", vaddr,
                           f"group of {len(group)} from node {node.id}")
         self.net.send_reliable(dest, node.id, self.costs.control_bytes,
-                               partial(self._move_acked, mover, node, group,
-                                       held, on_done))
+                               partial(self._move_acked, mover, node, held,
+                                       on_done))
 
     def _move_acked(self, mover: Optional[SimThread], node: SimNode,
-                    group: List[SimObject], held: List[Chase],
-                    on_done) -> None:
+                    held: List[Chase], on_done) -> None:
         """Acknowledged: send the chases held at ``node`` on, and finish."""
-        for member in group:
-            if self._held.get((node.id, member._vaddr)) is held:
-                del self._held[node.id, member._vaddr]
+        # A retried acknowledgement may land after a newer move from here
+        # took the same keys: drop only this move's.
+        self._held = {key: chases for key, chases in self._held.items()
+                      if chases is not held}
         for chase in held:
             self._arrived(chase, node.id)
         self._after(mover, node, self.costs.move_complete_us, on_done)

@@ -1,8 +1,5 @@
-"""The chase's crash path, reached as ``kernel.repair``: a hop whose send
-gave up or landed on a crashed node, and a forwarding chain that loops.
-Only crashes and restarts break a chain; a fault-free run never comes here
-(a chase that reaches a move's source waits there for the move to land).
-"""
+"""The chase's crash path, reached as ``kernel.repair``: a dead hop and a
+cyclic chain.  Only crashes and restarts break a chain."""
 
 from __future__ import annotations
 
@@ -26,7 +23,6 @@ class ChainRepair:
     def __init__(self, kernel):
         self.kernel = kernel
         self.cluster = kernel.cluster
-        self.sim = kernel.sim
         self.costs = kernel.costs
         self.net = kernel.net
         self.metrics = kernel.metrics
@@ -87,8 +83,8 @@ class ChainRepair:
         self.metrics.inc("home_probes")
         kernel.trace("home-probe", src, name, vaddr,
                      f"probe {chase.probes} of node {dead}")
-        self.sim.schedule_us(self._probe_us,
-                             partial(self._probe, chase, src, dead))
+        self.kernel.sim.schedule_us(self._probe_us,
+                                    partial(self._probe, chase, src, dead))
 
     def _probe(self, chase: Chase, src: int, dead: int) -> None:
         thread = chase.thread
@@ -110,12 +106,10 @@ class ChainRepair:
             self.kernel.advance(chase.thread)
 
     def chain_repair_locate(self, chase: Chase, node: SimNode) -> None:
-        """Broadcast locate of last resort (the Emerald lineage's) for a
-        chase whose chain loops back through ``node``: only a restart's
-        cycle reaches it, never a fault-free run.  Every other node, in
-        id order, answers whether it holds the object; a round that finds
-        none (in transit, or behind a crash) is retried on the probe
-        timer, counted in ``chase.probes``, until the object is lost."""
+        """Emerald's broadcast locate, for a chase whose chain loops back
+        through ``node``: only a restart's cycle reaches it, never a
+        fault-free run.  A round that finds no holder is retried on the
+        probe timer, counted in ``chase.probes``, until it is lost."""
         vaddr = chase.vaddr
         if node.descriptors.is_resident(vaddr):
             self._repaired(chase, node, node.id)  # arrived while looping
@@ -143,7 +137,6 @@ class ChainRepair:
     def _answered(self, chase: Chase, node: SimNode,
                   answers: List[Optional[int]],
                   holder: Optional[int]) -> None:
-        """``holder`` is ``None`` unless the peer holds the object."""
         answers.append(holder)
         if len(answers) < len(self.cluster.nodes) - 1:
             return
@@ -157,7 +150,7 @@ class ChainRepair:
         else:
             chase.probes += 1
             self.metrics.inc("home_probes")
-            self.sim.schedule_us(self._probe_us, partial(
+            self.kernel.sim.schedule_us(self._probe_us, partial(
                 self.chain_repair_locate, chase, node))
 
     def _repaired(self, chase: Chase, node: SimNode, where: int) -> None:

@@ -31,10 +31,10 @@ are summed once, and **10.30** once the object requests (``New``,
 partials of bound methods instead of closures.  The budget is the 10.30
 figure plus 10 %; an increase means a wrapper crept onto the per-event
 path.  Once a move's source holds the chases that reach it until the
-destination acknowledges, the program runs 5,932 events and 62,603
-calls (66,342 before): **10.55** calls per event, because the 510
+destination acknowledges, the program runs 5,932 events and 62,711
+calls (66,342 before): **10.57** calls per event, because the 510
 events that went (broadcast queries and replies, hops of chases that
-bounced) took 7.3 calls each, fewer than the average event.  The budget
+bounced) took 7.1 calls each, fewer than the average event.  The budget
 stays at the 10.30 figure.
 
 Measured on the fork-join program (1,068 events: a contended ``Lock``

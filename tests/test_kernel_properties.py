@@ -12,7 +12,7 @@ to completion; afterwards the object space must be consistent:
   (counter totals add up), regardless of object motion.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import forwarding
@@ -116,6 +116,8 @@ def random_program(steps):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(steps=st.lists(step_strategy, max_size=25))
+# A forked hit chases the box while main moves it away.
+@example(steps=[("fork", 1, 0), ("move", 1, 0)])
 def test_object_space_consistent_after_random_program(steps):
     result = run_program(random_program(steps), nodes=N_NODES,
                          cpus_per_node=2)
