@@ -404,11 +404,10 @@ def _scan_transfer(model: FlowModel) -> _Transfer:
 # ---------------------------------------------------------------------------
 
 
-def classify(model: FlowModel,
-             sources: Sequence[Tuple[str, str]]) -> ElideModel:
+def classify(model: FlowModel) -> ElideModel:
     """Run the confinement/immutability/lock classification over the
-    program ``model`` was scanned from (``sources``: its one parse is
-    the model's, and is not repeated)."""
+    program ``model`` was scanned from (its one parse is the model's,
+    and is not repeated)."""
     transfer = _scan_transfer(model)
 
     # Carrying edges from the flow model itself.
@@ -489,4 +488,4 @@ def classify(model: FlowModel,
 
 
 def classify_sources(sources: Sequence[Tuple[str, str]]) -> ElideModel:
-    return classify(scan_sources(sources), sources)
+    return classify(scan_sources(sources))

@@ -120,7 +120,7 @@ def analyze(sources: Sequence[Tuple[str, str]],
     an AMB000 row, as is each file that does not parse — the rows
     ``repro lint`` prints for the same files."""
     model = scan_sources(sources)
-    elide = classify(model, sources)
+    elide = classify(model)
     texts = dict(sources)
     errors = [LintFinding(path, 0, "AMB000", message)
               for path, message in (unreadable or {}).items()]

@@ -225,10 +225,6 @@ class NodeHeap:
             raise HeapError(f"no block at address {address:#x}")
         return block.size
 
-    def owns(self, address: int) -> bool:
-        """True if ``address`` lies in a region granted to this node."""
-        return any(region.contains(address) for region in self._regions)
-
     def _bump_allocate(self, size: int) -> int:
         if size > self._server.region_bytes:
             raise HeapError(

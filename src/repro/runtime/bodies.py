@@ -27,20 +27,22 @@ def located(kernel, _message, _obj, _may_wait) -> int:
 
 def move_out(kernel, message: m.MoveMsg, obj, may_wait) -> Any:
     """Ship the group (of an immutable, a replica) and return: the
-    move's second half — counting it, answering the mover — is the
-    continuation of the install, a request of its own (re-sent on
-    silence, typed failure on a dead destination)."""
+    move's second half — releasing the requests held meanwhile, counting
+    it, answering the mover — is the continuation of the install, a
+    request of its own (re-sent on silence, typed failure on a dead
+    destination)."""
     dest = message.dest
     if dest == kernel.node_id:
         return None
     replica = obj._immutable
     if replica:
-        shipment, edges = {message.vaddr: obj}, ()
+        shipment, edges, held = {message.vaddr: obj}, (), []
     else:
-        shipment, edges = kernel.table.take_group(message.vaddr, dest,
-                                                  may_wait)
+        shipment, edges, held = kernel.table.take_group(
+            message.vaddr, dest, may_wait)
 
     def installed(outcome: Tuple) -> None:
+        kernel.release(held)
         # Not ok: the group stays forwarded (dest may hold it).
         if outcome[0] and not replica:
             kernel.stats["moves_out"] += 1
@@ -58,6 +60,7 @@ def move_out(kernel, message: m.MoveMsg, obj, may_wait) -> Any:
         # Never transmitted, so the destination cannot hold it: a
         # refused move leaves the group where it was.
         kernel.table.adopt(shipment, edges, replica)
+        kernel.release(held)
         raise
     return _LATER
 

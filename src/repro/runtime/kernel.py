@@ -47,8 +47,8 @@ from repro.runtime.objtable import MustWait, ObjectTable
 from repro.runtime.transport import Mesh
 from repro.runtime.workers import WORKER_IDLE_S, _WorkerPool
 
-#: Forwarding-chase guard (generous: chains are short, but a move's
-#: install window can bounce a request a few times).
+#: Forwarding-chase guard against the cycles a crash can leave (a
+#: move's source holds what would cycle while its install is out).
 MAX_TRACE = 256
 
 log = logging.getLogger(__name__)
@@ -190,6 +190,12 @@ class NodeKernel:
         if ok:
             return value
         raise error
+
+    def release(self, held) -> None:
+        """Serve again, on pool workers, the requests a move from here
+        held (:meth:`ObjectTable.take_group`) now it has its outcome."""
+        for message in self.table.release(held):
+            self._workers.submit(message)
 
     def shutdown(self) -> None:
         self._resender_stop.set()
@@ -522,14 +528,14 @@ class NodeKernel:
         except ObjectNotFoundError as error:
             self.answer(message, (False, None, error))
             return
-        bounce = bool(message.trace) and target == message.trace[-1]
-        if not may_wait and (bounce or not self.mesh.connected(target)):
-            # A reader neither sleeps nor dials, and a forward that
-            # fails must fail on a thread that can tell the origin.
+        if target in message.trace and self.table.hold(vaddr, message):
+            # Been to the destination and came back: the install has
+            # not landed.  Sent on when the move gets its outcome.
+            return
+        if not may_wait and not self.mesh.connected(target):
+            # A reader does not dial, and a forward that fails must
+            # fail on a thread that can tell the origin.
             raise MustWait()
-        if bounce:
-            # Bounced: the object is mid-move; let the install land.
-            time.sleep(0.005)
         self.stats["forwards"] += 1
         try:
             self.mesh.send(target, message._replace(trace=trace))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.address_space import NodeHeap, RegionMap
 from repro.core.attachment import AttachmentGraph
@@ -53,6 +53,9 @@ class ObjectTable:
         self.descriptors = DescriptorTable(node_id)
         self._attachments = AttachmentGraph()
         self._bind: Dict[int, int] = {}
+        #: vaddr -> the requests held for it while a move from here is
+        #: in flight: one list per move, shared by the group's members.
+        self._held: Dict[int, List[Any]] = {}
         self._regions = RegionMap()
         self._heap = NodeHeap(node_id, coordinator_client,
                               on_grant=self._regions.add)
@@ -121,10 +124,11 @@ class ObjectTable:
         self._stats["hints"] += 1
 
     def take_group(self, vaddr: int, dest: int,
-                   may_wait: bool) -> Tuple[dict, tuple]:
+                   may_wait: bool) -> Tuple[dict, tuple, List[Any]]:
         """Drain the attachment group of ``vaddr``, take it out of this
-        node and leave forwarding addresses to ``dest``.  The drain waits
-        at most the peer timeout."""
+        node and leave forwarding addresses to ``dest``; the list
+        :meth:`hold` fills until the move's :meth:`release`.  The drain
+        waits at most the peer timeout."""
         deadline = None
         with self._state:
             group = self._attachments.group(vaddr)
@@ -154,10 +158,30 @@ class ObjectTable:
             edges = tuple((member, target) for member in group
                           for target in
                           self._attachments.attachments_of(member))
+            held: List[Any] = []
             for member in group:
                 self._attachments.drop(member)
                 self.descriptors.set_forwarding(member, dest)
-        return shipment, edges
+                self._held[member] = held
+        return shipment, edges, held
+
+    def hold(self, vaddr: int, message: Any) -> bool:
+        """Keep ``message`` until the move of ``vaddr`` from here gets
+        its outcome; false when no such move is in flight."""
+        with self._state:
+            held = self._held.get(vaddr)
+            if held is None:
+                return False
+            held.append(message)
+            return True
+
+    def release(self, held: List[Any]) -> List[Any]:
+        """End the holding into ``held``, and return it.  By identity: a
+        newer move from here may hold for the same members."""
+        with self._state:
+            self._held = {member: other for member, other
+                          in self._held.items() if other is not held}
+        return held
 
     def adopt(self, objects: Dict[int, AmberObject], edges,
               replica: bool = False) -> None:

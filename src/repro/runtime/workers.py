@@ -15,13 +15,13 @@ WORKER_IDLE_S = 1.0
 
 class _WorkerPool:
     """The kernel's elastic worker threads.  Handlers may block (move
-    drains, nested requests, the bounce sleep in ``_forward``, live
-    ``Lock``/``CondVar`` waits), so no message waits behind a running
-    one: :meth:`submit` hands it to a parked worker it claims under the
-    lock (the queue never holds more messages than claimed workers), or
-    else starts a thread — the pool is unbounded.  :meth:`retire_spare`,
-    called once per :data:`WORKER_IDLE_S`, retires the workers nothing
-    claimed since the call before."""
+    drains, nested requests, live ``Lock``/``CondVar`` waits), so no
+    message waits behind a running one: :meth:`submit` hands it to a
+    parked worker it claims under the lock (the queue never holds more
+    messages than claimed workers), or else starts a thread — the pool
+    is unbounded.  :meth:`retire_spare`, called once per
+    :data:`WORKER_IDLE_S`, retires the workers nothing claimed since the
+    call before."""
 
     _RETIRE = object()
 

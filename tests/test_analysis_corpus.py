@@ -562,7 +562,7 @@ def _rows(records: Any) -> List[List[Any]]:
 def answers(sources: Sources) -> Dict[str, Any]:
     """What the three passes say about one program."""
     model = scan_sources(sources)
-    emodel = classify(model, sources)
+    emodel = classify(model)
     return {
         "lint": [finding.render() for path, text in sources
                  for finding in lint_source(text, path)],
@@ -642,7 +642,7 @@ def test_every_invoked_immutable_class_is_replicated_or_spread():
         replicated = set(derive_hints(model).replicate_classes())
         spread = model.spread_classes()
         invoked = model.invoked_by()
-        for cls in classify(model, sources).immutable:
+        for cls in classify(model).immutable:
             if any(caller != cls for caller in invoked.get(cls, {})):
                 assert cls in replicated | spread, (name, cls)
                 checked += 1

@@ -156,7 +156,7 @@ def test_flow_and_elide_agree_on_the_owner_of_every_function(name):
 
     for site in model.invokes:
         assert site.caller_class == owner_at(site.path, site.line), site
-    for site in classify(model, sources).lock_sites:
+    for site in classify(model).lock_sites:
         assert site.owner == (owner_at(site.path, site.line)
                               or "<main>"), site
     for scope in scopes:
@@ -247,7 +247,7 @@ def test_the_front_end_imports_the_standard_library_only():
 
 def _answers(sources):
     model = scan_sources(sources)
-    emodel = classify(model, sources)
+    emodel = classify(model)
     return json.dumps([
         [finding.render() for path, text in sources
          for finding in lint_source(text, path)],
